@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet bench-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ci
+.PHONY: build test race fmt vet bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare ci
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) run ./cmd/up2pbench -run E13 -e13-max-peers 100
 	$(GO) run ./cmd/up2pbench -run E18 -wal-docs 40 -wal-recovery-batches 20,60
+
+# Fuzz smoke: ten seconds of FuzzDHTFrameDecode on top of its seeds and
+# the committed corpus (internal/dht/testdata/fuzz) — no DHT frame
+# decoder may panic, or allocate beyond a small multiple of its input.
+fuzz-smoke:
+	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical
 # message-trace hashes on repeated in-process runs (catches map-order
@@ -95,4 +101,17 @@ tcp-nightly:
 crash-smoke:
 	$(GO) test -race -count=1 -run 'WAL|Crash|Poisoned|ConsistentCut|CorruptMiddle' ./internal/index ./internal/core
 
-ci: build fmt vet test race bench-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke
+# The ruler (benchmark/README.md): `make ruler PR=17` measures this
+# checkout into BENCH_17.json, one point of the committed trajectory
+# (~2.5 min); `make ruler-compare BASE=BENCH_16.json CHANGE=BENCH_17.json`
+# judges one point against another, metric by metric, with the bounds
+# of BENCHMARK.json (BASE and CHANGE may be comma-separated lists).
+ruler:
+	@test -n "$(PR)" || { echo "usage: make ruler PR=<number>"; exit 2; }
+	$(GO) run ./benchmark -seed 1 -json BENCH_$(PR).json
+
+ruler-compare:
+	@test -n "$(BASE)" -a -n "$(CHANGE)" || { echo "usage: make ruler-compare BASE=a.json CHANGE=b.json"; exit 2; }
+	$(GO) run ./benchmark -compare $(BASE) $(CHANGE)
+
+ci: build fmt vet test race bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke

@@ -15,8 +15,34 @@
 //     on the k nodes closest to that key; searching a community is
 //     one iterative FIND_VALUE toward it, with the attribute filter
 //     evaluated holder-side so only matching records travel back.
-//   - KeyForDoc(docID) holds provider records for direct
-//     DocID-keyed provider lookups (Node.Providers).
+//   - KeyForDoc(docID) holds provider stubs (DocID, CommunityID,
+//     Provider — no title, no attributes) for direct DocID-keyed
+//     provider lookups (Node.Providers).
+//
+// A search ships the record set once. Every FIND_VALUE reply carries a
+// 12-byte digest of the responder's matching set (setDigest); records
+// travel only when the querier can use them:
+//
+//   - Every RPC is stamped with a digest (Have). A holder of that very
+//     set answers with contacts, digest and flags; one with a different
+//     set ships it in the same reply, unless asked DigestOnly.
+//   - Have is the set most responders announced, once it is in hand;
+//     until then all the querier holds (at first its own held slice),
+//     and only a wave's closest candidate may ship.
+//   - A responder whose announced set is not in hand is asked once more
+//     (a pull) after convergence — or at once when a limit or a Complete
+//     cached set would end the lookup early: it ends on records, never
+//     on a digest. A lost pull lets the lookup converge on, and its
+//     result is never cache-STOREd.
+//
+// Holders in agreement ship one copy of the records, not k, in not one
+// message more. Replicas that differ (churn, a lost STORE, the partial
+// slice over-replication leaves just outside the k closest) still
+// merge, so recall stays exact, and show: dht.digest_replies counts the
+// sets a digest stood in for, dht.digest_mismatches those shipped in
+// answer to the most-announced one. A lying holder can withhold its
+// copy behind a false digest; it cannot inject: Search re-checks
+// community and filter on every record.
 //
 // Records expire after Config.RecordTTL on their holders; publishers
 // counter expiry — and re-replicate around churn — by periodic
@@ -170,6 +196,40 @@ type findNodeReplyPayload struct {
 	Peers []transport.PeerID `json:"peers"`
 }
 
+// setDigest summarizes a record set in 12 wire bytes: how many records
+// and the sum mod 2^64 of their recordHash values — order-independent,
+// so a holder accumulates it in its match loop with no sort and no
+// allocation. The zero value is the empty set.
+type setDigest struct {
+	Count uint32 `json:"count"`
+	Sum   uint64 `json:"sum"`
+}
+
+func (d *setDigest) add(hash uint64) {
+	d.Count++
+	d.Sum += hash
+}
+
+// recordHash is the per-record term of a setDigest: FNV-1a over
+// DocID‖0‖Provider, then murmur3's fmix64 — raw FNV terms of keys that
+// differ in their last byte sum to equal totals far too easily.
+func recordHash(docID index.DocID, provider transport.PeerID) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(docID); i++ {
+		h = (h ^ uint64(docID[i])) * prime
+	}
+	h *= prime // the 0 separator: h ^ 0 == h
+	for i := 0; i < len(provider); i++ {
+		h = (h ^ uint64(provider[i])) * prime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
 type findValuePayload struct {
 	ReqID uint64 `json:"reqId"`
 	Key   ID     `json:"key"`
@@ -178,11 +238,18 @@ type findValuePayload struct {
 	CommunityID string `json:"communityId"`
 	Filter      string `json:"filter"`
 	Limit       int    `json:"limit"`
+	// Have digests the matching set the querier already holds: a holder
+	// of the same set, or any holder asked DigestOnly, ships no records.
+	Have       setDigest `json:"have"`
+	DigestOnly bool      `json:"digestOnly,omitempty"`
 }
 
 type findValueReplyPayload struct {
-	ReqID   uint64             `json:"reqId"`
+	ReqID uint64 `json:"reqId"`
+	// Records is the matching set, unless the request's Have or
+	// DigestOnly suppressed it; Digest describes it either way.
 	Records []Record           `json:"records,omitempty"`
+	Digest  setDigest          `json:"digest"`
 	Peers   []transport.PeerID `json:"peers"`
 	// Split, when positive, advertises that the responder has split
 	// this key into that many attribute-hash sub-keys; the querier

@@ -1,10 +1,13 @@
 package dht
 
 import (
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/errs"
 	"repro/internal/p2p"
+	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -22,20 +25,72 @@ type lookupRPC struct {
 // one-per-node) because sub-key fan-in re-enters lookup recursively:
 // every activation gets its own scratch.
 type lookupScratch struct {
-	short    []Contact
-	wave     []lookupRPC
-	state    map[transport.PeerID]peerState
-	known    map[transport.PeerID]bool
-	returned map[transport.PeerID]bool
-	recs     map[recordKey]Record
+	short []Contact
+	wave  []lookupRPC
+	state map[transport.PeerID]peerState
+	known map[transport.PeerID]bool
+	// held is the digest each holder announced for its matching set;
+	// recs the value set in hand, have its digest, seen the digests of
+	// the sets recs is known to contain.
+	held map[transport.PeerID]setDigest
+	recs map[recordKey]Record
+	have setDigest
+	seen []setDigest
+}
+
+// merge folds one received set into the set in hand.
+func (sc *lookupScratch) merge(records []Record) {
+	if len(records) == 0 {
+		return
+	}
+	var set setDigest
+	for _, rec := range records {
+		h := recordHash(rec.DocID, rec.Provider)
+		set.add(h)
+		rk := recordKey{rec.DocID, rec.Provider}
+		if _, dup := sc.recs[rk]; !dup {
+			sc.have.add(h)
+		}
+		sc.recs[rk] = rec
+	}
+	sc.seen = append(sc.seen, set, sc.have)
+}
+
+// missing reports whether peer announced a set that is not in hand.
+func (sc *lookupScratch) missing(peer transport.PeerID) bool {
+	d := sc.held[peer]
+	return d.Count > 0 && !slices.Contains(sc.seen, d)
+}
+
+// stamp picks the next RPCs' Have. Anchored — the set most responders
+// announced (ties: the larger) is in hand — it is that set's digest, so
+// they answer with theirs and only a diverged holder ships. Until then
+// it digests all in hand, and only a wave's closest candidate may ship.
+func (sc *lookupScratch) stamp() (have setDigest, anchored bool) {
+	votes := 0
+	for _, d := range sc.held {
+		v := 0
+		for _, h := range sc.held {
+			if h == d {
+				v++
+			}
+		}
+		if v > votes || v == votes && (d.Count > have.Count || d.Count == have.Count && d.Sum > have.Sum) {
+			have, votes = d, v
+		}
+	}
+	if slices.Contains(sc.seen, have) {
+		return have, true
+	}
+	return sc.have, false
 }
 
 var lookupScratchPool = sync.Pool{New: func() any {
 	return &lookupScratch{
-		state:    make(map[transport.PeerID]peerState),
-		known:    make(map[transport.PeerID]bool),
-		returned: make(map[transport.PeerID]bool),
-		recs:     make(map[recordKey]Record),
+		state: make(map[transport.PeerID]peerState),
+		known: make(map[transport.PeerID]bool),
+		held:  make(map[transport.PeerID]setDigest),
+		recs:  make(map[recordKey]Record),
 	}
 }}
 
@@ -45,16 +100,16 @@ var lookupScratchPool = sync.Pool{New: func() any {
 type valueQuery struct {
 	communityID string
 	filter      string
-	limit       int
-	// stopOnValue applies Kademlia's value-terminating FIND_VALUE:
-	// stop at the end of the first wave in which a node returned a
-	// Complete (cached, full-result-set) reply, instead of converging
-	// on the full K closest. This is what lets cached copies absorb a
-	// flash crowd — a querier that hits a cache on the lookup path
-	// never reaches the key's k holders at all. Termination requires
-	// the Complete flag: a record set, unlike Kademlia's atomic
-	// values, can be partially replicated, so stopping on just any
-	// records would silently lose recall.
+	// match is filter, parsed (nil matches everything).
+	match query.Filter
+	limit int
+	// stopOnValue applies Kademlia's value-terminating FIND_VALUE: stop
+	// once a Complete (cached, full-result-set) reply's records are in
+	// hand, instead of converging on the full K closest. This lets cached
+	// copies absorb a flash crowd — a querier that hits a cache on the
+	// lookup path never reaches the key's k holders. It takes the
+	// Complete flag: a record set, unlike Kademlia's atomic values, can
+	// be partially replicated, so stopping on any records loses recall.
 	stopOnValue bool
 	// sub marks a sub-key fan-in lookup of a split key, which must not
 	// fan in again (sub-keys live in their own derive domain and are
@@ -67,24 +122,24 @@ type lookupOutcome struct {
 	// contacts are the responsive nodes closest to the target, by
 	// distance, at most K.
 	contacts []Contact
-	// records are the FIND_VALUE results, deduped by (DocID,
-	// Provider) and sorted.
+	// records are the FIND_VALUE results — this node's own held slice
+	// included — deduped by (DocID, Provider) and sorted.
 	records []Record
 	// rounds is how many α-wide RPC waves the lookup took: its hop
 	// count.
 	rounds int
-	// cacheTarget is the closest responded node that returned no
+	// cacheTarget is the closest responded node that held no matching
 	// records — Kademlia's caching-STORE recipient — valid only when
-	// hasCacheTarget is set.
+	// hasCacheTarget is set, which takes some other responder that did.
 	cacheTarget    Contact
 	hasCacheTarget bool
 	// limited reports that the lookup stopped early because it had
 	// collected limit records: the set may be a truncation of the full
 	// result, so it must never be cached.
 	limited bool
-	// fromCache reports that the lookup value-terminated on a Complete
-	// cached reply: the record set already includes any sub-key
-	// fan-in results it was cached with, so the caller skips fan-in.
+	// fromCache reports that a Complete cached set is in hand: it already
+	// includes any sub-key fan-in results it was cached with, so fan-in
+	// is skipped (and a stopOnValue lookup ends).
 	fromCache bool
 }
 
@@ -93,8 +148,9 @@ type peerState int
 
 const (
 	stateNew peerState = iota
-	stateResponded
 	stateFailed
+	stateResponded
+	statePulled // responded, and asked once more for its set
 )
 
 // lookup runs the iterative Kademlia node/value lookup toward target.
@@ -111,105 +167,121 @@ const (
 // in sorted distance order, never map order, so two runs of one seed
 // issue identical message sequences.
 //
-// tctx, when valid, ties the lookup into a sampled trace: each wave
-// becomes one span (a child of the caller's span) and every RPC frame
-// it sends is stamped with and attributed to its wave.
+// A value lookup starts from this node's own held slice and ships the
+// record set once: the package doc has the reply protocol. tctx, when
+// valid, ties the lookup into a sampled trace: each wave (and batch of
+// pulls) becomes one span, a child of the caller's, and every RPC frame
+// it sends is stamped with and attributed to it.
 func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutcome {
 	var out lookupOutcome
 	sc := lookupScratchPool.Get().(*lookupScratch)
 	short := n.table.ClosestAppend(sc.short[:0], target, 0)
-	state, known, returned, recs := sc.state, sc.known, sc.returned, sc.recs
+	state, known, held, recs := sc.state, sc.known, sc.held, sc.recs
 	defer func() {
 		sc.short = short[:0]
 		clear(state)
 		clear(known)
-		clear(returned)
+		clear(held)
 		clear(recs)
+		sc.have, sc.seen = setDigest{}, sc.seen[:0]
 		lookupScratchPool.Put(sc)
 	}()
 	for _, c := range short {
 		known[c.Peer] = true
 	}
-	// returned marks peers whose reply carried records (they hold the
-	// value, so they are not cache-STORE candidates); splitFanout is
-	// the widest sub-key split any holder advertised.
-	splitFanout := 0
+	if vq != nil {
+		own, _, _ := n.records.get(target, n.clk.Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{}, false)
+		sc.merge(own)
+	}
+	// splitFanout: the widest sub-key split advertised; lost: an announced set never arrived.
+	splitFanout, lost := 0, false
 
-	for {
-		// Pick up to α unqueried candidates among the K closest
-		// still-viable entries. Each wave is one trace span; the RPCs
-		// it issues are stamped with the wave's context.
-		wsp := n.tr().Start(tctx, "wave")
+	// wave sends one α-wide batch of RPCs as one trace span — to the
+	// closest unqueried candidates among the K best known or, with pull,
+	// to responders whose announced set is not in hand (each asked once)
+	// — folds the replies in and reports whether any went out.
+	wave := func(pull bool) bool {
+		op, from, to := "wave", stateNew, stateResponded
+		if pull {
+			op, from, to = "pull", stateResponded, statePulled
+		}
+		wsp := n.tr().Start(tctx, op)
 		wctx := wsp.ContextOr(tctx)
-		wave := sc.wave[:0]
+		have, anchored := sc.stamp()
+		fail := func(peer transport.PeerID, err error) {
+			state[peer] = stateFailed
+			n.reg.CountError(errs.Wrap("dht.lookup_rpc", err, "dht: lookup rpc failed"))
+			if pull { // no early exit, no caching, on the strength of a lost set
+				out.fromCache, lost = false, true
+			}
+		}
+		rpcs := sc.wave[:0]
 		viable := 0
 		for _, c := range short {
 			if state[c.Peer] == stateFailed {
 				continue
 			}
-			viable++
-			if viable > n.cfg.K {
+			if viable++; viable > n.cfg.K && !pull {
 				break
 			}
-			if state[c.Peer] != stateNew {
+			if state[c.Peer] != from || pull && !sc.missing(c.Peer) {
 				continue
 			}
 			reqID, ch := n.pending.Create()
-			nbytes, err := n.sendLookupRPC(c.Peer, reqID, target, vq, wctx)
+			nbytes, err := n.sendLookupRPC(c.Peer, reqID, target, vq, have, !pull && !anchored && len(rpcs) > 0, wctx)
 			wsp.AddMsgs(1, int64(nbytes))
 			if err != nil {
 				n.pending.Drop(reqID)
-				state[c.Peer] = stateFailed
-				n.reg.CountError(errs.Wrap("dht.lookup_rpc", err, "dht: lookup rpc failed"))
+				fail(c.Peer, err)
 				if transport.IsPeerDead(err) {
 					n.table.Remove(c.Peer)
 				}
 				continue
 			}
-			state[c.Peer] = stateResponded // provisional; demoted on timeout
-			wave = append(wave, lookupRPC{contact: c, reqID: reqID, ch: ch})
-			if len(wave) == n.cfg.Alpha {
-				break
+			state[c.Peer] = to // provisional; demoted on timeout
+			rpcs = append(rpcs, lookupRPC{contact: c, reqID: reqID, ch: ch})
+			if len(rpcs) == n.cfg.Alpha || pull && !anchored {
+				break // unanchored, one set at a time: it may settle the rest
 			}
 		}
-		sc.wave = wave
-		if len(wave) == 0 {
-			break // span dropped unrecorded: an empty wave is not a round
+		sc.wave = rpcs
+		if len(rpcs) == 0 {
+			return false // span dropped unrecorded: an empty wave is not a round
 		}
-		out.rounds++
+		if !pull {
+			out.rounds++
+		}
 		grew := false
-		for _, r := range wave {
+		for _, r := range rpcs {
 			got, err := p2p.Await(n.clk, n.ep.Synchronous(), r.ch, n.cfg.RPCTimeout)
 			if err != nil {
 				n.pending.Drop(r.reqID)
-				state[r.contact.Peer] = stateFailed
-				n.reg.CountError(errs.Wrap("dht.lookup_rpc", err, "dht: lookup rpc failed"))
+				fail(r.contact.Peer, err)
 				continue
 			}
 			// The handler resolved the reply as a typed frame: a
 			// find-value reply, or a find-node reply (peers only).
-			var records []Record
 			var peers []transport.PeerID
 			switch reply := got.(type) {
 			case *findValueReplyPayload:
-				records, peers = reply.Records, reply.Peers
-				if reply.Complete {
-					out.fromCache = true
+				peers = reply.Peers
+				out.fromCache = out.fromCache || reply.Complete
+				splitFanout = max(splitFanout, reply.Split)
+				if reply.Digest.Count > 0 {
+					held[r.contact.Peer] = reply.Digest
+					if len(reply.Records) == 0 {
+						n.mDigestReplies.Inc()
+					}
 				}
-				if reply.Split > splitFanout {
-					splitFanout = reply.Split
+				if anchored && len(reply.Records) > 0 {
+					n.mMismatches.Inc() // it differs from the set most announced
 				}
+				sc.merge(reply.Records)
 			case *findNodeReplyPayload:
 				peers = reply.Peers
 			default:
 				state[r.contact.Peer] = stateFailed
 				continue
-			}
-			if len(records) > 0 {
-				returned[r.contact.Peer] = true
-			}
-			for _, rec := range records {
-				recs[recordKey{rec.DocID, rec.Provider}] = rec
 			}
 			for _, peer := range peers {
 				if peer == n.ep.ID() || known[peer] {
@@ -224,40 +296,49 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 			sortByDistance(short, target)
 		}
 		wsp.Finish()
-		if vq != nil && len(recs) > 0 {
-			// Limit short-circuit: enough matches collected, the
-			// remaining convergence rounds would only cost messages.
-			// The set may be a truncation, so flag it uncacheable.
-			if vq.limit > 0 && len(recs) >= vq.limit {
-				out.limited = true
-				n.mShortcircuits.Inc()
-				break
-			}
-			// Value termination (Kademlia FIND_VALUE): a Complete
-			// cached reply ends the lookup — the flash crowd stops at
-			// the path copy instead of converging on the holders.
-			if vq.stopOnValue && out.fromCache {
-				break
-			}
-		}
+		return true
 	}
 
+	// full: a limit query has its fill, more rounds would only cost messages.
+	full := func() bool { return vq != nil && vq.limit > 0 && len(recs) >= vq.limit }
+	for wave(false) {
+		if vq == nil {
+			continue
+		}
+		// An early exit acts on records in hand, never on a digest's
+		// promise: a limit query, or one that saw a Complete cached reply,
+		// fetches what was announced first (a lost pull clears fromCache).
+		for (vq.limit > 0 || vq.stopOnValue && out.fromCache) && !full() && wave(true) {
+		}
+		if full() {
+			n.mShortcircuits.Inc()
+			break
+		}
+		// Value termination (Kademlia FIND_VALUE): the flash crowd stops
+		// at the path copy instead of converging on the holders.
+		if vq.stopOnValue && out.fromCache {
+			break
+		}
+	}
+	// Settle the digests: a holder whose set is none of those in hand (it
+	// diverged, or was asked DigestOnly) ships it now: recall stays exact.
+	for vq != nil && !full() && wave(true) {
+	}
+	out.limited = full() // the set may be a truncation: uncacheable
 	for _, c := range short {
-		if state[c.Peer] == stateResponded {
+		if state[c.Peer] >= stateResponded && len(out.contacts) < n.cfg.K {
 			out.contacts = append(out.contacts, c)
-			if len(out.contacts) == n.cfg.K {
-				break
-			}
 		}
 	}
 	// The caching-STORE recipient: the closest observed node that
-	// answered but did not itself return records. In a converged
-	// lookup the top-K contacts are all holders, so the scan covers
-	// the whole responded shortlist — the recipient is typically a
-	// node just outside the key's replica neighborhood, which is
-	// exactly where a cache intercepts the next querier's waves.
+	// answered but held no records. In a converged lookup the top-K
+	// contacts are all holders, so the scan covers the whole responded
+	// shortlist — typically it is a node just outside the key's replica
+	// neighborhood, where a cache intercepts the next querier's waves. No
+	// holder found, or an announced set lost (what is in hand may be
+	// incomplete): no recipient.
 	for _, c := range short {
-		if state[c.Peer] == stateResponded && !returned[c.Peer] {
+		if !lost && len(held) > 0 && state[c.Peer] >= stateResponded && held[c.Peer].Count == 0 {
 			out.cacheTarget = c
 			out.hasCacheTarget = true
 			break
@@ -277,31 +358,23 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				recs[recordKey{rec.DocID, rec.Provider}] = rec
 			}
 			out.rounds += sub.rounds
-			if sub.limited {
-				out.limited = true
-			}
-			if vq.limit > 0 && len(recs) >= vq.limit {
-				out.limited = true
+			if out.limited = full(); out.limited {
 				break
 			}
 		}
 	}
-	if len(recs) > 0 {
-		out.records = make([]Record, 0, len(recs))
-		for _, rec := range recs {
-			out.records = append(out.records, rec)
-		}
-		sortRecords(out.records)
-	}
+	out.records = slices.AppendSeq(make([]Record, 0, len(recs)), maps.Values(recs))
+	sortRecords(out.records)
 	n.mLookups.Inc()
 	n.mRounds.Add(int64(out.rounds))
 	return out
 }
 
 // sendLookupRPC issues the wave's RPC — FIND_VALUE when a value query
-// rides along, FIND_NODE otherwise — and returns the payload size it
-// sent so the caller can attribute the frame to the wave span.
-func (n *Node) sendLookupRPC(to transport.PeerID, reqID uint64, target ID, vq *valueQuery, wctx trace.Context) (int, error) {
+// rides along (stamped with the digest in hand), FIND_NODE otherwise —
+// and returns the payload size it sent so the caller can attribute the
+// frame to the wave span.
+func (n *Node) sendLookupRPC(to transport.PeerID, reqID uint64, target ID, vq *valueQuery, have setDigest, digestOnly bool, wctx trace.Context) (int, error) {
 	n.mContacted.Inc()
 	var typ string
 	var payload []byte
@@ -313,6 +386,8 @@ func (n *Node) sendLookupRPC(to transport.PeerID, reqID uint64, target ID, vq *v
 			CommunityID: vq.communityID,
 			Filter:      vq.filter,
 			Limit:       vq.limit,
+			Have:        have,
+			DigestOnly:  digestOnly,
 		})
 	} else {
 		typ = MsgFindNode

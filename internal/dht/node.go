@@ -59,6 +59,8 @@ type Node struct {
 	mCacheStores   *metrics.Counter
 	mKeySplits     *metrics.Counter
 	mRepubSkipped  *metrics.Counter
+	mDigestReplies *metrics.Counter
+	mMismatches    *metrics.Counter
 }
 
 // announceState remembers one key's last replication: who got the
@@ -112,6 +114,8 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 	n.mCacheStores = reg.Counter("dht.cache_stores")
 	n.mKeySplits = reg.Counter("dht.key_splits")
 	n.mRepubSkipped = reg.Counter("dht.republishes_skipped")
+	n.mDigestReplies = reg.Counter("dht.digest_replies")
+	n.mMismatches = reg.Counter("dht.digest_mismatches")
 	n.records.setCounters(
 		reg.Counter("dht.records_expired"),
 		reg.Counter("dht.records_evicted"),
@@ -226,7 +230,7 @@ func (n *Node) Publish(doc *index.Document) error {
 	sp := n.tr().Root("publish")
 	sp.SetCommunity(doc.CommunityID)
 	defer sp.Finish()
-	return n.announce(sp.Context(), []*index.Document{doc})
+	return n.replicate(sp.Context(), []*index.Document{doc}, n.storeRecords)
 }
 
 // PublishBatch implements p2p.Network: one local store batch, then
@@ -242,13 +246,14 @@ func (n *Node) PublishBatch(docs []*index.Document) error {
 	n.nm.Publishes.Add(int64(len(docs)))
 	sp := n.tr().Root("publish")
 	defer sp.Finish()
-	return n.announce(sp.Context(), docs)
+	return n.replicate(sp.Context(), docs, n.storeRecords)
 }
 
-// announce replicates records for docs into the keyspace. STOREs are
-// fire-and-forget: a lost or refused replica is repaired by the next
-// Refresh, exactly like Kademlia republish.
-func (n *Node) announce(tctx trace.Context, docs []*index.Document) error {
+// replicate hands put (storeRecords on publish, reannounceKey on
+// refresh) the records of docs: one batch per community key, one
+// provider stub per document key. STOREs are fire-and-forget: the next
+// Refresh repairs a lost or refused replica, like Kademlia republish.
+func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(trace.Context, ID, []Record)) error {
 	if n.isClosed() {
 		return p2p.ErrClosed
 	}
@@ -262,10 +267,11 @@ func (n *Node) announce(tctx trace.Context, docs []*index.Document) error {
 	}
 	sort.Strings(comms)
 	for _, c := range comms {
-		n.storeRecords(tctx, KeyForCommunity(c), byComm[c])
+		put(tctx, KeyForCommunity(c), byComm[c])
 	}
 	for _, doc := range docs {
-		n.storeRecords(tctx, KeyForDoc(doc.ID), []Record{recordFor(doc, n.ep.ID())})
+		// Providers, the document key's only reader, wants no metadata.
+		put(tctx, KeyForDoc(doc.ID), []Record{{DocID: doc.ID, CommunityID: doc.CommunityID, Provider: n.ep.ID()}})
 	}
 	return nil
 }
@@ -450,13 +456,13 @@ func (n *Node) unstore(tctx trace.Context, key ID, id index.DocID) {
 }
 
 // Search implements p2p.Network: one iterative FIND_VALUE toward the
-// community key. Holders filter server-side, the caller unions the
-// replicas (plus its own held slice and its own store), dedupes by
-// (DocID, Provider), and returns results in canonical order with
-// Hops set to the lookup's round count. Unlike the centralized
-// protocol there is no single point whose loss fails the query:
-// under loss the lookup routes around unresponsive nodes and degrades
-// gracefully instead of erroring.
+// community key. Holders filter server-side, the lookup returns the
+// replicas' union with this node's own held slice, deduped by (DocID,
+// Provider) in canonical order; the caller re-verifies it, adds its
+// own store's hits, and sets Hops to the lookup's round count. Unlike
+// the centralized protocol there is no single point whose loss fails
+// the query: under loss the lookup routes around unresponsive nodes
+// and degrades gracefully instead of erroring.
 func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions) ([]p2p.Result, error) {
 	if n.isClosed() {
 		n.nm.CountError(p2p.ErrClosed)
@@ -475,38 +481,33 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	out := n.lookup(tctx, key, &valueQuery{
 		communityID: communityID,
 		filter:      filterStr,
+		match:       f,
 		limit:       opts.Limit,
 		stopOnValue: n.cfg.CacheRecords,
 	})
-	merged := make(map[recordKey]Record, len(out.records))
+	// Holders filter server-side; re-check here so a skewed or
+	// malicious holder cannot inject non-matching records. For what
+	// this node provides itself, its own store is the authority.
+	self := n.ep.ID()
+	recs := out.records[:0]
 	for _, rec := range out.records {
-		// Holders filter server-side; re-check here so a skewed or
-		// malicious holder cannot inject non-matching records.
-		if rec.CommunityID != communityID || !f.Match(rec.Attrs) {
-			continue
+		if rec.Provider != self && rec.CommunityID == communityID && f.Match(rec.Attrs) {
+			recs = append(recs, rec)
 		}
-		merged[recordKey{rec.DocID, rec.Provider}] = rec
 	}
-	local, _ := n.records.get(key, n.clk.Now(), communityID, filterStr, f, 0)
-	for _, rec := range local {
-		merged[recordKey{rec.DocID, rec.Provider}] = rec
+	if local := n.store.Search(communityID, f, 0); len(local) > 0 {
+		for _, doc := range local {
+			recs = append(recs, recordFor(doc, self))
+		}
+		sortRecords(recs)
 	}
-	for _, doc := range n.store.Search(communityID, f, 0) {
-		rec := recordFor(doc, n.ep.ID())
-		merged[recordKey{rec.DocID, rec.Provider}] = rec
-	}
-	recs := make([]Record, 0, len(merged))
-	for _, rec := range merged {
-		recs = append(recs, rec)
-	}
-	sortRecords(recs)
 	// Caching STORE: replicate the verified result set onto the
 	// closest observed non-holder, so the next querier for this filter
 	// terminates there without touching the k holders. Only complete
 	// sets are cached — a limit-truncated one would poison unlimited
 	// queries for the same filter.
 	if n.cfg.CacheRecords && opts.Limit == 0 && !out.limited &&
-		out.hasCacheTarget && len(out.records) > 0 && len(recs) > 0 {
+		out.hasCacheTarget && len(recs) > 0 {
 		n.cacheStore(tctx, key, out.cacheTarget, recs, filterStr)
 	}
 	if opts.Limit > 0 && len(recs) > opts.Limit {
@@ -528,26 +529,19 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 }
 
 // Providers returns the provider records replicated under a
-// document's key: the DocID-keyed half of the keyspace.
+// document's key: the DocID-keyed half of the keyspace. They are
+// stubs — DocID, CommunityID and Provider, no title or attributes;
+// the metadata lives under the community key.
 func (n *Node) Providers(id index.DocID) []Record {
 	sp := n.tr().Root("providers")
 	defer sp.Finish()
 	out := n.lookup(sp.Context(), KeyForDoc(id), &valueQuery{filter: query.MatchAll{}.String()})
-	merged := make(map[recordKey]Record, len(out.records))
+	recs := out.records[:0]
 	for _, rec := range out.records {
-		merged[recordKey{rec.DocID, rec.Provider}] = rec
-	}
-	localProv, _ := n.records.get(KeyForDoc(id), n.clk.Now(), "", query.MatchAll{}.String(), nil, 0)
-	for _, rec := range localProv {
-		merged[recordKey{rec.DocID, rec.Provider}] = rec
-	}
-	recs := make([]Record, 0, len(merged))
-	for _, rec := range merged {
 		if rec.DocID == id {
 			recs = append(recs, rec)
 		}
 	}
-	sortRecords(recs)
 	return recs
 }
 
@@ -638,32 +632,8 @@ func (n *Node) Refresh() error {
 	n.CheckLiveness()
 	n.lookup(tctx, n.self, nil)
 	return p2p.ReannounceLocal(n.store, func(docs []*index.Document) error {
-		return n.reannounce(tctx, docs)
+		return n.replicate(tctx, docs, n.reannounceKey)
 	})
-}
-
-// reannounce is announce's refresh-cycle variant: same grouping, but
-// each key republishes only when reannounceKey decides it must.
-func (n *Node) reannounce(tctx trace.Context, docs []*index.Document) error {
-	if n.isClosed() {
-		return p2p.ErrClosed
-	}
-	byComm := make(map[string][]Record)
-	for _, doc := range docs {
-		byComm[doc.CommunityID] = append(byComm[doc.CommunityID], recordFor(doc, n.ep.ID()))
-	}
-	comms := make([]string, 0, len(byComm))
-	for c := range byComm {
-		comms = append(comms, c)
-	}
-	sort.Strings(comms)
-	for _, c := range comms {
-		n.reannounceKey(tctx, KeyForCommunity(c), byComm[c])
-	}
-	for _, doc := range docs {
-		n.reannounceKey(tctx, KeyForDoc(doc.ID), []Record{recordFor(doc, n.ep.ID())})
-	}
-	return nil
 }
 
 // reannounceKey republishes recs under key unless the last announce's
@@ -773,7 +743,8 @@ func (n *Node) handle(msg transport.Message) {
 		// but failing open to the whole record set would let one
 		// malformed query read the entire key.
 		if f, err := query.Parse(req.Filter); err == nil {
-			reply.Records, reply.Complete = n.records.get(req.Key, n.clk.Now(), req.CommunityID, req.Filter, f, req.Limit)
+			reply.Records, reply.Digest, reply.Complete = n.records.get(req.Key, n.clk.Now(),
+				req.CommunityID, req.Filter, f, req.Limit, req.Have, req.DigestOnly)
 		}
 		// Advertise a hot-key split so the querier fans into the
 		// attribute-hash sub-keys holding the migrated records.

@@ -61,6 +61,7 @@ type recordKey struct {
 
 type recordEntry struct {
 	rec     Record
+	hash    uint64 // recordHash of rec, fixed at put
 	expires time.Time
 }
 
@@ -184,7 +185,7 @@ func (rs *recordStore) put(key ID, recs []Record, now time.Time) int {
 				}
 			}
 		}
-		m[rk] = recordEntry{rec: rec, expires: now.Add(rs.ttl)}
+		m[rk] = recordEntry{rec: rec, hash: recordHash(rec.DocID, rec.Provider), expires: now.Add(rs.ttl)}
 	}
 	if len(m) == 0 {
 		delete(rs.byKey, key)
@@ -232,23 +233,50 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 	sets[filter] = cachedSet{recs: kept, expires: now.Add(rs.ttl / 2)}
 }
 
-// get returns the unexpired records under key that match the
-// community/filter, sorted by (DocID, Provider) so replies are
-// deterministic, capped at limit (0 = all). filterStr is the query's
-// canonical filter string: a cached set is served only to queries
-// carrying the identical filter. Expired entries found along the way
-// are pruned.
+// get digests the unexpired records under key that match the
+// community/filter and — unless the caller asked digestOnly, or the
+// digest equals have (it holds this very set) — returns them, sorted
+// by (DocID, Provider) so replies are deterministic, capped at limit
+// (0 = all; the digest covers the set before the cap). The digest is
+// one allocation-free pass; a second, for callers that get records,
+// collects and sorts. A cached set is served only to the identical
+// canonical filterStr. Expired entries are pruned.
 //
-// The second result reports completeness: true when the reply draws
+// The last result reports completeness: true when the reply draws
 // on a cached set for exactly this filter (complete by construction
 // — only full result sets are ever cache-STOREd, and sets evict and
 // expire whole) and no limit truncated it. Primary-only replies are
 // never complete: this holder may have only a partial slice of the
 // key's records.
-func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int) ([]Record, bool) {
+func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, have setDigest, digestOnly bool) ([]Record, setDigest, bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	merged := make(map[recordKey]Record)
+	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, nil)
+	hit := fromCache && dig.Count > 0
+	if hit {
+		rs.cacheHits.Inc()
+	}
+	complete := hit && (limit <= 0 || int(dig.Count) <= limit)
+	if digestOnly || dig == have || dig.Count == 0 {
+		return nil, dig, complete
+	}
+	out := make([]Record, 0, dig.Count)
+	rs.matchLocked(key, now, communityID, filterStr, f, &out)
+	sortRecords(out)
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out, dig, complete
+}
+
+// matchLocked is one pass of get: it digests — and, when out is
+// non-nil, appends to it — the matching primaries, then the cached set
+// for exactly filterStr minus what a matching primary covers, and
+// reports whether a cached set took part. Caller holds rs.mu.
+func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr string, f query.Filter, out *[]Record) (dig setDigest, fromCache bool) {
+	matches := func(rec *Record) bool {
+		return (communityID == "" || rec.CommunityID == communityID) && (f == nil || f.Match(rec.Attrs))
+	}
 	m := rs.byKey[key]
 	for rk, e := range m {
 		if !e.expires.After(now) {
@@ -256,54 +284,42 @@ func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string,
 			rs.expired.Inc()
 			continue
 		}
-		if communityID != "" && e.rec.CommunityID != communityID {
+		if !matches(&e.rec) {
 			continue
 		}
-		if f != nil && !f.Match(e.rec.Attrs) {
-			continue
+		dig.add(e.hash)
+		if out != nil {
+			*out = append(*out, e.rec)
 		}
-		merged[rk] = e.rec
 	}
 	if len(m) == 0 {
 		delete(rs.byKey, key)
 	}
-	fromCache := false
-	if sets := rs.cached[key]; sets != nil {
-		for filter, cs := range sets {
-			if !cs.expires.After(now) {
-				rs.expired.Add(int64(len(cs.recs)))
-				delete(sets, filter)
-			}
-		}
-		if len(sets) == 0 {
-			delete(rs.cached, key)
-		} else if cs, ok := sets[filterStr]; ok {
-			fromCache = true
-			for _, rec := range cs.recs {
-				rk := recordKey{rec.DocID, rec.Provider}
-				if _, dup := merged[rk]; !dup {
-					merged[rk] = rec
-				}
-			}
+	sets := rs.cached[key]
+	for filter, cs := range sets {
+		if !cs.expires.After(now) {
+			rs.expired.Add(int64(len(cs.recs)))
+			delete(sets, filter)
 		}
 	}
-	if len(merged) == 0 {
-		return nil, false
+	if len(sets) == 0 {
+		delete(rs.cached, key)
+		return dig, false
 	}
-	if fromCache {
-		rs.cacheHits.Inc()
+	cs, ok := sets[filterStr]
+	if !ok {
+		return dig, false
 	}
-	out := make([]Record, 0, len(merged))
-	for _, rec := range merged {
-		out = append(out, rec)
+	for _, rec := range cs.recs {
+		if e, dup := m[recordKey{rec.DocID, rec.Provider}]; dup && matches(&e.rec) {
+			continue
+		}
+		dig.add(recordHash(rec.DocID, rec.Provider))
+		if out != nil {
+			*out = append(*out, rec)
+		}
 	}
-	sortRecords(out)
-	complete := fromCache
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-		complete = false
-	}
-	return out, complete
+	return dig, true
 }
 
 // remove withdraws one provider's record under key, from the

@@ -5,6 +5,8 @@ package dht
 // shared codec primitives. Field order IS the wire format.
 
 import (
+	"encoding/binary"
+
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
 	"repro/internal/transport"
@@ -31,7 +33,7 @@ func appendPeers(dst []byte, peers []transport.PeerID) []byte {
 }
 
 func readPeers(r *codec.Reader) []transport.PeerID {
-	n := r.Len()
+	n := r.Count(1)
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
@@ -67,7 +69,7 @@ func appendRecords(dst []byte, recs []Record) []byte {
 }
 
 func readRecords(r *codec.Reader) []Record {
-	n := r.Len()
+	n := r.Count(5) // four strings and an attrs count
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
@@ -76,6 +78,18 @@ func readRecords(r *codec.Reader) []Record {
 		readRecord(r, &out[i])
 	}
 	return out
+}
+
+// A digest is 12 fixed bytes: count, then sum, little-endian.
+func appendDigest(dst []byte, d setDigest) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, d.Count)
+	return binary.LittleEndian.AppendUint64(dst, d.Sum)
+}
+
+func readDigest(r *codec.Reader) setDigest {
+	var b [12]byte
+	r.Fixed(b[:])
+	return setDigest{Count: binary.LittleEndian.Uint32(b[:4]), Sum: binary.LittleEndian.Uint64(b[4:])}
 }
 
 func (p *pingPayload) AppendBinary(dst []byte) []byte {
@@ -117,7 +131,9 @@ func (p *findValuePayload) AppendBinary(dst []byte) []byte {
 	dst = append(dst, p.Key[:]...)
 	dst = codec.AppendString(dst, p.CommunityID)
 	dst = codec.AppendString(dst, p.Filter)
-	return codec.AppendUvarint(dst, uint64(p.Limit))
+	dst = codec.AppendUvarint(dst, uint64(p.Limit))
+	dst = appendDigest(dst, p.Have)
+	return codec.AppendBool(dst, p.DigestOnly)
 }
 
 func (p *findValuePayload) DecodeBinary(data []byte) error {
@@ -127,12 +143,15 @@ func (p *findValuePayload) DecodeBinary(data []byte) error {
 	p.CommunityID = r.String()
 	p.Filter = r.String()
 	p.Limit = int(r.Uvarint())
+	p.Have = readDigest(r)
+	p.DigestOnly = r.Bool()
 	return r.Err()
 }
 
 func (p *findValueReplyPayload) AppendBinary(dst []byte) []byte {
 	dst = codec.AppendUvarint(dst, p.ReqID)
 	dst = appendRecords(dst, p.Records)
+	dst = appendDigest(dst, p.Digest)
 	dst = appendPeers(dst, p.Peers)
 	dst = codec.AppendUvarint(dst, uint64(p.Split))
 	return codec.AppendBool(dst, p.Complete)
@@ -142,6 +161,7 @@ func (p *findValueReplyPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	p.ReqID = r.Uvarint()
 	p.Records = readRecords(r)
+	p.Digest = readDigest(r)
 	p.Peers = readPeers(r)
 	p.Split = int(r.Uvarint())
 	p.Complete = r.Bool()

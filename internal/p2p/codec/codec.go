@@ -272,12 +272,20 @@ func (r *Reader) Uvarint() uint64 {
 
 // Len reads a uvarint length prefix, bounds-checked against the
 // remaining payload so a corrupt prefix cannot drive huge allocations.
-func (r *Reader) Len() int {
+func (r *Reader) Len() int { return r.Count(1) }
+
+// Count reads the uvarint element count of a collection whose elements
+// each take at least minElemBytes on the wire, and fails the reader
+// when that many elements cannot fit in what is left of the payload.
+// Decoders size their slices and maps from it, so a hostile count buys
+// an allocation no larger than a small multiple of the frame that
+// carried it (Len alone bounds a count by bytes, not by elements).
+func (r *Reader) Count(minElemBytes int) int {
 	v := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if v > uint64(len(r.data)-r.off) {
+	if v > uint64(len(r.data)-r.off)/uint64(minElemBytes) {
 		r.fail()
 		return 0
 	}
@@ -339,14 +347,14 @@ func (r *Reader) Bool() bool {
 // Attrs reads an attribute map written by AppendAttrs (nil for an
 // empty one, mirroring the JSON behaviour).
 func (r *Reader) Attrs() query.Attrs {
-	n := r.Len()
+	n := r.Count(2) // an entry is at least a key length and a value count
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	a := make(query.Attrs, n)
 	for i := 0; i < n; i++ {
 		k := r.String()
-		nv := r.Len()
+		nv := r.Count(1)
 		if r.err != nil {
 			return nil
 		}

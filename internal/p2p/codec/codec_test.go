@@ -123,6 +123,35 @@ func TestReaderCorruptLength(t *testing.T) {
 	}
 }
 
+// TestReaderCountBoundsElements: a count is accepted only when that
+// many minimal elements fit in what is left — a 1 KB frame claiming
+// 1 000 five-byte records is refused where Len alone would pass it —
+// and an attribute map claiming more entries than its bytes can hold
+// fails without the map ever being sized.
+func TestReaderCountBoundsElements(t *testing.T) {
+	frame := append(AppendUvarint(nil, 1000), make([]byte, 1022)...)
+	if r := NewReader(frame); r.Len() != 1000 || r.Err() != nil {
+		t.Fatal("Len should accept 1000 as a byte count here")
+	}
+	if r := NewReader(frame); r.Count(5) != 0 || r.Err() == nil {
+		t.Fatal("Count(5) accepted 1000 five-byte elements in a 1 KB frame")
+	}
+	if r := NewReader(frame); r.Count(1) != 1000 || r.Err() != nil {
+		t.Fatal("Count(1) refused 1000 one-byte elements in a 1 KB frame")
+	}
+	if r := NewReader(AppendUvarint(nil, 1<<62)); r.Count(8) != 0 || r.Err() == nil {
+		t.Fatal("Count accepted a count whose byte size overflows")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if r := NewReader(frame); r.Attrs() != nil || r.Err() == nil {
+			t.Fatal("attribute map claiming 1000 entries in 1 KB decoded")
+		}
+	})
+	if allocs > 2 { // the reader and its error, not a 1000-entry map
+		t.Fatalf("refusing the hostile attrs count took %v allocations", allocs)
+	}
+}
+
 func TestByName(t *testing.T) {
 	if ByName("json") != JSON || ByName("binary") != Binary {
 		t.Fatal("ByName mapping broken")

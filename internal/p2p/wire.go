@@ -57,7 +57,7 @@ func appendResults(dst []byte, rs []Result) []byte {
 }
 
 func readResults(r *codec.Reader) []Result {
-	n := r.Len()
+	n := r.Count(6) // four strings, an attrs count and a hop count
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
@@ -89,7 +89,7 @@ func readDocument(r *codec.Reader) *index.Document {
 		XML:         r.String(),
 		Attrs:       r.Attrs(),
 	}
-	if n := r.Len(); n > 0 {
+	if n := r.Count(1); n > 0 {
 		d.Attachments = make([]string, n)
 		for i := range d.Attachments {
 			d.Attachments[i] = r.String()
@@ -130,7 +130,7 @@ func (p *registerBatchPayload) AppendBinary(dst []byte) []byte {
 
 func (p *registerBatchPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
-	if n := r.Len(); n > 0 {
+	if n := r.Count(4); n > 0 { // three strings and an attrs count
 		p.Docs = make([]registerPayload, n)
 		for i := range p.Docs {
 			p.Docs[i].readFrom(r)
