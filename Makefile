@@ -35,11 +35,14 @@ bench-smoke:
 	$(GO) run ./cmd/up2pbench -run E13 -e13-max-peers 100
 	$(GO) run ./cmd/up2pbench -run E18 -wal-docs 40 -wal-recovery-batches 20,60
 
-# Fuzz smoke: ten seconds of FuzzDHTFrameDecode on top of its seeds and
-# the committed corpus (internal/dht/testdata/fuzz) — no DHT frame
-# decoder may panic, or allocate beyond a small multiple of its input.
+# Fuzz smoke: ten seconds each of FuzzDHTFrameDecode and FuzzTCPFrame
+# on top of their seeds and the committed corpora (testdata/fuzz in
+# internal/dht and internal/transport) — no DHT frame decoder and no
+# TCP connection reader may panic, or allocate beyond a small multiple
+# of its input.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical
 # message-trace hashes on repeated in-process runs (catches map-order
@@ -101,9 +104,9 @@ tcp-nightly:
 crash-smoke:
 	$(GO) test -race -count=1 -run 'WAL|Crash|Poisoned|ConsistentCut|CorruptMiddle' ./internal/index ./internal/core
 
-# The ruler (benchmark/README.md): `make ruler PR=17` measures this
-# checkout into BENCH_17.json, one point of the committed trajectory
-# (~2.5 min); `make ruler-compare BASE=BENCH_16.json CHANGE=BENCH_17.json`
+# The ruler (benchmark/README.md): `make ruler PR=19` measures this
+# checkout into BENCH_19.json, one point of the committed trajectory
+# (~2.5 min); `make ruler-compare BASE=BENCH_18.json CHANGE=BENCH_19.json`
 # judges one point against another, metric by metric, with the bounds
 # of BENCHMARK.json (BASE and CHANGE may be comma-separated lists).
 ruler:

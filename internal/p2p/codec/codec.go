@@ -316,6 +316,30 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
+// View reads a length-prefixed byte slice without copying it: the
+// result aliases the payload, for callers that own the buffer (the TCP
+// envelope) or only compare the bytes.
+func (r *Reader) View() []byte {
+	n := r.Len()
+	if r.err != nil {
+		return nil
+	}
+	v := r.data[r.off : r.off+n : r.off+n]
+	r.off += n
+	return v
+}
+
+// Rest returns the unread remainder of the payload, uncopied, and
+// leaves the cursor at its end.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	v := r.data[r.off:]
+	r.off = len(r.data)
+	return v
+}
+
 // Fixed reads exactly n raw bytes into dst (fixed-width fields like
 // 160-bit DHT IDs).
 func (r *Reader) Fixed(dst []byte) {

@@ -152,6 +152,38 @@ func TestReaderCountBoundsElements(t *testing.T) {
 	}
 }
 
+// TestReaderViewRest: View and Rest hand out the payload's own bytes
+// (no copy, no allocation), View cannot be appended through into what
+// follows it, and a length that overruns the payload fails like any
+// other read.
+func TestReaderViewRest(t *testing.T) {
+	frame := append(AppendString(nil, "query"), 7, 'r', 'e', 's', 't')
+	var view, rest []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		r := NewReader(frame)
+		view = r.View()
+		if r.Uvarint() != 7 {
+			t.Fatal("cursor not after the view")
+		}
+		rest = r.Rest()
+		if r.Err() != nil || len(r.Rest()) != 0 {
+			t.Fatalf("err = %v, or Rest left bytes unread", r.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("View+Rest allocated %v times", allocs)
+	}
+	if string(view) != "query" || &view[0] != &frame[1] || cap(view) != len(view) {
+		t.Fatalf("view = %q, cap %d: want the frame's own five bytes, capped", view, cap(view))
+	}
+	if string(rest) != "rest" || &rest[0] != &frame[7] {
+		t.Fatalf("rest = %q", rest)
+	}
+	if r := NewReader([]byte{9, 'x'}); r.View() != nil || r.Err() == nil || r.Rest() != nil {
+		t.Fatal("a view longer than the payload was served")
+	}
+}
+
 func TestByName(t *testing.T) {
 	if ByName("json") != JSON || ByName("binary") != Binary {
 		t.Fatal("ByName mapping broken")

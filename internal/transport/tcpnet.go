@@ -3,23 +3,67 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/p2p/codec"
 )
 
-// maxFrame bounds a single wire frame (16 MiB) so a corrupt length
-// prefix cannot exhaust memory.
-const maxFrame = 16 << 20
+const (
+	// maxFrame bounds one frame body (16 MiB) on both sides: Send
+	// refuses a larger message before touching the socket, and a
+	// reader closes the connection that announces one.
+	maxFrame = 16 << 20
+	// frameStep is the most a reader allocates ahead of the bytes that
+	// have actually arrived, whatever the length prefix claims.
+	frameStep = 256 << 10
+	// maxPeerID bounds the sender address in a connection's hello.
+	maxPeerID = 512
+	// maxWireTypes bounds the wire-type strings a reader remembers per
+	// connection; the protocols use about a dozen.
+	maxWireTypes = 32
+	// wireMagic opens a connection's hello frame: four magic bytes and
+	// the version of the framing.
+	wireMagic = "UP2P\x01"
 
-// TCPNode is a peer endpoint over real TCP. Frames are a 4-byte
-// big-endian length followed by the JSON-encoded Message. Outbound
-// connections are cached per destination address; inbound messages are
-// dispatched to the handler on per-connection goroutines.
+	// dialTimeout bounds connecting to a peer, writeTimeout one frame's
+	// Write (plus 1 µs per byte, a 1 MB/s floor, so the largest frame
+	// still fits through a slow link). A peer that stays behind either
+	// is treated as gone, not waited for.
+	dialTimeout  = 3 * time.Second
+	writeTimeout = 5 * time.Second
+)
+
+// TCPNode is a peer endpoint over real TCP. A node dials one
+// connection per destination and only writes to it (a parked read
+// notices the peer hanging up); what it accepts it only reads. Everything on a connection is a frame — a 4-byte
+// big-endian body length, then the body:
+//
+//	hello    "UP2P" | version 0x01 | uvarint len + From
+//	message  uvarint len + Type | uvarint TraceID | uvarint SpanID | Payload
+//
+// The hello is the first frame of a connection and names the dialer
+// once; every later frame is one Message whose payload is the raw rest
+// of the body (no length of its own, no re-encoding), From is the
+// hello's and To the receiving node. A frame is assembled in a pooled
+// buffer and leaves in one Write, under a lock that belongs to its
+// connection, so frames of one (from, to) pair arrive in Send order
+// and a peer that stops draining its socket stalls nobody else. Send
+// is synchronous: a dial or write failure is the caller's error.
+//
+// A binary stream cannot resynchronise, so a reader that meets a bad
+// hello, an oversized length or an undecodable header counts
+// ErrMalformed and closes the connection. Inbound messages are
+// dispatched to the handler on the connection's reader goroutine.
 //
 // Peer addressing: TCP has no directory, so peers are identified by
 // their listen address ("host:port") — PeerID and dial address
@@ -27,18 +71,26 @@ const maxFrame = 16 << 20
 type TCPNode struct {
 	ln      net.Listener
 	id      PeerID
-	mu      sync.Mutex
-	handler Handler
-	conns   map[PeerID]net.Conn
+	hello   []byte // this node's hello frame, written once per dialed connection
+	handler atomic.Pointer[Handler]
+	m       atomic.Pointer[tcpMetrics]
+
+	mu      sync.Mutex // guards the tables below; never held across I/O or a handler
+	conns   map[PeerID]*outConn
 	inbound map[net.Conn]struct{}
 	closed  bool
 	wg      sync.WaitGroup
+}
 
-	reg       *metrics.Registry
-	mSent     *metrics.Counter
-	mSentB    *metrics.Counter
-	mReceived *metrics.Counter
-	mRecvB    *metrics.Counter
+type tcpMetrics struct {
+	reg                              *metrics.Registry
+	sent, sentB, received, receivedB *metrics.Counter
+}
+
+// outConn is a dialed connection; mu admits one frame at a time.
+type outConn struct {
+	net.Conn
+	mu sync.Mutex
 }
 
 var _ Endpoint = (*TCPNode)(nil)
@@ -53,26 +105,28 @@ func ListenTCP(addr string) (*TCPNode, error) {
 	n := &TCPNode{
 		ln:      ln,
 		id:      PeerID(ln.Addr().String()),
-		conns:   make(map[PeerID]net.Conn),
+		conns:   make(map[PeerID]*outConn),
 		inbound: make(map[net.Conn]struct{}),
 	}
+	n.hello = codec.AppendString(append(make([]byte, 4), wireMagic...), string(n.id))
+	binary.BigEndian.PutUint32(n.hello, uint32(len(n.hello)-4))
 	n.SetMetrics(metrics.Discard())
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
 }
 
-// SetMetrics points the node's traffic accounting at reg. Like the
-// protocol nodes' SetClock, call it before traffic starts; metrics are
-// discarded until then.
+// SetMetrics points the node's traffic accounting at reg; metrics are
+// discarded until then. transport.tcp_msgs_sent/received count message
+// frames, transport.tcp_bytes_sent/received their body bytes.
 func (n *TCPNode) SetMetrics(reg *metrics.Registry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.reg = reg
-	n.mSent = reg.Counter("transport.tcp_msgs_sent")
-	n.mSentB = reg.Counter("transport.tcp_bytes_sent")
-	n.mReceived = reg.Counter("transport.tcp_msgs_received")
-	n.mRecvB = reg.Counter("transport.tcp_bytes_received")
+	n.m.Store(&tcpMetrics{
+		reg:       reg,
+		sent:      reg.Counter("transport.tcp_msgs_sent"),
+		sentB:     reg.Counter("transport.tcp_bytes_sent"),
+		received:  reg.Counter("transport.tcp_msgs_received"),
+		receivedB: reg.Counter("transport.tcp_bytes_received"),
+	})
 }
 
 // ID implements Endpoint.
@@ -82,83 +136,147 @@ func (n *TCPNode) ID() PeerID { return n.id }
 func (n *TCPNode) Synchronous() bool { return false }
 
 // SetHandler implements Endpoint.
-func (n *TCPNode) SetHandler(h Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handler = h
-}
+func (n *TCPNode) SetHandler(h Handler) { n.handler.Store(&h) }
+
+// frameBufs pools the buffers Send assembles frames in. Buffers that
+// grew past frameStep are left to the collector.
+var frameBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
 
 // Send implements Endpoint. The destination PeerID is its TCP address.
 func (n *TCPNode) Send(msg Message) error {
-	msg.From = n.id
-	conn, err := n.conn(msg.To)
+	bp := frameBufs.Get().(*[]byte)
+	frame, err := appendFrame((*bp)[:0], msg)
+	if err == nil {
+		err = n.write(msg.To, frame)
+	}
+	if cap(frame) <= frameStep {
+		*bp = frame[:0]
+		frameBufs.Put(bp)
+	}
+	if err != nil && !errors.Is(err, ErrClosed) { // this node shutting down is no fault
+		n.m.Load().reg.CountError(err)
+	}
+	return err
+}
+
+// appendFrame appends msg as one message frame, length prefix
+// included; dst comes back unchanged with the error for a message
+// over maxFrame.
+func appendFrame(dst []byte, msg Message) ([]byte, error) {
+	start := len(dst)
+	b := append(dst, 0, 0, 0, 0)
+	b = codec.AppendString(b, msg.Type)
+	b = codec.AppendUvarint(b, msg.TraceID)
+	b = codec.AppendUvarint(b, msg.SpanID)
+	size := len(b) - start - 4 + len(msg.Payload)
+	if size > maxFrame {
+		return dst, fmt.Errorf("transport: frame too large (%d bytes)", size)
+	}
+	b = append(b, msg.Payload...)
+	binary.BigEndian.PutUint32(b[start:], uint32(size))
+	return b, nil
+}
+
+// write sends one assembled frame to a peer, dialing it if need be.
+func (n *TCPNode) write(to PeerID, frame []byte) error {
+	c, err := n.conn(to)
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(msg)
+	c.mu.Lock()
+	// A failed SetWriteDeadline means a closed connection; Write reports that.
+	_ = c.SetWriteDeadline(time.Now().Add(writeTimeout + time.Duration(len(frame))*time.Microsecond))
+	_, err = c.Write(frame)
+	c.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
+		// Part of the frame may be out: the stream is unusable.
+		n.drop(to, c)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return fmt.Errorf("%w: write to %s: %w", ErrBackpressure, to, err)
+		}
+		return fmt.Errorf("%w: write to %s: %w", ErrDropped, to, err)
 	}
-	if len(data) > maxFrame {
-		return fmt.Errorf("transport: frame too large (%d bytes)", len(data))
-	}
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(data)))
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return ErrClosed
-	}
-	if _, err := conn.Write(lenbuf[:]); err != nil {
-		n.dropConnLocked(msg.To)
-		n.reg.CountError(ErrDropped)
-		return fmt.Errorf("transport: write: %w", err)
-	}
-	if _, err := conn.Write(data); err != nil {
-		n.dropConnLocked(msg.To)
-		n.reg.CountError(ErrDropped)
-		return fmt.Errorf("transport: write: %w", err)
-	}
-	n.mSent.Inc()
-	n.mSentB.Add(int64(len(data)))
+	m := n.m.Load()
+	m.sent.Inc()
+	m.sentB.Add(int64(len(frame) - 4))
 	return nil
 }
 
-// conn returns a cached or fresh outbound connection.
-func (n *TCPNode) conn(to PeerID) (net.Conn, error) {
+// conn returns the cached connection to a peer or dials a fresh one.
+func (n *TCPNode) conn(to PeerID) (*outConn, error) {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	c, closed := n.conns[to], n.closed
+	n.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if c, ok := n.conns[to]; ok {
-		n.mu.Unlock()
+	if c != nil {
 		return c, nil
 	}
-	n.mu.Unlock()
-	c, err := net.Dial("tcp", string(to))
+	nc, err := n.dial(to)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
+		return nil, err
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		c.Close()
+		nc.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := n.conns[to]; ok {
-		c.Close()
-		return existing, nil
+	if c := n.conns[to]; c != nil { // lost a race with another Send
+		nc.Close()
+		return c, nil
 	}
+	c = &outConn{Conn: nc}
 	n.conns[to] = c
+	n.wg.Add(1)
+	go n.watch(to, c)
 	return c, nil
 }
 
-func (n *TCPNode) dropConnLocked(to PeerID) {
-	if c, ok := n.conns[to]; ok {
+// watch parks on a dialed connection until the peer closes or resets
+// it — nothing else ever arrives on one — and forgets it. A write to a
+// connection the peer has left still succeeds once, silently; with the
+// connection gone the next Send dials instead and learns at once that
+// nobody listens (IsPeerDead).
+func (n *TCPNode) watch(to PeerID, c *outConn) {
+	defer n.wg.Done()
+	var b [1]byte
+	_, _ = c.Read(b[:]) // EOF, a reset, or a peer talking out of turn: all end the connection
+	n.drop(to, c)
+}
+
+// dial connects to a peer and introduces this node. Nobody listening
+// at the address is the one failure that says the peer has left
+// (IsPeerDead); the rest may be passing.
+func (n *TCPNode) dial(to PeerID) (net.Conn, error) {
+	c, err := net.DialTimeout("tcp", string(to), dialTimeout)
+	if errors.Is(err, syscall.ECONNREFUSED) {
+		return nil, fmt.Errorf("%w: dial %s: %w", ErrUnknownPeer, to, err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: dial %s: %w", ErrDropped, to, err)
+	}
+	_ = c.SetWriteDeadline(time.Now().Add(writeTimeout)) // cannot fail on a fresh connection
+	if _, err := c.Write(n.hello); err != nil {
 		c.Close()
+		return nil, fmt.Errorf("%w: hello to %s: %w", ErrDropped, to, err)
+	}
+	return c, nil
+}
+
+// drop closes a dialed connection and forgets it, unless a newer one
+// has taken its place.
+func (n *TCPNode) drop(to PeerID, c *outConn) {
+	c.Close()
+	n.mu.Lock()
+	if n.conns[to] == c {
 		delete(n.conns, to)
 	}
+	n.mu.Unlock()
 }
 
 func (n *TCPNode) acceptLoop() {
@@ -189,33 +307,111 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		delete(n.inbound, conn)
 		n.mu.Unlock()
 	}()
-	r := bufio.NewReader(conn)
-	for {
-		var lenbuf [4]byte
-		if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
-			return
-		}
-		size := binary.BigEndian.Uint32(lenbuf[:])
-		if size > maxFrame {
-			return
-		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return
-		}
+	fr := newFrameReader(conn, n.id)
+	err := fr.readHello()
+	for err == nil {
 		var msg Message
-		if err := json.Unmarshal(data, &msg); err != nil {
-			continue // skip malformed frame, keep the connection
-		}
-		n.mu.Lock()
-		h := n.handler
-		n.mReceived.Inc()
-		n.mRecvB.Add(int64(size))
-		n.mu.Unlock()
-		if h != nil {
-			h(msg)
+		var size int
+		if msg, size, err = fr.next(); err == nil {
+			m := n.m.Load()
+			m.received.Inc()
+			m.receivedB.Add(int64(size))
+			if h := n.handler.Load(); h != nil && *h != nil {
+				(*h)(msg)
+			}
 		}
 	}
+	if errors.Is(err, ErrMalformed) { // anything else is the connection ending
+		n.m.Load().reg.CountError(err)
+	}
+}
+
+// frameReader decodes one inbound connection: the hello, then message
+// frames until the stream ends or stops making sense. Errors that
+// wrap ErrMalformed are the peer's doing; all others are the
+// underlying reader's.
+type frameReader struct {
+	r      *bufio.Reader
+	prefix [4]byte
+	to     PeerID
+	from   PeerID
+	types  map[string]string // wire types seen, so a frame reuses the string
+}
+
+func newFrameReader(r io.Reader, to PeerID) *frameReader {
+	return &frameReader{r: bufio.NewReader(r), to: to, types: make(map[string]string)}
+}
+
+// body reads one length-prefixed frame body of at most limit bytes.
+// A body within frameStep is one exact-size allocation; a longer one
+// grows by doubling as its bytes arrive, so a prefix that lies costs
+// frameStep at most.
+func (fr *frameReader) body(limit int) ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.prefix[:]); err != nil {
+		return nil, err
+	}
+	size := int(binary.BigEndian.Uint32(fr.prefix[:]))
+	if size > limit {
+		return nil, fmt.Errorf("%w: %d-byte frame from %q, limit %d", ErrMalformed, size, fr.from, limit)
+	}
+	buf, got := make([]byte, min(size, frameStep)), 0
+	for {
+		if _, err := io.ReadFull(fr.r, buf[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(buf); got == size {
+			return buf, nil
+		}
+		next := min(size, 2*got)
+		buf = slices.Grow(buf, next-got)[:next]
+	}
+}
+
+// readHello reads the connection's first frame and learns the sender.
+func (fr *frameReader) readHello() error {
+	body, err := fr.body(len(wireMagic) + binary.MaxVarintLen16 + maxPeerID)
+	if err != nil {
+		return err
+	}
+	if len(body) < len(wireMagic) || string(body[:len(wireMagic)]) != wireMagic {
+		return fmt.Errorf("%w: hello does not open with %q", ErrMalformed, wireMagic)
+	}
+	rd := codec.NewReader(body[len(wireMagic):])
+	from := rd.String()
+	if rd.Err() != nil || from == "" || len(rd.Rest()) != 0 {
+		return fmt.Errorf("%w: hello names no sender", ErrMalformed)
+	}
+	fr.from = PeerID(from)
+	return nil
+}
+
+// next reads one message frame and reports its body size. Payload
+// aliases the frame's buffer, which nothing else keeps.
+func (fr *frameReader) next() (Message, int, error) {
+	body, err := fr.body(maxFrame)
+	if err != nil {
+		return Message{}, 0, err
+	}
+	rd := codec.NewReader(body)
+	msg := Message{From: fr.from, To: fr.to}
+	typ := rd.View()
+	msg.TraceID = rd.Uvarint()
+	msg.SpanID = rd.Uvarint()
+	if payload := rd.Rest(); len(payload) > 0 {
+		msg.Payload = payload
+	}
+	if err := rd.Err(); err != nil {
+		return Message{}, 0, fmt.Errorf("%w: header from %q: %v", ErrMalformed, fr.from, err)
+	}
+	s, ok := fr.types[string(typ)]
+	if !ok {
+		s = string(typ)
+		if len(fr.types) < maxWireTypes {
+			fr.types[s] = s
+		}
+	}
+	msg.Type = s
+	return msg, len(body), nil
 }
 
 // Close implements Endpoint: stops accepting, closes all connections,

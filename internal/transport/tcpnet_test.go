@@ -1,0 +1,383 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/errs"
+	"repro/internal/metrics"
+)
+
+// listenTCP starts a loopback node that closes with the test.
+func listenTCP(t testing.TB) *TCPNode {
+	t.Helper()
+	n, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// recv waits for one message on ch.
+func recv(t testing.TB, ch <-chan Message) Message {
+	t.Helper()
+	select {
+	case m := <-ch:
+		return m
+	case <-time.After(5 * time.Second):
+		t.Fatal("timeout waiting for message")
+		return Message{}
+	}
+}
+
+// TestTCPRoundTripFields: every Message field survives the envelope —
+// trace context, an empty payload, a body of exactly maxFrame — and one
+// byte more is refused before any socket is touched.
+func TestTCPRoundTripFields(t *testing.T) {
+	a, b := listenTCP(t), listenTCP(t)
+	got := make(chan Message, 1)
+	b.SetHandler(func(m Message) { got <- m })
+
+	header := len(appendFrameOK(t, Message{Type: "bulk"})) - 4
+	full := make([]byte, maxFrame-header)
+	full[0], full[len(full)-1] = 0xA5, 0x5A
+	for _, want := range []Message{
+		{Type: "query", Payload: []byte("filter=(k=v)")},
+		{Type: "query", Payload: []byte{0}, TraceID: 1<<63 + 7, SpanID: 42},
+		{Type: "ping"},
+		{Type: "", Payload: []byte("typeless")},
+		{Type: "bulk", Payload: full},
+	} {
+		want.To = b.ID()
+		if err := a.Send(want); err != nil {
+			t.Fatalf("send %q (%d bytes): %v", want.Type, len(want.Payload), err)
+		}
+		m := recv(t, got)
+		want.From = a.ID()
+		if m.From != want.From || m.To != want.To || m.Type != want.Type ||
+			m.TraceID != want.TraceID || m.SpanID != want.SpanID || !bytes.Equal(m.Payload, want.Payload) {
+			t.Errorf("sent %q trace=%d span=%d %d bytes, got %q from=%q to=%q trace=%d span=%d %d bytes",
+				want.Type, want.TraceID, want.SpanID, len(want.Payload),
+				m.Type, m.From, m.To, m.TraceID, m.SpanID, len(m.Payload))
+		}
+	}
+
+	// One byte over the cap, to an address never dialed: the size
+	// error comes back, not a dial error, and no connection appears.
+	err := a.Send(Message{To: "127.0.0.1:1", Type: "bulk", Payload: make([]byte, len(full)+1)})
+	if err == nil || !strings.Contains(err.Error(), "frame too large") {
+		t.Errorf("oversize send = %v, want frame too large", err)
+	}
+	a.mu.Lock()
+	dialed := len(a.conns)
+	a.mu.Unlock()
+	if dialed != 1 {
+		t.Errorf("%d outbound connections after the oversize send, want only the one to b", dialed)
+	}
+}
+
+func appendFrameOK(t testing.TB, msg Message) []byte {
+	t.Helper()
+	b, err := appendFrame(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestTCPConcurrentSendsKeepOrder: goroutines that start sending to a
+// peer nobody has dialed yet race for the connection, and all end up on
+// one: every frame arrives whole, and each sender's frames arrive in
+// the order it sent them — the per-(from, to) FIFO the protocols and
+// the ruler's traced wrapper rely on.
+func TestTCPConcurrentSendsKeepOrder(t *testing.T) {
+	const senders, each = 8, 200
+	a, b := listenTCP(t), listenTCP(t)
+	var mu sync.Mutex
+	next := make(map[string]uint32)
+	bad := 0
+	done := make(chan struct{})
+	b.SetHandler(func(m Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		seq := binary.BigEndian.Uint32(m.Payload)
+		if seq != next[m.Type] || len(m.Payload) != 4+int(seq) {
+			bad++
+		}
+		next[m.Type] = seq + 1
+		if seq == each-1 && len(next) == senders {
+			finished := true
+			for _, n := range next {
+				finished = finished && n == each
+			}
+			if finished {
+				close(done)
+			}
+		}
+	})
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for seq := uint32(0); seq < each; seq++ {
+				payload := binary.BigEndian.AppendUint32(nil, seq)
+				payload = append(payload, make([]byte, seq)...) // frames of every size interleave
+				if err := a.Send(Message{To: b.ID(), Type: name, Payload: payload}); err != nil {
+					t.Errorf("%s send %d: %v", name, seq, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("sender-%d", s))
+	}
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("not every frame arrived")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if bad != 0 {
+		t.Errorf("%d frames arrived out of order or damaged", bad)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.conns) != 1 {
+		t.Errorf("%d connections to one peer", len(a.conns))
+	}
+}
+
+// helloFrame is the first frame a dialer calling itself from writes.
+func helloFrame(from string) []byte {
+	body := append([]byte(wireMagic), byte(len(from)))
+	body = append(body, from...)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// rawSend dials n, writes stream, half-closes, and returns once n has
+// closed its side — so whatever n does with the bytes has happened.
+func rawSend(t *testing.T, n *TCPNode, stream []byte) {
+	t.Helper()
+	c, err := net.Dial("tcp", string(n.ID()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	// The node may have hung up already, and closing on unread bytes
+	// resets the connection: only running out of time is a failure.
+	_ = c.(*net.TCPConn).CloseWrite()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, c); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("node did not close the connection: %v", err)
+	}
+}
+
+// TestTCPHostileLengthPrefix: a prefix announcing the largest legal
+// frame followed by ten bytes costs the node a bounded step, not 16 MiB.
+func TestTCPHostileLengthPrefix(t *testing.T) {
+	n := listenTCP(t)
+	stream := fuzzStreams(t)["seed-lying-length-prefix"]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rawSend(t, n, stream)
+	runtime.ReadMemStats(&after)
+	if cost := after.TotalAlloc - before.TotalAlloc; cost >= 1<<20 {
+		t.Errorf("a 16 MiB prefix and 10 bytes made the process allocate %d bytes, want < 1 MiB", cost)
+	}
+}
+
+// TestTCPMalformedClosesConnection plays every fuzz seed stream into a
+// real socket. A node delivers exactly the messages that precede the
+// first bad byte; bytes that are not frames get the connection closed
+// and counted once under transport.malformed, while a stream that is
+// merely cut short — a peer dying mid-frame — is no violation.
+func TestTCPMalformedClosesConnection(t *testing.T) {
+	for name, stream := range fuzzStreams(t) {
+		t.Run(name, func(t *testing.T) {
+			want, end := readStream(stream)
+			if hostile := strings.HasPrefix(name, "hostile-"); hostile != errors.Is(end, ErrMalformed) {
+				t.Fatalf("stream ends in %v", end)
+			}
+			n := listenTCP(t)
+			reg := metrics.NewRegistry()
+			n.SetMetrics(reg)
+			var mu sync.Mutex
+			var got []Message
+			n.SetHandler(func(m Message) {
+				mu.Lock()
+				got = append(got, m)
+				mu.Unlock()
+			})
+			rawSend(t, n, stream)
+			malformed := reg.Snapshot().Label(metrics.ErrorsVecName, "transport.malformed")
+			if errors.Is(end, ErrMalformed) != (malformed == 1) || malformed > 1 {
+				t.Errorf("errors{code=transport.malformed} = %d for a stream ending in %v", malformed, end)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(got) != len(want) {
+				t.Fatalf("%d messages delivered, want %d: %+v", len(got), len(want), got)
+			}
+			for i, m := range got {
+				if m.From != want[i].From || m.To != n.ID() || m.Type != want[i].Type || !bytes.Equal(m.Payload, want[i].Payload) {
+					t.Errorf("message %d = %+v, want %+v", i, m, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestTCPSlowPeerIsolated: peer b stops reading. Sends to c keep their
+// normal latency while the socket to b fills; the send to b then fails
+// within the write deadline with transport.backpressure, is counted,
+// and the connection is dropped, so b is reachable again once it wakes.
+func TestTCPSlowPeerIsolated(t *testing.T) {
+	a, b, c := listenTCP(t), listenTCP(t), listenTCP(t)
+	reg := metrics.NewRegistry()
+	a.SetMetrics(reg)
+	wake := make(chan struct{})
+	var wakeOnce sync.Once
+	t.Cleanup(func() { wakeOnce.Do(func() { close(wake) }) }) // before b.Close waits for its readers
+	fromA := make(chan Message, 1)
+	b.SetHandler(func(m Message) {
+		<-wake
+		if m.Type == "after" {
+			fromA <- m
+		}
+	})
+	echo := make(chan Message, 1)
+	c.SetHandler(func(m Message) { echo <- m })
+
+	type failure struct {
+		err  error
+		took time.Duration
+	}
+	stuck := make(chan failure, 1)
+	go func() {
+		bulk := Message{To: b.ID(), Type: "bulk", Payload: make([]byte, 64<<10)}
+		for {
+			t0 := time.Now()
+			if err := a.Send(bulk); err != nil {
+				stuck <- failure{err, time.Since(t0)}
+				return
+			}
+		}
+	}()
+
+	var f failure
+	var worst time.Duration
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	giveUp := time.After(4 * writeTimeout)
+	for sends := 0; f.err == nil; sends++ {
+		select {
+		case f = <-stuck:
+		case <-tick.C:
+			t0 := time.Now()
+			if err := a.Send(Message{To: c.ID(), Type: "ping"}); err != nil {
+				t.Fatalf("send %d to the healthy peer: %v", sends, err)
+			}
+			recv(t, echo)
+			worst = max(worst, time.Since(t0))
+		case <-giveUp:
+			t.Fatal("send to the stalled peer neither completed nor failed")
+		}
+	}
+	if worst > writeTimeout/10 {
+		t.Errorf("a send to the healthy peer took %s while another peer was stalled", worst)
+	}
+	if !errors.Is(f.err, ErrBackpressure) || errs.Code(f.err) != "transport.backpressure" || IsPeerDead(f.err) {
+		t.Errorf("stalled send = %v (code %q), want transport.backpressure", f.err, errs.Code(f.err))
+	}
+	if f.took > writeTimeout+2*time.Second {
+		t.Errorf("stalled send failed after %s, write deadline is %s", f.took, writeTimeout)
+	}
+	if got := reg.Snapshot().Label(metrics.ErrorsVecName, "transport.backpressure"); got != 1 {
+		t.Errorf("errors{code=transport.backpressure} = %d, want 1", got)
+	}
+	a.mu.Lock()
+	_, kept := a.conns[b.ID()]
+	a.mu.Unlock()
+	if kept {
+		t.Error("the stalled connection is still cached")
+	}
+
+	wakeOnce.Do(func() { close(wake) })
+	if err := a.Send(Message{To: b.ID(), Type: "after"}); err != nil {
+		t.Fatalf("send to the woken peer: %v", err)
+	}
+	recv(t, fromA)
+}
+
+// TestTCPFrameAllocs pins the steady-state socket path, send and
+// receive together, in the manner of TestMemDeliveryZeroAlloc: the one
+// allocation a message may cost is the exact-size frame body its
+// payload is sliced from.
+func TestTCPFrameAllocs(t *testing.T) {
+	a, b := listenTCP(t), listenTCP(t)
+	a.SetMetrics(metrics.NewRegistry())
+	b.SetMetrics(metrics.NewRegistry())
+	got := make(chan struct{}, 1)
+	b.SetHandler(func(Message) { got <- struct{}{} })
+	msg := Message{To: b.ID(), Type: "query", Payload: []byte("filter=(k=v)"), TraceID: 9, SpanID: 3}
+	roundTrip := func() {
+		if err := a.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	roundTrip() // dials, says hello, and teaches b's reader the type string
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs > 1 {
+		t.Fatalf("send+receive allocs/msg = %v, want 1", allocs)
+	}
+}
+
+// BenchmarkTCPRoundTrip is the TCP stratum's own benchmark: one
+// message out, one back, over loopback.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	for _, size := range []int{64, 2 << 10, 64 << 10} {
+		name := fmt.Sprintf("%dB", size)
+		if size >= 1<<10 {
+			name = fmt.Sprintf("%dKiB", size>>10)
+		}
+		b.Run(name, func(b *testing.B) {
+			x, y := listenTCP(b), listenTCP(b)
+			y.SetHandler(func(m Message) {
+				if err := y.Send(Message{To: m.From, Type: "pong", Payload: m.Payload}); err != nil {
+					b.Error(err)
+				}
+			})
+			back := make(chan struct{}, 1)
+			x.SetHandler(func(Message) { back <- struct{}{} })
+			ping := Message{To: y.ID(), Type: "ping", Payload: make([]byte, size)}
+			roundTrip := func() {
+				if err := x.Send(ping); err != nil {
+					b.Fatal(err)
+				}
+				<-back
+			}
+			roundTrip()
+			b.SetBytes(int64(2 * size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+		})
+	}
+}

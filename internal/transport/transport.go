@@ -4,8 +4,8 @@
 // network (deterministic, instrumented with message/byte counters,
 // latency model, drop and partition fault injection — the substrate
 // for the paper-scale experiments) and a real TCP transport
-// (length-prefixed JSON frames) proving the protocol code paths do not
-// depend on the simulator.
+// (length-prefixed binary frames, one write each — layout at TCPNode)
+// proving the protocol code paths do not depend on the simulator.
 package transport
 
 import (
@@ -19,20 +19,22 @@ import (
 type PeerID string
 
 // Message is one protocol datagram. Payload encoding is the p2p
-// layer's concern (JSON in this implementation).
+// layer's concern (internal/p2p/codec); transports carry the bytes as
+// they are.
 //
 // TraceID/SpanID carry the distributed-tracing context as header
 // fields, deliberately outside Payload: the simulator's golden-trace
-// hash folds only From/To/Type/Payload, and the TCP framing omits
-// zero values, so enabling tracing leaves both the hash and the
-// untraced wire bytes bit-identical.
+// hash folds only From/To/Type/Payload, so enabling tracing leaves it
+// bit-identical. On a TCP frame each is a uvarint, one byte when zero.
+// From and To do not travel per frame there: a connection names its
+// dialer once, and To is whoever reads it.
 type Message struct {
-	From    PeerID `json:"from"`
-	To      PeerID `json:"to"`
-	Type    string `json:"type"`
-	Payload []byte `json:"payload"`
-	TraceID uint64 `json:"trace_id,omitempty"`
-	SpanID  uint64 `json:"span_id,omitempty"`
+	From    PeerID
+	To      PeerID
+	Type    string
+	Payload []byte
+	TraceID uint64
+	SpanID  uint64
 }
 
 // Handler consumes inbound messages. Handlers must not block
@@ -67,6 +69,12 @@ var (
 	ErrClosed      error = errs.New("transport.closed", "transport: endpoint closed")
 	ErrDropped     error = errs.New("transport.dropped", "transport: message dropped")
 	ErrPartitioned error = errs.New("transport.partitioned", "transport: peers partitioned")
+	// ErrBackpressure: a TCP peer did not drain its socket within the
+	// write deadline; the frame is lost and the connection dropped.
+	ErrBackpressure error = errs.New("transport.backpressure", "transport: peer not reading")
+	// ErrMalformed: an inbound TCP connection sent bytes that are not
+	// frames; it is closed, since a binary stream cannot resynchronise.
+	ErrMalformed error = errs.New("transport.malformed", "transport: malformed frame")
 )
 
 // ChainOffset returns the cumulative virtual latency of the delivery

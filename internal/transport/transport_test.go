@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestMemSendReceive(t *testing.T) {
@@ -280,8 +282,36 @@ func TestTCPSendToDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n1.Close()
-	if err := n1.Send(Message{To: "127.0.0.1:1", Type: "x"}); err == nil {
-		t.Error("send to dead address succeeded")
+	reg := metrics.NewRegistry()
+	n1.SetMetrics(reg)
+	// Nothing listens on port 1: connection refused is the socket
+	// world's authoritative death notice, like the simulator's
+	// ErrUnknownPeer, and what the DHT evicts a contact on.
+	err = n1.Send(Message{To: "127.0.0.1:1", Type: "x"})
+	if !IsPeerDead(err) || !errors.Is(err, ErrUnknownPeer) {
+		t.Errorf("send to dead address = %v, want a peer-dead error", err)
+	}
+	if got := reg.Snapshot().Label(metrics.ErrorsVecName, "transport.unknown_peer"); got != 1 {
+		t.Errorf("errors{code=transport.unknown_peer} = %d, want 1", got)
+	}
+	// A peer that dies after it was dialed: its hang-up retires the
+	// cached connection, so a send soon dials again and gets the same
+	// verdict rather than feeding a socket nobody reads. (The sends
+	// before that may succeed into the void: TCP cannot tell.)
+	n2, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.Send(Message{To: n2.ID(), Type: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	n2.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for err = nil; !IsPeerDead(err); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sends to a closed peer never reported it dead, last error: %v", err)
+		}
+		err = n1.Send(Message{To: n2.ID(), Type: "x"})
 	}
 }
 
