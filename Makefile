@@ -35,13 +35,15 @@ bench-smoke:
 	$(GO) run ./cmd/up2pbench -run E13 -e13-max-peers 100
 	$(GO) run ./cmd/up2pbench -run E18 -wal-docs 40 -wal-recovery-batches 20,60
 
-# Fuzz smoke: ten seconds each of FuzzDHTFrameDecode and FuzzTCPFrame
-# on top of their seeds and the committed corpora (testdata/fuzz in
-# internal/dht and internal/transport) — no DHT frame decoder and no
-# TCP connection reader may panic, or allocate beyond a small multiple
-# of its input.
+# Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode
+# and FuzzTCPFrame on top of their seeds and the committed corpora
+# (testdata/fuzz in internal/dht, internal/p2p and internal/transport) —
+# no DHT or p2p frame decoder and no TCP connection reader may panic, or
+# allocate beyond a small multiple of its input, and the GUID a flood
+# relay peeks from a query or query-hit is the one a full decode reads.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
+	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzP2PFrameDecode -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical

@@ -16,8 +16,9 @@ import (
 // The cache stores canonical document pointers. That is safe because
 // stored Documents are immutable once installed — Put replaces the
 // pointer, never mutates — and a generation mismatch prevents a
-// replaced document from ever being served. Callers clone on the way
-// out (Store.Search), preserving the store's defensive-copy contract.
+// replaced document from ever being served. Store.Search clones on the
+// way out, preserving its defensive-copy contract; SearchReadOnly hands
+// out the cached slice itself, to callers bound not to modify it.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int

@@ -190,6 +190,10 @@ type Store struct {
 	// wal, when non-nil, logs every write before it is applied; see
 	// wal.go. Armed only by OpenStore.
 	wal *wal
+	// cut makes a cross-shard PutBatch atomic to Save: the batch holds
+	// it shared while it walks its shards, Save holds it exclusively
+	// while it read-locks them all. Batches still overlap each other.
+	cut sync.RWMutex
 }
 
 // shard holds one stripe of the store: the documents of every
@@ -379,6 +383,10 @@ func (s *Store) PutBatch(docs []*Document) error {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	if len(idxs) > 1 {
+		s.cut.RLock()
+		defer s.cut.RUnlock()
+	}
 	for _, idx := range idxs {
 		sh := s.shards[idx]
 		sh.mu.Lock()
@@ -557,13 +565,25 @@ func (s *Store) Postings() int {
 // satisfy the filter, sorted by ID for determinism. limit <= 0 means
 // unlimited. An empty communityID searches all communities (spanning
 // every shard, uncached).
+//
+// The result is the caller's own: every document is a defensive copy.
 func (s *Store) Search(communityID string, f query.Filter, limit int) []*Document {
+	return cloneDocs(s.SearchReadOnly(communityID, f, limit))
+}
+
+// SearchReadOnly is Search without the copies: it returns the store's
+// own documents, and possibly a result slice other readers share, so
+// the caller must modify neither. That is safe to hold for any length
+// of time — a stored Document is immutable, Put installs a new one in
+// its place and never writes to the old — and is meant for callers that
+// only read the result through, such as a node encoding its answer to a
+// remote query onto the wire.
+func (s *Store) SearchReadOnly(communityID string, f query.Filter, limit int) []*Document {
 	if f == nil {
 		f = query.MatchAll{}
 	}
 	if communityID != "" {
-		sh := s.shards[s.shardIndex(communityID)]
-		return cloneDocs(sh.search(communityID, f, limit))
+		return s.shards[s.shardIndex(communityID)].search(communityID, f, limit)
 	}
 	var all []*Document
 	for _, sh := range s.shards {
@@ -573,11 +593,10 @@ func (s *Store) Search(communityID string, f query.Filter, limit int) []*Documen
 	if limit > 0 && len(all) > limit {
 		all = all[:limit]
 	}
-	return cloneDocs(all)
+	return all
 }
 
-// cloneDocs defensively copies a result set; cached canonical
-// documents are never handed to callers directly.
+// cloneDocs defensively copies a result set.
 func cloneDocs(docs []*Document) []*Document {
 	if docs == nil {
 		return nil
@@ -591,8 +610,8 @@ func cloneDocs(docs []*Document) []*Document {
 
 // search runs one community-scoped (or, with "", shard-wide) query
 // against this shard, consulting the result cache first. The returned
-// documents are canonical store pointers — the caller must clone
-// before handing them out.
+// documents are canonical store pointers and the slice may be the
+// cache's own.
 func (sh *shard) search(communityID string, f query.Filter, limit int) []*Document {
 	cacheable := sh.cache != nil && communityID != ""
 	var key string

@@ -22,14 +22,17 @@ const snapshotVersion = 1
 
 // Save writes the store's documents as JSON. The snapshot is a
 // consistent cut — every shard is read-locked before any document is
-// copied, so a concurrent cross-shard PutBatch appears either wholly
-// or not at all — and deterministic (documents sorted by ID) so
-// backups diff cleanly. Concurrent readers and writers are safe;
-// writers wait while the cut is taken (not while it is encoded).
+// copied, and no cross-shard PutBatch is under way while they are being
+// locked (Store.cut), so a concurrent batch appears either wholly or
+// not at all — and deterministic (documents sorted by ID) so backups
+// diff cleanly. Concurrent readers and writers are safe; writers wait
+// while the cut is taken (not while it is encoded).
 func (s *Store) Save(w io.Writer) error {
+	s.cut.Lock()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 	}
+	s.cut.Unlock()
 	var docs []*Document
 	for _, sh := range s.shards {
 		for _, d := range sh.docs {

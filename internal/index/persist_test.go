@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/query"
@@ -127,13 +129,21 @@ func TestSaveConsistentCut(t *testing.T) {
 	const comms = 8 // spread every batch across shards
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	// The writer stays at most 64 batches ahead of the snapshots taken:
+	// unpaced, one slow Save lets the store grow, which slows the next
+	// Save, and the test runs away.
+	var saves atomic.Int64
 	go func() {
 		defer close(done)
-		for k := 0; ; k++ {
+		for k := 0; ; {
 			select {
 			case <-stop:
 				return
 			default:
+			}
+			if int64(k) >= 64*(saves.Load()+1) {
+				runtime.Gosched()
+				continue
 			}
 			batch := make([]*Document, comms)
 			for c := range batch {
@@ -148,6 +158,7 @@ func TestSaveConsistentCut(t *testing.T) {
 				t.Errorf("put batch %d: %v", k, err)
 				return
 			}
+			k++
 		}
 	}()
 	for i := 0; i < 50; i++ {
@@ -168,6 +179,7 @@ func TestSaveConsistentCut(t *testing.T) {
 				t.Fatalf("snapshot %d tore batch %s: %d of %d docs", i, k, n, comms)
 			}
 		}
+		saves.Add(1)
 	}
 	close(stop)
 	<-done

@@ -313,3 +313,96 @@ func TestShardRoundingAndScoping(t *testing.T) {
 		t.Errorf("Communities = %d, want 8", got)
 	}
 }
+
+// TestSearchReadOnlyMatchesSearch: the no-clone search returns the same
+// IDs in the same order as Search — cached or not, community-scoped or
+// store-wide, limited or not — and the documents it returns are the
+// store's own, not copies.
+func TestSearchReadOnlyMatchesSearch(t *testing.T) {
+	for _, cache := range []int{0, 32} {
+		s := NewStore(WithShards(4), WithCacheSize(cache))
+		for i := 0; i < 60; i++ {
+			comm := []string{"patterns", "mp3", "species"}[i%3]
+			if err := s.Put(doc(fmt.Sprintf("d%02d", i), comm, "T", map[string][]string{
+				"k": {fmt.Sprintf("v%d", i%4)}, "year": {fmt.Sprint(1990 + i%10)},
+			})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, comm := range []string{"patterns", "mp3", "nobody", ""} {
+			for _, f := range []string{"(k=v1)", "(year>=1995)", "(&(k=v2)(year<=1996))", "(k=*)", "(k=absent)"} {
+				for _, limit := range []int{0, 3} {
+					for pass := 0; pass < 2; pass++ { // the second pass reads the cache
+						want := ids(s.Search(comm, query.MustParse(f), limit))
+						got := s.SearchReadOnly(comm, query.MustParse(f), limit)
+						if fmt.Sprint(ids(got)) != fmt.Sprint(want) {
+							t.Fatalf("cache %d, %q %s limit %d: read-only %v, Search %v", cache, comm, f, limit, ids(got), want)
+						}
+						for _, d := range got {
+							if sh := s.shardOf(d.ID); sh == nil || sh.docs[d.ID] != d {
+								t.Fatalf("%s: read-only search returned a copy", d.ID)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchReadOnlyStableUnderPut: a document a reader got from the
+// no-clone search never changes, however often the same ID is Put or
+// deleted meanwhile — writers install new documents, they do not write
+// to installed ones. Under -race a write to a held document is a
+// reported race as well as a failed comparison.
+func TestSearchReadOnlyStableUnderPut(t *testing.T) {
+	const ids, writers, rounds = 8, 4, 300
+	s := NewStore(WithShards(2), WithCacheSize(8))
+	put := func(id, version int) {
+		v := fmt.Sprintf("v%d", version)
+		if err := s.Put(doc(fmt.Sprintf("d%d", id), "patterns", "title "+v, map[string][]string{
+			"k": {"same"}, "version": {v, v + "-again"},
+		})); err != nil {
+			t.Error(err)
+		}
+	}
+	for id := 0; id < ids; id++ {
+		put(id, 0)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for version := 1; ; version++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := (w + version) % ids
+				if version%7 == 0 {
+					s.Delete(DocID(fmt.Sprintf("d%d", id)))
+				}
+				put(id, w*1_000_000+version)
+			}
+		}(w)
+	}
+	f := query.MustParse("(k=same)")
+	for r := 0; r < rounds; r++ {
+		held := s.SearchReadOnly("patterns", f, 0)
+		copies := cloneDocs(held)
+		for i := 0; i < 3; i++ {
+			s.SearchReadOnly("patterns", f, 0) // let writers run against the held set
+		}
+		for i, d := range held {
+			c := copies[i]
+			if d.ID != c.ID || d.Title != c.Title || d.XML != c.XML || fmt.Sprint(d.Attrs) != fmt.Sprint(c.Attrs) {
+				t.Fatalf("round %d: held document %s changed: %+v, was %+v", r, d.ID, d, c)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -221,10 +221,11 @@ func (s *IndexServer) search(communityID string, f query.Filter, limit int) []Re
 	// (lock order mu -> store, same as register). Every stored
 	// document then has at least one provider, so limit docs yield at
 	// least limit results and the store never materializes more
-	// matches than the client asked for.
+	// matches than the client asked for. The results are only encoded
+	// into the reply, so they alias the store's immutable documents.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	docs := s.store.Search(communityID, f, limit)
+	docs := s.store.SearchReadOnly(communityID, f, limit)
 	var out []Result
 	for _, d := range docs {
 		for _, p := range s.providers[d.ID] {

@@ -26,6 +26,7 @@ package codec
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -53,6 +54,12 @@ type Codec interface {
 	// — the hot path for handlers that know the expected type from the
 	// message's wire type and decode exactly once at the endpoint.
 	DecodeValue(f Frame, payload []byte) error
+	// PeekUint reads one unsigned routing field of an encoded frame and
+	// leaves the rest undecoded, so a node that only forwards or drops a
+	// frame never pays for its body. The binary codec reads the leading
+	// uvarint — frames that are routed on a field put it first — and
+	// allocates nothing; JSON finds the field by its key.
+	PeekUint(payload []byte, key string) (uint64, error)
 }
 
 // JSON is the reflection-based codec: the original wire format.
@@ -93,6 +100,22 @@ func (jsonCodec) DecodeValue(f Frame, payload []byte) error {
 	return json.Unmarshal(payload, f)
 }
 
+// PeekUint mirrors what DecodeValue does with the field: absent reads
+// as zero, a non-number fails.
+func (jsonCodec) PeekUint(payload []byte, key string) (uint64, error) {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &fields); err != nil {
+		return 0, err
+	}
+	raw, ok := fields[key]
+	if !ok {
+		return 0, nil
+	}
+	var v uint64
+	err := json.Unmarshal(raw, &v)
+	return v, err
+}
+
 type binaryCodec struct{}
 
 func (binaryCodec) Name() string { return "binary" }
@@ -119,6 +142,16 @@ func (binaryCodec) Encode(f Frame) []byte {
 func (binaryCodec) DecodeValue(f Frame, payload []byte) error {
 	return f.DecodeBinary(payload)
 }
+
+func (binaryCodec) PeekUint(payload []byte, _ string) (uint64, error) {
+	v, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return 0, errPeek
+	}
+	return v, nil
+}
+
+var errPeek = errors.New("codec: truncated or corrupt leading uvarint")
 
 // --- frame registry ---
 
@@ -218,7 +251,10 @@ func AppendAttrs(dst []byte, a query.Attrs) []byte {
 	if len(a) == 0 {
 		return dst
 	}
-	keys := make([]string, 0, len(a))
+	// Sorted on the stack: a map of up to 16 keys, far more than any
+	// community's schema indexes, encodes without allocating.
+	var few [16]string
+	keys := few[:0]
 	for k := range a {
 		keys = append(keys, k)
 	}
@@ -242,6 +278,12 @@ type Reader struct {
 	data []byte
 	off  int
 	err  error
+	// Set by ShareStrings: shared is a string copy of data[sharedAt:]
+	// that String cuts its results from, and slab is the array Attrs
+	// cuts value slices from.
+	shared   string
+	sharedAt int
+	slab     []string
 }
 
 // NewReader starts a cursor at the payload's beginning.
@@ -292,15 +334,55 @@ func (r *Reader) Count(minElemBytes int) int {
 	return int(v)
 }
 
+// ShareStrings copies the unread remainder of the payload into one
+// string; every string read from here on (attribute keys and values
+// included) is a substring of it, and attribute value slices are cut
+// from a slab the reader grows a chunk at a time — one allocation per
+// frame for all its strings instead of one per field. The price is
+// lifetime: any one surviving string keeps the whole remainder
+// reachable. That suits values on their way to a caller or to the next
+// encode (search results); a decoder whose values are stored long-term
+// (registrations, fetched documents, DHT records) must keep the
+// per-field copy, or the store would pin a frame per entry.
+func (r *Reader) ShareStrings() {
+	r.shared, r.sharedAt = string(r.data[r.off:]), r.off
+}
+
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Len()
 	if r.err != nil {
 		return ""
 	}
-	s := string(r.data[r.off : r.off+n])
+	var s string
+	if r.shared != "" {
+		at := r.off - r.sharedAt
+		s = r.shared[at : at+n]
+	} else {
+		s = string(r.data[r.off : r.off+n])
+	}
 	r.off += n
 	return s
+}
+
+// valueSlabLen is how many attribute values one slab chunk holds (1 KiB
+// of string headers): a typical result set needs one or two.
+const valueSlabLen = 64
+
+// values returns an empty slice with room for n attribute values: its
+// own array, or after ShareStrings the next n slots of the slab, capped
+// so that appending beyond n cannot reach a neighbour's values. A chunk
+// is never larger than the values the unread bytes could still hold.
+func (r *Reader) values(n int) []string {
+	if r.shared == "" || n == 0 {
+		return make([]string, 0, n)
+	}
+	if cap(r.slab)-len(r.slab) < n {
+		r.slab = make([]string, 0, max(n, min(valueSlabLen, len(r.data)-r.off)))
+	}
+	at := len(r.slab)
+	r.slab = r.slab[:at+n]
+	return r.slab[at : at : at+n]
 }
 
 // Bytes reads a length-prefixed byte slice (copied: payload buffers
@@ -382,7 +464,7 @@ func (r *Reader) Attrs() query.Attrs {
 		if r.err != nil {
 			return nil
 		}
-		vals := make([]string, 0, nv)
+		vals := r.values(nv)
 		for j := 0; j < nv; j++ {
 			vals = append(vals, r.String())
 		}

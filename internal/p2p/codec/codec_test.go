@@ -266,3 +266,101 @@ func BenchmarkJSONRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendAttrsAllocs: a map of up to 16 keys is sorted on the stack,
+// so appending it to a buffer with room allocates nothing; a larger map
+// still encodes, in the same sorted order.
+func TestAppendAttrsAllocs(t *testing.T) {
+	attrs := func(n int) query.Attrs {
+		a := query.Attrs{}
+		for i := 0; i < n; i++ {
+			a[string(rune('z'-i%26))+string(rune('a'+i/26))] = []string{"v", "w"}
+		}
+		return a
+	}
+	buf := make([]byte, 0, 4096)
+	for _, n := range []int{1, 4, 16} {
+		a := attrs(n)
+		if got := testing.AllocsPerRun(200, func() { buf = AppendAttrs(buf[:0], a) }); got != 0 {
+			t.Errorf("AppendAttrs of %d keys: %v allocs, want 0", n, got)
+		}
+	}
+	for _, n := range []int{16, 17, 40} {
+		a := attrs(n)
+		r := NewReader(AppendAttrs(nil, a))
+		var prev string
+		for i, keys := 0, r.Count(2); i < keys; i++ {
+			k := r.String()
+			if k <= prev {
+				t.Fatalf("%d keys: %q encoded after %q", n, k, prev)
+			}
+			prev = k
+			for j, vals := 0, r.Count(1); j < vals; j++ {
+				_ = r.String()
+			}
+		}
+		if got := NewReader(AppendAttrs(nil, a)).Attrs(); !reflect.DeepEqual(got, a) {
+			t.Errorf("%d keys: round trip = %v", n, got)
+		}
+	}
+}
+
+// TestShareStrings: after ShareStrings every string read is cut from
+// one copy of the remainder — one allocation however many fields — and
+// reads before it, and on a reader that never shares, stay independent
+// copies.
+func TestShareStrings(t *testing.T) {
+	var enc []byte
+	enc = AppendString(enc, "header")
+	for _, s := range []string{"alpha", "", "gamma"} {
+		enc = AppendString(enc, s)
+	}
+	enc = AppendAttrs(enc, query.Attrs{"k": {"v1", "v2"}, "none": {}})
+
+	r := NewReader(enc)
+	if got := r.String(); got != "header" {
+		t.Fatalf("header = %q", got)
+	}
+	r.ShareStrings()
+	for _, want := range []string{"alpha", "", "gamma"} {
+		if got := r.String(); got != want {
+			t.Fatalf("shared read = %q, want %q", got, want)
+		}
+	}
+	want := query.Attrs{"k": {"v1", "v2"}, "none": {}}
+	if got := r.Attrs(); r.Err() != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared attrs = %#v, %v", got, r.Err())
+	}
+	// The input may be reused once decoding is done: shared strings are
+	// cut from a copy, not from the payload.
+	r = NewReader(enc)
+	r.ShareStrings()
+	first := r.String()
+	for i := range enc {
+		enc[i] = 0xff
+	}
+	if first != "header" {
+		t.Errorf("shared string aliases the payload: %q", first)
+	}
+
+	var fields []byte
+	for i := 0; i < 50; i++ {
+		fields = AppendString(fields, "some field value")
+	}
+	perField := testing.AllocsPerRun(100, func() {
+		r := NewReader(fields)
+		for i := 0; i < 50; i++ {
+			_ = r.String()
+		}
+	})
+	shared := testing.AllocsPerRun(100, func() {
+		r := NewReader(fields)
+		r.ShareStrings()
+		for i := 0; i < 50; i++ {
+			_ = r.String()
+		}
+	})
+	if perField < 50 || shared > 1 {
+		t.Errorf("50 strings: %v allocs per field, %v shared; want >= 50 and <= 1", perField, shared)
+	}
+}

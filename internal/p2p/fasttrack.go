@@ -1,13 +1,10 @@
 package p2p
 
 import (
-	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/index"
 	"repro/internal/metrics"
-	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -35,89 +32,27 @@ type serverEntry struct {
 }
 
 // SuperPeer is a FastTrack hub: it indexes its leaves' metadata and
-// floods queries across the super-peer overlay.
+// floods queries across the super-peer overlay through the floodRouter
+// it shares with GnutellaNode.
 type SuperPeer struct {
-	ep     transport.Endpoint
-	guids  *guidSource
-	cdc    codec.Codec
-	tracer *trace.Tracer
+	floodRouter
 
-	mu        sync.RWMutex
+	// Guarded by the router's mu.
 	leafIndex map[index.DocID][]serverEntry
 	// docIDs mirrors leafIndex's keys in sorted order, maintained on
 	// registration/removal, so every search iterates deterministically
 	// without re-sorting the keyset on the query hot path.
 	docIDs []index.DocID
-	// neighbors is a copy-on-write sorted slice, like GnutellaNode's:
-	// overlay floods iterate it with no snapshot allocation.
-	neighbors []transport.PeerID
-	seen      map[uint64]transport.PeerID
-	collect   map[uint64]*hitCollector
-	closed    bool
 }
 
 // NewSuperPeer attaches a super-peer to the network.
 func NewSuperPeer(ep transport.Endpoint) *SuperPeer {
-	s := &SuperPeer{
-		ep:        ep,
-		guids:     newGUIDSource(ep.ID()),
-		cdc:       codec.Default,
-		leafIndex: make(map[index.DocID][]serverEntry),
-		seen:      make(map[uint64]transport.PeerID),
-		collect:   make(map[uint64]*hitCollector),
-	}
+	s := &SuperPeer{leafIndex: make(map[index.DocID][]serverEntry)}
+	s.floodRouter.init(ep, func(communityID string, f query.Filter) []Result {
+		return s.localSearch(communityID, f, 0)
+	})
 	ep.SetHandler(s.handle)
 	return s
-}
-
-// PeerID returns the super-peer's identity.
-func (s *SuperPeer) PeerID() transport.PeerID { return s.ep.ID() }
-
-// SetTracer installs the super-peer's span recorder (nil disables
-// tracing, the default). Call before traffic starts.
-func (s *SuperPeer) SetTracer(t *trace.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = t
-}
-
-func (s *SuperPeer) tr() *trace.Tracer {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tracer
-}
-
-// SetCodec installs the wire codec (default codec.Default). Call
-// before traffic starts, and use one codec network-wide.
-func (s *SuperPeer) SetCodec(c codec.Codec) {
-	if c != nil {
-		s.cdc = c
-	}
-}
-
-// AddNeighbor links this super-peer to another (one direction).
-func (s *SuperPeer) AddNeighbor(peer transport.PeerID) {
-	if peer == s.ep.ID() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.neighbors = peerSliceAdd(s.neighbors, peer)
-}
-
-// RemoveNeighbor unlinks a failed super-peer from the overlay.
-func (s *SuperPeer) RemoveNeighbor(peer transport.PeerID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.neighbors = peerSliceRemove(s.neighbors, peer)
-}
-
-// Neighbors returns a copy of the current super-peer overlay links,
-// sorted.
-func (s *SuperPeer) Neighbors() []transport.PeerID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return slices.Clone(s.neighbors)
 }
 
 // Len returns the number of distinct documents indexed for leaves.
@@ -166,14 +101,6 @@ func (s *SuperPeer) removeDocIDLocked(id index.DocID) {
 	if i < len(s.docIDs) && s.docIDs[i] == id {
 		s.docIDs = append(s.docIDs[:i], s.docIDs[i+1:]...)
 	}
-}
-
-// Close detaches the super-peer.
-func (s *SuperPeer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return s.ep.Close()
 }
 
 func (s *SuperPeer) handle(msg transport.Message) {
@@ -265,36 +192,16 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	if err != nil {
 		f = query.MatchAll{}
 	}
-	results := s.localSearch(req.CommunityID, f, req.Limit)
-
-	guid := s.guids.next()
-	col := &hitCollector{done: make(chan struct{}), limit: req.Limit}
-	col.add(results)
-	s.mu.Lock()
-	s.collect[guid] = col
-	s.seen[guid] = s.ep.ID()
-	neighbors := s.neighbors
-	s.mu.Unlock()
-	q := queryPayload{
-		GUID:        guid,
-		Origin:      s.ep.ID(),
-		CommunityID: req.CommunityID,
-		Filter:      f.String(),
-		TTL:         DefaultTTL,
-	}
-	payload := s.cdc.Encode(&q)
-	for _, n := range neighbors {
-		_ = s.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
-			TraceID: tctx.Trace, SpanID: tctx.Span})
-		sp.AddMsgs(1, int64(len(payload)))
+	local := s.localSearch(req.CommunityID, f, req.Limit)
+	guid, col, err := s.originate(req.CommunityID, f, DefaultTTL, req.Limit, local, &sp, tctx)
+	if err != nil {
+		return
 	}
 	// On the synchronous simulator the flood has completed; reply with
 	// everything collected. (Over TCP a production implementation would
 	// defer the reply; the experiments run on the simulator.)
 	merged := col.snapshot(req.Limit)
-	s.mu.Lock()
-	delete(s.collect, guid)
-	s.mu.Unlock()
+	s.release(guid)
 	reply := s.cdc.Encode(&searchHitPayload{ReqID: req.ReqID, Results: merged})
 	_ = s.ep.Send(transport.Message{
 		To:      msg.From,
@@ -304,13 +211,6 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 		SpanID:  tctx.Span,
 	})
 	sp.AddMsgs(1, int64(len(reply)))
-}
-
-// startSpan opens a handler span for an inbound traced frame.
-func (s *SuperPeer) startSpan(msg transport.Message, op string) trace.ActiveSpan {
-	sp := s.tr().StartAt(trace.Context{Trace: msg.TraceID, Span: msg.SpanID}, op, transport.ChainOffset(s.ep))
-	sp.SetPeer(string(msg.From))
-	return sp
 }
 
 // localSearch scans the leaf index in DocID order (providers keep
@@ -343,89 +243,6 @@ func (s *SuperPeer) localSearch(communityID string, f query.Filter, limit int) [
 		}
 	}
 	return out
-}
-
-func (s *SuperPeer) handleQuery(msg transport.Message) {
-	var q queryPayload
-	if err := s.cdc.DecodeValue(&q, msg.Payload); err != nil {
-		return
-	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := s.startSpan(msg, "query")
-	sp.SetCommunity(q.CommunityID)
-	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
-	s.mu.Lock()
-	if _, dup := s.seen[q.GUID]; dup {
-		s.mu.Unlock()
-		sp.SetOp("query.dup")
-		return
-	}
-	s.seen[q.GUID] = msg.From
-	neighbors := s.neighbors
-	s.mu.Unlock()
-	f, err := query.Parse(q.Filter)
-	if err != nil {
-		return
-	}
-	hops := q.Hops + 1
-	results := s.localSearch(q.CommunityID, f, 0)
-	for i := range results {
-		results[i].Hops = hops
-	}
-	if len(results) > 0 {
-		hit := s.cdc.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
-		_ = s.ep.Send(transport.Message{
-			To:      msg.From,
-			Type:    MsgQueryHit,
-			Payload: hit,
-			TraceID: tctx.Trace,
-			SpanID:  tctx.Span,
-		})
-		sp.AddMsgs(1, int64(len(hit)))
-	}
-	if q.TTL <= 1 {
-		return
-	}
-	fwd := q
-	fwd.TTL--
-	fwd.Hops = hops
-	payload := s.cdc.Encode(&fwd)
-	for _, n := range neighbors {
-		if n != msg.From {
-			_ = s.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
-				TraceID: tctx.Trace, SpanID: tctx.Span})
-			sp.AddMsgs(1, int64(len(payload)))
-		}
-	}
-}
-
-func (s *SuperPeer) handleQueryHit(msg transport.Message) {
-	var hit queryHitPayload
-	if err := s.cdc.DecodeValue(&hit, msg.Payload); err != nil {
-		return
-	}
-	s.mu.RLock()
-	col := s.collect[hit.GUID]
-	back, seen := s.seen[hit.GUID]
-	self := s.ep.ID()
-	s.mu.RUnlock()
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	if col != nil {
-		sp := s.startSpan(msg, "hit")
-		sp.Finish()
-		col.add(hit.Results)
-		return
-	}
-	if !seen || back == self {
-		return
-	}
-	sp := s.startSpan(msg, "hit.relay")
-	tctx := sp.ContextOr(inCtx)
-	_ = s.ep.Send(transport.Message{To: back, Type: MsgQueryHit, Payload: msg.Payload,
-		TraceID: tctx.Trace, SpanID: tctx.Span})
-	sp.AddMsgs(1, int64(len(msg.Payload)))
-	sp.Finish()
 }
 
 // FastTrackLeaf is an ordinary peer in the super-peer network. Its

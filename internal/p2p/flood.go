@@ -1,0 +1,372 @@
+package p2p
+
+import (
+	"slices"
+	"sync"
+	"time"
+
+	"repro/internal/dsim"
+	"repro/internal/p2p/codec"
+	"repro/internal/query"
+	"repro/internal/trace"
+	"repro/internal/transport"
+)
+
+// floodRouter is the Gnutella flood machinery GnutellaNode and
+// SuperPeer both embed: TTL-bounded query flooding over a neighbor
+// set, duplicate suppression by GUID, and reverse-path routing of
+// query hits.
+//
+// A flooded frame costs what its role requires. query and query-hit
+// lead with their GUID, and the router reads only that
+// (codec.Codec.PeekUint) until it knows what the frame is to this node:
+// a duplicate query is dropped and a hit on its way elsewhere is
+// forwarded byte for byte, neither decoded nor validated past the GUID;
+// a first-arrival query is decoded in full before its GUID enters the
+// seen table; a hit's results are materialised only by the node that
+// originated the search, which is also where a hit with a corrupt body
+// is finally dropped.
+type floodRouter struct {
+	ep    transport.Endpoint
+	guids *guidSource
+	clk   dsim.Clock
+	cdc   codec.Codec
+	// answer returns all of this node's own matches for a remote query
+	// (the query frame carries no limit). They are encoded into a
+	// query-hit and dropped, so they may alias index state that is never
+	// mutated in place.
+	answer func(communityID string, f query.Filter) []Result
+
+	mu     sync.RWMutex
+	tracer *trace.Tracer
+	// neighbors is a copy-on-write sorted slice: floods iterate it
+	// directly with no per-search sort or snapshot allocation, and
+	// membership changes replace the slice wholesale (they are rare —
+	// overlay wiring and churn — while floods are the hot path).
+	neighbors []transport.PeerID
+	seen      seenTable
+	// collect gathers hits for queries this node originated.
+	collect map[uint64]*hitCollector
+	closed  bool
+}
+
+// guidField names the routing field of query and query-hit frames for
+// a codec that addresses fields by name; the binary layout leads with
+// it.
+const guidField = "guid"
+
+func (r *floodRouter) init(ep transport.Endpoint, answer func(string, query.Filter) []Result) {
+	r.ep = ep
+	r.guids = newGUIDSource(ep.ID())
+	r.clk = dsim.Wall
+	r.cdc = codec.Default
+	r.answer = answer
+	r.collect = make(map[uint64]*hitCollector)
+}
+
+// PeerID returns the node's network identity.
+func (r *floodRouter) PeerID() transport.PeerID { return r.ep.ID() }
+
+// SetTracer installs the node's span recorder (nil disables tracing,
+// the default). Like SetClock, call before traffic starts.
+func (r *floodRouter) SetTracer(t *trace.Tracer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tracer = t
+}
+
+func (r *floodRouter) tr() *trace.Tracer {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.tracer
+}
+
+// SetClock installs the clock that paces this node's timeouts and ages
+// its seen-GUID table (default wall). Call before traffic starts.
+func (r *floodRouter) SetClock(clk dsim.Clock) {
+	if clk != nil {
+		r.clk = clk
+	}
+}
+
+// SetCodec installs the wire codec (default codec.Default). Call
+// before traffic starts, and use one codec network-wide.
+func (r *floodRouter) SetCodec(c codec.Codec) {
+	if c != nil {
+		r.cdc = c
+	}
+}
+
+// AddNeighbor links this node to a peer in the overlay (one direction;
+// callers typically link both ways).
+func (r *floodRouter) AddNeighbor(peer transport.PeerID) {
+	if peer == r.ep.ID() {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.neighbors = peerSliceAdd(r.neighbors, peer)
+}
+
+// RemoveNeighbor unlinks a peer.
+func (r *floodRouter) RemoveNeighbor(peer transport.PeerID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.neighbors = peerSliceRemove(r.neighbors, peer)
+}
+
+// Neighbors returns a copy of the current neighbor set, sorted.
+func (r *floodRouter) Neighbors() []transport.PeerID {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.Clone(r.neighbors)
+}
+
+// ForgetQueries clears the seen-GUID table at once (between experiment
+// runs; a running node ages entries out, see seenTable).
+func (r *floodRouter) ForgetQueries() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seen = seenTable{}
+}
+
+// Close detaches the node from the network.
+func (r *floodRouter) Close() error {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return nil
+	}
+	r.closed = true
+	r.mu.Unlock()
+	return r.ep.Close()
+}
+
+// seenGeneration is how long the seen table fills one generation before
+// it starts the next. An entry therefore lives between one and two
+// generations — minutes, where a flood and its hits are done within a
+// search timeout (DefaultTimeout, seconds).
+const seenGeneration = 10 * time.Minute
+
+// seenTable maps a flooded GUID to the neighbor it first arrived from,
+// for duplicate suppression and reverse-path routing. It keeps two
+// generations: inserts go to the current one, lookups consult both, and
+// once the current one is seenGeneration old it becomes the previous
+// one and the previous one is dropped — so a long-lived node remembers
+// the GUIDs of its last ten to twenty minutes, not of its lifetime. The
+// zero value is an empty table; the owner's lock guards it.
+type seenTable struct {
+	cur, prev map[uint64]transport.PeerID
+	started   time.Time // when cur took its first insert
+}
+
+func (t *seenTable) lookup(guid uint64) (transport.PeerID, bool) {
+	if from, ok := t.cur[guid]; ok {
+		return from, true
+	}
+	from, ok := t.prev[guid]
+	return from, ok
+}
+
+// insert records guid as first seen from from at now (a reading of the
+// node's clock).
+func (t *seenTable) insert(guid uint64, from transport.PeerID, now time.Time) {
+	if t.cur == nil || now.Sub(t.started) >= seenGeneration {
+		t.prev, t.cur, t.started = t.cur, make(map[uint64]transport.PeerID), now
+	}
+	t.cur[guid] = from
+}
+
+// markSeen records a flooded GUID's reverse path unless one is already
+// known, and reports whether this was its first arrival, together with
+// the neighbor set to forward to.
+func (r *floodRouter) markSeen(guid uint64, from transport.PeerID) (neighbors []transport.PeerID, first bool) {
+	now := r.clk.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.seen.lookup(guid); dup {
+		return nil, false
+	}
+	r.seen.insert(guid, from, now)
+	return r.neighbors, true
+}
+
+type hitCollector struct {
+	mu      sync.Mutex
+	results []Result
+	done    chan struct{} // closed when the limit is reached
+	limit   int
+	closed  bool
+}
+
+func (h *hitCollector) add(rs []Result) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.results = append(h.results, rs...)
+	if h.limit > 0 && len(h.results) >= h.limit && !h.closed {
+		h.closed = true
+		close(h.done)
+	}
+}
+
+func (h *hitCollector) snapshot(limit int) []Result {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := append([]Result(nil), h.results...)
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+// originate floods a fresh query to every neighbor. It returns the
+// query's GUID and the collector that gathers the hits routed back,
+// seeded with local, the caller's own matches; the caller reads the
+// collector (on an asynchronous transport, after waiting on it) and
+// then calls release. sp is the caller's span, to which the sends are
+// attributed, and tctx the context stamped on them.
+func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit int, local []Result, sp *trace.ActiveSpan, tctx trace.Context) (uint64, *hitCollector, error) {
+	guid := r.guids.next()
+	col := &hitCollector{done: make(chan struct{}), limit: limit}
+	col.add(local)
+	now := r.clk.Now()
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return 0, nil, ErrClosed
+	}
+	r.collect[guid] = col
+	r.seen.insert(guid, r.ep.ID(), now) // suppress loops back to the origin
+	neighbors := r.neighbors
+	r.mu.Unlock()
+
+	payload := r.cdc.Encode(&queryPayload{
+		GUID:        guid,
+		Origin:      r.ep.ID(),
+		CommunityID: communityID,
+		Filter:      f.String(),
+		TTL:         ttl,
+	})
+	for _, n := range neighbors {
+		// Unreachable neighbors are skipped, like UDP loss in the
+		// original protocol.
+		_ = r.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
+			TraceID: tctx.Trace, SpanID: tctx.Span})
+		sp.AddMsgs(1, int64(len(payload)))
+	}
+	return guid, col, nil
+}
+
+// release ends collection for a query this node originated; hits that
+// still arrive for it are dropped.
+func (r *floodRouter) release(guid uint64) {
+	r.mu.Lock()
+	delete(r.collect, guid)
+	r.mu.Unlock()
+}
+
+// startSpan opens a handler span for an inbound traced frame.
+func (r *floodRouter) startSpan(msg transport.Message, op string) trace.ActiveSpan {
+	sp := r.tr().StartAt(trace.Context{Trace: msg.TraceID, Span: msg.SpanID}, op, transport.ChainOffset(r.ep))
+	sp.SetPeer(string(msg.From))
+	return sp
+}
+
+// handleQuery serves one arrival of a flooded query: answer it from
+// the local index, route the hit back, and forward the flood while TTL
+// remains — once per GUID.
+func (r *floodRouter) handleQuery(msg transport.Message) {
+	guid, err := r.cdc.PeekUint(msg.Payload, guidField)
+	if err != nil {
+		return
+	}
+	r.mu.RLock()
+	_, dup := r.seen.lookup(guid)
+	r.mu.RUnlock()
+	if dup {
+		// Already served and forwarded: most arrivals in a flood end
+		// here, having cost a varint read and a map lookup.
+		sp := r.startSpan(msg, "query.dup")
+		sp.Finish()
+		return
+	}
+	// A first arrival is decoded in full before its GUID enters the seen
+	// table, so a frame that is not a query never claims a reverse path.
+	var q queryPayload
+	if err := r.cdc.DecodeValue(&q, msg.Payload); err != nil {
+		return
+	}
+	sp := r.startSpan(msg, "query")
+	sp.SetCommunity(q.CommunityID)
+	defer sp.Finish()
+	tctx := sp.ContextOr(trace.Context{Trace: msg.TraceID, Span: msg.SpanID})
+	neighbors, first := r.markSeen(guid, msg.From)
+	if !first {
+		sp.SetOp("query.dup") // another arrival of this GUID won the race
+		return
+	}
+
+	f, err := query.Parse(q.Filter)
+	if err != nil {
+		return // malformed query: drop, per protocol robustness rules
+	}
+	hops := q.Hops + 1
+	results := r.answer(q.CommunityID, f)
+	for i := range results {
+		results[i].Hops = hops
+	}
+	if len(results) > 0 {
+		hit := r.cdc.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
+		// Route the hit back toward the origin along the reverse path.
+		_ = r.ep.Send(transport.Message{To: msg.From, Type: MsgQueryHit, Payload: hit,
+			TraceID: tctx.Trace, SpanID: tctx.Span})
+		sp.AddMsgs(1, int64(len(hit)))
+	}
+	// Forward the flood while TTL remains.
+	if q.TTL <= 1 {
+		return
+	}
+	q.TTL--
+	q.Hops = hops
+	payload := r.cdc.Encode(&q)
+	for _, n := range neighbors {
+		if n == msg.From {
+			continue
+		}
+		_ = r.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
+			TraceID: tctx.Trace, SpanID: tctx.Span})
+		sp.AddMsgs(1, int64(len(payload)))
+	}
+}
+
+// handleQueryHit collects a hit for a query this node originated, or
+// relays it one hop back along the query's reverse path.
+func (r *floodRouter) handleQueryHit(msg transport.Message) {
+	guid, err := r.cdc.PeekUint(msg.Payload, guidField)
+	if err != nil {
+		return
+	}
+	r.mu.RLock()
+	col := r.collect[guid]
+	back, seen := r.seen.lookup(guid)
+	r.mu.RUnlock()
+	if col != nil {
+		var hit queryHitPayload
+		if err := r.cdc.DecodeValue(&hit, msg.Payload); err != nil {
+			return // corrupt body: dropped here, the collection stands
+		}
+		sp := r.startSpan(msg, "hit")
+		sp.Finish()
+		col.add(hit.Results)
+		return
+	}
+	if !seen || back == r.ep.ID() {
+		return // unknown or stale query: drop the hit
+	}
+	sp := r.startSpan(msg, "hit.relay")
+	tctx := sp.ContextOr(trace.Context{Trace: msg.TraceID, Span: msg.SpanID})
+	_ = r.ep.Send(transport.Message{To: back, Type: MsgQueryHit, Payload: msg.Payload,
+		TraceID: tctx.Trace, SpanID: tctx.Span})
+	sp.AddMsgs(1, int64(len(msg.Payload)))
+	sp.Finish()
+}

@@ -1,0 +1,170 @@
+package p2p
+
+import (
+	"bytes"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/index"
+	"repro/internal/p2p/codec"
+	"repro/internal/query"
+	"repro/internal/transport"
+)
+
+// fuzzTypes is every wire type wire.go registers, in the order the fuzz
+// input's first argument indexes them (append only: the committed corpus
+// under testdata/fuzz refers to positions).
+var fuzzTypes = []string{
+	MsgRegister, MsgRegisterBatch, MsgUnregister, MsgSearch, MsgSearchHit,
+	MsgQuery, MsgQueryHit, MsgFetch, MsgFetchReply, MsgAttachment,
+	MsgAttachmentReply, MsgPing, MsgPong,
+}
+
+// TestFuzzTypesCoverRegistry: a frame type added to wire.go must be
+// added to the fuzz target too.
+func TestFuzzTypesCoverRegistry(t *testing.T) {
+	sorted := slices.Sorted(slices.Values(fuzzTypes))
+	if got := codec.Types(); !slices.Equal(got, sorted) {
+		t.Errorf("registered wire types %v, fuzzed %v", got, sorted)
+	}
+}
+
+// fuzzSeeds is well-formed frames of every wire type, keyed by position
+// in fuzzTypes.
+func fuzzSeeds() map[int][]codec.Frame {
+	attrs := query.Attrs{"classification": {"creational", "structural"}, "name": {"Builder"}, "empty": {}}
+	reg := registerPayload{DocID: "doc-1", CommunityID: "patterns", Title: "Builder", Attrs: attrs}
+	results := sampleResults(3)
+	full := &index.Document{ID: "doc-1", CommunityID: "patterns", Title: "Builder",
+		XML: "<pattern><name>Builder</name></pattern>", Attrs: attrs, Attachments: []string{"file:a.png", "file:b.png"}}
+	return map[int][]codec.Frame{
+		0:  {&reg, &registerPayload{DocID: "bare"}},
+		1:  {&registerBatchPayload{Docs: []registerPayload{reg, {DocID: "doc-2", CommunityID: "patterns"}}}, &registerBatchPayload{}},
+		2:  {&unregisterPayload{DocID: "doc-1"}},
+		3:  {&searchPayload{ReqID: 9, CommunityID: "patterns", Filter: "(classification=creational)", Limit: 25}},
+		4:  {&searchHitPayload{ReqID: 9, Results: results}, &searchHitPayload{ReqID: 1 << 40}},
+		5:  {&queryPayload{GUID: 0xabcdef0123456789, Origin: "peer001", CommunityID: "patterns", Filter: "(name=*)", TTL: 7, Hops: 2}},
+		6:  {&queryHitPayload{GUID: 0xabcdef0123456789, Results: results}, &queryHitPayload{GUID: 3}},
+		7:  {&fetchPayload{ReqID: 4, DocID: "doc-1"}},
+		8:  {&fetchReplyPayload{ReqID: 4, Found: true, Doc: full}, &fetchReplyPayload{ReqID: 5}},
+		9:  {&attachmentPayload{ReqID: 6, URI: "file:a.png"}},
+		10: {&attachmentReplyPayload{ReqID: 6, Found: true, Data: []byte{0, 1, 2, 0xff}}, &attachmentReplyPayload{ReqID: 7}},
+		11: {&pingPayload{GUID: 11, Origin: "peer001", TTL: 2, Hops: 1}},
+		12: {&pongPayload{GUID: 11, Peer: transport.PeerID("127.0.0.1:7001"), Hops: 2}},
+	}
+}
+
+type hostileFrame struct {
+	which int // position in fuzzTypes
+	data  []byte
+}
+
+// hostileFrames claim far more elements than their bytes can hold: 1 KB
+// frames announcing 1 000 results, registrations, attribute entries,
+// attribute values and attachments — and a query-hit whose GUID is fine
+// and whose body is not, the frame a relay forwards unread.
+func hostileFrames() map[string]hostileFrame {
+	pad := func(b ...byte) []byte { return append(b, make([]byte, 1024-len(b))...) }
+	k := codec.AppendUvarint(nil, 1000) // two bytes
+	return map[string]hostileFrame{
+		"register-attrs":      {0, pad(0, 0, 0, k[0], k[1])},                      // empty DocID, CommunityID, Title; 1 000 attribute entries
+		"register-values":     {0, pad(0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]},     // one entry "k" with 1 000 values, in 512 bytes
+		"register-batch":      {1, pad(k[0], k[1])},                               // 1 000 registrations
+		"search-hit-results":  {4, pad(1, k[0], k[1])},                            // ReqID 1, 1 000 results
+		"query-hit-results":   {6, pad(1, k[0], k[1])},                            // GUID 1, 1 000 results
+		"query-hit-attrs":     {6, pad(1, 1, 0, 0, 0, 0, k[0], k[1])},             // one result whose attribute map claims 1 000 entries
+		"query-hit-garbage":   {6, append([]byte{42, 3}, "\xff\xff\xff"...)},      // GUID 42, then a truncated body
+		"fetch-reply-attach":  {8, pad(1, 1, 1, 0, 0, 0, 0, 0, k[0], k[1])[:512]}, // found, a document with 1 000 attachments, in 512 bytes
+		"query-string-length": {5, pad(1, k[0], k[1])[:100]},                      // GUID 1, then a 1 000-byte Origin in a 100-byte frame
+	}
+}
+
+// decodeBudget is what decoding n untrusted bytes may allocate: every
+// element count is checked against the bytes left (codec.Reader.Count),
+// so the worst case is a run of minimal elements — a six-byte result
+// sized into an 80-byte Result, a two-byte attribute entry sized into a
+// map — not a count the frame made up.
+func decodeBudget(n int) uint64 { return 64*uint64(n) + 4096 }
+
+// decodeCost decodes data as wire type which and reports the error and
+// the bytes the decode allocated. MemStats counts the whole process,
+// so a reading over budget is taken again: what other goroutines (the
+// fuzzing worker's own) allocate in passing does not repeat.
+func decodeCost(which int, data []byte) (frame codec.Frame, err error, cost uint64) {
+	for try := 0; try < 4; try++ {
+		frame, _ = codec.New(fuzzTypes[which])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = frame.DecodeBinary(data)
+		runtime.ReadMemStats(&after)
+		if cost = after.TotalAlloc - before.TotalAlloc; cost <= decodeBudget(len(data)) {
+			break
+		}
+	}
+	return frame, err, cost
+}
+
+// TestHostileCountsRejected: a frame whose element count cannot fit in
+// its own bytes fails to decode, having allocated next to nothing.
+func TestHostileCountsRejected(t *testing.T) {
+	for name, h := range hostileFrames() {
+		_, err, cost := decodeCost(h.which, h.data)
+		if err == nil {
+			t.Errorf("%s: %d-byte %s frame decoded", name, len(h.data), fuzzTypes[h.which])
+		}
+		if cost > 4096 {
+			t.Errorf("%s: rejected frame still allocated %d bytes", name, cost)
+		}
+	}
+}
+
+// FuzzP2PFrameDecode: no input makes a p2p frame decoder panic or
+// allocate beyond decodeBudget; whatever decodes re-encodes to
+// something that decodes to the same bytes again; and for the two
+// frames the flood router routes without decoding, the GUID it peeks is
+// the GUID a successful full decode reads. The seeds are rebuilt from
+// the structs on every run; testdata/fuzz pins the same frames as the
+// bytes of the wire version they were written in, which must keep
+// decoding safely after the format has moved on.
+func FuzzP2PFrameDecode(f *testing.F) {
+	for which, frames := range fuzzSeeds() {
+		for _, fr := range frames {
+			f.Add(uint8(which), fr.AppendBinary(nil))
+		}
+	}
+	for _, h := range hostileFrames() {
+		f.Add(uint8(h.which), h.data)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		w := int(which) % len(fuzzTypes)
+		frame, err, cost := decodeCost(w, data)
+		if cost > decodeBudget(len(data)) {
+			t.Fatalf("%s: decoding %d bytes allocated %d", fuzzTypes[w], len(data), cost)
+		}
+		if err != nil {
+			return
+		}
+		switch fr := frame.(type) {
+		case *queryPayload:
+			checkPeek(t, data, fr.GUID)
+		case *queryHitPayload:
+			checkPeek(t, data, fr.GUID)
+		}
+		again, _ := codec.New(fuzzTypes[w])
+		first := frame.AppendBinary(nil)
+		if err := again.DecodeBinary(first); err != nil {
+			t.Fatalf("%s: re-encoded frame does not decode: %v", fuzzTypes[w], err)
+		}
+		if second := again.AppendBinary(nil); !bytes.Equal(first, second) {
+			t.Fatalf("%s: encoding is not stable:\n%x\n%x", fuzzTypes[w], first, second)
+		}
+	})
+}
+
+func checkPeek(t *testing.T, data []byte, decoded uint64) {
+	t.Helper()
+	if peeked, err := codec.Binary.PeekUint(data, guidField); err != nil || peeked != decoded {
+		t.Fatalf("peeked GUID %#x (%v), full decode read %#x", peeked, err, decoded)
+	}
+}

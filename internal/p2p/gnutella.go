@@ -2,75 +2,28 @@ package p2p
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
-	"repro/internal/p2p/codec"
-
-	"repro/internal/dsim"
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/query"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
 // GnutellaNode is a peer in the distributed protocol: queries flood
 // the overlay with a TTL, each peer answers from its local metadata
 // index, and query hits travel back along the reverse path — the
-// classic Gnutella 0.4 design the paper names.
+// classic Gnutella 0.4 design the paper names. The flooding itself is
+// the embedded floodRouter's; the node adds the local store, retrieval
+// and Ping/Pong discovery.
 type GnutellaNode struct {
-	ep      transport.Endpoint
+	floodRouter
 	store   *index.Store
 	pending *PendingTable
-	guids   *guidSource
-	clk     dsim.Clock
-	cdc     codec.Codec
-	nm      *NodeMetrics
-	tracer  *trace.Tracer
 
-	mu sync.RWMutex
-	// neighbors is a copy-on-write sorted slice: floods iterate it
-	// directly with no per-search sort or snapshot allocation, and
-	// membership changes replace the slice wholesale (they are rare —
-	// overlay wiring and churn — while floods are the hot path).
-	neighbors []transport.PeerID
-	// seen maps query GUID -> the neighbor the query arrived from, for
-	// duplicate suppression and reverse-path hit routing.
-	seen map[uint64]transport.PeerID
-	// collect gathers hits for queries this node originated.
-	collect map[uint64]*hitCollector
-	attach  AttachmentProvider
-	disc    *discoveryState
-	closed  bool
-}
-
-type hitCollector struct {
-	mu      sync.Mutex
-	results []Result
-	done    chan struct{} // closed when the limit is reached
-	limit   int
-	closed  bool
-}
-
-func (h *hitCollector) add(rs []Result) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.results = append(h.results, rs...)
-	if h.limit > 0 && len(h.results) >= h.limit && !h.closed {
-		h.closed = true
-		close(h.done)
-	}
-}
-
-func (h *hitCollector) snapshot(limit int) []Result {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := append([]Result(nil), h.results...)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	// Guarded by the router's mu.
+	nm     *NodeMetrics
+	attach AttachmentProvider
+	disc   *discoveryState
 }
 
 var _ Network = (*GnutellaNode)(nil)
@@ -80,16 +33,11 @@ var _ Network = (*GnutellaNode)(nil)
 // plays the same role).
 func NewGnutellaNode(ep transport.Endpoint, store *index.Store) *GnutellaNode {
 	g := &GnutellaNode{
-		ep:      ep,
 		store:   store,
 		pending: NewPendingTable(),
-		guids:   newGUIDSource(ep.ID()),
-		clk:     dsim.Wall,
-		cdc:     codec.Default,
-		seen:    make(map[uint64]transport.PeerID),
-		collect: make(map[uint64]*hitCollector),
+		nm:      NewNodeMetrics(metrics.Discard(), "gnutella"),
 	}
-	g.nm = NewNodeMetrics(metrics.Discard(), "gnutella")
+	g.floodRouter.init(ep, g.answer)
 	ep.SetHandler(g.handle)
 	return g
 }
@@ -107,64 +55,6 @@ func (g *GnutellaNode) nodeMetrics() *NodeMetrics {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.nm
-}
-
-// SetTracer installs the node's span recorder (nil disables tracing,
-// the default). Like SetClock, call before traffic starts.
-func (g *GnutellaNode) SetTracer(t *trace.Tracer) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.tracer = t
-}
-
-func (g *GnutellaNode) tr() *trace.Tracer {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.tracer
-}
-
-// SetClock installs the clock that paces this node's timeouts (default
-// wall). Call before traffic starts.
-func (g *GnutellaNode) SetClock(clk dsim.Clock) {
-	if clk != nil {
-		g.clk = clk
-	}
-}
-
-// SetCodec installs the wire codec (default codec.Default). Call
-// before traffic starts, and use one codec network-wide.
-func (g *GnutellaNode) SetCodec(c codec.Codec) {
-	if c != nil {
-		g.cdc = c
-	}
-}
-
-// PeerID implements Network.
-func (g *GnutellaNode) PeerID() transport.PeerID { return g.ep.ID() }
-
-// AddNeighbor links this node to a peer in the overlay (one
-// direction; callers typically link both ways).
-func (g *GnutellaNode) AddNeighbor(peer transport.PeerID) {
-	if peer == g.ep.ID() {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.neighbors = peerSliceAdd(g.neighbors, peer)
-}
-
-// RemoveNeighbor unlinks a peer.
-func (g *GnutellaNode) RemoveNeighbor(peer transport.PeerID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.neighbors = peerSliceRemove(g.neighbors, peer)
-}
-
-// Neighbors returns a copy of the current neighbor set, sorted.
-func (g *GnutellaNode) Neighbors() []transport.PeerID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return slices.Clone(g.neighbors)
 }
 
 // SetAttachmentProvider implements Network.
@@ -214,63 +104,27 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	}
 	nm := g.nodeMetrics()
 	start := g.clk.Now()
-	guid := g.guids.next()
 	sp := g.tr().Start(opts.Trace, "search")
 	sp.SetCommunity(communityID)
-	tctx := sp.ContextOr(opts.Trace)
-	col := &hitCollector{done: make(chan struct{}), limit: opts.Limit}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		nm.CountError(ErrClosed)
-		sp.SetErr(ErrClosed)
-		sp.Finish()
-		return nil, ErrClosed
-	}
-	g.collect[guid] = col
-	g.seen[guid] = g.ep.ID() // suppress loops back to the origin
-	neighbors := g.neighborList()
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		delete(g.collect, guid)
-		g.mu.Unlock()
-	}()
-
+	defer sp.Finish()
 	// Answer from the local index first (a peer is also a member of
 	// the network it searches).
 	local := g.localResults(communityID, f, opts.Limit)
-	col.add(local)
-
-	q := queryPayload{
-		GUID:        guid,
-		Origin:      g.ep.ID(),
-		CommunityID: communityID,
-		Filter:      f.String(),
-		TTL:         ttl,
-		Hops:        0,
+	guid, col, err := g.originate(communityID, f, ttl, opts.Limit, local, &sp, sp.ContextOr(opts.Trace))
+	if err != nil {
+		nm.CountError(err)
+		sp.SetErr(err)
+		return nil, err
 	}
-	payload := g.cdc.Encode(&q)
-	for _, n := range neighbors {
-		// Unreachable neighbors are skipped, like UDP loss in the
-		// original protocol.
-		_ = g.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
-			TraceID: tctx.Trace, SpanID: tctx.Span})
-		sp.AddMsgs(1, int64(len(payload)))
-	}
-	if g.ep.Synchronous() {
-		out := col.snapshot(opts.Limit)
-		nm.ObserveSearch(g.clk, start, len(out))
-		sp.Finish()
-		return out, nil
-	}
-	select {
-	case <-col.done:
-	case <-g.clk.After(timeoutOr(opts.Timeout)):
+	defer g.release(guid)
+	if !g.ep.Synchronous() {
+		select {
+		case <-col.done:
+		case <-g.clk.After(timeoutOr(opts.Timeout)):
+		}
 	}
 	out := col.snapshot(opts.Limit)
 	nm.ObserveSearch(g.clk, start, len(out))
-	sp.Finish()
 	return out, nil
 }
 
@@ -301,27 +155,20 @@ func (g *GnutellaNode) RetrieveAttachment(uri string, from transport.PeerID) ([]
 	return RetrieveAttachmentFrom(g.cdc, g.clk, g.ep, g.pending, &sp, uri, from, 0)
 }
 
-// Close implements Network.
-func (g *GnutellaNode) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	g.closed = true
-	g.mu.Unlock()
-	return g.ep.Close()
-}
-
-// neighborList returns the sorted copy-on-write neighbor slice
-// (caller holds mu): already ordered, shared read-only — floods fan
-// out deterministically with zero snapshot cost.
-func (g *GnutellaNode) neighborList() []transport.PeerID {
-	return g.neighbors
-}
-
+// localResults answers this node's own search: copies of the matching
+// documents' metadata, because the results are handed to the caller.
 func (g *GnutellaNode) localResults(communityID string, f query.Filter, limit int) []Result {
-	docs := g.store.Search(communityID, f, limit)
+	return g.resultsOf(g.store.Search(communityID, f, limit))
+}
+
+// answer serves a remote query straight from the store: the results
+// alias the store's documents, which are never mutated in place, and
+// live only until the router has encoded them.
+func (g *GnutellaNode) answer(communityID string, f query.Filter) []Result {
+	return g.resultsOf(g.store.SearchReadOnly(communityID, f, 0))
+}
+
+func (g *GnutellaNode) resultsOf(docs []*index.Document) []Result {
 	out := make([]Result, 0, len(docs))
 	for _, d := range docs {
 		out = append(out, Result{
@@ -355,100 +202,6 @@ func (g *GnutellaNode) handle(msg transport.Message) {
 		g.mu.RUnlock()
 		ServeAttachment(g.cdc, g.tr(), g.ep, p, msg)
 	}
-}
-
-func (g *GnutellaNode) handleQuery(msg transport.Message) {
-	var q queryPayload
-	if err := g.cdc.DecodeValue(&q, msg.Payload); err != nil {
-		return
-	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := g.tr().StartAt(inCtx, "query", transport.ChainOffset(g.ep))
-	sp.SetPeer(string(msg.From))
-	sp.SetCommunity(q.CommunityID)
-	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
-	g.mu.Lock()
-	if _, dup := g.seen[q.GUID]; dup {
-		g.mu.Unlock()
-		sp.SetOp("query.dup")
-		return // duplicate: already served and forwarded
-	}
-	g.seen[q.GUID] = msg.From
-	neighbors := g.neighborList()
-	g.mu.Unlock()
-
-	f, err := query.Parse(q.Filter)
-	if err != nil {
-		return // malformed query: drop, per protocol robustness rules
-	}
-	hops := q.Hops + 1
-	results := g.localResults(q.CommunityID, f, 0)
-	for i := range results {
-		results[i].Hops = hops
-	}
-	if len(results) > 0 {
-		hit := g.cdc.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
-		// Route the hit back toward the origin along the reverse path.
-		_ = g.ep.Send(transport.Message{To: msg.From, Type: MsgQueryHit, Payload: hit,
-			TraceID: tctx.Trace, SpanID: tctx.Span})
-		sp.AddMsgs(1, int64(len(hit)))
-	}
-	// Forward the flood while TTL remains.
-	if q.TTL <= 1 {
-		return
-	}
-	fwd := q
-	fwd.TTL--
-	fwd.Hops = hops
-	payload := g.cdc.Encode(&fwd)
-	for _, n := range neighbors {
-		if n == msg.From {
-			continue
-		}
-		_ = g.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
-			TraceID: tctx.Trace, SpanID: tctx.Span})
-		sp.AddMsgs(1, int64(len(payload)))
-	}
-}
-
-func (g *GnutellaNode) handleQueryHit(msg transport.Message) {
-	var hit queryHitPayload
-	if err := g.cdc.DecodeValue(&hit, msg.Payload); err != nil {
-		return
-	}
-	g.mu.RLock()
-	col := g.collect[hit.GUID]
-	back, seen := g.seen[hit.GUID]
-	self := g.ep.ID()
-	g.mu.RUnlock()
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	if col != nil {
-		sp := g.tr().StartAt(inCtx, "hit", transport.ChainOffset(g.ep))
-		sp.SetPeer(string(msg.From))
-		sp.Finish()
-		col.add(hit.Results)
-		return
-	}
-	if !seen || back == self {
-		return // unknown or stale query: drop the hit
-	}
-	sp := g.tr().StartAt(inCtx, "hit.relay", transport.ChainOffset(g.ep))
-	sp.SetPeer(string(msg.From))
-	tctx := sp.ContextOr(inCtx)
-	// Relay one hop back along the reverse path.
-	_ = g.ep.Send(transport.Message{To: back, Type: MsgQueryHit, Payload: msg.Payload,
-		TraceID: tctx.Trace, SpanID: tctx.Span})
-	sp.AddMsgs(1, int64(len(msg.Payload)))
-	sp.Finish()
-}
-
-// ForgetQueries clears the seen-GUID table (between experiment runs;
-// real Gnutella ages entries out).
-func (g *GnutellaNode) ForgetQueries() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.seen = make(map[uint64]transport.PeerID)
 }
 
 // String describes the node.

@@ -57,6 +57,7 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 		ttl = 2
 	}
 	guid := g.guids.next()
+	now := g.clk.Now()
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -65,8 +66,8 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 	if g.disc == nil {
 		g.disc = newDiscoveryState()
 	}
-	g.seen[guid] = g.ep.ID()
-	neighbors := g.neighborList()
+	g.seen.insert(guid, g.ep.ID(), now)
+	neighbors := g.neighbors
 	g.mu.Unlock()
 	g.disc.mu.Lock()
 	g.disc.pongs[guid] = nil
@@ -101,14 +102,10 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	if err := g.cdc.DecodeValue(&p, msg.Payload); err != nil {
 		return
 	}
-	g.mu.Lock()
-	if _, dup := g.seen[p.GUID]; dup {
-		g.mu.Unlock()
+	neighbors, first := g.markSeen(p.GUID, msg.From)
+	if !first {
 		return
 	}
-	g.seen[p.GUID] = msg.From
-	neighbors := g.neighborList()
-	g.mu.Unlock()
 	hops := p.Hops + 1
 	// Pong back toward the origin along the reverse path.
 	_ = g.ep.Send(transport.Message{
@@ -138,7 +135,7 @@ func (g *GnutellaNode) handlePong(msg transport.Message) {
 	}
 	g.mu.RLock()
 	disc := g.disc
-	back, seen := g.seen[p.GUID]
+	back, seen := g.seen.lookup(p.GUID)
 	self := g.ep.ID()
 	g.mu.RUnlock()
 	if disc != nil {

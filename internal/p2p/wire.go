@@ -56,11 +56,16 @@ func appendResults(dst []byte, rs []Result) []byte {
 	return dst
 }
 
+// readResults decodes the result set that ends a query-hit or
+// search-hit frame onto one shared string (codec.Reader.ShareStrings):
+// results go to the searching caller or into the next hit frame, never
+// into a store, so nothing long-lived pins the frame.
 func readResults(r *codec.Reader) []Result {
 	n := r.Count(6) // four strings, an attrs count and a hop count
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
+	r.ShareStrings()
 	out := make([]Result, n)
 	for i := range out {
 		readResult(r, &out[i])

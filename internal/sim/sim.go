@@ -238,6 +238,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			}
 			sp := p2p.NewSuperPeer(ep)
 			sp.SetCodec(cdc)
+			sp.SetClock(clk)
 			sp.SetTracer(c.nodeTracer(ep.ID()))
 			c.supers = append(c.supers, sp)
 			c.superAlive = append(c.superAlive, true)
