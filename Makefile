@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare ci
+.PHONY: build test race fmt vet bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
 
 build:
 	$(GO) build ./...
@@ -118,5 +118,11 @@ ruler:
 ruler-compare:
 	@test -n "$(BASE)" -a -n "$(CHANGE)" || { echo "usage: make ruler-compare BASE=a.json CHANGE=b.json"; exit 2; }
 	$(GO) run ./benchmark -compare $(BASE) $(CHANGE)
+
+# Line counts (ROADMAP: net-negative lines are a success metric):
+# non-test Go lines per package directory, raw and code-only, benchmark/
+# left out. `make loc DIRS="internal/p2p internal/dht"` narrows it.
+loc:
+	@sh scripts/loc.sh $(DIRS)
 
 ci: build fmt vet test race bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke

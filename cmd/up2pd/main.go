@@ -127,7 +127,7 @@ func run() error {
 			return err
 		}
 		is := p2p.NewIndexServerOn(node, store)
-		is.SetTracer(tracer)
+		wire(is, reg, tracer)
 		healthFn = func() health {
 			h := base()
 			h.Docs = is.Len()
@@ -144,7 +144,7 @@ func run() error {
 		}
 	case "superpeer":
 		sp := p2p.NewSuperPeer(node)
-		sp.SetTracer(tracer)
+		wire(sp, reg, tracer)
 		for _, n := range cfg.Neighbors {
 			sp.AddNeighbor(transport.PeerID(n))
 		}
@@ -202,6 +202,17 @@ func run() error {
 	}
 }
 
+// wire points a freshly built protocol node of any kind at the daemon's
+// registry and tracer; clock and codec keep the p2p.Peer defaults (wall,
+// binary).
+func wire(n interface {
+	SetMetrics(*metrics.Registry)
+	SetTracer(*trace.Tracer)
+}, reg *metrics.Registry, tracer *trace.Tracer) {
+	n.SetMetrics(reg)
+	n.SetTracer(tracer)
+}
+
 // buildServent wires a servent-mode P2P node (centralized, gnutella,
 // fasttrack, dht) onto the shared registry and tracer, and returns it
 // with its mode-specific health callback.
@@ -215,8 +226,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 	switch cfg.Mode {
 	case "centralized":
 		client := p2p.NewCentralizedClient(node, transport.PeerID(cfg.Server), store)
-		client.SetMetrics(reg)
-		client.SetTracer(tracer)
+		wire(client, reg, tracer)
 		network = client
 		healthFn = func() health {
 			h := base()
@@ -227,8 +237,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 		}
 	case "fasttrack":
 		leaf := p2p.NewFastTrackLeaf(node, transport.PeerID(cfg.Server), store)
-		leaf.SetMetrics(reg)
-		leaf.SetTracer(tracer)
+		wire(leaf, reg, tracer)
 		network = leaf
 		healthFn = func() health {
 			h := base()
@@ -239,8 +248,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 		}
 	case "gnutella":
 		g := p2p.NewGnutellaNode(node, store)
-		g.SetMetrics(reg)
-		g.SetTracer(tracer)
+		wire(g, reg, tracer)
 		for _, n := range cfg.Neighbors {
 			g.AddNeighbor(transport.PeerID(n))
 		}
@@ -257,8 +265,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 		}
 	case "dht":
 		d := dht.NewNode(node, store, dht.Config{CacheRecords: cfg.DHTCache})
-		d.SetMetrics(reg)
-		d.SetTracer(tracer)
+		wire(d, reg, tracer)
 		var boot []transport.PeerID
 		for _, n := range cfg.Neighbors {
 			boot = append(boot, transport.PeerID(n))

@@ -46,7 +46,7 @@
 //
 // Records expire after Config.RecordTTL on their holders; publishers
 // counter expiry — and re-replicate around churn — by periodic
-// republish (Node.Refresh, p2p.ReannounceLocal over the STORE path),
+// republish (Node.Refresh, p2p.Peer.Reannounce over the STORE path),
 // driven by the caller's schedule on a dsim.Clock rather than
 // internal wall-clock timers, exactly like FastTrack's rehoming.
 // Retrieval reuses the shared direct fetch protocol of package p2p.
@@ -190,6 +190,11 @@ type findNodePayload struct {
 	ReqID  uint64 `json:"reqId"`
 	Target ID     `json:"target"`
 }
+
+// SetReqID implements p2p.Request, here and below.
+func (p *pingPayload) SetReqID(id uint64)      { p.ReqID = id }
+func (p *findNodePayload) SetReqID(id uint64)  { p.ReqID = id }
+func (p *findValuePayload) SetReqID(id uint64) { p.ReqID = id }
 
 type findNodeReplyPayload struct {
 	ReqID uint64             `json:"reqId"`

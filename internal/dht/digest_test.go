@@ -27,8 +27,10 @@ func meteredNet(t *testing.T, n int, cfg Config) ([]*Node, *metrics.Registry) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = NewNode(&lossyEndpoint{Endpoint: ep}, index.NewStore(), cfg)
+		lossy := &lossyEndpoint{Endpoint: ep}
+		nodes[i] = NewNode(lossy, index.NewStore(), cfg)
 		nodes[i].SetMetrics(reg)
+		lossyOf[nodes[i]] = lossy
 	}
 	for i := 1; i < n; i++ {
 		nodes[i].Bootstrap(nodes[0].PeerID())
@@ -42,6 +44,9 @@ type lossyEndpoint struct {
 	transport.Endpoint
 	drop func(transport.Message) bool
 }
+
+// lossyOf finds the endpoint meteredNet put under a node.
+var lossyOf = map[*Node]*lossyEndpoint{}
 
 func (e *lossyEndpoint) Send(msg transport.Message) error {
 	if e.drop != nil && e.drop(msg) {
@@ -87,7 +92,7 @@ func byDistance(nodes []*Node, key ID, skip *Node) []*Node {
 }
 
 func digestOf(nd *Node, key ID, f query.Filter) setDigest {
-	_, dig, _ := nd.records.get(key, nd.clk.Now(), "patterns", f.String(), f, 0, setDigest{}, true)
+	_, dig, _ := nd.records.get(key, nd.Clock().Now(), "patterns", f.String(), f, 0, setDigest{}, true)
 	return dig
 }
 
@@ -310,12 +315,12 @@ func TestCompleteDigestReplyTerminates(t *testing.T) {
 		querier := order[len(order)-1]
 		// The querier holds the set (as a holder would); the first peer
 		// it will ask holds a cached copy of the same set.
-		querier.records.put(key, set, querier.clk.Now())
+		querier.records.put(key, set, querier.Clock().Now())
 		if cached {
 			first := querier.table.Closest(key, 1)[0].Peer
 			for _, nd := range nodes {
 				if nd.PeerID() == first {
-					nd.records.putCached(key, set, nd.clk.Now(), f.String())
+					nd.records.putCached(key, set, nd.Clock().Now(), f.String())
 				}
 			}
 		}
@@ -367,12 +372,12 @@ func TestLostPullKeepsConverging(t *testing.T) {
 					nd.records.remove(key, r.DocID, r.Provider)
 				}
 			case first[1].Peer:
-				nd.records.putCached(key, set, nd.clk.Now(), f.String())
+				nd.records.putCached(key, set, nd.Clock().Now(), f.String())
 			}
 		}
 		// Lose the second FIND_VALUE to the cache: the pull.
 		asked := 0
-		querier.ep.(*lossyEndpoint).drop = func(msg transport.Message) bool {
+		lossyOf[querier].drop = func(msg transport.Message) bool {
 			if msg.Type != MsgFindValue || msg.To != first[1].Peer {
 				return false
 			}

@@ -15,8 +15,7 @@ import (
 // lookupRPC is one in-flight wave RPC.
 type lookupRPC struct {
 	contact Contact
-	reqID   uint64
-	ch      chan any
+	x       p2p.Exchange
 }
 
 // lookupScratch pools a lookup's working state — shortlist, wave, and
@@ -174,6 +173,7 @@ const (
 // it sends is stamped with and attributed to it.
 func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutcome {
 	var out lookupOutcome
+	ctr := n.ctr.Load()
 	sc := lookupScratchPool.Get().(*lookupScratch)
 	short := n.table.ClosestAppend(sc.short[:0], target, 0)
 	state, known, held, recs := sc.state, sc.known, sc.held, sc.recs
@@ -190,7 +190,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		known[c.Peer] = true
 	}
 	if vq != nil {
-		own, _, _ := n.records.get(target, n.clk.Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{}, false)
+		own, _, _ := n.records.get(target, n.Clock().Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{}, false)
 		sc.merge(own)
 	}
 	// splitFanout: the widest sub-key split advertised; lost: an announced set never arrived.
@@ -205,12 +205,12 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		if pull {
 			op, from, to = "pull", stateResponded, statePulled
 		}
-		wsp := n.tr().Start(tctx, op)
+		wsp := n.Tracer().Start(tctx, op)
 		wctx := wsp.ContextOr(tctx)
 		have, anchored := sc.stamp()
 		fail := func(peer transport.PeerID, err error) {
 			state[peer] = stateFailed
-			n.reg.CountError(errs.Wrap("dht.lookup_rpc", err, "dht: lookup rpc failed"))
+			n.NodeMetrics().CountError(errs.Wrap("dht.lookup_rpc", err, "dht: lookup rpc failed"))
 			if pull { // no early exit, no caching, on the strength of a lost set
 				out.fromCache, lost = false, true
 			}
@@ -227,11 +227,9 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 			if state[c.Peer] != from || pull && !sc.missing(c.Peer) {
 				continue
 			}
-			reqID, ch := n.pending.Create()
-			nbytes, err := n.sendLookupRPC(c.Peer, reqID, target, vq, have, !pull && !anchored && len(rpcs) > 0, wctx)
-			wsp.AddMsgs(1, int64(nbytes))
+			ctr.contacted.Inc()
+			x, err := n.startLookupRPC(c.Peer, target, vq, have, !pull && !anchored && len(rpcs) > 0, &wsp, wctx)
 			if err != nil {
-				n.pending.Drop(reqID)
 				fail(c.Peer, err)
 				if transport.IsPeerDead(err) {
 					n.table.Remove(c.Peer)
@@ -239,7 +237,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				continue
 			}
 			state[c.Peer] = to // provisional; demoted on timeout
-			rpcs = append(rpcs, lookupRPC{contact: c, reqID: reqID, ch: ch})
+			rpcs = append(rpcs, lookupRPC{contact: c, x: x})
 			if len(rpcs) == n.cfg.Alpha || pull && !anchored {
 				break // unanchored, one set at a time: it may settle the rest
 			}
@@ -253,9 +251,8 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		}
 		grew := false
 		for _, r := range rpcs {
-			got, err := p2p.Await(n.clk, n.ep.Synchronous(), r.ch, n.cfg.RPCTimeout)
+			got, err := n.Await(r.x, n.cfg.RPCTimeout)
 			if err != nil {
-				n.pending.Drop(r.reqID)
 				fail(r.contact.Peer, err)
 				continue
 			}
@@ -270,11 +267,11 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				if reply.Digest.Count > 0 {
 					held[r.contact.Peer] = reply.Digest
 					if len(reply.Records) == 0 {
-						n.mDigestReplies.Inc()
+						ctr.digestReplies.Inc()
 					}
 				}
 				if anchored && len(reply.Records) > 0 {
-					n.mMismatches.Inc() // it differs from the set most announced
+					ctr.mismatches.Inc() // it differs from the set most announced
 				}
 				sc.merge(reply.Records)
 			case *findNodeReplyPayload:
@@ -284,7 +281,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				continue
 			}
 			for _, peer := range peers {
-				if peer == n.ep.ID() || known[peer] {
+				if peer == n.PeerID() || known[peer] {
 					continue
 				}
 				known[peer] = true
@@ -311,7 +308,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		for (vq.limit > 0 || vq.stopOnValue && out.fromCache) && !full() && wave(true) {
 		}
 		if full() {
-			n.mShortcircuits.Inc()
+			ctr.shortcircuits.Inc()
 			break
 		}
 		// Value termination (Kademlia FIND_VALUE): the flash crowd stops
@@ -365,40 +362,24 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 	}
 	out.records = slices.AppendSeq(make([]Record, 0, len(recs)), maps.Values(recs))
 	sortRecords(out.records)
-	n.mLookups.Inc()
-	n.mRounds.Add(int64(out.rounds))
+	ctr.lookups.Inc()
+	ctr.rounds.Add(int64(out.rounds))
 	return out
 }
 
-// sendLookupRPC issues the wave's RPC — FIND_VALUE when a value query
+// startLookupRPC issues the wave's RPC — FIND_VALUE when a value query
 // rides along (stamped with the digest in hand), FIND_NODE otherwise —
-// and returns the payload size it sent so the caller can attribute the
-// frame to the wave span.
-func (n *Node) sendLookupRPC(to transport.PeerID, reqID uint64, target ID, vq *valueQuery, have setDigest, digestOnly bool, wctx trace.Context) (int, error) {
-	n.mContacted.Inc()
-	var typ string
-	var payload []byte
-	if vq != nil {
-		typ = MsgFindValue
-		payload = n.cdc.Encode(&findValuePayload{
-			ReqID:       reqID,
-			Key:         target,
-			CommunityID: vq.communityID,
-			Filter:      vq.filter,
-			Limit:       vq.limit,
-			Have:        have,
-			DigestOnly:  digestOnly,
-		})
-	} else {
-		typ = MsgFindNode
-		payload = n.cdc.Encode(&findNodePayload{ReqID: reqID, Target: target})
+// attributed to the wave span.
+func (n *Node) startLookupRPC(to transport.PeerID, target ID, vq *valueQuery, have setDigest, digestOnly bool, wsp *trace.ActiveSpan, wctx trace.Context) (p2p.Exchange, error) {
+	if vq == nil {
+		return n.StartCall(to, MsgFindNode, &findNodePayload{Target: target}, wsp, wctx)
 	}
-	err := n.ep.Send(transport.Message{
-		To:      to,
-		Type:    typ,
-		Payload: payload,
-		TraceID: wctx.Trace,
-		SpanID:  wctx.Span,
-	})
-	return len(payload), err
+	return n.StartCall(to, MsgFindValue, &findValuePayload{
+		Key:         target,
+		CommunityID: vq.communityID,
+		Filter:      vq.filter,
+		Limit:       vq.limit,
+		Have:        have,
+		DigestOnly:  digestOnly,
+	}, wsp, wctx)
 }

@@ -3,13 +3,12 @@ package dht
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/dsim"
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/p2p"
-	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -26,20 +25,11 @@ const storeChunk = 512
 // protocol); the record store holds the slices of the distributed
 // index this node is a closest-k holder of.
 type Node struct {
-	ep      transport.Endpoint
-	store   *index.Store
+	p2p.Peer
 	cfg     Config
 	self    ID
 	table   *Table
 	records *recordStore
-	pending *p2p.PendingTable
-	clk     dsim.Clock
-	cdc     codec.Codec
-
-	mu     sync.RWMutex
-	attach p2p.AttachmentProvider
-	tracer *trace.Tracer
-	closed bool
 
 	// annMu guards lastAnnounce: per-key memory of the last announce
 	// (holder set and instant), which is what lets Refresh skip
@@ -47,20 +37,15 @@ type Node struct {
 	annMu        sync.Mutex
 	lastAnnounce map[ID]announceState
 
-	// Telemetry handles, resolved by SetMetrics (default: a private
-	// registry, preserving per-node semantics for LookupCounters).
-	reg            *metrics.Registry
-	nm             *p2p.NodeMetrics
-	mLookups       *metrics.Counter
-	mRounds        *metrics.Counter
-	mContacted     *metrics.Counter
-	mFanout        *metrics.Counter
-	mShortcircuits *metrics.Counter
-	mCacheStores   *metrics.Counter
-	mKeySplits     *metrics.Counter
-	mRepubSkipped  *metrics.Counter
-	mDigestReplies *metrics.Counter
-	mMismatches    *metrics.Counter
+	// ctr holds the dht.* telemetry handles, swapped whole by SetMetrics
+	// like the embedded runtime's own.
+	ctr atomic.Pointer[counters]
+}
+
+// counters are the node's dht.* lookup and replication counters.
+type counters struct {
+	lookups, rounds, contacted, fanout, shortcircuits, cacheStores,
+	keySplits, repubSkipped, digestReplies, mismatches *metrics.Counter
 }
 
 // announceState remembers one key's last replication: who got the
@@ -80,42 +65,36 @@ func NewNode(ep transport.Endpoint, store *index.Store, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	self := NodeIDFor(ep.ID())
 	n := &Node{
-		ep:           ep,
-		store:        store,
 		cfg:          cfg,
 		self:         self,
 		table:        NewTable(self, cfg.K),
 		records:      newRecordStore(cfg.RecordTTL, cfg.MaxRecordsPerKey),
-		pending:      p2p.NewPendingTable(),
-		clk:          dsim.Wall,
-		cdc:          codec.Default,
 		lastAnnounce: make(map[ID]announceState),
 	}
-	n.SetMetrics(metrics.NewRegistry())
+	n.InitPeer(ep, store, "dht")
+	n.SetMetrics(metrics.Discard())
 	ep.SetHandler(n.handle)
 	return n
 }
 
-// SetMetrics points the node's telemetry at reg: the dht.* lookup and
-// replication counters, the protocol-labeled p2p.* families (label
-// "dht"), and the record store's expiry counter. Like SetClock, call
-// before traffic starts. The default is a private registry, so
-// LookupCounters stays per-node unless a shared registry is injected.
+// SetMetrics points the node's telemetry at reg: the protocol-labeled
+// p2p.* families (label "dht") of the embedded runtime, plus the dht.*
+// lookup and replication counters and the record store's. Metrics are
+// discarded until then.
 func (n *Node) SetMetrics(reg *metrics.Registry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.reg = reg
-	n.nm = p2p.NewNodeMetrics(reg, "dht")
-	n.mLookups = reg.Counter("dht.lookups")
-	n.mRounds = reg.Counter("dht.lookup_rounds")
-	n.mContacted = reg.Counter("dht.peers_contacted")
-	n.mFanout = reg.Counter("dht.store_fanout")
-	n.mShortcircuits = reg.Counter("dht.lookup_shortcircuits")
-	n.mCacheStores = reg.Counter("dht.cache_stores")
-	n.mKeySplits = reg.Counter("dht.key_splits")
-	n.mRepubSkipped = reg.Counter("dht.republishes_skipped")
-	n.mDigestReplies = reg.Counter("dht.digest_replies")
-	n.mMismatches = reg.Counter("dht.digest_mismatches")
+	n.Peer.SetMetrics(reg)
+	n.ctr.Store(&counters{
+		lookups:       reg.Counter("dht.lookups"),
+		rounds:        reg.Counter("dht.lookup_rounds"),
+		contacted:     reg.Counter("dht.peers_contacted"),
+		fanout:        reg.Counter("dht.store_fanout"),
+		shortcircuits: reg.Counter("dht.lookup_shortcircuits"),
+		cacheStores:   reg.Counter("dht.cache_stores"),
+		keySplits:     reg.Counter("dht.key_splits"),
+		repubSkipped:  reg.Counter("dht.republishes_skipped"),
+		digestReplies: reg.Counter("dht.digest_replies"),
+		mismatches:    reg.Counter("dht.digest_mismatches"),
+	})
 	n.records.setCounters(
 		reg.Counter("dht.records_expired"),
 		reg.Counter("dht.records_evicted"),
@@ -123,49 +102,8 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 	)
 }
 
-// SetTracer installs the node's span recorder (nil disables tracing,
-// the default). Like SetClock, call before traffic starts.
-func (n *Node) SetTracer(t *trace.Tracer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tracer = t
-}
-
-func (n *Node) tr() *trace.Tracer {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.tracer
-}
-
-// PeerID implements p2p.Network.
-func (n *Node) PeerID() transport.PeerID { return n.ep.ID() }
-
 // ID returns the node's point in the keyspace.
 func (n *Node) ID() ID { return n.self }
-
-// SetClock installs the clock that paces RPC timeouts and record
-// expiry (default wall). Call before traffic starts.
-func (n *Node) SetClock(clk dsim.Clock) {
-	if clk != nil {
-		n.clk = clk
-	}
-}
-
-// SetCodec installs the wire codec for this node's frames (default
-// codec.Default). Like SetClock, call before traffic starts; every
-// node in a deployment must agree on the codec.
-func (n *Node) SetCodec(cd codec.Codec) {
-	if cd != nil {
-		n.cdc = cd
-	}
-}
-
-// SetAttachmentProvider implements p2p.Network.
-func (n *Node) SetAttachmentProvider(p p2p.AttachmentProvider) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.attach = p
-}
 
 // TableLen returns the number of live routing-table contacts.
 func (n *Node) TableLen() int { return n.table.Len() }
@@ -180,14 +118,7 @@ func (n *Node) ClosestContacts(target ID, count int) []Contact {
 
 // RecordCount returns how many unexpired records this node holds for
 // the keyspace.
-func (n *Node) RecordCount() int { return n.records.len(n.clk.Now()) }
-
-// Metrics returns the registry this node records into.
-func (n *Node) Metrics() *metrics.Registry {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.reg
-}
+func (n *Node) RecordCount() int { return n.records.len(n.Clock().Now()) }
 
 // Bootstrap seeds the routing table with the given peers and runs the
 // Kademlia join: an iterative lookup of the node's own ID, which
@@ -205,7 +136,7 @@ func (n *Node) Metrics() *metrics.Registry {
 // the first hot key's holders and lookups collapsed to one hop.
 func (n *Node) Bootstrap(peers ...transport.PeerID) {
 	for _, p := range peers {
-		if p != n.ep.ID() {
+		if p != n.PeerID() {
 			n.table.Observe(p)
 		}
 	}
@@ -223,11 +154,11 @@ func (n *Node) Bootstrap(peers ...transport.PeerID) {
 // distributed index slice) and to the document key (provider
 // lookups).
 func (n *Node) Publish(doc *index.Document) error {
-	if err := n.store.Put(doc); err != nil {
+	if err := n.Shared().Put(doc); err != nil {
 		return err
 	}
-	n.nm.Publishes.Inc()
-	sp := n.tr().Root("publish")
+	n.NodeMetrics().Publishes.Inc()
+	sp := n.Tracer().Root("publish")
 	sp.SetCommunity(doc.CommunityID)
 	defer sp.Finish()
 	return n.replicate(sp.Context(), []*index.Document{doc}, n.storeRecords)
@@ -240,11 +171,11 @@ func (n *Node) PublishBatch(docs []*index.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	if err := n.store.PutBatch(docs); err != nil {
+	if err := n.Shared().PutBatch(docs); err != nil {
 		return err
 	}
-	n.nm.Publishes.Add(int64(len(docs)))
-	sp := n.tr().Root("publish")
+	n.NodeMetrics().Publishes.Add(int64(len(docs)))
+	sp := n.Tracer().Root("publish")
 	defer sp.Finish()
 	return n.replicate(sp.Context(), docs, n.storeRecords)
 }
@@ -254,12 +185,12 @@ func (n *Node) PublishBatch(docs []*index.Document) error {
 // provider stub per document key. STOREs are fire-and-forget: the next
 // Refresh repairs a lost or refused replica, like Kademlia republish.
 func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(trace.Context, ID, []Record)) error {
-	if n.isClosed() {
+	if n.Closed() {
 		return p2p.ErrClosed
 	}
 	byComm := make(map[string][]Record)
 	for _, doc := range docs {
-		byComm[doc.CommunityID] = append(byComm[doc.CommunityID], recordFor(doc, n.ep.ID()))
+		byComm[doc.CommunityID] = append(byComm[doc.CommunityID], recordFor(doc, n.PeerID()))
 	}
 	comms := make([]string, 0, len(byComm))
 	for c := range byComm {
@@ -271,7 +202,7 @@ func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(tr
 	}
 	for _, doc := range docs {
 		// Providers, the document key's only reader, wants no metadata.
-		put(tctx, KeyForDoc(doc.ID), []Record{{DocID: doc.ID, CommunityID: doc.CommunityID, Provider: n.ep.ID()}})
+		put(tctx, KeyForDoc(doc.ID), []Record{{DocID: doc.ID, CommunityID: doc.CommunityID, Provider: n.PeerID()}})
 	}
 	return nil
 }
@@ -303,10 +234,10 @@ func (n *Node) storeRecords(tctx trace.Context, key ID, recs []Record) {
 // which tracks only this node's own announcements).
 func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets []Contact, split bool) {
 	if len(targets) < n.cfg.K || CompareDistance(n.self, targets[len(targets)-1].ID, key) < 0 {
-		n.records.put(key, recs, n.clk.Now())
+		n.records.put(key, recs, n.Clock().Now())
 	}
 	if !split {
-		st := announceState{holders: contactPeers(targets), at: n.clk.Now()}
+		st := announceState{holders: contactPeers(targets), at: n.Clock().Now()}
 		n.annMu.Lock()
 		n.lastAnnounce[key] = st
 		n.annMu.Unlock()
@@ -320,23 +251,15 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 			end = len(recs)
 		}
 		chunk := storePayload{Key: key, Records: recs[start:end], Split: split}
-		payloads = append(payloads, n.cdc.Encode(&chunk))
+		payloads = append(payloads, n.Codec().Encode(&chunk))
 	}
+	fanout := n.ctr.Load().fanout
 	for _, t := range targets {
-		sp := n.tr().Start(tctx, "store")
+		sp := n.Tracer().Start(tctx, "store")
 		sp.SetPeer(string(t.Peer))
-		sctx := sp.ContextOr(tctx)
 		for _, payload := range payloads {
-			n.mFanout.Inc()
-			err := n.ep.Send(transport.Message{To: t.Peer, Type: MsgStore, Payload: payload,
-				TraceID: sctx.Trace, SpanID: sctx.Span})
-			sp.AddMsgs(1, int64(len(payload)))
-			if err != nil {
-				sp.SetErr(err)
-				if transport.IsPeerDead(err) {
-					n.table.Remove(t.Peer)
-				}
-			}
+			fanout.Inc()
+			n.sendOrEvict(t.Peer, MsgStore, payload, &sp, sp.ContextOr(tctx))
 		}
 		sp.Finish()
 	}
@@ -349,22 +272,23 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 // atomically (completeness is the whole point of a cached set), so it
 // must arrive as one frame.
 func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, recs []Record, filter string) {
-	sp := n.tr().Start(tctx, "cache-store")
+	sp := n.Tracer().Start(tctx, "cache-store")
 	sp.SetPeer(string(target.Peer))
-	sctx := sp.ContextOr(tctx)
 	frame := storePayload{Key: key, Records: recs, Cached: true, Filter: filter}
-	payload := n.cdc.Encode(&frame)
-	err := n.ep.Send(transport.Message{To: target.Peer, Type: MsgStore, Payload: payload,
-		TraceID: sctx.Trace, SpanID: sctx.Span})
-	sp.AddMsgs(1, int64(len(payload)))
-	if err != nil {
+	n.sendOrEvict(target.Peer, MsgStore, n.Codec().Encode(&frame), &sp, sp.ContextOr(tctx))
+	n.ctr.Load().cacheStores.Inc()
+	sp.Finish()
+}
+
+// sendOrEvict sends one fire-and-forget STORE frame; a failure is marked
+// on sp, and a peer the transport reports dead leaves the routing table.
+func (n *Node) sendOrEvict(to transport.PeerID, msgType string, payload []byte, sp *trace.ActiveSpan, tctx trace.Context) {
+	if err := n.SendPayload(to, msgType, payload, sp, tctx); err != nil {
 		sp.SetErr(err)
 		if transport.IsPeerDead(err) {
-			n.table.Remove(target.Peer)
+			n.table.Remove(to)
 		}
 	}
-	n.mCacheStores.Inc()
-	sp.Finish()
 }
 
 // maybeSplit checks whether a primary STORE pushed a main community
@@ -396,12 +320,12 @@ func (n *Node) maybeSplit(key ID, recs []Record, count int) {
 func (n *Node) splitKey(key ID, communityID string) {
 	fanout := n.cfg.SplitFanout
 	n.records.markSplit(key, fanout)
-	moved := n.records.takePrimary(key, n.clk.Now())
+	moved := n.records.takePrimary(key, n.Clock().Now())
 	if len(moved) == 0 {
 		return
 	}
-	n.mKeySplits.Inc()
-	sp := n.tr().Root("key-split")
+	n.ctr.Load().keySplits.Inc()
+	sp := n.Tracer().Root("key-split")
 	sp.SetCommunity(communityID)
 	defer sp.Finish()
 	tctx := sp.Context()
@@ -424,14 +348,14 @@ func (n *Node) splitKey(key ID, communityID string) {
 // keys' neighborhoods. Replicas on nodes that miss the unstore (loss,
 // stale holders) age out at RecordTTL.
 func (n *Node) Unpublish(id index.DocID) error {
-	if n.isClosed() {
+	if n.Closed() {
 		return p2p.ErrClosed
 	}
-	sp := n.tr().Root("unpublish")
+	sp := n.Tracer().Root("unpublish")
 	defer sp.Finish()
 	tctx := sp.Context()
-	doc, err := n.store.Get(id)
-	n.store.Delete(id)
+	doc, err := n.Shared().Get(id)
+	n.Shared().Delete(id)
 	if err == nil {
 		n.unstore(tctx, KeyForCommunity(doc.CommunityID), id)
 	}
@@ -441,16 +365,14 @@ func (n *Node) Unpublish(id index.DocID) error {
 
 func (n *Node) unstore(tctx trace.Context, key ID, id index.DocID) {
 	out := n.lookup(tctx, key, nil)
-	n.records.remove(key, id, n.ep.ID())
-	frame := unstorePayload{Key: key, DocID: id, Provider: n.ep.ID()}
-	payload := n.cdc.Encode(&frame)
+	n.records.remove(key, id, n.PeerID())
+	frame := unstorePayload{Key: key, DocID: id, Provider: n.PeerID()}
+	payload := n.Codec().Encode(&frame)
 	for _, t := range out.contacts {
-		sp := n.tr().Start(tctx, "unstore")
+		sp := n.Tracer().Start(tctx, "unstore")
 		sp.SetPeer(string(t.Peer))
-		sctx := sp.ContextOr(tctx)
-		_ = n.ep.Send(transport.Message{To: t.Peer, Type: MsgUnstore, Payload: payload,
-			TraceID: sctx.Trace, SpanID: sctx.Span})
-		sp.AddMsgs(1, int64(len(payload)))
+		// A holder that misses the unstore ages the record out at RecordTTL.
+		_ = n.SendPayload(t.Peer, MsgUnstore, payload, &sp, sp.ContextOr(tctx))
 		sp.Finish()
 	}
 }
@@ -464,15 +386,15 @@ func (n *Node) unstore(tctx trace.Context, key ID, id index.DocID) {
 // the query: under loss the lookup routes around unresponsive nodes
 // and degrades gracefully instead of erroring.
 func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions) ([]p2p.Result, error) {
-	if n.isClosed() {
-		n.nm.CountError(p2p.ErrClosed)
+	if n.Closed() {
+		n.NodeMetrics().CountError(p2p.ErrClosed)
 		return nil, p2p.ErrClosed
 	}
 	if f == nil {
 		f = query.MatchAll{}
 	}
-	start := n.clk.Now()
-	sp := n.tr().Start(opts.Trace, "search")
+	start := n.Clock().Now()
+	sp := n.Tracer().Start(opts.Trace, "search")
 	sp.SetCommunity(communityID)
 	defer sp.Finish()
 	key := KeyForCommunity(communityID)
@@ -488,14 +410,14 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	// Holders filter server-side; re-check here so a skewed or
 	// malicious holder cannot inject non-matching records. For what
 	// this node provides itself, its own store is the authority.
-	self := n.ep.ID()
+	self := n.PeerID()
 	recs := out.records[:0]
 	for _, rec := range out.records {
 		if rec.Provider != self && rec.CommunityID == communityID && f.Match(rec.Attrs) {
 			recs = append(recs, rec)
 		}
 	}
-	if local := n.store.Search(communityID, f, 0); len(local) > 0 {
+	if local := n.Shared().Search(communityID, f, 0); len(local) > 0 {
 		for _, doc := range local {
 			recs = append(recs, recordFor(doc, self))
 		}
@@ -524,7 +446,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 			Hops:        out.rounds,
 		}
 	}
-	n.nm.ObserveSearch(n.clk, start, len(results))
+	n.NodeMetrics().ObserveSearch(n.Clock(), start, len(results))
 	return results, nil
 }
 
@@ -533,7 +455,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 // stubs — DocID, CommunityID and Provider, no title or attributes;
 // the metadata lives under the community key.
 func (n *Node) Providers(id index.DocID) []Record {
-	sp := n.tr().Root("providers")
+	sp := n.Tracer().Root("providers")
 	defer sp.Finish()
 	out := n.lookup(sp.Context(), KeyForDoc(id), &valueQuery{filter: query.MatchAll{}.String()})
 	recs := out.records[:0]
@@ -543,32 +465,6 @@ func (n *Node) Providers(id index.DocID) []Record {
 		}
 	}
 	return recs
-}
-
-// Retrieve implements p2p.Network via the shared direct fetch
-// protocol.
-func (n *Node) Retrieve(id index.DocID, from transport.PeerID) (*index.Document, error) {
-	if from == n.PeerID() {
-		return n.store.Get(id)
-	}
-	sp := n.tr().Root("fetch")
-	sp.SetPeer(string(from))
-	defer sp.Finish()
-	doc, err := p2p.RetrieveFrom(n.cdc, n.clk, n.ep, n.pending, &sp, id, from, 0)
-	if err != nil {
-		n.nm.CountError(err)
-		return nil, err
-	}
-	n.nm.Fetches.Inc()
-	return doc, nil
-}
-
-// RetrieveAttachment implements p2p.Network.
-func (n *Node) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, error) {
-	sp := n.tr().Root("attachment")
-	sp.SetPeer(string(from))
-	defer sp.Finish()
-	return p2p.RetrieveAttachmentFrom(n.cdc, n.clk, n.ep, n.pending, &sp, uri, from, 0)
 }
 
 // CheckLiveness probes the least-recently-seen contact of every
@@ -592,29 +488,18 @@ func (n *Node) CheckLiveness() int {
 // fail the probe and be evicted; it re-enters the table on next
 // contact, as in Kademlia.
 func (n *Node) pingPeer(peer transport.PeerID) bool {
-	reqID, ch := n.pending.Create()
-	ping := pingPayload{ReqID: reqID}
-	err := n.ep.Send(transport.Message{
-		To:      peer,
-		Type:    MsgPing,
-		Payload: n.cdc.Encode(&ping),
-	})
-	if err != nil {
-		n.pending.Drop(reqID)
-		return false
+	x, err := n.StartCall(peer, MsgPing, &pingPayload{}, nil, trace.Context{})
+	if err == nil {
+		_, err = n.Await(x, n.cfg.RPCTimeout)
 	}
-	if _, err := p2p.Await(n.clk, n.ep.Synchronous(), ch, n.cfg.RPCTimeout); err != nil {
-		n.pending.Drop(reqID)
-		return false
-	}
-	return true
+	return err == nil
 }
 
 // Refresh is the DHT's rehome-equivalent, run on the caller's
 // schedule (the scenario driver paces it on the virtual clock):
 // bucket repair (CheckLiveness plus a self-lookup that re-learns the
 // neighborhood) followed by adaptive republication of the locally
-// stored documents through p2p.ReannounceLocal. Adaptive: each key is
+// stored documents through Reannounce. Adaptive: each key is
 // first probed with a FIND_NODE lookup, and the STOREs are sent only
 // when the holder set from the last announce is no longer intact
 // (departures or displacement by closer arrivals) or the records are
@@ -623,15 +508,15 @@ func (n *Node) pingPeer(peer transport.PeerID) bool {
 // STORE fan-out, which is what keeps steady-state refresh traffic
 // from dominating message totals.
 func (n *Node) Refresh() error {
-	if n.isClosed() {
+	if n.Closed() {
 		return p2p.ErrClosed
 	}
-	sp := n.tr().Root("refresh")
+	sp := n.Tracer().Root("refresh")
 	defer sp.Finish()
 	tctx := sp.Context()
 	n.CheckLiveness()
 	n.lookup(tctx, n.self, nil)
-	return p2p.ReannounceLocal(n.store, func(docs []*index.Document) error {
+	return n.Reannounce(func(docs []*index.Document) error {
 		return n.replicate(tctx, docs, n.reannounceKey)
 	})
 }
@@ -650,7 +535,7 @@ func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
 	n.annMu.Lock()
 	st, known := n.lastAnnounce[key]
 	n.annMu.Unlock()
-	if !known || n.clk.Now().Sub(st.at) >= n.cfg.RecordTTL/2 {
+	if !known || n.Clock().Now().Sub(st.at) >= n.cfg.RecordTTL/2 {
 		n.storeRecords(tctx, key, recs)
 		return
 	}
@@ -667,72 +552,42 @@ func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
 		}
 	}
 	if intact {
-		n.mRepubSkipped.Inc()
+		n.ctr.Load().repubSkipped.Inc()
 		return
 	}
 	n.storeToTargets(tctx, key, recs, out.contacts, false)
-}
-
-// Close implements p2p.Network.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-	return n.ep.Close()
-}
-
-func (n *Node) isClosed() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.closed
 }
 
 func (n *Node) handle(msg transport.Message) {
 	// Every inbound message is evidence its sender is alive: the
 	// Kademlia rule that keeps routing state fresh for free.
 	n.table.Observe(msg.From)
+	cdc := n.Codec()
 	switch msg.Type {
 	case MsgPing:
 		var req pingPayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := cdc.DecodeValue(&req, msg.Payload); err != nil {
 			return
 		}
-		pong := pingPayload{ReqID: req.ReqID}
-		_ = n.ep.Send(transport.Message{
-			To:      msg.From,
-			Type:    MsgPong,
-			Payload: n.cdc.Encode(&pong),
-		})
+		// A lost pong is the prober's timeout, as for every reply below.
+		_ = n.Send(msg.From, MsgPong, &pingPayload{ReqID: req.ReqID}, nil, trace.Context{})
 	case MsgFindNode:
 		var req findNodePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := cdc.DecodeValue(&req, msg.Payload); err != nil {
 			return
 		}
-		sp, tctx := n.startSpan(msg, "findnode.serve")
-		reply := findNodeReplyPayload{
+		sp, tctx := n.StartSpan(msg, "findnode.serve")
+		_ = n.Send(msg.From, MsgFindNodeReply, &findNodeReplyPayload{
 			ReqID: req.ReqID,
 			Peers: contactPeers(n.table.Closest(req.Target, n.cfg.K)),
-		}
-		payload := n.cdc.Encode(&reply)
-		_ = n.ep.Send(transport.Message{
-			To:      msg.From,
-			Type:    MsgFindNodeReply,
-			Payload: payload,
-			TraceID: tctx.Trace,
-			SpanID:  tctx.Span,
-		})
-		sp.AddMsgs(1, int64(len(payload)))
+		}, &sp, tctx)
 		sp.Finish()
 	case MsgFindValue:
 		var req findValuePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := cdc.DecodeValue(&req, msg.Payload); err != nil {
 			return
 		}
-		sp, tctx := n.startSpan(msg, "findvalue.serve")
+		sp, tctx := n.StartSpan(msg, "findvalue.serve")
 		sp.SetCommunity(req.CommunityID)
 		reply := findValueReplyPayload{
 			ReqID: req.ReqID,
@@ -743,28 +598,20 @@ func (n *Node) handle(msg transport.Message) {
 		// but failing open to the whole record set would let one
 		// malformed query read the entire key.
 		if f, err := query.Parse(req.Filter); err == nil {
-			reply.Records, reply.Digest, reply.Complete = n.records.get(req.Key, n.clk.Now(),
+			reply.Records, reply.Digest, reply.Complete = n.records.get(req.Key, n.Clock().Now(),
 				req.CommunityID, req.Filter, f, req.Limit, req.Have, req.DigestOnly)
 		}
 		// Advertise a hot-key split so the querier fans into the
 		// attribute-hash sub-keys holding the migrated records.
 		reply.Split = n.records.splitFanout(req.Key)
-		payload := n.cdc.Encode(&reply)
-		_ = n.ep.Send(transport.Message{
-			To:      msg.From,
-			Type:    MsgFindValueReply,
-			Payload: payload,
-			TraceID: tctx.Trace,
-			SpanID:  tctx.Span,
-		})
-		sp.AddMsgs(1, int64(len(payload)))
+		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp, tctx)
 		sp.Finish()
 	case MsgStore:
 		var req storePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := cdc.DecodeValue(&req, msg.Payload); err != nil {
 			return
 		}
-		sp, _ := n.startSpan(msg, "store.serve")
+		sp, _ := n.StartSpan(msg, "store.serve")
 		switch {
 		case req.Cached:
 			// A caching STORE relays third-party providers by design,
@@ -772,12 +619,12 @@ func (n *Node) handle(msg transport.Message) {
 			// confined: halved TTL, filter-tagged, never republished,
 			// first to be evicted — a forged cache pollutes one key for
 			// half a TTL at worst, it cannot displace primaries.
-			n.records.putCached(req.Key, req.Records, n.clk.Now(), req.Filter)
+			n.records.putCached(req.Key, req.Records, n.Clock().Now(), req.Filter)
 		case req.Split:
 			// A hot-key migration relays the records of every publisher
 			// that hit the split holder; same relaxation, but these are
 			// primaries (the split holder gave its copies up).
-			n.records.put(req.Key, req.Records, n.clk.Now())
+			n.records.put(req.Key, req.Records, n.Clock().Now())
 		default:
 			// Provenance: a peer may only store records it provides
 			// itself (every legitimate publish/refresh does exactly
@@ -789,13 +636,13 @@ func (n *Node) handle(msg transport.Message) {
 					kept = append(kept, rec)
 				}
 			}
-			count := n.records.put(req.Key, kept, n.clk.Now())
+			count := n.records.put(req.Key, kept, n.Clock().Now())
 			n.maybeSplit(req.Key, kept, count)
 		}
 		sp.Finish()
 	case MsgUnstore:
 		var req unstorePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := cdc.DecodeValue(&req, msg.Payload); err != nil {
 			return
 		}
 		// Same provenance rule: only the providing peer can withdraw
@@ -803,43 +650,27 @@ func (n *Node) handle(msg transport.Message) {
 		if req.Provider != msg.From {
 			return
 		}
-		sp, _ := n.startSpan(msg, "unstore.serve")
+		sp, _ := n.StartSpan(msg, "unstore.serve")
 		n.records.remove(req.Key, req.DocID, req.Provider)
 		sp.Finish()
 	case MsgPong:
 		reply := new(pingPayload)
-		if n.cdc.DecodeValue(reply, msg.Payload) == nil {
-			n.pending.Resolve(reply.ReqID, reply)
+		if cdc.DecodeValue(reply, msg.Payload) == nil {
+			n.Resolve(reply.ReqID, reply)
 		}
 	case MsgFindNodeReply:
 		reply := new(findNodeReplyPayload)
-		if n.cdc.DecodeValue(reply, msg.Payload) == nil {
-			n.pending.Resolve(reply.ReqID, reply)
+		if cdc.DecodeValue(reply, msg.Payload) == nil {
+			n.Resolve(reply.ReqID, reply)
 		}
 	case MsgFindValueReply:
 		reply := new(findValueReplyPayload)
-		if n.cdc.DecodeValue(reply, msg.Payload) == nil {
-			n.pending.Resolve(reply.ReqID, reply)
+		if cdc.DecodeValue(reply, msg.Payload) == nil {
+			n.Resolve(reply.ReqID, reply)
 		}
-	case p2p.MsgFetchReply, p2p.MsgAttachmentReply:
-		p2p.ResolveRetrievalReply(n.cdc, n.pending, msg)
-	case p2p.MsgFetch:
-		p2p.ServeFetch(n.cdc, n.tr(), n.ep, n.store, msg)
-	case p2p.MsgAttachment:
-		n.mu.RLock()
-		p := n.attach
-		n.mu.RUnlock()
-		p2p.ServeAttachment(n.cdc, n.tr(), n.ep, p, msg)
+	default:
+		n.HandleRetrieval(msg)
 	}
-}
-
-// startSpan opens a handler span for an inbound traced frame and
-// returns it with the context downstream sends should carry.
-func (n *Node) startSpan(msg transport.Message, op string) (trace.ActiveSpan, trace.Context) {
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := n.tr().StartAt(inCtx, op, transport.ChainOffset(n.ep))
-	sp.SetPeer(string(msg.From))
-	return sp, sp.ContextOr(inCtx)
 }
 
 // contactPeers projects contacts to their peer IDs for the wire.

@@ -211,13 +211,14 @@ func TestDeadContactRepair(t *testing.T) {
 func TestLookupConvergence(t *testing.T) {
 	_, nodes := testNet(t, 64, Config{K: 8, Alpha: 3})
 	target := KeyForCommunity("patterns")
-	before := nodes[17].Metrics().Snapshot()
+	reg := metrics.NewRegistry()
+	nodes[17].SetMetrics(reg)
 	out1 := nodes[17].lookup(trace.Context{}, target, nil)
 	out2 := nodes[17].lookup(trace.Context{}, target, nil)
 	if out1.rounds == 0 || out1.rounds > 6 {
 		t.Fatalf("rounds = %d, want 1..6", out1.rounds)
 	}
-	d := nodes[17].Metrics().Snapshot().Delta(before)
+	d := reg.Snapshot()
 	lookups, rounds, contacted := d.Counter("dht.lookups"), d.Counter("dht.lookup_rounds"), d.Counter("dht.peers_contacted")
 	if lookups != 2 || rounds != int64(out1.rounds+out2.rounds) || contacted <= 0 {
 		t.Fatalf("lookup counters inconsistent: lookups=%d rounds=%d (want %d) contacted=%d",

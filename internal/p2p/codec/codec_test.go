@@ -147,7 +147,10 @@ func TestReaderCountBoundsElements(t *testing.T) {
 			t.Fatal("attribute map claiming 1000 entries in 1 KB decoded")
 		}
 	})
-	if allocs > 2 { // the reader and its error, not a 1000-entry map
+	// The reader and its error, not a 1000-entry map. Only this count is
+	// skipped under the race detector, whose instrumentation adds
+	// allocations of its own about one run in ten.
+	if allocs > 2 && !raceEnabled {
 		t.Fatalf("refusing the hostile attrs count took %v allocations", allocs)
 	}
 }

@@ -1,0 +1,9 @@
+package p2p
+
+// PendingRequests reports how many requests still await a reply: what
+// the external tests check after a timeout or a failed send.
+func (p *Peer) PendingRequests() int {
+	p.pending.mu.Lock()
+	defer p.pending.mu.Unlock()
+	return len(p.pending.m)
+}

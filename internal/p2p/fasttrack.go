@@ -4,9 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/query"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -48,7 +46,8 @@ type SuperPeer struct {
 // NewSuperPeer attaches a super-peer to the network.
 func NewSuperPeer(ep transport.Endpoint) *SuperPeer {
 	s := &SuperPeer{leafIndex: make(map[index.DocID][]serverEntry)}
-	s.floodRouter.init(ep, func(communityID string, f query.Filter) []Result {
+	// A super-peer indexes its leaves' metadata and shares no objects.
+	s.floodRouter.init(ep, nil, "fasttrack", func(communityID string, f query.Filter) []Result {
 		return s.localSearch(communityID, f, 0)
 	})
 	ep.SetHandler(s.handle)
@@ -110,7 +109,7 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		if err := s.cdc.DecodeValue(&reg, msg.Payload); err != nil {
 			return
 		}
-		sp := s.startSpan(msg, "register.serve")
+		sp, _ := s.StartSpan(msg, "register.serve")
 		s.registerLeaf(msg.From, []registerPayload{reg})
 		sp.Finish()
 	case MsgRegisterBatch:
@@ -118,7 +117,7 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		if err := s.cdc.DecodeValue(&batch, msg.Payload); err != nil {
 			return
 		}
-		sp := s.startSpan(msg, "register.serve")
+		sp, _ := s.StartSpan(msg, "register.serve")
 		s.registerLeaf(msg.From, batch.Docs)
 		sp.Finish()
 	case MsgUnregister:
@@ -149,6 +148,8 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		s.handleQuery(msg)
 	case MsgQueryHit:
 		s.handleQueryHit(msg)
+	default:
+		s.HandleRetrieval(msg)
 	}
 }
 
@@ -183,11 +184,9 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	if err := s.cdc.DecodeValue(&req, msg.Payload); err != nil {
 		return
 	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := s.startSpan(msg, "leaf.search")
+	sp, tctx := s.StartSpan(msg, "leaf.search")
 	sp.SetCommunity(req.CommunityID)
 	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
 	f, err := query.Parse(req.Filter)
 	if err != nil {
 		f = query.MatchAll{}
@@ -202,15 +201,8 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	// defer the reply; the experiments run on the simulator.)
 	merged := col.snapshot(req.Limit)
 	s.release(guid)
-	reply := s.cdc.Encode(&searchHitPayload{ReqID: req.ReqID, Results: merged})
-	_ = s.ep.Send(transport.Message{
-		To:      msg.From,
-		Type:    MsgSearchHit,
-		Payload: reply,
-		TraceID: tctx.Trace,
-		SpanID:  tctx.Span,
-	})
-	sp.AddMsgs(1, int64(len(reply)))
+	// A lost reply is the leaf's timeout.
+	_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: merged}, &sp, tctx)
 }
 
 // localSearch scans the leaf index in DocID order (providers keep
@@ -258,10 +250,5 @@ var _ Network = (*FastTrackLeaf)(nil)
 
 // NewFastTrackLeaf attaches a leaf to its super-peer.
 func NewFastTrackLeaf(ep transport.Endpoint, super transport.PeerID, store *index.Store) *FastTrackLeaf {
-	c := NewCentralizedClient(ep, super, store)
-	// A leaf is a centralized client pointed at a super-peer; its
-	// telemetry is labeled as fasttrack traffic.
-	c.metricsProto = "fasttrack"
-	c.nm = NewNodeMetrics(metrics.Discard(), c.metricsProto)
-	return &FastTrackLeaf{CentralizedClient: c}
+	return &FastTrackLeaf{newRegisteringClient(ep, super, store, "fasttrack")}
 }

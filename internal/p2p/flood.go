@@ -5,8 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dsim"
-	"repro/internal/p2p/codec"
+	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -27,18 +26,15 @@ import (
 // originated the search, which is also where a hit with a corrupt body
 // is finally dropped.
 type floodRouter struct {
-	ep    transport.Endpoint
+	Peer
 	guids *guidSource
-	clk   dsim.Clock
-	cdc   codec.Codec
 	// answer returns all of this node's own matches for a remote query
 	// (the query frame carries no limit). They are encoded into a
 	// query-hit and dropped, so they may alias index state that is never
 	// mutated in place.
 	answer func(communityID string, f query.Filter) []Result
 
-	mu     sync.RWMutex
-	tracer *trace.Tracer
+	mu sync.RWMutex
 	// neighbors is a copy-on-write sorted slice: floods iterate it
 	// directly with no per-search sort or snapshot allocation, and
 	// membership changes replace the slice wholesale (they are rare —
@@ -47,7 +43,6 @@ type floodRouter struct {
 	seen      seenTable
 	// collect gathers hits for queries this node originated.
 	collect map[uint64]*hitCollector
-	closed  bool
 }
 
 // guidField names the routing field of query and query-hit frames for
@@ -55,52 +50,19 @@ type floodRouter struct {
 // it.
 const guidField = "guid"
 
-func (r *floodRouter) init(ep transport.Endpoint, answer func(string, query.Filter) []Result) {
-	r.ep = ep
+// init attaches the router; shared and proto are the embedding node's,
+// as in InitPeer.
+func (r *floodRouter) init(ep transport.Endpoint, shared *index.Store, proto string, answer func(string, query.Filter) []Result) {
+	r.InitPeer(ep, shared, proto)
 	r.guids = newGUIDSource(ep.ID())
-	r.clk = dsim.Wall
-	r.cdc = codec.Default
 	r.answer = answer
 	r.collect = make(map[uint64]*hitCollector)
-}
-
-// PeerID returns the node's network identity.
-func (r *floodRouter) PeerID() transport.PeerID { return r.ep.ID() }
-
-// SetTracer installs the node's span recorder (nil disables tracing,
-// the default). Like SetClock, call before traffic starts.
-func (r *floodRouter) SetTracer(t *trace.Tracer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tracer = t
-}
-
-func (r *floodRouter) tr() *trace.Tracer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tracer
-}
-
-// SetClock installs the clock that paces this node's timeouts and ages
-// its seen-GUID table (default wall). Call before traffic starts.
-func (r *floodRouter) SetClock(clk dsim.Clock) {
-	if clk != nil {
-		r.clk = clk
-	}
-}
-
-// SetCodec installs the wire codec (default codec.Default). Call
-// before traffic starts, and use one codec network-wide.
-func (r *floodRouter) SetCodec(c codec.Codec) {
-	if c != nil {
-		r.cdc = c
-	}
 }
 
 // AddNeighbor links this node to a peer in the overlay (one direction;
 // callers typically link both ways).
 func (r *floodRouter) AddNeighbor(peer transport.PeerID) {
-	if peer == r.ep.ID() {
+	if peer == r.PeerID() {
 		return
 	}
 	r.mu.Lock()
@@ -128,18 +90,6 @@ func (r *floodRouter) ForgetQueries() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seen = seenTable{}
-}
-
-// Close detaches the node from the network.
-func (r *floodRouter) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	r.mu.Unlock()
-	return r.ep.Close()
 }
 
 // seenGeneration is how long the seen table fills one generation before
@@ -230,19 +180,18 @@ func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit i
 	col := &hitCollector{done: make(chan struct{}), limit: limit}
 	col.add(local)
 	now := r.clk.Now()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if r.Closed() {
 		return 0, nil, ErrClosed
 	}
+	r.mu.Lock()
 	r.collect[guid] = col
-	r.seen.insert(guid, r.ep.ID(), now) // suppress loops back to the origin
+	r.seen.insert(guid, r.PeerID(), now) // suppress loops back to the origin
 	neighbors := r.neighbors
 	r.mu.Unlock()
 
 	payload := r.cdc.Encode(&queryPayload{
 		GUID:        guid,
-		Origin:      r.ep.ID(),
+		Origin:      r.PeerID(),
 		CommunityID: communityID,
 		Filter:      f.String(),
 		TTL:         ttl,
@@ -250,9 +199,7 @@ func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit i
 	for _, n := range neighbors {
 		// Unreachable neighbors are skipped, like UDP loss in the
 		// original protocol.
-		_ = r.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
-			TraceID: tctx.Trace, SpanID: tctx.Span})
-		sp.AddMsgs(1, int64(len(payload)))
+		_ = r.SendPayload(n, MsgQuery, payload, sp, tctx)
 	}
 	return guid, col, nil
 }
@@ -263,13 +210,6 @@ func (r *floodRouter) release(guid uint64) {
 	r.mu.Lock()
 	delete(r.collect, guid)
 	r.mu.Unlock()
-}
-
-// startSpan opens a handler span for an inbound traced frame.
-func (r *floodRouter) startSpan(msg transport.Message, op string) trace.ActiveSpan {
-	sp := r.tr().StartAt(trace.Context{Trace: msg.TraceID, Span: msg.SpanID}, op, transport.ChainOffset(r.ep))
-	sp.SetPeer(string(msg.From))
-	return sp
 }
 
 // handleQuery serves one arrival of a flooded query: answer it from
@@ -286,7 +226,7 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 	if dup {
 		// Already served and forwarded: most arrivals in a flood end
 		// here, having cost a varint read and a map lookup.
-		sp := r.startSpan(msg, "query.dup")
+		sp, _ := r.StartSpan(msg, "query.dup")
 		sp.Finish()
 		return
 	}
@@ -296,10 +236,9 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 	if err := r.cdc.DecodeValue(&q, msg.Payload); err != nil {
 		return
 	}
-	sp := r.startSpan(msg, "query")
+	sp, tctx := r.StartSpan(msg, "query")
 	sp.SetCommunity(q.CommunityID)
 	defer sp.Finish()
-	tctx := sp.ContextOr(trace.Context{Trace: msg.TraceID, Span: msg.SpanID})
 	neighbors, first := r.markSeen(guid, msg.From)
 	if !first {
 		sp.SetOp("query.dup") // another arrival of this GUID won the race
@@ -316,11 +255,9 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 		results[i].Hops = hops
 	}
 	if len(results) > 0 {
-		hit := r.cdc.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
-		// Route the hit back toward the origin along the reverse path.
-		_ = r.ep.Send(transport.Message{To: msg.From, Type: MsgQueryHit, Payload: hit,
-			TraceID: tctx.Trace, SpanID: tctx.Span})
-		sp.AddMsgs(1, int64(len(hit)))
+		// Route the hit back toward the origin along the reverse path; a
+		// hop that is gone loses it, like the original's UDP.
+		_ = r.Send(msg.From, MsgQueryHit, &queryHitPayload{GUID: q.GUID, Results: results}, &sp, tctx)
 	}
 	// Forward the flood while TTL remains.
 	if q.TTL <= 1 {
@@ -333,9 +270,7 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 		if n == msg.From {
 			continue
 		}
-		_ = r.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
-			TraceID: tctx.Trace, SpanID: tctx.Span})
-		sp.AddMsgs(1, int64(len(payload)))
+		_ = r.SendPayload(n, MsgQuery, payload, &sp, tctx)
 	}
 }
 
@@ -355,18 +290,15 @@ func (r *floodRouter) handleQueryHit(msg transport.Message) {
 		if err := r.cdc.DecodeValue(&hit, msg.Payload); err != nil {
 			return // corrupt body: dropped here, the collection stands
 		}
-		sp := r.startSpan(msg, "hit")
+		sp, _ := r.StartSpan(msg, "hit")
 		sp.Finish()
 		col.add(hit.Results)
 		return
 	}
-	if !seen || back == r.ep.ID() {
+	if !seen || back == r.PeerID() {
 		return // unknown or stale query: drop the hit
 	}
-	sp := r.startSpan(msg, "hit.relay")
-	tctx := sp.ContextOr(trace.Context{Trace: msg.TraceID, Span: msg.SpanID})
-	_ = r.ep.Send(transport.Message{To: back, Type: MsgQueryHit, Payload: msg.Payload,
-		TraceID: tctx.Trace, SpanID: tctx.Span})
-	sp.AddMsgs(1, int64(len(msg.Payload)))
+	sp, tctx := r.StartSpan(msg, "hit.relay")
+	_ = r.SendPayload(back, MsgQueryHit, msg.Payload, &sp, tctx)
 	sp.Finish()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/index"
@@ -22,10 +23,13 @@ var fuzzTypes = []string{
 }
 
 // TestFuzzTypesCoverRegistry: a frame type added to wire.go must be
-// added to the fuzz target too.
+// added to the fuzz target too. The external tests in this directory link
+// internal/dht into the test binary; its frames, all named dht-*, have
+// their own fuzz target there.
 func TestFuzzTypesCoverRegistry(t *testing.T) {
 	sorted := slices.Sorted(slices.Values(fuzzTypes))
-	if got := codec.Types(); !slices.Equal(got, sorted) {
+	got := slices.DeleteFunc(codec.Types(), func(typ string) bool { return strings.HasPrefix(typ, "dht-") })
+	if !slices.Equal(got, sorted) {
 		t.Errorf("registered wire types %v, fuzzed %v", got, sorted)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -13,17 +12,11 @@ import (
 // the overlay with a TTL, each peer answers from its local metadata
 // index, and query hits travel back along the reverse path — the
 // classic Gnutella 0.4 design the paper names. The flooding itself is
-// the embedded floodRouter's; the node adds the local store, retrieval
-// and Ping/Pong discovery.
+// the embedded floodRouter's; the node adds the answers from its shared
+// store and Ping/Pong discovery.
 type GnutellaNode struct {
 	floodRouter
-	store   *index.Store
-	pending *PendingTable
-
-	// Guarded by the router's mu.
-	nm     *NodeMetrics
-	attach AttachmentProvider
-	disc   *discoveryState
+	disc *discoveryState // guarded by the router's mu
 }
 
 var _ Network = (*GnutellaNode)(nil)
@@ -32,61 +25,35 @@ var _ Network = (*GnutellaNode)(nil)
 // via AddNeighbor (the simulator wires it; over TCP a bootstrap list
 // plays the same role).
 func NewGnutellaNode(ep transport.Endpoint, store *index.Store) *GnutellaNode {
-	g := &GnutellaNode{
-		store:   store,
-		pending: NewPendingTable(),
-		nm:      NewNodeMetrics(metrics.Discard(), "gnutella"),
-	}
-	g.floodRouter.init(ep, g.answer)
+	g := &GnutellaNode{}
+	g.floodRouter.init(ep, store, "gnutella", g.answer)
 	ep.SetHandler(g.handle)
 	return g
-}
-
-// SetMetrics points the node's telemetry at reg, labeled "gnutella".
-// Like SetClock, call before traffic starts; metrics are discarded
-// until then.
-func (g *GnutellaNode) SetMetrics(reg *metrics.Registry) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.nm = NewNodeMetrics(reg, "gnutella")
-}
-
-func (g *GnutellaNode) nodeMetrics() *NodeMetrics {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.nm
-}
-
-// SetAttachmentProvider implements Network.
-func (g *GnutellaNode) SetAttachmentProvider(p AttachmentProvider) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.attach = p
 }
 
 // Publish implements Network: in Gnutella metadata stays local; the
 // object becomes discoverable because queries reach this peer.
 func (g *GnutellaNode) Publish(doc *index.Document) error {
-	if err := g.store.Put(doc); err != nil {
+	if err := g.shared.Put(doc); err != nil {
 		return err
 	}
-	g.nodeMetrics().Publishes.Inc()
+	g.NodeMetrics().Publishes.Inc()
 	return nil
 }
 
 // PublishBatch implements Network: with no registration protocol, a
 // batch is purely a local store batch (one shard lock round).
 func (g *GnutellaNode) PublishBatch(docs []*index.Document) error {
-	if err := g.store.PutBatch(docs); err != nil {
+	if err := g.shared.PutBatch(docs); err != nil {
 		return err
 	}
-	g.nodeMetrics().Publishes.Add(int64(len(docs)))
+	g.NodeMetrics().Publishes.Add(int64(len(docs)))
 	return nil
 }
 
 // Unpublish implements Network.
 func (g *GnutellaNode) Unpublish(id index.DocID) error {
-	g.store.Delete(id)
+	g.shared.Delete(id)
 	return nil
 }
 
@@ -102,9 +69,8 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	nm := g.nodeMetrics()
 	start := g.clk.Now()
-	sp := g.tr().Start(opts.Trace, "search")
+	sp := g.Tracer().Start(opts.Trace, "search")
 	sp.SetCommunity(communityID)
 	defer sp.Finish()
 	// Answer from the local index first (a peer is also a member of
@@ -112,60 +78,31 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	local := g.localResults(communityID, f, opts.Limit)
 	guid, col, err := g.originate(communityID, f, ttl, opts.Limit, local, &sp, sp.ContextOr(opts.Trace))
 	if err != nil {
-		nm.CountError(err)
-		sp.SetErr(err)
-		return nil, err
+		return nil, g.fail(&sp, err)
 	}
 	defer g.release(guid)
 	if !g.ep.Synchronous() {
 		select {
 		case <-col.done:
-		case <-g.clk.After(timeoutOr(opts.Timeout)):
+		case <-g.after(opts.Timeout):
 		}
 	}
 	out := col.snapshot(opts.Limit)
-	nm.ObserveSearch(g.clk, start, len(out))
+	g.NodeMetrics().ObserveSearch(g.clk, start, len(out))
 	return out, nil
-}
-
-// Retrieve implements Network: direct download from the provider, as
-// Gnutella does out-of-band from the overlay.
-func (g *GnutellaNode) Retrieve(id index.DocID, from transport.PeerID) (*index.Document, error) {
-	if from == g.PeerID() {
-		return g.store.Get(id)
-	}
-	nm := g.nodeMetrics()
-	sp := g.tr().Root("fetch")
-	sp.SetPeer(string(from))
-	defer sp.Finish()
-	doc, err := RetrieveFrom(g.cdc, g.clk, g.ep, g.pending, &sp, id, from, 0)
-	if err != nil {
-		nm.CountError(err)
-		return nil, err
-	}
-	nm.Fetches.Inc()
-	return doc, nil
-}
-
-// RetrieveAttachment implements Network.
-func (g *GnutellaNode) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, error) {
-	sp := g.tr().Root("attachment")
-	sp.SetPeer(string(from))
-	defer sp.Finish()
-	return RetrieveAttachmentFrom(g.cdc, g.clk, g.ep, g.pending, &sp, uri, from, 0)
 }
 
 // localResults answers this node's own search: copies of the matching
 // documents' metadata, because the results are handed to the caller.
 func (g *GnutellaNode) localResults(communityID string, f query.Filter, limit int) []Result {
-	return g.resultsOf(g.store.Search(communityID, f, limit))
+	return g.resultsOf(g.shared.Search(communityID, f, limit))
 }
 
 // answer serves a remote query straight from the store: the results
 // alias the store's documents, which are never mutated in place, and
 // live only until the router has encoded them.
 func (g *GnutellaNode) answer(communityID string, f query.Filter) []Result {
-	return g.resultsOf(g.store.SearchReadOnly(communityID, f, 0))
+	return g.resultsOf(g.shared.SearchReadOnly(communityID, f, 0))
 }
 
 func (g *GnutellaNode) resultsOf(docs []*index.Document) []Result {
@@ -173,7 +110,7 @@ func (g *GnutellaNode) resultsOf(docs []*index.Document) []Result {
 	for _, d := range docs {
 		out = append(out, Result{
 			DocID:       d.ID,
-			Provider:    g.ep.ID(),
+			Provider:    g.PeerID(),
 			CommunityID: d.CommunityID,
 			Title:       d.Title,
 			Attrs:       d.Attrs,
@@ -192,19 +129,12 @@ func (g *GnutellaNode) handle(msg transport.Message) {
 		g.handlePing(msg)
 	case MsgPong:
 		g.handlePong(msg)
-	case MsgFetch:
-		ServeFetch(g.cdc, g.tr(), g.ep, g.store, msg)
-	case MsgFetchReply, MsgAttachmentReply:
-		ResolveRetrievalReply(g.cdc, g.pending, msg)
-	case MsgAttachment:
-		g.mu.RLock()
-		p := g.attach
-		g.mu.RUnlock()
-		ServeAttachment(g.cdc, g.tr(), g.ep, p, msg)
+	default:
+		g.HandleRetrieval(msg)
 	}
 }
 
 // String describes the node.
 func (g *GnutellaNode) String() string {
-	return fmt.Sprintf("gnutella(%s, %d neighbors)", g.ep.ID(), len(g.Neighbors()))
+	return fmt.Sprintf("gnutella(%s, %d neighbors)", g.PeerID(), len(g.Neighbors()))
 }

@@ -19,20 +19,38 @@
 //
 // All run over any transport.Endpoint, so the same protocol code
 // serves the in-memory simulator and real TCP.
+//
+// # One runtime under every node
+//
+// Every node kind — CentralizedClient and IndexServer, GnutellaNode,
+// SuperPeer and FastTrackLeaf here, dht.Node in internal/dht — embeds
+// Peer (peer.go), which owns what a protocol does not vary:
+//
+//   - the endpoint and the node's wiring: clock, codec, tracer, metrics
+//     (SetClock, SetCodec, SetTracer, SetMetrics — Peer's doc states the
+//     one contract for when each may be called);
+//   - sending (Send, SendPayload: encode, stamp the trace context,
+//     attribute the frame to a span) and handler spans (StartSpan);
+//   - request/response (Call, or StartCall + Await for a wave of them,
+//     and Resolve on the reply's way in): one pending table, one
+//     timeout on the node's clock, ids dropped on every failure path;
+//   - retrieval (Retrieve, RetrieveAttachment, SetAttachmentProvider,
+//     HandleRetrieval) and Close.
+//
+// A new protocol writes three things: a constructor that calls InitPeer
+// and installs its handler, the handler's switch over its own message
+// types with HandleRetrieval as the default, and Publish / Unpublish /
+// Search. Everything else Network asks for is promoted from Peer.
 package p2p
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dsim"
 	"repro/internal/errs"
 	"repro/internal/index"
-	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -211,93 +229,10 @@ type attachmentReplyPayload struct {
 	Data  []byte `json:"data,omitempty"`
 }
 
-// --- request/response correlation ---
-
-// PendingTable matches responses to outstanding requests by ID. It is
-// exported (with Await) so additional protocol implementations — the
-// DHT overlay in internal/dht — reuse the same correlation layer
-// instead of reimplementing it. Request IDs count locally per table,
-// which keeps them deterministic per node per run (a requirement of
-// golden-trace reproducibility, like the per-node GUID sources).
-//
-// Replies travel as decoded frames, not raw bytes: the receiving
-// handler decodes once and resolves with the typed value, and the
-// awaiter type-asserts — no payload is unmarshaled twice.
-type PendingTable struct {
-	mu   sync.Mutex
-	next uint64
-	m    map[uint64]chan any
-}
-
-// NewPendingTable returns an empty correlation table.
-func NewPendingTable() *PendingTable {
-	return &PendingTable{m: make(map[uint64]chan any)}
-}
-
-// Create registers a new request and returns its ID and reply channel.
-func (p *PendingTable) Create() (uint64, chan any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.next++
-	id := p.next
-	ch := make(chan any, 1)
-	p.m[id] = ch
-	return id, ch
-}
-
-// Resolve delivers a decoded reply frame; late or unknown responses
-// are dropped.
-func (p *PendingTable) Resolve(id uint64, reply any) {
-	p.mu.Lock()
-	ch, ok := p.m[id]
-	if ok {
-		delete(p.m, id)
-	}
-	p.mu.Unlock()
-	if ok {
-		select {
-		case ch <- reply:
-		default:
-		}
-	}
-}
-
-// Drop abandons a request.
-func (p *PendingTable) Drop(id uint64) {
-	p.mu.Lock()
-	delete(p.m, id)
-	p.mu.Unlock()
-}
-
-// Await waits for a response with a timeout measured on clk. On a
-// synchronous transport the reply to a Send (if any) has already been
-// delivered by the time Send returned, so an empty channel is a
-// definitive timeout: Await returns immediately instead of blocking a
-// wall-clock timeout out, which is what lets lossy simulations run
-// 100k queries in seconds and keeps virtual clocks free of real
-// waiting.
-func Await(clk dsim.Clock, synchronous bool, ch chan any, timeout time.Duration) (any, error) {
-	select {
-	case reply := <-ch:
-		return reply, nil
-	default:
-	}
-	if synchronous {
-		return nil, ErrTimeout
-	}
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	if clk == nil {
-		clk = dsim.Wall
-	}
-	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-clk.After(timeout):
-		return nil, ErrTimeout
-	}
-}
+// SetReqID implements Request for the three requests of these protocols.
+func (p *searchPayload) SetReqID(id uint64)     { p.ReqID = id }
+func (p *fetchPayload) SetReqID(id uint64)      { p.ReqID = id }
+func (p *attachmentPayload) SetReqID(id uint64) { p.ReqID = id }
 
 // guidSource issues query GUIDs that are unique across the network yet
 // deterministic per run: the high bits hash the issuing peer's ID, the
@@ -345,179 +280,4 @@ func peerSliceRemove(s []transport.PeerID, peer transport.PeerID) []transport.Pe
 	out := make([]transport.PeerID, 0, len(s)-1)
 	out = append(out, s[:i]...)
 	return append(out, s[i+1:]...)
-}
-
-// ServeFetch answers MsgFetch from a local store: the provider side of
-// Retrieve, shared by every protocol implementation (including the DHT
-// overlay in internal/dht, which is why it is exported). When the
-// inbound frame carries a trace context and tr is non-nil, the serve
-// is recorded as a child span with the reply attributed to it.
-func ServeFetch(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, store *index.Store, msg transport.Message) {
-	var req fetchPayload
-	if err := c.DecodeValue(&req, msg.Payload); err != nil {
-		return
-	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := tr.StartAt(inCtx, "fetch.serve", transport.ChainOffset(ep))
-	sp.SetPeer(string(msg.From))
-	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
-	reply := fetchReplyPayload{ReqID: req.ReqID}
-	if doc, err := store.Get(req.DocID); err == nil {
-		reply.Found = true
-		reply.Doc = doc
-	} else {
-		sp.SetErr(fmt.Errorf("%w: %s", ErrNotProvided, req.DocID))
-	}
-	payload := c.Encode(&reply)
-	_ = ep.Send(transport.Message{
-		To:      msg.From,
-		Type:    MsgFetchReply,
-		Payload: payload,
-		TraceID: tctx.Trace,
-		SpanID:  tctx.Span,
-	})
-	sp.AddMsgs(1, int64(len(payload)))
-}
-
-// ServeAttachment answers MsgAttachment via the provider callback.
-func ServeAttachment(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, provider AttachmentProvider, msg transport.Message) {
-	var req attachmentPayload
-	if err := c.DecodeValue(&req, msg.Payload); err != nil {
-		return
-	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := tr.StartAt(inCtx, "attachment.serve", transport.ChainOffset(ep))
-	sp.SetPeer(string(msg.From))
-	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
-	reply := attachmentReplyPayload{ReqID: req.ReqID}
-	if provider != nil {
-		if data, ok := provider(req.URI); ok {
-			reply.Found = true
-			reply.Data = data
-		}
-	}
-	if !reply.Found {
-		sp.SetErr(ErrNotProvided)
-	}
-	payload := c.Encode(&reply)
-	_ = ep.Send(transport.Message{
-		To:      msg.From,
-		Type:    MsgAttachmentReply,
-		Payload: payload,
-		TraceID: tctx.Trace,
-		SpanID:  tctx.Span,
-	})
-	sp.AddMsgs(1, int64(len(payload)))
-}
-
-// RetrieveFrom implements the client side of Retrieve for every
-// protocol. sp, when active, is the caller's fetch span: the request
-// frame is stamped with its context and attributed to it (the caller
-// finishes the span).
-func RetrieveFrom(c codec.Codec, clk dsim.Clock, ep transport.Endpoint, pending *PendingTable, sp *trace.ActiveSpan, id index.DocID, from transport.PeerID, timeout time.Duration) (*index.Document, error) {
-	reqID, ch := pending.Create()
-	tctx := sp.Context()
-	payload := c.Encode(&fetchPayload{ReqID: reqID, DocID: id})
-	err := ep.Send(transport.Message{
-		To:      from,
-		Type:    MsgFetch,
-		Payload: payload,
-		TraceID: tctx.Trace,
-		SpanID:  tctx.Span,
-	})
-	sp.AddMsgs(1, int64(len(payload)))
-	if err != nil {
-		pending.Drop(reqID)
-		sp.SetErr(err)
-		return nil, fmt.Errorf("p2p: fetch: %w", err)
-	}
-	got, err := Await(clk, ep.Synchronous(), ch, timeout)
-	if err != nil {
-		pending.Drop(reqID)
-		sp.SetErr(err)
-		return nil, err
-	}
-	reply, ok := got.(*fetchReplyPayload)
-	if !ok {
-		return nil, fmt.Errorf("p2p: fetch reply: unexpected frame %T", got)
-	}
-	if !reply.Found || reply.Doc == nil {
-		err := fmt.Errorf("%w: %s at %s", ErrNotProvided, id, from)
-		sp.SetErr(err)
-		return nil, err
-	}
-	return reply.Doc, nil
-}
-
-// RetrieveAttachmentFrom implements the client side of attachment
-// download for both protocols. sp is the caller's span, as in
-// RetrieveFrom.
-func RetrieveAttachmentFrom(c codec.Codec, clk dsim.Clock, ep transport.Endpoint, pending *PendingTable, sp *trace.ActiveSpan, uri string, from transport.PeerID, timeout time.Duration) ([]byte, error) {
-	reqID, ch := pending.Create()
-	tctx := sp.Context()
-	payload := c.Encode(&attachmentPayload{ReqID: reqID, URI: uri})
-	err := ep.Send(transport.Message{
-		To:      from,
-		Type:    MsgAttachment,
-		Payload: payload,
-		TraceID: tctx.Trace,
-		SpanID:  tctx.Span,
-	})
-	sp.AddMsgs(1, int64(len(payload)))
-	if err != nil {
-		pending.Drop(reqID)
-		sp.SetErr(err)
-		return nil, fmt.Errorf("p2p: attachment: %w", err)
-	}
-	got, err := Await(clk, ep.Synchronous(), ch, timeout)
-	if err != nil {
-		pending.Drop(reqID)
-		sp.SetErr(err)
-		return nil, err
-	}
-	reply, ok := got.(*attachmentReplyPayload)
-	if !ok {
-		return nil, fmt.Errorf("p2p: attachment reply: unexpected frame %T", got)
-	}
-	if !reply.Found {
-		err := fmt.Errorf("%w: attachment %s at %s", ErrNotProvided, uri, from)
-		sp.SetErr(err)
-		return nil, err
-	}
-	return reply.Data, nil
-}
-
-// ResolveRetrievalReply routes an inbound MsgFetchReply or
-// MsgAttachmentReply to its awaiting request: decode once, resolve
-// with the typed frame. It reports whether the message was one of the
-// retrieval reply types (decoded or not), so protocol handlers can
-// delegate both cases in one call.
-func ResolveRetrievalReply(c codec.Codec, pending *PendingTable, msg transport.Message) bool {
-	switch msg.Type {
-	case MsgFetchReply:
-		var reply fetchReplyPayload
-		if err := c.DecodeValue(&reply, msg.Payload); err == nil {
-			pending.Resolve(reply.ReqID, &reply)
-		}
-		return true
-	case MsgAttachmentReply:
-		var reply attachmentReplyPayload
-		if err := c.DecodeValue(&reply, msg.Payload); err == nil {
-			pending.Resolve(reply.ReqID, &reply)
-		}
-		return true
-	}
-	return false
-}
-
-// ReannounceLocal streams every document in the local store through
-// announce, in DocID order. It is the shared "re-register everything I
-// hold" step behind leaf re-registration after super-peer failover
-// (CentralizedClient.Rehome, and therefore FastTrackLeaf.Rehome) and
-// behind the DHT overlay's republish/bucket-repair path — one
-// definition of what a peer re-announces, three recovery mechanisms.
-func ReannounceLocal(store *index.Store, announce func(docs []*index.Document) error) error {
-	return announce(store.Search("", query.MatchAll{}, 0))
 }

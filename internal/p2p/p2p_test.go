@@ -146,35 +146,6 @@ func TestCentralizedSearchLimit(t *testing.T) {
 	}
 }
 
-func TestCentralizedRetrieveMissing(t *testing.T) {
-	f := newCentralFixture(t, 2)
-	_, err := f.clients[0].Retrieve("ghost", f.clients[1].PeerID())
-	if !errors.Is(err, ErrNotProvided) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestCentralizedAttachments(t *testing.T) {
-	f := newCentralFixture(t, 2)
-	provider, seeker := f.clients[0], f.clients[1]
-	provider.SetAttachmentProvider(func(uri string) ([]byte, bool) {
-		if uri == "file:pattern.code" {
-			return []byte("class Observer {}"), true
-		}
-		return nil, false
-	})
-	data, err := seeker.RetrieveAttachment("file:pattern.code", provider.PeerID())
-	if err != nil {
-		t.Fatalf("attachment: %v", err)
-	}
-	if string(data) != "class Observer {}" {
-		t.Errorf("data = %q", data)
-	}
-	if _, err := seeker.RetrieveAttachment("file:missing", provider.PeerID()); !errors.Is(err, ErrNotProvided) {
-		t.Errorf("missing attachment err = %v", err)
-	}
-}
-
 // --- gnutella protocol ---
 
 type gnutellaFixture struct {
@@ -302,27 +273,6 @@ func TestGnutellaMessageCostGrowsWithTTL(t *testing.T) {
 	high := f.net.Metrics().Snapshot().Delta(mid).Counter("transport.msgs_delivered")
 	if high <= low {
 		t.Errorf("messages TTL9 (%d) not > TTL2 (%d)", high, low)
-	}
-}
-
-func TestGnutellaRetrieve(t *testing.T) {
-	f := newGnutellaLine(t, 3)
-	f.nodes[2].Publish(doc("d1", "c", "T", map[string]string{"k": "v"}))
-	rs, err := f.nodes[0].Search("c", query.MustParse("(k=v)"), SearchOptions{})
-	if err != nil || len(rs) != 1 {
-		t.Fatalf("search: %v %v", rs, err)
-	}
-	got, err := f.nodes[0].Retrieve(rs[0].DocID, rs[0].Provider)
-	if err != nil {
-		t.Fatalf("retrieve: %v", err)
-	}
-	if got.Title != "T" {
-		t.Errorf("doc = %+v", got)
-	}
-	// Self-retrieve short-circuits.
-	f.nodes[0].Publish(doc("local", "c", "L", nil))
-	if _, err := f.nodes[0].Retrieve("local", f.nodes[0].PeerID()); err != nil {
-		t.Errorf("self retrieve: %v", err)
 	}
 }
 

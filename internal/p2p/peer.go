@@ -1,0 +1,381 @@
+package p2p
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/dsim"
+	"repro/internal/index"
+	"repro/internal/metrics"
+	"repro/internal/p2p/codec"
+	"repro/internal/query"
+	"repro/internal/trace"
+	"repro/internal/transport"
+)
+
+// Peer is the runtime every protocol node embeds — CentralizedClient
+// (and through it FastTrackLeaf), GnutellaNode and SuperPeer (through
+// their flood router), IndexServer, and dht.Node, which is why it and
+// the methods a node outside this package needs are exported. It owns
+// the endpoint, the wiring (clock, codec, tracer, metrics), the
+// request/response correlation and the shared retrieval protocol, and
+// defines each of them once. A protocol writes its constructor (InitPeer,
+// then ep.SetHandler), its handle switch (ending in HandleRetrieval) and
+// Publish/Unpublish/Search; the rest of Network comes from here.
+//
+// Wiring contract, the one place it is stated: SetClock and SetCodec are
+// for the code that builds the node and must be called before traffic
+// starts — the handles are plain fields, read without synchronisation on
+// every frame. SetMetrics, SetTracer and SetAttachmentProvider may be
+// called at any time; a frame in flight uses the old or the new handle.
+type Peer struct {
+	ep transport.Endpoint
+	// shared holds the objects this peer shares and serves fetches from;
+	// nil on a node that only indexes (IndexServer, SuperPeer), which
+	// provides nothing.
+	shared *index.Store
+	proto  string // the NodeMetrics label
+	clk    dsim.Clock
+	cdc    codec.Codec
+
+	tracer  atomic.Pointer[trace.Tracer]
+	nm      atomic.Pointer[NodeMetrics]
+	attach  atomic.Pointer[AttachmentProvider]
+	closed  atomic.Bool
+	pending pendingTable
+}
+
+// discardNodeMetrics is what a node records into until SetMetrics: the
+// discard registry hands every protocol the same write-only handles.
+var discardNodeMetrics = NewNodeMetrics(metrics.Discard(), "")
+
+// InitPeer attaches the runtime to ep with the defaults: wall clock,
+// codec.Default, no tracer, discarded metrics. proto labels the node's
+// telemetry ("centralized", "gnutella", "fasttrack", "dht").
+func (p *Peer) InitPeer(ep transport.Endpoint, shared *index.Store, proto string) {
+	p.ep, p.shared, p.proto = ep, shared, proto
+	p.clk, p.cdc = dsim.Wall, codec.Default
+	p.nm.Store(discardNodeMetrics)
+}
+
+// PeerID returns the node's network identity.
+func (p *Peer) PeerID() transport.PeerID { return p.ep.ID() }
+
+// SetMetrics points the node's telemetry at reg, labeled with its
+// protocol; metrics are discarded until then.
+func (p *Peer) SetMetrics(reg *metrics.Registry) { p.nm.Store(NewNodeMetrics(reg, p.proto)) }
+
+// SetTracer installs the node's span recorder (nil, the default,
+// disables tracing).
+func (p *Peer) SetTracer(t *trace.Tracer) { p.tracer.Store(t) }
+
+// SetClock installs the clock that paces the node's timeouts and ages
+// its time-bounded state (default wall). Call before traffic starts.
+func (p *Peer) SetClock(clk dsim.Clock) {
+	if clk != nil {
+		p.clk = clk
+	}
+}
+
+// SetCodec installs the wire codec (default codec.Default). Call before
+// traffic starts, and use one codec network-wide.
+func (p *Peer) SetCodec(c codec.Codec) {
+	if c != nil {
+		p.cdc = c
+	}
+}
+
+// SetAttachmentProvider installs the resolver for local attachments.
+func (p *Peer) SetAttachmentProvider(a AttachmentProvider) { p.attach.Store(&a) }
+
+// Tracer returns the node's span recorder; nil (on which every trace
+// method is a no-op) when tracing is off.
+func (p *Peer) Tracer() *trace.Tracer { return p.tracer.Load() }
+
+// NodeMetrics returns the node's telemetry handles.
+func (p *Peer) NodeMetrics() *NodeMetrics { return p.nm.Load() }
+
+// Clock returns the node's clock.
+func (p *Peer) Clock() dsim.Clock { return p.clk }
+
+// Codec returns the node's wire codec.
+func (p *Peer) Codec() codec.Codec { return p.cdc }
+
+// Shared returns the store of objects this peer shares (nil on a node
+// that only indexes).
+func (p *Peer) Shared() *index.Store { return p.shared }
+
+// Close detaches the node from the network; a second call is a no-op.
+func (p *Peer) Close() error {
+	if !p.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	return p.ep.Close()
+}
+
+// Closed reports whether Close was called.
+func (p *Peer) Closed() bool { return p.closed.Load() }
+
+// --- sending ---
+
+// Send encodes f and sends it to a peer; see SendPayload.
+func (p *Peer) Send(to transport.PeerID, msgType string, f codec.Frame, sp *trace.ActiveSpan, tctx trace.Context) error {
+	return p.SendPayload(to, msgType, p.cdc.Encode(f), sp, tctx)
+}
+
+// SendPayload sends one encoded frame, stamped with the trace context
+// tctx and attributed to the span sp (nil and the zero context for
+// untraced traffic). A frame sent to several peers is encoded once and
+// handed to SendPayload for each.
+func (p *Peer) SendPayload(to transport.PeerID, msgType string, payload []byte, sp *trace.ActiveSpan, tctx trace.Context) error {
+	sp.AddMsgs(1, int64(len(payload)))
+	return p.ep.Send(transport.Message{To: to, Type: msgType, Payload: payload,
+		TraceID: tctx.Trace, SpanID: tctx.Span})
+}
+
+// StartSpan opens a handler span for an inbound traced frame and returns
+// it with the context the handler's own sends should carry: the span's,
+// or the inbound one when this node's tracer is off, so downstream hops
+// still attribute to the nearest traced ancestor.
+func (p *Peer) StartSpan(msg transport.Message, op string) (trace.ActiveSpan, trace.Context) {
+	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
+	sp := p.Tracer().StartAt(inCtx, op, transport.ChainOffset(p.ep))
+	sp.SetPeer(string(msg.From))
+	return sp, sp.ContextOr(inCtx)
+}
+
+// --- request/response ---
+
+// Request is a frame that opens a request/response exchange: it carries
+// an id, assigned when it is sent, that the reply echoes. Every RPC of
+// every protocol has this one shape, as in Kademlia.
+type Request interface {
+	codec.Frame
+	SetReqID(id uint64)
+}
+
+// pendingTable matches replies to outstanding requests by id. Ids count
+// locally per node, which keeps them deterministic per node per run (a
+// requirement of golden-trace reproducibility, like the per-node GUID
+// sources). Replies travel as decoded frames, not raw bytes: the
+// receiving handler decodes once and resolves with the typed value, and
+// the awaiter type-asserts — no payload is unmarshaled twice. The zero
+// value is an empty table.
+type pendingTable struct {
+	mu   sync.Mutex
+	next uint64
+	m    map[uint64]chan any
+}
+
+func (t *pendingTable) create() (uint64, chan any) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		t.m = make(map[uint64]chan any)
+	}
+	t.next++
+	ch := make(chan any, 1)
+	t.m[t.next] = ch
+	return t.next, ch
+}
+
+// take removes a request and returns its reply channel, nil when the id
+// is unknown (never issued, timed out, or already answered).
+func (t *pendingTable) take(id uint64) chan any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ch := t.m[id]
+	delete(t.m, id)
+	return ch
+}
+
+// Exchange is a request that was sent and whose reply is outstanding.
+type Exchange struct {
+	id uint64
+	ch chan any
+}
+
+// StartCall sends req to a peer under a fresh request id and returns the
+// exchange to Await. A lookup wave starts several before it awaits any;
+// a single round trip is Call. sp and tctx are as in SendPayload. A
+// failed send abandons the id.
+func (p *Peer) StartCall(to transport.PeerID, msgType string, req Request, sp *trace.ActiveSpan, tctx trace.Context) (Exchange, error) {
+	id, ch := p.pending.create()
+	req.SetReqID(id)
+	if err := p.Send(to, msgType, req, sp, tctx); err != nil {
+		p.pending.take(id)
+		return Exchange{}, err
+	}
+	return Exchange{id, ch}, nil
+}
+
+// Await waits for the exchange's reply, at most timeout (DefaultTimeout
+// when it is not positive) on the node's clock; ErrTimeout abandons the
+// id, and a reply that arrives later is dropped. On a synchronous
+// transport the reply to a send, if any, was delivered before the send
+// returned, so an empty channel is a definitive timeout: Await returns at
+// once instead of waiting a wall-clock timeout out, which is what lets
+// lossy simulations run 100k queries in seconds and keeps virtual clocks
+// free of real waiting.
+func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
+	select {
+	case reply := <-x.ch:
+		return reply, nil
+	default:
+	}
+	if !p.ep.Synchronous() {
+		select {
+		case reply := <-x.ch:
+			return reply, nil
+		case <-p.after(timeout):
+		}
+	}
+	p.pending.take(x.id)
+	return nil, ErrTimeout
+}
+
+// after fires once timeout (DefaultTimeout when it is not positive) has
+// passed on the node's clock.
+func (p *Peer) after(timeout time.Duration) <-chan time.Time {
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
+	return p.clk.After(timeout)
+}
+
+// Call is one round trip: send req, await the reply its receiver
+// resolves. Every failure — the send, the timeout — is marked on sp and
+// counted in the node's error family.
+func (p *Peer) Call(to transport.PeerID, msgType string, req Request, sp *trace.ActiveSpan, tctx trace.Context, timeout time.Duration) (any, error) {
+	x, err := p.StartCall(to, msgType, req, sp, tctx)
+	if err != nil {
+		return nil, p.fail(sp, fmt.Errorf("p2p: %s: %w", msgType, err))
+	}
+	reply, err := p.Await(x, timeout)
+	if err != nil {
+		return nil, p.fail(sp, err)
+	}
+	return reply, nil
+}
+
+// fail marks err on sp, counts it in the node's error family, and
+// returns it.
+func (p *Peer) fail(sp *trace.ActiveSpan, err error) error {
+	sp.SetErr(err)
+	p.NodeMetrics().CountError(err)
+	return err
+}
+
+// Resolve hands a decoded reply frame to the request it answers; late
+// and unknown replies are dropped.
+func (p *Peer) Resolve(id uint64, reply any) {
+	if ch := p.pending.take(id); ch != nil {
+		ch <- reply // buffered, and take hands each channel out once
+	}
+}
+
+// --- retrieval (§IV.C.2: download from the providing peer) ---
+
+// Retrieve implements Network: direct peer-to-peer download, out of band
+// from whatever overlay found the provider.
+func (p *Peer) Retrieve(id index.DocID, from transport.PeerID) (*index.Document, error) {
+	if from == p.PeerID() {
+		return p.localDoc(id)
+	}
+	sp := p.Tracer().Root("fetch")
+	sp.SetPeer(string(from))
+	defer sp.Finish()
+	got, err := p.Call(from, MsgFetch, &fetchPayload{DocID: id}, &sp, sp.Context(), 0)
+	if err != nil {
+		return nil, err
+	}
+	if reply, ok := got.(*fetchReplyPayload); ok && reply.Found && reply.Doc != nil {
+		p.NodeMetrics().Fetches.Inc()
+		return reply.Doc, nil
+	}
+	return nil, p.fail(&sp, fmt.Errorf("%w: %s at %s", ErrNotProvided, id, from))
+}
+
+// RetrieveAttachment implements Network.
+func (p *Peer) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, error) {
+	sp := p.Tracer().Root("attachment")
+	sp.SetPeer(string(from))
+	defer sp.Finish()
+	got, err := p.Call(from, MsgAttachment, &attachmentPayload{URI: uri}, &sp, sp.Context(), 0)
+	if err != nil {
+		return nil, err
+	}
+	if reply, ok := got.(*attachmentReplyPayload); ok && reply.Found {
+		return reply.Data, nil
+	}
+	return nil, p.fail(&sp, fmt.Errorf("%w: attachment %s at %s", ErrNotProvided, uri, from))
+}
+
+// localDoc reads one of this peer's own shared objects.
+func (p *Peer) localDoc(id index.DocID) (*index.Document, error) {
+	if p.shared == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotProvided, id)
+	}
+	return p.shared.Get(id)
+}
+
+// Reannounce hands announce every object this peer shares, in DocID
+// order: the one definition of "re-register everything I hold" behind
+// leaf re-registration after super-peer failover (Rehome) and the DHT's
+// republish on Refresh.
+func (p *Peer) Reannounce(announce func(docs []*index.Document) error) error {
+	return announce(p.shared.Search("", query.MatchAll{}, 0))
+}
+
+// HandleRetrieval serves the retrieval protocol, the same on every
+// node: it answers fetch and attachment requests from the shared store
+// and the attachment provider (a node with neither answers "not
+// found"), and resolves their replies to the awaiting Retrieve. Any
+// other message is ignored: a protocol's handle switch ends with it.
+func (p *Peer) HandleRetrieval(msg transport.Message) {
+	switch msg.Type {
+	case MsgFetch:
+		var req fetchPayload
+		if p.cdc.DecodeValue(&req, msg.Payload) != nil {
+			return
+		}
+		sp, tctx := p.StartSpan(msg, "fetch.serve")
+		reply := fetchReplyPayload{ReqID: req.ReqID}
+		if doc, err := p.localDoc(req.DocID); err == nil {
+			reply.Found, reply.Doc = true, doc
+		} else {
+			sp.SetErr(fmt.Errorf("%w: %s", ErrNotProvided, req.DocID))
+		}
+		_ = p.Send(msg.From, MsgFetchReply, &reply, &sp, tctx) // a lost reply is the requester's timeout
+		sp.Finish()
+	case MsgAttachment:
+		var req attachmentPayload
+		if p.cdc.DecodeValue(&req, msg.Payload) != nil {
+			return
+		}
+		sp, tctx := p.StartSpan(msg, "attachment.serve")
+		reply := attachmentReplyPayload{ReqID: req.ReqID}
+		if provider := p.attach.Load(); provider != nil && *provider != nil {
+			if data, ok := (*provider)(req.URI); ok {
+				reply.Found, reply.Data = true, data
+			}
+		}
+		if !reply.Found {
+			sp.SetErr(ErrNotProvided)
+		}
+		_ = p.Send(msg.From, MsgAttachmentReply, &reply, &sp, tctx) // as above
+		sp.Finish()
+	case MsgFetchReply:
+		reply := new(fetchReplyPayload)
+		if p.cdc.DecodeValue(reply, msg.Payload) == nil {
+			p.Resolve(reply.ReqID, reply)
+		}
+	case MsgAttachmentReply:
+		reply := new(attachmentReplyPayload)
+		if p.cdc.DecodeValue(reply, msg.Payload) == nil {
+			p.Resolve(reply.ReqID, reply)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package p2p
 import (
 	"sync"
 
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -56,26 +57,25 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 	if ttl <= 0 {
 		ttl = 2
 	}
+	if g.Closed() {
+		return nil
+	}
 	guid := g.guids.next()
 	now := g.clk.Now()
 	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
 	if g.disc == nil {
 		g.disc = newDiscoveryState()
 	}
-	g.seen.insert(guid, g.ep.ID(), now)
+	g.seen.insert(guid, g.PeerID(), now)
 	neighbors := g.neighbors
 	g.mu.Unlock()
 	g.disc.mu.Lock()
 	g.disc.pongs[guid] = nil
 	g.disc.mu.Unlock()
 
-	payload := g.cdc.Encode(&pingPayload{GUID: guid, Origin: g.ep.ID(), TTL: ttl})
+	payload := g.cdc.Encode(&pingPayload{GUID: guid, Origin: g.PeerID(), TTL: ttl})
 	for _, n := range neighbors {
-		_ = g.ep.Send(transport.Message{To: n, Type: MsgPing, Payload: payload})
+		_ = g.SendPayload(n, MsgPing, payload, nil, trace.Context{})
 	}
 
 	g.disc.mu.Lock()
@@ -87,7 +87,7 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 	for _, peer := range discovered {
 		g.mu.Lock()
 		grown := peerSliceAdd(g.neighbors, peer)
-		if len(grown) > len(g.neighbors) && len(g.neighbors) < MaxNeighbors && peer != g.ep.ID() {
+		if len(grown) > len(g.neighbors) && len(g.neighbors) < MaxNeighbors && peer != g.PeerID() {
 			g.neighbors = grown
 			added = append(added, peer)
 		}
@@ -108,11 +108,7 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	}
 	hops := p.Hops + 1
 	// Pong back toward the origin along the reverse path.
-	_ = g.ep.Send(transport.Message{
-		To:      msg.From,
-		Type:    MsgPong,
-		Payload: g.cdc.Encode(&pongPayload{GUID: p.GUID, Peer: g.ep.ID(), Hops: hops}),
-	})
+	_ = g.Send(msg.From, MsgPong, &pongPayload{GUID: p.GUID, Peer: g.PeerID(), Hops: hops}, nil, trace.Context{})
 	if p.TTL <= 1 {
 		return
 	}
@@ -122,7 +118,7 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	payload := g.cdc.Encode(&fwd)
 	for _, n := range neighbors {
 		if n != msg.From {
-			_ = g.ep.Send(transport.Message{To: n, Type: MsgPing, Payload: payload})
+			_ = g.SendPayload(n, MsgPing, payload, nil, trace.Context{})
 		}
 	}
 }
@@ -136,7 +132,7 @@ func (g *GnutellaNode) handlePong(msg transport.Message) {
 	g.mu.RLock()
 	disc := g.disc
 	back, seen := g.seen.lookup(p.GUID)
-	self := g.ep.ID()
+	self := g.PeerID()
 	g.mu.RUnlock()
 	if disc != nil {
 		disc.mu.Lock()
@@ -150,5 +146,5 @@ func (g *GnutellaNode) handlePong(msg transport.Message) {
 	if !seen || back == self {
 		return
 	}
-	_ = g.ep.Send(transport.Message{To: back, Type: MsgPong, Payload: msg.Payload})
+	_ = g.SendPayload(back, MsgPong, msg.Payload, nil, trace.Context{})
 }

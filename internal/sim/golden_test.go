@@ -48,11 +48,26 @@ func goldenConfig(proto Protocol, seed int64) ScenarioConfig {
 	return cfg
 }
 
+// goldenHashes pins goldenConfig's message-trace hash per protocol, for
+// seeds 42 and 7, as measured at commit dd2ddf6 (binary codec). The hash
+// covers every frame's bytes in delivery order, so a refactor that says
+// "no behaviour change" proves it by leaving this table alone. A PR that
+// changes wire traffic on purpose — a frame layout, a message saved or
+// added, an ordering — edits the table in the same commit and says so in
+// CHANGES.md with the old and new values.
+var goldenHashes = map[Protocol]map[int64]uint64{
+	Centralized: {42: 0x3d4a7ee512016ca6, 7: 0x6b1ba709f25738a8},
+	Gnutella:    {42: 0x3886a441b42f6bf5, 7: 0x679e5aee09946735},
+	FastTrack:   {42: 0xc2b967d7884dcf4d, 7: 0x8cdc2e519f21e5b6},
+	DHT:         {42: 0x4af0b5b435953df9, 7: 0x3c01b9094f44af55},
+}
+
 // TestGoldenTraceDeterminism: the same seed must reproduce the exact
 // message trace — byte-for-byte, including loss decisions — on every
-// protocol. CI runs this with -count=2, which additionally catches
-// process-global state leaking between runs (e.g. a shared GUID
-// counter would shift every query payload on the second run).
+// protocol, and that trace must be the pinned one. CI runs this with
+// -count=2, which additionally catches process-global state leaking
+// between runs (e.g. a shared GUID counter would shift every query
+// payload on the second run).
 func TestGoldenTraceDeterminism(t *testing.T) {
 	for _, proto := range []Protocol{Centralized, Gnutella, FastTrack, DHT} {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -73,6 +88,9 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 			if r1.TraceHash != r2.TraceHash {
 				t.Fatalf("trace hashes differ: %x vs %x", r1.TraceHash, r2.TraceHash)
 			}
+			if want := goldenHashes[proto][42]; r1.TraceHash != want {
+				t.Errorf("seed 42: trace hash %x, pinned %x: wire traffic changed", r1.TraceHash, want)
+			}
 			if r1.Queries != r2.Queries || r1.Arrivals != r2.Arrivals || r1.Departures != r2.Departures {
 				t.Fatalf("workload differs: %+v vs %+v", r1, r2)
 			}
@@ -85,12 +103,15 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 			// A different seed must explore a different trajectory (equal
 			// 64-bit hashes across all three protocols would be a broken
 			// seed plumbing, not a coincidence).
-			r3, err := RunScenario(goldenConfig(proto, 43))
+			r3, err := RunScenario(goldenConfig(proto, 7))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if r3.TraceHash == r1.TraceHash {
 				t.Errorf("seed change did not change the trace")
+			}
+			if want := goldenHashes[proto][7]; r3.TraceHash != want {
+				t.Errorf("seed 7: trace hash %x, pinned %x: wire traffic changed", r3.TraceHash, want)
 			}
 		})
 	}

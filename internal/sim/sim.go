@@ -219,8 +219,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.Server = p2p.NewIndexServerOn(sep, index.NewStore(index.WithMetrics(reg)))
-		c.Server.SetCodec(cdc)
-		c.Server.SetTracer(c.nodeTracer("server"))
+		c.wire(c.Server)
 	case Gnutella, DHT:
 		// Peers carry the whole overlay; nothing global to set up.
 	case FastTrack:
@@ -237,9 +236,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			sp := p2p.NewSuperPeer(ep)
-			sp.SetCodec(cdc)
-			sp.SetClock(clk)
-			sp.SetTracer(c.nodeTracer(ep.ID()))
+			c.wire(sp)
 			c.supers = append(c.supers, sp)
 			c.superAlive = append(c.superAlive, true)
 		}
@@ -288,17 +285,11 @@ func (c *Cluster) newPeer() (int, error) {
 	switch c.cfg.Protocol {
 	case Centralized:
 		client := p2p.NewCentralizedClient(ep, "server", st)
-		client.SetCodec(c.cdc)
-		client.SetClock(c.clock)
-		client.SetMetrics(c.reg)
-		client.SetTracer(c.nodeTracer(ep.ID()))
+		c.wire(client)
 		netw = client
 	case Gnutella:
 		node := p2p.NewGnutellaNode(ep, st)
-		node.SetCodec(c.cdc)
-		node.SetClock(c.clock)
-		node.SetMetrics(c.reg)
-		node.SetTracer(c.nodeTracer(ep.ID()))
+		c.wire(node)
 		c.nodes = append(c.nodes, node)
 		netw = node
 	case DHT:
@@ -312,10 +303,7 @@ func (c *Cluster) newPeer() (int, error) {
 			MaxRecordsPerKey: c.cfg.DHTMaxRecordsPerKey,
 			RepublishAlways:  c.cfg.DHTRepublishAlways,
 		})
-		node.SetCodec(c.cdc)
-		node.SetClock(c.clock)
-		node.SetMetrics(c.reg)
-		node.SetTracer(c.nodeTracer(ep.ID()))
+		c.wire(node)
 		c.dhts = append(c.dhts, node)
 		netw = node
 	case FastTrack:
@@ -332,10 +320,7 @@ func (c *Cluster) newPeer() (int, error) {
 			superIdx = live[c.rng.Intn(len(live))]
 		}
 		leaf := p2p.NewFastTrackLeaf(ep, c.supers[superIdx].PeerID(), st)
-		leaf.SetCodec(c.cdc)
-		leaf.SetClock(c.clock)
-		leaf.SetMetrics(c.reg)
-		leaf.SetTracer(c.nodeTracer(ep.ID()))
+		c.wire(leaf)
 		c.leafSuper = append(c.leafSuper, superIdx)
 		netw = leaf
 	default:
@@ -411,6 +396,26 @@ func (c *Cluster) LivePeers() []int {
 
 // Clock returns the clock the cluster's protocol layers run on.
 func (c *Cluster) Clock() dsim.Clock { return c.clock }
+
+// node is the wiring surface every node kind gets from the p2p.Peer it
+// embeds.
+type node interface {
+	PeerID() transport.PeerID
+	SetCodec(codec.Codec)
+	SetClock(dsim.Clock)
+	SetMetrics(*metrics.Registry)
+	SetTracer(*trace.Tracer)
+}
+
+// wire points a freshly built node at the cluster's codec, clock,
+// registry and (when tracing is on) its own span recorder — before the
+// node sees traffic, as p2p.Peer asks.
+func (c *Cluster) wire(n node) {
+	n.SetCodec(c.cdc)
+	n.SetClock(c.clock)
+	n.SetMetrics(c.reg)
+	n.SetTracer(c.nodeTracer(n.PeerID()))
+}
 
 // nodeTracer mints one node's span recorder and attaches it to the
 // cluster collector; nil (tracing disabled) when TraceSample is 0.
@@ -698,7 +703,7 @@ func (c *Cluster) KillPeer(i int) {
 
 // RefreshDHT runs one maintenance round on every live DHT peer, in
 // index order: liveness-check-driven bucket repair plus republication
-// of all locally held documents (p2p.ReannounceLocal over the STORE
+// of all locally held documents (p2p.Peer.Reannounce over the STORE
 // path). It is the DHT's rehome-equivalent, paced by the caller's
 // schedule like FastTrack's RehomeOrphans. Returns how many peers
 // refreshed.

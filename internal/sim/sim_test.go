@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/dht"
 	"repro/internal/p2p"
 	"repro/internal/query"
 )
@@ -16,6 +17,17 @@ func spec() core.CommunitySpec {
 		SchemaSrc: corpus.PatternSchemaSrc,
 	}
 }
+
+// Every node kind — servent-side and server-side, in p2p and in dht —
+// offers the one wiring surface Cluster.wire uses.
+var (
+	_ node = (*p2p.CentralizedClient)(nil)
+	_ node = (*p2p.FastTrackLeaf)(nil)
+	_ node = (*p2p.GnutellaNode)(nil)
+	_ node = (*p2p.SuperPeer)(nil)
+	_ node = (*p2p.IndexServer)(nil)
+	_ node = (*dht.Node)(nil)
+)
 
 func TestCentralizedClusterEndToEnd(t *testing.T) {
 	c, err := NewCluster(Config{Peers: 5, Protocol: Centralized, Seed: 1})
