@@ -26,7 +26,7 @@ import (
 // attributes, render the view.
 func BenchmarkF1ObjectPipeline(b *testing.B) {
 	schema := xsd.MustParseString(corpus.PatternSchemaSrc)
-	ix, err := stylegen.NewIndexer(schema)
+	ix, err := stylegen.NewIndexer(schema, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkF1ObjectPipeline(b *testing.B) {
 // through the default create stylesheet to an HTML form.
 func BenchmarkF2FormGeneration(b *testing.B) {
 	schema := xsd.MustParseString(corpus.PatternSchemaSrc)
-	sheet := stylegen.Defaults().Create
+	sheet := stylegen.DefaultCreate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sheet.Apply(schema.Doc()); err != nil {
@@ -103,7 +103,7 @@ func BenchmarkE1CommunityDiscovery(b *testing.B) {
 // the indexed 115-pattern corpus.
 func BenchmarkE2MetadataRecall(b *testing.B) {
 	schema := xsd.MustParseString(corpus.PatternSchemaSrc)
-	ix, err := stylegen.NewIndexer(schema)
+	ix, err := stylegen.NewIndexer(schema, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func BenchmarkE3ProtocolCost(b *testing.B) {
 // the per-object cost that the searchable-field marking bounds.
 func BenchmarkE4IndexSelectivity(b *testing.B) {
 	schema := xsd.MustParseString(corpus.PatternSchemaSrc)
-	ix, err := stylegen.NewIndexer(schema)
+	ix, err := stylegen.NewIndexer(schema, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func BenchmarkE5Replication(b *testing.B) {
 // schema validation + indexing + publish into a local store.
 func BenchmarkE6PipelineThroughput(b *testing.B) {
 	schema := xsd.MustParseString(corpus.PatternSchemaSrc)
-	ix, err := stylegen.NewIndexer(schema)
+	ix, err := stylegen.NewIndexer(schema, "")
 	if err != nil {
 		b.Fatal(err)
 	}

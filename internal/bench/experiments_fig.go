@@ -8,7 +8,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/stylegen"
 	"repro/internal/xmldoc"
-	"repro/internal/xsd"
 )
 
 // RunF1 reproduces Fig. 1 (the shared object model) as an executable
@@ -24,22 +23,23 @@ func RunF1() (Table, error) {
 			"every stage is driven by the community schema, none by hand-written per-community code",
 		},
 	}
-	schema, err := xsd.ParseString(corpus.PatternSchemaSrc)
+	comm, err := core.NewCommunity(core.CommunitySpec{Name: "patterns", SchemaSrc: corpus.PatternSchemaSrc})
 	if err != nil {
 		return t, err
 	}
+	schema := comm.Schema
 	add := func(stage, artifact string, size int) {
 		t.Rows = append(t.Rows, []string{stage, artifact, fmt.Sprintf("%d", size), "ok"})
 	}
 	add("parse schema", "xsd.Schema (pattern community)", len(corpus.PatternSchemaSrc))
 
-	createHTML, err := stylegen.CreateFormHTML(schema)
+	createHTML, err := comm.CreateFormHTML()
 	if err != nil {
 		return t, err
 	}
 	add("create stylesheet", "HTML create form", len(createHTML))
 
-	searchHTML, err := stylegen.SearchFormHTML(schema)
+	searchHTML, err := comm.SearchFormHTML()
 	if err != nil {
 		return t, err
 	}
@@ -62,17 +62,14 @@ func RunF1() (Table, error) {
 	}
 	add("schema validation", "0 violations", 0)
 
-	ix, err := stylegen.NewIndexer(schema)
+	attrs, err := comm.Extract(obj)
 	if err != nil {
 		return t, err
 	}
-	attrs, err := ix.Extract(obj)
-	if err != nil {
-		return t, err
-	}
+	ix, _ := comm.Indexer()
 	add("indexing stylesheet", fmt.Sprintf("%d indexed attributes", len(attrs)), len(ix.Source()))
 
-	viewHTML, err := stylegen.ViewHTML(obj)
+	viewHTML, err := comm.View(obj)
 	if err != nil {
 		return t, err
 	}
@@ -109,21 +106,20 @@ func RunF2() (Table, error) {
 		{"species", corpus.SpeciesSchemaSrc},
 	}
 	for _, sc := range schemas {
-		var schema *xsd.Schema
-		if sc.src == "" {
-			schema = core.RootCommunity().Schema
-		} else {
+		comm := core.RootCommunity()
+		if sc.src != "" {
 			var err error
-			schema, err = xsd.ParseString(sc.src)
+			comm, err = core.NewCommunity(core.CommunitySpec{Name: sc.name, SchemaSrc: sc.src})
 			if err != nil {
 				return t, fmt.Errorf("%s: %w", sc.name, err)
 			}
 		}
-		create, err := stylegen.CreateFormHTML(schema)
+		schema := comm.Schema
+		create, err := comm.CreateFormHTML()
 		if err != nil {
 			return t, fmt.Errorf("%s create: %w", sc.name, err)
 		}
-		search, err := stylegen.SearchFormHTML(schema)
+		search, err := comm.SearchFormHTML()
 		if err != nil {
 			return t, fmt.Errorf("%s search: %w", sc.name, err)
 		}

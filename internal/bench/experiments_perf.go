@@ -11,7 +11,6 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/sim"
-	"repro/internal/stylegen"
 	"repro/internal/xsd"
 )
 
@@ -23,21 +22,17 @@ func RunE6() (Table, error) {
 		Title:   "Generative pipeline throughput (pattern community)",
 		Headers: []string{"operation", "iterations", "us/op", "ops/sec"},
 	}
-	schema, err := xsd.ParseString(corpus.PatternSchemaSrc)
+	comm, err := core.NewCommunity(core.CommunitySpec{Name: "patterns", SchemaSrc: corpus.PatternSchemaSrc})
 	if err != nil {
 		return t, err
 	}
+	schema := comm.Schema
 	obj := corpus.DesignPatterns(1, 1).Objects[0].Doc
-	ix, err := stylegen.NewIndexer(schema)
-	if err != nil {
-		return t, err
-	}
 	filter := query.MustParse("(&(classification=behavioral)(keywords=notification))")
-	attrs, err := ix.Extract(obj)
+	attrs, err := comm.Extract(obj)
 	if err != nil {
 		return t, err
 	}
-	styles := stylegen.Defaults()
 
 	measure := func(name string, iters int, fn func() error) error {
 		start := time.Now()
@@ -70,19 +65,19 @@ func RunE6() (Table, error) {
 		return t, err
 	}
 	if err := measure("generate create form", 2000, func() error {
-		_, err := styles.Create.Apply(schema.Doc())
+		_, err := comm.CreateFormHTML()
 		return err
 	}); err != nil {
 		return t, err
 	}
 	if err := measure("render object view", 2000, func() error {
-		_, err := styles.View.Apply(obj)
+		_, err := comm.View(obj)
 		return err
 	}); err != nil {
 		return t, err
 	}
 	if err := measure("indexing transform", 5000, func() error {
-		_, err := ix.Extract(obj)
+		_, err := comm.Extract(obj)
 		return err
 	}); err != nil {
 		return t, err

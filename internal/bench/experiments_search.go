@@ -11,9 +11,7 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/sim"
-	"repro/internal/stylegen"
 	"repro/internal/xmldoc"
-	"repro/internal/xsd"
 )
 
 // RunE1 measures community discovery through the root community: the
@@ -143,17 +141,13 @@ func RunE2() (Table, error) {
 		},
 	}
 	c := corpus.DesignPatterns(115, 21)
-	schema, err := xsd.ParseString(c.SchemaSrc)
-	if err != nil {
-		return t, err
-	}
-	ix, err := stylegen.NewIndexer(schema)
+	comm, err := core.NewCommunity(core.CommunitySpec{Name: "patterns", SchemaSrc: c.SchemaSrc})
 	if err != nil {
 		return t, err
 	}
 	store := index.NewStore()
 	for i, o := range c.Objects {
-		attrs, err := ix.Extract(o.Doc)
+		attrs, err := comm.Extract(o.Doc)
 		if err != nil {
 			return t, err
 		}
@@ -305,17 +299,13 @@ func RunE4() (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		schema, err := xsd.ParseString(schemaSrc)
-		if err != nil {
-			return t, err
-		}
-		ix, err := stylegen.NewIndexer(schema)
+		comm, err := core.NewCommunity(core.CommunitySpec{Name: "patterns", SchemaSrc: schemaSrc})
 		if err != nil {
 			return t, err
 		}
 		store := index.NewStore()
 		for i, o := range c.Objects {
-			attrs, err := ix.Extract(o.Doc)
+			attrs, err := comm.Extract(o.Doc)
 			if err != nil {
 				return t, err
 			}

@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
+	"repro/internal/query"
 	"repro/internal/stylegen"
 	"repro/internal/xmldoc"
 	"repro/internal/xsd"
@@ -60,8 +62,13 @@ const rootSchemaSrc = `<?xml version="1.0"?>
 </schema>`
 
 // Community is a resource-sharing community: the object class it
-// shares (the schema) plus its presentation stylesheets and the
-// descriptive attributes of Fig. 3.
+// shares (the schema), its presentation stylesheets, the descriptive
+// attributes of Fig. 3, and the compiled form of all of it. A
+// Community is immutable once constructed — treat the exported fields
+// as read-only — so one value is safe for concurrent use and may be
+// joined by any number of servents (RootCommunity is shared by all of
+// them). Only NewCommunity, UnmarshalCommunity and RootCommunity make
+// one; a struct literal has no pipeline and AdoptCommunity refuses it.
 type Community struct {
 	// ID is derived from the community's content hash, so the same
 	// community created on two peers coincides.
@@ -84,6 +91,11 @@ type Community struct {
 	// IndexStyleSrc optionally overrides the generated indexing
 	// transform (§V: the community designer controls indexing).
 	IndexStyleSrc string
+
+	// The compiled pipeline: a custom source compiled at construction,
+	// or the process-wide built-in where the source is empty.
+	indexer                 *stylegen.Indexer
+	display, create, search *xslt.Stylesheet
 }
 
 // Errors from community handling.
@@ -109,7 +121,12 @@ type CommunitySpec struct {
 	IndexStyleSrc   string
 }
 
-// NewCommunity validates a spec and constructs the Community.
+// NewCommunity validates a spec and constructs the Community,
+// compiling its pipeline. Everything that can be wrong with a
+// community's sources is reported here: an unparseable schema, a
+// schema with no root element to index, a custom stylesheet that is
+// not XSLT. A Community that exists renders and indexes without
+// compile errors.
 func NewCommunity(spec CommunitySpec) (*Community, error) {
 	if strings.TrimSpace(spec.Name) == "" {
 		return nil, ErrNoName
@@ -117,17 +134,24 @@ func NewCommunity(spec CommunitySpec) (*Community, error) {
 	if strings.TrimSpace(spec.SchemaSrc) == "" {
 		return nil, ErrNoSchema
 	}
+	c, err := compile(spec)
+	if err != nil {
+		return nil, err
+	}
+	// The ID hashes the identity-bearing parts, so the same community
+	// created on two peers coincides.
+	sum := sha256.Sum256([]byte(c.Name + "\x00" + c.SchemaSrc))
+	c.ID = "c-" + hex.EncodeToString(sum[:8])
+	return c, nil
+}
+
+// compile parses the spec's schema and compiles its four stylesheets;
+// with sheet, the one place a community's sources meet the XSLT
+// compiler.
+func compile(spec CommunitySpec) (*Community, error) {
 	schema, err := xsd.ParseString(spec.SchemaSrc)
 	if err != nil {
 		return nil, fmt.Errorf("core: community schema: %w", err)
-	}
-	for _, src := range []string{spec.DisplayStyleSrc, spec.CreateStyleSrc, spec.SearchStyleSrc, spec.IndexStyleSrc} {
-		if src == "" {
-			continue
-		}
-		if _, err := xslt.CompileString(src); err != nil {
-			return nil, fmt.Errorf("core: community stylesheet: %w", err)
-		}
 	}
 	c := &Community{
 		Name:            spec.Name,
@@ -143,32 +167,55 @@ func NewCommunity(spec CommunitySpec) (*Community, error) {
 		SearchStyleSrc:  spec.SearchStyleSrc,
 		IndexStyleSrc:   spec.IndexStyleSrc,
 	}
-	c.ID = communityID(c)
+	if c.indexer, err = stylegen.NewIndexer(schema, spec.IndexStyleSrc); err != nil {
+		return nil, fmt.Errorf("core: community %q: %w", spec.Name, err)
+	}
+	if c.display, err = sheet(spec.DisplayStyleSrc, stylegen.DefaultView()); err != nil {
+		return nil, err
+	}
+	if c.create, err = sheet(spec.CreateStyleSrc, stylegen.DefaultCreate()); err != nil {
+		return nil, err
+	}
+	if c.search, err = sheet(spec.SearchStyleSrc, stylegen.DefaultSearch()); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// communityID hashes the identity-bearing parts of a community.
-func communityID(c *Community) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s", c.Name, c.SchemaSrc)
-	return "c-" + hex.EncodeToString(h.Sum(nil))[:16]
+// sheet compiles a community's custom stylesheet, or returns the
+// shared built-in when the community has none.
+func sheet(custom string, builtin *xslt.Stylesheet) (*xslt.Stylesheet, error) {
+	if custom == "" {
+		return builtin, nil
+	}
+	s, err := xslt.CompileString(custom)
+	if err != nil {
+		return nil, fmt.Errorf("core: community stylesheet: %w", err)
+	}
+	return s, nil
 }
 
-// RootCommunity constructs the compiled-in bootstrap community.
-func RootCommunity() *Community {
-	c := &Community{
-		ID:          RootCommunityID,
+// rootCommunity is the compiled-in bootstrap community. Its sources
+// are constants, so failing to compile them is a bug.
+var rootCommunity = sync.OnceValue(func() *Community {
+	c, err := compile(CommunitySpec{
 		Name:        "Community-sharing community",
 		Description: "The root community: shares Community objects so that communities themselves can be discovered (U-P2P bootstrap).",
 		Keywords:    "community discovery bootstrap root metaclass",
 		Category:    "meta",
 		Security:    "open",
-		Protocol:    "",
 		SchemaSrc:   rootSchemaSrc,
-		Schema:      xsd.MustParseString(rootSchemaSrc),
+	})
+	if err != nil {
+		panic(err)
 	}
+	c.ID = RootCommunityID
 	return c
-}
+})
+
+// RootCommunity returns the bootstrap community: one instance, shared
+// by every servent in the process.
+func RootCommunity() *Community { return rootCommunity() }
 
 // Attachment URI layout: communities carry their schema and
 // stylesheets as attachments, downloaded when the community object is
@@ -228,17 +275,18 @@ func (c *Community) Marshal() (*xmldoc.Node, map[string][]byte) {
 }
 
 // UnmarshalCommunity reconstructs a Community from its shared object
-// and downloaded attachments. Custom stylesheets are recognised by
-// their attachment names; absent ones fall back to defaults.
+// and downloaded attachments: the object's schema, displaystyle,
+// createstyle and searchstyle fields name their attachments, and a
+// stylesheet that is absent or is the built-in text falls back to the
+// built-in. The object comes from a stranger; it is refused with
+// NewCommunity's errors unless every source in it compiles.
 func UnmarshalCommunity(doc *xmldoc.Node, attachments map[string][]byte) (*Community, error) {
 	if doc == nil || doc.LocalName() != "community" {
 		return nil, errors.New("core: not a community object")
 	}
-	get := func(field string) []byte {
-		uri := doc.ChildText(field)
-		return attachments[uri]
-	}
-	schemaSrc := get("schema")
+	get := func(field string) []byte { return attachments[doc.ChildText(field)] }
+	schemaURI := doc.ChildText("schema")
+	schemaSrc := attachments[schemaURI]
 	if len(schemaSrc) == 0 {
 		return nil, fmt.Errorf("core: community %q: schema attachment missing", doc.ChildText("name"))
 	}
@@ -261,61 +309,34 @@ func UnmarshalCommunity(doc *xmldoc.Node, attachments map[string][]byte) (*Commu
 	if src := get("searchstyle"); len(src) > 0 && string(src) != defSearch {
 		spec.SearchStyleSrc = string(src)
 	}
-	// Optional custom indexing stylesheet travels under a conventional
-	// attachment name.
-	for uri, content := range attachments {
-		if strings.HasSuffix(uri, "/"+attachIndex) {
-			spec.IndexStyleSrc = string(content)
-		}
+	// An optional custom indexing stylesheet travels as index.xsl beside
+	// the object's own schema.xsd — that URI and no other, so a stranger
+	// cannot steer indexing with a second attachment of the same name.
+	if prefix, ok := strings.CutSuffix(schemaURI, "/"+attachSchema); ok {
+		spec.IndexStyleSrc = string(attachments[prefix+"/"+attachIndex])
 	}
 	return NewCommunity(spec)
 }
 
-// Indexer builds the community's attribute extractor: the custom
-// indexing stylesheet when provided, else one generated from the
-// schema's searchable fields.
-func (c *Community) Indexer() (*stylegen.Indexer, error) {
-	if c.IndexStyleSrc != "" {
-		return stylegen.NewIndexerFromSource(c.IndexStyleSrc)
-	}
-	return stylegen.NewIndexer(c.Schema)
-}
+// Indexer returns the community's attribute extractor. The error is
+// vestigial and always nil: the indexer is compiled at construction.
+// It stays until the benchmark package, which reads it, can drop it.
+func (c *Community) Indexer() (*stylegen.Indexer, error) { return c.indexer, nil }
 
-// ViewStylesheet returns the compiled display stylesheet (custom or
-// default).
-func (c *Community) ViewStylesheet() (*xslt.Stylesheet, error) {
-	if c.DisplayStyleSrc == "" {
-		return stylegen.Defaults().View, nil
-	}
-	return xslt.CompileString(c.DisplayStyleSrc)
-}
+// Extract runs the community's indexing transform over an object: the
+// custom indexing stylesheet when provided, else the one generated
+// from the schema's searchable fields.
+func (c *Community) Extract(obj *xmldoc.Node) (query.Attrs, error) { return c.indexer.Extract(obj) }
 
-// CreateFormHTML renders the community's create form using its
-// create stylesheet (custom or default) applied to its schema.
-func (c *Community) CreateFormHTML() (string, error) {
-	sheet := stylegen.Defaults().Create
-	if c.CreateStyleSrc != "" {
-		var err error
-		sheet, err = xslt.CompileString(c.CreateStyleSrc)
-		if err != nil {
-			return "", err
-		}
-	}
-	return sheet.Apply(c.Schema.Doc())
-}
+// View renders an object with the community's display stylesheet.
+func (c *Community) View(obj *xmldoc.Node) (string, error) { return c.display.Apply(obj) }
+
+// CreateFormHTML renders the community's create form: its create
+// stylesheet applied to its schema.
+func (c *Community) CreateFormHTML() (string, error) { return c.create.Apply(c.Schema.Doc()) }
 
 // SearchFormHTML renders the community's search form.
-func (c *Community) SearchFormHTML() (string, error) {
-	sheet := stylegen.Defaults().Search
-	if c.SearchStyleSrc != "" {
-		var err error
-		sheet, err = xslt.CompileString(c.SearchStyleSrc)
-		if err != nil {
-			return "", err
-		}
-	}
-	return sheet.Apply(c.Schema.Doc())
-}
+func (c *Community) SearchFormHTML() (string, error) { return c.search.Apply(c.Schema.Doc()) }
 
 // String implements fmt.Stringer.
 func (c *Community) String() string {

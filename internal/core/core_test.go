@@ -34,7 +34,7 @@ type fixture struct {
 	servents []*Servent
 }
 
-func newFixture(t *testing.T, n int) *fixture {
+func newFixture(t testing.TB, n int) *fixture {
 	t.Helper()
 	net := transport.NewMemNetwork()
 	sep, err := net.Endpoint("server")
@@ -488,13 +488,46 @@ func TestCommunityValidation(t *testing.T) {
 	}
 }
 
+// TestUnmarshalCommunityErrors feeds hostile community objects — the
+// kind a stranger can publish into the root community — through
+// UnmarshalCommunity and through a join: each is refused at
+// construction and nothing is installed.
 func TestUnmarshalCommunityErrors(t *testing.T) {
-	if _, err := UnmarshalCommunity(xmldoc.MustParse("<other/>"), nil); err == nil {
-		t.Error("non-community unmarshalled")
+	good, attachments := mustCommunity(t, CommunitySpec{Name: "x", SchemaSrc: songSchema}).Marshal()
+	with := func(name, content string) map[string][]byte {
+		out := map[string][]byte{}
+		for uri, data := range attachments {
+			out[uri] = data
+		}
+		out[good.ChildText(name)] = []byte(content)
+		return out
 	}
-	obj := xmldoc.MustParse(`<community><name>x</name><schema>up2p://x/schema.xsd</schema></community>`)
-	if _, err := UnmarshalCommunity(obj, map[string][]byte{}); err == nil {
-		t.Error("missing schema attachment accepted")
+	sv := newFixture(t, 1).servents[0]
+	for _, tc := range []struct {
+		name        string
+		obj         *xmldoc.Node
+		attachments map[string][]byte
+	}{
+		{"wrong root element", xmldoc.MustParse("<other/>"), nil},
+		{"missing schema attachment", good, map[string][]byte{}},
+		{"displaystyle that is not XSLT", good, with("displaystyle", "<html><body/></html>")},
+		{"createstyle that is not XML", good, with("createstyle", "<junk")},
+		{"schema without a root element", good, with("schema", `<schema xmlns="http://www.w3.org/2001/XMLSchema"><simpleType name="t"><restriction base="string"/></simpleType></schema>`)},
+	} {
+		if c, err := UnmarshalCommunity(tc.obj, tc.attachments); err == nil {
+			t.Errorf("%s: unmarshalled %v", tc.name, c)
+		}
+		doc := &index.Document{ID: "d-hostile", CommunityID: RootCommunityID, XML: tc.obj.String()}
+		for uri, data := range tc.attachments {
+			doc.Attachments = append(doc.Attachments, uri)
+			sv.attachments[uri] = data
+		}
+		if c, err := sv.JoinFromDocument(doc); err == nil {
+			t.Errorf("%s: joined %v", tc.name, c)
+		}
+		if joined := sv.Joined(); len(joined) != 1 {
+			t.Errorf("%s: installed %v", tc.name, joined)
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/stylegen"
 )
 
 // serventState is the serialized servent: joined communities (by their
@@ -80,11 +78,7 @@ func (s *Servent) LoadState(r io.Reader) error {
 	if st.Version != stateVersion {
 		return fmt.Errorf("core: load state: unsupported version %d", st.Version)
 	}
-	type stagedCommunity struct {
-		c  *Community
-		ix *stylegen.Indexer
-	}
-	staged := make([]stagedCommunity, 0, len(st.Communities))
+	staged := make([]*Community, 0, len(st.Communities))
 	for i, spec := range st.Communities {
 		c, err := NewCommunity(spec)
 		if err != nil {
@@ -94,16 +88,11 @@ func (s *Servent) LoadState(r io.Reader) error {
 			return fmt.Errorf("core: load community %q: ID drift (%s -> %s)",
 				spec.Name, st.CommunityID[i], c.ID)
 		}
-		ix, err := c.Indexer()
-		if err != nil {
-			return fmt.Errorf("core: load community %q: %w", spec.Name, err)
-		}
-		staged = append(staged, stagedCommunity{c: c, ix: ix})
+		staged = append(staged, c)
 	}
 	s.mu.Lock()
-	for _, sc := range staged {
-		s.communities[sc.c.ID] = sc.c
-		s.indexers[sc.c.ID] = sc.ix
+	for _, c := range staged {
+		s.communities[c.ID] = c
 	}
 	for uri, data := range st.Attachments {
 		s.attachments[uri] = data

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/errs"
 	"repro/internal/index"
@@ -28,12 +29,13 @@ import (
 type Servent struct {
 	net   p2p.Network
 	store *index.Store
+	// Handles read on the search path are atomic loads, never s.mu (the
+	// lock Publish write-locks to file attachments).
+	tracer atomic.Pointer[trace.Tracer]
+	logger atomic.Pointer[slog.Logger]
 
 	mu          sync.RWMutex
-	tracer      *trace.Tracer
-	logger      *slog.Logger
 	communities map[string]*Community
-	indexers    map[string]*stylegen.Indexer
 	attachments map[string][]byte
 }
 
@@ -47,22 +49,22 @@ var (
 // NewServent creates a servent on the given network and joins the root
 // community. store must be the same Store the network layer was
 // constructed with: the servent writes published objects into it and
-// the network layer answers remote queries and fetches from it.
+// the network layer answers remote queries and fetches from it. The
+// error is always nil (the root community is compiled in and shared);
+// the signature stays for its callers.
 func NewServent(net p2p.Network, store *index.Store) (*Servent, error) {
 	s := &Servent{
 		net:         net,
 		store:       store,
-		communities: make(map[string]*Community),
-		indexers:    make(map[string]*stylegen.Indexer),
+		communities: map[string]*Community{RootCommunityID: RootCommunity()},
 		attachments: make(map[string][]byte),
 	}
+	s.logger.Store(discardLogger)
 	net.SetAttachmentProvider(s.attachment)
-	root := RootCommunity()
-	if err := s.install(root); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
+
+var discardLogger = slog.New(slog.DiscardHandler)
 
 // attachment implements p2p.AttachmentProvider.
 func (s *Servent) attachment(uri string) ([]byte, bool) {
@@ -72,52 +74,27 @@ func (s *Servent) attachment(uri string) ([]byte, bool) {
 	return data, ok
 }
 
-// install registers a community locally (schema, indexer) without
-// publishing anything.
-func (s *Servent) install(c *Community) error {
-	ix, err := c.Indexer()
-	if err != nil {
-		return fmt.Errorf("core: install %s: %w", c.Name, err)
-	}
+// install registers a community locally without publishing anything.
+func (s *Servent) install(c *Community) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.communities[c.ID] = c
-	s.indexers[c.ID] = ix
-	return nil
+	s.mu.Unlock()
 }
 
 // SetTracer installs a tracer: each Search that arrives without a
 // trace context becomes the root of a new (sampled) trace. A nil
 // tracer disables root creation; searches that already carry a
 // context pass it through unchanged either way.
-func (s *Servent) SetTracer(t *trace.Tracer) {
-	s.mu.Lock()
-	s.tracer = t
-	s.mu.Unlock()
-}
-
-func (s *Servent) tr() *trace.Tracer {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tracer
-}
+func (s *Servent) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 
 // SetLogger installs a structured logger for operational events
 // (failed searches, with their errs code and trace ID). The default
-// discards.
+// discards, and so does a nil logger.
 func (s *Servent) SetLogger(l *slog.Logger) {
-	s.mu.Lock()
-	s.logger = l
-	s.mu.Unlock()
-}
-
-func (s *Servent) log() *slog.Logger {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.logger == nil {
-		return slog.New(slog.DiscardHandler)
+	if l == nil {
+		l = discardLogger
 	}
-	return s.logger
+	s.logger.Store(l)
 }
 
 // PeerID returns the servent's network identity.
@@ -175,7 +152,6 @@ func DocIDFor(communityID string, obj *xmldoc.Node) index.DocID {
 func (s *Servent) Publish(communityID string, obj *xmldoc.Node, attachments map[string][]byte) (index.DocID, error) {
 	s.mu.RLock()
 	c, joined := s.communities[communityID]
-	ix := s.indexers[communityID]
 	s.mu.RUnlock()
 	if !joined {
 		return "", fmt.Errorf("%w: %s", ErrNotJoined, communityID)
@@ -183,7 +159,7 @@ func (s *Servent) Publish(communityID string, obj *xmldoc.Node, attachments map[
 	if err := c.Schema.Validate(obj); err != nil {
 		return "", fmt.Errorf("core: publish: %w", err)
 	}
-	attrs, err := ix.Extract(obj)
+	attrs, err := c.Extract(obj)
 	if err != nil {
 		return "", fmt.Errorf("core: publish: %w", err)
 	}
@@ -220,7 +196,6 @@ func (s *Servent) Publish(communityID string, obj *xmldoc.Node, attachments map[
 func (s *Servent) PublishBatch(communityID string, objs []*xmldoc.Node) ([]index.DocID, error) {
 	s.mu.RLock()
 	c, joined := s.communities[communityID]
-	ix := s.indexers[communityID]
 	s.mu.RUnlock()
 	if !joined {
 		return nil, fmt.Errorf("%w: %s", ErrNotJoined, communityID)
@@ -231,7 +206,7 @@ func (s *Servent) PublishBatch(communityID string, objs []*xmldoc.Node) ([]index
 		if err := c.Schema.Validate(obj); err != nil {
 			return nil, fmt.Errorf("core: publish batch object %d: %w", i, err)
 		}
-		attrs, err := ix.Extract(obj)
+		attrs, err := c.Extract(obj)
 		if err != nil {
 			return nil, fmt.Errorf("core: publish batch object %d: %w", i, err)
 		}
@@ -308,7 +283,7 @@ func (s *Servent) Search(communityID string, f query.Filter, opts p2p.SearchOpti
 	}
 	var sp trace.ActiveSpan
 	if !opts.Trace.Valid() {
-		sp = s.tr().Root("query")
+		sp = s.tracer.Load().Root("query")
 		sp.SetCommunity(communityID)
 		opts.Trace = sp.ContextOr(opts.Trace)
 	}
@@ -316,7 +291,7 @@ func (s *Servent) Search(communityID string, f query.Filter, opts p2p.SearchOpti
 	sp.SetErr(err)
 	sp.Finish()
 	if err != nil {
-		s.log().Warn("search failed",
+		s.logger.Load().Warn("search failed",
 			"community", communityID,
 			"code", errs.Code(err),
 			"trace_id", fmt.Sprintf("%016x", opts.Trace.Trace),
@@ -415,11 +390,7 @@ func (s *Servent) View(id index.DocID) (string, error) {
 		// the default stylesheet.
 		return stylegen.ViewHTML(obj)
 	}
-	sheet, err := c.ViewStylesheet()
-	if err != nil {
-		return "", err
-	}
-	return sheet.Apply(obj)
+	return c.View(obj)
 }
 
 // --- community lifecycle ---
@@ -435,9 +406,7 @@ func (s *Servent) CreateCommunity(spec CommunitySpec) (*Community, error) {
 	if _, err := s.Publish(RootCommunityID, obj, attachments); err != nil {
 		return nil, err
 	}
-	if err := s.install(c); err != nil {
-		return nil, err
-	}
+	s.install(c)
 	return c, nil
 }
 
@@ -447,10 +416,11 @@ func (s *Servent) CreateCommunity(spec CommunitySpec) (*Community, error) {
 // through other channels), where per-peer discovery floods would
 // dominate the workload being measured.
 func (s *Servent) AdoptCommunity(c *Community) error {
-	if c == nil {
+	if c == nil || c.indexer == nil {
 		return ErrNotCommunity
 	}
-	return s.install(c)
+	s.install(c)
+	return nil
 }
 
 // DiscoverCommunities searches the root community: the paper's
@@ -495,9 +465,7 @@ func (s *Servent) JoinFromDocument(doc *index.Document) (*Community, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.install(c); err != nil {
-		return nil, err
-	}
+	s.install(c)
 	return c, nil
 }
 
@@ -513,7 +481,6 @@ func (s *Servent) Leave(communityID string) error {
 		return fmt.Errorf("%w: %s", ErrNotJoined, communityID)
 	}
 	delete(s.communities, communityID)
-	delete(s.indexers, communityID)
 	return nil
 }
 

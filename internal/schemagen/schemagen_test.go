@@ -92,11 +92,7 @@ func TestGeneratedSchemaDrivesWholePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build object: %v", err)
 	}
-	ix, err := c.Indexer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	attrs, err := ix.Extract(obj)
+	attrs, err := c.Extract(obj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,11 @@
 // web-based application. Any browser can be used to interface to a
 // U-P2P servent." It wraps a core.Servent with HTTP handlers for the
 // three functions (create, search, view) plus community discovery and
-// join — the pages the JSP prototype served, regenerated from each
-// community's schema on every request.
+// join — the pages the JSP prototype served. Forms and views are
+// rendered per request by applying stylesheets that were compiled when
+// the community was joined (core.Community); no handler but
+// /newcommunity and /join, which construct a community, compiles
+// anything.
 package servent
 
 import (

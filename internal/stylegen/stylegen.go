@@ -11,6 +11,7 @@ package stylegen
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/query"
 	"repro/internal/xmldoc"
@@ -140,24 +141,27 @@ const viewStylesheetSrc = `
   <xsl:template match="text()"/>
 </xsl:stylesheet>`
 
-// Styles bundles the three presentation stylesheets of a community
-// (Fig. 3's displaystyle/createstyle/searchstyle) plus the generated
-// indexing transform.
-type Styles struct {
-	Create *xslt.Stylesheet
-	Search *xslt.Stylesheet
-	View   *xslt.Stylesheet
-}
+// The built-in stylesheets, compiled on first use and shared by every
+// community that does not bring its own (a compiled stylesheet is
+// immutable, see xslt.Stylesheet). The sources are constants, so a
+// compile failure is a bug and panics.
+var (
+	defaultCreate = sync.OnceValue(func() *xslt.Stylesheet { return xslt.MustCompileString(createStylesheetSrc) })
+	defaultSearch = sync.OnceValue(func() *xslt.Stylesheet { return xslt.MustCompileString(searchStylesheetSrc) })
+	defaultView   = sync.OnceValue(func() *xslt.Stylesheet { return xslt.MustCompileString(viewStylesheetSrc) })
+)
 
-// Defaults returns freshly compiled default stylesheets. Compilation
-// of the built-in sources cannot fail; failures panic at startup.
-func Defaults() Styles {
-	return Styles{
-		Create: xslt.MustCompileString(createStylesheetSrc),
-		Search: xslt.MustCompileString(searchStylesheetSrc),
-		View:   xslt.MustCompileString(viewStylesheetSrc),
-	}
-}
+// DefaultCreate returns the built-in create stylesheet: applied to a
+// schema document it yields the HTML create form.
+func DefaultCreate() *xslt.Stylesheet { return defaultCreate() }
+
+// DefaultSearch returns the built-in search stylesheet: applied to a
+// schema document it yields the HTML search form.
+func DefaultSearch() *xslt.Stylesheet { return defaultSearch() }
+
+// DefaultView returns the built-in view stylesheet, which renders any
+// shared object.
+func DefaultView() *xslt.Stylesheet { return defaultView() }
 
 // DefaultSources returns the raw XSLT texts, for publishing alongside
 // a community object (communities share their stylesheets).
@@ -165,20 +169,9 @@ func DefaultSources() (create, search, view string) {
 	return createStylesheetSrc, searchStylesheetSrc, viewStylesheetSrc
 }
 
-// CreateFormHTML renders the create form for a schema using the
-// default create stylesheet.
-func CreateFormHTML(s *xsd.Schema) (string, error) {
-	return Defaults().Create.Apply(s.Doc())
-}
-
-// SearchFormHTML renders the search form for a schema.
-func SearchFormHTML(s *xsd.Schema) (string, error) {
-	return Defaults().Search.Apply(s.Doc())
-}
-
 // ViewHTML renders an object with the default view stylesheet.
 func ViewHTML(obj *xmldoc.Node) (string, error) {
-	return Defaults().View.Apply(obj)
+	return defaultView().Apply(obj)
 }
 
 // GenerateIndexingStylesheet builds, from a schema, the "Indexed
@@ -207,28 +200,24 @@ func GenerateIndexingStylesheet(s *xsd.Schema) (string, error) {
 
 // Indexer extracts indexed attributes from objects of one community:
 // a compiled indexing stylesheet plus the plumbing to turn its output
-// into query.Attrs.
+// into query.Attrs. Like the stylesheet it holds, an Indexer is
+// immutable and safe for concurrent use.
 type Indexer struct {
 	sheet *xslt.Stylesheet
 	src   string
 }
 
-// NewIndexer compiles the generated indexing stylesheet for a schema.
-func NewIndexer(s *xsd.Schema) (*Indexer, error) {
-	src, err := GenerateIndexingStylesheet(s)
-	if err != nil {
-		return nil, err
+// NewIndexer compiles a community's indexing stylesheet: custom when
+// the designer supplied one (the §V case study does), else the one
+// generated from the schema's searchable fields.
+func NewIndexer(s *xsd.Schema, custom string) (*Indexer, error) {
+	src := custom
+	if src == "" {
+		var err error
+		if src, err = GenerateIndexingStylesheet(s); err != nil {
+			return nil, err
+		}
 	}
-	sheet, err := xslt.CompileString(src)
-	if err != nil {
-		return nil, fmt.Errorf("stylegen: compile indexing stylesheet: %w", err)
-	}
-	return &Indexer{sheet: sheet, src: src}, nil
-}
-
-// NewIndexerFromSource compiles a custom indexing stylesheet (the §V
-// case study supplies its own).
-func NewIndexerFromSource(src string) (*Indexer, error) {
 	sheet, err := xslt.CompileString(src)
 	if err != nil {
 		return nil, fmt.Errorf("stylegen: compile indexing stylesheet: %w", err)

@@ -49,7 +49,7 @@ func schema(t *testing.T) *xsd.Schema {
 
 func TestCreateFormGeneration(t *testing.T) {
 	s := schema(t)
-	html, err := CreateFormHTML(s)
+	html, err := DefaultCreate().Apply(s.Doc())
 	if err != nil {
 		t.Fatalf("create form: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestCreateFormGeneration(t *testing.T) {
 
 func TestSearchFormGeneration(t *testing.T) {
 	s := schema(t)
-	html, err := SearchFormHTML(s)
+	html, err := DefaultSearch().Apply(s.Doc())
 	if err != nil {
 		t.Fatalf("search form: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestGenerateIndexingStylesheet(t *testing.T) {
 
 func TestIndexerExtract(t *testing.T) {
 	s := schema(t)
-	ix, err := NewIndexer(s)
+	ix, err := NewIndexer(s, "")
 	if err != nil {
 		t.Fatalf("indexer: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestIndexerExtract(t *testing.T) {
 
 func TestIndexerSkipsEmptyValues(t *testing.T) {
 	s := schema(t)
-	ix, err := NewIndexer(s)
+	ix, err := NewIndexer(s, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestIndexerFromCustomSource(t *testing.T) {
 	    </attributes>
 	  </xsl:template>
 	</xsl:stylesheet>`
-	ix, err := NewIndexerFromSource(src)
+	ix, err := NewIndexer(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestIndexerFromCustomSource(t *testing.T) {
 	if ix.Source() != src {
 		t.Error("Source() mismatch")
 	}
-	if _, err := NewIndexerFromSource("<bogus/>"); err == nil {
+	if _, err := NewIndexer(nil, "<bogus/>"); err == nil {
 		t.Error("bad source compiled")
 	}
 }
@@ -342,7 +342,7 @@ func TestFormRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	ix, err := NewIndexer(s)
+	ix, err := NewIndexer(s, "")
 	if err != nil {
 		t.Fatal(err)
 	}

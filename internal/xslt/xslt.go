@@ -31,7 +31,12 @@ const maxDepth = 500
 // ErrTooDeep is returned when template recursion exceeds maxDepth.
 var ErrTooDeep = errors.New("xslt: template recursion too deep")
 
-// Stylesheet is a compiled, reusable transformation.
+// Stylesheet is a compiled, reusable transformation. It is immutable
+// once Compile returns: applying it builds all working state (variable
+// scopes, the result tree) per call and only reads the stylesheet and
+// the input document, so one Stylesheet may be applied from any number
+// of goroutines at once — U-P2P compiles a community's stylesheets
+// when the community is constructed and shares them process-wide.
 type Stylesheet struct {
 	templates []*template
 	named     map[string]*template
@@ -160,7 +165,7 @@ func (s *Stylesheet) OutputMethod() string { return s.output }
 
 // Apply transforms doc and returns the serialized result. The result
 // is the concatenation of top-level output: text, or markup when the
-// transform emits elements.
+// transform emits elements. Safe for concurrent use, see Stylesheet.
 func (s *Stylesheet) Apply(doc *xmldoc.Node) (string, error) {
 	nodes, err := s.ApplyNodes(doc)
 	if err != nil {
@@ -179,7 +184,9 @@ func (s *Stylesheet) Apply(doc *xmldoc.Node) (string, error) {
 
 // ApplyNodes transforms doc and returns the result tree's top-level
 // nodes, for callers that post-process output structurally (the
-// indexing transform).
+// indexing transform). The stylesheet and doc are only read, so
+// concurrent calls — on the same doc too — are safe; each returns a
+// result tree of its own.
 func (s *Stylesheet) ApplyNodes(doc *xmldoc.Node) ([]*xmldoc.Node, error) {
 	if doc == nil {
 		return nil, errors.New("xslt: nil input document")
