@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
+.PHONY: build test race fmt vet bench-smoke alloc-profile fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Compile-and-run every benchmark once so they cannot rot, plus
+# Compile-and-run every benchmark once so they cannot rot (the 24-node
+# BenchmarkDHTSearchCluster of internal/dht among them), plus
 # reduced-scale runs of E13 (the flooding-vs-DHT scaling comparison
 # must keep producing both columns) and E18 (the WAL overhead and
 # recovery measurements must keep completing).
@@ -35,16 +36,30 @@ bench-smoke:
 	$(GO) run ./cmd/up2pbench -run E13 -e13-max-peers 100
 	$(GO) run ./cmd/up2pbench -run E18 -wal-docs 40 -wal-recovery-batches 20,60
 
-# Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode
-# and FuzzTCPFrame on top of their seeds and the committed corpora
-# (testdata/fuzz in internal/dht, internal/p2p and internal/transport) —
-# no DHT or p2p frame decoder and no TCP connection reader may panic, or
-# allocate beyond a small multiple of its input, and the GUID a flood
-# relay peeks from a query or query-hit is the one a full decode reads.
+# Where one benchmark's allocations come from, by call site:
+# `make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster` runs it
+# with -memprofile (every allocation sampled) and prints the top of the
+# profile by objects allocated. The test binary and the profile stay in
+# a temporary directory.
+alloc-profile:
+	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster"; exit 2; }
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test $(PKG) -run '^$$' -bench '$(BENCH)' -benchtime 2000x -memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/pkg.test" && \
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
+
+# Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode,
+# FuzzTCPFrame and FuzzMatchEquivalence on top of their seeds and the
+# committed corpora (testdata/fuzz in internal/dht, internal/p2p,
+# internal/transport and internal/query) — no DHT or p2p frame decoder
+# and no TCP connection reader may panic, or allocate beyond a small
+# multiple of its input, the GUID a flood relay peeks from a query or
+# query-hit is the one a full decode reads, and Filter.Match answers
+# every filter and value as the matcher it replaced did.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzP2PFrameDecode -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical
 # message-trace hashes on repeated in-process runs (catches map-order

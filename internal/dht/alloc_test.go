@@ -1,0 +1,357 @@
+package dht
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/corpus"
+	"repro/internal/index"
+	"repro/internal/p2p"
+	"repro/internal/query"
+	"repro/internal/transport"
+)
+
+// patternDocs turns the design-pattern corpus into documents of
+// community "patterns" carrying the attributes the pattern schema marks
+// searchable — what a servent's indexer would extract.
+func patternDocs(n int) []*index.Document {
+	docs := make([]*index.Document, n)
+	for i, o := range corpus.DesignPatterns(n, 1).Objects {
+		attrs := query.Attrs{}
+		for _, field := range []string{"name", "classification", "intent", "keywords", "applicability", "participants"} {
+			for _, el := range o.Doc.ChildrenNamed(field) {
+				attrs.Add(field, strings.TrimSpace(el.Text()))
+			}
+		}
+		docs[i] = &index.Document{
+			ID:          index.DocID(fmt.Sprintf("sha1-%036d", i)),
+			CommunityID: "patterns",
+			Title:       attrs.Get("name"),
+			Attrs:       attrs,
+		}
+	}
+	return docs
+}
+
+func patternRecords(n int, provider transport.PeerID) []Record {
+	recs := make([]Record, n)
+	for i, d := range patternDocs(n) {
+		recs[i] = recordFor(d, provider)
+	}
+	return recs
+}
+
+// collected attaches a flag to the allocation s points into and returns
+// it: set once the garbage collector has freed that allocation.
+func collected(s string) *atomic.Bool {
+	freed := new(atomic.Bool)
+	runtime.AddCleanup(unsafe.StringData(s), func(f *atomic.Bool) { f.Store(true) }, freed)
+	return freed
+}
+
+// gcFrees runs one collection and reports whether every flag is set
+// soon after it: one, because sync.Pool lets go of what it holds only
+// over two, so what a pooled scratch still referenced would survive.
+func gcFrees(flags []*atomic.Bool) bool {
+	runtime.GC()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if !slices.ContainsFunc(flags, func(f *atomic.Bool) bool { return !f.Load() }) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFindValueReplyDecodeAllocs: a 64-record FIND_VALUE reply decodes
+// onto one shared string — what is left per record is its attribute
+// map, nothing per field or per value.
+func TestFindValueReplyDecodeAllocs(t *testing.T) {
+	recs := patternRecords(64, "peer007")
+	reply := findValueReplyPayload{ReqID: 9, Records: recs, Digest: setDigest{Count: 64, Sum: 1},
+		Peers: []transport.PeerID{"peer001", "peer002", "peer003", "peer004", "peer005", "peer006", "peer007", "peer008"}}
+	data := reply.AppendBinary(nil)
+	var got findValueReplyPayload
+	total := testing.AllocsPerRun(20, func() {
+		got = findValueReplyPayload{}
+		if err := got.DecodeBinary(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(got.Records) != 64 || len(got.Peers) != 8 || got.Records[63].Attrs.Get("name") != recs[63].Attrs.Get("name") {
+		t.Fatalf("decoded %d records, %d peers", len(got.Records), len(got.Peers))
+	}
+	values := 0
+	var sink query.Attrs
+	maps := testing.AllocsPerRun(20, func() {
+		values = 0
+		for i := range recs {
+			sink = make(query.Attrs, len(recs[i].Attrs))
+			for k, v := range recs[i].Attrs {
+				sink[k] = v
+				values += len(v)
+			}
+		}
+	})
+	// The shared string, the record and peer slices, and the value slab:
+	// a chunk per 64 values, less what each chunk's tail cannot fit.
+	rest, budget := total-maps, float64(3+values/48)
+	t.Logf("%v allocations, %v of them the 64 maps: %v for %d values in %d bytes (budget %v)", total, maps, rest, values, len(data), budget)
+	if rest > budget {
+		t.Errorf("decoding allocates %v beyond the per-record maps, want at most %v", rest, budget)
+	}
+}
+
+// TestStoreDecodeCopiesFields: a STORE's records go into the record
+// store for a TTL, so each field is its own copy — keeping one does not
+// keep its neighbours (or the frame) alive.
+func TestStoreDecodeCopiesFields(t *testing.T) {
+	store := storePayload{Key: KeyForCommunity("patterns"), Records: patternRecords(8, "peer007")}
+	data := store.AppendBinary(nil)
+	var kept []string
+	var flags []*atomic.Bool
+	func() {
+		var got storePayload
+		if err := got.DecodeBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range got.Records {
+			kept = append(kept, string(rec.DocID))
+			flags = append(flags, collected(rec.Attrs.Get("intent"))) // long: never the tiny allocator's
+		}
+	}()
+	if !gcFrees(flags) {
+		t.Error("a STORE record's intent outlived the record: its DocID shares the allocation")
+	}
+	runtime.KeepAlive(kept)
+}
+
+// TestFindValueReplySharesOneString is the other side: a reply's fields
+// are cut from one string, which lives as long as any of them.
+func TestFindValueReplySharesOneString(t *testing.T) {
+	reply := findValueReplyPayload{Records: patternRecords(8, "peer007"), Peers: []transport.PeerID{"peer001"}}
+	data := reply.AppendBinary(nil)
+	var kept transport.PeerID
+	var flags []*atomic.Bool
+	func() {
+		var got findValueReplyPayload
+		if err := got.DecodeBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		kept = got.Peers[0]
+		flags = append(flags, collected(got.Records[0].Attrs.Get("intent")))
+	}()
+	runtime.GC()
+	time.Sleep(20 * time.Millisecond)
+	if flags[0].Load() {
+		t.Error("the frame was freed while one of its peers was in use")
+	}
+	runtime.KeepAlive(kept)
+	if kept = ""; !gcFrees(flags) {
+		t.Error("the frame outlived everything cut from it")
+	}
+}
+
+// TestLearnedContactsOwnTheirPeerID: the peers a lookup takes from a
+// reply into its shortlist are copies, not slices of the reply's frame.
+func TestLearnedContactsOwnTheirPeerID(t *testing.T) {
+	frame := (&findNodeReplyPayload{ReqID: 3, Peers: []transport.PeerID{"peer001", "self", "peer002", "peer003"}}).AppendBinary(nil)
+	var reply findNodeReplyPayload
+	if err := reply.DecodeBinary(frame); err != nil {
+		t.Fatal(err)
+	}
+	sc := lookupScratchPool.Get().(*lookupScratch)
+	defer func() { clear(sc.known); lookupScratchPool.Put(sc) }()
+	sc.known["peer002"] = true
+	short := sc.learn(nil, reply.Peers, "self")
+	if len(short) != 2 || short[0].Peer != "peer001" || short[1].Peer != "peer003" {
+		t.Fatalf("learned %+v", short)
+	}
+	for _, c := range short {
+		for _, p := range reply.Peers {
+			if unsafe.StringData(string(c.Peer)) == unsafe.StringData(string(p)) {
+				t.Errorf("contact %s is a slice of the reply frame", c.Peer)
+			}
+		}
+		if c.ID != NodeIDFor(c.Peer) {
+			t.Errorf("contact %s carries the wrong ID", c.Peer)
+		}
+	}
+	if again := sc.learn(short, reply.Peers, "self"); len(again) != 2 {
+		t.Errorf("known peers were learned twice: %+v", again)
+	}
+}
+
+// TestSearchLeavesReplyFramesCollectable: once a search's results are
+// dropped, one collection frees every reply frame they were cut from —
+// no record store, routing table, announce memory, cached set on another
+// node or pooled lookup scratch holds a string of theirs.
+func TestSearchLeavesReplyFramesCollectable(t *testing.T) {
+	_, nodes := testNet(t, 32, Config{K: 4, Alpha: 2, CacheRecords: true})
+	for i, d := range patternDocs(48) {
+		if err := nodes[i%8].Publish(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := KeyForCommunity("patterns")
+	var searcher *Node
+	for _, nd := range nodes[8:] {
+		if own, _, _ := nd.records.get(key, nd.Clock().Now(), "patterns", "(*)", nil, 0, setDigest{}, false); len(own) == 0 {
+			searcher = nd
+			break
+		}
+	}
+	if searcher == nil {
+		t.Fatal("every node holds a slice of the key")
+	}
+	var flags []*atomic.Bool
+	for _, src := range []string{"(classification=behavioral)", "(name=*)", "(name=*)"} { // the repeat meets the cached set
+		rs, err := searcher.Search("patterns", query.MustParse(src), p2p.SearchOptions{})
+		if err != nil || len(rs) == 0 {
+			t.Fatalf("%s: %d results, %v", src, len(rs), err)
+		}
+		for _, r := range rs {
+			flags = append(flags, collected(r.Attrs.Get("intent")))
+		}
+	}
+	// What the lookups learned goes on living: announce on it.
+	if err := searcher.Publish(patternDocs(49)[48]); err != nil {
+		t.Fatal(err)
+	}
+	if !gcFrees(flags) {
+		t.Error("a reply frame outlived the search's results: something long-lived holds one of its strings")
+	}
+	runtime.KeepAlive(nodes)
+}
+
+// countingFilter counts the records it is asked about.
+type countingFilter struct {
+	query.Filter
+	calls int
+}
+
+func (f *countingFilter) Match(a query.Attrs) bool { f.calls++; return f.Filter.Match(a) }
+
+// TestGetMatchesEachRecordOnce: whether a holder ships its set, answers
+// with the digest alone, or was asked for no more than the digest, one
+// request evaluates the filter once per record held.
+func TestGetMatchesEachRecordOnce(t *testing.T) {
+	rs := newRecordStore(time.Minute, 0)
+	key := KeyForCommunity("patterns")
+	t0 := time.Unix(1000, 0)
+	rs.put(key, patternRecords(60, "peerA"), t0)
+	f := &countingFilter{Filter: query.MustParse("(classification=behavioral)")}
+	shipped, dig, _ := rs.get(key, t0, "patterns", f.String(), f, 0, setDigest{}, false)
+	if f.calls != 60 || len(shipped) == 0 || int(dig.Count) != len(shipped) {
+		t.Fatalf("shipping: %d Match calls for 60 records, %d shipped, digest %+v", f.calls, len(shipped), dig)
+	}
+	for i := 1; i < len(shipped); i++ {
+		if shipped[i-1].DocID >= shipped[i].DocID {
+			t.Fatalf("shipped set is not sorted at %d", i)
+		}
+	}
+	for name, digestOnly := range map[string]bool{"have matches": false, "digest only": true} {
+		f.calls = 0
+		if recs, again, _ := rs.get(key, t0, "patterns", f.String(), f, 0, dig, digestOnly); recs != nil || again != dig || f.calls != 60 {
+			t.Errorf("%s: %d Match calls for 60 records, %d shipped, digest %+v", name, f.calls, len(recs), again)
+		}
+	}
+	f.calls = 0
+	if recs, limited, _ := rs.get(key, t0, "patterns", f.String(), f, 3, setDigest{}, false); len(recs) != 3 || limited != dig || f.calls != 60 {
+		t.Errorf("limit 3: %d Match calls, %d shipped, digest %+v", f.calls, len(recs), limited)
+	}
+}
+
+// TestObserveAllocatesNothing: every inbound message derives its
+// sender's ID and sorts it into the table — on the stack.
+func TestObserveAllocatesNothing(t *testing.T) {
+	table := NewTable(NodeIDFor("self"), 4)
+	for i := 0; i < 64; i++ {
+		table.Observe(transport.PeerID(fmt.Sprintf("peer%03d", i)))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { table.Observe("peer017"); table.Observe("127.0.0.1:54321") }); allocs != 0 {
+		t.Errorf("Observe allocates %v, want 0", allocs)
+	}
+	// A name longer than the stack buffer hashes to the same ID as ever.
+	long := strings.Repeat("community/", 40)
+	sum := sha256.Sum256([]byte("community\x00" + long))
+	if got := KeyForCommunity(long); string(got[:]) != string(sum[:IDBytes]) {
+		t.Errorf("KeyForCommunity(long) = %s", got)
+	}
+}
+
+// hostileSplitReply is a well-formed, empty FIND_VALUE reply but for the
+// fanout it advertises: 2^63 sub-keys, one lookup each.
+func hostileSplitReply() []byte {
+	reply := (&findValueReplyPayload{ReqID: 1}).AppendBinary(nil)
+	reply = reply[:len(reply)-2] // Split 0 and Complete
+	return append(reply, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0)
+}
+
+// TestHostileSplitFanoutRejected: the fanout a reply advertises is
+// bounded where it is decoded, so no holder can buy more sub-lookups
+// than maxSplitFanout with one frame.
+func TestHostileSplitFanoutRejected(t *testing.T) {
+	var reply findValueReplyPayload
+	if err := reply.DecodeBinary(hostileSplitReply()); err == nil {
+		t.Errorf("a reply advertising %d sub-keys decoded", reply.Split)
+	}
+	for split, ok := range map[int]bool{DefaultSplitFanout: true, maxSplitFanout: true, maxSplitFanout + 1: false} {
+		err := new(findValueReplyPayload).DecodeBinary((&findValueReplyPayload{ReqID: 1, Split: split}).AppendBinary(nil))
+		if (err == nil) != ok {
+			t.Errorf("Split %d: decode error %v", split, err)
+		}
+	}
+	if got := (Config{SplitFanout: 1 << 20}).withDefaults().SplitFanout; got != maxSplitFanout {
+		t.Errorf("Config.SplitFanout 1<<20 became %d, want %d", got, maxSplitFanout)
+	}
+}
+
+// BenchmarkDHTSearchCluster is the ruler's tcp-dht-search workload
+// without the sockets: 24 nodes (K 8, α 3) on one MemNetwork, 240
+// design-pattern records published round-robin, searches from every
+// node in turn over the ruler's six filters. Its allocs/op is what
+// `make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster` breaks
+// down by call site.
+func BenchmarkDHTSearchCluster(b *testing.B) {
+	net := transport.NewMemNetwork(transport.WithSeed(1))
+	nodes := make([]*Node, 24)
+	for i := range nodes {
+		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("127.0.0.1:%d", 7000+i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes[i] = NewNode(ep, index.NewStore(), Config{K: 8, Alpha: 3})
+	}
+	for _, nd := range nodes[1:] {
+		nd.Bootstrap(nodes[0].PeerID())
+	}
+	for i, d := range patternDocs(240) {
+		if err := nodes[i%len(nodes)].Publish(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var filters []query.Filter
+	for _, src := range []string{
+		"(classification=behavioral)", "(classification=creational)", "(classification=structural)",
+		"(keywords=wrapper)", "(&(classification=behavioral)(keywords=undo))", "(name=*)",
+	} {
+		filters = append(filters, query.MustParse(src))
+	}
+	if rs, err := nodes[5].Search("patterns", filters[5], p2p.SearchOptions{}); err != nil || len(rs) != 240 {
+		b.Fatalf("warm-up search: %d of 240 records, %v", len(rs), err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nodes[i%len(nodes)].Search("patterns", filters[i%len(filters)], p2p.SearchOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

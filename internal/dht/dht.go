@@ -85,6 +85,9 @@ const (
 	// DefaultSplitFanout is how many attribute-hash sub-keys a hot key
 	// splits into when SplitThreshold is enabled.
 	DefaultSplitFanout = 8
+	// maxSplitFanout bounds Config.SplitFanout and the fanout a
+	// FIND_VALUE reply may advertise: a reply over it is corrupt.
+	maxSplitFanout = 256
 )
 
 // Config tunes a Node. The zero value selects the defaults above.
@@ -115,8 +118,8 @@ type Config struct {
 	// fan into transparently. Zero disables splitting.
 	SplitThreshold int
 	// SplitFanout is the number of sub-keys a split key shards into
-	// (0 selects DefaultSplitFanout; only read when SplitThreshold is
-	// positive).
+	// (0 selects DefaultSplitFanout, 256 is the most; only read when
+	// SplitThreshold is positive).
 	SplitFanout int
 	// MaxRecordsPerKey caps per-key holder state (0 selects
 	// DefaultMaxRecordsPerKey).
@@ -148,6 +151,7 @@ func (c Config) withDefaults() Config {
 	if c.SplitFanout <= 0 {
 		c.SplitFanout = DefaultSplitFanout
 	}
+	c.SplitFanout = min(c.SplitFanout, maxSplitFanout)
 	return c
 }
 

@@ -454,7 +454,7 @@ func TestDigestPathAllocatesNothing(t *testing.T) {
 				t.Fatalf("%s: got %d records, digest %+v", name, len(recs), dig)
 			}
 		})
-		if allocs != 0 {
+		if allocs != 0 && !raceEnabled {
 			t.Errorf("%s: %v allocations per digest, want 0", name, allocs)
 		}
 	}

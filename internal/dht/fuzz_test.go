@@ -100,8 +100,9 @@ func TestHostileCountsRejected(t *testing.T) {
 }
 
 // FuzzDHTFrameDecode: no input makes a DHT frame decoder panic or
-// allocate beyond decodeBudget, and whatever decodes re-encodes to
-// something that decodes to the same bytes again. The seeds are rebuilt
+// allocate beyond decodeBudget or buys more than maxSplitFanout
+// sub-lookups, and whatever decodes re-encodes to something that decodes
+// to the same bytes again. The seeds are rebuilt
 // from the structs on every run; testdata/fuzz pins the same frames as
 // the bytes of the wire version they were written in, which must keep
 // decoding safely after the format has moved on.
@@ -114,6 +115,7 @@ func FuzzDHTFrameDecode(f *testing.F) {
 	for which, data := range hostileFrames() {
 		f.Add(uint8(which), data)
 	}
+	f.Add(uint8(5), hostileSplitReply())
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		w := int(which) % len(fuzzTypes)
 		frame, err, cost := decodeCost(w, data)
@@ -122,6 +124,9 @@ func FuzzDHTFrameDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if reply, ok := frame.(*findValueReplyPayload); ok && (reply.Split < 0 || reply.Split > maxSplitFanout) {
+			t.Fatalf("a reply advertising %d sub-keys decoded", reply.Split)
 		}
 		again, _ := codec.New(fuzzTypes[w])
 		first := frame.AppendBinary(nil)

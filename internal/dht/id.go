@@ -31,7 +31,10 @@ const (
 type ID [IDBytes]byte
 
 func derive(domain, s string) ID {
-	sum := sha256.Sum256([]byte(domain + "\x00" + s))
+	// Hashed from the stack: Table.Observe derives the sender's ID on
+	// every inbound message.
+	var buf [96]byte
+	sum := sha256.Sum256(append(append(append(buf[:0], domain...), 0), s...))
 	var id ID
 	copy(id[:], sum[:IDBytes])
 	return id

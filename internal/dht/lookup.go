@@ -3,6 +3,7 @@ package dht
 import (
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/errs"
@@ -22,7 +23,8 @@ type lookupRPC struct {
 // bookkeeping maps — so the per-lookup steady state reuses slice
 // capacity and map buckets instead of reallocating them. Pooled (not
 // one-per-node) because sub-key fan-in re-enters lookup recursively:
-// every activation gets its own scratch.
+// every activation gets its own scratch. The maps go back cleared —
+// recs must: its records share their reply frames' strings.
 type lookupScratch struct {
 	short []Contact
 	wave  []lookupRPC
@@ -53,6 +55,22 @@ func (sc *lookupScratch) merge(records []Record) {
 		sc.recs[rk] = rec
 	}
 	sc.seen = append(sc.seen, set, sc.have)
+}
+
+// learn appends the peers of one reply that are new to the lookup to
+// its shortlist. A reply's strings share its frame; contacts outlive the
+// lookup (STORE targets, the holders an announce remembers, connections
+// dialed), so each takes its own copy.
+func (sc *lookupScratch) learn(short []Contact, peers []transport.PeerID, self transport.PeerID) []Contact {
+	for _, peer := range peers {
+		if peer == self || sc.known[peer] {
+			continue
+		}
+		peer = transport.PeerID(strings.Clone(string(peer)))
+		sc.known[peer] = true
+		short = append(short, ContactFor(peer))
+	}
+	return short
 }
 
 // missing reports whether peer announced a set that is not in hand.
@@ -249,7 +267,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		if !pull {
 			out.rounds++
 		}
-		grew := false
+		before := len(short)
 		for _, r := range rpcs {
 			got, err := n.Await(r.x, n.cfg.RPCTimeout)
 			if err != nil {
@@ -280,16 +298,9 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				state[r.contact.Peer] = stateFailed
 				continue
 			}
-			for _, peer := range peers {
-				if peer == n.PeerID() || known[peer] {
-					continue
-				}
-				known[peer] = true
-				short = append(short, ContactFor(peer))
-				grew = true
-			}
+			short = sc.learn(short, peers, n.PeerID())
 		}
-		if grew {
+		if len(short) > before {
 			sortByDistance(short, target)
 		}
 		wsp.Finish()

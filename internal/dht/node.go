@@ -237,7 +237,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 		n.records.put(key, recs, n.Clock().Now())
 	}
 	if !split {
-		st := announceState{holders: contactPeers(targets), at: n.Clock().Now()}
+		st := announceState{holders: appendContactPeers(make([]transport.PeerID, 0, len(targets)), targets), at: n.Clock().Now()}
 		n.annMu.Lock()
 		n.lastAnnounce[key] = st
 		n.annMu.Unlock()
@@ -577,10 +577,12 @@ func (n *Node) handle(msg transport.Message) {
 			return
 		}
 		sp, tctx := n.StartSpan(msg, "findnode.serve")
+		sc := serveScratchPool.Get().(*serveScratch)
 		_ = n.Send(msg.From, MsgFindNodeReply, &findNodeReplyPayload{
 			ReqID: req.ReqID,
-			Peers: contactPeers(n.table.Closest(req.Target, n.cfg.K)),
+			Peers: n.closestPeers(sc, req.Target),
 		}, &sp, tctx)
+		serveScratchPool.Put(sc)
 		sp.Finish()
 	case MsgFindValue:
 		var req findValuePayload
@@ -589,9 +591,10 @@ func (n *Node) handle(msg transport.Message) {
 		}
 		sp, tctx := n.StartSpan(msg, "findvalue.serve")
 		sp.SetCommunity(req.CommunityID)
+		sc := serveScratchPool.Get().(*serveScratch)
 		reply := findValueReplyPayload{
 			ReqID: req.ReqID,
-			Peers: contactPeers(n.table.Closest(req.Key, n.cfg.K)),
+			Peers: n.closestPeers(sc, req.Key),
 		}
 		// An unparseable filter yields no records, never all of them:
 		// the reply still carries contacts so the lookup can route on,
@@ -605,6 +608,7 @@ func (n *Node) handle(msg transport.Message) {
 		// attribute-hash sub-keys holding the migrated records.
 		reply.Split = n.records.splitFanout(req.Key)
 		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp, tctx)
+		serveScratchPool.Put(sc)
 		sp.Finish()
 	case MsgStore:
 		var req storePayload
@@ -673,11 +677,28 @@ func (n *Node) handle(msg transport.Message) {
 	}
 }
 
-// contactPeers projects contacts to their peer IDs for the wire.
-func contactPeers(cs []Contact) []transport.PeerID {
-	out := make([]transport.PeerID, len(cs))
-	for i, c := range cs {
-		out[i] = c.Peer
+// serveScratch pools what answering a FIND_NODE or FIND_VALUE selects
+// the reply's contacts in: the reply is encoded by the time Send
+// returns, so one request's scratch serves the next.
+type serveScratch struct {
+	closest []Contact
+	peers   []transport.PeerID
+}
+
+var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
+
+// closestPeers returns, in sc, the peer IDs of the K live contacts
+// closest to target.
+func (n *Node) closestPeers(sc *serveScratch, target ID) []transport.PeerID {
+	sc.closest = n.table.ClosestAppend(sc.closest[:0], target, n.cfg.K)
+	sc.peers = appendContactPeers(sc.peers[:0], sc.closest)
+	return sc.peers
+}
+
+// appendContactPeers appends the contacts' peer IDs to dst.
+func appendContactPeers(dst []transport.PeerID, cs []Contact) []transport.PeerID {
+	for _, c := range cs {
+		dst = append(dst, c.Peer)
 	}
-	return out
+	return dst
 }

@@ -1,7 +1,8 @@
 package dht
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -237,10 +238,12 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 // community/filter and — unless the caller asked digestOnly, or the
 // digest equals have (it holds this very set) — returns them, sorted
 // by (DocID, Provider) so replies are deterministic, capped at limit
-// (0 = all; the digest covers the set before the cap). The digest is
-// one allocation-free pass; a second, for callers that get records,
-// collects and sorts. A cached set is served only to the identical
-// canonical filterStr. Expired entries are pruned.
+// (0 = all; the digest covers the set before the cap). One pass
+// evaluates the filter once per record: the matches gather in pooled
+// scratch while the digest adds up, and are copied out only when they
+// ship, so a holder that answers with its digest allocates nothing. A
+// cached set is served only to the identical canonical filterStr.
+// Expired entries are pruned.
 //
 // The last result reports completeness: true when the reply draws
 // on a cached set for exactly this filter (complete by construction
@@ -249,9 +252,18 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 // never complete: this holder may have only a partial slice of the
 // key's records.
 func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, have setDigest, digestOnly bool) ([]Record, setDigest, bool) {
+	var matched *[]Record
+	if !digestOnly {
+		matched = matchedPool.Get().(*[]Record)
+		defer func() {
+			clear(*matched) // the pool must not keep records alive
+			*matched = (*matched)[:0]
+			matchedPool.Put(matched)
+		}()
+	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, nil)
+	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, matched)
 	hit := fromCache && dig.Count > 0
 	if hit {
 		rs.cacheHits.Inc()
@@ -260,8 +272,7 @@ func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string,
 	if digestOnly || dig == have || dig.Count == 0 {
 		return nil, dig, complete
 	}
-	out := make([]Record, 0, dig.Count)
-	rs.matchLocked(key, now, communityID, filterStr, f, &out)
+	out := slices.Clone(*matched)
 	sortRecords(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
@@ -269,10 +280,13 @@ func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string,
 	return out, dig, complete
 }
 
-// matchLocked is one pass of get: it digests — and, when out is
-// non-nil, appends to it — the matching primaries, then the cached set
-// for exactly filterStr minus what a matching primary covers, and
-// reports whether a cached set took part. Caller holds rs.mu.
+// matchedPool holds the slices get gathers matches in.
+var matchedPool = sync.Pool{New: func() any { return new([]Record) }}
+
+// matchLocked is get's pass: it digests — and, when out is non-nil,
+// appends to it — the matching primaries, then the cached set for
+// exactly filterStr minus what a matching primary covers, and reports
+// whether a cached set took part. Caller holds rs.mu.
 func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr string, f query.Filter, out *[]Record) (dig setDigest, fromCache bool) {
 	matches := func(rec *Record) bool {
 		return (communityID == "" || rec.CommunityID == communityID) && (f == nil || f.Match(rec.Attrs))
@@ -439,10 +453,10 @@ func (rs *recordStore) len(now time.Time) int {
 // deterministic order for every record set that crosses the wire or
 // reaches a caller.
 func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].DocID != recs[j].DocID {
-			return recs[i].DocID < recs[j].DocID
+	slices.SortFunc(recs, func(a, b Record) int {
+		if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
+			return c
 		}
-		return recs[i].Provider < recs[j].Provider
+		return cmp.Compare(a.Provider, b.Provider)
 	})
 }

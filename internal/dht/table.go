@@ -1,7 +1,8 @@
 package dht
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/transport"
@@ -165,11 +166,11 @@ func (t *Table) ClosestAppend(dst []Contact, target ID, n int) []Contact {
 
 // sortByDistance orders contacts by XOR distance to target.
 func sortByDistance(cs []Contact, target ID) {
-	sort.Slice(cs, func(i, j int) bool {
-		if c := CompareDistance(cs[i].ID, cs[j].ID, target); c != 0 {
-			return c < 0
+	slices.SortFunc(cs, func(a, b Contact) int {
+		if c := CompareDistance(a.ID, b.ID, target); c != 0 {
+			return c
 		}
-		return cs[i].Peer < cs[j].Peer
+		return cmp.Compare(a.Peer, b.Peer)
 	})
 }
 

@@ -3,9 +3,16 @@ package dht
 // Binary wire format for the DHT payloads (see internal/p2p/codec).
 // IDs travel as fixed 20-byte fields; everything else composes the
 // shared codec primitives. Field order IS the wire format.
+//
+// The two lookup replies decode onto one string per frame
+// (codec.Reader.ShareStrings): their records go to the searching caller
+// or into the next encode, and the lookup copies the peers it keeps, so
+// nothing long-lived holds a frame. STORE keeps a copy per field: the
+// record store holds what it decodes for a TTL.
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
@@ -122,6 +129,7 @@ func (p *findNodeReplyPayload) AppendBinary(dst []byte) []byte {
 func (p *findNodeReplyPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	p.ReqID = r.Uvarint()
+	r.ShareStrings()
 	p.Peers = readPeers(r)
 	return r.Err()
 }
@@ -160,11 +168,16 @@ func (p *findValueReplyPayload) AppendBinary(dst []byte) []byte {
 func (p *findValueReplyPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	p.ReqID = r.Uvarint()
+	r.ShareStrings()
 	p.Records = readRecords(r)
 	p.Digest = readDigest(r)
 	p.Peers = readPeers(r)
 	p.Split = int(r.Uvarint())
 	p.Complete = r.Bool()
+	// The querier runs one sub-lookup per advertised shard.
+	if p.Split < 0 || p.Split > maxSplitFanout {
+		return fmt.Errorf("dht: find-value reply advertises %d sub-keys, more than %d", uint(p.Split), maxSplitFanout)
+	}
 	return r.Err()
 }
 

@@ -341,9 +341,11 @@ func (r *Reader) Count(minElemBytes int) int {
 // frame for all its strings instead of one per field. The price is
 // lifetime: any one surviving string keeps the whole remainder
 // reachable. That suits values on their way to a caller or to the next
-// encode (search results); a decoder whose values are stored long-term
-// (registrations, fetched documents, DHT records) must keep the
-// per-field copy, or the store would pin a frame per entry.
+// encode (search results, the records and peers of a DHT lookup reply —
+// whoever keeps one of those longer copies it); a decoder whose values
+// are stored long-term (registrations, fetched documents, the records
+// of a DHT STORE) must keep the per-field copy, or the store would pin
+// a frame per entry.
 func (r *Reader) ShareStrings() {
 	r.shared, r.sharedAt = string(r.data[r.off:]), r.off
 }

@@ -1,0 +1,194 @@
+package query
+
+import (
+	"testing"
+)
+
+// observer is a design-pattern record as the pattern community indexes
+// it, plus a numeric field for the ordered operators.
+func observer() Attrs {
+	return Attrs{
+		"name":           {"Observer"},
+		"classification": {"behavioral"},
+		"intent":         {"Define a one-to-many dependency between objects so that when one object changes state all its dependents are notified and updated automatically"},
+		"keywords":       {"notification", "publish-subscribe", "dependency"},
+		"applicability":  {"a change to one object requires changing others and you don't know how many"},
+		"participants":   {"Subject", "Observer", "ConcreteSubject", "ConcreteObserver"},
+		"year":           {"1994"},
+	}
+}
+
+// TestMatchZeroAllocs: no operator allocates while it evaluates an
+// ASCII record, whether it matches or walks every value and misses.
+func TestMatchZeroAllocs(t *testing.T) {
+	rec := observer()
+	for src, want := range map[string]bool{
+		"(classification=behavioral)":     true,  // = exact
+		"(classification=BEHAVIORAL)":     true,  // = exact, folded
+		"(intent=dependents)":             true,  // = word
+		"(applicability=don't)":           true,  // = word, inner punctuation kept
+		"(keywords=wrapper)":              false, // = word, every field of every value
+		"(intent=one-to-many dependency)": false, // = with a space: no word pass
+		"(name=Obs*r)":                    true,  // = wildcard
+		"(participants=*Subject*x)":       false,
+		"(name=*)":                        true, // presence
+		"(nosuch=*)":                      false,
+		"(intent~=ONE-TO-MANY)":           true, // ~=
+		"(intent~=many-to-one)":           false,
+		"(year>=1994)":                    true, // ordered, numeric
+		"(year<=1993.5)":                  false,
+		"(year>1e3)":                      true,
+		"(year<1994)":                     false,
+		"(name>=M)":                       true, // ordered, lexicographic
+		"(name<=M)":                       false,
+		"(name>1994)":                     true, // number against a word: lexicographic
+		"(name<Observer)":                 false,
+		"(&(classification=behavioral)(keywords=undo))":    false,
+		"(|(keywords=undo)(keywords~=SUBSCRIBE))":          true,
+		"(!(participants=Visitor))":                        true,
+		"(&(name=*)(!(year<1990))(|(name=Vis*)(name=O*)))": true,
+	} {
+		f := MustParse(src)
+		if got := f.Match(rec); got != want {
+			t.Errorf("%s matched = %v, want %v", src, got, want)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { f.Match(rec) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per Match, want 0", src, allocs)
+		}
+	}
+}
+
+// equivalenceCases are (filter value, attribute value) pairs where the
+// in-place matcher could part from the old one: Unicode spaces between
+// words, case mappings that change a string's length (İ, ſ, the Kelvin
+// sign), invalid UTF-8, punctuation-only fields, numbers in every
+// spelling strconv.ParseFloat accepts.
+var equivalenceCases = [][2]string{
+	{"blue", "Kind of Blue"},
+	{"blue", "Kind of (Blue)."},
+	{"blue", "kind of blue"},
+	{"blue", "kind\u00a0of\u0085blue"},
+	{"blue", "kind\u3000of\u2003blue"},
+	{"blue", "kind\xa0of\x85blue"}, // the bare bytes are not spaces
+	{"blue", "\tblue\v"},
+	{"w", ",.;:!?\"'()w)('\"?!:;.,"}, // every trimmed character, both ends
+	{"w", "w?"},
+	{"w", "[w]"},
+	{"w", "-w-"},
+	{"w", "lwl nwn {w}"}, // bytes that alias trimmed ones modulo 64
+	{"", "..."},
+	{"", "a ... b"},
+	{"k", "K"},
+	{"K", "k"},
+	{"ss", "ſſ"},
+	{"i̇", "İ"},
+	{"İstanbul", "i̇stanbul"},
+	{"i*", "İstanbul"},
+	{"*İ*", "ai̇b"},
+	{"STRASSE", "straße"},
+	{"\xff", "\xff"},
+	{"\xff*", "\xfe\xff"},
+	{"a*\xff", "A�"},
+	{"*", "x"},
+	{"**", ""},
+	{"a**b", "AxB"},
+	{"a*b*", "ab"},
+	{"*a*b", "ba"},
+	{"ab*ab", "ab"},
+	{"O*s*r", "Observer"},
+	{"a b", "A  B"},
+	{"a\tb", "a\tb"},
+	{"1994", " 1994 "},
+	{"1e3", "1000"},
+	{"0x10", "16"},
+	{"inf", "+Infinity"},
+	{"nan", "NaN"},
+	{"-0", "0"},
+	{"1_000", "1000"},
+	{"1e999", "5"},
+	{".5", "0.5"},
+	{"10", "9"},
+	{"10", "9a"},
+	{"north", "nan"},
+	{"infinite", "1"},
+	{"", ""},
+	{" ", " "},
+	{"é", "É"},
+	{"é", "É"},
+	{"σ", "Σς"},
+}
+
+var allOps = []Op{OpEq, OpContains, OpGe, OpLe, OpGt, OpLt}
+
+// checkEquivalence compares the live matcher with the oracle on one
+// assertion per operator, built as a literal so the value reaches
+// Match unparsed, both ways round.
+func checkEquivalence(t *testing.T, a, b string) {
+	t.Helper()
+	for _, pair := range [2][2]string{{a, b}, {b, a}} {
+		attrs := Attrs{"k": {"", pair[1], pair[1] + " " + pair[0]}}
+		for _, op := range allOps {
+			f := &Assertion{Attr: "k", Op: op, Value: pair[0]}
+			for name, set := range map[string]Attrs{"one": {"k": {pair[1]}}, "many": attrs} {
+				if got, want := f.Match(set), oracleMatch(f, set); got != want {
+					t.Errorf("(k%s%q) on %s %q: Match = %v, the old matcher says %v", op, pair[0], name, set["k"], got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMatchAgreesWithOracle pins the matching semantics: the live
+// matcher answers every case like the pre-rewrite one.
+func TestMatchAgreesWithOracle(t *testing.T) {
+	for _, c := range equivalenceCases {
+		checkEquivalence(t, c[0], c[1])
+	}
+}
+
+// FuzzMatchEquivalence: for any filter source and any two attribute
+// values, Match and the retained old matcher agree — on the parsed
+// filter (every attribute it names holding both values) and on literal
+// assertions of each operator over the raw strings.
+func FuzzMatchEquivalence(f *testing.F) {
+	for _, c := range equivalenceCases {
+		f.Add("(k="+c[0]+")", c[1], c[0])
+		f.Add("(|(a~="+c[0]+")(!(b>="+c[0]+")))", c[1], "")
+	}
+	f.Add("(&(classification=behavioral)(keywords=undo))", "behavioral", "snapshot undo state")
+	f.Fuzz(func(t *testing.T, src, v1, v2 string) {
+		checkEquivalence(t, src, v1)
+		checkEquivalence(t, v2, v1)
+		filter, err := Parse(src)
+		if err != nil {
+			return
+		}
+		attrs := Attrs{}
+		for _, name := range ReferencedAttributes(filter) {
+			attrs[name] = []string{v1, v2}
+		}
+		if got, want := filter.Match(attrs), oracleMatch(filter, attrs); got != want {
+			t.Errorf("%s on %q, %q: Match = %v, the old matcher says %v", filter, v1, v2, got, want)
+		}
+	})
+}
+
+var matchSink bool
+
+// BenchmarkMatch times one Match of each operator over a design-pattern
+// record: a hit on the first value, and a miss that walks them all.
+func BenchmarkMatch(b *testing.B) {
+	rec := observer()
+	for _, src := range []string{
+		"(classification=behavioral)", "(keywords=wrapper)", "(intent=dependents)", "(name=Obs*r)", "(name=*)",
+		"(intent~=one-to-many)", "(year>=1990)", "(name>=M)", "(&(classification=behavioral)(keywords=undo))",
+	} {
+		f := MustParse(src)
+		b.Run(src, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				matchSink = f.Match(rec)
+			}
+		})
+	}
+}

@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Attrs is the attribute set a filter evaluates against: the indexed
@@ -99,56 +101,111 @@ type Assertion struct {
 	Value string
 }
 
-// Match implements Filter.
+// Match implements Filter. The assertion is evaluated from its three
+// exported fields alone — a literal Assertion{...} matches like a
+// parsed one — and without allocating: values are compared in place,
+// the filter's number is parsed once per call, and only a non-ASCII
+// operand of ~= or a wildcard pays for strings.ToLower.
 func (a *Assertion) Match(attrs Attrs) bool {
 	vals := attrs[a.Attr]
 	if a.Op == OpEq && a.Value == "*" {
 		return len(vals) > 0
 	}
+	want, numeric := 0.0, false
+	if a.Op >= OpGe { // the four ordered operators
+		want, numeric = parseNumber(a.Value)
+	}
 	for _, v := range vals {
-		if a.matchValue(v) {
+		if a.matchValue(v, want, numeric) {
 			return true
 		}
 	}
 	return false
 }
 
-func (a *Assertion) matchValue(v string) bool {
+// matchValue tests one value; want and numeric are a.Value as a number,
+// for the ordered operators.
+func (a *Assertion) matchValue(v string, want float64, numeric bool) bool {
 	switch a.Op {
 	case OpEq:
-		if strings.ContainsRune(a.Value, '*') {
+		if strings.IndexByte(a.Value, '*') >= 0 {
 			return wildcardMatch(a.Value, v)
-		}
-		if strings.EqualFold(v, a.Value) {
-			return true
 		}
 		// Word-level equality: "(title=blue)" matches "Kind of Blue".
 		// This mirrors how the metadata index tokenizes values, so a
 		// user searching a single word finds multi-word fields.
-		if !strings.ContainsAny(a.Value, " \t") {
-			for _, w := range strings.Fields(v) {
-				if strings.EqualFold(strings.Trim(w, ",.;:!?\"'()"), a.Value) {
-					return true
-				}
+		return strings.EqualFold(v, a.Value) ||
+			strings.IndexByte(a.Value, ' ') < 0 && strings.IndexByte(a.Value, '\t') < 0 && hasWord(v, a.Value)
+	case OpContains:
+		return indexFold(foldable(v, a.Value)) >= 0
+	case OpGe, OpLe, OpGt, OpLt:
+		return compareOrdered(v, a.Value, want, numeric, a.Op)
+	}
+	return false
+}
+
+// wordTrim is the punctuation word-level equality ignores around a
+// word, ,.;:!?"'() as a bitmap over the bytes below 64: trimming runs
+// once per word of every value a filter does not match.
+const wordTrim uint64 = 1<<',' | 1<<'.' | 1<<';' | 1<<':' | 1<<'!' | 1<<'?' | 1<<'"' | 1<<'\'' | 1<<'(' | 1<<')'
+
+func isWordTrim(c byte) bool { return wordTrim>>c&1 != 0 } // a shift by 64 or more leaves 0
+
+// hasWord reports whether one of v's fields — cut where strings.Fields
+// would cut them: unicode.IsSpace separates, an invalid byte does not —
+// equals word under case folding once wordTrim is trimmed off its ends.
+// It walks v in place.
+func hasWord(v, word string) bool {
+	start := -1 // where the field being read began
+	for i := 0; i <= len(v); {
+		space, w := true, 1 // the end of v closes its last field
+		if i < len(v) {
+			c := v[i]
+			space = c == ' ' || '\t' <= c && c <= '\r'
+			if c >= utf8.RuneSelf {
+				var r rune
+				r, w = utf8.DecodeRuneInString(v[i:])
+				space = unicode.IsSpace(r)
 			}
 		}
-		return false
-	case OpContains:
-		return strings.Contains(strings.ToLower(v), strings.ToLower(a.Value))
-	case OpGe, OpLe, OpGt, OpLt:
-		return compareOrdered(v, a.Value, a.Op)
-	default:
-		return false
+		if !space && start < 0 {
+			start = i
+		} else if space && start >= 0 {
+			f := v[start:i]
+			for f != "" && isWordTrim(f[0]) {
+				f = f[1:]
+			}
+			for f != "" && isWordTrim(f[len(f)-1]) {
+				f = f[:len(f)-1]
+			}
+			if strings.EqualFold(f, word) {
+				return true
+			}
+			start = -1
+		}
+		i += w
 	}
+	return false
+}
+
+// parseNumber reads s as a number the way compareOrdered's operands
+// are read. strconv.ParseFloat allocates its error, so anything that
+// cannot start a number (most attribute values) is turned away first.
+func parseNumber(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	if s == "" || !('0' <= s[0] && s[0] <= '9') && strings.IndexByte("+-.iInN", s[0]) < 0 {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 // compareOrdered compares numerically when both operands parse as
-// numbers, lexicographically otherwise.
-func compareOrdered(have, want string, op Op) bool {
-	hf, herr := strconv.ParseFloat(strings.TrimSpace(have), 64)
-	wf, werr := strconv.ParseFloat(strings.TrimSpace(want), 64)
+// numbers, lexicographically otherwise. wf and numeric are want,
+// parsed by the caller.
+func compareOrdered(have, want string, wf float64, numeric bool, op Op) bool {
 	var cmp int
-	if herr == nil && werr == nil {
+	if hf, ok := parseNumber(have); ok && numeric {
 		switch {
 		case hf < wf:
 			cmp = -1
@@ -172,33 +229,65 @@ func compareOrdered(have, want string, op Op) bool {
 }
 
 // wildcardMatch matches v against a pattern with '*' wildcards,
-// case-insensitively.
+// case-insensitively: the leading segment must prefix v, the trailing
+// one suffix it, the middles occur in order between them.
 func wildcardMatch(pattern, v string) bool {
-	p := strings.ToLower(pattern)
-	s := strings.ToLower(v)
-	parts := strings.Split(p, "*")
-	if len(parts) == 1 {
-		// No '*' at all: plain case-insensitive equality.
-		return s == p
+	s, p := foldable(v, pattern)
+	star := strings.IndexByte(p, '*')
+	if star < 0 {
+		return len(s) == len(p) && indexFold(s, p) == 0
 	}
-	// Leading segment must prefix; trailing must suffix; middles in order.
-	if !strings.HasPrefix(s, parts[0]) {
+	if len(s) < star || indexFold(s[:star], p[:star]) != 0 {
 		return false
 	}
-	s = s[len(parts[0]):]
-	last := parts[len(parts)-1]
-	middles := parts[1 : len(parts)-1]
-	for _, m := range middles {
-		if m == "" {
-			continue
+	s, p = s[star:], p[star+1:]
+	for {
+		if star = strings.IndexByte(p, '*'); star < 0 {
+			return len(s) >= len(p) && indexFold(s[len(s)-len(p):], p) == 0
 		}
-		i := strings.Index(s, m)
+		i := indexFold(s, p[:star])
 		if i < 0 {
 			return false
 		}
-		s = s[i+len(m):]
+		s, p = s[i+star:], p[star+1:]
 	}
-	return strings.HasSuffix(s, last)
+}
+
+// foldable returns a and b in the form indexFold compares: as they are
+// when both are ASCII, lowered otherwise (Unicode case mapping can
+// change a string's length, so only then is the copy paid for).
+func foldable(a, b string) (string, string) {
+	for _, s := range [2]string{a, b} {
+		for i := 0; i < len(s); i++ {
+			if s[i] >= utf8.RuneSelf {
+				return strings.ToLower(a), strings.ToLower(b)
+			}
+		}
+	}
+	return a, b
+}
+
+// indexFold is strings.Index with ASCII letters compared without
+// regard to case; on operands from foldable that is strings.Index over
+// their strings.ToLower forms.
+func indexFold(s, sub string) int {
+	for i := 0; i+len(sub) <= len(s); i++ {
+		j := 0
+		for j < len(sub) && lowerASCII(s[i+j]) == lowerASCII(sub[j]) {
+			j++
+		}
+		if j == len(sub) {
+			return i
+		}
+	}
+	return -1
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
 }
 
 // String implements Filter.

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -231,6 +232,9 @@ func (n *TCPNode) conn(to PeerID) (*outConn, error) {
 		return c, nil
 	}
 	c = &outConn{Conn: nc}
+	// The address may be a slice of a decoded frame (a search result's
+	// provider): the table keeps its own copy, not the frame.
+	to = PeerID(strings.Clone(string(to)))
 	n.conns[to] = c
 	n.wg.Add(1)
 	go n.watch(to, c)

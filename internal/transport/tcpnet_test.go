@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/errs"
 	"repro/internal/metrics"
@@ -322,6 +323,29 @@ func TestTCPSlowPeerIsolated(t *testing.T) {
 		t.Fatalf("send to the woken peer: %v", err)
 	}
 	recv(t, fromA)
+}
+
+// TestTCPConnTableOwnsPeerID: the connection table outlives whatever
+// named the peer — a search result's provider is a slice of the frame
+// it was decoded from — so it keys the connection by its own copy.
+func TestTCPConnTableOwnsPeerID(t *testing.T) {
+	a, b := listenTCP(t), listenTCP(t)
+	b.SetHandler(func(Message) {})
+	frame := "provider:" + string(b.ID()) + strings.Repeat(" and the rest of a frame", 8)
+	to := PeerID(frame[len("provider:"):][:len(b.ID())])
+	if err := a.Send(Message{To: to, Type: "ping"}); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.conns) != 1 {
+		t.Fatalf("%d connections, want 1", len(a.conns))
+	}
+	for key := range a.conns {
+		if key != to || unsafe.StringData(string(key)) == unsafe.StringData(string(to)) {
+			t.Errorf("connection keyed by %q, a slice of the caller's string", key)
+		}
+	}
 }
 
 // TestTCPFrameAllocs pins the steady-state socket path, send and
