@@ -55,18 +55,20 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode,
-# FuzzTCPFrame and FuzzMatchEquivalence on top of their seeds and the
-# committed corpora (testdata/fuzz in internal/dht, internal/p2p,
-# internal/transport and internal/query) — no DHT or p2p frame decoder
-# and no TCP connection reader may panic, or allocate beyond a small
-# multiple of its input, the GUID a flood relay peeks from a query or
-# query-hit is the one a full decode reads, and Filter.Match answers
-# every filter and value as the matcher it replaced did.
+# FuzzTCPFrame, FuzzMatchEquivalence and FuzzWALSegment on top of their
+# seeds and the committed corpora (testdata/fuzz in internal/dht,
+# internal/p2p, internal/transport, internal/query and internal/index) —
+# no DHT or p2p frame decoder, no TCP connection reader and no WAL
+# segment scan may panic, or allocate beyond a small multiple of its
+# input, the GUID a flood relay peeks from a query or query-hit is the
+# one a full decode reads, and Filter.Match answers every filter and
+# value as the matcher it replaced did.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzP2PFrameDecode -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
+	$(GO) test ./internal/index -run '^$$' -fuzz FuzzWALSegment -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical
 # message-trace hashes on repeated in-process runs (catches map-order
@@ -122,11 +124,13 @@ scale-smoke:
 tcp-nightly:
 	UP2P_TCP_NIGHTLY=1 $(GO) test ./internal/sim -run TCPNightly -v -count=1
 
-# Durability gate: the kill-at-random-offset and recovery tests under
-# the race detector. Catches both torn-log regressions and data races
-# on the WAL append path.
+# Durability gate: the kill-at-random-offset and recovery tests, the
+# damaged-snapshot table, the servent and index-server restarts on a
+# reopened log and the store.json migration, under the race detector.
+# Catches both torn-log regressions and data races on the WAL append
+# path.
 crash-smoke:
-	$(GO) test -race -count=1 -run 'WAL|Crash|Poisoned|ConsistentCut|CorruptMiddle' ./internal/index ./internal/core
+	$(GO) test -race -count=1 -run 'WAL|Crash|CorruptMiddle|LoadErrors|ServentState|RestoredServent|StoreJSON|SurvivesReopen|KeepsPrevious' ./internal/index ./internal/core ./cmd/up2pd
 
 # The ruler (benchmark/README.md): `make ruler PR=19` measures this
 # checkout into BENCH_19.json, one point of the committed trajectory

@@ -36,15 +36,13 @@ type Config struct {
 	Seed string
 	// SeedN is the number of seeded objects. Env: UP2P_SEEDN.
 	SeedN int
-	// StateDir is the directory for persistent state, loaded at start
-	// and saved on shutdown; empty disables persistence. Env:
-	// UP2P_STATE.
+	// StateDir is the directory for persistent state; empty disables
+	// persistence. The store is write-ahead logged under StateDir/wal:
+	// every write is durable when acknowledged, recovery replays
+	// snapshot + log on start, and clean shutdown compacts. Joined
+	// communities and attachments are saved to StateDir/servent.json on
+	// shutdown. Env: UP2P_STATE.
 	StateDir string
-	// WAL enables the store's write-ahead log under StateDir/wal:
-	// every write is durable when acknowledged, crash recovery replays
-	// snapshot + log on start, and clean shutdown compacts. Requires
-	// StateDir. Env: UP2P_WAL (1/true).
-	WAL bool
 	// Fsync is the WAL fsync policy: "always" (default; survives power
 	// loss) or "os" (page-cache flushing; survives process crash
 	// only). Env: UP2P_FSYNC.
@@ -90,14 +88,6 @@ func LoadConfig(args []string, getenv func(string) string) (Config, error) {
 		}
 		seedN = n
 	}
-	walDefault := false
-	if v := getenv("UP2P_WAL"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return Config{}, fmt.Errorf("UP2P_WAL: %v", err)
-		}
-		walDefault = b
-	}
 	cacheDefault := false
 	if v := getenv("UP2P_DHT_CACHE"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -124,9 +114,8 @@ func LoadConfig(args []string, getenv func(string) string) (Config, error) {
 	neighbors := fs.String("neighbors", env("UP2P_NEIGHBORS", ""), "comma-separated bootstrap neighbors (env UP2P_NEIGHBORS)")
 	fs.StringVar(&cfg.Seed, "seed", env("UP2P_SEED", ""), "pre-seed a demo community: designpatterns|mp3|cml|species (env UP2P_SEED)")
 	fs.IntVar(&cfg.SeedN, "seedn", seedN, "number of seeded objects (env UP2P_SEEDN)")
-	fs.StringVar(&cfg.StateDir, "state", env("UP2P_STATE", ""), "directory for persistent state, loaded at start and saved on shutdown (env UP2P_STATE)")
-	fs.BoolVar(&cfg.WAL, "wal", walDefault, "write-ahead log the store under <state>/wal: acked writes survive crashes (env UP2P_WAL)")
-	fs.StringVar(&cfg.Fsync, "fsync", env("UP2P_FSYNC", string(index.FsyncAlways)), "WAL fsync policy: always | os (env UP2P_FSYNC)")
+	fs.StringVar(&cfg.StateDir, "state", env("UP2P_STATE", ""), "directory for persistent state: the store's write-ahead log under <dir>/wal (acked writes survive crashes, recovered at start) and servent.json (saved on shutdown) (env UP2P_STATE)")
+	fs.StringVar(&cfg.Fsync, "fsync", env("UP2P_FSYNC", string(index.FsyncAlways)), "WAL fsync policy under -state: always | os (env UP2P_FSYNC)")
 	fs.BoolVar(&cfg.DHTCache, "dht-cache", cacheDefault, "dht mode: cache FIND_VALUE results on lookup-path nodes with halved TTL (env UP2P_DHT_CACHE)")
 	fs.Float64Var(&cfg.TraceSample, "trace-sample", sampleDefault, "per-query trace sampling rate in [0,1]; 0 disables tracing (env UP2P_TRACE_SAMPLE)")
 	fs.StringVar(&cfg.DebugAddr, "debug-addr", env("UP2P_DEBUG", ""), "separate listener for net/http/pprof; empty disables (env UP2P_DEBUG)")
@@ -165,9 +154,6 @@ func (c Config) Validate() error {
 	}
 	if c.SeedN <= 0 {
 		return fmt.Errorf("seedn must be positive, got %d", c.SeedN)
-	}
-	if c.WAL && c.StateDir == "" {
-		return fmt.Errorf("-wal requires -state (or UP2P_STATE): the log lives under the state directory")
 	}
 	if _, err := index.ParseFsyncPolicy(c.Fsync); err != nil {
 		return err

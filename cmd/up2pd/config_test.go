@@ -81,42 +81,40 @@ func TestLoadConfigBadEnvSeedN(t *testing.T) {
 }
 
 func TestLoadConfigWALFlags(t *testing.T) {
-	// Defaults: WAL off, fsync always.
+	// Default: fsync always.
 	cfg, err := LoadConfig([]string{"-mode", "gnutella"}, envMap(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.WAL || cfg.Fsync != "always" {
-		t.Fatalf("unexpected WAL defaults: %+v", cfg)
+	if cfg.StateDir != "" || cfg.Fsync != "always" {
+		t.Fatalf("unexpected persistence defaults: %+v", cfg)
 	}
 	// Flag form.
-	cfg, err = LoadConfig([]string{"-mode", "gnutella", "-state", "/tmp/s", "-wal", "-fsync", "os"}, envMap(nil))
+	cfg, err = LoadConfig([]string{"-mode", "gnutella", "-state", "/tmp/s", "-fsync", "os"}, envMap(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.WAL || cfg.Fsync != "os" {
-		t.Fatalf("WAL flags not applied: %+v", cfg)
+	if cfg.StateDir != "/tmp/s" || cfg.Fsync != "os" {
+		t.Fatalf("persistence flags not applied: %+v", cfg)
 	}
 	// Env form.
-	cfg, err = LoadConfig([]string{"-mode", "gnutella", "-state", "/tmp/s"},
-		envMap(map[string]string{"UP2P_WAL": "true", "UP2P_FSYNC": "os"}))
+	cfg, err = LoadConfig([]string{"-mode", "gnutella"},
+		envMap(map[string]string{"UP2P_STATE": "/tmp/s", "UP2P_FSYNC": "os"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.WAL || cfg.Fsync != "os" {
-		t.Fatalf("WAL env not applied: %+v", cfg)
+	if cfg.StateDir != "/tmp/s" || cfg.Fsync != "os" {
+		t.Fatalf("persistence env not applied: %+v", cfg)
 	}
 }
 
 func TestLoadConfigWALValidation(t *testing.T) {
-	if _, err := LoadConfig([]string{"-mode", "gnutella", "-wal"}, envMap(nil)); err == nil || !strings.Contains(err.Error(), "requires -state") {
-		t.Fatalf("want wal-requires-state error, got %v", err)
-	}
-	if _, err := LoadConfig([]string{"-mode", "gnutella", "-state", "/tmp/s", "-wal", "-fsync", "sometimes"}, envMap(nil)); err == nil || !strings.Contains(err.Error(), "fsync") {
+	if _, err := LoadConfig([]string{"-mode", "gnutella", "-state", "/tmp/s", "-fsync", "sometimes"}, envMap(nil)); err == nil || !strings.Contains(err.Error(), "fsync") {
 		t.Fatalf("want bad-fsync error, got %v", err)
 	}
-	if _, err := LoadConfig([]string{"-mode", "gnutella"}, envMap(map[string]string{"UP2P_WAL": "maybe"})); err == nil {
-		t.Fatal("bad UP2P_WAL accepted")
+	// -state always logs the store: there is no -wal to ask for it.
+	if _, err := LoadConfig([]string{"-mode", "gnutella", "-state", "/tmp/s", "-wal"}, envMap(nil)); err == nil || !strings.Contains(err.Error(), "not defined: -wal") {
+		t.Fatalf("want undefined-flag error for -wal, got %v", err)
 	}
 }
 

@@ -29,8 +29,8 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -136,7 +136,7 @@ func run() error {
 		cleanup = func() error {
 			err := node.Close()
 			// Clean shutdown folds the WAL into one snapshot (no-op
-			// without -wal).
+			// without -state).
 			if cerr := store.Close(); err == nil {
 				err = cerr
 			}
@@ -172,7 +172,7 @@ func run() error {
 		cleanup = func() error {
 			err := sv.Close()
 			// Clean shutdown folds the WAL into one snapshot (no-op
-			// without -wal).
+			// without -state).
 			if cerr := sv.Store().Close(); err == nil {
 				err = cerr
 			}
@@ -344,36 +344,54 @@ func seedCommunity(sv *core.Servent, name string, n int) error {
 	return nil
 }
 
-// openStore builds the daemon's metadata store: WAL-backed (crash
-// recovery runs inside OpenStore) when -wal is set, plain in-memory
-// otherwise.
+// openStore builds the daemon's metadata store: write-ahead logged
+// under <state>/wal (crash recovery runs inside OpenStore) when -state
+// is set, in every mode that has a store; plain in-memory otherwise.
 func openStore(cfg Config, reg *metrics.Registry, logger *slog.Logger) (*index.Store, error) {
 	opts := []index.Option{index.WithMetrics(reg), index.WithLogger(logger)}
-	if cfg.WAL {
-		policy, err := index.ParseFsyncPolicy(cfg.Fsync)
-		if err != nil {
-			return nil, err
-		}
-		dir := walDir(cfg)
-		opts = append(opts, index.WithWAL(dir), index.WithWALFsync(policy))
-		store, err := index.OpenStore(opts...)
-		if err != nil {
-			return nil, err
-		}
-		logger.Info("wal open", "dir", dir, "fsync", string(policy), "objects_recovered", store.Len())
-		return store, nil
+	if cfg.StateDir == "" {
+		return index.NewStore(opts...), nil
 	}
-	return index.NewStore(opts...), nil
+	policy, err := index.ParseFsyncPolicy(cfg.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	dir := filepath.Join(cfg.StateDir, "wal")
+	if err := migrateStoreJSON(cfg.StateDir, dir); err != nil {
+		return nil, err
+	}
+	store, err := index.OpenStore(append(opts, index.WithWAL(dir), index.WithWALFsync(policy))...)
+	if err != nil {
+		return nil, err
+	}
+	logger.Info("wal open", "dir", dir, "fsync", string(policy), "objects_recovered", store.Len())
+	return store, nil
 }
 
-// walDir is where the store's log and compacted snapshot live.
-func walDir(cfg Config) string { return filepath.Join(cfg.StateDir, "wal") }
+// migrateStoreJSON adopts a store.json saved by daemons that persisted
+// the store only on clean shutdown: it is written in the log's
+// snapshot format, so it becomes the log's snapshot.json unless the
+// log already has one.
+func migrateStoreJSON(stateDir, walDir string) error {
+	old := filepath.Join(stateDir, "store.json")
+	snap := filepath.Join(walDir, "snapshot.json")
+	if _, err := os.Stat(old); errors.Is(err, os.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	if _, err := os.Stat(snap); !errors.Is(err, os.ErrNotExist) {
+		return err // nil: the log has its own snapshot
+	}
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		return err
+	}
+	return os.Rename(old, snap)
+}
 
-// loadState restores servent state and store from the state directory
-// when snapshots exist; a fresh directory is not an error. With the
-// WAL enabled the store was already recovered by openStore, so only
-// the servent state file is read; either way restored objects are
-// re-announced to the network.
+// loadState restores the servent state file from the state directory
+// when it exists (a fresh directory is not an error) and re-announces
+// the objects openStore recovered to the network.
 func loadState(sv *core.Servent, cfg Config, logger *slog.Logger) error {
 	stateFile := filepath.Join(cfg.StateDir, "servent.json")
 	if f, err := os.Open(stateFile); err == nil {
@@ -383,17 +401,7 @@ func loadState(sv *core.Servent, cfg Config, logger *slog.Logger) error {
 		}
 		logger.Info("restored servent state", "file", stateFile)
 	}
-	if !cfg.WAL {
-		storeFile := filepath.Join(cfg.StateDir, "store.json")
-		if f, err := os.Open(storeFile); err == nil {
-			defer f.Close()
-			if err := sv.Store().Load(f); err != nil {
-				return err
-			}
-			logger.Info("restored store snapshot", "file", storeFile, "objects", sv.Store().Len())
-		}
-	}
-	// Re-announce restored objects (from store.json or WAL recovery).
+	// Re-announce the objects the store recovered.
 	for _, communityID := range sv.Store().Communities() {
 		for _, d := range sv.SearchLocal(communityID, query.MatchAll{}, 0) {
 			if err := sv.Network().Publish(d); err != nil {
@@ -404,31 +412,16 @@ func loadState(sv *core.Servent, cfg Config, logger *slog.Logger) error {
 	return nil
 }
 
-// saveState writes servent state (and, without a WAL, the store
-// snapshot) into the state directory. A WAL-backed store persists
-// through Close instead: clean shutdown compacts the log.
+// saveState writes the servent state into the state directory. The
+// store persists through its log instead: clean shutdown compacts it.
 func saveState(sv *core.Servent, cfg Config, logger *slog.Logger) error {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, save func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(cfg.StateDir, name))
-		if err != nil {
-			return err
-		}
-		if err := save(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write("servent.json", sv.SaveState); err != nil {
+	// Through a temp file and a rename: a crash or a full disk mid-save
+	// must leave the previous servent.json, which LoadState can read.
+	if err := index.WriteFileAtomic(filepath.Join(cfg.StateDir, "servent.json"), sv.SaveState); err != nil {
 		return err
-	}
-	if !cfg.WAL {
-		if err := write("store.json", sv.Store().Save); err != nil {
-			return err
-		}
 	}
 	logger.Info("saved state", "dir", cfg.StateDir)
 	return nil

@@ -10,7 +10,7 @@ import (
 // serventState is the serialized servent: joined communities (by their
 // full spec, so schemas and custom stylesheets survive) and the
 // attachment store. Shared objects live in the index store, persisted
-// separately via index.Store.Save.
+// separately by its write-ahead log (index.OpenStore with WithWAL).
 type serventState struct {
 	Version     int               `json:"version"`
 	Communities []CommunitySpec   `json:"communities"`

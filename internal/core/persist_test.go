@@ -6,14 +6,36 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/p2p"
 	"repro/internal/query"
+	"repro/internal/transport"
 	"repro/internal/xmldoc"
 )
 
+// durableServent builds a servent called peer on f's network whose
+// store is write-ahead logged under dir, as up2pd runs under -state.
+func durableServent(t *testing.T, f *fixture, peer, dir string) *Servent {
+	t.Helper()
+	st, err := index.OpenStore(index.WithWAL(dir), index.WithWALFsync(index.FsyncOS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := f.net.Endpoint(transport.PeerID(peer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := NewServent(p2p.NewCentralizedClient(ep, "server", st), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
+
 func TestServentStateRoundTrip(t *testing.T) {
-	f := newFixture(t, 2)
-	original := f.servents[0]
+	f := newFixture(t, 0)
+	dir := t.TempDir()
+	original := durableServent(t, f, "original", dir)
 	c, err := original.CreateCommunity(CommunitySpec{
 		Name:            "mp3",
 		Description:     "music",
@@ -33,19 +55,15 @@ func TestServentStateRoundTrip(t *testing.T) {
 	if err := original.SaveState(&state); err != nil {
 		t.Fatalf("save state: %v", err)
 	}
-	var docs bytes.Buffer
-	if err := original.Store().Save(&docs); err != nil {
-		t.Fatalf("save store: %v", err)
+	if err := original.Store().Close(); err != nil {
+		t.Fatalf("close store: %v", err)
 	}
 
-	// "Restart": a fresh servent on a new network identity restores
-	// both snapshots.
-	restored := f.servents[1]
+	// "Restart": a fresh servent on a new network identity reopens the
+	// store and restores the servent state.
+	restored := durableServent(t, f, "restored", dir)
 	if err := restored.LoadState(&state); err != nil {
 		t.Fatalf("load state: %v", err)
-	}
-	if err := restored.Store().Load(&docs); err != nil {
-		t.Fatalf("load store: %v", err)
 	}
 	if !restored.IsJoined(c.ID) {
 		t.Fatal("community not restored")
@@ -89,10 +107,11 @@ func TestLoadStateErrors(t *testing.T) {
 }
 
 func TestRestoredServentWorksOnNetwork(t *testing.T) {
-	// A servent restored from snapshots participates normally: its
-	// restored objects are re-publishable and searchable by peers.
-	f := newFixture(t, 2)
-	donor, fresh := f.servents[0], f.servents[1]
+	// A servent restarted on its reopened store participates normally:
+	// its restored objects are re-publishable and searchable by peers.
+	f := newFixture(t, 0)
+	dir := t.TempDir()
+	donor := durableServent(t, f, "donor", dir)
 	c, err := donor.CreateCommunity(CommunitySpec{Name: "m", SchemaSrc: songSchema})
 	if err != nil {
 		t.Fatal(err)
@@ -100,17 +119,15 @@ func TestRestoredServentWorksOnNetwork(t *testing.T) {
 	if _, err := donor.Publish(c.ID, xmldoc.MustParse(`<song><title>T</title><artist>A</artist></song>`), nil); err != nil {
 		t.Fatal(err)
 	}
-	var state, docs bytes.Buffer
+	var state bytes.Buffer
 	if err := donor.SaveState(&state); err != nil {
 		t.Fatal(err)
 	}
-	if err := donor.Store().Save(&docs); err != nil {
+	if err := donor.Store().Close(); err != nil {
 		t.Fatal(err)
 	}
+	fresh := durableServent(t, f, "fresh", dir)
 	if err := fresh.LoadState(&state); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Store().Load(&docs); err != nil {
 		t.Fatal(err)
 	}
 	// Re-announce restored objects to the network.

@@ -190,11 +190,6 @@ type Store struct {
 	// wal, when non-nil, logs every write before it is applied; see
 	// wal.go. Armed only by OpenStore.
 	wal *wal
-	// cut makes a cross-shard PutBatch or DeleteBatch atomic to Save:
-	// the batch holds it shared while it walks its shards, Save holds it
-	// exclusively while it read-locks them all. Batches still overlap
-	// each other.
-	cut sync.RWMutex
 }
 
 // shard holds one stripe of the store: the documents of every
@@ -384,10 +379,6 @@ func (s *Store) PutBatch(docs []*Document) error {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	if len(idxs) > 1 {
-		s.cut.RLock()
-		defer s.cut.RUnlock()
-	}
 	for _, idx := range idxs {
 		sh := s.shards[idx]
 		sh.mu.Lock()
@@ -494,10 +485,6 @@ func (s *Store) DeleteBatch(ids []DocID) int {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	if len(idxs) > 1 {
-		s.cut.RLock()
-		defer s.cut.RUnlock()
-	}
 	n := 0
 	for _, idx := range idxs {
 		sh := s.shards[idx]

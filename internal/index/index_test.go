@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -322,6 +323,26 @@ func ids(docs []*Document) []string {
 	out := make([]string, len(docs))
 	for i, d := range docs {
 		out[i] = string(d.ID)
+	}
+	return out
+}
+
+// dump renders every stored document, sorted by ID and each read back
+// through Get, as indented JSON: two stores with equal dumps hold the
+// same documents.
+func dump(t *testing.T, s *Store) []byte {
+	t.Helper()
+	var docs []*Document
+	for _, d := range s.Search("", query.MatchAll{}, 0) {
+		got, err := s.Get(d.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, got)
+	}
+	out, err := json.MarshalIndent(docs, "", " ")
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

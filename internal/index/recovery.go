@@ -69,10 +69,10 @@ func OpenStore(opts ...Option) (*Store, error) {
 // of each shard's newest segment.
 func (s *Store) recover(w *wal) error {
 	if f, err := os.Open(filepath.Join(w.dir, walSnapshotName)); err == nil {
-		lerr := s.Load(f)
+		lerr := s.loadSnapshot(f)
 		f.Close()
 		if lerr != nil {
-			return fmt.Errorf("index: open: %w", lerr)
+			return w.fail(errWALReplay, fmt.Errorf("%s: %w", walSnapshotName, lerr))
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return w.fail(errWALReplay, err)
@@ -196,13 +196,19 @@ func (w *wal) scanSegments() ([]walRecord, segSizes, uint64, error) {
 // scanSegmentFile decodes records until EOF or the first bad frame,
 // returning the good records and how many bytes they span. IO errors
 // reading the file are returned; framing/checksum damage is not an
-// error — the caller truncates at goodBytes.
+// error — the caller truncates at goodBytes. A header's length is
+// believed only as far as the file reaches: a payload buffer is never
+// larger than the bytes left to fill it.
 func scanSegmentFile(path string) (recs []walRecord, goodBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
 	var header [walHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(f, header[:]); err != nil {
@@ -210,8 +216,8 @@ func scanSegmentFile(path string) (recs []walRecord, goodBytes int64, err error)
 		}
 		length := binary.LittleEndian.Uint32(header[0:4])
 		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length > walMaxRecord {
-			return recs, goodBytes, nil // corrupt length
+		if length > walMaxRecord || int64(length) > fi.Size()-goodBytes-walHeaderSize {
+			return recs, goodBytes, nil // corrupt length, or a torn payload
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(f, payload); err != nil {

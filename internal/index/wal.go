@@ -19,9 +19,8 @@ package index
 //
 // Compaction folds the log into the existing snapshot format
 // (snapshot.json, written atomically via temp file + rename) and
-// resets every segment. It runs on Close (clean shutdown), on demand
-// (Compact), and automatically once the live log exceeds
-// WithWALCompactBytes.
+// resets every segment. It runs on Close (clean shutdown) and
+// automatically once the live log exceeds WithWALCompactBytes.
 //
 // Errors carry the wal.* structured codes (wal.append, wal.replay,
 // wal.corrupt, wal.compact) and are counted into the store's metrics
@@ -33,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -133,8 +133,8 @@ type wal struct {
 	lsn   atomic.Uint64 // last assigned LSN
 	total atomic.Int64  // live bytes across all segments
 
-	// compactMu serializes compactions (and Load's fold) so two
-	// snapshot writers never race on snapshot.json.
+	// compactMu serializes compactions so two snapshot writers never
+	// race on snapshot.json.
 	compactMu sync.Mutex
 
 	logs []*shardLog
@@ -248,14 +248,14 @@ func (w *wal) closeFiles() {
 	}
 }
 
-// Compact folds the log into the snapshot and resets every segment:
+// compact folds the log into the snapshot and resets every segment:
 // the durable state collapses to one snapshot.json and empty logs.
 // Readers proceed concurrently; writers wait (every shard is
-// read-locked for the duration). A no-op without a WAL.
-func (s *Store) Compact() error {
-	if s.wal == nil {
-		return nil
-	}
+// read-locked for the duration). A cross-shard batch may be caught
+// half applied: the parts it has not yet logged are appended to the
+// fresh log after the reset, so recovery still sees all of it.
+// Callers ensure the WAL is armed.
+func (s *Store) compact() error {
 	w := s.wal
 	w.compactMu.Lock()
 	defer w.compactMu.Unlock()
@@ -278,7 +278,9 @@ func (s *Store) Compact() error {
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
 	reclaimed := w.total.Load()
-	if err := writeSnapshotFile(w.dir, docs); err != nil {
+	if err := WriteFileAtomic(filepath.Join(w.dir, walSnapshotName), func(f io.Writer) error {
+		return writeSnapshot(f, docs)
+	}); err != nil {
 		return w.fail(errWALCompact, err)
 	}
 	if err := w.resetSegments(); err != nil {
@@ -315,16 +317,19 @@ func (w *wal) resetSegments() error {
 	return nil
 }
 
-// writeSnapshotFile atomically replaces dir's snapshot.json: write to
-// a temp file, fsync, rename, fsync the directory. A crash at any
-// point leaves either the old or the new snapshot, never a torn one.
-func writeSnapshotFile(dir string, docs []*Document) error {
-	tmp, err := os.CreateTemp(dir, walSnapshotName+".tmp-*")
+// WriteFileAtomic replaces path with what write produces: into a temp
+// file beside it, fsync, rename, fsync the directory. A crash or a
+// failed write at any point leaves either the old file or the new one,
+// never a torn one. The log's snapshot.json is written this way, and so
+// is any other state file that must survive a crash whole.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := writeSnapshot(tmp, docs); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -335,15 +340,10 @@ func writeSnapshotFile(dir string, docs []*Document) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, walSnapshotName)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed file's entry is
-// durable.
-func syncDir(dir string) error {
+	// Sync the directory so the renamed entry itself is durable.
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -360,7 +360,7 @@ func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil
 	}
-	err := s.Compact()
+	err := s.compact()
 	s.wal.closeFiles()
 	return err
 }
@@ -372,6 +372,6 @@ func (s *Store) maybeCompact() {
 	if s.wal != nil && s.wal.compactBytes > 0 && s.wal.total.Load() > s.wal.compactBytes {
 		// Best effort: a failed auto-compaction is already counted in
 		// the error family; the write itself proceeds on the old log.
-		_ = s.Compact()
+		_ = s.compact()
 	}
 }

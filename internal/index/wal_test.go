@@ -1,14 +1,17 @@
 package index
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -281,7 +284,7 @@ func TestWALCompactionFoldsLogIntoSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, walSnapshotName)); err != nil {
@@ -384,11 +387,12 @@ func TestWALMetricsAndFsyncPolicies(t *testing.T) {
 }
 
 // TestWALConcurrentWriters exercises logged writes from many
-// goroutines (run under -race by make crash-smoke) and proves the
-// result recovers.
+// goroutines (run under -race by make crash-smoke), with automatic
+// compactions landing between the shards of cross-shard batches, and
+// proves the result recovers document for document.
 func TestWALConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	s := openWAL(t, dir, WithWALFsync(FsyncOS))
+	s := openWAL(t, dir, WithWALFsync(FsyncOS), WithWALCompactBytes(2<<10))
 	const workers, batchesPer = 4, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -408,11 +412,14 @@ func TestWALConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	want := s.Len()
+	if _, err := os.Stat(filepath.Join(dir, walSnapshotName)); err != nil {
+		t.Fatalf("no compaction ran: %v", err)
+	}
+	want := dump(t, s)
 	s.wal.closeFiles()
 	r := openWAL(t, dir)
-	if got := r.Len(); got != want {
-		t.Fatalf("recovered %d docs, want %d", got, want)
+	if got := dump(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("recovered\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -425,26 +432,111 @@ func TestNewStorePanicsOnWAL(t *testing.T) {
 	NewStore(WithWAL(t.TempDir()))
 }
 
-func TestWALLoadBecomesDurableBase(t *testing.T) {
-	donor := seeded(t)
-	var buf strings.Builder
-	if err := donor.Save(&buf); err != nil {
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	files := make(map[string]string)
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestLoadErrors: a damaged snapshot.json aborts OpenStore, is counted
+// once under wal.replay, and leaves every file as it was — the segment
+// beside it, whose garbage tail recovery would otherwise cut, included.
+func TestLoadErrors(t *testing.T) {
+	for _, tc := range []struct{ name, snapshot string }{
+		{"truncated json", "{"},
+		{"future version", `{"version":2,"documents":[]}`},
+		{"document without ID", `{"version":1,"documents":[
+			{"ID":"good","CommunityID":"c","Title":"G","Attrs":{"k":["v"]}},
+			{"ID":"","CommunityID":"c","Title":"bad"}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, walSnapshotName), []byte(tc.snapshot), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), []byte("not a record"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+			reg := metrics.NewRegistry()
+			if _, err := OpenStore(WithWAL(dir), WithMetrics(reg)); err == nil {
+				t.Fatal("damaged snapshot accepted")
+			}
+			if n := reg.Snapshot().Label("errors", "wal.replay"); n != 1 {
+				t.Errorf("wal.replay counted %d times, want 1", n)
+			}
+			if after := dirFiles(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Errorf("failed open changed the directory:\nbefore %q\nafter  %q", before, after)
+			}
+		})
+	}
+}
+
+// TestWALHugeLengthIsTornTail: a header claiming more bytes than its
+// segment holds is a torn tail, cut without allocating what it claims.
+func TestWALHugeLengthIsTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s := openWAL(t, dir)
-	if err := s.PutBatch(walBatch(0, 6)); err != nil {
+	seg := make([]byte, 20)
+	binary.LittleEndian.PutUint32(seg, 200<<20)
+	path := filepath.Join(dir, segmentName(0, 1))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Load(strings.NewReader(buf.String())); err != nil {
-		t.Fatalf("load: %v", err)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := OpenStore(WithWAL(dir))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.wal.closeFiles()
-	r := openWAL(t, dir)
-	if got := r.Len(); got != donor.Len() {
-		t.Fatalf("recovered %d docs, want %d (the loaded snapshot)", got, donor.Len())
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("recovering a 20-byte segment allocated %d bytes", got)
 	}
-	if r.Has("b0000-d0") {
-		t.Error("pre-load contents survived load + recovery")
+	if s.Len() != 0 {
+		t.Errorf("recovered %d docs from garbage", s.Len())
+	}
+	if n := s.Metrics().Snapshot().Label("errors", "wal.corrupt"); n != 1 {
+		t.Errorf("wal.corrupt counted %d times, want 1", n)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Errorf("torn segment not cut to 0: %v, %v", fi, err)
+	}
+}
+
+// TestWALFixtureV1: testdata/wal-v1 — a snapshot and two segments (two
+// shards: puts, a replace, deletes) left as a crash leaves them — was
+// written by the store before snapshots stopped being a public API.
+// It must still recover to the documents listed in wal-v1.want.json,
+// which that same code recovered from it: the on-disk format has not
+// moved.
+func TestWALFixtureV1(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range dirFiles(t, filepath.Join("testdata", "wal-v1")) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "wal-v1.want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openWAL(t, dir)
+	if n := s.Metrics().Snapshot().Counter("index.wal_replayed"); n == 0 {
+		t.Error("fixture segments not replayed")
+	}
+	if got := dump(t, s); !bytes.Equal(got, bytes.TrimSpace(want)) {
+		t.Errorf("fixture recovered to\n%s\nwant\n%s", got, want)
 	}
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # ops-smoke: boot an up2pd daemon, scrape the ops surface, and assert
-# the output is well-formed; then prove that a SIGTERM'd daemon
-# persists its state and a restart restores it. Run via
-# `make ops-smoke`.
+# the output is well-formed; then prove that a daemon under -state
+# persists its store across a SIGTERM and across a SIGKILL, and that a
+# restart restores it. Run via `make ops-smoke`.
 set -eu
 
 bin="$1"
@@ -10,7 +10,8 @@ p2p=127.0.0.1:7971
 http=127.0.0.1:8971
 pid=
 state=
-trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; [ -n "$state" ] && rm -rf "$state"' EXIT
+crash=
+trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; [ -n "$state" ] && rm -rf "$state"; [ -n "$crash" ] && rm -rf "$crash"' EXIT
 
 # wait_health blocks until $1 serves /healthz (5s budget).
 wait_health() {
@@ -53,12 +54,12 @@ kill "$pid"
 wait "$pid" || true
 pid=
 
-echo "== SIGTERM persistence round trip (WAL)"
+echo "== SIGTERM persistence round trip"
 state=$(mktemp -d)
 p2p2=127.0.0.1:7972
 http2=127.0.0.1:8972
 
-"$bin" -mode gnutella -p2p "$p2p2" -http "$http2" -seed designpatterns -state "$state" -wal &
+"$bin" -mode gnutella -p2p "$p2p2" -http "$http2" -seed designpatterns -state "$state" &
 pid=$!
 wait_health "$http2"
 docs=$(curl -sf "http://$http2/healthz" | jq -e '.docs')
@@ -80,7 +81,7 @@ pid=
 [ -f "$state/wal/snapshot.json" ] || { echo "ops-smoke: no wal snapshot after TERM" >&2; exit 1; }
 
 # Restart without -seed on fresh ports: every object must come back.
-"$bin" -mode gnutella -p2p 127.0.0.1:7973 -http 127.0.0.1:8973 -state "$state" -wal &
+"$bin" -mode gnutella -p2p 127.0.0.1:7973 -http 127.0.0.1:8973 -state "$state" &
 pid=$!
 wait_health 127.0.0.1:8973
 restored=$(curl -sf "http://127.0.0.1:8973/healthz" | jq -e '.docs')
@@ -92,6 +93,33 @@ echo "persisted and restored $docs objects across SIGTERM"
 
 # Let the restarted daemon shut down before the trap removes its
 # state directory out from under the final compaction.
+kill -TERM "$pid"
+wait "$pid" || true
+pid=
+
+echo "== SIGKILL durability (no clean shutdown, no compaction)"
+crash=$(mktemp -d)
+"$bin" -mode gnutella -p2p 127.0.0.1:7974 -http 127.0.0.1:8974 -seed designpatterns -state "$crash" &
+pid=$!
+wait_health 127.0.0.1:8974
+docs=$(curl -sf "http://127.0.0.1:8974/healthz" | jq -e '.docs')
+[ "$docs" -ge 1 ]
+kill -KILL "$pid"
+wait "$pid" || true
+pid=
+# Nothing ran at exit: the log alone must carry every acked write.
+[ ! -f "$crash/wal/snapshot.json" ] || { echo "ops-smoke: snapshot written despite SIGKILL" >&2; exit 1; }
+
+"$bin" -mode gnutella -p2p 127.0.0.1:7975 -http 127.0.0.1:8975 -state "$crash" &
+pid=$!
+wait_health 127.0.0.1:8975
+restored=$(curl -sf "http://127.0.0.1:8975/healthz" | jq -e '.docs')
+if [ "$restored" -ne "$docs" ]; then
+    echo "ops-smoke: recovered $restored docs after SIGKILL, want $docs" >&2
+    exit 1
+fi
+echo "recovered $docs objects from the log after SIGKILL"
+
 kill -TERM "$pid"
 wait "$pid" || true
 pid=
