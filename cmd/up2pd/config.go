@@ -36,12 +36,14 @@ type Config struct {
 	Seed string
 	// SeedN is the number of seeded objects. Env: UP2P_SEEDN.
 	SeedN int
-	// StateDir is the directory for persistent state; empty disables
-	// persistence. The store is write-ahead logged under StateDir/wal:
-	// every write is durable when acknowledged, recovery replays
-	// snapshot + log on start, and clean shutdown compacts. Joined
-	// communities and attachments are saved to StateDir/servent.json on
-	// shutdown. Env: UP2P_STATE.
+	// StateDir is the directory for a servent's persistent state; empty
+	// disables persistence. The store is write-ahead logged under
+	// StateDir/wal: every write is durable when acknowledged, recovery
+	// replays snapshot + log on start, and clean shutdown compacts.
+	// Joined communities and attachments are saved to
+	// StateDir/servent.json on shutdown. The hub modes (indexserver,
+	// superpeer) refuse it: their registrations are soft state that
+	// peers re-announce. Env: UP2P_STATE.
 	StateDir string
 	// Fsync is the WAL fsync policy: "always" (default; survives power
 	// loss) or "os" (page-cache flushing; survives process crash
@@ -114,7 +116,7 @@ func LoadConfig(args []string, getenv func(string) string) (Config, error) {
 	neighbors := fs.String("neighbors", env("UP2P_NEIGHBORS", ""), "comma-separated bootstrap neighbors (env UP2P_NEIGHBORS)")
 	fs.StringVar(&cfg.Seed, "seed", env("UP2P_SEED", ""), "pre-seed a demo community: designpatterns|mp3|cml|species (env UP2P_SEED)")
 	fs.IntVar(&cfg.SeedN, "seedn", seedN, "number of seeded objects (env UP2P_SEEDN)")
-	fs.StringVar(&cfg.StateDir, "state", env("UP2P_STATE", ""), "directory for persistent state: the store's write-ahead log under <dir>/wal (acked writes survive crashes, recovered at start) and servent.json (saved on shutdown) (env UP2P_STATE)")
+	fs.StringVar(&cfg.StateDir, "state", env("UP2P_STATE", ""), "directory for a servent's persistent state: the store's write-ahead log under <dir>/wal (acked writes survive crashes, recovered at start) and servent.json (saved on shutdown); indexserver and superpeer keep soft state and refuse it (env UP2P_STATE)")
 	fs.StringVar(&cfg.Fsync, "fsync", env("UP2P_FSYNC", string(index.FsyncAlways)), "WAL fsync policy under -state: always | os (env UP2P_FSYNC)")
 	fs.BoolVar(&cfg.DHTCache, "dht-cache", cacheDefault, "dht mode: cache FIND_VALUE results on lookup-path nodes with halved TTL (env UP2P_DHT_CACHE)")
 	fs.Float64Var(&cfg.TraceSample, "trace-sample", sampleDefault, "per-query trace sampling rate in [0,1]; 0 disables tracing (env UP2P_TRACE_SAMPLE)")
@@ -151,6 +153,9 @@ func (c Config) Validate() error {
 	}
 	if (c.Mode == "centralized" || c.Mode == "fasttrack") && c.Server == "" {
 		return fmt.Errorf("%s mode requires -server (or UP2P_SERVER)", c.Mode)
+	}
+	if c.StateDir != "" && (c.Mode == "indexserver" || c.Mode == "superpeer") {
+		return fmt.Errorf("%s mode takes no -state (or UP2P_STATE): its registrations are soft state that peers re-announce", c.Mode)
 	}
 	if c.SeedN <= 0 {
 		return fmt.Errorf("seedn must be positive, got %d", c.SeedN)

@@ -118,6 +118,24 @@ func TestLoadConfigWALValidation(t *testing.T) {
 	}
 }
 
+// TestLoadConfigHubsKeepSoftState: a hub's registrations are soft state
+// that peers re-announce, and a hub restarted on a logged store would
+// answer from documents whose providers it never logged, so the hub
+// modes refuse -state, as a flag or from the environment.
+func TestLoadConfigHubsKeepSoftState(t *testing.T) {
+	for _, mode := range []string{"indexserver", "superpeer"} {
+		if _, err := LoadConfig([]string{"-mode", mode, "-state", "/tmp/s"}, envMap(nil)); err == nil || !strings.Contains(err.Error(), "soft state") {
+			t.Errorf("-mode %s -state: want a soft-state error, got %v", mode, err)
+		}
+		if _, err := LoadConfig([]string{"-mode", mode}, envMap(map[string]string{"UP2P_STATE": "/tmp/s"})); err == nil {
+			t.Errorf("-mode %s with UP2P_STATE accepted", mode)
+		}
+		if _, err := LoadConfig([]string{"-mode", mode}, envMap(nil)); err != nil {
+			t.Errorf("-mode %s: %v", mode, err)
+		}
+	}
+}
+
 func TestLoadConfigObservabilityFlags(t *testing.T) {
 	// Defaults: tracing off, no debug listener, text logs at info.
 	cfg, err := LoadConfig([]string{"-mode", "gnutella"}, envMap(nil))

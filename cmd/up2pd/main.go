@@ -122,26 +122,16 @@ func run() error {
 
 	switch cfg.Mode {
 	case "indexserver":
-		store, err := openStore(cfg, reg, logger)
-		if err != nil {
-			return err
-		}
-		is := p2p.NewIndexServerOn(node, store)
+		// A hub's registrations are soft state its peers re-announce, so
+		// it keeps them in memory (LoadConfig refuses -state for hubs).
+		is := p2p.NewIndexServerOn(node, index.NewStore(index.WithMetrics(reg)))
 		wire(is, reg, tracer)
 		healthFn = func() health {
 			h := base()
 			h.Docs = is.Len()
 			return h
 		}
-		cleanup = func() error {
-			err := node.Close()
-			// Clean shutdown folds the WAL into one snapshot (no-op
-			// without -state).
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
+		cleanup = is.Close
 	case "superpeer":
 		sp := p2p.NewSuperPeer(node)
 		wire(sp, reg, tracer)
@@ -344,9 +334,9 @@ func seedCommunity(sv *core.Servent, name string, n int) error {
 	return nil
 }
 
-// openStore builds the daemon's metadata store: write-ahead logged
-// under <state>/wal (crash recovery runs inside OpenStore) when -state
-// is set, in every mode that has a store; plain in-memory otherwise.
+// openStore builds a servent's metadata store: write-ahead logged under
+// <state>/wal (crash recovery runs inside OpenStore) when -state is set;
+// plain in-memory otherwise.
 func openStore(cfg Config, reg *metrics.Registry, logger *slog.Logger) (*index.Store, error) {
 	opts := []index.Option{index.WithMetrics(reg), index.WithLogger(logger)}
 	if cfg.StateDir == "" {

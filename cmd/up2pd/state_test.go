@@ -12,13 +12,11 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/metrics"
-	"repro/internal/p2p"
 	"repro/internal/query"
-	"repro/internal/transport"
 )
 
-// stateStore opens the store up2pd opens under -state dir, in any mode
-// that has a store.
+// stateStore opens the store a servent-mode up2pd opens under -state
+// dir.
 func stateStore(t *testing.T, dir string) *index.Store {
 	t.Helper()
 	st, err := openStore(Config{StateDir: dir, Fsync: "os"}, metrics.NewRegistry(), slog.New(slog.DiscardHandler))
@@ -79,38 +77,6 @@ func TestStateMigratesStoreJSON(t *testing.T) {
 	st = stateStore(t, dir)
 	if st.Len() != len(docs) || st.Has("stray") {
 		t.Errorf("reopened store holds %d objects (stray: %v), want %d", st.Len(), st.Has("stray"), len(docs))
-	}
-}
-
-// TestIndexServerStateSurvivesReopen: an index server run under -state
-// keeps its registrations across close and reopen.
-func TestIndexServerStateSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	net := transport.NewMemNetwork()
-	ep, err := net.Endpoint("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := stateStore(t, dir)
-	p2p.NewIndexServerOn(ep, st)
-	cep, err := net.Endpoint("client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := p2p.NewCentralizedClient(cep, "server", index.NewStore())
-	for i := 0; i < 5; i++ {
-		if err := client.Publish(stateDoc(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Len() != 5 {
-		t.Fatalf("server registered %d objects, want 5", st.Len())
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := stateStore(t, dir).Len(); got != 5 {
-		t.Fatalf("reopened server store holds %d objects, want 5", got)
 	}
 }
 

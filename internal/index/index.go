@@ -184,8 +184,8 @@ type Store struct {
 	// (evictForeign), but CONCURRENT re-publication of one ID under
 	// two different communities is unsupported — both copies can
 	// survive, with the directory pointing at one of them — and needs
-	// external serialization (the IndexServer serializes registrations
-	// for exactly this reason).
+	// external serialization (the hubs' registry in internal/p2p
+	// serializes registrations for exactly this reason).
 	dir sync.Map // DocID -> uint32 shard index
 	// wal, when non-nil, logs every write before it is applied; see
 	// wal.go. Armed only by OpenStore.
@@ -692,9 +692,9 @@ func (sh *shard) indexedCandidatesLocked(f query.Filter) map[DocID]struct{} {
 		if field == nil {
 			return map[DocID]struct{}{}
 		}
-		// The whole normalized value is indexed as one token alongside
-		// its words, so exact matches hit directly.
-		return field[normalize(t.Value)]
+		// Every way = can match a value — the whole value or one of
+		// its words, under case folding — is a key (see indexTokens).
+		return field[query.FoldKey(t.Value)]
 	case *query.And:
 		// Any one accelerable conjunct suffices (superset property).
 		for _, sub := range t.Subs {
@@ -794,24 +794,20 @@ func (sh *shard) unindexLocked(d *Document) {
 	}
 }
 
-// indexTokens yields the normalized full value plus its words, so both
-// exact-value lookups and word queries hit the index.
+// indexTokens yields the keys an (attr=word) lookup can arrive with,
+// the two ways Assertion.Match equates them with a value: the whole
+// value's query.FoldKey and the keys of its query.Words. The empty word
+// is not indexed; a lookup for it finds no key and scans.
 func indexTokens(v string) []string {
-	full := normalize(v)
+	full := query.FoldKey(v)
 	if full == "" {
 		return nil
 	}
 	toks := []string{full}
-	for _, w := range strings.FieldsFunc(full, func(r rune) bool {
-		return !('a' <= r && r <= 'z' || '0' <= r && r <= '9')
-	}) {
-		if w != full {
+	for w := range query.Words(full) {
+		if w != "" && w != full {
 			toks = append(toks, w)
 		}
 	}
 	return toks
-}
-
-func normalize(v string) string {
-	return strings.ToLower(strings.TrimSpace(v))
 }

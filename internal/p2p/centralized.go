@@ -11,28 +11,12 @@ import (
 )
 
 // IndexServer is the Napster-style central index. It stores only
-// metadata (attributes + provider); objects stay on their publishing
-// peers and are fetched peer-to-peer, exactly like Napster's split
-// between central search and direct download.
-//
-// Metadata lives in the same sharded index.Store the peers use
-// locally, so server-side search rides the inverted index, community
-// sharding, and result cache instead of scanning a flat entry map;
-// the server only adds a provider table mapping each DocID to the
-// peers serving it.
+// metadata (attributes + provider) in its registry; objects stay on
+// their publishing peers and are fetched peer-to-peer, exactly like
+// Napster's split between central search and direct download.
 type IndexServer struct {
 	Peer
-
-	// mu serializes registration state: providers and the matching
-	// store entries mutate together under it (TCP dispatches handlers
-	// on per-connection goroutines, so a register and an unregister
-	// for one DocID can race), keeping the invariant that every
-	// stored document has at least one provider. Searches take
-	// mu.RLock across the store query and the provider expansion so
-	// they observe one consistent registration state.
-	mu        sync.RWMutex
-	store     *index.Store
-	providers map[index.DocID][]transport.PeerID // registration order
+	registry
 }
 
 // NewIndexServer attaches a server to the given endpoint with a
@@ -44,78 +28,18 @@ func NewIndexServer(ep transport.Endpoint) *IndexServer {
 // NewIndexServerOn attaches a server backed by the given store, so
 // deployments tune shard count and cache size to their load.
 func NewIndexServerOn(ep transport.Endpoint, store *index.Store) *IndexServer {
-	s := &IndexServer{store: store, providers: make(map[index.DocID][]transport.PeerID)}
+	s := &IndexServer{registry: registry{store: store}}
 	// The store is metadata only: the server shares no objects itself.
 	s.InitPeer(ep, nil, "centralized")
 	ep.SetHandler(s.handle)
 	return s
 }
 
-// Len returns the number of distinct registered documents.
-func (s *IndexServer) Len() int { return s.store.Len() }
-
-// DropPeer removes all registrations from a peer (simulating a peer
-// disconnect noticed by the server). Documents left without any
-// provider leave the metadata store in one batch.
-func (s *IndexServer) DropPeer(peer transport.PeerID) {
-	var orphaned []index.DocID
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, provs := range s.providers {
-		kept := provs[:0]
-		for _, p := range provs {
-			if p != peer {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.providers, id)
-			orphaned = append(orphaned, id)
-		} else {
-			s.providers[id] = kept
-		}
-	}
-	s.store.DeleteBatch(orphaned)
-}
-
 func (s *IndexServer) handle(msg transport.Message) {
+	if s.serveRegistration(&s.Peer, msg) {
+		return
+	}
 	switch msg.Type {
-	case MsgRegister:
-		var reg registerPayload
-		if err := reg.DecodeBinary(msg.Payload); err != nil {
-			return
-		}
-		sp, _ := s.StartSpan(msg, "register.serve")
-		s.register(msg.From, []registerPayload{reg})
-		sp.Finish()
-	case MsgRegisterBatch:
-		var batch registerBatchPayload
-		if err := batch.DecodeBinary(msg.Payload); err != nil {
-			return
-		}
-		sp, _ := s.StartSpan(msg, "register.serve")
-		s.register(msg.From, batch.Docs)
-		sp.Finish()
-	case MsgUnregister:
-		var unreg unregisterPayload
-		if err := unreg.DecodeBinary(msg.Payload); err != nil {
-			return
-		}
-		s.mu.Lock()
-		provs := s.providers[unreg.DocID]
-		kept := provs[:0]
-		for _, p := range provs {
-			if p != msg.From {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.providers, unreg.DocID)
-			s.store.Delete(unreg.DocID)
-		} else {
-			s.providers[unreg.DocID] = kept
-		}
-		s.mu.Unlock()
 	case MsgSearch:
 		var req searchPayload
 		if err := req.DecodeBinary(msg.Payload); err != nil {
@@ -134,69 +58,6 @@ func (s *IndexServer) handle(msg transport.Message) {
 	default:
 		s.HandleRetrieval(msg)
 	}
-}
-
-// register records from as a provider of each document and upserts the
-// metadata in one store batch. Replicas are content-addressed, so a
-// re-registration refreshes metadata identically for every provider.
-func (s *IndexServer) register(from transport.PeerID, regs []registerPayload) {
-	docs := make([]*index.Document, 0, len(regs))
-	for _, reg := range regs {
-		if reg.DocID == "" {
-			continue
-		}
-		docs = append(docs, &index.Document{
-			ID:          reg.DocID,
-			CommunityID: reg.CommunityID,
-			Title:       reg.Title,
-			Attrs:       reg.Attrs,
-		})
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, doc := range docs {
-		provs := s.providers[doc.ID]
-		known := false
-		for _, p := range provs {
-			if p == from {
-				known = true
-				break
-			}
-		}
-		if !known {
-			s.providers[doc.ID] = append(provs, from)
-		}
-	}
-	_ = s.store.PutBatch(docs)
-}
-
-func (s *IndexServer) search(communityID string, f query.Filter, limit int) []Result {
-	// The whole read runs under mu so the store query and the
-	// provider expansion see one consistent registration state
-	// (lock order mu -> store, same as register). Every stored
-	// document then has at least one provider, so limit docs yield at
-	// least limit results and the store never materializes more
-	// matches than the client asked for. The results are only encoded
-	// into the reply, so they alias the store's immutable documents.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	docs := s.store.SearchReadOnly(communityID, f, limit)
-	var out []Result
-	for _, d := range docs {
-		for _, p := range s.providers[d.ID] {
-			out = append(out, Result{
-				DocID:       d.ID,
-				Provider:    p,
-				CommunityID: d.CommunityID,
-				Title:       d.Title,
-				Attrs:       d.Attrs,
-			})
-			if limit > 0 && len(out) >= limit {
-				return out
-			}
-		}
-	}
-	return out
 }
 
 // CentralizedClient is a peer in the centralized protocol: it keeps

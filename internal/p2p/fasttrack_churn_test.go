@@ -14,8 +14,8 @@ import (
 // registration, unregistration, drops, and leaf searches — the exact
 // interleaving super-peer churn produces over an asynchronous
 // transport. Run under -race (the CI race job covers internal/...):
-// the point is that registerLeaf/DropLeaf/handleLeafSearch share the
-// leaf index safely. Afterward the index must contain exactly the
+// the point is that registration, DropPeer and handleLeafSearch share
+// the registry safely. Afterward the index must contain exactly the
 // registrations of leaves that were never dropped.
 func TestSuperPeerChurnRace(t *testing.T) {
 	net := transport.NewMemNetwork()
@@ -92,7 +92,7 @@ func TestSuperPeerChurnRace(t *testing.T) {
 		go func(id transport.PeerID) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				sp.DropLeaf(id)
+				sp.DropPeer(id)
 			}
 		}(id)
 	}
@@ -100,7 +100,7 @@ func TestSuperPeerChurnRace(t *testing.T) {
 
 	// Quiesce: drop every churner once more, so only keepers remain.
 	for c := 0; c < churners; c++ {
-		sp.DropLeaf(transport.PeerID(fmt.Sprintf("churn%d", c)))
+		sp.DropPeer(transport.PeerID(fmt.Sprintf("churn%d", c)))
 	}
 	if got := sp.Len(); got != keepers {
 		t.Errorf("super-peer index has %d documents after churn, want %d", got, keepers)

@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/index"
 	"repro/internal/query"
@@ -98,31 +99,6 @@ func TestFastTrackFloodBoundedToSuperOverlay(t *testing.T) {
 	}
 }
 
-func TestFastTrackUnpublishAndDropLeaf(t *testing.T) {
-	f := newFTFixture(t, 2, 2)
-	d := doc("d", "c", "T", map[string]string{"k": "v"})
-	if err := f.leaves[0].Publish(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.leaves[0].Unpublish("d"); err != nil {
-		t.Fatal(err)
-	}
-	rs, _ := f.leaves[1].Search("c", query.MustParse("(k=v)"), SearchOptions{})
-	if len(rs) != 0 {
-		t.Errorf("results after unpublish = %+v", rs)
-	}
-	// DropLeaf removes a dead leaf's registrations.
-	f.leaves[0].Publish(d)
-	f.supers[0].DropLeaf(f.leaves[0].PeerID())
-	rs, _ = f.leaves[1].Search("c", query.MustParse("(k=v)"), SearchOptions{})
-	if len(rs) != 0 {
-		t.Errorf("results after DropLeaf = %+v", rs)
-	}
-	if f.supers[0].Len() != 0 {
-		t.Errorf("super index len = %d", f.supers[0].Len())
-	}
-}
-
 func TestFastTrackDuplicateSuppression(t *testing.T) {
 	// Ring of supers: results must not duplicate despite two paths.
 	f := newFTFixture(t, 4, 1)
@@ -133,5 +109,64 @@ func TestFastTrackDuplicateSuppression(t *testing.T) {
 	}
 	if len(rs) != 1 {
 		t.Errorf("results = %+v", rs)
+	}
+}
+
+// TestFastTrackOverTCPWaitsForTheFlood: over sockets a super-peer's
+// flood comes back after the leaf's search frame has been handled, so
+// the super-peer must hold its answer for the other super-peers' hits —
+// until the search's limit is met, or leafSearchWait.
+func TestFastTrackOverTCPWaitsForTheFlood(t *testing.T) {
+	listen := func() *transport.TCPNode {
+		n, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	var supers []*SuperPeer
+	var leaves []*FastTrackLeaf
+	for i := 0; i < 2; i++ {
+		sp := NewSuperPeer(listen())
+		defer sp.Close()
+		supers = append(supers, sp)
+	}
+	supers[0].AddNeighbor(supers[1].PeerID())
+	supers[1].AddNeighbor(supers[0].PeerID())
+	for i, sp := range supers {
+		leaf := NewFastTrackLeaf(listen(), sp.PeerID(), index.NewStore())
+		defer leaf.Close()
+		leaves = append(leaves, leaf)
+		name := fmt.Sprintf("obj%d", i)
+		if err := leaf.Publish(doc(name, "c", name, map[string]string{"name": name})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Registration is asynchronous: wait until both super-peers hold
+	// their leaf's object.
+	for deadline := time.Now().Add(5 * time.Second); supers[0].Len() < 1 || supers[1].Len() < 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("registrations never reached the super-peers")
+		}
+	}
+
+	rs, err := leaves[0].Search("c", query.MatchAll{}, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 2 || rs[0].Provider != leaves[0].PeerID() || rs[1].Provider != leaves[1].PeerID() {
+		t.Errorf("search from leaf 0 = %+v, want its own super-peer's object, then the other's", rs)
+	}
+
+	start := time.Now()
+	rs, err = leaves[0].Search("c", query.MustParse("(name=obj1)"), SearchOptions{Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].Provider != leaves[1].PeerID() {
+		t.Errorf("limited search from leaf 0 = %+v, want the other super-peer's object", rs)
+	}
+	if took := time.Since(start); took >= leafSearchWait {
+		t.Errorf("a search whose limit the flood met took %v, the whole wait", took)
 	}
 }

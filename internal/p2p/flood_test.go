@@ -308,14 +308,14 @@ func TestSeenTableAges(t *testing.T) {
 		peer.send(t, "node", MsgQuery, codec.Encode(&queryPayload{GUID: guid, Origin: "peer", Filter: "(k=v)", TTL: 1}))
 	}
 	known := func(guid uint64) bool {
-		sp.mu.RLock()
-		defer sp.mu.RUnlock()
+		sp.floodRouter.mu.RLock()
+		defer sp.floodRouter.mu.RUnlock()
 		_, ok := sp.seen.lookup(guid)
 		return ok
 	}
 	size := func() int {
-		sp.mu.RLock()
-		defer sp.mu.RUnlock()
+		sp.floodRouter.mu.RLock()
+		defer sp.floodRouter.mu.RUnlock()
 		return len(sp.seen.cur) + len(sp.seen.prev)
 	}
 

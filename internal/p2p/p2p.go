@@ -15,6 +15,7 @@
 //     reverse-path query-hit routing and Ping/Pong neighbor
 //     discovery; metadata stays on the publishing peer.
 //   - FastTrack: super-peer hybrid; leaves register with a super-peer
+//     exactly as centralized clients register with the index server,
 //     and queries flood only the super-peer overlay.
 //
 // All run over any transport.Endpoint, so the same protocol code
@@ -41,6 +42,16 @@
 // and installs its handler, the handler's switch over its own message
 // types with HandleRetrieval as the default, and Publish / Unpublish /
 // Search. Everything else Network asks for is promoted from Peer.
+//
+// # One registry under both hubs
+//
+// The IndexServer and a SuperPeer are hubs: nodes that index other
+// peers' registrations. Both embed registry (registry.go), which serves
+// the register, register-batch and unregister frames and defines
+// register, unregister, DropPeer, search and Len once, over an
+// index.Store plus each document's providers in registration order.
+// Registrations are soft state the peers re-announce, so hubs keep them
+// in memory only.
 package p2p
 
 import (

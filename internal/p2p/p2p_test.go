@@ -116,24 +116,6 @@ func TestCentralizedUnpublish(t *testing.T) {
 	}
 }
 
-func TestCentralizedReplicas(t *testing.T) {
-	// Two peers publish the same DocID (a replica); both providers are
-	// returned, and DropPeer removes only one.
-	f := newCentralFixture(t, 2)
-	d := doc("same", "c", "T", map[string]string{"k": "v"})
-	f.clients[0].Publish(d)
-	f.clients[1].Publish(d)
-	rs, _ := f.clients[0].Search("c", query.MatchAll{}, SearchOptions{})
-	if len(rs) != 2 {
-		t.Fatalf("replica results = %d", len(rs))
-	}
-	f.server.DropPeer(f.clients[0].PeerID())
-	rs, _ = f.clients[1].Search("c", query.MatchAll{}, SearchOptions{})
-	if len(rs) != 1 || rs[0].Provider != f.clients[1].PeerID() {
-		t.Errorf("after drop = %+v", rs)
-	}
-}
-
 func TestCentralizedSearchLimit(t *testing.T) {
 	f := newCentralFixture(t, 1)
 	c := f.clients[0]

@@ -11,6 +11,7 @@ package query_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,5 +201,70 @@ func TestPropertyStoreLimitIsPrefix(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wordEdgeValues are attribute values where the inverted index and
+// Assertion.Match could part: punctuation inside a word, non-ASCII
+// letters, runes whose case folds leave ASCII (ſ, the Kelvin sign),
+// final sigma, invalid UTF-8, and pairs where one value is a word of
+// another — once an index key holds the whole of one value, a lookup
+// must still find the other.
+var wordEdgeValues = []string{
+	"C++", "C++ patterns",
+	"x-ray", "x-ray vision",
+	"café", "café au lait", "CAFÉ",
+	"least-concern", "Least-Concern species",
+	"publish-subscribe", "publish-subscribe, observer",
+	"50-00-0", "CAS 50-00-0.",
+	"don't", "don't panic", "(parenthesized) word", "e.g., this",
+	"ſun", "SUN", "sun dial",
+	"\u212aelvin", "kelvin", "KELVIN scale",
+	"ΣΟΦΟΣ", "σοφος", "σοφος λογος",
+	"\xffabc", "\xfeabc def", "�abc",
+	"...", "hello ...", "  padded  ", "",
+}
+
+// TestStoreMatchesLinearScanOnWordEdges: for every equality lookup a
+// value or one of its words can make — as is, upper- and lower-cased —
+// Store.Search returns exactly the documents a linear Filter.Match scan
+// selects.
+func TestStoreMatchesLinearScanOnWordEdges(t *testing.T) {
+	stores := map[string]*index.Store{
+		"sharded":     index.NewStore(),
+		"single-lock": index.NewStore(index.WithShards(1), index.WithCacheSize(0)),
+	}
+	attrs := make([]query.Attrs, len(wordEdgeValues))
+	for i, v := range wordEdgeValues {
+		attrs[i] = query.Attrs{"v": {v}}
+		for _, st := range stores {
+			if err := st.Put(&index.Document{ID: index.DocID(fmt.Sprintf("w%02d", i)), CommunityID: "c", Attrs: attrs[i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lookups := map[string]bool{}
+	for _, v := range wordEdgeValues {
+		for _, q := range append([]string{v}, slices.Collect(query.Words(v))...) {
+			lookups[q], lookups[strings.ToUpper(q)], lookups[strings.ToLower(q)] = true, true, true
+		}
+	}
+	for q := range lookups {
+		f := &query.Assertion{Attr: "v", Op: query.OpEq, Value: q}
+		var want []index.DocID
+		for i := range attrs {
+			if f.Match(attrs[i]) {
+				want = append(want, index.DocID(fmt.Sprintf("w%02d", i)))
+			}
+		}
+		for name, st := range stores {
+			var got []index.DocID
+			for _, d := range st.Search("c", f, 0) {
+				got = append(got, d.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: (v=%q): store %v, linear scan %v", name, q, got, want)
+			}
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package query
 
 import (
+	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 // observer is a design-pattern record as the pattern community indexes
@@ -190,5 +193,35 @@ func BenchmarkMatch(b *testing.B) {
 				matchSink = f.Match(rec)
 			}
 		})
+	}
+}
+
+// TestFoldKeyAgreesWithEqualFold: every rune shares its FoldKey with
+// its whole unicode.SimpleFold orbit and with nothing outside it (the
+// key is a member of the orbit), so FoldKey(a) == FoldKey(b) exactly
+// when strings.EqualFold(a, b); an invalid byte keys as the
+// utf8.RuneError EqualFold reads it as.
+func TestFoldKeyAgreesWithEqualFold(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if !utf8.ValidRune(r) {
+			continue
+		}
+		key := FoldKey(string(r))
+		if !strings.EqualFold(key, string(r)) {
+			t.Fatalf("FoldKey(%q) = %q, outside its fold orbit", r, key)
+		}
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			if got := FoldKey(string(f)); got != key {
+				t.Fatalf("FoldKey(%q) = %q, but FoldKey(%q) = %q", f, got, r, key)
+			}
+		}
+	}
+	for _, pair := range [][2]string{{"\xff", "�"}, {"\xffabc", "\xfeABC"}, {"Kelvin", "\u212aELVIN"}, {"ſun", "SUN"}, {"σοφος", "ΣΟΦΟΣ"}} {
+		if !strings.EqualFold(pair[0], pair[1]) || FoldKey(pair[0]) != FoldKey(pair[1]) {
+			t.Errorf("%q, %q: EqualFold %v, keys %q and %q", pair[0], pair[1], strings.EqualFold(pair[0], pair[1]), FoldKey(pair[0]), FoldKey(pair[1]))
+		}
+	}
+	if s := "already folded"; FoldKey(s) != s {
+		t.Errorf("FoldKey(%q) = %q", s, FoldKey(s))
 	}
 }

@@ -19,6 +19,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,8 +133,9 @@ func (a *Assertion) matchValue(v string, want float64, numeric bool) bool {
 			return wildcardMatch(a.Value, v)
 		}
 		// Word-level equality: "(title=blue)" matches "Kind of Blue".
-		// This mirrors how the metadata index tokenizes values, so a
-		// user searching a single word finds multi-word fields.
+		// The metadata index keys values by the same rule (Words,
+		// FoldKey), so a user searching a single word finds
+		// multi-word fields through it.
 		return strings.EqualFold(v, a.Value) ||
 			strings.IndexByte(a.Value, ' ') < 0 && strings.IndexByte(a.Value, '\t') < 0 && hasWord(v, a.Value)
 	case OpContains:
@@ -151,41 +153,89 @@ const wordTrim uint64 = 1<<',' | 1<<'.' | 1<<';' | 1<<':' | 1<<'!' | 1<<'?' | 1<
 
 func isWordTrim(c byte) bool { return wordTrim>>c&1 != 0 } // a shift by 64 or more leaves 0
 
-// hasWord reports whether one of v's fields — cut where strings.Fields
-// would cut them: unicode.IsSpace separates, an invalid byte does not —
-// equals word under case folding once wordTrim is trimmed off its ends.
-// It walks v in place.
+// hasWord reports whether one of v's Words equals word under case
+// folding.
 func hasWord(v, word string) bool {
-	start := -1 // where the field being read began
-	for i := 0; i <= len(v); {
-		space, w := true, 1 // the end of v closes its last field
-		if i < len(v) {
-			c := v[i]
-			space = c == ' ' || '\t' <= c && c <= '\r'
-			if c >= utf8.RuneSelf {
-				var r rune
-				r, w = utf8.DecodeRuneInString(v[i:])
-				space = unicode.IsSpace(r)
-			}
+	for w := range Words(v) {
+		if strings.EqualFold(w, word) {
+			return true
 		}
-		if !space && start < 0 {
-			start = i
-		} else if space && start >= 0 {
-			f := v[start:i]
-			for f != "" && isWordTrim(f[0]) {
-				f = f[1:]
-			}
-			for f != "" && isWordTrim(f[len(f)-1]) {
-				f = f[:len(f)-1]
-			}
-			if strings.EqualFold(f, word) {
-				return true
-			}
-			start = -1
-		}
-		i += w
 	}
 	return false
+}
+
+// Words returns an iterator over v's words, the units (attr=word)
+// compares a word with: v's fields, cut where strings.Fields would cut
+// them (unicode.IsSpace separates, an invalid byte does not), with
+// wordTrim trimmed off both ends. A field of that punctuation alone is
+// the word "". It walks v in place.
+func Words(v string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		start := -1 // where the field being read began
+		for i := 0; i <= len(v); {
+			space, w := true, 1 // the end of v closes its last field
+			if i < len(v) {
+				c := v[i]
+				space = c == ' ' || '\t' <= c && c <= '\r'
+				if c >= utf8.RuneSelf {
+					var r rune
+					r, w = utf8.DecodeRuneInString(v[i:])
+					space = unicode.IsSpace(r)
+				}
+			}
+			if !space && start < 0 {
+				start = i
+			} else if space && start >= 0 {
+				f := v[start:i]
+				for f != "" && isWordTrim(f[0]) {
+					f = f[1:]
+				}
+				for f != "" && isWordTrim(f[len(f)-1]) {
+					f = f[:len(f)-1]
+				}
+				if !yield(f) {
+					return
+				}
+				start = -1
+			}
+			i += w
+		}
+	}
+}
+
+// FoldKey returns the key strings.EqualFold files s under: each rune
+// replaced by the least rune of its unicode.SimpleFold orbit, lowered
+// when that is an ASCII capital, and an invalid byte read as
+// utf8.RuneError, as EqualFold reads it. FoldKey(a) == FoldKey(b)
+// exactly when strings.EqualFold(a, b). No fold orbit holds a space or a
+// wordTrim byte, so the Words of FoldKey(v) are the FoldKeys of v's
+// Words. An ASCII string without capitals is its own key.
+func FoldKey(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			var b strings.Builder
+			b.Grow(len(s))
+			b.WriteString(s[:i])
+			for _, r := range s[i:] {
+				b.WriteRune(foldRune(r))
+			}
+			return b.String()
+		}
+	}
+	return s
+}
+
+func foldRune(r rune) rune {
+	least := r
+	if r >= utf8.RuneSelf {
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			least = min(least, f)
+		}
+	}
+	if 'A' <= least && least <= 'Z' {
+		least += 'a' - 'A'
+	}
+	return least
 }
 
 // parseNumber reads s as a number the way compareOrdered's operands

@@ -653,8 +653,8 @@ func (c *Cluster) PublishRoundRobin(communityID string, objs []corpus.Object) ([
 }
 
 // KillPeer detaches a servent abruptly (churn/fault injection): its
-// endpoint closes, the central index drops its registrations, and
-// overlay neighbors unlink it. Killing a dead peer is a no-op.
+// endpoint closes, the hub it registered with (index server or
+// super-peer) drops its registrations, and overlay neighbors unlink it. Killing a dead peer is a no-op.
 func (c *Cluster) KillPeer(i int) {
 	if !c.alive[i] {
 		return
@@ -667,7 +667,7 @@ func (c *Cluster) KillPeer(i int) {
 		c.Server.DropPeer(peer)
 	}
 	if c.leafSuper != nil && c.leafSuper[i] >= 0 {
-		c.supers[c.leafSuper[i]].DropLeaf(peer)
+		c.supers[c.leafSuper[i]].DropPeer(peer)
 	}
 	for j, node := range c.nodes {
 		if j != i && node != nil {

@@ -2,7 +2,9 @@
 # ops-smoke: boot an up2pd daemon, scrape the ops surface, and assert
 # the output is well-formed; then prove that a daemon under -state
 # persists its store across a SIGTERM and across a SIGKILL, and that a
-# restart restores it. Run via `make ops-smoke`.
+# restart restores it; then that FastTrack leaves under two different
+# super-peers find each other's communities over TCP. Run via
+# `make ops-smoke`.
 set -eu
 
 bin="$1"
@@ -11,7 +13,8 @@ http=127.0.0.1:8971
 pid=
 state=
 crash=
-trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; [ -n "$state" ] && rm -rf "$state"; [ -n "$crash" ] && rm -rf "$crash"' EXIT
+ft=
+trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; [ -n "$ft" ] && kill $ft 2>/dev/null; [ -n "$state" ] && rm -rf "$state"; [ -n "$crash" ] && rm -rf "$crash"' EXIT
 
 # wait_health blocks until $1 serves /healthz (5s budget).
 wait_health() {
@@ -123,5 +126,33 @@ echo "recovered $docs objects from the log after SIGKILL"
 kill -TERM "$pid"
 wait "$pid" || true
 pid=
+
+echo "== FastTrack over TCP: a leaf discovers a community held under the other super-peer"
+"$bin" -mode superpeer -p2p 127.0.0.1:7976 -http 127.0.0.1:8976 -neighbors 127.0.0.1:7977 &
+ft="$!"
+"$bin" -mode superpeer -p2p 127.0.0.1:7977 -http 127.0.0.1:8977 -neighbors 127.0.0.1:7976 &
+ft="$ft $!"
+wait_health 127.0.0.1:8976
+wait_health 127.0.0.1:8977
+"$bin" -mode fasttrack -p2p 127.0.0.1:7978 -http 127.0.0.1:8978 -server 127.0.0.1:7976 -seed designpatterns &
+ft="$ft $!"
+"$bin" -mode fasttrack -p2p 127.0.0.1:7979 -http 127.0.0.1:8979 -server 127.0.0.1:7977 &
+ft="$ft $!"
+wait_health 127.0.0.1:8978
+wait_health 127.0.0.1:8979
+# Registration is asynchronous: poll until leaf A's super-peer holds it.
+i=0
+until curl -sf "http://127.0.0.1:8979/discover" | grep -q '<td>designpatterns</td>'; do
+    i=$((i + 1))
+    if [ "$i" -ge 10 ]; then
+        echo "ops-smoke: leaf B never discovered leaf A's community across super-peers" >&2
+        exit 1
+    fi
+    sleep 0.5
+done
+echo "leaf B discovered designpatterns through the super-peer flood"
+kill $ft
+for p in $ft; do wait "$p" || true; done
+ft=
 
 echo "ops-smoke: OK"
