@@ -11,8 +11,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrency-sensitive internal packages (the sharded
-# store and everything that drives it).
+# Race-detect the concurrency-sensitive internal packages (the store
+# and everything that drives it).
 race:
 	$(GO) test -race ./internal/...
 
@@ -35,11 +35,13 @@ vet:
 
 # Compile-and-run every benchmark once so they cannot rot (the 24-node
 # BenchmarkDHTSearchCluster of internal/dht among them), plus
-# reduced-scale runs of E13 (the flooding-vs-DHT scaling comparison
-# must keep producing both columns) and E18 (the WAL overhead and
-# recovery measurements must keep completing).
+# reduced-scale runs of E9 (the store's cache-off and cache-on rows),
+# E13 (the flooding-vs-DHT scaling comparison must keep producing both
+# columns) and E18 (the WAL overhead and recovery measurements must
+# keep completing).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) run ./cmd/up2pbench -run E9 -store-ops 300
 	$(GO) run ./cmd/up2pbench -run E13 -e13-max-peers 100
 	$(GO) run ./cmd/up2pbench -run E18 -wal-docs 40 -wal-recovery-batches 20,60
 

@@ -35,8 +35,6 @@ func run() error {
 	// E9 (store scalability) workload knobs.
 	flag.IntVar(&cfg.Store.Workers, "store-workers", cfg.Store.Workers,
 		"E9: concurrent store clients")
-	flag.IntVar(&cfg.Store.Shards, "store-shards", cfg.Store.Shards,
-		"E9: shard count of the sharded store configurations")
 	flag.IntVar(&cfg.Store.Communities, "store-communities", cfg.Store.Communities,
 		"E9: number of seeded communities")
 	flag.IntVar(&cfg.Store.DocsPerCommunity, "store-docs", cfg.Store.DocsPerCommunity,

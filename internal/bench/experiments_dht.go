@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/dht"
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/sim"
@@ -34,8 +35,7 @@ func dhtScenarioCluster(c Config, peers int, proto sim.Protocol) sim.Config {
 		Protocol: proto,
 		Degree:   4,
 		Seed:     c.Scenario.Seed,
-		DHTK:     c.DHT.K,
-		DHTAlpha: c.DHT.Alpha,
+		DHT:      dht.Config{K: c.DHT.K, Alpha: c.DHT.Alpha},
 	}
 }
 
@@ -177,7 +177,7 @@ func RunE14(c Config) (Table, error) {
 		cluster := dhtScenarioCluster(c, sc.Peers, proto)
 		cluster.Latency = 30 * time.Millisecond
 		cluster.Jitter = 20 * time.Millisecond
-		cluster.DHTRepublishAlways = republishAlways
+		cluster.DHT.RepublishAlways = republishAlways
 		r, err := sim.RunScenario(sim.ScenarioConfig{
 			Cluster:         cluster,
 			Duration:        scenarioDuration,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dht"
 	"repro/internal/sim"
 )
 
@@ -68,10 +69,7 @@ func RunE16(c Config) (Table, error) {
 	}
 	for _, m := range modes {
 		cluster := dhtScenarioCluster(c, peers, sim.DHT)
-		cluster.DHTK = hc.K
-		cluster.DHTAlpha = hc.Alpha
-		cluster.DHTCache = m.cache
-		cluster.DHTSplitThreshold = m.split
+		cluster.DHT = dht.Config{K: hc.K, Alpha: hc.Alpha, CacheRecords: m.cache, SplitThreshold: m.split}
 		cluster.PeerLoad = true
 		r, err := sim.RunScenario(sim.ScenarioConfig{
 			Cluster:  cluster,

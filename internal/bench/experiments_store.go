@@ -22,29 +22,25 @@ type StoreConfig struct {
 	Workers int
 	// OpsPerWorker is the operation count each worker executes.
 	OpsPerWorker int
-	// Shards is the stripe count of the sharded configurations.
-	Shards int
 }
 
 // RunE9 measures metadata-store throughput under concurrent
-// publishers and searchers: the single-lock baseline (the original
-// store: one shard, no cache) against the sharded store, with and
-// without the per-shard result cache. Three workloads per
-// configuration: batch ingest, community-scoped search, and a mixed
-// read-mostly stream (1 put per 8 ops).
+// publishers and searchers, without and with the result cache. Three
+// workloads per configuration: batch ingest, community-scoped search,
+// and a mixed read-mostly stream (1 put per 8 ops).
 func RunE9(c Config) (Table, error) {
 	cfg := c.Store
 	t := Table{
 		ID:    "E9",
-		Title: "metadata store scalability: single-lock vs sharded",
+		Title: "metadata store scalability: result cache off vs on",
 		Headers: []string{
 			"configuration", "workload", "workers", "ops", "ops/sec", "speedup",
 		},
 		Notes: []string{
 			fmt.Sprintf("%d communities x %d docs; %d workers x %d ops; community-pinned clients",
 				cfg.Communities, cfg.DocsPerCommunity, cfg.Workers, cfg.OpsPerWorker),
-			"expected shape: sharding colocates each community (and its inverted-index slice) in one stripe, so search cost no longer grows with the other communities' postings and writers contend per community, not globally",
-			"the cache row shows repeated popular queries served without recomputation (generation-validated per-shard LRU)",
+			"expected shape: each community keeps its own inverted-index postings, so search cost does not grow with the other communities' postings; one lock serializes writers, so the mixed rows pay for every put",
+			"the cache row shows repeated popular queries served without recomputation (LRU entries validated by their community's write generation)",
 		},
 	}
 
@@ -52,9 +48,8 @@ func RunE9(c Config) (Table, error) {
 		name string
 		opts []index.Option
 	}{
-		{"single-lock (1 shard, no cache)", []index.Option{index.WithShards(1), index.WithCacheSize(0)}},
-		{fmt.Sprintf("sharded (%d shards, no cache)", cfg.Shards), []index.Option{index.WithShards(cfg.Shards), index.WithCacheSize(0)}},
-		{fmt.Sprintf("sharded+cache (%d shards)", cfg.Shards), []index.Option{index.WithShards(cfg.Shards)}},
+		{"no cache", []index.Option{index.WithCacheSize(0)}},
+		{"cache", nil},
 	}
 	baseline := make(map[string]float64) // workload -> baseline ops/sec
 

@@ -11,8 +11,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/index"
 )
 
 // Table is one experiment's output: paper-style rows.
@@ -87,7 +85,6 @@ func DefaultConfig() Config {
 			DocsPerCommunity: 200,
 			Workers:          8,
 			OpsPerWorker:     3000,
-			Shards:           index.DefaultShards,
 		},
 		Scenario: ScenarioConfig{Peers: 1000, Queries: 120, Seed: 11},
 		DHT:      DHTConfig{K: 16, Alpha: 3, E13MaxPeers: 10000},
@@ -127,7 +124,7 @@ func All() []Runner {
 		{"E6", "generative pipeline throughput", fixed(RunE6)},
 		{"E7", "design-pattern case study (§V)", fixed(RunE7)},
 		{"E8", "protocol independence", fixed(RunE8)},
-		{"E9", "metadata store scalability: single-lock vs sharded", RunE9},
+		{"E9", "metadata store scalability: result cache off vs on", RunE9},
 		{"E10", "churn sweep on the virtual clock", RunE10},
 		{"E11", "message-loss sweep", RunE11},
 		{"E12", "super-peer failover and leaf re-registration", RunE12},

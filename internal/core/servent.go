@@ -187,7 +187,7 @@ func (s *Servent) Publish(communityID string, obj *xmldoc.Node, attachments map[
 }
 
 // PublishBatch validates, indexes, and publishes many objects of one
-// community as a single batch: one store lock round per shard and (on
+// community as a single batch: one store lock round and (on
 // registration protocols) one register-batch message, instead of one
 // of each per object. It is the bulk-ingest path for corpus seeding
 // and imports; objects with attachments go through Publish. The

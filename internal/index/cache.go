@@ -7,11 +7,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// resultCache is one shard's LRU of materialized query results. An
-// entry remembers the shard write generation it was computed under;
-// get treats an entry from an older generation as a miss and evicts
-// it, so shard writers invalidate the whole cache with one integer
-// increment instead of a sweep.
+// resultCache is the store's LRU of materialized query results. An
+// entry remembers its community's write generation at the time it was
+// computed; get treats an entry from another generation as a miss and
+// evicts it, so a writer invalidates its community's entries with one
+// integer assignment instead of a sweep.
 //
 // The cache stores canonical document pointers. That is safe because
 // stored Documents are immutable once installed — Put replaces the
@@ -40,7 +40,7 @@ func newResultCache(capacity int, hits, misses *metrics.Counter) *resultCache {
 	return &resultCache{
 		cap:    capacity,
 		ll:     list.New(),
-		m:      make(map[string]*list.Element, capacity),
+		m:      make(map[string]*list.Element),
 		hits:   hits,
 		misses: misses,
 	}

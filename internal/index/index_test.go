@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -313,6 +314,32 @@ func TestPropertyPostingsBalanced(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEmptyStoreHeap pins what a store costs before it holds anything:
+// every simulated peer builds one, and most peers share a handful of
+// objects. Measured as the live heap after GC across 500 stores, each
+// with its own private metrics registry.
+func TestEmptyStoreHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates every allocation")
+	}
+	const stores, limit = 500, 16 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := make([]*Store, stores)
+	for i := range held {
+		held[i] = NewStore()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(held)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / stores
+	t.Logf("an empty store holds %d bytes of heap", per)
+	if per > limit {
+		t.Errorf("an empty store holds %d bytes of heap, want at most %d", per, limit)
 	}
 }
 

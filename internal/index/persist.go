@@ -8,9 +8,7 @@ import (
 
 // snapshot is the serialized store form the WAL compacts into
 // (snapshot.json, see wal.go): documents only; the inverted index is
-// rebuilt on load (it is derived state). The format is independent of
-// the shard count, so snapshots move freely between store
-// configurations.
+// rebuilt on load (it is derived state).
 type snapshot struct {
 	Version   int         `json:"version"`
 	Documents []*Document `json:"documents"`

@@ -51,10 +51,6 @@ func OpenStore(opts ...Option) (*Store, error) {
 		replayed:     s.reg.Counter("index.wal_replayed"),
 		reg:          s.reg,
 	}
-	w.logs = make([]*shardLog, len(s.shards))
-	for i := range w.logs {
-		w.logs[i] = &shardLog{}
-	}
 	if err := s.recover(w); err != nil {
 		return nil, err
 	}
@@ -65,8 +61,8 @@ func OpenStore(opts ...Option) (*Store, error) {
 }
 
 // recover loads the snapshot and replays the log into s (whose WAL is
-// not yet armed), then positions w's append handles at the live tail
-// of each shard's newest segment.
+// not yet armed), then positions w's append handle at the live tail of
+// the newest chain-0 segment.
 func (s *Store) recover(w *wal) error {
 	if f, err := os.Open(filepath.Join(w.dir, walSnapshotName)); err == nil {
 		lerr := s.loadSnapshot(f)
@@ -77,7 +73,7 @@ func (s *Store) recover(w *wal) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return w.fail(errWALReplay, err)
 	}
-	recs, sizes, maxLSN, err := w.scanSegments()
+	recs, err := w.scanSegments()
 	if err != nil {
 		return err
 	}
@@ -97,77 +93,46 @@ func (s *Store) recover(w *wal) error {
 	}
 	w.replayed.Add(int64(len(recs)))
 	if len(recs) > 0 {
-		// recs is sorted by LSN, so the range is first..maxLSN. The
+		// recs is sorted by LSN, so the range is first..last. The
 		// replayed-LSN range used to be visible only as a counter; an
 		// operator diagnosing recovery needs the actual positions.
+		w.lsn = recs[len(recs)-1].LSN
 		w.log.Info("wal replay complete",
-			"records", len(recs), "min_lsn", recs[0].LSN, "max_lsn", maxLSN)
+			"records", len(recs), "min_lsn", recs[0].LSN, "max_lsn", w.lsn)
 	} else {
 		w.log.Debug("wal replay complete", "records", 0)
 	}
-	w.lsn.Store(maxLSN)
-	// Reopen each shard's newest segment for appending; shards with no
-	// surviving segment get one lazily on first append (rotate).
-	var total int64
-	for idx := range w.logs {
-		seq, ok := sizes.newestSeq(idx)
-		if !ok {
-			continue
-		}
-		f, err := os.OpenFile(filepath.Join(w.dir, segmentName(idx, seq)), os.O_WRONLY|os.O_APPEND, 0o644)
+	// Reopen the newest chain-0 segment for appending; without one, the
+	// first append opens one (rotate).
+	if w.seq > 0 {
+		f, err := os.OpenFile(filepath.Join(w.dir, segmentName(0, w.seq)), os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return w.fail(errWALReplay, err)
 		}
-		w.logs[idx].f = f
-		w.logs[idx].seq = seq
-		w.logs[idx].size = sizes[segKey{idx, seq}]
+		w.f = f
 	}
-	for _, n := range sizes {
-		total += n
-	}
-	w.total.Store(total)
 	return nil
 }
 
-type segKey struct {
-	shard int
-	seq   int
-}
-
-// segSizes maps each surviving segment to its post-truncation size.
-type segSizes map[segKey]int64
-
-// newestSeq returns the highest segment sequence recorded for shard.
-func (m segSizes) newestSeq(shard int) (int, bool) {
-	best, ok := 0, false
-	for k := range m {
-		if k.shard == shard && (!ok || k.seq > best) {
-			best, ok = k.seq, true
-		}
-	}
-	return best, ok
-}
-
-// scanSegments reads every record from every segment file, truncating
-// each file at its first bad frame (torn tail). It returns the
-// records, the surviving per-segment sizes, and the highest LSN seen.
-func (w *wal) scanSegments() ([]walRecord, segSizes, uint64, error) {
+// scanSegments reads every record from every segment file, whatever
+// its chain, truncating each file at its first bad frame (torn tail).
+// It returns the records, sets w.total to the surviving bytes, and
+// sets w.seq and w.size to the newest chain-0 segment's.
+func (w *wal) scanSegments() ([]walRecord, error) {
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
-		return nil, nil, 0, w.fail(errWALReplay, err)
+		return nil, w.fail(errWALReplay, err)
 	}
 	var recs []walRecord
-	sizes := make(segSizes)
-	var maxLSN uint64
 	for _, e := range entries {
-		shard, seq, ok := parseSegmentName(e.Name())
+		chain, seq, ok := parseSegmentName(e.Name())
 		if !ok {
 			continue
 		}
 		path := filepath.Join(w.dir, e.Name())
 		fileRecs, goodBytes, err := scanSegmentFile(path)
 		if err != nil {
-			return nil, nil, 0, w.fail(errWALReplay, err)
+			return nil, w.fail(errWALReplay, err)
 		}
 		if fi, err := os.Stat(path); err == nil && fi.Size() > goodBytes {
 			// Torn or corrupt tail: count it, cut it, keep going — but
@@ -179,18 +144,16 @@ func (w *wal) scanSegments() ([]walRecord, segSizes, uint64, error) {
 				"code", "wal.corrupt", "segment", e.Name(),
 				"offset", goodBytes, "dropped_bytes", fi.Size()-goodBytes)
 			if err := os.Truncate(path, goodBytes); err != nil {
-				return nil, nil, 0, w.fail(errWALReplay, err)
+				return nil, w.fail(errWALReplay, err)
 			}
 		}
-		sizes[segKey{shard, seq}] = goodBytes
-		for _, r := range fileRecs {
-			if r.LSN > maxLSN {
-				maxLSN = r.LSN
-			}
+		w.total.Add(goodBytes)
+		if chain == 0 && seq > w.seq {
+			w.seq, w.size = seq, goodBytes
 		}
 		recs = append(recs, fileRecs...)
 	}
-	return recs, sizes, maxLSN, nil
+	return recs, nil
 }
 
 // scanSegmentFile decodes records until EOF or the first bad frame,

@@ -8,9 +8,9 @@ import (
 	"repro/internal/query"
 )
 
-// The BenchmarkStore* family compares the single-lock baseline (one
-// shard, no cache — the pre-sharding store) against the sharded store
-// on concurrent community-scoped workloads. Run with:
+// The BenchmarkStore* family measures the store on concurrent
+// community-scoped workloads, with the result cache off and on. Run
+// with:
 //
 //	go test -bench 'BenchmarkStore' -benchtime 2s ./internal/index/
 const (
@@ -94,27 +94,19 @@ func benchMixedConcurrent(b *testing.B, s *Store) {
 	})
 }
 
-func BenchmarkStoreSearchSingleLock(b *testing.B) {
-	benchSearchConcurrent(b, benchStore(b, WithShards(1), WithCacheSize(0)))
-}
-
-func BenchmarkStoreSearchSharded(b *testing.B) {
+func BenchmarkStoreSearch(b *testing.B) {
 	benchSearchConcurrent(b, benchStore(b, WithCacheSize(0)))
 }
 
-func BenchmarkStoreSearchShardedCached(b *testing.B) {
+func BenchmarkStoreSearchCached(b *testing.B) {
 	benchSearchConcurrent(b, benchStore(b))
 }
 
-func BenchmarkStoreMixedSingleLock(b *testing.B) {
-	benchMixedConcurrent(b, benchStore(b, WithShards(1), WithCacheSize(0)))
-}
-
-func BenchmarkStoreMixedSharded(b *testing.B) {
+func BenchmarkStoreMixed(b *testing.B) {
 	benchMixedConcurrent(b, benchStore(b, WithCacheSize(0)))
 }
 
-func BenchmarkStoreMixedShardedCached(b *testing.B) {
+func BenchmarkStoreMixedCached(b *testing.B) {
 	benchMixedConcurrent(b, benchStore(b))
 }
 

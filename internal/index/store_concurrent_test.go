@@ -9,7 +9,7 @@ import (
 	"repro/internal/query"
 )
 
-// TestConcurrentMixedAcrossCommunities hammers the sharded store with
+// TestConcurrentMixedAcrossCommunities hammers the store with
 // 12 goroutines doing mixed Put/Search/Delete/Get across 4
 // communities (run under -race in CI), then verifies the surviving
 // state is exactly what sequential semantics predict: each goroutine
@@ -21,7 +21,7 @@ func TestConcurrentMixedAcrossCommunities(t *testing.T) {
 		keepEvery  = 3 // delete two of every three documents written
 	)
 	communities := []string{"patterns", "mp3", "species", "molecules"}
-	s := NewStore(WithShards(8), WithCacheSize(32))
+	s := NewStore(WithCacheSize(32))
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -87,8 +87,7 @@ func TestConcurrentMixedAcrossCommunities(t *testing.T) {
 
 // TestPutBatchMatchesSequential checks batch-vs-single equivalence:
 // loading the same documents through PutBatch and through a Put loop
-// must store identical documents and identical derived state,
-// across several shard configurations.
+// must store identical documents and identical derived state.
 func TestPutBatchMatchesSequential(t *testing.T) {
 	mkDocs := func() []*Document {
 		var docs []*Document
@@ -104,32 +103,29 @@ func TestPutBatchMatchesSequential(t *testing.T) {
 		docs = append(docs, doc("d07", "c2", "replaced", map[string][]string{"k": {"v9"}}))
 		return docs
 	}
-	for _, shards := range []int{1, 4, 16} {
-		single := NewStore(WithShards(shards))
-		batch := NewStore(WithShards(shards))
-		for _, d := range mkDocs() {
-			if err := single.Put(d); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
+	single, batch := NewStore(), NewStore()
+	for _, d := range mkDocs() {
+		if err := single.Put(d); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
-		if err := batch.PutBatch(mkDocs()); err != nil {
-			t.Fatalf("PutBatch: %v", err)
-		}
-		if !bytes.Equal(dump(t, single), dump(t, batch)) {
-			t.Errorf("shards=%d: batch contents differ from sequential contents", shards)
-		}
-		if single.Postings() != batch.Postings() {
-			t.Errorf("shards=%d: postings %d != %d", shards, single.Postings(), batch.Postings())
-		}
-		if single.Len() != batch.Len() {
-			t.Errorf("shards=%d: len %d != %d", shards, single.Len(), batch.Len())
-		}
-		f := query.MustParse("(k=v1)")
-		for _, comm := range single.Communities() {
-			ga, gb := ids(single.Search(comm, f, 0)), ids(batch.Search(comm, f, 0))
-			if fmt.Sprint(ga) != fmt.Sprint(gb) {
-				t.Errorf("shards=%d community %s: search %v != %v", shards, comm, ga, gb)
-			}
+	}
+	if err := batch.PutBatch(mkDocs()); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if !bytes.Equal(dump(t, single), dump(t, batch)) {
+		t.Error("batch contents differ from sequential contents")
+	}
+	if single.Postings() != batch.Postings() {
+		t.Errorf("postings %d != %d", single.Postings(), batch.Postings())
+	}
+	if single.Len() != batch.Len() {
+		t.Errorf("len %d != %d", single.Len(), batch.Len())
+	}
+	f := query.MustParse("(k=v1)")
+	for _, comm := range single.Communities() {
+		ga, gb := ids(single.Search(comm, f, 0)), ids(batch.Search(comm, f, 0))
+		if fmt.Sprint(ga) != fmt.Sprint(gb) {
+			t.Errorf("community %s: search %v != %v", comm, ga, gb)
 		}
 	}
 }
@@ -153,7 +149,7 @@ func TestPutBatchValidation(t *testing.T) {
 // TestDeleteBatch removes across communities and counts only documents
 // that existed.
 func TestDeleteBatch(t *testing.T) {
-	s := NewStore(WithShards(4))
+	s := NewStore()
 	var all []DocID
 	for i := 0; i < 20; i++ {
 		id := DocID(fmt.Sprintf("d%02d", i))
@@ -183,10 +179,11 @@ func TestDeleteBatch(t *testing.T) {
 }
 
 // TestCacheInvalidationOnWrite: repeated queries are served from the
-// per-shard cache, and any write to the community's shard makes the
-// next query recompute and observe the write.
+// cache, a write to another community leaves them cached, and any
+// write to the community makes the next query recompute and observe
+// the write.
 func TestCacheInvalidationOnWrite(t *testing.T) {
-	s := NewStore(WithShards(4), WithCacheSize(16))
+	s := NewStore(WithCacheSize(16))
 	put := func(id string) {
 		t.Helper()
 		if err := s.Put(doc(id, "c", "T", map[string][]string{"k": {"v"}})); err != nil {
@@ -212,6 +209,15 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 		t.Errorf("repeat of identical query missed (misses %d -> %d)", misses0, misses1)
 	}
 
+	// A write to another community leaves the entry valid.
+	if err := s.Put(doc("o1", "other", "T", map[string][]string{"k": {"v"}})); err != nil {
+		t.Fatal(err)
+	}
+	s.Search("c", f, 0)
+	if hits := s.Metrics().Snapshot().Counter("index.cache_hits"); hits != hits1+1 {
+		t.Errorf("a write to another community invalidated the entry (hits %d -> %d)", hits1, hits)
+	}
+
 	// A write must invalidate: the next identical query sees d2.
 	put("d2")
 	if got := len(s.Search("c", f, 0)); got != 2 {
@@ -234,24 +240,46 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction: the per-shard cache is bounded.
+// TestCacheGenerationNotReused: a community that empties and refills
+// gets a generation it never had, so a result cached before it emptied
+// is never served after it refills.
+func TestCacheGenerationNotReused(t *testing.T) {
+	s := NewStore()
+	f := query.MustParse("(k=v)")
+	for _, id := range []string{"d1", "d2", "d3"} {
+		if err := s.Put(doc(id, "c", "T", map[string][]string{"k": {"v"}})); err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(s.Search("c", f, 0)); fmt.Sprint(got) != "["+id+"]" {
+			t.Fatalf("after putting %s alone: %v", id, got)
+		}
+		if !s.Delete(DocID(id)) {
+			t.Fatalf("Delete(%s) = false", id)
+		}
+		if got := s.Search("c", f, 0); len(got) != 0 {
+			t.Fatalf("emptied community answered %v", ids(got))
+		}
+	}
+}
+
+// TestCacheLRUEviction: the cache is bounded.
 func TestCacheLRUEviction(t *testing.T) {
-	s := NewStore(WithShards(1), WithCacheSize(4))
+	s := NewStore(WithCacheSize(4))
 	if err := s.Put(doc("d1", "c", "T", map[string][]string{"k": {"v"}})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		s.Search("c", query.MustParse(fmt.Sprintf("(k=v%d)", i)), 0)
 	}
-	if got := s.shards[0].cache.entries(); got > 4 {
+	if got := s.cache.entries(); got > 4 {
 		t.Errorf("cache grew to %d entries, cap 4", got)
 	}
 }
 
 // TestCrossCommunityReplace: re-publishing an ID under a different
-// community moves it between shards without leaving a stale copy.
+// community moves it without leaving a stale copy.
 func TestCrossCommunityReplace(t *testing.T) {
-	s := NewStore(WithShards(8))
+	s := NewStore()
 	if err := s.Put(doc("d1", "alpha", "A", map[string][]string{"k": {"v"}})); err != nil {
 		t.Fatal(err)
 	}
@@ -276,15 +304,52 @@ func TestCrossCommunityReplace(t *testing.T) {
 	}
 }
 
-// TestShardRoundingAndScoping: shard counts round up to powers of two
-// and community scoping holds across shard configurations.
-func TestShardRoundingAndScoping(t *testing.T) {
-	for n, want := range map[int]int{0: 1, 1: 1, 3: 4, 16: 16, 17: 32} {
-		if got := NewStore(WithShards(n)).NumShards(); got != want {
-			t.Errorf("WithShards(%d) -> %d shards, want %d", n, got, want)
+// TestConcurrentCrossCommunityPutKeepsOneCopy: two writers put one ID
+// under two communities at once, for many IDs. However the writes
+// interleave, each ID ends up stored once, under the community of the
+// write that landed last.
+func TestConcurrentCrossCommunityPutKeepsOneCopy(t *testing.T) {
+	const n = 2000
+	s := NewStore()
+	for i := 0; i < n; i++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, comm := range []string{"alpha", "beta"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := s.Put(doc(fmt.Sprintf("d%04d", i), comm, "T", map[string][]string{"k": {"v"}})); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	alpha, beta := s.CommunityLen("alpha"), s.CommunityLen("beta")
+	if s.Len() != n || alpha+beta != n {
+		t.Fatalf("Len %d, alpha %d + beta %d: want %d documents, each in one community", s.Len(), alpha, beta, n)
+	}
+	inAlpha := make(map[DocID]bool)
+	for _, d := range s.SearchReadOnly("alpha", query.MatchAll{}, 0) {
+		inAlpha[d.ID] = true
+	}
+	both := 0
+	for _, d := range s.SearchReadOnly("beta", query.MatchAll{}, 0) {
+		if inAlpha[d.ID] {
+			both++
 		}
 	}
-	s := NewStore(WithShards(4))
+	if both != 0 {
+		t.Errorf("%d of %d IDs stored under both communities", both, n)
+	}
+}
+
+// TestManyCommunitiesScoping: with many communities stored, each
+// community's search, count and listing see exactly its own documents.
+func TestManyCommunitiesScoping(t *testing.T) {
+	s := NewStore()
 	for i := 0; i < 40; i++ {
 		comm := fmt.Sprintf("c%d", i%8)
 		if err := s.Put(doc(fmt.Sprintf("d%02d", i), comm, "T", map[string][]string{"k": {"v"}})); err != nil {
@@ -313,7 +378,7 @@ func TestShardRoundingAndScoping(t *testing.T) {
 // store's own, not copies.
 func TestSearchReadOnlyMatchesSearch(t *testing.T) {
 	for _, cache := range []int{0, 32} {
-		s := NewStore(WithShards(4), WithCacheSize(cache))
+		s := NewStore(WithCacheSize(cache))
 		for i := 0; i < 60; i++ {
 			comm := []string{"patterns", "mp3", "species"}[i%3]
 			if err := s.Put(doc(fmt.Sprintf("d%02d", i), comm, "T", map[string][]string{
@@ -332,7 +397,7 @@ func TestSearchReadOnlyMatchesSearch(t *testing.T) {
 							t.Fatalf("cache %d, %q %s limit %d: read-only %v, Search %v", cache, comm, f, limit, ids(got), want)
 						}
 						for _, d := range got {
-							if sh := s.shardOf(d.ID); sh == nil || sh.docs[d.ID] != d {
+							if s.docs[d.ID] != d {
 								t.Fatalf("%s: read-only search returned a copy", d.ID)
 							}
 						}
@@ -350,7 +415,7 @@ func TestSearchReadOnlyMatchesSearch(t *testing.T) {
 // reported race as well as a failed comparison.
 func TestSearchReadOnlyStableUnderPut(t *testing.T) {
 	const ids, writers, rounds = 8, 4, 300
-	s := NewStore(WithShards(2), WithCacheSize(8))
+	s := NewStore(WithCacheSize(8))
 	put := func(id, version int) {
 		v := fmt.Sprintf("v%d", version)
 		if err := s.Put(doc(fmt.Sprintf("d%d", id), "patterns", "title "+v, map[string][]string{

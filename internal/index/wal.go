@@ -1,21 +1,19 @@
 package index
 
-// Write-ahead logging for the sharded store. Every mutation
-// (Put/PutBatch/Delete/DeleteBatch) appends a framed, checksummed
-// record to an append-only log *before* touching the in-memory shard,
+// Write-ahead logging for the store. Every mutation
+// (Put/PutBatch/Delete/DeleteBatch) appends one framed, checksummed
+// record to an append-only log *before* touching the in-memory maps,
 // so a store that acknowledged a write can reproduce it after a crash:
 // on open, the latest snapshot is loaded and the log replayed on top
 // (see recovery.go). A torn tail — the partially written record a
 // crash leaves behind — is truncated at the first bad checksum and
 // never aborts startup.
 //
-// The log is per-shard: shard i appends to its own segment files
-// (wal-<shard>-<seq>.log), under the same mutex that guards the
-// shard's maps, so WAL appends add no cross-shard contention. Replay
-// order across files is fixed by a global log sequence number (LSN)
-// stamped into every record; recovery merges all segments and applies
-// records in LSN order, which preserves cross-shard operation order
-// even if the store reopens with a different shard count.
+// The log is one chain of segment files, wal-000-<seq>.log, appended
+// under the store's lock. Every record carries a log sequence number
+// (LSN), and recovery merges every segment in the directory by LSN, so
+// the logs of the earlier lock-striped store — one chain per stripe,
+// wal-<stripe>-<seq>.log — replay unchanged.
 //
 // Compaction folds the log into the existing snapshot format
 // (snapshot.json, written atomically via temp file + rename) and
@@ -69,8 +67,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // WAL tuning defaults.
 const (
-	// DefaultWALSegmentBytes is the per-shard segment size beyond
-	// which appends rotate to a fresh segment file.
+	// DefaultWALSegmentBytes is the segment size beyond which appends
+	// rotate to a fresh segment file.
 	DefaultWALSegmentBytes = 8 << 20
 	// DefaultWALCompactBytes is the total live-log size beyond which
 	// the next batch triggers an automatic compaction.
@@ -97,9 +95,8 @@ var (
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// walRecord is one logged mutation: the documents one shard received
-// from a PutBatch (Op "put"), or the IDs a shard dropped from a
-// DeleteBatch (Op "del"). LSNs are globally ordered across shards.
+// walRecord is one logged mutation: the documents of one PutBatch
+// (Op "put"), or the present IDs of one DeleteBatch (Op "del").
 type walRecord struct {
 	LSN  uint64      `json:"lsn"`
 	Op   string      `json:"op"`
@@ -112,32 +109,27 @@ const (
 	walOpDel = "del"
 )
 
-// shardLog is one shard's append handle. Writers mutate it under the
-// owning shard's mutex; compaction and recovery mutate it while every
-// shard mutex (or exclusive store ownership) is held, so no inner
-// lock is needed.
-type shardLog struct {
-	f    *os.File
-	seq  int
-	size int64
-}
-
-// wal is the store-wide log state: one shardLog per stripe plus the
-// shared sequencing, sizing, and telemetry.
+// wal is the store's log state. Writers append under the store's
+// lock; compaction and recovery move the append handle while they
+// hold it (or own the store outright), so no inner lock is needed.
 type wal struct {
 	dir          string
 	policy       FsyncPolicy
 	segmentBytes int64
 	compactBytes int64
 
-	lsn   atomic.Uint64 // last assigned LSN
-	total atomic.Int64  // live bytes across all segments
+	lsn   uint64       // last assigned LSN
+	total atomic.Int64 // live bytes across all segments
 
 	// compactMu serializes compactions so two snapshot writers never
 	// race on snapshot.json.
 	compactMu sync.Mutex
 
-	logs []*shardLog
+	// f is the open segment (nil until the first append after open),
+	// seq its sequence number and size its length in bytes.
+	f    *os.File
+	seq  int
+	size int64
 
 	log *slog.Logger
 
@@ -147,7 +139,8 @@ type wal struct {
 	reg      *metrics.Registry
 }
 
-// segmentName names shard sh's seq'th segment file.
+// segmentName names the seq'th segment file of chain sh. The store
+// writes chain 0; other chains are the earlier striped store's.
 func segmentName(sh, seq int) string {
 	return fmt.Sprintf("wal-%03d-%06d.log", sh, seq)
 }
@@ -171,12 +164,13 @@ func parseSegmentName(name string) (sh, seq int, ok bool) {
 	return sh, seq, true
 }
 
-// appendRecord frames, writes, and (per policy) fsyncs one record to
-// shard idx's segment, rotating first when the segment is full. Called
-// with shard idx's mutex held, before the mutation is applied; an
-// error means nothing may be applied.
-func (w *wal) appendRecord(idx uint32, rec walRecord) error {
-	rec.LSN = w.lsn.Add(1)
+// appendRecord frames, writes, and (per policy) fsyncs one record,
+// rotating first when the segment is full. Called with the store's
+// lock held, before the mutation is applied; an error means nothing
+// may be applied.
+func (w *wal) appendRecord(rec walRecord) error {
+	w.lsn++
+	rec.LSN = w.lsn
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return w.fail(errWALAppend, err)
@@ -184,9 +178,8 @@ func (w *wal) appendRecord(idx uint32, rec walRecord) error {
 	if len(payload) > walMaxRecord {
 		return w.fail(errWALAppend, fmt.Errorf("record of %d bytes exceeds limit", len(payload)))
 	}
-	sl := w.logs[idx]
-	if sl.f == nil || (sl.size > 0 && sl.size+int64(walHeaderSize+len(payload)) > w.segmentBytes) {
-		if err := w.rotate(sl, int(idx)); err != nil {
+	if w.f == nil || (w.size > 0 && w.size+int64(walHeaderSize+len(payload)) > w.segmentBytes) {
+		if err := w.rotate(); err != nil {
 			return w.fail(errWALAppend, err)
 		}
 	}
@@ -194,18 +187,18 @@ func (w *wal) appendRecord(idx uint32, rec walRecord) error {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRC))
 	copy(frame[walHeaderSize:], payload)
-	if _, err := sl.f.Write(frame); err != nil {
+	if _, err := w.f.Write(frame); err != nil {
 		// Truncate the torn frame so the segment stays appendable;
 		// best effort — replay tolerates a torn tail regardless.
-		_ = sl.f.Truncate(sl.size)
+		_ = w.f.Truncate(w.size)
 		return w.fail(errWALAppend, err)
 	}
 	if w.policy == FsyncAlways {
-		if err := sl.f.Sync(); err != nil {
+		if err := w.f.Sync(); err != nil {
 			return w.fail(errWALAppend, err)
 		}
 	}
-	sl.size += int64(len(frame))
+	w.size += int64(len(frame))
 	w.total.Add(int64(len(frame)))
 	w.appends.Inc()
 	w.bytes.Add(int64(len(frame)))
@@ -213,19 +206,20 @@ func (w *wal) appendRecord(idx uint32, rec walRecord) error {
 }
 
 // rotate closes the current segment (if any) and opens the next one.
-func (w *wal) rotate(sl *shardLog, idx int) error {
-	if sl.f != nil {
-		if err := sl.f.Close(); err != nil {
+func (w *wal) rotate() error {
+	if w.f != nil {
+		if err := w.f.Close(); err != nil {
 			return err
 		}
+		w.f = nil
 	}
-	sl.seq++
-	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(idx, sl.seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	w.seq++
+	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(0, w.seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	sl.f = f
-	sl.size = 0
+	w.f = f
+	w.size = 0
 	return nil
 }
 
@@ -237,44 +231,31 @@ func (w *wal) fail(sentinel *errs.Error, err error) error {
 	return wrapped
 }
 
-// closeFiles drops every append handle without compacting — the
+// closeFiles drops the append handle without compacting — the
 // crash-simulation path tests use, and the tail of Close.
 func (w *wal) closeFiles() {
-	for _, sl := range w.logs {
-		if sl.f != nil {
-			_ = sl.f.Close()
-			sl.f = nil
-		}
+	if w.f != nil {
+		_ = w.f.Close()
+		w.f = nil
 	}
 }
 
-// compact folds the log into the snapshot and resets every segment:
-// the durable state collapses to one snapshot.json and empty logs.
-// Readers proceed concurrently; writers wait (every shard is
-// read-locked for the duration). A cross-shard batch may be caught
-// half applied: the parts it has not yet logged are appended to the
-// fresh log after the reset, so recovery still sees all of it.
-// Callers ensure the WAL is armed.
+// compact folds the log into the snapshot and resets the segments:
+// the durable state collapses to one snapshot.json and an empty log.
+// Readers proceed concurrently; writers wait. Callers ensure the WAL
+// is armed.
 func (s *Store) compact() error {
 	w := s.wal
 	w.compactMu.Lock()
 	defer w.compactMu.Unlock()
-	// Read-locking all shards excludes writers (and so appends), which
-	// makes the cut consistent and the segment reset race-free, while
-	// concurrent searches keep flowing.
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.RUnlock()
-		}
-	}()
-	var docs []*Document
-	for _, sh := range s.shards {
-		for _, d := range sh.docs {
-			docs = append(docs, d)
-		}
+	// The read lock excludes writers (and so appends), which makes the
+	// cut consistent and the segment reset race-free, while concurrent
+	// searches keep flowing.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	docs := make([]*Document, 0, len(s.docs))
+	for _, d := range s.docs {
+		docs = append(docs, d)
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
 	reclaimed := w.total.Load()
@@ -291,7 +272,8 @@ func (s *Store) compact() error {
 }
 
 // resetSegments deletes every segment file and opens a fresh first
-// segment per shard. Called with all shards locked (or during open).
+// segment. Called with the store's lock held (a read lock suffices:
+// it excludes writers).
 func (w *wal) resetSegments() error {
 	w.closeFiles()
 	entries, err := os.ReadDir(w.dir)
@@ -305,13 +287,9 @@ func (w *wal) resetSegments() error {
 			}
 		}
 	}
-	for i, sl := range w.logs {
-		sl.seq = 0
-		sl.size = 0
-		if err := w.rotate(sl, i); err != nil {
-			return err
-		}
-		sl.seq = 1 // rotate incremented from 0
+	w.seq = 0
+	if err := w.rotate(); err != nil {
+		return err
 	}
 	w.total.Store(0)
 	return nil
@@ -366,8 +344,8 @@ func (s *Store) Close() error {
 }
 
 // maybeCompact runs an automatic compaction when the live log has
-// outgrown the configured bound. Called from write paths before any
-// shard lock is held.
+// outgrown the configured bound. Called from write paths before the
+// store's lock is taken.
 func (s *Store) maybeCompact() {
 	if s.wal != nil && s.wal.compactBytes > 0 && s.wal.total.Load() > s.wal.compactBytes {
 		// Best effort: a failed auto-compaction is already counted in

@@ -31,8 +31,8 @@ func openWAL(t *testing.T, dir string, opts ...Option) *Store {
 	return s
 }
 
-// walBatch builds batch b: docsPer documents spread over communities
-// (and so over shards).
+// walBatch builds batch b: docsPer documents spread over five
+// communities.
 func walBatch(b, docsPer int) []*Document {
 	docs := make([]*Document, 0, docsPer)
 	for j := 0; j < docsPer; j++ {
@@ -388,8 +388,8 @@ func TestWALMetricsAndFsyncPolicies(t *testing.T) {
 
 // TestWALConcurrentWriters exercises logged writes from many
 // goroutines (run under -race by make crash-smoke), with automatic
-// compactions landing between the shards of cross-shard batches, and
-// proves the result recovers document for document.
+// compactions landing between batches, and proves the result recovers
+// document for document.
 func TestWALConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
 	s := openWAL(t, dir, WithWALFsync(FsyncOS), WithWALCompactBytes(2<<10))
@@ -420,6 +420,42 @@ func TestWALConcurrentWriters(t *testing.T) {
 	r := openWAL(t, dir)
 	if got := dump(t, r); !bytes.Equal(got, want) {
 		t.Fatalf("recovered\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestWALAppendFailureAppliesNothing: a batch is one log record, so a
+// failed append leaves the store as it was — no community of a
+// multi-community PutBatch is applied, and no ID of a DeleteBatch is
+// deleted.
+func TestWALAppendFailureAppliesNothing(t *testing.T) {
+	s := openWAL(t, t.TempDir())
+	if err := s.PutBatch(walBatch(0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	want, postings := dump(t, s), s.Postings()
+	// Close the segment under the log: the next write to it fails.
+	if err := s.wal.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch(walBatch(1, 10)); err == nil {
+		t.Fatal("PutBatch succeeded with its log append failing")
+	}
+	if n := s.DeleteBatch([]DocID{"b0000-d0", "b0000-d1"}); n != 0 {
+		t.Errorf("DeleteBatch deleted %d with its log append failing", n)
+	}
+	if got := dump(t, s); !bytes.Equal(got, want) {
+		t.Errorf("failed writes changed the store:\n%s\nwant\n%s", got, want)
+	}
+	if s.Postings() != postings {
+		t.Errorf("postings %d, want %d", s.Postings(), postings)
+	}
+	for c := 0; c < 5; c++ {
+		if n := s.CommunityLen(fmt.Sprintf("comm-%d", c)); n != 1 {
+			t.Errorf("comm-%d holds %d documents, want 1", c, n)
+		}
+	}
+	if n := s.Metrics().Snapshot().Label("errors", "wal.append"); n != 2 {
+		t.Errorf("wal.append counted %d times, want 2", n)
 	}
 }
 

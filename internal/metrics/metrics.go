@@ -147,26 +147,16 @@ func (v *CounterVec) Values() map[string]int64 {
 	return out
 }
 
-// gaugeFn aggregates one or more callbacks registered under a single
-// name: sum by default (store sizes across a cluster's peers add up),
-// max when registered with GaugeFuncMax (the worst shard occupancy is
-// a max, not a sum).
+// gaugeFn sums the callbacks registered under a single name: store
+// sizes across a cluster's peers add up.
 type gaugeFn struct {
-	max bool
 	fns []func() int64
 }
 
 func (g *gaugeFn) value() int64 {
 	var out int64
-	for i, fn := range g.fns {
-		v := fn()
-		if g.max {
-			if i == 0 || v > out {
-				out = v
-			}
-		} else {
-			out += v
-		}
+	for _, fn := range g.fns {
+		out += fn()
 	}
 	return out
 }
@@ -304,13 +294,7 @@ func (r *Registry) CounterVec(name, label string) *CounterVec {
 // GaugeFunc registers a callback evaluated at snapshot time. Multiple
 // callbacks under one name sum — N stores wired to one registry
 // report their combined document count.
-func (r *Registry) GaugeFunc(name string, fn func() int64) { r.gaugeFunc(name, fn, false) }
-
-// GaugeFuncMax is GaugeFunc with max aggregation across callbacks
-// (the aggregation mode is fixed by the first registration).
-func (r *Registry) GaugeFuncMax(name string, fn func() int64) { r.gaugeFunc(name, fn, true) }
-
-func (r *Registry) gaugeFunc(name string, fn func() int64, max bool) {
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r.discard || fn == nil {
 		return
 	}
@@ -318,7 +302,7 @@ func (r *Registry) gaugeFunc(name string, fn func() int64, max bool) {
 	defer r.mu.Unlock()
 	g := r.gaugeFns[name]
 	if g == nil {
-		g = &gaugeFn{max: max}
+		g = &gaugeFn{}
 		r.gaugeFns[name] = g
 	}
 	g.fns = append(g.fns, fn)

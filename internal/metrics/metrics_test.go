@@ -22,8 +22,6 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 	reg := NewRegistry()
 	reg.GaugeFunc("fn.sum", func() int64 { return 1 })
 	reg.GaugeFunc("fn.sum", func() int64 { return 2 })
-	reg.GaugeFuncMax("fn.max", func() int64 { return 7 })
-	reg.GaugeFuncMax("fn.max", func() int64 { return 5 })
 
 	const (
 		workers = 8
@@ -75,9 +73,6 @@ func TestRegistryConcurrentRecording(t *testing.T) {
 	}
 	if got := s.Gauge("fn.sum"); got != 3 {
 		t.Errorf("sum gauge func = %d, want 3", got)
-	}
-	if got := s.Gauge("fn.max"); got != 7 {
-		t.Errorf("max gauge func = %d, want 7", got)
 	}
 
 	reg.ResetPrefix("test.")

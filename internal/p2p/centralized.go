@@ -26,7 +26,7 @@ func NewIndexServer(ep transport.Endpoint) *IndexServer {
 }
 
 // NewIndexServerOn attaches a server backed by the given store, so
-// deployments tune shard count and cache size to their load.
+// deployments choose its cache size, metrics registry and log.
 func NewIndexServerOn(ep transport.Endpoint, store *index.Store) *IndexServer {
 	s := &IndexServer{registry: registry{store: store}}
 	// The store is metadata only: the server shares no objects itself.
@@ -112,7 +112,7 @@ func (c *CentralizedClient) Publish(doc *index.Document) error {
 }
 
 // PublishBatch implements Network: one local store batch plus one
-// register-batch frame per chunk, so bulk publication costs one shard
+// register-batch frame per chunk, so bulk publication costs one store
 // lock round and one server message per few hundred documents instead
 // of one each per document.
 func (c *CentralizedClient) PublishBatch(docs []*index.Document) error {

@@ -42,7 +42,7 @@ func (g *GnutellaNode) Publish(doc *index.Document) error {
 }
 
 // PublishBatch implements Network: with no registration protocol, a
-// batch is purely a local store batch (one shard lock round).
+// batch is purely a local store batch (one store lock round).
 func (g *GnutellaNode) PublishBatch(docs []*index.Document) error {
 	if err := g.shared.PutBatch(docs); err != nil {
 		return err

@@ -15,12 +15,12 @@ import (
 // so a registration means the same thing, and a search of them returns
 // the same results in the same order, whichever overlay carried it.
 //
-// Metadata lives in the same sharded index.Store the peers use
-// locally, so a hub's search rides the inverted index, community
-// sharding and result cache instead of scanning a flat entry map; the
-// registry only adds a provider table mapping each DocID to the peers
-// serving it. Registrations are soft state that peers re-announce
-// (reconnection, Rehome), so a hub keeps them in memory only.
+// Metadata lives in the same index.Store the peers use locally, so a
+// hub's search rides the inverted index and result cache instead of
+// scanning a flat entry map; the registry only adds a provider table
+// mapping each DocID to the peers serving it. Registrations are soft
+// state that peers re-announce (reconnection, Rehome), so a hub keeps
+// them in memory only.
 type registry struct {
 	// mu serializes registration state: providers and the matching
 	// store entries mutate together under it (TCP dispatches handlers

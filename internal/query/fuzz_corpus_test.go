@@ -2,7 +2,7 @@
 // fuzz_test.go (package query) round-trips the parser on adversarial
 // strings, this file (package query_test, so it may import the store
 // that itself imports query) generates random but well-formed filters
-// and checks the sharded, inverted-index-accelerated store returns
+// and checks the inverted-index-accelerated store returns
 // exactly the documents a naive linear scan matches — the oracle that
 // keeps index acceleration honest (its candidate pruning must stay a
 // superset, its post-filter exact).
@@ -105,8 +105,7 @@ func (g *filterGen) filter(depth int) string {
 
 // TestPropertyStoreMatchesLinearScan: for random filters over a
 // corpus-backed store, Store.Search returns exactly the IDs a linear
-// Filter.Match scan selects, in every store configuration (sharded and
-// single-lock, cached and uncached).
+// Filter.Match scan selects, with the result cache on and off.
 func TestPropertyStoreMatchesLinearScan(t *testing.T) {
 	objs := corpus.DesignPatterns(60, 19).Objects
 	attrs := make([]query.Attrs, len(objs))
@@ -114,8 +113,8 @@ func TestPropertyStoreMatchesLinearScan(t *testing.T) {
 		attrs[i] = corpusAttrs(o)
 	}
 	stores := map[string]*index.Store{
-		"sharded":     index.NewStore(),
-		"single-lock": index.NewStore(index.WithShards(1), index.WithCacheSize(0)),
+		"cached":   index.NewStore(),
+		"uncached": index.NewStore(index.WithCacheSize(0)),
 	}
 	for _, st := range stores {
 		for i := range objs {
@@ -231,8 +230,8 @@ var wordEdgeValues = []string{
 // selects.
 func TestStoreMatchesLinearScanOnWordEdges(t *testing.T) {
 	stores := map[string]*index.Store{
-		"sharded":     index.NewStore(),
-		"single-lock": index.NewStore(index.WithShards(1), index.WithCacheSize(0)),
+		"cached":   index.NewStore(),
+		"uncached": index.NewStore(index.WithCacheSize(0)),
 	}
 	attrs := make([]query.Attrs, len(wordEdgeValues))
 	for i, v := range wordEdgeValues {

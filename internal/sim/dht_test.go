@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/dht"
 	"repro/internal/index"
 	"repro/internal/p2p"
 	"repro/internal/query"
@@ -14,7 +15,7 @@ import (
 // DHT lookup on the root community key), join-by-retrieve, bulk
 // publication, and filtered searches with complete recall.
 func TestDHTClusterEndToEnd(t *testing.T) {
-	c, err := NewCluster(Config{Peers: 32, Protocol: DHT, DHTK: 8, Seed: 21})
+	c, err := NewCluster(Config{Peers: 32, Protocol: DHT, DHT: dht.Config{K: 8}, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDHTClusterEndToEnd(t *testing.T) {
 // republication — restores full recall over the surviving peers'
 // documents.
 func TestDHTChurnRepair(t *testing.T) {
-	c, err := NewCluster(Config{Peers: 30, Protocol: DHT, DHTK: 4, Seed: 33})
+	c, err := NewCluster(Config{Peers: 30, Protocol: DHT, DHT: dht.Config{K: 4}, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"repro/internal/dht"
 )
 
 // flashCrowdConfig is the reduced flash-crowd scenario behind the
@@ -18,9 +20,7 @@ func flashCrowdConfig(cache bool) ScenarioConfig {
 			Protocol: DHT,
 			Degree:   4,
 			Seed:     11,
-			DHTK:     3,
-			DHTAlpha: 2,
-			DHTCache: cache,
+			DHT:      dht.Config{K: 3, Alpha: 2, CacheRecords: cache},
 			PeerLoad: true,
 		},
 		Duration:        time.Minute,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/dht"
 	"repro/internal/p2p"
 	"repro/internal/query"
 )
@@ -41,8 +42,7 @@ func goldenConfig(proto Protocol, seed int64) ScenarioConfig {
 		// Small k plus a TTL shorter than the run forces every DHT
 		// mechanism through the trace: replication, record expiry,
 		// scheduled refresh/republish, and liveness-driven eviction.
-		cfg.Cluster.DHTK = 8
-		cfg.Cluster.DHTRecordTTL = 20 * time.Second
+		cfg.Cluster.DHT = dht.Config{K: 8, RecordTTL: 20 * time.Second}
 		cfg.DHTRefreshEvery = 7 * time.Second
 	}
 	return cfg

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/dht"
 	"repro/internal/dsim"
 	"repro/internal/p2p"
 	"repro/internal/query"
@@ -86,7 +87,7 @@ func TestTraceSpanTreeCompleteness(t *testing.T) {
 			c, err := NewCluster(Config{
 				Peers:       peers,
 				Protocol:    proto,
-				DHTK:        4,
+				DHT:         dht.Config{K: 4},
 				Seed:        7,
 				Latency:     10 * time.Millisecond,
 				Jitter:      5 * time.Millisecond,

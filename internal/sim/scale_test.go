@@ -4,6 +4,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/dht"
 )
 
 // scaleSmokeBudget is the wall-clock ceiling for the CI scale smoke:
@@ -26,12 +28,10 @@ func TestScaleSmoke(t *testing.T) {
 			Peers:    5000,
 			Protocol: DHT,
 			Seed:     42,
-			DHTK:     16,
-			DHTAlpha: 3,
 			// The whole corpus lives under one community key, so the
 			// per-key holder cap must clear the object count or
 			// eviction (correctly) truncates recall.
-			DHTMaxRecordsPerKey: 4096,
+			DHT: dht.Config{K: 16, Alpha: 3, MaxRecordsPerKey: 4096},
 		},
 		Duration:        2 * time.Minute,
 		QueryRate:       2,

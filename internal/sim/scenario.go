@@ -495,7 +495,7 @@ func (s *scenario) measureLoadSkew(before, after map[transport.PeerID]int64) *Lo
 			b := dht.NodeIDFor(s.cluster.Servents[ranked[j]].PeerID())
 			return dht.CompareDistance(a, b, key) < 0
 		})
-		k := s.cfg.Cluster.DHTK
+		k := s.cfg.Cluster.DHT.K
 		if k <= 0 {
 			k = dht.DefaultK
 		}

@@ -67,24 +67,9 @@ type Config struct {
 	// SuperPeers is the number of FastTrack super-peers (default
 	// max(2, Peers/8)); ignored for other protocols.
 	SuperPeers int
-	// DHTK is the DHT bucket capacity / replication factor and
-	// DHTAlpha the lookup parallelism (0 = dht package defaults);
-	// ignored for other protocols.
-	DHTK     int
-	DHTAlpha int
-	// DHTRecordTTL bounds how long DHT record holders keep an
-	// unrefreshed record (0 = dht package default).
-	DHTRecordTTL time.Duration
-	// DHTCache enables the DHT's caching STORE + value-terminating
-	// FIND_VALUE (dht.Config.CacheRecords). Off by default so existing
-	// baselines keep their exact message traces.
-	DHTCache bool
-	// DHTSplitThreshold / DHTSplitFanout configure hot-key splitting
-	// (dht.Config.SplitThreshold/SplitFanout; 0 disables / package
-	// default), and DHTMaxRecordsPerKey caps per-key holder state.
-	DHTSplitThreshold   int
-	DHTSplitFanout      int
-	DHTMaxRecordsPerKey int
+	// DHT configures every DHT node (zero fields take the dht package
+	// defaults); ignored for other protocols.
+	DHT dht.Config
 	// PeerLoad enables per-receiver message counting on the network
 	// (transport.WithPeerLoad) — what hotspot experiments read per-node
 	// load skew from.
@@ -119,10 +104,6 @@ type Config struct {
 	// one snapshot covers the deployment. Nil means a fresh private
 	// registry; pass metrics.Discard() to turn telemetry off.
 	Metrics *metrics.Registry
-	// DHTRepublishAlways disables the DHT's adaptive republish check
-	// (dht.Config.RepublishAlways): every Refresh re-STOREs every key.
-	// The baseline arm of the E14 adaptive-republish comparison.
-	DHTRepublishAlways bool
 }
 
 // Cluster is a running multi-peer deployment.
@@ -281,16 +262,7 @@ func (c *Cluster) newPeer() (int, error) {
 		c.nodes = append(c.nodes, node)
 		netw = node
 	case DHT:
-		node := dht.NewNode(ep, st, dht.Config{
-			K:                c.cfg.DHTK,
-			Alpha:            c.cfg.DHTAlpha,
-			RecordTTL:        c.cfg.DHTRecordTTL,
-			CacheRecords:     c.cfg.DHTCache,
-			SplitThreshold:   c.cfg.DHTSplitThreshold,
-			SplitFanout:      c.cfg.DHTSplitFanout,
-			MaxRecordsPerKey: c.cfg.DHTMaxRecordsPerKey,
-			RepublishAlways:  c.cfg.DHTRepublishAlways,
-		})
+		node := dht.NewNode(ep, st, c.cfg.DHT)
 		c.wire(node)
 		c.dhts = append(c.dhts, node)
 		netw = node
