@@ -116,7 +116,7 @@ func TestCreateCommunityAndPublish(t *testing.T) {
 		t.Errorf("title = %q", rs[0].Title)
 	}
 	// bitrate is not searchable: not in result attrs.
-	if _, present := rs[0].Attrs["bitrate"]; present {
+	if _, present := rs[0].Attrs.Map()["bitrate"]; present {
 		t.Error("unsearchable bitrate was indexed")
 	}
 }

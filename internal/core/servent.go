@@ -229,11 +229,7 @@ func (s *Servent) PublishBatch(communityID string, objs []*xmldoc.Node) ([]index
 // attribute in a stable order, else the first leaf text, else the
 // element name.
 func titleFor(obj *xmldoc.Node, attrs query.Attrs) string {
-	names := make([]string, 0, len(attrs))
-	for k := range attrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names := attrs.Keys(make([]string, 0, len(attrs)))
 	// Prefer fields called name/title when present.
 	for _, pref := range []string{"name", "title"} {
 		for _, n := range names {

@@ -180,8 +180,21 @@ type Record struct {
 	DocID       index.DocID      `json:"docId"`
 	CommunityID string           `json:"communityId"`
 	Title       string           `json:"title"`
-	Attrs       query.Attrs      `json:"attrs"`
+	Attrs       query.Fields     `json:"attrs"`
 	Provider    transport.PeerID `json:"provider"`
+}
+
+// own makes rec a copy that shares no memory with what it was decoded
+// from: its four scalars cut from one new string, its attributes from
+// another (query.Fields.Clone). A holder keeps what it owns for a TTL,
+// and the recordStore's map keys are its DocID and Provider, so neither
+// a frame nor a neighbouring record stays alive through it.
+func (rec *Record) own() {
+	all := string(rec.DocID) + rec.CommunityID + rec.Title + string(rec.Provider)
+	d, c, t := len(rec.DocID), len(rec.CommunityID), len(rec.Title)
+	rec.DocID, rec.CommunityID, rec.Title = index.DocID(all[:d]), all[d:d+c], all[d+c:d+c+t]
+	rec.Provider = transport.PeerID(all[d+c+t:])
+	rec.Attrs = rec.Attrs.Clone()
 }
 
 // --- wire payloads ---

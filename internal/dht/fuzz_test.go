@@ -37,7 +37,7 @@ func TestFuzzTypesCoverRegistry(t *testing.T) {
 func fuzzSeeds() map[int][]codec.Frame {
 	key := KeyForCommunity("patterns")
 	recs := []Record{rec(1, "peerA"), rec(2, "peerB")}
-	recs[1].Attrs = query.Attrs{"classification": {"creational", "structural"}, "name": {"Builder"}}
+	recs[1].Attrs = query.FieldsOf(query.Attrs{"classification": {"creational", "structural"}, "name": {"Builder"}, "empty": {}})
 	peers := []transport.PeerID{"peer001", "peer002", "127.0.0.1:7001"}
 	digest := setDigest{Count: 2, Sum: recordHash(recs[0].DocID, recs[0].Provider) + recordHash(recs[1].DocID, recs[1].Provider)}
 	return map[int][]codec.Frame{
@@ -86,18 +86,32 @@ func TestBinaryMatchesJSONOracle(t *testing.T) {
 	}
 }
 
-// hostileFrames claim far more elements than their bytes can hold: a
-// 1 KB FIND_VALUE reply announcing 1 000 records, and the same lie for
-// a peer list and an attribute map.
-func hostileFrames() map[int][]byte {
+// hostileFrames claim far more elements than their bytes can hold: 1 KB
+// frames announcing 1 000 records, peers, attribute entries or
+// attribute values.
+func hostileFrames() map[string]hostileFrame {
 	pad := func(b []byte) []byte { return append(b[:len(b):len(b)], make([]byte, 1024-len(b))...) }
 	thousand := codec.AppendUvarint(nil, 1000)
-	reply := append([]byte{1}, thousand...) // ReqID 1, then the count
-	store := make([]byte, IDBytes)          // Key
-	store = append(store, 1, 0, 0, 0)       // one record, empty DocID, CommunityID and Title,
-	store = append(store, thousand...)      // whose attribute map claims 1 000 entries
-	// (a peer is one byte at least, so that lie needs a shorter frame)
-	return map[int][]byte{3: pad(reply)[:512], 5: pad(reply), 6: pad(store)}
+	// One record, with empty DocID, CommunityID and Title, whose attribute
+	// set claims 1 000 entries, or holds one entry "k" with 1 000 values.
+	attrs := append([]byte{1, 0, 0, 0}, thousand...)
+	values := append([]byte{1, 0, 0, 0, 1, 1, 'k'}, thousand...)
+	reply := func(b []byte) []byte { return append([]byte{1}, b...) }             // ReqID 1
+	store := func(b []byte) []byte { return append(make([]byte, IDBytes), b...) } // Key
+	return map[string]hostileFrame{
+		// A peer is one byte at least, so that lie needs a shorter frame.
+		"find-node-reply":         {3, pad(reply(thousand))[:512]},
+		"find-value-reply":        {5, pad(reply(thousand))},
+		"find-value-reply-attrs":  {5, pad(reply(attrs))},
+		"find-value-reply-values": {5, pad(reply(values))[:512]},
+		"store":                   {6, pad(store(attrs))},
+		"store-values":            {6, pad(store(values))[:512]},
+	}
+}
+
+type hostileFrame struct {
+	which int // position in fuzzTypes
+	data  []byte
 }
 
 // decodeCost decodes data as wire type which and reports the error and
@@ -129,13 +143,13 @@ func decodeBudget(n int) uint64 { return 64*uint64(n) + 4096 }
 // its own bytes fails to decode, having allocated next to nothing.
 func TestHostileCountsRejected(t *testing.T) {
 	const ceiling = 4096
-	for which, data := range hostileFrames() {
-		_, err, cost := decodeCost(which, data, ceiling)
+	for name, h := range hostileFrames() {
+		_, err, cost := decodeCost(h.which, h.data, ceiling)
 		if err == nil {
-			t.Errorf("%s: %d-byte frame claiming 1000 elements decoded", fuzzTypes[which], len(data))
+			t.Errorf("%s: %d-byte %s frame claiming 1000 elements decoded", name, len(h.data), fuzzTypes[h.which])
 		}
 		if cost > ceiling {
-			t.Errorf("%s: rejected frame still allocated %d bytes", fuzzTypes[which], cost)
+			t.Errorf("%s: rejected frame still allocated %d bytes", name, cost)
 		}
 	}
 }
@@ -153,8 +167,8 @@ func FuzzDHTFrameDecode(f *testing.F) {
 			f.Add(uint8(which), fr.AppendBinary(nil))
 		}
 	}
-	for which, data := range hostileFrames() {
-		f.Add(uint8(which), data)
+	for _, h := range hostileFrames() {
+		f.Add(uint8(h.which), h.data)
 	}
 	f.Add(uint8(5), hostileSplitReply())
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {

@@ -190,8 +190,8 @@ func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(tr
 		return p2p.ErrClosed
 	}
 	byComm := make(map[string][]Record)
-	for _, doc := range docs {
-		byComm[doc.CommunityID] = append(byComm[doc.CommunityID], recordFor(doc, n.PeerID()))
+	for _, rec := range recordsFor(docs, n.PeerID()) {
+		byComm[rec.CommunityID] = append(byComm[rec.CommunityID], rec)
 	}
 	comms := make([]string, 0, len(byComm))
 	for c := range byComm {
@@ -208,15 +208,24 @@ func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(tr
 	return nil
 }
 
-// recordFor extracts the replicated metadata of a document.
-func recordFor(doc *index.Document, provider transport.PeerID) Record {
-	return Record{
-		DocID:       doc.ID,
-		CommunityID: doc.CommunityID,
-		Title:       doc.Title,
-		Attrs:       doc.Attrs,
-		Provider:    provider,
+// recordsFor extracts the replicated metadata of documents. One
+// FieldsBuilder takes every record's attributes, so the set costs a few
+// allocations; the strings stay the documents' own. When this node is
+// one of a key's holders it keeps the batch as it is: its own records,
+// which each republish replaces together.
+func recordsFor(docs []*index.Document, provider transport.PeerID) []Record {
+	out := make([]Record, len(docs))
+	var b query.FieldsBuilder
+	for i, doc := range docs {
+		out[i] = Record{
+			DocID:       doc.ID,
+			CommunityID: doc.CommunityID,
+			Title:       doc.Title,
+			Attrs:       b.Of(doc.Attrs, len(docs)-1-i),
+			Provider:    provider,
+		}
 	}
+	return out
 }
 
 // storeRecords looks up the key's closest nodes and replicates recs
@@ -418,10 +427,8 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 			recs = append(recs, rec)
 		}
 	}
-	if local := n.Shared().Search(communityID, f, 0); len(local) > 0 {
-		for _, doc := range local {
-			recs = append(recs, recordFor(doc, self))
-		}
+	if local := n.Shared().SearchReadOnly(communityID, f, 0); len(local) > 0 {
+		recs = append(recs, recordsFor(local, self)...)
 		sortRecords(recs)
 	}
 	// Caching STORE: replicate the verified result set onto the

@@ -269,7 +269,7 @@ func TestStoreProvenance(t *testing.T) {
 	}
 	key := KeyForCommunity("patterns")
 	// Forged STORE: attacker claims the victim provides a document.
-	forged := Record{DocID: "d-evil", CommunityID: "patterns", Provider: victim.PeerID(), Attrs: query.Attrs{"classification": {"behavioral"}}}
+	forged := Record{DocID: "d-evil", CommunityID: "patterns", Provider: victim.PeerID(), Attrs: query.FieldsOf(query.Attrs{"classification": {"behavioral"}})}
 	atkEP, err := net.Endpoint("attacker-raw")
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func rec(i int, provider string) Record {
 		DocID:       index.DocID(fmt.Sprintf("d-%04d", i)),
 		CommunityID: "patterns",
 		Title:       fmt.Sprintf("doc %d", i),
-		Attrs:       query.Attrs{"classification": {"behavioral"}},
+		Attrs:       query.FieldsOf(query.Attrs{"classification": {"behavioral"}}),
 		Provider:    transport.PeerID(provider),
 	}
 }

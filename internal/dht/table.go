@@ -149,29 +149,48 @@ func (t *Table) Closest(target ID, n int) []Contact {
 // ClosestAppend is Closest into caller-owned storage: the contacts are
 // appended to dst (reusing its capacity) and the extended slice
 // returned. The lookup hot path threads its pooled shortlist through
-// here so a wave costs no fresh contact slice.
+// here so a wave costs no fresh contact slice. The buckets are taken
+// nearest-first, each sorted on its own, until n contacts are in hand:
+// serving a FIND_* (n = K) sorts a bucket or two, not the table, and
+// n = 0 takes every bucket, which orders the whole table.
 func (t *Table) ClosestAppend(dst []Contact, target ID, n int) []Contact {
 	start := len(dst)
 	t.mu.Lock()
-	for i := range t.buckets {
-		dst = append(dst, t.buckets[i].live...)
+	defer t.mu.Unlock()
+	if n <= 0 {
+		n = t.size
 	}
-	t.mu.Unlock()
-	sortByDistance(dst[start:], target)
-	if n > 0 && len(dst)-start > n {
-		dst = dst[:start+n]
+	// A contact of bucket i lies at a distance from target whose bits
+	// above i are those of d and whose bit i is the complement of d's:
+	// the buckets where d has a 1, from the top down, then those where it
+	// has a 0, from the bottom up, cover disjoint, ascending ranges.
+	d := t.self.XOR(target)
+	for j := 0; j < 2*IDBits && len(dst)-start < n; j++ {
+		i, one := IDBits-1-j, byte(1)
+		if j >= IDBits {
+			i, one = j-IDBits, 0
+		}
+		if live := t.buckets[i].live; len(live) > 0 && d[IDBytes-1-i/8]>>(i%8)&1 == one {
+			at := len(dst)
+			dst = append(dst, live...)
+			sortByDistance(dst[at:], target)
+		}
 	}
-	return dst
+	return dst[:min(len(dst), start+n)]
 }
 
 // sortByDistance orders contacts by XOR distance to target.
 func sortByDistance(cs []Contact, target ID) {
-	slices.SortFunc(cs, func(a, b Contact) int {
-		if c := CompareDistance(a.ID, b.ID, target); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Peer, b.Peer)
-	})
+	slices.SortFunc(cs, func(a, b Contact) int { return compareContacts(a, b, target) })
+}
+
+// compareContacts is the contact order: XOR distance to target, ties
+// (only possible between identical IDs) broken by peer name.
+func compareContacts(a, b Contact, target ID) int {
+	if c := CompareDistance(a.ID, b.ID, target); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Peer, b.Peer)
 }
 
 // moveToBack relocates peer to the most-recently-seen end if present.

@@ -84,7 +84,9 @@ func TestBucketIndex(t *testing.T) {
 
 // TestClosestMatchesBruteForce cross-checks Table.Closest against a
 // brute-force oracle over random peer populations: the same k nearest
-// contacts in the same order.
+// contacts in the same order, for fixed k, random ones up to beyond the
+// table's size and k = 0 (all of them), appended after what dst already
+// held.
 func TestClosestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
@@ -100,14 +102,17 @@ func TestClosestMatchesBruteForce(t *testing.T) {
 		// (full buckets park overflow in the replacement cache), so
 		// collect the live set via Closest with no cap first.
 		live := tab.Closest(self, 0)
-		for _, targetSeed := range []int{1, 42, 4999} {
-			target := NodeIDFor(peerName(targetSeed))
+		for _, target := range []ID{NodeIDFor(peerName(1)), NodeIDFor(peerName(42)), NodeIDFor(peerName(4999)), self, live[0].ID} {
 			want := append([]Contact(nil), live...)
 			sortByDistance(want, target)
-			for _, k := range []int{1, 5, 8, 50} {
-				got := tab.Closest(target, k)
+			for _, k := range []int{0, 1, 5, 8, 50, 1 + rng.Intn(len(live)), len(live) + rng.Intn(8)} {
+				got := tab.ClosestAppend([]Contact{{Peer: "held"}}, target, k)
+				if got[0].Peer != "held" {
+					t.Fatalf("ClosestAppend overwrote dst[0] with %s", got[0].Peer)
+				}
+				got = got[1:]
 				wantK := want
-				if len(wantK) > k {
+				if k > 0 && len(wantK) > k {
 					wantK = wantK[:k]
 				}
 				if len(got) != len(wantK) {

@@ -4,15 +4,19 @@ package dht
 // IDs travel as fixed 20-byte fields; everything else composes the
 // shared codec primitives. Field order IS the wire format.
 //
-// The two lookup replies decode onto one string per frame
-// (codec.Reader.ShareStrings): their records go to the searching caller
-// or into the next encode, and the lookup copies the peers it keeps, so
-// nothing long-lived holds a frame. STORE keeps a copy per field: the
-// record store holds what it decodes for a TTL.
+// Every frame with records or peers decodes onto one string per frame
+// (codec.Reader.ShareStrings), and its records' attributes onto chunks
+// the frame's records share (codec.Reader.Fields). The lookup replies'
+// records go to the searching caller or into the next encode, and the
+// lookup copies the peers it keeps, so nothing long-lived holds a frame.
+// STORE then copies each record into memory of its own (Record.own),
+// two strings and the flat form's slices: the record store holds what
+// it decodes for a TTL, one record at a time.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
@@ -55,7 +59,7 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	dst = codec.AppendString(dst, string(rec.DocID))
 	dst = codec.AppendString(dst, rec.CommunityID)
 	dst = codec.AppendString(dst, rec.Title)
-	dst = codec.AppendAttrs(dst, rec.Attrs)
+	dst = codec.AppendFields(dst, rec.Attrs)
 	return codec.AppendString(dst, string(rec.Provider))
 }
 
@@ -63,7 +67,7 @@ func readRecord(r *codec.Reader, out *Record) {
 	out.DocID = index.DocID(r.String())
 	out.CommunityID = r.String()
 	out.Title = r.String()
-	out.Attrs = r.Attrs()
+	out.Attrs = r.Fields()
 	out.Provider = transport.PeerID(r.String())
 }
 
@@ -192,9 +196,13 @@ func (p *storePayload) AppendBinary(dst []byte) []byte {
 func (p *storePayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	r.Fixed(p.Key[:])
+	r.ShareStrings()
 	p.Records = readRecords(r)
+	for i := range p.Records {
+		p.Records[i].own()
+	}
 	p.Cached = r.Bool()
-	p.Filter = r.String()
+	p.Filter = strings.Clone(r.String()) // a cached set's key in the record store
 	p.Split = r.Bool()
 	return r.Err()
 }

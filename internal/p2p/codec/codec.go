@@ -4,9 +4,13 @@
 //
 // Encoding appends into pooled scratch and costs one exact allocation
 // per frame; decoding walks the buffer with a cursor and allocates only
-// the decoded fields. The format is deterministic — map-valued fields
-// (query.Attrs) encode in sorted key order — so the golden-trace hash
-// of a seeded scenario is bit-identical across runs.
+// the decoded fields. An attribute set travels as its keys in ascending
+// order, each followed by its values: AppendAttrs sorts a query.Attrs
+// map into that order, AppendFields writes a query.Fields as it stands,
+// and Reader.Fields decodes it back flat, onto chunks all of a frame's
+// sets share — a frame of records allocates a few times, not once per
+// record. The format is deterministic, so the golden-trace hash of a
+// seeded scenario is bit-identical across runs.
 //
 // Frames still carry their JSON struct tags: the frame tests of p2p and
 // dht round-trip every registered type through encoding/json as an
@@ -144,8 +148,7 @@ func Decode(_ Format, wireType string, payload []byte) (Frame, error) {
 //
 // The building blocks frames compose their AppendBinary/DecodeBinary
 // from: uvarint-framed strings and byte slices, single-byte bools, and
-// sorted-key attribute maps. All append-style, no intermediate
-// buffers.
+// sorted-key attribute sets. All append-style, no intermediate buffers.
 
 // AppendUvarint appends v.
 func AppendUvarint(dst []byte, v uint64) []byte {
@@ -177,24 +180,29 @@ func AppendBool(dst []byte, v bool) []byte {
 // wire).
 func AppendAttrs(dst []byte, a query.Attrs) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(a)))
-	if len(a) == 0 {
-		return dst
-	}
-	// Sorted on the stack: a map of up to 16 keys, far more than any
-	// community's schema indexes, encodes without allocating.
 	var few [16]string
-	keys := few[:0]
-	for k := range a {
-		keys = append(keys, k)
+	for _, k := range a.Keys(few[:0]) {
+		dst = appendEntry(dst, k, a[k])
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		dst = AppendString(dst, k)
-		vals := a[k]
-		dst = binary.AppendUvarint(dst, uint64(len(vals)))
-		for _, v := range vals {
-			dst = AppendString(dst, v)
-		}
+	return dst
+}
+
+// AppendFields appends a flat attribute set: the bytes AppendAttrs
+// writes for the same set.
+func AppendFields(dst []byte, f query.Fields) []byte {
+	dst = binary.AppendUvarint(dst, uint64(f.Len()))
+	for k, vals := range f.All() {
+		dst = appendEntry(dst, k, vals)
+	}
+	return dst
+}
+
+// appendEntry appends one attribute: its key, then its values.
+func appendEntry(dst []byte, k string, vals []string) []byte {
+	dst = AppendString(dst, k)
+	dst = binary.AppendUvarint(dst, uint64(len(vals)))
+	for _, v := range vals {
+		dst = AppendString(dst, v)
 	}
 	return dst
 }
@@ -208,11 +216,11 @@ type Reader struct {
 	off  int
 	err  error
 	// Set by ShareStrings: shared is a string copy of data[sharedAt:]
-	// that String cuts its results from, and slab is the array Attrs
-	// cuts value slices from.
+	// that String cuts its results from.
 	shared   string
 	sharedAt int
-	slab     []string
+	// fields holds the chunks Fields builds attribute sets on.
+	fields query.FieldsBuilder
 }
 
 // NewReader starts a cursor at the payload's beginning.
@@ -265,16 +273,16 @@ func (r *Reader) Count(minElemBytes int) int {
 
 // ShareStrings copies the unread remainder of the payload into one
 // string; every string read from here on (attribute keys and values
-// included) is a substring of it, and attribute value slices are cut
-// from a slab the reader grows a chunk at a time — one allocation per
-// frame for all its strings instead of one per field. The price is
-// lifetime: any one surviving string keeps the whole remainder
-// reachable. That suits values on their way to a caller or to the next
-// encode (search results, the records and peers of a DHT lookup reply —
-// whoever keeps one of those longer copies it); a decoder whose values
-// are stored long-term (registrations, fetched documents, the records
-// of a DHT STORE) must keep the per-field copy, or the store would pin
-// a frame per entry.
+// included) is a substring of it — one allocation per frame for all its
+// strings instead of one per field. The price is lifetime: any one
+// surviving string keeps the whole remainder reachable, as any one
+// attribute set keeps the chunks Fields cut it from. That suits values
+// on their way to a caller or to the next encode (search results, the
+// records and peers of a DHT lookup reply — whoever keeps one of those
+// longer copies it). A decoder whose values are stored long-term must
+// not pin a frame per entry: registrations and fetched documents keep
+// the per-field copy (and build their map from the flat form), and a
+// DHT STORE copies each record it keeps into memory of its own.
 func (r *Reader) ShareStrings() {
 	r.shared, r.sharedAt = string(r.data[r.off:]), r.off
 }
@@ -294,26 +302,6 @@ func (r *Reader) String() string {
 	}
 	r.off += n
 	return s
-}
-
-// valueSlabLen is how many attribute values one slab chunk holds (1 KiB
-// of string headers): a typical result set needs one or two.
-const valueSlabLen = 64
-
-// values returns an empty slice with room for n attribute values: its
-// own array, or after ShareStrings the next n slots of the slab, capped
-// so that appending beyond n cannot reach a neighbour's values. A chunk
-// is never larger than the values the unread bytes could still hold.
-func (r *Reader) values(n int) []string {
-	if r.shared == "" || n == 0 {
-		return make([]string, 0, n)
-	}
-	if cap(r.slab)-len(r.slab) < n {
-		r.slab = make([]string, 0, max(n, min(valueSlabLen, len(r.data)-r.off)))
-	}
-	at := len(r.slab)
-	r.slab = r.slab[:at+n]
-	return r.slab[at : at : at+n]
 }
 
 // Bytes reads a length-prefixed byte slice (copied: payload buffers
@@ -381,29 +369,42 @@ func (r *Reader) Bool() bool {
 	return b != 0
 }
 
-// Attrs reads an attribute map written by AppendAttrs (nil for an
-// empty one, as encoding/json decodes an omitted map; the frame tests'
-// JSON oracle relies on it).
-func (r *Reader) Attrs() query.Attrs {
-	n := r.Count(2) // an entry is at least a key length and a value count
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	a := make(query.Attrs, n)
-	for i := 0; i < n; i++ {
-		k := r.String()
-		nv := r.Count(1)
-		if r.err != nil {
-			return nil
+// Fields reads an attribute set written by AppendAttrs (or
+// AppendFields) onto the reader's chunks, which every set the reader
+// builds shares: a frame of records costs a few allocations for all
+// their attributes, not one per record. A first pass over the set's
+// bytes checks every count and length, and that the keys ascend as
+// AppendAttrs writes them, before anything is sized; it sizes the
+// chunks for as many more sets of its density as the unread bytes could
+// hold.
+func (r *Reader) Fields() query.Fields {
+	start := r.off
+	keys := r.Count(2) // an entry is at least a key length and a value count
+	n := keys
+	var prev []byte
+	for i := 0; i < keys; i++ {
+		if k := r.View(); i == 0 || string(k) > string(prev) {
+			prev = k
+		} else {
+			r.fail()
 		}
-		vals := r.values(nv)
-		for j := 0; j < nv; j++ {
-			vals = append(vals, r.String())
+		vals := r.Count(1)
+		for j := 0; j < vals; j++ {
+			r.View()
 		}
-		a[k] = vals
+		n += vals
 	}
-	if r.err != nil {
-		return nil
+	if r.err != nil || keys == 0 {
+		return query.Fields{}
 	}
-	return a
+	r.fields.Start(keys, n, (len(r.data)-r.off)/(r.off-start))
+	r.off = start
+	r.Uvarint()
+	for i := 0; i < keys; i++ {
+		r.fields.Key(r.String())
+		for j := r.Uvarint(); j > 0; j-- {
+			r.fields.Value(r.String())
+		}
+	}
+	return r.fields.Done()
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // testFrame exercises every primitive: varints, strings, bytes,
-// bools, and the sorted-attrs map.
+// bools, and a flat attribute set.
 type testFrame struct {
 	ReqID uint64
 	Name  string
 	Blob  []byte
 	Found bool
-	Attrs query.Attrs
+	Attrs query.Fields
 	Tags  []string
 }
 
@@ -24,7 +24,7 @@ func (f *testFrame) AppendBinary(dst []byte) []byte {
 	dst = AppendString(dst, f.Name)
 	dst = AppendBytes(dst, f.Blob)
 	dst = AppendBool(dst, f.Found)
-	dst = AppendAttrs(dst, f.Attrs)
+	dst = AppendFields(dst, f.Attrs)
 	dst = AppendUvarint(dst, uint64(len(f.Tags)))
 	for _, t := range f.Tags {
 		dst = AppendString(dst, t)
@@ -38,7 +38,7 @@ func (f *testFrame) DecodeBinary(data []byte) error {
 	f.Name = r.String()
 	f.Blob = r.Bytes()
 	f.Found = r.Bool()
-	f.Attrs = r.Attrs()
+	f.Attrs = r.Fields()
 	n := r.Len()
 	f.Tags = f.Tags[:0]
 	for i := 0; i < n; i++ {
@@ -60,7 +60,7 @@ func sampleFrame() *testFrame {
 		Name:  "observer",
 		Blob:  []byte{0, 1, 2, 0xff},
 		Found: true,
-		Attrs: a,
+		Attrs: query.FieldsOf(a),
 		Tags:  []string{"x", "y"},
 	}
 }
@@ -78,8 +78,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryDeterministic: map-valued fields must encode identically
-// regardless of map iteration order, run after run.
+// TestBinaryDeterministic: attribute sets built from maps must encode
+// identically regardless of map iteration order, run after run.
 func TestBinaryDeterministic(t *testing.T) {
 	base := Encode(sampleFrame())
 	for i := 0; i < 32; i++ {
@@ -114,8 +114,8 @@ func TestReaderCorruptLength(t *testing.T) {
 // TestReaderCountBoundsElements: a count is accepted only when that
 // many minimal elements fit in what is left — a 1 KB frame claiming
 // 1 000 five-byte records is refused where Len alone would pass it —
-// and an attribute map claiming more entries than its bytes can hold
-// fails without the map ever being sized.
+// and an attribute set claiming more entries than its bytes can hold
+// fails without anything being sized.
 func TestReaderCountBoundsElements(t *testing.T) {
 	frame := append(AppendUvarint(nil, 1000), make([]byte, 1022)...)
 	if r := NewReader(frame); r.Len() != 1000 || r.Err() != nil {
@@ -131,15 +131,29 @@ func TestReaderCountBoundsElements(t *testing.T) {
 		t.Fatal("Count accepted a count whose byte size overflows")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if r := NewReader(frame); r.Attrs() != nil || r.Err() == nil {
-			t.Fatal("attribute map claiming 1000 entries in 1 KB decoded")
+		if r := NewReader(frame); r.Fields().Len() != 0 || r.Err() == nil {
+			t.Fatal("attribute set claiming 1000 entries in 1 KB decoded")
 		}
 	})
-	// The reader and its error, not a 1000-entry map. Only this count is
+	// The reader and its error, not a 1000-entry set. Only this count is
 	// skipped under the race detector, whose instrumentation adds
 	// allocations of its own about one run in ten.
 	if allocs > 2 && !raceEnabled {
 		t.Fatalf("refusing the hostile attrs count took %v allocations", allocs)
+	}
+}
+
+// TestReaderFieldsRefusesDisorder: an attribute set whose keys do not
+// ascend strictly, which no encoder writes, fails the reader.
+func TestReaderFieldsRefusesDisorder(t *testing.T) {
+	for _, keys := range [][]string{{"b", "a"}, {"a", "a"}, {"a", "c", "b"}} {
+		enc := AppendUvarint(nil, uint64(len(keys)))
+		for _, k := range keys {
+			enc = AppendUvarint(AppendString(enc, k), 0)
+		}
+		if r := NewReader(enc); r.Fields().Len() != 0 || r.Err() == nil {
+			t.Errorf("keys %q were accepted", keys)
+		}
 	}
 }
 
@@ -212,8 +226,9 @@ func BenchmarkBinaryRoundTrip(b *testing.B) {
 }
 
 // TestAppendAttrsAllocs: a map of up to 16 keys is sorted on the stack,
-// so appending it to a buffer with room allocates nothing; a larger map
-// still encodes, in the same sorted order.
+// so appending it to a buffer with room allocates nothing, nor does
+// appending its flat form; a larger map still encodes, in the same
+// sorted order, to the bytes its flat form encodes to.
 func TestAppendAttrsAllocs(t *testing.T) {
 	attrs := func(n int) query.Attrs {
 		a := query.Attrs{}
@@ -227,6 +242,10 @@ func TestAppendAttrsAllocs(t *testing.T) {
 		a := attrs(n)
 		if got := testing.AllocsPerRun(200, func() { buf = AppendAttrs(buf[:0], a) }); got != 0 {
 			t.Errorf("AppendAttrs of %d keys: %v allocs, want 0", n, got)
+		}
+		f := query.FieldsOf(a)
+		if got := testing.AllocsPerRun(200, func() { buf = AppendFields(buf[:0], f) }); got != 0 {
+			t.Errorf("AppendFields of %d keys: %v allocs, want 0", n, got)
 		}
 	}
 	for _, n := range []int{16, 17, 40} {
@@ -243,8 +262,11 @@ func TestAppendAttrsAllocs(t *testing.T) {
 				_ = r.String()
 			}
 		}
-		if got := NewReader(AppendAttrs(nil, a)).Attrs(); !reflect.DeepEqual(got, a) {
+		if got := NewReader(AppendAttrs(nil, a)).Fields().Map(); !reflect.DeepEqual(got, a) {
 			t.Errorf("%d keys: round trip = %v", n, got)
+		}
+		if !bytes.Equal(AppendFields(nil, query.FieldsOf(a)), AppendAttrs(nil, a)) {
+			t.Errorf("%d keys: the flat form encodes to other bytes than the map", n)
 		}
 	}
 }
@@ -272,7 +294,7 @@ func TestShareStrings(t *testing.T) {
 		}
 	}
 	want := query.Attrs{"k": {"v1", "v2"}, "none": {}}
-	if got := r.Attrs(); r.Err() != nil || !reflect.DeepEqual(got, want) {
+	if got := r.Fields().Map(); r.Err() != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("shared attrs = %#v, %v", got, r.Err())
 	}
 	// The input may be reused once decoding is done: shared strings are

@@ -47,12 +47,12 @@ func sampleResults(n int) []Result {
 			Provider:    transport.PeerID(fmt.Sprintf("peer%03d", i%7)),
 			CommunityID: "patterns",
 			Title:       fmt.Sprintf("Pattern %d", i),
-			Attrs: query.Attrs{
+			Attrs: query.FieldsOf(query.Attrs{
 				"classification": {"creational", "structural"},
 				"name":           {fmt.Sprintf("Pattern %d", i), "alias"},
 				"intent":         {"decouple", "an abstraction from its implementation"},
 				"empty":          {},
-			},
+			}),
 			Hops: i % 5,
 		}
 	}
@@ -113,8 +113,7 @@ func TestFloodRelayAndDuplicateZeroAlloc(t *testing.T) {
 }
 
 // TestHitDecodeAllocsFollowResults: decoding a hit frame allocates per
-// result (its attribute map), not per string — 16 strings a result
-// here.
+// frame, not per result or per string — 16 strings a result here.
 func TestHitDecodeAllocsFollowResults(t *testing.T) {
 	allocs := func(n int) float64 {
 		enc := codec.Encode(&queryHitPayload{GUID: 7, Results: sampleResults(n)})
@@ -126,10 +125,10 @@ func TestHitDecodeAllocsFollowResults(t *testing.T) {
 		})
 	}
 	for _, n := range []int{10, 40} {
-		// Measured 2n+4 on go1.24: the attribute map of each result, the
-		// frame's one string, the result slice, a value slab per 64
-		// values. Copying each string would add 16n.
-		if got, budget := allocs(n), float64(3*n+8); got > budget {
+		// Measured 5 on go1.24: the frame's one string, the result slice,
+		// and the three chunks every result's attributes are cut from.
+		// Copying each string would add 16n, a map per result 2n.
+		if got, budget := allocs(n), 8.0; got > budget {
 			t.Errorf("%d results (%d strings): %v allocs, want <= %v", n, 16*n, got, budget)
 		}
 	}
@@ -161,8 +160,8 @@ func resultFrames(t *testing.T) map[string]func() (codec.Frame, *[]Result) {
 // shared-string decode yields results deep-equal to a per-field decode
 // of the same bytes and to a round trip through encoding/json.
 func TestReadResultsEquivalence(t *testing.T) {
-	want := sampleResults(70) // more values than one slab chunk holds
-	want[3].Attrs = nil
+	want := sampleResults(70)
+	want[3].Attrs = query.Fields{}
 	want[4] = Result{}
 	for typ, fresh := range resultFrames(t) {
 		f, rs := fresh()
@@ -198,20 +197,20 @@ func TestReadResultsEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedValueSlicesDoNotOverlap: value slices cut from the reader's
-// slab are capped, so a caller appending to one result's values cannot
-// write into the next result's.
+// TestSharedValueSlicesDoNotOverlap: the value slices of results cut
+// from one frame's chunks are capped, so a caller appending to one key's
+// values cannot write into the next key's, or the next result's.
 func TestSharedValueSlicesDoNotOverlap(t *testing.T) {
 	enc := codec.Encode(&queryHitPayload{GUID: 1, Results: sampleResults(2)})
 	var hit queryHitPayload
 	if err := hit.DecodeBinary(enc); err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range hit.Results[0].Attrs {
-		hit.Results[0].Attrs[k] = append(v, "intruder")
+	for _, v := range hit.Results[0].Attrs.All() {
+		_ = append(v, "intruder")
 	}
-	if want := sampleResults(2)[1]; !reflect.DeepEqual(hit.Results[1], want) {
-		t.Errorf("appending to result 0's values changed result 1: %+v", hit.Results[1])
+	if want := sampleResults(2); !reflect.DeepEqual(hit.Results, want) {
+		t.Errorf("appending to result 0's values changed the results: %+v", hit.Results)
 	}
 }
 

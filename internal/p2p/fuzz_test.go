@@ -106,12 +106,15 @@ func hostileFrames() map[string]hostileFrame {
 	pad := func(b ...byte) []byte { return append(b, make([]byte, 1024-len(b))...) }
 	k := codec.AppendUvarint(nil, 1000) // two bytes
 	return map[string]hostileFrame{
-		"register-attrs":      {0, pad(0, 0, 0, k[0], k[1])},                      // empty DocID, CommunityID, Title; 1 000 attribute entries
-		"register-values":     {0, pad(0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]},     // one entry "k" with 1 000 values, in 512 bytes
-		"register-batch":      {1, pad(k[0], k[1])},                               // 1 000 registrations
-		"search-hit-results":  {4, pad(1, k[0], k[1])},                            // ReqID 1, 1 000 results
-		"query-hit-results":   {6, pad(1, k[0], k[1])},                            // GUID 1, 1 000 results
-		"query-hit-attrs":     {6, pad(1, 1, 0, 0, 0, 0, k[0], k[1])},             // one result whose attribute map claims 1 000 entries
+		"register-attrs":      {0, pad(0, 0, 0, k[0], k[1])},                           // empty DocID, CommunityID, Title; 1 000 attribute entries
+		"register-values":     {0, pad(0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]},          // one entry "k" with 1 000 values, in 512 bytes
+		"register-batch":      {1, pad(k[0], k[1])},                                    // 1 000 registrations
+		"search-hit-results":  {4, pad(1, k[0], k[1])},                                 // ReqID 1, 1 000 results
+		"query-hit-results":   {6, pad(1, k[0], k[1])},                                 // GUID 1, 1 000 results
+		"query-hit-attrs":     {6, pad(1, 1, 0, 0, 0, 0, k[0], k[1])},                  // one result whose attribute set claims 1 000 entries
+		"query-hit-values":    {6, pad(1, 1, 0, 0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]}, // one result, one entry "k" with 1 000 values, in 512 bytes
+		"search-hit-attrs":    {4, pad(1, 1, 0, 0, 0, 0, k[0], k[1])},                  // the same two lies in a search-hit
+		"search-hit-values":   {4, pad(1, 1, 0, 0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]},
 		"query-hit-garbage":   {6, append([]byte{42, 3}, "\xff\xff\xff"...)},      // GUID 42, then a truncated body
 		"fetch-reply-attach":  {8, pad(1, 1, 1, 0, 0, 0, 0, 0, k[0], k[1])[:512]}, // found, a document with 1 000 attachments, in 512 bytes
 		"query-string-length": {5, pad(1, k[0], k[1])[:100]},                      // GUID 1, then a 1 000-byte Origin in a 100-byte frame

@@ -92,29 +92,26 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	return out, nil
 }
 
-// localResults answers this node's own search: copies of the matching
-// documents' metadata, because the results are handed to the caller.
+// localResults answers this node's own search. The caller keeps the
+// results, so each carries its attributes in flat form, all built on
+// one FieldsBuilder; the strings stay the store's immutable documents'.
 func (g *GnutellaNode) localResults(communityID string, f query.Filter, limit int) []Result {
-	return g.resultsOf(g.shared.Search(communityID, f, limit))
+	docs := g.shared.SearchReadOnly(communityID, f, limit)
+	out := make([]Result, len(docs))
+	var b query.FieldsBuilder
+	for i, d := range docs {
+		out[i] = Result{DocID: d.ID, Provider: g.PeerID(), CommunityID: d.CommunityID, Title: d.Title,
+			Attrs: b.Of(d.Attrs, len(docs)-1-i)}
+	}
+	return out
 }
 
-// answer serves a remote query straight from the store: the results
-// alias the store's documents, which are never mutated in place, and
-// live only until the router has encoded them.
+// answer serves a remote query straight from the store (answerOf).
 func (g *GnutellaNode) answer(communityID string, f query.Filter) []Result {
-	return g.resultsOf(g.shared.SearchReadOnly(communityID, f, 0))
-}
-
-func (g *GnutellaNode) resultsOf(docs []*index.Document) []Result {
-	out := make([]Result, 0, len(docs))
-	for _, d := range docs {
-		out = append(out, Result{
-			DocID:       d.ID,
-			Provider:    g.PeerID(),
-			CommunityID: d.CommunityID,
-			Title:       d.Title,
-			Attrs:       d.Attrs,
-		})
+	docs := g.shared.SearchReadOnly(communityID, f, 0)
+	out := make([]Result, len(docs))
+	for i, d := range docs {
+		out[i] = answerOf(d, g.PeerID())
 	}
 	return out
 }

@@ -96,8 +96,20 @@ type Result struct {
 	Provider    transport.PeerID `json:"provider"`
 	CommunityID string           `json:"communityId"`
 	Title       string           `json:"title"`
-	Attrs       query.Attrs      `json:"attrs"`
+	Attrs       query.Fields     `json:"attrs"`
 	Hops        int              `json:"hops"`
+	// src is set on a result a node answers a remote search with: the
+	// store document it stands for, whose attributes the hit frames
+	// encode in place of Attrs, so an answer never builds a flat form.
+	src *index.Document
+}
+
+// answerOf is the result a node answers a remote search with for one
+// of its store's documents, provided by provider. It lives only until
+// it is encoded, so it may alias the document, which a store never
+// mutates in place.
+func answerOf(d *index.Document, provider transport.PeerID) Result {
+	return Result{DocID: d.ID, Provider: provider, CommunityID: d.CommunityID, Title: d.Title, src: d}
 }
 
 // SearchOptions tune one search call.

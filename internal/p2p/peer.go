@@ -312,9 +312,10 @@ func (p *Peer) localDoc(id index.DocID) (*index.Document, error) {
 // Reannounce hands announce every object this peer shares, in DocID
 // order: the one definition of "re-register everything I hold" behind
 // leaf re-registration after super-peer failover (Rehome) and the DHT's
-// republish on Refresh.
+// republish on Refresh. The documents are the store's own
+// (SearchReadOnly): announce reads them and must not modify them.
 func (p *Peer) Reannounce(announce func(docs []*index.Document) error) error {
-	return announce(p.shared.Search("", query.MatchAll{}, 0))
+	return announce(p.shared.SearchReadOnly("", query.MatchAll{}, 0))
 }
 
 // HandleRetrieval serves the retrieval protocol, the same on every

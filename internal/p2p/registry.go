@@ -162,20 +162,14 @@ func (r *registry) search(communityID string, f query.Filter, limit int) []Resul
 	// document then has at least one provider, so limit docs yield at
 	// least limit results and the store never materializes more
 	// matches than the client asked for. The results are only encoded
-	// into a reply, so they alias the store's immutable documents.
+	// into a reply, so they carry the store's documents (answerOf).
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	docs := r.store.SearchReadOnly(communityID, f, limit)
 	var out []Result
 	for _, d := range docs {
 		for _, p := range r.providers[d.ID] {
-			out = append(out, Result{
-				DocID:       d.ID,
-				Provider:    p,
-				CommunityID: d.CommunityID,
-				Title:       d.Title,
-				Attrs:       d.Attrs,
-			})
+			out = append(out, answerOf(d, p))
 			if limit > 0 && len(out) >= limit {
 				return out
 			}

@@ -34,7 +34,11 @@ func appendResult(dst []byte, r *Result) []byte {
 	dst = codec.AppendString(dst, string(r.Provider))
 	dst = codec.AppendString(dst, r.CommunityID)
 	dst = codec.AppendString(dst, r.Title)
-	dst = codec.AppendAttrs(dst, r.Attrs)
+	if r.src != nil {
+		dst = codec.AppendAttrs(dst, r.src.Attrs)
+	} else {
+		dst = codec.AppendFields(dst, r.Attrs)
+	}
 	dst = codec.AppendUvarint(dst, uint64(r.Hops))
 	return dst
 }
@@ -44,7 +48,7 @@ func readResult(r *codec.Reader, out *Result) {
 	out.Provider = transport.PeerID(r.String())
 	out.CommunityID = r.String()
 	out.Title = r.String()
-	out.Attrs = r.Attrs()
+	out.Attrs = r.Fields()
 	out.Hops = int(r.Uvarint())
 }
 
@@ -92,7 +96,7 @@ func readDocument(r *codec.Reader) *index.Document {
 		CommunityID: r.String(),
 		Title:       r.String(),
 		XML:         r.String(),
-		Attrs:       r.Attrs(),
+		Attrs:       r.Fields().Map(),
 	}
 	if n := r.Count(1); n > 0 {
 		d.Attachments = make([]string, n)
@@ -122,7 +126,7 @@ func (p *registerPayload) readFrom(r *codec.Reader) {
 	p.DocID = index.DocID(r.String())
 	p.CommunityID = r.String()
 	p.Title = r.String()
-	p.Attrs = r.Attrs()
+	p.Attrs = r.Fields().Map()
 }
 
 func (p *registerBatchPayload) AppendBinary(dst []byte) []byte {

@@ -22,9 +22,11 @@ func observer() Attrs {
 }
 
 // TestMatchZeroAllocs: no operator allocates while it evaluates an
-// ASCII record, whether it matches or walks every value and misses.
+// ASCII record, whether it matches or walks every value and misses, on
+// the map and on the flat form alike.
 func TestMatchZeroAllocs(t *testing.T) {
 	rec := observer()
+	flat := FieldsOf(rec)
 	for src, want := range map[string]bool{
 		"(classification=behavioral)":     true,  // = exact
 		"(classification=BEHAVIORAL)":     true,  // = exact, folded
@@ -52,11 +54,14 @@ func TestMatchZeroAllocs(t *testing.T) {
 		"(&(name=*)(!(year<1990))(|(name=Vis*)(name=O*)))": true,
 	} {
 		f := MustParse(src)
-		if got := f.Match(rec); got != want {
-			t.Errorf("%s matched = %v, want %v", src, got, want)
+		if got, flatGot := f.Match(rec), f.Match(flat); got != want || flatGot != want {
+			t.Errorf("%s matched = %v on the map, %v on the flat form; want %v", src, got, flatGot, want)
 		}
 		if allocs := testing.AllocsPerRun(50, func() { f.Match(rec) }); allocs != 0 {
-			t.Errorf("%s: %v allocations per Match, want 0", src, allocs)
+			t.Errorf("%s: %v allocations per Match of the map, want 0", src, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { f.Match(flat) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per Match of the flat form, want 0", src, allocs)
 		}
 	}
 }
@@ -125,7 +130,7 @@ var allOps = []Op{OpEq, OpContains, OpGe, OpLe, OpGt, OpLt}
 
 // checkEquivalence compares the live matcher with the oracle on one
 // assertion per operator, built as a literal so the value reaches
-// Match unparsed, both ways round.
+// Match unparsed, both ways round, on the map and on the flat form.
 func checkEquivalence(t *testing.T, a, b string) {
 	t.Helper()
 	for _, pair := range [2][2]string{{a, b}, {b, a}} {
@@ -133,16 +138,26 @@ func checkEquivalence(t *testing.T, a, b string) {
 		for _, op := range allOps {
 			f := &Assertion{Attr: "k", Op: op, Value: pair[0]}
 			for name, set := range map[string]Attrs{"one": {"k": {pair[1]}}, "many": attrs} {
-				if got, want := f.Match(set), oracleMatch(f, set); got != want {
-					t.Errorf("(k%s%q) on %s %q: Match = %v, the old matcher says %v", op, pair[0], name, set["k"], got, want)
-				}
+				checkForms(t, f, set, name)
 			}
 		}
 	}
 }
 
+// checkForms checks that f matches set, as a map and in flat form, as
+// the old matcher does.
+func checkForms(t *testing.T, f Filter, set Attrs, name string) {
+	t.Helper()
+	want := oracleMatch(f, set)
+	for form, s := range map[string]AttrSet{"map": set, "flat": FieldsOf(set)} {
+		if got := f.Match(s); got != want {
+			t.Errorf("%s on %s %v (%s): Match = %v, the old matcher says %v", f, name, set, form, got, want)
+		}
+	}
+}
+
 // TestMatchAgreesWithOracle pins the matching semantics: the live
-// matcher answers every case like the pre-rewrite one.
+// matcher answers every case like the pre-rewrite one, on either form.
 func TestMatchAgreesWithOracle(t *testing.T) {
 	for _, c := range equivalenceCases {
 		checkEquivalence(t, c[0], c[1])
@@ -152,7 +167,8 @@ func TestMatchAgreesWithOracle(t *testing.T) {
 // FuzzMatchEquivalence: for any filter source and any two attribute
 // values, Match and the retained old matcher agree — on the parsed
 // filter (every attribute it names holding both values) and on literal
-// assertions of each operator over the raw strings.
+// assertions of each operator over the raw strings, on the map and on
+// the flat form.
 func FuzzMatchEquivalence(f *testing.F) {
 	for _, c := range equivalenceCases {
 		f.Add("(k="+c[0]+")", c[1], c[0])
@@ -170,9 +186,7 @@ func FuzzMatchEquivalence(f *testing.F) {
 		for _, name := range ReferencedAttributes(filter) {
 			attrs[name] = []string{v1, v2}
 		}
-		if got, want := filter.Match(attrs), oracleMatch(filter, attrs); got != want {
-			t.Errorf("%s on %q, %q: Match = %v, the old matcher says %v", filter, v1, v2, got, want)
-		}
+		checkForms(t, filter, attrs, "every attribute")
 	})
 }
 

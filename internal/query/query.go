@@ -27,8 +27,9 @@ import (
 	"unicode/utf8"
 )
 
-// Attrs is the attribute set a filter evaluates against: the indexed
-// fields extracted from one shared XML object.
+// Attrs is an attribute set as a map: the indexed fields extracted from
+// one shared XML object, as an index.Store holds them. Fields is the
+// same set in flat form.
 type Attrs map[string][]string
 
 // Add appends a value to an attribute.
@@ -56,7 +57,7 @@ func (a Attrs) Clone() Attrs {
 // Filter is a parsed query filter.
 type Filter interface {
 	// Match reports whether the attribute set satisfies the filter.
-	Match(Attrs) bool
+	Match(AttrSet) bool
 	// String renders the canonical textual form (parseable by Parse).
 	String() string
 	// Attributes appends the attribute names the filter references.
@@ -107,8 +108,8 @@ type Assertion struct {
 // parsed one — and without allocating: values are compared in place,
 // the filter's number is parsed once per call, and only a non-ASCII
 // operand of ~= or a wildcard pays for strings.ToLower.
-func (a *Assertion) Match(attrs Attrs) bool {
-	vals := attrs[a.Attr]
+func (a *Assertion) Match(attrs AttrSet) bool {
+	vals := attrs.Values(a.Attr)
 	if a.Op == OpEq && a.Value == "*" {
 		return len(vals) > 0
 	}
@@ -352,7 +353,7 @@ func (a *Assertion) Attributes(into []string) []string { return append(into, a.A
 type And struct{ Subs []Filter }
 
 // Match implements Filter.
-func (f *And) Match(attrs Attrs) bool {
+func (f *And) Match(attrs AttrSet) bool {
 	for _, s := range f.Subs {
 		if !s.Match(attrs) {
 			return false
@@ -371,7 +372,7 @@ func (f *And) Attributes(into []string) []string { return compositeAttrs(into, f
 type Or struct{ Subs []Filter }
 
 // Match implements Filter.
-func (f *Or) Match(attrs Attrs) bool {
+func (f *Or) Match(attrs AttrSet) bool {
 	for _, s := range f.Subs {
 		if s.Match(attrs) {
 			return true
@@ -390,7 +391,7 @@ func (f *Or) Attributes(into []string) []string { return compositeAttrs(into, f.
 type Not struct{ Sub Filter }
 
 // Match implements Filter.
-func (f *Not) Match(attrs Attrs) bool { return !f.Sub.Match(attrs) }
+func (f *Not) Match(attrs AttrSet) bool { return !f.Sub.Match(attrs) }
 
 // String implements Filter.
 func (f *Not) String() string { return "(!" + f.Sub.String() + ")" }
@@ -402,7 +403,7 @@ func (f *Not) Attributes(into []string) []string { return f.Sub.Attributes(into)
 type MatchAll struct{}
 
 // Match implements Filter.
-func (MatchAll) Match(Attrs) bool { return true }
+func (MatchAll) Match(AttrSet) bool { return true }
 
 // String implements Filter.
 func (MatchAll) String() string { return "(*)" }

@@ -182,13 +182,15 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	h.page(w, "search results", b.String())
 }
 
-func summarizeAttrs(attrs query.Attrs) string {
-	parts := make([]string, 0, len(attrs))
-	for k, vs := range attrs {
-		parts = append(parts, k+"="+strings.Join(vs, ","))
-		if len(parts) >= 4 {
+// summarizeAttrs lists a result's first four attributes in key order,
+// so every render of one result reads the same.
+func summarizeAttrs(attrs query.Fields) string {
+	parts := make([]string, 0, 4)
+	for k, vs := range attrs.All() {
+		if len(parts) == 4 {
 			break
 		}
+		parts = append(parts, k+"="+strings.Join(vs, ","))
 	}
 	return strings.Join(parts, "; ")
 }

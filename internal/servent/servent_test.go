@@ -233,3 +233,34 @@ func TestCreateRequiresPost(t *testing.T) {
 		t.Errorf("GET create = %d", rec.Code)
 	}
 }
+
+// TestSearchShowsFirstAttributesInKeyOrder: a result with six attributes
+// renders its four smallest keys, in order, the same on every render.
+func TestSearchShowsFirstAttributesInKeyOrder(t *testing.T) {
+	f := newFixture(t, 1)
+	c, err := f.servents[0].CreateCommunity(core.CommunitySpec{Name: "patterns", SchemaSrc: corpus.PatternSchemaSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.servents[0].Publish(c.ID, corpus.DesignPatterns(1, 1).Objects[0].Doc, nil); err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]bool{}
+	for i := 0; i < 20; i++ {
+		_, body := get(t, f.handlers[0], "/search?community="+c.ID+"&filter="+url.QueryEscape("(name=*)"))
+		row := body[strings.Index(body, "<tr><td>"):]
+		cells[strings.Split(row, "<td>")[3]] = true
+	}
+	if len(cells) != 1 {
+		t.Fatalf("20 renders show %d different attribute lists: %v", len(cells), cells)
+	}
+	for cell := range cells {
+		var keys []string
+		for _, part := range strings.Split(cell, "; ") {
+			keys = append(keys, part[:strings.IndexByte(part, '=')])
+		}
+		if want := []string{"applicability", "classification", "intent", "keywords"}; strings.Join(keys, " ") != strings.Join(want, " ") {
+			t.Errorf("attributes shown: %v, want %v", keys, want)
+		}
+	}
+}
