@@ -8,16 +8,13 @@
 // k nodes closest to any key in O(log n) hops.
 //
 // Mapping U-P2P's community model onto the keyspace:
-//
-//   - KeyForCommunity(communityID) is the community's slice of the
-//     distributed index. Publishing a document STOREs its metadata
-//     record (the same fields the centralized register frame carries)
-//     on the k nodes closest to that key; searching a community is
-//     one iterative FIND_VALUE toward it, with the attribute filter
-//     evaluated holder-side so only matching records travel back.
-//   - KeyForDoc(docID) holds provider stubs (DocID, CommunityID,
-//     Provider — no title, no attributes) for direct DocID-keyed
-//     provider lookups (Node.Providers).
+// KeyForCommunity(communityID) is the community's slice of the
+// distributed index. Publishing a document STOREs its metadata record
+// (the same fields the centralized register frame carries, plus its
+// provider) on the k nodes closest to that key; searching a community
+// is one iterative FIND_VALUE toward it, with the attribute filter
+// evaluated holder-side so only matching records travel back. A hit
+// names its provider, so retrieval needs no second key.
 //
 // A search ships the record set once. Every FIND_VALUE reply carries a
 // 12-byte digest of the responder's matching set (setDigest); records

@@ -46,10 +46,6 @@ func NodeIDFor(peer transport.PeerID) ID { return derive("node", string(peer)) }
 // replicate under: the community's slice of the distributed index.
 func KeyForCommunity(communityID string) ID { return derive("community", communityID) }
 
-// KeyForDoc maps a document ID to the key its provider records
-// replicate under, for direct DocID-keyed provider lookups.
-func KeyForDoc(id index.DocID) ID { return derive("doc", string(id)) }
-
 // KeyForCommunityShard maps one attribute-hash sub-key of a split
 // community key: the shard-th slice a hot community's records spread
 // over once a holder crosses its split threshold. The domain prefix

@@ -32,8 +32,8 @@ type Node struct {
 	table   *Table
 	records *recordStore
 
-	// annMu guards lastAnnounce: per-key memory of the last announce
-	// (holder set and instant), which is what lets Refresh skip
+	// annMu guards lastAnnounce: per-community-key memory of the last
+	// announce (holder set and instant), which is what lets Refresh skip
 	// republishing keys whose replicas are still where they were put.
 	annMu        sync.Mutex
 	lastAnnounce map[ID]announceState
@@ -109,14 +109,6 @@ func (n *Node) ID() ID { return n.self }
 // TableLen returns the number of live routing-table contacts.
 func (n *Node) TableLen() int { return n.table.Len() }
 
-// ClosestContacts returns up to count live routing-table contacts
-// sorted by XOR distance to target — routing introspection for debug
-// surfaces and experiments (who would this node's next lookup wave
-// hit?).
-func (n *Node) ClosestContacts(target ID, count int) []Contact {
-	return n.table.Closest(target, count)
-}
-
 // RecordCount returns how many unexpired records this node holds for
 // the keyspace.
 func (n *Node) RecordCount() int { return n.records.len(n.Clock().Now()) }
@@ -152,8 +144,7 @@ func (n *Node) Bootstrap(peers ...transport.PeerID) {
 
 // Publish implements p2p.Network: store locally, then replicate the
 // metadata record onto the k nodes closest to the community key (the
-// distributed index slice) and to the document key (provider
-// lookups).
+// distributed index slice).
 func (n *Node) Publish(doc *index.Document) error {
 	if err := n.Shared().Put(doc); err != nil {
 		return err
@@ -182,9 +173,9 @@ func (n *Node) PublishBatch(docs []*index.Document) error {
 }
 
 // replicate hands put (storeRecords on publish, reannounceKey on
-// refresh) the records of docs: one batch per community key, one
-// provider stub per document key. STOREs are fire-and-forget: the next
-// Refresh repairs a lost or refused replica, like Kademlia republish.
+// refresh) the records of docs, one batch per community key. STOREs are
+// fire-and-forget: the next Refresh repairs a lost or refused replica,
+// like Kademlia republish.
 func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(trace.Context, ID, []Record)) error {
 	if n.Closed() {
 		return p2p.ErrClosed
@@ -200,10 +191,6 @@ func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(tr
 	sort.Strings(comms)
 	for _, c := range comms {
 		put(tctx, KeyForCommunity(c), byComm[c])
-	}
-	for _, doc := range docs {
-		// Providers, the document key's only reader, wants no metadata.
-		put(tctx, KeyForDoc(doc.ID), []Record{{DocID: doc.ID, CommunityID: doc.CommunityID, Provider: n.PeerID()}})
 	}
 	return nil
 }
@@ -302,10 +289,9 @@ func (n *Node) sendOrEvict(to transport.PeerID, msgType string, payload []byte, 
 }
 
 // maybeSplit checks whether a primary STORE pushed a main community
-// key over the split threshold and, if so, spills it. Only community
-// keys split: document keys hold one document's providers, and
-// sub-keys live in their own derive domain so a spill can never
-// cascade.
+// key over the split threshold and, if so, spills it. Only a
+// community's own key splits: sub-keys live in their own derive domain,
+// so a spill can never cascade.
 func (n *Node) maybeSplit(key ID, recs []Record, count int) {
 	if n.cfg.SplitThreshold <= 0 || count < n.cfg.SplitThreshold || len(recs) == 0 {
 		return
@@ -354,9 +340,10 @@ func (n *Node) splitKey(key ID, communityID string) {
 	}
 }
 
-// Unpublish implements p2p.Network: withdraw the record from both
-// keys' neighborhoods. Replicas on nodes that miss the unstore (loss,
-// stale holders) age out at RecordTTL.
+// Unpublish implements p2p.Network: withdraw the record from its
+// community key's neighborhood. Replicas on nodes that miss the unstore
+// (loss, stale holders) age out at RecordTTL. A document this node does
+// not share has no record of its to withdraw.
 func (n *Node) Unpublish(id index.DocID) error {
 	if n.Closed() {
 		return p2p.ErrClosed
@@ -365,26 +352,23 @@ func (n *Node) Unpublish(id index.DocID) error {
 	defer sp.Finish()
 	tctx := sp.Context()
 	doc, err := n.Shared().Get(id)
-	n.Shared().Delete(id)
-	if err == nil {
-		n.unstore(tctx, KeyForCommunity(doc.CommunityID), id)
+	if err != nil {
+		return nil
 	}
-	n.unstore(tctx, KeyForDoc(id), id)
-	return nil
-}
-
-func (n *Node) unstore(tctx trace.Context, key ID, id index.DocID) {
+	n.Shared().Delete(id)
+	key := KeyForCommunity(doc.CommunityID)
 	out := n.lookup(tctx, key, nil)
 	n.records.remove(key, id, n.PeerID())
 	frame := unstorePayload{Key: key, DocID: id, Provider: n.PeerID()}
 	payload := codec.Encode(&frame)
 	for _, t := range out.contacts {
-		sp := n.Tracer().Start(tctx, "unstore")
-		sp.SetPeer(string(t.Peer))
+		usp := n.Tracer().Start(tctx, "unstore")
+		usp.SetPeer(string(t.Peer))
 		// A holder that misses the unstore ages the record out at RecordTTL.
-		_ = n.SendPayload(t.Peer, MsgUnstore, payload, &sp, sp.ContextOr(tctx))
-		sp.Finish()
+		_ = n.SendPayload(t.Peer, MsgUnstore, payload, &usp, usp.ContextOr(tctx))
+		usp.Finish()
 	}
+	return nil
 }
 
 // Search implements p2p.Network: one iterative FIND_VALUE toward the
@@ -458,23 +442,6 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	return results, nil
 }
 
-// Providers returns the provider records replicated under a
-// document's key: the DocID-keyed half of the keyspace. They are
-// stubs — DocID, CommunityID and Provider, no title or attributes;
-// the metadata lives under the community key.
-func (n *Node) Providers(id index.DocID) []Record {
-	sp := n.Tracer().Root("providers")
-	defer sp.Finish()
-	out := n.lookup(sp.Context(), KeyForDoc(id), &valueQuery{filter: query.MatchAll{}.String()})
-	recs := out.records[:0]
-	for _, rec := range out.records {
-		if rec.DocID == id {
-			recs = append(recs, rec)
-		}
-	}
-	return recs
-}
-
 // CheckLiveness probes the least-recently-seen contact of every
 // bucket and evicts the ones that fail to answer, promoting
 // replacement-cache candidates into the freed slots — the scheduled
@@ -507,7 +474,7 @@ func (n *Node) pingPeer(peer transport.PeerID) bool {
 // schedule (the scenario driver paces it on the virtual clock):
 // bucket repair (CheckLiveness plus a self-lookup that re-learns the
 // neighborhood) followed by adaptive republication of the locally
-// stored documents through Reannounce. Adaptive: each key is
+// stored documents through Reannounce. Adaptive: each community key is
 // first probed with a FIND_NODE lookup, and the STOREs are sent only
 // when the holder set from the last announce is no longer intact
 // (departures or displacement by closer arrivals) or the records are

@@ -80,40 +80,72 @@ func TestPublishSearchAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestProvidersAndUnpublish exercises the DocID-keyed half of the
-// keyspace and record withdrawal.
-func TestProvidersAndUnpublish(t *testing.T) {
+// TestUnpublishLeavesOtherProvider: one document published by two
+// providers is two records under the community key; withdrawing one
+// leaves the other searchable from everywhere, the withdrawer included.
+func TestUnpublishLeavesOtherProvider(t *testing.T) {
 	_, nodes := testNet(t, 16, Config{K: 4, Alpha: 2})
 	d := doc(1, "patterns", "structural")
-	if err := nodes[5].Publish(d); err != nil {
-		t.Fatal(err)
+	for _, p := range []int{5, 8} {
+		if err := nodes[p].Publish(doc(1, "patterns", "structural")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	provs := nodes[11].Providers(d.ID)
-	if len(provs) != 1 || provs[0].Provider != nodes[5].PeerID() {
-		t.Fatalf("providers = %+v", provs)
+	providers := func(searcher int) []transport.PeerID {
+		rs, err := nodes[searcher].Search("patterns", nil, p2p.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []transport.PeerID
+		for _, r := range rs {
+			if r.DocID != d.ID {
+				t.Fatalf("searcher %d: stray hit %+v", searcher, r)
+			}
+			out = append(out, r.Provider)
+		}
+		return out
 	}
-	// A second provider replicates under the same key.
-	if err := nodes[8].Publish(doc(1, "patterns", "structural")); err != nil {
-		t.Fatal(err)
-	}
-	if provs = nodes[2].Providers(d.ID); len(provs) != 2 {
-		t.Fatalf("providers after replica = %+v", provs)
+	if got := providers(0); len(got) != 2 {
+		t.Fatalf("providers before unpublish = %v, want both", got)
 	}
 	if err := nodes[5].Unpublish(d.ID); err != nil {
 		t.Fatal(err)
 	}
-	provs = nodes[2].Providers(d.ID)
-	if len(provs) != 1 || provs[0].Provider != nodes[8].PeerID() {
-		t.Fatalf("providers after unpublish = %+v", provs)
+	for _, searcher := range []int{0, 5, 11} {
+		if got := providers(searcher); len(got) != 1 || got[0] != nodes[8].PeerID() {
+			t.Fatalf("searcher %d: providers after unpublish = %v, want only %s", searcher, got, nodes[8].PeerID())
+		}
 	}
-	rs, err := nodes[0].Search("patterns", nil, p2p.SearchOptions{})
-	if err != nil {
+}
+
+// TestPublishUnpublishTraffic pins what one document costs on a quiet
+// network: a publish is one lookup (its community key) and one STORE to
+// each of the K closest nodes, an unpublish one lookup.
+func TestPublishUnpublishTraffic(t *testing.T) {
+	const k = 4
+	nodes, reg := sharedNet(t, 16, Config{K: k, Alpha: 2})
+	d := doc(1, "patterns", "structural")
+	before := reg.Snapshot()
+	if err := nodes[5].Publish(d); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rs {
-		if r.Provider == nodes[5].PeerID() {
-			t.Fatalf("unpublished provider still searchable: %+v", r)
-		}
+	delta := reg.Snapshot().Delta(before)
+	if got := delta.Counter("dht.lookups"); got != 1 {
+		t.Errorf("publish: dht.lookups +%d, want +1", got)
+	}
+	if got := delta.Counter("dht.store_fanout"); got != k {
+		t.Errorf("publish: dht.store_fanout +%d, want +%d", got, k)
+	}
+	before = reg.Snapshot()
+	if err := nodes[5].Unpublish(d.ID); err != nil {
+		t.Fatal(err)
+	}
+	delta = reg.Snapshot().Delta(before)
+	if got := delta.Counter("dht.lookups"); got != 1 {
+		t.Errorf("unpublish: dht.lookups +%d, want +1", got)
+	}
+	if got := delta.Counter("dht.store_fanout"); got != 0 {
+		t.Errorf("unpublish: dht.store_fanout +%d, want 0", got)
 	}
 }
 
@@ -411,15 +443,15 @@ func TestAdaptiveRefreshSkips(t *testing.T) {
 	if err := nodes[4].Publish(doc(9, "patterns", "behavioral")); err != nil {
 		t.Fatal(err)
 	}
-	// No churn, no aging: both keys' holders are intact, so the probe
-	// lookups suffice and no STORE is sent.
+	// No churn, no aging: the community key's holders are intact, so
+	// the probe lookup suffices and no STORE is sent.
 	before := reg.Snapshot()
 	if err := nodes[4].Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	d := reg.Snapshot().Delta(before)
-	if d.Counter("dht.republishes_skipped") != 2 {
-		t.Fatalf("republishes_skipped = %d, want 2 (community + doc key)", d.Counter("dht.republishes_skipped"))
+	if d.Counter("dht.republishes_skipped") != 1 {
+		t.Fatalf("republishes_skipped = %d, want 1 (the community key)", d.Counter("dht.republishes_skipped"))
 	}
 	if d.Counter("dht.store_fanout") != 0 {
 		t.Fatalf("store_fanout = %d, want 0 on an intact refresh", d.Counter("dht.store_fanout"))

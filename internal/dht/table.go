@@ -60,9 +60,6 @@ func NewTable(self ID, k int) *Table {
 	return &Table{self: self, k: k}
 }
 
-// Self returns the table owner's ID.
-func (t *Table) Self() ID { return t.self }
-
 // Len returns the number of live contacts across all buckets.
 func (t *Table) Len() int {
 	t.mu.Lock()

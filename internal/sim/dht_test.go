@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/corpus"
@@ -85,9 +86,16 @@ func TestDHTClusterEndToEnd(t *testing.T) {
 // TestDHTChurnRepair kills a slice of the population (taking record
 // replicas with it), then checks that RefreshDHT — bucket repair plus
 // republication — restores full recall over the surviving peers'
-// documents.
+// documents. Repair must hold on every seed, not on one lucky layout of
+// holders and routing tables.
 func TestDHTChurnRepair(t *testing.T) {
-	c, err := NewCluster(Config{Peers: 30, Protocol: DHT, DHT: dht.Config{K: 4}, Seed: 33})
+	for _, seed := range []int64{33, 1, 2, 5, 8, 13, 21, 55} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { dhtChurnRepair(t, seed) })
+	}
+}
+
+func dhtChurnRepair(t *testing.T, seed int64) {
+	c, err := NewCluster(Config{Peers: 30, Protocol: DHT, DHT: dht.Config{K: 4}, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +106,7 @@ func TestDHTChurnRepair(t *testing.T) {
 	if err := c.InstallCommunityAll(comm); err != nil {
 		t.Fatal(err)
 	}
-	objs := corpus.DesignPatterns(30, 33).Objects
+	objs := corpus.DesignPatterns(30, seed).Objects
 	ids, err := c.PublishRoundRobin(comm.ID, objs)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +132,7 @@ func TestDHTChurnRepair(t *testing.T) {
 	if err := c.Servents[ni].AdoptCommunity(comm); err != nil {
 		t.Fatal(err)
 	}
-	extra := corpus.DesignPatterns(45, 34).Objects
+	extra := corpus.DesignPatterns(45, seed+1).Objects
 	extraID, err := c.Servents[ni].Publish(comm.ID, extra[44].Doc.Clone(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@
 # the output is well-formed; then prove that a daemon under -state
 # persists its store across a SIGTERM and across a SIGKILL, and that a
 # restart restores it; then that FastTrack leaves under two different
-# super-peers find each other's communities over TCP. Run via
-# `make ops-smoke`.
+# super-peers, and two DHT daemons, find each other's communities over
+# TCP. Run via `make ops-smoke`.
 set -eu
 
 bin="$1"
@@ -151,6 +151,31 @@ until curl -sf "http://127.0.0.1:8979/discover" | grep -q '<td>designpatterns</t
     sleep 0.5
 done
 echo "leaf B discovered designpatterns through the super-peer flood"
+kill $ft
+for p in $ft; do wait "$p" || true; done
+ft=
+
+echo "== DHT over TCP: a joiner discovers a community through the keyspace"
+# B boots only once A listens: a DHT daemon whose bootstrap contact is
+# not up yet joins nothing.
+"$bin" -mode dht -p2p 127.0.0.1:7980 -http 127.0.0.1:8980 -seed designpatterns &
+ft="$!"
+wait_health 127.0.0.1:8980
+"$bin" -mode dht -p2p 127.0.0.1:7981 -http 127.0.0.1:8981 -neighbors 127.0.0.1:7980 &
+ft="$ft $!"
+wait_health 127.0.0.1:8981
+i=0
+until curl -sf "http://127.0.0.1:8981/discover" | grep -q '<td>designpatterns</td>'; do
+    i=$((i + 1))
+    if [ "$i" -ge 10 ]; then
+        echo "ops-smoke: DHT daemon B never discovered daemon A's community" >&2
+        exit 1
+    fi
+    sleep 0.5
+done
+curl -sf "http://127.0.0.1:8980/healthz" | jq -e '.dht_records > 0' >/dev/null ||
+    { echo "ops-smoke: DHT daemon A holds no records" >&2; exit 1; }
+echo "DHT daemon B discovered designpatterns with a FIND_VALUE lookup"
 kill $ft
 for p in $ft; do wait "$p" || true; done
 ft=
