@@ -57,19 +57,21 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode,
-# FuzzTCPFrame, FuzzMatchEquivalence and FuzzWALSegment on top of their
-# seeds and the committed corpora (testdata/fuzz in internal/dht,
-# internal/p2p, internal/transport, internal/query and internal/index) —
-# no DHT or p2p frame decoder, no TCP connection reader and no WAL
-# segment scan may panic, or allocate beyond a small multiple of its
-# input, the GUID a flood relay peeks from a query or query-hit is the
-# one a full decode reads, and Filter.Match answers every filter and
-# value as the matcher it replaced did.
+# FuzzTCPFrame, FuzzMatchEquivalence, FuzzFilterParse and FuzzWALSegment
+# on top of their seeds and the committed corpora (testdata/fuzz in
+# internal/dht, internal/p2p, internal/transport, internal/query and
+# internal/index) — no DHT or p2p frame decoder, no TCP connection reader
+# and no WAL segment scan may panic, or allocate beyond a small multiple
+# of its input, the GUID a flood relay peeks from a query or query-hit is
+# the one a full decode reads, Filter.Match answers every filter and
+# value as the matcher it replaced did, and a parsed filter's String
+# parses back to itself, never nested deeper than the parser's bound.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzP2PFrameDecode -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzFilterParse -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzWALSegment -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical

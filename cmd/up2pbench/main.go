@@ -60,8 +60,6 @@ func run() error {
 		"E16: DHT population under the flash crowd")
 	flag.IntVar(&cfg.Hotspot.Burst, "e16-burst", cfg.Hotspot.Burst,
 		"E16: queries in the flash-crowd burst")
-	flag.IntVar(&cfg.Hotspot.SplitThreshold, "e16-split-threshold", cfg.Hotspot.SplitThreshold,
-		"E16: per-holder record count that triggers hot-key splitting")
 	// E18 (WAL durability) knobs.
 	flag.IntVar(&cfg.WAL.DocsPerCommunity, "wal-docs", cfg.WAL.DocsPerCommunity,
 		"E18: documents per community in the ingest workloads")

@@ -347,14 +347,10 @@ func TestE14Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxCost := map[string]float64{}
-	totalAt20 := map[string]float64{} // protocol -> total msgs at the 20% rung
 	for _, row := range tbl.Rows {
 		msgs, _ := strconv.ParseFloat(row[5], 64)
 		if msgs > maxCost[row[0]] {
 			maxCost[row[0]] = msgs
-		}
-		if row[1] == "20%" {
-			totalAt20[row[0]], _ = strconv.ParseFloat(row[10], 64)
 		}
 		if row[0] == "dht" {
 			if r := pct(t, row[6]); r < 95 {
@@ -367,13 +363,6 @@ func TestE14Shape(t *testing.T) {
 	}
 	if maxCost["dht"]*3 > maxCost["gnutella"] {
 		t.Errorf("dht cost (%.1f) not well below flooding (%.1f)", maxCost["dht"], maxCost["gnutella"])
-	}
-	// The ablation rung must show the adaptive-republish saving: with
-	// the intact-holder-set check disabled, every refresh re-STOREs
-	// every key, so total traffic has to rise.
-	if totalAt20["dht-always"] <= totalAt20["dht"] {
-		t.Errorf("dht-always total msgs (%.0f) not above adaptive dht (%.0f)",
-			totalAt20["dht-always"], totalAt20["dht"])
 	}
 }
 

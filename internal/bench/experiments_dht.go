@@ -166,18 +166,14 @@ func RunE14(c Config) (Table, error) {
 			"k-1 replicas and each refresh re-replicates onto the current closest-k,",
 			"at per-query cost that is O(log n) instead of O(edges);",
 			"msgs/query charges only query traffic; maintenance (refresh probes,",
-			"republish STOREs) lands in total msgs;",
-			"the dht-always row reruns the heaviest churn rung with adaptive republish",
-			"disabled (every refresh re-STOREs every key): same recall and query cost,",
-			"more total messages — the gap is what the intact-holder-set check saves",
+			"republish STOREs) lands in total msgs",
 		},
 	}
-	runRow := func(label string, proto sim.Protocol, churn float64, republishAlways bool) error {
+	runRow := func(proto sim.Protocol, churn float64) error {
 		rate := churn * float64(sc.Peers) / scenarioDuration.Seconds()
 		cluster := dhtScenarioCluster(c, sc.Peers, proto)
 		cluster.Latency = 30 * time.Millisecond
 		cluster.Jitter = 20 * time.Millisecond
-		cluster.DHT.RepublishAlways = republishAlways
 		r, err := sim.RunScenario(sim.ScenarioConfig{
 			Cluster:         cluster,
 			Duration:        scenarioDuration,
@@ -191,7 +187,7 @@ func RunE14(c Config) (Table, error) {
 			return err
 		}
 		t.Rows = append(t.Rows, []string{
-			label,
+			proto.String(),
 			fmt.Sprintf("%.0f%%", churn*100),
 			fmt.Sprintf("%d/%d", r.Arrivals, r.Departures),
 			fmt.Sprintf("%d", r.FinalPeers),
@@ -207,15 +203,10 @@ func RunE14(c Config) (Table, error) {
 	}
 	for _, proto := range []sim.Protocol{sim.Gnutella, sim.DHT} {
 		for _, churn := range []float64{0, 0.05, 0.20} {
-			if err := runRow(proto.String(), proto, churn, false); err != nil {
+			if err := runRow(proto, churn); err != nil {
 				return t, err
 			}
 		}
-	}
-	// Ablation: the adaptive-republish gain, measured at the heaviest
-	// churn rung (compare against the dht 20% row above).
-	if err := runRow("dht-always", sim.DHT, 0.20, true); err != nil {
-		return t, err
 	}
 	return t, nil
 }

@@ -25,9 +25,6 @@ type HotspotConfig struct {
 	// Burst is how many back-to-back queries the flash crowd aims at
 	// the popular community filter.
 	Burst int
-	// SplitThreshold is the per-holder record count that triggers
-	// hot-key splitting in the cache+split row.
-	SplitThreshold int
 	// K and Alpha are the Kademlia bucket size and lookup width for
 	// the experiment's cluster (see the partial-table note above).
 	K, Alpha int
@@ -35,8 +32,7 @@ type HotspotConfig struct {
 
 // RunE16 measures flash-crowd survival on the DHT: the same seeded
 // burst of queries for one popular filter against one community key,
-// run three ways — baseline, with Kademlia's caching STORE, and with
-// caching plus attribute-sharded hot-key splitting. The headline is
+// run twice — baseline, and with Kademlia's caching STORE. The headline is
 // the load on the hot key's k natural holders over the burst window
 // (holder max / holder mean messages): caching replicates the hot
 // result set onto lookup-path nodes with halved TTLs, so queriers
@@ -46,30 +42,28 @@ func RunE16(c Config) (Table, error) {
 	peers, burst := hc.Peers, hc.Burst
 	t := Table{
 		ID: "E16",
-		Title: fmt.Sprintf("Flash-crowd hot key: caching STORE + key splitting (%d peers, %d-query burst, k=%d α=%d)",
+		Title: fmt.Sprintf("Flash-crowd hot key: caching STORE (%d peers, %d-query burst, k=%d α=%d)",
 			peers, burst, hc.K, hc.Alpha),
-		Headers: []string{"mode", "holder max", "holder mean", "burst max", "burst mean", "recall", "cache stores", "cache hits", "key splits"},
+		Headers: []string{"mode", "holder max", "holder mean", "burst max", "burst mean", "recall", "cache stores", "cache hits"},
 		Notes: []string{
 			"holder max/mean = messages received during the burst window by the k live",
 			"peers XOR-closest to the hot community key (its natural holders); burst",
 			"max/mean = the same over all live peers; expected shape: caching cuts",
 			"holder load >=2x on the same seed with recall unchanged, because cached",
 			"copies on lookup-path nodes terminate queries before they reach the",
-			"holders; splitting additionally bounds per-holder record state",
+			"holders",
 		},
 	}
 	modes := []struct {
 		name  string
 		cache bool
-		split int
 	}{
-		{"baseline", false, 0},
-		{"cache", true, 0},
-		{"cache+split", true, hc.SplitThreshold},
+		{"baseline", false},
+		{"cache", true},
 	}
 	for _, m := range modes {
 		cluster := dhtScenarioCluster(c, peers, sim.DHT)
-		cluster.DHT = dht.Config{K: hc.K, Alpha: hc.Alpha, CacheRecords: m.cache, SplitThreshold: m.split}
+		cluster.DHT = dht.Config{K: hc.K, Alpha: hc.Alpha, CacheRecords: m.cache}
 		cluster.PeerLoad = true
 		r, err := sim.RunScenario(sim.ScenarioConfig{
 			Cluster:  cluster,
@@ -100,7 +94,6 @@ func RunE16(c Config) (Table, error) {
 			recall,
 			fmt.Sprintf("%d", r.Metrics.Counter("dht.cache_stores")),
 			fmt.Sprintf("%d", r.Metrics.Counter("dht.cache_hits")),
-			fmt.Sprintf("%d", r.Metrics.Counter("dht.key_splits")),
 		})
 	}
 	return t, nil

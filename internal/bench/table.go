@@ -88,7 +88,7 @@ func DefaultConfig() Config {
 		},
 		Scenario: ScenarioConfig{Peers: 1000, Queries: 120, Seed: 11},
 		DHT:      DHTConfig{K: 16, Alpha: 3, E13MaxPeers: 10000},
-		Hotspot:  HotspotConfig{Peers: 200, Burst: 300, SplitThreshold: 128, K: 4, Alpha: 2},
+		Hotspot:  HotspotConfig{Peers: 200, Burst: 300, K: 4, Alpha: 2},
 		WAL: WALConfig{
 			Communities:      8,
 			DocsPerCommunity: 150,
@@ -131,7 +131,7 @@ func All() []Runner {
 		{"E13", "search cost scaling: flooding vs Kademlia DHT", RunE13},
 		{"E14", "churn sweep: flooding vs DHT with refresh repair", RunE14},
 		{"E15", "loss sweep: flooding vs DHT", RunE15},
-		{"E16", "flash-crowd hot key: caching STORE + key splitting", RunE16},
+		{"E16", "flash-crowd hot key: caching STORE", RunE16},
 		// E17 is reserved for ROADMAP items (postings compaction,
 		// distributed keyword search).
 		{"E18", "crash-safe persistence: WAL overhead and recovery", RunE18},

@@ -277,33 +277,6 @@ func TestObserveAllocatesNothing(t *testing.T) {
 	}
 }
 
-// hostileSplitReply is a well-formed, empty FIND_VALUE reply but for the
-// fanout it advertises: 2^63 sub-keys, one lookup each.
-func hostileSplitReply() []byte {
-	reply := (&findValueReplyPayload{ReqID: 1}).AppendBinary(nil)
-	reply = reply[:len(reply)-2] // Split 0 and Complete
-	return append(reply, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0)
-}
-
-// TestHostileSplitFanoutRejected: the fanout a reply advertises is
-// bounded where it is decoded, so no holder can buy more sub-lookups
-// than maxSplitFanout with one frame.
-func TestHostileSplitFanoutRejected(t *testing.T) {
-	var reply findValueReplyPayload
-	if err := reply.DecodeBinary(hostileSplitReply()); err == nil {
-		t.Errorf("a reply advertising %d sub-keys decoded", reply.Split)
-	}
-	for split, ok := range map[int]bool{DefaultSplitFanout: true, maxSplitFanout: true, maxSplitFanout + 1: false} {
-		err := new(findValueReplyPayload).DecodeBinary((&findValueReplyPayload{ReqID: 1, Split: split}).AppendBinary(nil))
-		if (err == nil) != ok {
-			t.Errorf("Split %d: decode error %v", split, err)
-		}
-	}
-	if got := (Config{SplitFanout: 1 << 20}).withDefaults().SplitFanout; got != maxSplitFanout {
-		t.Errorf("Config.SplitFanout 1<<20 became %d, want %d", got, maxSplitFanout)
-	}
-}
-
 // searchCluster is the ruler's tcp-dht-search workload without the
 // sockets: 24 nodes (K 8, α 3) on one MemNetwork, 240 design-pattern
 // records published round-robin, and the ruler's six filters.

@@ -79,12 +79,6 @@ const (
 	// entries first, then earliest-expiring primaries) keeps a flash
 	// crowd of publishes from exhausting the holder's memory.
 	DefaultMaxRecordsPerKey = 1024
-	// DefaultSplitFanout is how many attribute-hash sub-keys a hot key
-	// splits into when SplitThreshold is enabled.
-	DefaultSplitFanout = 8
-	// maxSplitFanout bounds Config.SplitFanout and the fanout a
-	// FIND_VALUE reply may advertise: a reply over it is corrupt.
-	maxSplitFanout = 256
 )
 
 // Config tunes a Node. The zero value selects the defaults above.
@@ -108,25 +102,9 @@ type Config struct {
 	// reaches the k holders. Off by default: enabling it changes the
 	// message trace, so golden-trace baselines keep it off.
 	CacheRecords bool
-	// SplitThreshold, when positive, splits hot keys: a holder whose
-	// record count under one community key reaches the threshold
-	// migrates those records into SplitFanout attribute-hash sub-keys
-	// and advertises the split in FIND_VALUE replies, which queriers
-	// fan into transparently. Zero disables splitting.
-	SplitThreshold int
-	// SplitFanout is the number of sub-keys a split key shards into
-	// (0 selects DefaultSplitFanout, 256 is the most; only read when
-	// SplitThreshold is positive).
-	SplitFanout int
 	// MaxRecordsPerKey caps per-key holder state (0 selects
 	// DefaultMaxRecordsPerKey).
 	MaxRecordsPerKey int
-	// RepublishAlways disables the adaptive republish check: every
-	// Refresh cycle re-STOREs every local key even when the previous
-	// announce's holder set is intact and the records are fresh.
-	// The paper-faithful (and expensive) baseline — E14 measures the
-	// message-count gap between this and the adaptive default.
-	RepublishAlways bool
 }
 
 func (c Config) withDefaults() Config {
@@ -145,10 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRecordsPerKey <= 0 {
 		c.MaxRecordsPerKey = DefaultMaxRecordsPerKey
 	}
-	if c.SplitFanout <= 0 {
-		c.SplitFanout = DefaultSplitFanout
-	}
-	c.SplitFanout = min(c.SplitFanout, maxSplitFanout)
 	return c
 }
 
@@ -270,10 +244,6 @@ type findValueReplyPayload struct {
 	Records []Record           `json:"records,omitempty"`
 	Digest  setDigest          `json:"digest"`
 	Peers   []transport.PeerID `json:"peers"`
-	// Split, when positive, advertises that the responder has split
-	// this key into that many attribute-hash sub-keys; the querier
-	// fans its lookup into them and merges the results.
-	Split int `json:"split,omitempty"`
 	// Complete marks records served from a cached copy for exactly the
 	// query's filter — a complete result set by construction (only
 	// full, unlimited sets are ever cache-STOREd). A value-terminating
@@ -298,10 +268,6 @@ type storePayload struct {
 	// carrying the identical filter, so a cache never truncates the
 	// result set of a different query.
 	Filter string `json:"filter,omitempty"`
-	// Split marks a hot-key migration STORE: a holder redistributing
-	// its records into a sub-key's neighborhood. Like Cached it
-	// relays third-party providers, so provenance is relaxed.
-	Split bool `json:"split,omitempty"`
 }
 
 type unstorePayload struct {

@@ -405,32 +405,6 @@ func TestLostPullKeepsConverging(t *testing.T) {
 	}
 }
 
-// TestSplitFanInEqualsUnsplit: a search over a split key returns
-// exactly what the same publishes return with splitting off.
-func TestSplitFanInEqualsUnsplit(t *testing.T) {
-	results := func(cfg Config) (all, filtered []recordKey) {
-		nodes, _ := meteredNet(t, 24, cfg)
-		publishPatterns(t, nodes, 12)
-		rs, err := nodes[20].Search("patterns", nil, p2p.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := nodes[23].Search("patterns", query.MustParse("(classification=behavioral)"), p2p.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pairs(rs), pairs(fs)
-	}
-	all, filtered := results(Config{K: 4, Alpha: 2})
-	splitAll, splitFiltered := results(Config{K: 4, Alpha: 2, SplitThreshold: 8, SplitFanout: 4})
-	if len(all) != 12 || !slices.Equal(all, splitAll) {
-		t.Errorf("unfiltered: split returned %v, unsplit %v", splitAll, all)
-	}
-	if len(filtered) != 6 || !slices.Equal(filtered, splitFiltered) {
-		t.Errorf("filtered: split returned %v, unsplit %v", splitFiltered, filtered)
-	}
-}
-
 // TestDigestPathAllocatesNothing pins the holder side of a record-less
 // reply: digesting a key — asked digest-only, or holding exactly what
 // the querier has — allocates nothing, so what is left of serving such

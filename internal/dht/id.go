@@ -3,10 +3,8 @@ package dht
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"hash/fnv"
 	"strconv"
 
-	"repro/internal/index"
 	"repro/internal/transport"
 )
 
@@ -46,15 +44,6 @@ func NodeIDFor(peer transport.PeerID) ID { return derive("node", string(peer)) }
 // replicate under: the community's slice of the distributed index.
 func KeyForCommunity(communityID string) ID { return derive("community", communityID) }
 
-// KeyForCommunityShard maps one attribute-hash sub-key of a split
-// community key: the shard-th slice a hot community's records spread
-// over once a holder crosses its split threshold. The domain prefix
-// keeps sub-keys disjoint from community keys, so a sub-key can never
-// itself be recognized as splittable — splitting is one level deep.
-func KeyForCommunityShard(communityID string, shard int) ID {
-	return derive("community-shard", communityID+"\x00"+strconv.Itoa(shard))
-}
-
 // RefreshTarget returns a deterministic lookup target inside bucket's
 // range of self's routing table: it shares self's bits above bucket,
 // differs at bit bucket, and takes the remaining low bits from a
@@ -73,15 +62,6 @@ func RefreshTarget(self ID, bucket int) ID {
 	t[bi] = (self[bi] & high) | (t[bi] &^ high)
 	t[bi] = (t[bi] &^ (1 << bit)) | (^self[bi] & (1 << bit))
 	return t
-}
-
-// ShardOf assigns a record to one of fanout sub-keys by hashing its
-// DocID — deterministic across holders, so every holder that splits a
-// key migrates a given record to the same sub-key.
-func ShardOf(id index.DocID, fanout int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(fanout))
 }
 
 // XOR returns the Kademlia distance vector between two points.

@@ -22,9 +22,9 @@ type lookupRPC struct {
 // lookupScratch pools a lookup's working state — shortlist, wave, and
 // bookkeeping maps — so the per-lookup steady state reuses slice
 // capacity and map buckets instead of reallocating them. Pooled (not
-// one-per-node) because sub-key fan-in re-enters lookup recursively:
-// every activation gets its own scratch. The maps go back cleared —
-// recs must: its records share their reply frames' strings.
+// one-per-node) because one node runs concurrent lookups: each gets its
+// own scratch. The maps go back cleared — recs must: its records share
+// their reply frames' strings.
 type lookupScratch struct {
 	short []Contact
 	wave  []lookupRPC
@@ -128,10 +128,6 @@ type valueQuery struct {
 	// Complete flag: a record set, unlike Kademlia's atomic values, can
 	// be partially replicated, so stopping on any records loses recall.
 	stopOnValue bool
-	// sub marks a sub-key fan-in lookup of a split key, which must not
-	// fan in again (sub-keys live in their own derive domain and are
-	// never split, so this is belt and braces).
-	sub bool
 }
 
 // lookupOutcome is the result of one iterative lookup.
@@ -154,9 +150,8 @@ type lookupOutcome struct {
 	// collected limit records: the set may be a truncation of the full
 	// result, so it must never be cached.
 	limited bool
-	// fromCache reports that a Complete cached set is in hand: it already
-	// includes any sub-key fan-in results it was cached with, so fan-in
-	// is skipped (and a stopOnValue lookup ends).
+	// fromCache reports that a Complete cached set is in hand, so a
+	// stopOnValue lookup may end.
 	fromCache bool
 }
 
@@ -211,8 +206,8 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		own, _, _ := n.records.get(target, n.Clock().Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{}, false)
 		sc.merge(own)
 	}
-	// splitFanout: the widest sub-key split advertised; lost: an announced set never arrived.
-	splitFanout, lost := 0, false
+	// lost: an announced set never arrived.
+	lost := false
 
 	// wave sends one α-wide batch of RPCs as one trace span — to the
 	// closest unqueried candidates among the K best known or, with pull,
@@ -281,7 +276,6 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 			case *findValueReplyPayload:
 				peers = reply.Peers
 				out.fromCache = out.fromCache || reply.Complete
-				splitFanout = max(splitFanout, reply.Split)
 				if reply.Digest.Count > 0 {
 					held[r.contact.Peer] = reply.Digest
 					if len(reply.Records) == 0 {
@@ -350,25 +344,6 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 			out.cacheTarget = c
 			out.hasCacheTarget = true
 			break
-		}
-	}
-	// Transparent sub-key fan-in: when a holder advertised that this
-	// community key is split, the matching records live spread over
-	// attribute-hash sub-keys; look each one up and merge. Sub-lookups
-	// are themselves plain FIND_VALUE lookups (counted as lookups, and
-	// their rounds add to the hop count) but never fan in again.
-	if vq != nil && !vq.sub && vq.communityID != "" && splitFanout > 0 && !out.limited && !out.fromCache {
-		for shard := 0; shard < splitFanout; shard++ {
-			svq := *vq
-			svq.sub = true
-			sub := n.lookup(tctx, KeyForCommunityShard(vq.communityID, shard), &svq)
-			for _, rec := range sub.records {
-				recs[recordKey{rec.DocID, rec.Provider}] = rec
-			}
-			out.rounds += sub.rounds
-			if out.limited = full(); out.limited {
-				break
-			}
 		}
 	}
 	out.records = slices.AppendSeq(make([]Record, 0, len(recs)), maps.Values(recs))

@@ -46,7 +46,7 @@ type Node struct {
 // counters are the node's dht.* lookup and replication counters.
 type counters struct {
 	lookups, rounds, contacted, fanout, shortcircuits, cacheStores,
-	keySplits, repubSkipped, digestReplies, mismatches *metrics.Counter
+	repubSkipped, digestReplies, mismatches *metrics.Counter
 }
 
 // announceState remembers one key's last replication: who got the
@@ -91,7 +91,6 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 		fanout:        reg.Counter("dht.store_fanout"),
 		shortcircuits: reg.Counter("dht.lookup_shortcircuits"),
 		cacheStores:   reg.Counter("dht.cache_stores"),
-		keySplits:     reg.Counter("dht.key_splits"),
 		repubSkipped:  reg.Counter("dht.republishes_skipped"),
 		digestReplies: reg.Counter("dht.digest_replies"),
 		mismatches:    reg.Counter("dht.digest_mismatches"),
@@ -219,26 +218,22 @@ func recordsFor(docs []*index.Document, provider transport.PeerID) []Record {
 // onto them.
 func (n *Node) storeRecords(tctx trace.Context, key ID, recs []Record) {
 	out := n.lookup(tctx, key, nil)
-	n.storeToTargets(tctx, key, recs, out.contacts, false)
+	n.storeToTargets(tctx, key, recs, out.contacts)
 }
 
 // storeToTargets replicates recs onto targets (a key's closest nodes,
 // already looked up). The node keeps a local replica too when it
 // belongs to the key's neighborhood (fewer than k known holders, or
 // self closer than the k-th) — slight over-replication beats a
-// coverage hole. split marks hot-key migration STOREs (relaxed
-// provenance on the receiver; not remembered for adaptive refresh,
-// which tracks only this node's own announcements).
-func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets []Contact, split bool) {
+// coverage hole — and remembers the targets for adaptive refresh.
+func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets []Contact) {
 	if len(targets) < n.cfg.K || CompareDistance(n.self, targets[len(targets)-1].ID, key) < 0 {
 		n.records.put(key, recs, n.Clock().Now())
 	}
-	if !split {
-		st := announceState{holders: appendContactPeers(make([]transport.PeerID, 0, len(targets)), targets), at: n.Clock().Now()}
-		n.annMu.Lock()
-		n.lastAnnounce[key] = st
-		n.annMu.Unlock()
-	}
+	st := announceState{holders: appendContactPeers(make([]transport.PeerID, 0, len(targets)), targets), at: n.Clock().Now()}
+	n.annMu.Lock()
+	n.lastAnnounce[key] = st
+	n.annMu.Unlock()
 	// Chunk payloads are marshaled once, then replicated target-major so
 	// each replica is one trace span covering all its chunk frames.
 	payloads := make([][]byte, 0, (len(recs)+storeChunk-1)/storeChunk)
@@ -247,7 +242,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 		if end > len(recs) {
 			end = len(recs)
 		}
-		chunk := storePayload{Key: key, Records: recs[start:end], Split: split}
+		chunk := storePayload{Key: key, Records: recs[start:end]}
 		payloads = append(payloads, codec.Encode(&chunk))
 	}
 	fanout := n.ctr.Load().fanout
@@ -285,58 +280,6 @@ func (n *Node) sendOrEvict(to transport.PeerID, msgType string, payload []byte, 
 		if transport.IsPeerDead(err) {
 			n.table.Remove(to)
 		}
-	}
-}
-
-// maybeSplit checks whether a primary STORE pushed a main community
-// key over the split threshold and, if so, spills it. Only a
-// community's own key splits: sub-keys live in their own derive domain,
-// so a spill can never cascade.
-func (n *Node) maybeSplit(key ID, recs []Record, count int) {
-	if n.cfg.SplitThreshold <= 0 || count < n.cfg.SplitThreshold || len(recs) == 0 {
-		return
-	}
-	communityID := recs[0].CommunityID
-	if communityID == "" || KeyForCommunity(communityID) != key {
-		return
-	}
-	n.splitKey(key, communityID)
-}
-
-// splitKey spills a hot key: every primary record under it migrates to
-// its attribute-hash sub-key's neighborhood, and FIND_VALUE replies
-// advertise the split from now on so queriers fan in. The key keeps
-// absorbing STOREs afterwards (publishers don't know about the split)
-// and spills again whenever the buffer refills — so holder state under
-// the hot key stays bounded by the threshold while lookups keep full
-// recall via buffered records plus sub-key fan-in. Cached path copies
-// are not migrated (they age out on their own), and unpublishes that
-// miss a migrated record converge via TTL expiry like any other stale
-// replica.
-func (n *Node) splitKey(key ID, communityID string) {
-	fanout := n.cfg.SplitFanout
-	n.records.markSplit(key, fanout)
-	moved := n.records.takePrimary(key, n.Clock().Now())
-	if len(moved) == 0 {
-		return
-	}
-	n.ctr.Load().keySplits.Inc()
-	sp := n.Tracer().Root("key-split")
-	sp.SetCommunity(communityID)
-	defer sp.Finish()
-	tctx := sp.Context()
-	byShard := make(map[int][]Record, fanout)
-	for _, rec := range moved {
-		shard := ShardOf(rec.DocID, fanout)
-		byShard[shard] = append(byShard[shard], rec)
-	}
-	for shard := 0; shard < fanout; shard++ {
-		recs := byShard[shard]
-		if len(recs) == 0 {
-			continue
-		}
-		out := n.lookup(tctx, KeyForCommunityShard(communityID, shard), nil)
-		n.storeToTargets(tctx, KeyForCommunityShard(communityID, shard), recs, out.contacts, true)
 	}
 }
 
@@ -503,10 +446,6 @@ func (n *Node) Refresh() error {
 // lookup as the STORE targeting, so deciding "republish" costs no
 // extra round-trips over announce.
 func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
-	if n.cfg.RepublishAlways {
-		n.storeRecords(tctx, key, recs)
-		return
-	}
 	n.annMu.Lock()
 	st, known := n.lastAnnounce[key]
 	n.annMu.Unlock()
@@ -530,7 +469,7 @@ func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
 		n.ctr.Load().repubSkipped.Inc()
 		return
 	}
-	n.storeToTargets(tctx, key, recs, out.contacts, false)
+	n.storeToTargets(tctx, key, recs, out.contacts)
 }
 
 func (n *Node) handle(msg transport.Message) {
@@ -578,9 +517,6 @@ func (n *Node) handle(msg transport.Message) {
 			reply.Records, reply.Digest, reply.Complete = n.records.get(req.Key, n.Clock().Now(),
 				req.CommunityID, req.Filter, f, req.Limit, req.Have, req.DigestOnly)
 		}
-		// Advertise a hot-key split so the querier fans into the
-		// attribute-hash sub-keys holding the migrated records.
-		reply.Split = n.records.splitFanout(req.Key)
 		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp, tctx)
 		serveScratchPool.Put(sc)
 		sp.Finish()
@@ -590,20 +526,14 @@ func (n *Node) handle(msg transport.Message) {
 			return
 		}
 		sp, _ := n.StartSpan(msg, "store.serve")
-		switch {
-		case req.Cached:
+		if req.Cached {
 			// A caching STORE relays third-party providers by design,
 			// so the provider==sender rule cannot apply. The copies are
 			// confined: halved TTL, filter-tagged, never republished,
 			// first to be evicted — a forged cache pollutes one key for
 			// half a TTL at worst, it cannot displace primaries.
 			n.records.putCached(req.Key, req.Records, n.Clock().Now(), req.Filter)
-		case req.Split:
-			// A hot-key migration relays the records of every publisher
-			// that hit the split holder; same relaxation, but these are
-			// primaries (the split holder gave its copies up).
-			n.records.put(req.Key, req.Records, n.Clock().Now())
-		default:
+		} else {
 			// Provenance: a peer may only store records it provides
 			// itself (every legitimate publish/refresh does exactly
 			// that), so one peer cannot forge records under another's
@@ -614,8 +544,7 @@ func (n *Node) handle(msg transport.Message) {
 					kept = append(kept, rec)
 				}
 			}
-			count := n.records.put(req.Key, kept, n.Clock().Now())
-			n.maybeSplit(req.Key, kept, count)
+			n.records.put(req.Key, kept, n.Clock().Now())
 		}
 		sp.Finish()
 	case MsgUnstore:

@@ -308,6 +308,22 @@ func TestStoreProvenance(t *testing.T) {
 	}
 	forgedStore := storePayload{Key: key, Records: []Record{forged}}
 	_ = atkEP.Send(transport.Message{To: holder.PeerID(), Type: MsgStore, Payload: codec.Encode(&forgedStore)})
+	// Forged flood in the layout of the retired hot-key migration STORE:
+	// key ‖ records ‖ Cached=0 ‖ Filter="" ‖ a trailing split flag of 1.
+	// A holder that trusted the flag would take 1 024 records in the
+	// victim's name and evict the real one to make room.
+	flood := make([]Record, DefaultMaxRecordsPerKey)
+	for i := range flood {
+		flood[i] = forged
+		flood[i].DocID = index.DocID(fmt.Sprintf("d-split-%04d", i))
+	}
+	splitStore := appendRecords(append([]byte(nil), key[:]...), flood)
+	splitStore = codec.AppendString(codec.AppendBool(splitStore, false), "")
+	splitStore = append(splitStore, 1)
+	_ = atkEP.Send(transport.Message{To: holder.PeerID(), Type: MsgStore, Payload: splitStore})
+	if got := holder.RecordCount(); got != 1 {
+		t.Errorf("holder keeps %d records after the forged STOREs, want the victim's one", got)
+	}
 	// Forged unstore: attacker withdraws the victim's real record.
 	real := doc(1, "patterns", "behavioral")
 	forgedUnstore := unstorePayload{Key: key, DocID: real.ID, Provider: victim.PeerID()}
@@ -317,7 +333,7 @@ func TestStoreProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rs) != 1 || rs[0].DocID != real.ID || rs[0].Provider != victim.PeerID() {
-		t.Fatalf("results = %+v, want only the victim's real record intact", rs)
+		t.Fatalf("%d results, first %+v; want only the victim's real record intact", len(rs), rs[:min(len(rs), 2)])
 	}
 }
 
@@ -482,41 +498,6 @@ func TestRefreshTargetBuckets(t *testing.T) {
 			if got := BucketIndex(self, target); got != b {
 				t.Fatalf("self %s bucket %d: target lands in bucket %d", seed, b, got)
 			}
-		}
-	}
-}
-
-// TestHotKeySplitFanIn: a community key pushed past SplitThreshold
-// spills into attribute-hash sub-keys, and searches transparently fan
-// in with no recall loss.
-func TestHotKeySplitFanIn(t *testing.T) {
-	nodes, reg := sharedNet(t, 24, Config{K: 4, Alpha: 2, SplitThreshold: 8, SplitFanout: 4})
-	for i := 0; i < 12; i++ {
-		class := "behavioral"
-		if i%2 == 0 {
-			class = "creational"
-		}
-		if err := nodes[i].Publish(doc(i, "patterns", class)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Snapshot().Counter("dht.key_splits"); got < 1 {
-		t.Fatalf("key_splits = %d, want >= 1 (threshold 8, 12 records)", got)
-	}
-	for _, searcher := range []int{20, 23} {
-		rs, err := nodes[searcher].Search("patterns", nil, p2p.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs) != 12 {
-			t.Fatalf("searcher %d post-split hits = %d, want 12", searcher, len(rs))
-		}
-		rs, err = nodes[searcher].Search("patterns", query.MustParse("(classification=behavioral)"), p2p.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs) != 6 {
-			t.Fatalf("searcher %d filtered post-split hits = %d, want 6", searcher, len(rs))
 		}
 	}
 }

@@ -44,9 +44,6 @@ type recordStore struct {
 	// cached maps key -> canonical filter string -> the complete
 	// cached record set for that filter.
 	cached map[ID]map[string]cachedSet
-	// split maps keys this holder has split to their advertised
-	// sub-key fanout.
-	split map[ID]int
 	// Telemetry handles (dht.records_expired / records_evicted /
 	// cache_hits); installed by the node's SetMetrics before traffic
 	// starts.
@@ -83,7 +80,6 @@ func newRecordStore(ttl time.Duration, maxPerKey int) *recordStore {
 		maxPerKey: maxPerKey,
 		byKey:     make(map[ID]map[recordKey]recordEntry),
 		cached:    make(map[ID]map[string]cachedSet),
-		split:     make(map[ID]int),
 		expired:   discard.Counter("dht.records_expired"),
 		evicted:   discard.Counter("dht.records_evicted"),
 		cacheHits: discard.Counter("dht.cache_hits"),
@@ -162,11 +158,9 @@ func (rs *recordStore) evictPrimaryLocked(m map[recordKey]recordEntry) bool {
 }
 
 // put upserts primary records under key, (re)starting their TTL at
-// now. It returns the key's primary record count after the insert,
-// which is what the node's split-threshold check reads. Past the
-// per-key cap, whole cached sets are evicted first, then the
-// earliest-expiring primaries.
-func (rs *recordStore) put(key ID, recs []Record, now time.Time) int {
+// now. Past the per-key cap, whole cached sets are evicted first, then
+// the earliest-expiring primaries.
+func (rs *recordStore) put(key ID, recs []Record, now time.Time) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	m := rs.byKey[key]
@@ -190,9 +184,7 @@ func (rs *recordStore) put(key ID, recs []Record, now time.Time) int {
 	}
 	if len(m) == 0 {
 		delete(rs.byKey, key)
-		return 0
 	}
-	return len(m)
 }
 
 // putCached installs one caching STORE's complete record set for
@@ -366,52 +358,6 @@ func (rs *recordStore) remove(key ID, docID index.DocID, provider transport.Peer
 	if len(rs.cached[key]) == 0 {
 		delete(rs.cached, key)
 	}
-}
-
-// markSplit records that this holder split key into fanout sub-keys;
-// FIND_VALUE replies advertise it from then on. Reports whether the
-// key was newly marked.
-func (rs *recordStore) markSplit(key ID, fanout int) bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if _, done := rs.split[key]; done {
-		return false
-	}
-	rs.split[key] = fanout
-	return true
-}
-
-// splitFanout returns the advertised sub-key fanout of key (0 when
-// the key is not split at this holder).
-func (rs *recordStore) splitFanout(key ID) int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.split[key]
-}
-
-// takePrimary removes and returns the unexpired primary entries of
-// key, sorted — the migration set of a hot-key split. Cached sets
-// stay behind (they still answer repeat queries and age out on their
-// own).
-func (rs *recordStore) takePrimary(key ID, now time.Time) []Record {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	m := rs.byKey[key]
-	if len(m) == 0 {
-		return nil
-	}
-	var out []Record
-	for rk, e := range m {
-		if e.expires.After(now) {
-			out = append(out, e.rec)
-		} else {
-			rs.expired.Inc()
-		}
-		delete(m, rk)
-	}
-	delete(rs.byKey, key)
-	sortRecords(out)
-	return out
 }
 
 // len counts unexpired records (for tests and metrics; prunes as a

@@ -15,7 +15,6 @@ package dht
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strings"
 
 	"repro/internal/index"
@@ -165,7 +164,6 @@ func (p *findValueReplyPayload) AppendBinary(dst []byte) []byte {
 	dst = appendRecords(dst, p.Records)
 	dst = appendDigest(dst, p.Digest)
 	dst = appendPeers(dst, p.Peers)
-	dst = codec.AppendUvarint(dst, uint64(p.Split))
 	return codec.AppendBool(dst, p.Complete)
 }
 
@@ -176,12 +174,7 @@ func (p *findValueReplyPayload) DecodeBinary(data []byte) error {
 	p.Records = readRecords(r)
 	p.Digest = readDigest(r)
 	p.Peers = readPeers(r)
-	p.Split = int(r.Uvarint())
 	p.Complete = r.Bool()
-	// The querier runs one sub-lookup per advertised shard.
-	if p.Split < 0 || p.Split > maxSplitFanout {
-		return fmt.Errorf("dht: find-value reply advertises %d sub-keys, more than %d", uint(p.Split), maxSplitFanout)
-	}
 	return r.Err()
 }
 
@@ -189,8 +182,7 @@ func (p *storePayload) AppendBinary(dst []byte) []byte {
 	dst = append(dst, p.Key[:]...)
 	dst = appendRecords(dst, p.Records)
 	dst = codec.AppendBool(dst, p.Cached)
-	dst = codec.AppendString(dst, p.Filter)
-	return codec.AppendBool(dst, p.Split)
+	return codec.AppendString(dst, p.Filter)
 }
 
 func (p *storePayload) DecodeBinary(data []byte) error {
@@ -203,7 +195,6 @@ func (p *storePayload) DecodeBinary(data []byte) error {
 	}
 	p.Cached = r.Bool()
 	p.Filter = strings.Clone(r.String()) // a cached set's key in the record store
-	p.Split = r.Bool()
 	return r.Err()
 }
 

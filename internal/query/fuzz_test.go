@@ -77,3 +77,52 @@ func TestPropertyComplementConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzFilterParse: whatever parses, String renders in a form that parses
+// back and renders the same, and nothing nested deeper than maxNesting
+// parses. testdata/fuzz holds 40 000 negations of (a=b) and a filter at
+// the bound.
+func FuzzFilterParse(f *testing.F) {
+	for _, src := range []string{
+		"(title=Observer)", "(&(a=1)(b=2))", "(|(a=1)(!(b~=x))(c>=3))", "(keywords=*)", "(*)",
+		"a=b", "(&(*)(title=Obs*r))", "(v=(x)y)", nestedNot(maxNesting), nestedNot(maxNesting + 1),
+		"(\r!=b)", "(\u00a0*=b)", // once read as attribute names "!" and "*", which String cannot spell
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		filter, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if d := nesting(filter); d > maxNesting {
+			t.Fatalf("%q parsed %d levels deep", src, d)
+		}
+		canon := filter.String()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("%q parses, its String %q does not: %v", src, canon, err)
+		}
+		if s := again.String(); s != canon {
+			t.Fatalf("%q -> %q -> %q", src, canon, s)
+		}
+	})
+}
+
+// nesting is how many levels deep f nests: (a=b) is one.
+func nesting(f Filter) int {
+	var subs []Filter
+	switch f := f.(type) {
+	case *Not:
+		subs = []Filter{f.Sub}
+	case *And:
+		subs = f.Subs
+	case *Or:
+		subs = f.Subs
+	}
+	d := 0
+	for _, s := range subs {
+		d = max(d, nesting(s))
+	}
+	return 1 + d
+}

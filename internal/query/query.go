@@ -462,9 +462,15 @@ func (e *SyntaxError) Error() string {
 // ErrEmpty is returned for an empty filter string.
 var ErrEmpty = errors.New("query: empty filter")
 
+// maxNesting bounds how deep filters nest: (a=b) is one level, (!(a=b))
+// two. Filters arrive from peers, and parsing, matching and String all
+// recurse once per level, so a deeper filter is a syntax error.
+const maxNesting = 32
+
 // Parse parses a filter expression. A bare "attr=value" (without
 // parentheses) is accepted as shorthand for "(attr=value)". An empty
-// or "(*)" filter matches everything.
+// or "(*)" filter matches everything. Nesting deeper than 32 levels is
+// a *SyntaxError.
 func Parse(src string) (Filter, error) {
 	s := strings.TrimSpace(src)
 	if s == "" {
@@ -477,7 +483,7 @@ func Parse(src string) (Filter, error) {
 		s = "(" + s + ")"
 	}
 	p := &fparser{src: s}
-	f, err := p.parseFilter()
+	f, err := p.parseFilter(1)
 	if err != nil {
 		return nil, err
 	}
@@ -506,16 +512,30 @@ func (p *fparser) errf(format string, args ...any) error {
 	return &SyntaxError{Src: p.src, Pos: p.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// skipSpace skips what strings.TrimSpace trims. An attribute name,
+// trimmed, then starts with the byte parseFilter dispatched on, never
+// with '&', '|', '!' or '*', so its String parses back to it.
 func (p *fparser) skipSpace() {
-	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t' || p.src[p.pos] == '\n') {
-		p.pos++
+	for p.pos < len(p.src) {
+		r, w := rune(p.src[p.pos]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(p.src[p.pos:])
+		}
+		if !unicode.IsSpace(r) {
+			return
+		}
+		p.pos += w
 	}
 }
 
-func (p *fparser) parseFilter() (Filter, error) {
+// parseFilter parses one filter at nesting level depth.
+func (p *fparser) parseFilter(depth int) (Filter, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '(' {
 		return nil, p.errf("expected '('")
+	}
+	if depth > maxNesting {
+		return nil, p.errf("filter nested deeper than %d levels", maxNesting)
 	}
 	p.pos++
 	p.skipSpace()
@@ -533,7 +553,7 @@ func (p *fparser) parseFilter() (Filter, error) {
 				p.pos++
 				break
 			}
-			sub, err := p.parseFilter()
+			sub, err := p.parseFilter(depth + 1)
 			if err != nil {
 				return nil, err
 			}
@@ -548,7 +568,7 @@ func (p *fparser) parseFilter() (Filter, error) {
 		return &Or{Subs: subs}, nil
 	case '!':
 		p.pos++
-		sub, err := p.parseFilter()
+		sub, err := p.parseFilter(depth + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -633,6 +653,10 @@ func (p *fparser) parseAssertion() (Filter, error) {
 		return nil, p.errf("unterminated assertion")
 	}
 	value := strings.TrimSpace(p.src[vstart:p.pos])
+	if (op == OpGt || op == OpLt) && strings.HasPrefix(value, "=") {
+		// (a> =b) would render as (a>=b), a different filter.
+		return nil, p.errf("%s value starts with '='", op)
+	}
 	p.pos++ // consume ')'
 	return &Assertion{Attr: attr, Op: op, Value: value}, nil
 }

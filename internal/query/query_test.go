@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,11 +95,43 @@ func TestParseErrors(t *testing.T) {
 		"(a=b))",
 		"(!(a=b)extra)",
 		"(a~b)",
+		"(a> =b)",
+		"(\r!=b)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded", src)
 		}
+	}
+}
+
+// nestedNot is (!(!…(a=b)…)): levels filters, each inside the next.
+func nestedNot(levels int) string {
+	return strings.Repeat("(!", levels-1) + "(a=b)" + strings.Repeat(")", levels-1)
+}
+
+// TestParseNestingBound: a filter nested deeper than 32 levels is a
+// *SyntaxError, so a peer's filter cannot make Parse, Match or String
+// recurse without bound; one 32 levels deep round-trips.
+func TestParseNestingBound(t *testing.T) {
+	for _, src := range []string{
+		nestedNot(40_001), // 40 000 negations: 120 005 bytes
+		nestedNot(33),
+		strings.Repeat("(&", 32) + "(a=b)" + strings.Repeat(")", 32),
+		strings.Repeat("(|(x=y)", 32) + "(a=b)" + strings.Repeat(")", 32),
+	} {
+		var syn *SyntaxError
+		if _, err := Parse(src); !errors.As(err, &syn) {
+			t.Errorf("%d-byte filter: error %v, want a *SyntaxError", len(src), err)
+		}
+	}
+	src := nestedNot(32)
+	f, err := Parse(src)
+	if err != nil {
+		t.Fatalf("32 levels: %v", err)
+	}
+	if again, err := Parse(f.String()); err != nil || f.String() != src || again.String() != src {
+		t.Errorf("32 levels: %q -> %q (%v)", src, f.String(), err)
 	}
 }
 
