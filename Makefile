@@ -35,13 +35,11 @@ vet:
 
 # Compile-and-run every benchmark once so they cannot rot (the 24-node
 # BenchmarkDHTSearchCluster of internal/dht among them), plus
-# reduced-scale runs of E9 (the store's cache-off and cache-on rows),
-# E13 (the flooding-vs-DHT scaling comparison must keep producing both
-# columns) and E18 (the WAL overhead and recovery measurements must
-# keep completing).
+# reduced-scale runs of E13 (the flooding-vs-DHT scaling comparison
+# must keep producing both columns) and E18 (the WAL overhead and
+# recovery measurements must keep completing).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) run ./cmd/up2pbench -run E9 -store-ops 300
 	$(GO) run ./cmd/up2pbench -run E13 -e13-max-peers 100
 	$(GO) run ./cmd/up2pbench -run E18 -wal-docs 40 -wal-recovery-batches 20,60
 
@@ -82,11 +80,12 @@ determinism:
 	$(GO) test ./internal/sim -run Golden -count=2
 
 # Scenario experiments at reduced scale: prove the discrete-event
-# engine end to end (churn, latency model, recall accounting) in CI,
-# on the flooding protocols (E10) and the DHT overlay (E14).
+# engine end to end (churn, loss, latency model, recall accounting) in
+# CI, on all four overlays: the churn sweep (E14) and the loss sweep
+# (E15).
 sim-smoke:
-	$(GO) run ./cmd/up2pbench -run E10 -scn-peers 150 -scn-queries 50
 	$(GO) run ./cmd/up2pbench -run E14 -scn-peers 120 -scn-queries 40
+	$(GO) run ./cmd/up2pbench -run E15 -scn-peers 120 -scn-queries 40
 
 # Hotspot smoke: the reduced flash-crowd scenario (100-peer DHT, one
 # bursted community filter) must show the caching STORE at least
@@ -122,7 +121,7 @@ profile-smoke:
 scale-smoke:
 	UP2P_SCALE_SMOKE=1 $(GO) test ./internal/sim -run ScaleSmoke -v -timeout 15m
 
-# Nightly socket truth: the E10/E14 churn scenarios scaled down and
+# Nightly socket truth: the E14 churn scenarios scaled down and
 # replayed over real TCP sockets (framing, dialing, concurrent read
 # loops, dead-peer errors). Scheduled in CI; not part of `make ci`.
 tcp-nightly:

@@ -1,9 +1,10 @@
 // Command up2pbench runs the experiment suite of EXPERIMENTS.md and
-// prints every table/figure reproduction (F1–F3, E1–E16, E18).
+// prints every table/figure reproduction (F1–F3; E1–E5, E7, E8,
+// E12–E16, E18).
 //
 //	up2pbench                          # run everything
 //	up2pbench -run E3                  # one experiment
-//	up2pbench -run E10 -scn-peers 200  # scenario experiment, reduced scale
+//	up2pbench -run E14 -scn-peers 200  # churn sweep, reduced scale
 //	up2pbench -run E13 -dht-k 8        # DHT comparison, smaller replication
 //	up2pbench -run E16 -e16-burst 100  # flash crowd, reduced burst
 //	up2pbench -run E18 -wal-docs 50    # WAL durability cost, reduced scale
@@ -30,24 +31,15 @@ func main() {
 
 func run() error {
 	cfg := bench.DefaultConfig()
-	only := flag.String("run", "", "run a single experiment by ID (F1..F3, E1..E16, E18)")
+	only := flag.String("run", "", "run a single experiment by ID (see -list)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	// E9 (store scalability) workload knobs.
-	flag.IntVar(&cfg.Store.Workers, "store-workers", cfg.Store.Workers,
-		"E9: concurrent store clients")
-	flag.IntVar(&cfg.Store.Communities, "store-communities", cfg.Store.Communities,
-		"E9: number of seeded communities")
-	flag.IntVar(&cfg.Store.DocsPerCommunity, "store-docs", cfg.Store.DocsPerCommunity,
-		"E9: documents per community")
-	flag.IntVar(&cfg.Store.OpsPerWorker, "store-ops", cfg.Store.OpsPerWorker,
-		"E9: operations per client")
-	// E10–E12 (discrete-event scenario) workload knobs.
+	// E12, E14, E15 (discrete-event scenario) workload knobs.
 	flag.IntVar(&cfg.Scenario.Peers, "scn-peers", cfg.Scenario.Peers,
-		"E10-E12: scenario population")
+		"E12, E14, E15: scenario population")
 	flag.IntVar(&cfg.Scenario.Queries, "scn-queries", cfg.Scenario.Queries,
-		"E10-E12: queries per scenario run")
+		"E12, E14, E15: queries per scenario run")
 	flag.Int64Var(&cfg.Scenario.Seed, "scn-seed", cfg.Scenario.Seed,
-		"E10-E16: scenario seed (same seed -> identical trace)")
+		"E12-E16: scenario seed (same seed -> identical trace)")
 	// E13–E15 (DHT comparison) knobs.
 	flag.IntVar(&cfg.DHT.K, "dht-k", cfg.DHT.K,
 		"E13-E15: DHT bucket capacity / replication factor")

@@ -203,75 +203,21 @@ func TestE5Shape(t *testing.T) {
 	}
 }
 
-// TestE8Shape verifies both protocols return identical result sets.
+// TestE8Shape verifies every overlay returns centralized's result
+// set for every query.
 func TestE8Shape(t *testing.T) {
 	tbl, err := RunE8()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Column 5 follows the query and one hits column per overlay.
+	if h := tbl.Headers[5]; h != "identical results" {
+		t.Fatalf("column 5 is %q", h)
+	}
 	for _, row := range tbl.Rows {
-		if row[3] != "yes" {
+		if row[5] != "yes" {
 			t.Errorf("results differ across protocols for %q: %v", row[0], row)
 		}
-	}
-}
-
-// TestE10Shape verifies the churn sweep's cost ordering (centralized <
-// fasttrack < gnutella per query) and that recall survives churn on a
-// connected overlay.
-func TestE10Shape(t *testing.T) {
-	tbl, err := RunE10(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	perProto := map[string]float64{}
-	for _, row := range tbl.Rows {
-		msgs, _ := strconv.ParseFloat(row[4], 64)
-		perProto[row[0]] += msgs
-		if r := pct(t, row[5]); r < 90 {
-			t.Errorf("%s churn %s: recall %v%%", row[0], row[1], r)
-		}
-	}
-	if !(perProto["centralized"] < perProto["fasttrack"] && perProto["fasttrack"] < perProto["gnutella"]) {
-		t.Errorf("msgs/query ordering violated: %v", perProto)
-	}
-}
-
-// TestE11Shape verifies loss monotonically erodes recall and that
-// flooding never hard-fails a query while centralized does.
-func TestE11Shape(t *testing.T) {
-	tbl, err := RunE11(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recalls := map[string][]float64{}
-	failed := map[string]int{}
-	for _, row := range tbl.Rows {
-		recalls[row[0]] = append(recalls[row[0]], pct(t, row[5]))
-		n, _ := strconv.Atoi(row[3])
-		failed[row[0]] += n
-	}
-	for proto, rs := range recalls {
-		// Gnutella's lossless recall sits a few points below 100: its
-		// flood horizon (TTL x degree) misses want-set holders that a
-		// diverse corpus scatters across the overlay. Centralized and
-		// FastTrack have global indexes and stay at 100 lossless.
-		floor := 95.0
-		if proto == "gnutella" {
-			floor = 88
-		}
-		if rs[0] < floor {
-			t.Errorf("%s lossless recall = %v%%", proto, rs[0])
-		}
-		if rs[len(rs)-1] >= rs[0] {
-			t.Errorf("%s recall did not erode with loss: %v", proto, rs)
-		}
-	}
-	if failed["gnutella"] != 0 {
-		t.Errorf("gnutella queries hard-failed under loss: %d (flooding has no single point)", failed["gnutella"])
-	}
-	if failed["centralized"] == 0 {
-		t.Error("centralized never failed a query under 15% loss; timeout path untested")
 	}
 }
 
@@ -339,18 +285,28 @@ func TestE13Shape(t *testing.T) {
 	}
 }
 
-// TestE14Shape: under churn the DHT must hold recall (refresh repairs
+// TestE14Shape verifies the churn sweep's cost ordering (centralized
+// < fasttrack < gnutella per query), that recall survives churn on a
+// connected overlay, and that the DHT holds recall (refresh repairs
 // replicas) at a per-query cost far below flooding's.
 func TestE14Shape(t *testing.T) {
 	tbl, err := RunE14(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tbl.Rows) != 4*3 {
+		t.Fatalf("%d rows, want 3 churn rates on each of the four overlays", len(tbl.Rows))
+	}
+	perProto := map[string]float64{}
 	maxCost := map[string]float64{}
 	for _, row := range tbl.Rows {
 		msgs, _ := strconv.ParseFloat(row[5], 64)
+		perProto[row[0]] += msgs
 		if msgs > maxCost[row[0]] {
 			maxCost[row[0]] = msgs
+		}
+		if r := pct(t, row[6]); r < 90 {
+			t.Errorf("%s churn %s: recall %v%%", row[0], row[1], r)
 		}
 		if row[0] == "dht" {
 			if r := pct(t, row[6]); r < 95 {
@@ -361,28 +317,63 @@ func TestE14Shape(t *testing.T) {
 			}
 		}
 	}
+	if !(perProto["centralized"] < perProto["fasttrack"] && perProto["fasttrack"] < perProto["gnutella"]) {
+		t.Errorf("msgs/query ordering violated: %v", perProto)
+	}
 	if maxCost["dht"]*3 > maxCost["gnutella"] {
 		t.Errorf("dht cost (%.1f) not well below flooding (%.1f)", maxCost["dht"], maxCost["gnutella"])
 	}
 }
 
-// TestE15Shape: no hard query failures on either protocol, and the
-// DHT's replicated records must weather loss at least as well as
-// flooding's path redundancy.
+// TestE15Shape verifies loss erodes recall on the index and flooding
+// overlays, that centralized hard-fails queries while neither gnutella
+// nor the DHT ever does, and that the DHT's replicated records weather
+// loss at least as well as flooding's path redundancy.
 func TestE15Shape(t *testing.T) {
 	tbl, err := RunE15(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tbl.Rows) != 4*4 {
+		t.Fatalf("%d rows, want 4 loss rates on each of the four overlays", len(tbl.Rows))
+	}
+	recalls := map[string][]float64{}         // protocol -> recall per loss rung
 	recall := map[string]map[string]float64{} // protocol -> loss -> recall
+	failed := map[string]int{}
 	for _, row := range tbl.Rows {
-		if row[3] != "0" {
-			t.Errorf("%s hard-failed %s queries under %s loss", row[0], row[3], row[1])
-		}
+		r := pct(t, row[5])
+		recalls[row[0]] = append(recalls[row[0]], r)
 		if recall[row[0]] == nil {
 			recall[row[0]] = map[string]float64{}
 		}
-		recall[row[0]][row[1]] = pct(t, row[5])
+		recall[row[0]][row[1]] = r
+		n, _ := strconv.Atoi(row[3])
+		failed[row[0]] += n
+	}
+	for _, proto := range []string{"centralized", "gnutella", "fasttrack"} {
+		rs := recalls[proto]
+		// Gnutella's lossless recall sits a few points below 100: its
+		// flood horizon (TTL x degree) misses want-set holders that a
+		// diverse corpus scatters across the overlay. Centralized and
+		// FastTrack have global indexes and stay at 100 lossless.
+		floor := 95.0
+		if proto == "gnutella" {
+			floor = 88
+		}
+		if rs[0] < floor {
+			t.Errorf("%s lossless recall = %v%%", proto, rs[0])
+		}
+		if rs[len(rs)-1] >= rs[0] {
+			t.Errorf("%s recall did not erode with loss: %v", proto, rs)
+		}
+	}
+	for _, proto := range []string{"gnutella", "dht"} {
+		if failed[proto] != 0 {
+			t.Errorf("%s queries hard-failed under loss: %d (no single point on the query path)", proto, failed[proto])
+		}
+	}
+	if failed["centralized"] == 0 {
+		t.Error("centralized never failed a query under 15% loss; timeout path untested")
 	}
 	for _, loss := range []string{"0%", "1%", "5%", "15%"} {
 		if recall["dht"][loss] < recall["gnutella"][loss] {

@@ -19,7 +19,7 @@ import (
 // up2pbench exposes the fields as -dht-* flags.
 type DHTConfig struct {
 	// K is the DHT bucket capacity / replication factor and Alpha the
-	// lookup parallelism used by every E13–E15 run.
+	// lookup parallelism of every E13–E15 DHT row.
 	K     int
 	Alpha int
 	// E13MaxPeers caps the E13 population ladder (the ladder keeps
@@ -27,8 +27,12 @@ type DHTConfig struct {
 	E13MaxPeers int
 }
 
+// overlays lists the four overlays in presentation order: the paper's
+// three architectures, then the DHT.
+var overlays = []sim.Protocol{sim.Centralized, sim.Gnutella, sim.FastTrack, sim.DHT}
+
 // dhtScenarioCluster builds the cluster config shared by the rows of
-// E13–E16.
+// E13–E16 (the DHT fields are ignored by the other overlays).
 func dhtScenarioCluster(c Config, peers int, proto sim.Protocol) sim.Config {
 	return sim.Config{
 		Peers:    peers,
@@ -39,7 +43,7 @@ func dhtScenarioCluster(c Config, peers int, proto sim.Protocol) sim.Config {
 	}
 }
 
-// dhtRefreshEvery is the maintenance cadence of the E14/E15 DHT rows:
+// dhtRefreshEvery is the maintenance cadence of the E14–E16 DHT rows:
 // frequent enough to repair a 20% churn within the run, rare enough
 // that maintenance traffic stays visible as a separate line item.
 const dhtRefreshEvery = 10 * time.Second
@@ -149,22 +153,27 @@ func RunE13(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// RunE14 reruns the E10 churn sweep head-to-head on flooding vs the
-// DHT: Poisson arrivals/departures take record replicas with them,
-// and the scheduled refresh (bucket repair + republish, the DHT's
-// rehome-equivalent) is what keeps recall up.
+// RunE14 sweeps peer churn across all four overlays on the virtual
+// clock: the population/dynamics dimension of the paper's evaluation
+// that wall-clock simulation could not reach. Poisson arrivals and
+// departures take record replicas and index registrations with them;
+// on the DHT the scheduled refresh (bucket repair + republish, the
+// DHT's rehome-equivalent) is what keeps recall up.
 func RunE14(c Config) (Table, error) {
 	sc := c.Scenario
 	t := Table{
 		ID: "E14",
-		Title: fmt.Sprintf("Churn sweep, flooding vs DHT (%d peers, %d queries, refresh every %v)",
-			sc.Peers, sc.Queries, dhtRefreshEvery),
+		Title: fmt.Sprintf("Churn sweep, all four overlays (%d peers, %d queries, virtual %v, DHT refresh every %v)",
+			sc.Peers, sc.Queries, scenarioDuration, dhtRefreshEvery),
 		Headers: []string{"protocol", "churn", "arr/dep", "final peers", "refreshes", "msgs/query", "recall", "lat p50", "lat p95", "real time", "total msgs"},
 		Notes: []string{
-			"same workload as E10 (compare its centralized/fasttrack rows); expected",
-			"shape: DHT recall holds near 100% across churn because departures leave",
-			"k-1 replicas and each refresh re-replicates onto the current closest-k,",
-			"at per-query cost that is O(log n) instead of O(edges);",
+			"churn = fraction of the population arriving (and departing) over the run;",
+			"expected shape: recall holds near 100% while the overlay stays connected",
+			"(degree-4 wiring of arrivals); msgs/query: centralized O(1), fasttrack",
+			"bounded by the super-peer overlay, gnutella O(edges) and shrinking with churn",
+			"as departures thin the edge set, dht O(log n); virtual latency: flooding pays",
+			"multi-hop paths; DHT recall holds because departures leave k-1 replicas and",
+			"each refresh re-replicates onto the current closest-k;",
 			"msgs/query charges only query traffic; maintenance (refresh probes,",
 			"republish STOREs) lands in total msgs",
 		},
@@ -201,7 +210,7 @@ func RunE14(c Config) (Table, error) {
 		})
 		return nil
 	}
-	for _, proto := range []sim.Protocol{sim.Gnutella, sim.DHT} {
+	for _, proto := range overlays {
 		for _, churn := range []float64{0, 0.05, 0.20} {
 			if err := runRow(proto, churn); err != nil {
 				return t, err
@@ -211,10 +220,12 @@ func RunE14(c Config) (Table, error) {
 	return t, nil
 }
 
-// RunE15 reruns the E11 loss sweep on the DHT: datagram loss costs a
-// flood redundancy and costs the DHT replicas (lost STOREs) and
-// lookup progress (lost RPC waves) — but like flooding, and unlike
-// the centralized protocol, no single lost frame can fail a query.
+// RunE15 sweeps message loss across all four overlays: datagram
+// semantics degrade each protocol differently. Centralized searches
+// fail outright when the single request/reply pair is lost; flooding
+// degrades gracefully because redundant paths remain; the DHT loses
+// replicas (lost STOREs) and lookup progress (lost RPC waves) but,
+// like flooding, no single lost frame can fail a query.
 func RunE15(c Config) (Table, error) {
 	sc := c.Scenario
 	peers := sc.Peers
@@ -223,17 +234,18 @@ func RunE15(c Config) (Table, error) {
 	}
 	t := Table{
 		ID:      "E15",
-		Title:   fmt.Sprintf("Loss sweep, flooding vs DHT (%d peers, %d queries)", peers, sc.Queries),
+		Title:   fmt.Sprintf("Loss sweep, all four overlays (%d peers, %d queries)", peers, sc.Queries),
 		Headers: []string{"protocol", "loss", "dropped", "failed queries", "msgs/query", "recall"},
 		Notes: []string{
-			"same workload as E11 (compare its centralized collapse); expected shape:",
-			"neither protocol hard-fails a query (no single point on the query path);",
-			"flooding's recall erodes as drops prune flood subtrees, while the DHT",
-			"holds ~100%: a lost STORE leaves k-1 replicas (restored each refresh) and",
-			"lookups route around lost waves — at a fraction of flooding's cost",
+			"expected shape: centralized recall collapses ~linearly with loss (one lost",
+			"frame kills the whole query); gnutella degrades gracefully via path redundancy",
+			"and never hard-fails; fasttrack sits between (leaf->super is a single point,",
+			"the overlay floods); the DHT holds ~100%: a lost STORE leaves k-1 replicas",
+			"(restored each refresh) and lookups route around lost waves, at a fraction",
+			"of flooding's cost; recall reads n/a when no query had a live match to find",
 		},
 	}
-	for _, proto := range []sim.Protocol{sim.Gnutella, sim.DHT} {
+	for _, proto := range overlays {
 		for _, loss := range []float64{0, 0.01, 0.05, 0.15} {
 			cluster := dhtScenarioCluster(c, peers, proto)
 			cluster.DropRate = loss

@@ -4,92 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/sim"
-	"repro/internal/xsd"
 )
-
-// RunE6 measures the generative pipeline's hot-path throughput: the
-// servent cost the paper's JSP/Xalan prototype paid on every request.
-func RunE6() (Table, error) {
-	t := Table{
-		ID:      "E6",
-		Title:   "Generative pipeline throughput (pattern community)",
-		Headers: []string{"operation", "iterations", "us/op", "ops/sec"},
-	}
-	comm, err := core.NewCommunity(core.CommunitySpec{Name: "patterns", SchemaSrc: corpus.PatternSchemaSrc})
-	if err != nil {
-		return t, err
-	}
-	schema := comm.Schema
-	obj := corpus.DesignPatterns(1, 1).Objects[0].Doc
-	filter := query.MustParse("(&(classification=behavioral)(keywords=notification))")
-	attrs, err := comm.Extract(obj)
-	if err != nil {
-		return t, err
-	}
-
-	measure := func(name string, iters int, fn func() error) error {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := fn(); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		el := time.Since(start)
-		perOp := el / time.Duration(iters)
-		ops := float64(time.Second) / float64(perOp)
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%d", iters),
-			fmt.Sprintf("%.1f", float64(perOp.Nanoseconds())/1e3),
-			fmt.Sprintf("%.0f", ops),
-		})
-		return nil
-	}
-
-	if err := measure("parse schema", 2000, func() error {
-		_, err := xsd.ParseString(corpus.PatternSchemaSrc)
-		return err
-	}); err != nil {
-		return t, err
-	}
-	if err := measure("validate object", 5000, func() error {
-		return schema.Validate(obj)
-	}); err != nil {
-		return t, err
-	}
-	if err := measure("generate create form", 2000, func() error {
-		_, err := comm.CreateFormHTML()
-		return err
-	}); err != nil {
-		return t, err
-	}
-	if err := measure("render object view", 2000, func() error {
-		_, err := comm.View(obj)
-		return err
-	}); err != nil {
-		return t, err
-	}
-	if err := measure("indexing transform", 5000, func() error {
-		_, err := comm.Extract(obj)
-		return err
-	}); err != nil {
-		return t, err
-	}
-	if err := measure("filter match", 200000, func() error {
-		filter.Match(attrs)
-		return nil
-	}); err != nil {
-		return t, err
-	}
-	return t, nil
-}
 
 // RunE7 reproduces the §V case study end to end: a design-pattern
 // community with a custom display stylesheet and rich queries over the
@@ -176,16 +97,19 @@ func RunE7() (Table, error) {
 }
 
 // RunE8 demonstrates §VI's protocol independence: the identical
-// servent workload over both networks returns identical result sets,
-// differing only in message cost.
+// servent workload over all four overlays returns identical result
+// sets, differing only in message cost.
 func RunE8() (Table, error) {
 	t := Table{
-		ID:      "E8",
-		Title:   "Protocol independence: identical workload, centralized vs Gnutella",
-		Headers: []string{"query", "centralized hits", "gnutella hits", "identical results", "c msgs", "g msgs"},
+		ID:    "E8",
+		Title: "Protocol independence: identical workload over all four overlays",
+		Headers: []string{"query", "centralized hits", "gnutella hits", "fasttrack hits", "dht hits", "identical results",
+			"centralized msgs", "gnutella msgs", "fasttrack msgs", "dht msgs"},
 		Notes: []string{
-			"the core servent code is identical in both columns; only the injected",
-			"p2p.Network differs (the generic create/search/retrieve interface of §VI)",
+			"the core servent code is identical in every column; only the injected",
+			"p2p.Network differs (the generic create/search/retrieve interface of §VI);",
+			"identical results: yes when every overlay returns centralized's titles,",
+			"else NO and the overlays that differ",
 		},
 	}
 	queries := []string{
@@ -194,63 +118,73 @@ func RunE8() (Table, error) {
 		"(keywords=tree)",
 		"(*)",
 	}
-	type outcome struct {
-		titles map[string][]string
-		msgs   map[string]int64
+	// answer is one overlay's reply to one query.
+	type answer struct {
+		titles string // sorted, joined: the result set
+		hits   int
+		msgs   int64
 	}
-	run := func(proto sim.Protocol) (outcome, error) {
-		o := outcome{titles: map[string][]string{}, msgs: map[string]int64{}}
+	run := func(proto sim.Protocol) ([]answer, error) {
 		c, err := sim.NewCluster(sim.Config{Peers: 6, Protocol: proto, Degree: 5, Seed: 81})
 		if err != nil {
-			return o, err
+			return nil, err
 		}
 		comm, err := c.SeedCommunity(0, core.CommunitySpec{Name: "patterns", SchemaSrc: corpus.PatternSchemaSrc})
 		if err != nil {
-			return o, err
+			return nil, err
 		}
 		if _, err := c.DiscoverAndJoinAll("patterns", 7); err != nil {
-			return o, err
+			return nil, err
 		}
 		if _, err := c.PublishRoundRobin(comm.ID, corpus.DesignPatterns(46, 81).Objects); err != nil {
-			return o, err
+			return nil, err
 		}
-		for _, q := range queries {
+		answers := make([]answer, len(queries))
+		for i, q := range queries {
 			before := c.Metrics()
 			rs, err := c.SearchFrom(2, comm.ID, query.MustParse(q), p2p.SearchOptions{TTL: 7})
 			if err != nil {
-				return o, err
+				return nil, err
 			}
 			titles := make([]string, 0, len(rs))
 			for _, r := range rs {
 				titles = append(titles, r.Title)
 			}
 			sort.Strings(titles)
-			o.titles[q] = titles
-			o.msgs[q] = c.Metrics().Delta(before).Counter("transport.msgs_delivered")
+			answers[i] = answer{
+				titles: strings.Join(titles, "|"),
+				hits:   len(rs),
+				msgs:   c.Metrics().Delta(before).Counter("transport.msgs_delivered"),
+			}
 		}
-		return o, nil
+		return answers, nil
 	}
-	co, err := run(sim.Centralized)
-	if err != nil {
-		return t, err
+	byProto := make([][]answer, len(overlays))
+	for i, p := range overlays {
+		answers, err := run(p)
+		if err != nil {
+			return t, fmt.Errorf("%s: %w", p, err)
+		}
+		byProto[i] = answers
 	}
-	gOut, err := run(sim.Gnutella)
-	if err != nil {
-		return t, err
-	}
-	for _, q := range queries {
+	for qi, q := range queries {
+		row := []string{q}
+		var differ []string
+		for pi, answers := range byProto {
+			row = append(row, fmt.Sprintf("%d", answers[qi].hits))
+			if answers[qi].titles != byProto[0][qi].titles {
+				differ = append(differ, overlays[pi].String())
+			}
+		}
 		same := "yes"
-		if strings.Join(co.titles[q], "|") != strings.Join(gOut.titles[q], "|") {
-			same = "NO"
+		if len(differ) > 0 {
+			same = "NO: " + strings.Join(differ, ",")
 		}
-		t.Rows = append(t.Rows, []string{
-			q,
-			fmt.Sprintf("%d", len(co.titles[q])),
-			fmt.Sprintf("%d", len(gOut.titles[q])),
-			same,
-			fmt.Sprintf("%d", co.msgs[q]),
-			fmt.Sprintf("%d", gOut.msgs[q]),
-		})
+		row = append(row, same)
+		for _, answers := range byProto {
+			row = append(row, fmt.Sprintf("%d", answers[qi].msgs))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }

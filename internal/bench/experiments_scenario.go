@@ -9,10 +9,10 @@ import (
 )
 
 // ScenarioConfig scales the discrete-event scenario experiments
-// (E10–E12); up2pbench exposes the fields as -scn-* flags so CI smoke
-// jobs can shrink them and profiling runs can grow them.
+// (E12, E14, E15); up2pbench exposes the fields as -scn-* flags so CI
+// smoke jobs can shrink them and profiling runs can grow them.
 type ScenarioConfig struct {
-	// Peers is the E10 population (E11/E12 cap it lower; see each
+	// Peers is the E14 population (E12/E15 cap it lower; see each
 	// experiment).
 	Peers int
 	// Queries approximates the measured queries per scenario run.
@@ -21,118 +21,12 @@ type ScenarioConfig struct {
 	Seed int64
 }
 
-// scenarioDuration is the virtual length of every E10–E12 run. Virtual
+// scenarioDuration is the virtual length of every scenario run. Virtual
 // time is free, so the choice only shapes rates.
 const scenarioDuration = 60 * time.Second
 
 func (sc ScenarioConfig) queryRate() float64 {
 	return float64(sc.Queries) / scenarioDuration.Seconds()
-}
-
-// RunE10 sweeps peer churn across all three protocols on the virtual
-// clock: the population/dynamics dimension of the paper's evaluation
-// that wall-clock simulation could not reach (a 1000-peer churning
-// Gnutella run finishes in seconds of real time and is reproducible
-// bit-for-bit from the seed).
-func RunE10(c Config) (Table, error) {
-	sc := c.Scenario
-	t := Table{
-		ID:      "E10",
-		Title:   fmt.Sprintf("Churn sweep on the virtual clock (%d peers, %d queries, virtual %v)", sc.Peers, sc.Queries, scenarioDuration),
-		Headers: []string{"protocol", "churn", "arr/dep", "final peers", "msgs/query", "recall", "lat p50", "lat p95", "real time"},
-		Notes: []string{
-			"churn = fraction of the population arriving (and departing) over the run;",
-			"expected shape: recall holds near 100% while the overlay stays connected",
-			"(degree-4 wiring of arrivals); msgs/query: centralized O(1), fasttrack",
-			"bounded by the super-peer overlay, gnutella O(edges) and shrinking with churn",
-			"as departures thin the edge set; virtual latency: flooding pays multi-hop paths",
-		},
-	}
-	for _, proto := range []sim.Protocol{sim.Centralized, sim.Gnutella, sim.FastTrack} {
-		for _, churn := range []float64{0, 0.05, 0.20} {
-			rate := churn * float64(sc.Peers) / scenarioDuration.Seconds()
-			r, err := sim.RunScenario(sim.ScenarioConfig{
-				Cluster: sim.Config{
-					Peers:    sc.Peers,
-					Protocol: proto,
-					Degree:   4,
-					Seed:     sc.Seed,
-					Latency:  30 * time.Millisecond,
-					Jitter:   20 * time.Millisecond,
-				},
-				Duration:       scenarioDuration,
-				QueryRate:      sc.queryRate(),
-				InitialObjects: sc.Peers,
-				ArrivalRate:    rate,
-				DepartureRate:  rate,
-			})
-			if err != nil {
-				return t, err
-			}
-			t.Rows = append(t.Rows, []string{
-				proto.String(),
-				fmt.Sprintf("%.0f%%", churn*100),
-				fmt.Sprintf("%d/%d", r.Arrivals, r.Departures),
-				fmt.Sprintf("%d", r.FinalPeers),
-				fmt.Sprintf("%.1f", r.MsgsPerQuery()),
-				fmt.Sprintf("%.0f%%", 100*r.MeanRecall(0, 0)),
-				fmt.Sprintf("%v", r.LatencyPercentile(50).Round(time.Millisecond)),
-				fmt.Sprintf("%v", r.LatencyPercentile(95).Round(time.Millisecond)),
-				fmt.Sprintf("%v", r.Elapsed.Round(time.Millisecond)),
-			})
-		}
-	}
-	return t, nil
-}
-
-// RunE11 sweeps message loss: datagram semantics degrade each protocol
-// differently (centralized searches fail outright when the single
-// request/reply pair is lost; flooding degrades gracefully because
-// redundant paths remain).
-func RunE11(c Config) (Table, error) {
-	sc := c.Scenario
-	peers := sc.Peers
-	if peers > 200 {
-		peers = 200
-	}
-	t := Table{
-		ID:      "E11",
-		Title:   fmt.Sprintf("Loss sweep (%d peers, %d queries)", peers, sc.Queries),
-		Headers: []string{"protocol", "loss", "dropped", "failed queries", "msgs/query", "recall"},
-		Notes: []string{
-			"expected shape: centralized recall collapses ~linearly with loss (one lost",
-			"frame kills the whole query); gnutella degrades gracefully via path redundancy;",
-			"fasttrack sits between (leaf->super is a single point, the overlay floods)",
-		},
-	}
-	for _, proto := range []sim.Protocol{sim.Centralized, sim.Gnutella, sim.FastTrack} {
-		for _, loss := range []float64{0, 0.01, 0.05, 0.15} {
-			r, err := sim.RunScenario(sim.ScenarioConfig{
-				Cluster: sim.Config{
-					Peers:    peers,
-					Protocol: proto,
-					Degree:   4,
-					Seed:     sc.Seed,
-					DropRate: loss,
-				},
-				Duration:       scenarioDuration,
-				QueryRate:      sc.queryRate(),
-				InitialObjects: peers,
-			})
-			if err != nil {
-				return t, err
-			}
-			t.Rows = append(t.Rows, []string{
-				proto.String(),
-				fmt.Sprintf("%.0f%%", loss*100),
-				fmt.Sprintf("%d", r.Dropped),
-				fmt.Sprintf("%d", r.Failed),
-				fmt.Sprintf("%.1f", r.MsgsPerQuery()),
-				fmt.Sprintf("%.0f%%", 100*r.MeanRecall(0, 0)),
-			})
-		}
-	}
-	return t, nil
 }
 
 // RunE12 measures FastTrack super-peer failover: recall before the

@@ -1,9 +1,10 @@
 // Package bench implements the experiment harness behind
 // EXPERIMENTS.md: one runner per figure (F1–F3) and per quantified
-// claim (E1–E16, E18), each reproducing the corresponding artifact of
-// the paper — or extending its evaluation, as the discrete-event
-// scenario experiments E10–E12, the structured-overlay comparison
-// E13–E15, the flash-crowd hotspot measurement E16, and the
+// claim (E1–E5, E7, E8, E12–E16, E18), each reproducing the
+// corresponding artifact of the paper — or extending its evaluation,
+// as the super-peer failover E12, the flooding-vs-DHT scaling
+// comparison E13, the churn and loss sweeps over all four overlays
+// E14 and E15, the flash-crowd hotspot measurement E16, and the
 // crash-safe persistence measurement E18 do — as a printed table. All
 // runs are seeded and deterministic.
 package bench
@@ -15,7 +16,8 @@ import (
 
 // Table is one experiment's output: paper-style rows.
 type Table struct {
-	// ID is the experiment identifier (F1..F3, E1..E16, E18).
+	// ID is the experiment identifier (F1..F3, E1..E18 less the
+	// retired E6, E9, E10, E11 and the reserved E17).
 	ID string
 	// Title describes the experiment.
 	Title string
@@ -69,8 +71,7 @@ func (t Table) Format() string {
 // its flags. A run reads nothing else, so two runs with different
 // configs can share a process.
 type Config struct {
-	Store    StoreConfig    // E9
-	Scenario ScenarioConfig // E10–E12, E14, E15; Seed also E13, E16
+	Scenario ScenarioConfig // E12, E14, E15; Seed also E13, E16
 	DHT      DHTConfig      // E13–E15
 	Hotspot  HotspotConfig  // E16
 	WAL      WALConfig      // E18
@@ -80,12 +81,6 @@ type Config struct {
 // reports.
 func DefaultConfig() Config {
 	return Config{
-		Store: StoreConfig{
-			Communities:      16,
-			DocsPerCommunity: 200,
-			Workers:          8,
-			OpsPerWorker:     3000,
-		},
 		Scenario: ScenarioConfig{Peers: 1000, Queries: 120, Seed: 11},
 		DHT:      DHTConfig{K: 16, Alpha: 3, E13MaxPeers: 10000},
 		Hotspot:  HotspotConfig{Peers: 200, Burst: 300, K: 4, Alpha: 2},
@@ -121,19 +116,16 @@ func All() []Runner {
 		{"E3", "protocol message cost: centralized vs flooding", fixed(RunE3)},
 		{"E4", "index selectivity (searchable-field marking)", fixed(RunE4)},
 		{"E5", "replication vs availability under churn", fixed(RunE5)},
-		{"E6", "generative pipeline throughput", fixed(RunE6)},
 		{"E7", "design-pattern case study (§V)", fixed(RunE7)},
-		{"E8", "protocol independence", fixed(RunE8)},
-		{"E9", "metadata store scalability: result cache off vs on", RunE9},
-		{"E10", "churn sweep on the virtual clock", RunE10},
-		{"E11", "message-loss sweep", RunE11},
+		{"E8", "protocol independence: all four overlays", fixed(RunE8)},
 		{"E12", "super-peer failover and leaf re-registration", RunE12},
 		{"E13", "search cost scaling: flooding vs Kademlia DHT", RunE13},
-		{"E14", "churn sweep: flooding vs DHT with refresh repair", RunE14},
-		{"E15", "loss sweep: flooding vs DHT", RunE15},
+		{"E14", "churn sweep: all four overlays, DHT refresh repair", RunE14},
+		{"E15", "message-loss sweep: all four overlays", RunE15},
 		{"E16", "flash-crowd hot key: caching STORE", RunE16},
-		// E17 is reserved for ROADMAP items (postings compaction,
-		// distributed keyword search).
+		// E6, E9, E10 and E11 are retired and never reused
+		// (EXPERIMENTS.md keeps their last readings); E17 is reserved
+		// for distributed keyword search.
 		{"E18", "crash-safe persistence: WAL overhead and recovery", RunE18},
 	}
 }

@@ -141,3 +141,37 @@ func BenchmarkStorePutBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAblationIndexAcceleration contrasts an equality query
+// (accelerated through the inverted index) with a substring query
+// (full community scan) at 10k documents, one hit each, with the
+// result cache off so both sides compute their answer.
+func BenchmarkAblationIndexAcceleration(b *testing.B) {
+	s := NewStore(WithCacheSize(0))
+	for i := 0; i < 10000; i++ {
+		attrs := query.Attrs{}
+		attrs.Add("title", fmt.Sprintf("pattern number %d", i))
+		attrs.Add("classification", []string{"creational", "structural", "behavioral"}[i%3])
+		if err := s.Put(&Document{
+			ID: DocID(fmt.Sprintf("d%05d", i)), CommunityID: "c", Attrs: attrs,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("indexed-equality", func(b *testing.B) {
+		f := query.MustParse("(title=pattern number 5000)")
+		for i := 0; i < b.N; i++ {
+			if rs := s.Search("c", f, 0); len(rs) != 1 {
+				b.Fatalf("hits = %d", len(rs))
+			}
+		}
+	})
+	b.Run("scan-substring", func(b *testing.B) {
+		f := query.MustParse("(title~=number 5000)")
+		for i := 0; i < b.N; i++ {
+			if rs := s.Search("c", f, 0); len(rs) != 1 {
+				b.Fatalf("hits = %d", len(rs))
+			}
+		}
+	})
+}

@@ -136,7 +136,7 @@ func TestScenarioSuperFailureIgnoredOutsideFastTrack(t *testing.T) {
 // TestScenarioChurn1000Peers is the scale acceptance gate: a
 // 1000-peer Gnutella churn scenario must finish in under 10 seconds of
 // real time on one CPU and reproduce its trace hash exactly on a
-// second run — the property that makes paper-scale sweeps (E10)
+// second run — the property that makes paper-scale sweeps (E14)
 // routine instead of overnight.
 func TestScenarioChurn1000Peers(t *testing.T) {
 	if raceEnabled {

@@ -59,7 +59,8 @@ func (p Protocol) String() string {
 type Config struct {
 	// Peers is the number of servents.
 	Peers int
-	// Protocol selects centralized vs gnutella.
+	// Protocol selects the overlay: centralized, gnutella, fasttrack
+	// or dht.
 	Protocol Protocol
 	// Degree is the Gnutella overlay degree (ring + random chords);
 	// ignored for centralized. Default 4.
@@ -110,7 +111,7 @@ type Config struct {
 type Cluster struct {
 	// Net is the underlying instrumented network.
 	Net *transport.MemNetwork
-	// Server is the central index (nil under Gnutella).
+	// Server is the central index (nil except under Centralized).
 	Server *p2p.IndexServer
 	// Servents are the peers, index-addressable. Slots of departed
 	// peers stay occupied (Alive reports liveness); arrivals append.

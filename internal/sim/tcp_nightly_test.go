@@ -14,7 +14,7 @@ import (
 )
 
 // These are the nightly socket-truth runs (make tcp-nightly): the
-// E10/E14 churn scenarios scaled down and replayed over real TCP
+// E14 churn scenarios (its gnutella and dht rows) scaled down and replayed over real TCP
 // sockets instead of the in-memory transport. The deterministic sim
 // proves protocol logic; this proves the same nodes survive real
 // framing, dialing, concurrent read loops, and dead-peer errors.
@@ -31,7 +31,7 @@ func tcpDoc(i int) *index.Document {
 	}
 }
 
-// TestTCPNightlyGnutella is E10 scaled down over sockets: a flooding
+// TestTCPNightlyGnutella is E14's gnutella row scaled down over sockets: a flooding
 // overlay of real TCP nodes, full-recall search, then a churn event
 // (two peers die mid-run) that the flood must route around.
 func TestTCPNightlyGnutella(t *testing.T) {
@@ -82,7 +82,7 @@ func TestTCPNightlyGnutella(t *testing.T) {
 	}
 }
 
-// TestTCPNightlyDHT is E14 scaled down over sockets: a Kademlia
+// TestTCPNightlyDHT is E14's dht row scaled down over sockets: a Kademlia
 // overlay of real TCP nodes — bootstrap joins, replicated publishes,
 // full-recall lookups, then churn repaired by a refresh round.
 func TestTCPNightlyDHT(t *testing.T) {
