@@ -22,6 +22,30 @@ func testConfig() Config {
 	return cfg
 }
 
+// tables caches each experiment's table at testConfig scale, so the
+// shape tests that ask two questions of one sweep (E10's and E14's of
+// the churn sweep, E11's and E15's of the loss sweep) share one run.
+var tables = map[string]Table{}
+
+// tableFor returns id's table, running the experiment if no earlier
+// test has.
+func tableFor(t *testing.T, id string) Table {
+	t.Helper()
+	if tbl, ok := tables[id]; ok {
+		return tbl
+	}
+	r, ok := ByID(id)
+	if !ok {
+		t.Fatalf("no experiment %s", id)
+	}
+	tbl, err := r.Run(testConfig())
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	tables[id] = tbl
+	return tbl
+}
+
 // TestAllExperimentsRun executes every experiment once and checks the
 // structural invariants of their tables.
 func TestAllExperimentsRun(t *testing.T) {
@@ -32,6 +56,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", r.ID, err)
 			}
+			tables[r.ID] = tbl
 			if tbl.ID != r.ID {
 				t.Errorf("table ID = %q", tbl.ID)
 			}
@@ -46,6 +71,29 @@ func TestAllExperimentsRun(t *testing.T) {
 			out := tbl.Format()
 			if !strings.Contains(out, r.ID) {
 				t.Error("formatted table missing ID")
+			}
+		})
+	}
+	// E10 and E11 were folded into E14 and E15: their IDs stay
+	// retired, and the successor must still sweep every rung of each
+	// overlay the retired experiment covered.
+	for _, f := range []struct {
+		id, into string
+		rungs    int
+	}{{"E10", "E14", 3}, {"E11", "E15", 4}} {
+		f := f
+		t.Run(f.id, func(t *testing.T) {
+			if _, ok := ByID(f.id); ok {
+				t.Errorf("retired ID %s reused", f.id)
+			}
+			perProto := map[string]int{}
+			for _, row := range tableFor(t, f.into).Rows {
+				perProto[row[0]]++
+			}
+			for _, proto := range []string{"centralized", "gnutella", "fasttrack"} {
+				if perProto[proto] != f.rungs {
+					t.Errorf("%s has %d %s rows, want %d", f.into, perProto[proto], proto, f.rungs)
+				}
 			}
 		})
 	}
@@ -285,28 +333,39 @@ func TestE13Shape(t *testing.T) {
 	}
 }
 
-// TestE14Shape verifies the churn sweep's cost ordering (centralized
-// < fasttrack < gnutella per query), that recall survives churn on a
-// connected overlay, and that the DHT holds recall (refresh repairs
+// TestE10Shape verifies the churn sweep's cost ordering (centralized <
+// fasttrack < gnutella per query) and that recall survives churn on a
+// connected overlay. The sweep is E14's; E10 was folded into it.
+func TestE10Shape(t *testing.T) {
+	tbl := tableFor(t, "E14")
+	perProto := map[string]float64{}
+	for _, row := range tbl.Rows {
+		if row[0] == "dht" {
+			continue // TestE14Shape
+		}
+		msgs, _ := strconv.ParseFloat(row[5], 64)
+		perProto[row[0]] += msgs
+		if r := pct(t, row[6]); r < 90 {
+			t.Errorf("%s churn %s: recall %v%%", row[0], row[1], r)
+		}
+	}
+	if !(perProto["centralized"] < perProto["fasttrack"] && perProto["fasttrack"] < perProto["gnutella"]) {
+		t.Errorf("msgs/query ordering violated: %v", perProto)
+	}
+}
+
+// TestE14Shape: under churn the DHT must hold recall (refresh repairs
 // replicas) at a per-query cost far below flooding's.
 func TestE14Shape(t *testing.T) {
-	tbl, err := RunE14(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tableFor(t, "E14")
 	if len(tbl.Rows) != 4*3 {
 		t.Fatalf("%d rows, want 3 churn rates on each of the four overlays", len(tbl.Rows))
 	}
-	perProto := map[string]float64{}
 	maxCost := map[string]float64{}
 	for _, row := range tbl.Rows {
 		msgs, _ := strconv.ParseFloat(row[5], 64)
-		perProto[row[0]] += msgs
 		if msgs > maxCost[row[0]] {
 			maxCost[row[0]] = msgs
-		}
-		if r := pct(t, row[6]); r < 90 {
-			t.Errorf("%s churn %s: recall %v%%", row[0], row[1], r)
 		}
 		if row[0] == "dht" {
 			if r := pct(t, row[6]); r < 95 {
@@ -317,41 +376,31 @@ func TestE14Shape(t *testing.T) {
 			}
 		}
 	}
-	if !(perProto["centralized"] < perProto["fasttrack"] && perProto["fasttrack"] < perProto["gnutella"]) {
-		t.Errorf("msgs/query ordering violated: %v", perProto)
-	}
 	if maxCost["dht"]*3 > maxCost["gnutella"] {
 		t.Errorf("dht cost (%.1f) not well below flooding (%.1f)", maxCost["dht"], maxCost["gnutella"])
 	}
 }
 
-// TestE15Shape verifies loss erodes recall on the index and flooding
-// overlays, that centralized hard-fails queries while neither gnutella
-// nor the DHT ever does, and that the DHT's replicated records weather
-// loss at least as well as flooding's path redundancy.
-func TestE15Shape(t *testing.T) {
-	tbl, err := RunE15(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4*4 {
-		t.Fatalf("%d rows, want 4 loss rates on each of the four overlays", len(tbl.Rows))
-	}
-	recalls := map[string][]float64{}         // protocol -> recall per loss rung
-	recall := map[string]map[string]float64{} // protocol -> loss -> recall
+// TestE11Shape verifies loss erodes recall on the index and flooding
+// overlays and that flooding never hard-fails a query while
+// centralized does. The sweep is E15's; E11 was folded into it.
+func TestE11Shape(t *testing.T) {
+	tbl := tableFor(t, "E15")
+	recalls := map[string][]float64{} // protocol -> recall per loss rung
 	failed := map[string]int{}
 	for _, row := range tbl.Rows {
-		r := pct(t, row[5])
-		recalls[row[0]] = append(recalls[row[0]], r)
-		if recall[row[0]] == nil {
-			recall[row[0]] = map[string]float64{}
+		if row[0] == "dht" {
+			continue // TestE15Shape
 		}
-		recall[row[0]][row[1]] = r
+		recalls[row[0]] = append(recalls[row[0]], pct(t, row[5]))
 		n, _ := strconv.Atoi(row[3])
 		failed[row[0]] += n
 	}
 	for _, proto := range []string{"centralized", "gnutella", "fasttrack"} {
 		rs := recalls[proto]
+		if len(rs) == 0 {
+			t.Fatalf("no %s rows", proto)
+		}
 		// Gnutella's lossless recall sits a few points below 100: its
 		// flood horizon (TTL x degree) misses want-set holders that a
 		// diverse corpus scatters across the overlay. Centralized and
@@ -367,13 +416,31 @@ func TestE15Shape(t *testing.T) {
 			t.Errorf("%s recall did not erode with loss: %v", proto, rs)
 		}
 	}
-	for _, proto := range []string{"gnutella", "dht"} {
-		if failed[proto] != 0 {
-			t.Errorf("%s queries hard-failed under loss: %d (no single point on the query path)", proto, failed[proto])
-		}
+	if failed["gnutella"] != 0 {
+		t.Errorf("gnutella queries hard-failed under loss: %d (flooding has no single point)", failed["gnutella"])
 	}
 	if failed["centralized"] == 0 {
 		t.Error("centralized never failed a query under 15% loss; timeout path untested")
+	}
+}
+
+// TestE15Shape: the DHT never hard-fails a query, and its replicated
+// records must weather loss at least as well as flooding's path
+// redundancy.
+func TestE15Shape(t *testing.T) {
+	tbl := tableFor(t, "E15")
+	if len(tbl.Rows) != 4*4 {
+		t.Fatalf("%d rows, want 4 loss rates on each of the four overlays", len(tbl.Rows))
+	}
+	recall := map[string]map[string]float64{} // protocol -> loss -> recall
+	for _, row := range tbl.Rows {
+		if row[0] == "dht" && row[3] != "0" {
+			t.Errorf("dht hard-failed %s queries under %s loss", row[3], row[1])
+		}
+		if recall[row[0]] == nil {
+			recall[row[0]] = map[string]float64{}
+		}
+		recall[row[0]][row[1]] = pct(t, row[5])
 	}
 	for _, loss := range []string{"0%", "1%", "5%", "15%"} {
 		if recall["dht"][loss] < recall["gnutella"][loss] {
