@@ -121,11 +121,13 @@ profile-smoke:
 scale-smoke:
 	UP2P_SCALE_SMOKE=1 $(GO) test ./internal/sim -run ScaleSmoke -v -timeout 15m
 
-# Nightly socket truth: the E14 churn scenarios scaled down and
-# replayed over real TCP sockets (framing, dialing, concurrent read
-# loops, dead-peer errors). Scheduled in CI; not part of `make ci`.
+# Socket truth: the E14 churn scenarios scaled down and replayed over
+# real TCP sockets (framing, dialing, concurrent read loops, dead-peer
+# errors), under the race detector — the one test that runs many read
+# loops at once, where a handler keeping a borrowed payload past its
+# return would show. CI's race job runs it on every push.
 tcp-nightly:
-	UP2P_TCP_NIGHTLY=1 $(GO) test ./internal/sim -run TCPNightly -v -count=1
+	UP2P_TCP_NIGHTLY=1 $(GO) test -race ./internal/sim -run TCPNightly -v -count=1
 
 # Durability gate: the kill-at-random-offset and recovery tests, the
 # damaged-snapshot table, the servent restarts on a reopened log and
@@ -154,4 +156,4 @@ ruler-compare:
 loc:
 	@sh scripts/loc.sh $(DIRS)
 
-ci: build fmt vet test race bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke
+ci: build fmt vet test race tcp-nightly bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke

@@ -61,6 +61,39 @@ func fuzzSeeds() map[int][]codec.Frame {
 	}
 }
 
+// TestDecodedFramesOwnTheirBytes: a payload is borrowed — a TCP
+// reader reads the next frame into it once the handler returns
+// (transport.Message) — so no decoded frame may alias it. A seed of
+// every registered DHT wire type is decoded, its input overwritten, and
+// the frame must still re-encode to the original bytes. internal/p2p's
+// twin covers the other types.
+func TestDecodedFramesOwnTheirBytes(t *testing.T) {
+	seeds := fuzzSeeds()
+	for _, typ := range codec.Types() {
+		if !strings.HasPrefix(typ, "dht-") {
+			continue
+		}
+		frames := seeds[slices.Index(fuzzTypes, typ)]
+		if len(frames) == 0 {
+			t.Errorf("%s: no seed frame", typ)
+		}
+		for _, f := range frames {
+			want := codec.Encode(f)
+			payload := slices.Clone(want)
+			got, _ := codec.New(typ)
+			if err := got.DecodeBinary(payload); err != nil {
+				t.Fatalf("%s: %v", typ, err)
+			}
+			for i := range payload {
+				payload[i] = ^payload[i]
+			}
+			if again := codec.Encode(got); !bytes.Equal(again, want) {
+				t.Errorf("%s: a decoded frame changed with its input buffer:\n %x\nwant\n %x", typ, again, want)
+			}
+		}
+	}
+}
+
 // TestBinaryMatchesJSONOracle: every sample frame of every wire type
 // reads back from its binary encoding as it reads back from
 // encoding/json.

@@ -234,16 +234,16 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 	n.annMu.Lock()
 	n.lastAnnounce[key] = st
 	n.annMu.Unlock()
-	// Chunk payloads are marshaled once, then replicated target-major so
+	// Chunk payloads are borrowed once, then replicated target-major so
 	// each replica is one trace span covering all its chunk frames.
-	payloads := make([][]byte, 0, (len(recs)+storeChunk-1)/storeChunk)
+	payloads := make([]*[]byte, 0, (len(recs)+storeChunk-1)/storeChunk)
 	for start := 0; start < len(recs); start += storeChunk {
 		end := start + storeChunk
 		if end > len(recs) {
 			end = len(recs)
 		}
 		chunk := storePayload{Key: key, Records: recs[start:end]}
-		payloads = append(payloads, codec.Encode(&chunk))
+		payloads = append(payloads, codec.Borrow(&chunk))
 	}
 	fanout := n.ctr.Load().fanout
 	for _, t := range targets {
@@ -251,9 +251,12 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 		sp.SetPeer(string(t.Peer))
 		for _, payload := range payloads {
 			fanout.Inc()
-			n.sendOrEvict(t.Peer, MsgStore, payload, &sp, sp.ContextOr(tctx))
+			n.sendOrEvict(t.Peer, MsgStore, *payload, &sp, sp.ContextOr(tctx))
 		}
 		sp.Finish()
+	}
+	for _, payload := range payloads {
+		codec.Release(payload)
 	}
 }
 
@@ -266,8 +269,9 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, recs []Record, filter string) {
 	sp := n.Tracer().Start(tctx, "cache-store")
 	sp.SetPeer(string(target.Peer))
-	frame := storePayload{Key: key, Records: recs, Cached: true, Filter: filter}
-	n.sendOrEvict(target.Peer, MsgStore, codec.Encode(&frame), &sp, sp.ContextOr(tctx))
+	payload := codec.Borrow(&storePayload{Key: key, Records: recs, Cached: true, Filter: filter})
+	n.sendOrEvict(target.Peer, MsgStore, *payload, &sp, sp.ContextOr(tctx))
+	codec.Release(payload)
 	n.ctr.Load().cacheStores.Inc()
 	sp.Finish()
 }
@@ -302,15 +306,15 @@ func (n *Node) Unpublish(id index.DocID) error {
 	key := KeyForCommunity(doc.CommunityID)
 	out := n.lookup(tctx, key, nil)
 	n.records.remove(key, id, n.PeerID())
-	frame := unstorePayload{Key: key, DocID: id, Provider: n.PeerID()}
-	payload := codec.Encode(&frame)
+	payload := codec.Borrow(&unstorePayload{Key: key, DocID: id, Provider: n.PeerID()})
 	for _, t := range out.contacts {
 		usp := n.Tracer().Start(tctx, "unstore")
 		usp.SetPeer(string(t.Peer))
 		// A holder that misses the unstore ages the record out at RecordTTL.
-		_ = n.SendPayload(t.Peer, MsgUnstore, payload, &usp, usp.ContextOr(tctx))
+		_ = n.SendPayload(t.Peer, MsgUnstore, *payload, &usp, usp.ContextOr(tctx))
 		usp.Finish()
 	}
+	codec.Release(payload)
 	return nil
 }
 

@@ -2,12 +2,18 @@
 // implementation (internal/p2p and internal/dht): one hand-rolled,
 // length-prefixed binary layout per registered frame type.
 //
-// Encoding appends into pooled scratch and costs one exact allocation
-// per frame; decoding walks the buffer with a cursor and allocates only
-// the decoded fields. An attribute set travels as its keys in ascending
-// order, each followed by its values: AppendAttrs sorts a query.Attrs
-// map into that order, AppendFields writes a query.Fields as it stands,
-// and Reader.Fields decodes it back flat, onto chunks all of a frame's
+// A sender borrows: Borrow encodes into pooled scratch and Release
+// hands it back after the last Send, so sending a frame allocates
+// nothing (neither transport keeps a payload once Send returns). Encode
+// is the fresh-copy form, for a caller that keeps the bytes. Decoding
+// walks the buffer with a cursor and allocates only the decoded fields,
+// which never alias the payload: a received payload is borrowed too,
+// valid only until its handler returns.
+//
+// An attribute set travels as its keys in ascending order, each
+// followed by its values: AppendAttrs sorts a query.Attrs map into that
+// order, AppendFields writes a query.Fields as it stands, and
+// Reader.Fields decodes it back flat, onto chunks all of a frame's
 // sets share — a frame of records allocates a few times, not once per
 // record. The format is deterministic, so the golden-trace hash of a
 // seeded scenario is bit-identical across runs.
@@ -41,23 +47,63 @@ type Frame interface {
 	DecodeBinary(data []byte) error
 }
 
-// encScratch pools the append buffers encoding grows into, so
-// steady-state encoding costs exactly one allocation: the final
-// exact-size payload copy (which must be fresh — payloads outlive the
-// encode call on asynchronous transports).
-var encScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
-}}
+// MaxPooled is the largest buffer a BufPool keeps: one that grew past
+// it is left to the collector, so a single outsized frame does not stay
+// in a pool until two collections pass.
+const MaxPooled = 256 << 10
 
-// Encode serializes a frame into a fresh payload slice.
+// BufPool pools append buffers under the one cap rule (MaxPooled) that
+// every pooled buffer of the wire path follows: encode scratch here,
+// frame buffers in the TCP transport.
+type BufPool struct{ p sync.Pool }
+
+// NewBufPool returns a pool whose fresh buffers have capacity size.
+func NewBufPool(size int) *BufPool {
+	bp := new(BufPool)
+	bp.p.New = func() any {
+		b := make([]byte, 0, size)
+		return &b
+	}
+	return bp
+}
+
+// Get returns an empty buffer.
+func (bp *BufPool) Get() *[]byte { return bp.p.Get().(*[]byte) }
+
+// Put hands a buffer back, grown or not (the caller stores what it
+// appended back into *b); one past MaxPooled is dropped.
+func (bp *BufPool) Put(b *[]byte) {
+	if cap(*b) > MaxPooled {
+		return
+	}
+	*b = (*b)[:0]
+	bp.p.Put(b)
+}
+
+// encScratch pools the buffers frames are encoded into.
+var encScratch = NewBufPool(1024)
+
+// Borrow encodes f into pooled scratch and returns it: the payload is
+// *b, valid until Release(b). That is all a sender needs — a transport
+// is done with a payload when Send returns — so a frame sent to several
+// peers is borrowed once and released after its last Send.
+func Borrow(f Frame) *[]byte {
+	b := encScratch.Get()
+	*b = f.AppendBinary(*b)
+	return b
+}
+
+// Release hands a borrowed payload's scratch back to the pool; the
+// payload must not be used after.
+func Release(b *[]byte) { encScratch.Put(b) }
+
+// Encode serializes a frame into a fresh payload slice, for a caller
+// that keeps the bytes; a sender borrows instead.
 func Encode(f Frame) []byte {
-	bp := encScratch.Get().(*[]byte)
-	b := f.AppendBinary((*bp)[:0])
-	out := make([]byte, len(b))
-	copy(out, b)
-	*bp = b[:0]
-	encScratch.Put(bp)
+	b := Borrow(f)
+	out := make([]byte, len(*b))
+	copy(out, *b)
+	Release(b)
 	return out
 }
 
@@ -319,7 +365,8 @@ func (r *Reader) Bytes() []byte {
 
 // View reads a length-prefixed byte slice without copying it: the
 // result aliases the payload, for callers that own the buffer (the TCP
-// envelope) or only compare the bytes.
+// envelope) or only compare the bytes. A decoded frame never keeps one:
+// its payload is borrowed and is overwritten once the handler returns.
 func (r *Reader) View() []byte {
 	n := r.Len()
 	if r.err != nil {
@@ -331,7 +378,8 @@ func (r *Reader) View() []byte {
 }
 
 // Rest returns the unread remainder of the payload, uncopied, and
-// leaves the cursor at its end.
+// leaves the cursor at its end; like View, nothing a decoded frame
+// keeps.
 func (r *Reader) Rest() []byte {
 	if r.err != nil {
 		return nil

@@ -213,6 +213,60 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	}
 }
 
+// TestBorrowMatchesEncode: a borrowed payload holds the bytes Encode
+// copies out, and borrowing again after Release allocates nothing.
+func TestBorrowMatchesEncode(t *testing.T) {
+	f := sampleFrame()
+	b := Borrow(f)
+	if want := Encode(f); !bytes.Equal(*b, want) {
+		t.Fatalf("borrowed %x, encoded %x", *b, want)
+	}
+	Release(b)
+	if raceEnabled {
+		return // the race detector's sync.Pool drops a quarter of its puts
+	}
+	scalar := &testFrame{ReqID: 42, Name: "q", Found: true}
+	if n := testing.AllocsPerRun(200, func() { Release(Borrow(scalar)) }); n != 0 {
+		t.Fatalf("borrow+release allocs/op = %v, want 0", n)
+	}
+}
+
+// TestBufPoolCap: a buffer that grew past MaxPooled is not put back —
+// after a huge encode, no borrow sees its scratch — while one within
+// the cap goes back emptied.
+func TestBufPoolCap(t *testing.T) {
+	huge := &testFrame{Blob: make([]byte, MaxPooled+1)}
+	for i := 0; i < 8; i++ {
+		Release(Borrow(huge))
+	}
+	for i := 0; i < 64; i++ {
+		b := Borrow(&testFrame{ReqID: uint64(i)})
+		if cap(*b) > MaxPooled {
+			t.Fatalf("borrow %d came with a %d-byte buffer, cap %d", i, cap(*b), MaxPooled)
+		}
+		Release(b)
+	}
+
+	pool := NewBufPool(16)
+	b := pool.Get()
+	if len(*b) != 0 || cap(*b) != 16 {
+		t.Fatalf("fresh buffer len %d cap %d, want 0 and 16", len(*b), cap(*b))
+	}
+	*b = append(*b, make([]byte, MaxPooled+1)...)
+	pool.Put(b)
+	for i := 0; i < 8; i++ {
+		if got := pool.Get(); cap(*got) > MaxPooled {
+			t.Fatalf("the pool handed out a %d-byte buffer, cap %d", cap(*got), MaxPooled)
+		}
+	}
+	b = pool.Get()
+	*b = append(*b, "kept"...)
+	pool.Put(b)
+	if len(*b) != 0 {
+		t.Fatalf("a buffer went back holding %q", *b)
+	}
+}
+
 func BenchmarkBinaryRoundTrip(b *testing.B) {
 	f := sampleFrame()
 	b.ReportAllocs()

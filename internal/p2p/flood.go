@@ -185,7 +185,7 @@ func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit i
 	neighbors := r.neighbors
 	r.mu.Unlock()
 
-	payload := codec.Encode(&queryPayload{
+	payload := codec.Borrow(&queryPayload{
 		GUID:        guid,
 		Origin:      r.PeerID(),
 		CommunityID: communityID,
@@ -195,8 +195,9 @@ func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit i
 	for _, n := range neighbors {
 		// Unreachable neighbors are skipped, like UDP loss in the
 		// original protocol.
-		_ = r.SendPayload(n, MsgQuery, payload, sp, tctx)
+		_ = r.SendPayload(n, MsgQuery, *payload, sp, tctx)
 	}
+	codec.Release(payload)
 	return guid, col, nil
 }
 
@@ -261,13 +262,14 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 	}
 	q.TTL--
 	q.Hops = hops
-	payload := codec.Encode(&q)
+	payload := codec.Borrow(&q)
 	for _, n := range neighbors {
 		if n == msg.From {
 			continue
 		}
-		_ = r.SendPayload(n, MsgQuery, payload, &sp, tctx)
+		_ = r.SendPayload(n, MsgQuery, *payload, &sp, tctx)
 	}
+	codec.Release(payload)
 }
 
 // handleQueryHit collects a hit for a query this node originated, or

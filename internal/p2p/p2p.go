@@ -30,8 +30,10 @@
 //   - the endpoint and the node's wiring: clock, tracer, metrics
 //     (SetClock, SetTracer, SetMetrics — Peer's doc states the one
 //     contract for when each may be called);
-//   - sending (Send, SendPayload: encode, stamp the trace context,
-//     attribute the frame to a span) and handler spans (StartSpan);
+//   - sending (Send, SendPayload: encode into borrowed scratch, stamp
+//     the trace context, attribute the frame to a span; the scratch goes
+//     back when the last Send returns, since no transport keeps a
+//     payload past it) and handler spans (StartSpan);
 //   - request/response (Call, or StartCall + Await for a wave of them,
 //     and Resolve on the reply's way in): one pending table, one
 //     timeout on the node's clock, ids dropped on every failure path;

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/query"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -365,5 +366,39 @@ func TestProtocolIndependenceSameResults(t *testing.T) {
 		if got := gnutellaCounts[q]; got != want {
 			t.Errorf("query %s: centralized=%d gnutella=%d", q, want, got)
 		}
+	}
+}
+
+// TestPeerSendZeroAlloc: Peer.Send encodes into borrowed scratch and
+// hands it back once the transport is done with it, so sending an
+// all-scalar frame over the in-memory network allocates nothing — the
+// encode copy Send used to make is gone. Skipped under -race, whose
+// sync.Pool drops a quarter of what is put back.
+func TestPeerSendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	net := transport.NewMemNetwork()
+	ep, err := net.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := net.Endpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got pingPayload
+	dst.SetHandler(func(m transport.Message) { _ = got.DecodeBinary(m.Payload) })
+	var p Peer
+	p.InitPeer(ep, nil, "test")
+	f := &pingPayload{GUID: 7, TTL: 2, Hops: 1}
+	send := func() {
+		if err := p.Send("b", MsgPing, f, nil, trace.Context{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // creates the per-type delivery counter
+	if allocs := testing.AllocsPerRun(500, send); allocs != 0 {
+		t.Fatalf("Peer.Send allocs/msg = %v, want 0", allocs)
 	}
 }

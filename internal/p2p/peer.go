@@ -108,15 +108,21 @@ func (p *Peer) Closed() bool { return p.closed.Load() }
 
 // --- sending ---
 
-// Send encodes f and sends it to a peer; see SendPayload.
+// Send encodes f into borrowed scratch, sends it to a peer and hands
+// the scratch back; see SendPayload.
 func (p *Peer) Send(to transport.PeerID, msgType string, f codec.Frame, sp *trace.ActiveSpan, tctx trace.Context) error {
-	return p.SendPayload(to, msgType, codec.Encode(f), sp, tctx)
+	b := codec.Borrow(f)
+	err := p.SendPayload(to, msgType, *b, sp, tctx)
+	codec.Release(b)
+	return err
 }
 
 // SendPayload sends one encoded frame, stamped with the trace context
 // tctx and attributed to the span sp (nil and the zero context for
-// untraced traffic). A frame sent to several peers is encoded once and
-// handed to SendPayload for each.
+// untraced traffic). The transport is done with payload when
+// SendPayload returns, so a frame sent to several peers is borrowed
+// once (codec.Borrow), handed to SendPayload for each, and released
+// after the last.
 func (p *Peer) SendPayload(to transport.PeerID, msgType string, payload []byte, sp *trace.ActiveSpan, tctx trace.Context) error {
 	sp.AddMsgs(1, int64(len(payload)))
 	return p.ep.Send(transport.Message{To: to, Type: msgType, Payload: payload,

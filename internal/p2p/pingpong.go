@@ -74,10 +74,11 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 	g.disc.pongs[guid] = nil
 	g.disc.mu.Unlock()
 
-	payload := codec.Encode(&pingPayload{GUID: guid, Origin: g.PeerID(), TTL: ttl})
+	payload := codec.Borrow(&pingPayload{GUID: guid, Origin: g.PeerID(), TTL: ttl})
 	for _, n := range neighbors {
-		_ = g.SendPayload(n, MsgPing, payload, nil, trace.Context{})
+		_ = g.SendPayload(n, MsgPing, *payload, nil, trace.Context{})
 	}
+	codec.Release(payload)
 
 	g.disc.mu.Lock()
 	discovered := g.disc.pongs[guid]
@@ -116,12 +117,13 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	fwd := p
 	fwd.TTL--
 	fwd.Hops = hops
-	payload := codec.Encode(&fwd)
+	payload := codec.Borrow(&fwd)
 	for _, n := range neighbors {
 		if n != msg.From {
-			_ = g.SendPayload(n, MsgPing, payload, nil, trace.Context{})
+			_ = g.SendPayload(n, MsgPing, *payload, nil, trace.Context{})
 		}
 	}
+	codec.Release(payload)
 }
 
 // handlePong collects at the origin or relays backward.

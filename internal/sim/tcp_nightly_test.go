@@ -13,9 +13,10 @@ import (
 	"repro/internal/transport"
 )
 
-// These are the nightly socket-truth runs (make tcp-nightly): the
-// E14 churn scenarios (its gnutella and dht rows) scaled down and replayed over real TCP
-// sockets instead of the in-memory transport. The deterministic sim
+// These are the socket-truth runs (make tcp-nightly, under -race in CI
+// on every push): the E14 churn scenarios (its gnutella and dht rows)
+// scaled down and replayed over real TCP sockets instead of the
+// in-memory transport. The deterministic sim
 // proves protocol logic; this proves the same nodes survive real
 // framing, dialing, concurrent read loops, and dead-peer errors.
 // Gated behind UP2P_TCP_NIGHTLY=1: real sockets and real timeouts

@@ -38,7 +38,8 @@ func fuzzStreams(t testing.TB) map[string][]byte {
 }
 
 // readStream plays stream into a frameReader as a connection would and
-// returns what it delivered and how it ended.
+// returns what it delivered, each payload copied out of the reader's
+// borrowed buffer as a handler that keeps it must, and how it ended.
 func readStream(stream []byte) (msgs []Message, err error) {
 	fr := newFrameReader(bytes.NewReader(stream), "127.0.0.1:7002")
 	if err = fr.readHello(); err != nil {
@@ -49,7 +50,7 @@ func readStream(stream []byte) (msgs []Message, err error) {
 		if err != nil {
 			return msgs, err
 		}
-		msgs = append(msgs, msg)
+		msgs = append(msgs, kept(msg))
 	}
 }
 

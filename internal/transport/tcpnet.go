@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,10 +60,14 @@ const (
 // and a peer that stops draining its socket stalls nobody else. Send
 // is synchronous: a dial or write failure is the caller's error.
 //
-// A binary stream cannot resynchronise, so a reader that meets a bad
-// hello, an oversized length or an undecodable header counts
-// ErrMalformed and closes the connection. Inbound messages are
-// dispatched to the handler on the connection's reader goroutine.
+// A connection's reader goroutine parks on the next 4-byte prefix
+// holding no buffer, then reads the body into one borrowed from the
+// same pool and dispatches the message to the handler; the buffer goes
+// back when the handler returns, so the payload is the handler's to
+// read, not to keep (see Message). A binary stream cannot
+// resynchronise, so a reader that meets a bad hello, an oversized
+// length or an undecodable header counts ErrMalformed and closes the
+// connection.
 //
 // Peer addressing: TCP has no directory, so peers are identified by
 // their listen address ("host:port") — PeerID and dial address
@@ -139,24 +142,19 @@ func (n *TCPNode) Synchronous() bool { return false }
 // SetHandler implements Endpoint.
 func (n *TCPNode) SetHandler(h Handler) { n.handler.Store(&h) }
 
-// frameBufs pools the buffers Send assembles frames in. Buffers that
-// grew past frameStep are left to the collector.
-var frameBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
+// frameBufs pools the buffers Send assembles frames in and readers
+// read frame bodies into.
+var frameBufs = codec.NewBufPool(4096)
 
 // Send implements Endpoint. The destination PeerID is its TCP address.
 func (n *TCPNode) Send(msg Message) error {
-	bp := frameBufs.Get().(*[]byte)
-	frame, err := appendFrame((*bp)[:0], msg)
+	bp := frameBufs.Get()
+	frame, err := appendFrame(*bp, msg)
 	if err == nil {
 		err = n.write(msg.To, frame)
 	}
-	if cap(frame) <= frameStep {
-		*bp = frame[:0]
-		frameBufs.Put(bp)
-	}
+	*bp = frame
+	frameBufs.Put(bp)
 	if err != nil && !errors.Is(err, ErrClosed) { // this node shutting down is no fault
 		n.m.Load().reg.CountError(err)
 	}
@@ -337,6 +335,7 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 type frameReader struct {
 	r      *bufio.Reader
 	prefix [4]byte
+	held   *[]byte // the last body read, borrowed from frameBufs until the next read
 	to     PeerID
 	from   PeerID
 	types  map[string]string // wire types seen, so a frame reuses the string
@@ -346,11 +345,18 @@ func newFrameReader(r io.Reader, to PeerID) *frameReader {
 	return &frameReader{r: bufio.NewReader(r), to: to, types: make(map[string]string)}
 }
 
-// body reads one length-prefixed frame body of at most limit bytes.
-// A body within frameStep is one exact-size allocation; a longer one
-// grows by doubling as its bytes arrive, so a prefix that lies costs
-// frameStep at most.
+// body reads one length-prefixed frame body of at most limit bytes
+// into a buffer borrowed from frameBufs, after handing back the
+// previous body's: a body is valid until the next call, and the reader
+// waits for a prefix holding no buffer. A body the borrowed buffer
+// holds costs nothing; a larger one is read into buffers made as its
+// bytes arrive, min(size, frameStep) and then doubling, so a prefix
+// that lies costs frameStep at most.
 func (fr *frameReader) body(limit int) ([]byte, error) {
+	if fr.held != nil {
+		frameBufs.Put(fr.held)
+		fr.held = nil
+	}
 	if _, err := io.ReadFull(fr.r, fr.prefix[:]); err != nil {
 		return nil, err
 	}
@@ -358,16 +364,27 @@ func (fr *frameReader) body(limit int) ([]byte, error) {
 	if size > limit {
 		return nil, fmt.Errorf("%w: %d-byte frame from %q, limit %d", ErrMalformed, size, fr.from, limit)
 	}
-	buf, got := make([]byte, min(size, frameStep)), 0
+	bp := frameBufs.Get()
+	buf, got := *bp, 0
+	if n := min(size, frameStep); cap(buf) >= n {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	for {
-		if _, err := io.ReadFull(fr.r, buf[got:]); err != nil {
+		_, err := io.ReadFull(fr.r, buf[got:])
+		*bp = buf
+		if err != nil {
+			frameBufs.Put(bp)
 			return nil, err
 		}
 		if got = len(buf); got == size {
+			fr.held = bp
 			return buf, nil
 		}
-		next := min(size, 2*got)
-		buf = slices.Grow(buf, next-got)[:next]
+		next := make([]byte, min(size, 2*got))
+		copy(next, buf)
+		buf = next
 	}
 }
 
@@ -390,7 +407,7 @@ func (fr *frameReader) readHello() error {
 }
 
 // next reads one message frame and reports its body size. Payload
-// aliases the frame's buffer, which nothing else keeps.
+// aliases the frame's borrowed buffer, valid until the next call.
 func (fr *frameReader) next() (Message, int, error) {
 	body, err := fr.body(maxFrame)
 	if err != nil {

@@ -30,6 +30,13 @@ func listenTCP(t testing.TB) *TCPNode {
 	return n
 }
 
+// kept is m as a handler must keep it: the payload is only lent for
+// the call (Message), so this copies it.
+func kept(m Message) Message {
+	m.Payload = bytes.Clone(m.Payload)
+	return m
+}
+
 // recv waits for one message on ch.
 func recv(t testing.TB, ch <-chan Message) Message {
 	t.Helper()
@@ -48,7 +55,7 @@ func recv(t testing.TB, ch <-chan Message) Message {
 func TestTCPRoundTripFields(t *testing.T) {
 	a, b := listenTCP(t), listenTCP(t)
 	got := make(chan Message, 1)
-	b.SetHandler(func(m Message) { got <- m })
+	b.SetHandler(func(m Message) { got <- kept(m) })
 
 	header := len(appendFrameOK(t, Message{Type: "bulk"})) - 4
 	full := make([]byte, maxFrame-header)
@@ -221,7 +228,7 @@ func TestTCPMalformedClosesConnection(t *testing.T) {
 			var got []Message
 			n.SetHandler(func(m Message) {
 				mu.Lock()
-				got = append(got, m)
+				got = append(got, kept(m))
 				mu.Unlock()
 			})
 			rawSend(t, n, stream)
@@ -258,11 +265,11 @@ func TestTCPSlowPeerIsolated(t *testing.T) {
 	b.SetHandler(func(m Message) {
 		<-wake
 		if m.Type == "after" {
-			fromA <- m
+			fromA <- kept(m)
 		}
 	})
 	echo := make(chan Message, 1)
-	c.SetHandler(func(m Message) { echo <- m })
+	c.SetHandler(func(m Message) { echo <- kept(m) })
 
 	type failure struct {
 		err  error
@@ -349,10 +356,14 @@ func TestTCPConnTableOwnsPeerID(t *testing.T) {
 }
 
 // TestTCPFrameAllocs pins the steady-state socket path, send and
-// receive together, in the manner of TestMemDeliveryZeroAlloc: the one
-// allocation a message may cost is the exact-size frame body its
-// payload is sliced from.
+// receive together, in the manner of TestMemDeliveryZeroAlloc: a
+// message allocates nothing, since the frame it is sent in and the body
+// its payload is read into are both pooled. Skipped under -race, whose
+// sync.Pool drops a quarter of what is put back.
 func TestTCPFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
 	a, b := listenTCP(t), listenTCP(t)
 	a.SetMetrics(metrics.NewRegistry())
 	b.SetMetrics(metrics.NewRegistry())
@@ -366,8 +377,8 @@ func TestTCPFrameAllocs(t *testing.T) {
 		<-got
 	}
 	roundTrip() // dials, says hello, and teaches b's reader the type string
-	if allocs := testing.AllocsPerRun(500, roundTrip); allocs > 1 {
-		t.Fatalf("send+receive allocs/msg = %v, want 1", allocs)
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs != 0 {
+		t.Fatalf("send+receive allocs/msg = %v, want 0", allocs)
 	}
 }
 

@@ -22,6 +22,13 @@ type PeerID string
 // layer's concern (internal/p2p/codec); transports carry the bytes as
 // they are.
 //
+// Payload is borrowed on both sides. A sender's buffer is the
+// transport's until Send returns, and no longer: TCP copies it into its
+// frame before writing, the in-memory network delivers before Send
+// returns. A receiver's is valid until its Handler returns: TCP then
+// hands the buffer back for the next frame to be read into. A handler
+// that keeps payload bytes must copy them (every codec decoder does).
+//
 // TraceID/SpanID carry the distributed-tracing context as header
 // fields, deliberately outside Payload: the simulator's golden-trace
 // hash folds only From/To/Type/Payload, so enabling tracing leaves it
@@ -39,7 +46,9 @@ type Message struct {
 
 // Handler consumes inbound messages. Handlers must not block
 // indefinitely; they may call Send (transports guarantee this does not
-// deadlock).
+// deadlock), relaying the inbound Payload itself if they like. The
+// Payload is only lent for the call: a handler copies whatever of it
+// outlives its return.
 type Handler func(Message)
 
 // Endpoint is one peer's attachment to a network.
