@@ -46,13 +46,14 @@ bench-smoke:
 # Where one benchmark's allocations come from, by call site:
 # `make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster` runs it
 # with -memprofile (every allocation sampled) and prints the top of the
-# profile by objects allocated. The test binary and the profile stay in
-# a temporary directory.
+# profile twice: by objects allocated, then by bytes allocated. The test
+# binary and the profile stay in a temporary directory.
 alloc-profile:
 	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster"; exit 2; }
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test $(PKG) -run '^$$' -bench '$(BENCH)' -benchtime 2000x -memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/pkg.test" && \
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof" && \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode,
 # FuzzTCPFrame, FuzzMatchEquivalence, FuzzFilterParse and FuzzWALSegment

@@ -90,8 +90,9 @@ func TestFindValueReplyDecodeAllocs(t *testing.T) {
 		t.Fatalf("decoded %d records, %d peers", len(got.Records), len(got.Peers))
 	}
 	// The shared string, the record and peer slices, and the three chunks
-	// the attribute sets are cut from, sized from the first record's
-	// density; a second round of chunks when a later record outgrows it.
+	// the attribute sets are cut from, sized for 64 sets of the first
+	// record's size; a second round of chunks when later records outgrow
+	// it.
 	t.Logf("%v allocations for 64 records in %d bytes", allocs, len(data))
 	if allocs > 9 {
 		t.Errorf("decoding allocates %v times, want at most 9", allocs)
@@ -193,7 +194,7 @@ func TestSearchLeavesReplyFramesCollectable(t *testing.T) {
 	key := KeyForCommunity("patterns")
 	var searcher *Node
 	for _, nd := range nodes[8:] {
-		if own, _, _ := nd.records.get(key, nd.Clock().Now(), "patterns", "(*)", nil, 0, setDigest{}, false); len(own) == 0 {
+		if own, _, _ := nd.records.get(new([]Record), key, nd.Clock().Now(), "patterns", "(*)", nil, 0, setDigest{}); len(own) == 0 {
 			searcher = nd
 			break
 		}
@@ -238,7 +239,7 @@ func TestGetMatchesEachRecordOnce(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	rs.put(key, patternRecords(60, "peerA"), t0)
 	f := &countingFilter{Filter: query.MustParse("(classification=behavioral)")}
-	shipped, dig, _ := rs.get(key, t0, "patterns", f.String(), f, 0, setDigest{}, false)
+	shipped, dig, _ := rs.get(new([]Record), key, t0, "patterns", f.String(), f, 0, setDigest{})
 	if f.calls != 60 || len(shipped) == 0 || int(dig.Count) != len(shipped) {
 		t.Fatalf("shipping: %d Match calls for 60 records, %d shipped, digest %+v", f.calls, len(shipped), dig)
 	}
@@ -247,14 +248,14 @@ func TestGetMatchesEachRecordOnce(t *testing.T) {
 			t.Fatalf("shipped set is not sorted at %d", i)
 		}
 	}
-	for name, digestOnly := range map[string]bool{"have matches": false, "digest only": true} {
+	for name, into := range map[string]*[]Record{"have matches": new([]Record), "digest only": nil} {
 		f.calls = 0
-		if recs, again, _ := rs.get(key, t0, "patterns", f.String(), f, 0, dig, digestOnly); recs != nil || again != dig || f.calls != 60 {
+		if recs, again, _ := rs.get(into, key, t0, "patterns", f.String(), f, 0, dig); recs != nil || again != dig || f.calls != 60 {
 			t.Errorf("%s: %d Match calls for 60 records, %d shipped, digest %+v", name, f.calls, len(recs), again)
 		}
 	}
 	f.calls = 0
-	if recs, limited, _ := rs.get(key, t0, "patterns", f.String(), f, 3, setDigest{}, false); len(recs) != 3 || limited != dig || f.calls != 60 {
+	if recs, limited, _ := rs.get(new([]Record), key, t0, "patterns", f.String(), f, 3, setDigest{}); len(recs) != 3 || limited != dig || f.calls != 60 {
 		t.Errorf("limit 3: %d Match calls, %d shipped, digest %+v", f.calls, len(recs), limited)
 	}
 }

@@ -92,7 +92,7 @@ func byDistance(nodes []*Node, key ID, skip *Node) []*Node {
 }
 
 func digestOf(nd *Node, key ID, f query.Filter) setDigest {
-	_, dig, _ := nd.records.get(key, nd.Clock().Now(), "patterns", f.String(), f, 0, setDigest{}, true)
+	_, dig, _ := nd.records.get(nil, key, nd.Clock().Now(), "patterns", f.String(), f, 0, setDigest{})
 	return dig
 }
 
@@ -115,7 +115,7 @@ func TestDigestOrderIndependent(t *testing.T) {
 		for _, i := range order {
 			rs.put(key, []Record{rec(i, fmt.Sprintf("peer%d", i%3))}, t0)
 		}
-		_, dig, _ := rs.get(key, t0, "patterns", f.String(), f, 0, setDigest{}, true)
+		_, dig, _ := rs.get(nil, key, t0, "patterns", f.String(), f, 0, setDigest{})
 		return dig
 	}
 	a, b := digest([]int{0, 1, 2, 3, 4, 5, 6}), digest([]int{6, 2, 4, 0, 5, 3, 1})
@@ -418,14 +418,19 @@ func TestDigestPathAllocatesNothing(t *testing.T) {
 	}
 	f := query.MustParse("(classification=behavioral)")
 	fs := f.String()
-	_, have, _ := rs.get(key, t0, "patterns", fs, f, 0, setDigest{}, true)
+	_, have, _ := rs.get(nil, key, t0, "patterns", fs, f, 0, setDigest{})
 	if have.Count != 200 {
 		t.Fatalf("digest counts %d records, want 200", have.Count)
 	}
-	for name, digestOnly := range map[string]bool{"digest-only": true, "have matches": false} {
+	// A holder's scratch, as it is once the pool has warmed up.
+	scratch := make([]Record, 0, 200)
+	for name, into := range map[string]*[]Record{"digest-only": nil, "have matches": &scratch} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if recs, dig, _ := rs.get(key, t0, "patterns", fs, f, 0, have, digestOnly); recs != nil || dig != have {
+			if recs, dig, _ := rs.get(into, key, t0, "patterns", fs, f, 0, have); recs != nil || dig != have {
 				t.Fatalf("%s: got %d records, digest %+v", name, len(recs), dig)
+			}
+			if into != nil {
+				clearRecords(into)
 			}
 		})
 		if allocs != 0 && !raceEnabled {

@@ -142,6 +142,23 @@ func hostileFrames() map[string]hostileFrame {
 	}
 }
 
+// wideFirstSet is a 44 KB FIND_VALUE reply declaring 7 334 records
+// whose first record's attribute set holds 2 000 keys of one empty value
+// each: the count fits the frame's bytes, the frame runs out ~7 000
+// records in, and the decode must stay inside decodeBudget — attribute
+// chunks sized by the count alone would reserve 7 334 sets of 4 000
+// strings. internal/p2p's hostile hits carry the same set.
+func wideFirstSet() []byte {
+	b := codec.AppendUvarint([]byte{1}, 7334) // ReqID 1
+	b = append(b, 0, 0, 0)                    // DocID, CommunityID, Title
+	b = codec.AppendUvarint(b, 2000)
+	for i := 0; i < 2000; i++ {
+		b = append(b, 2, byte(i>>8), byte(i), 1, 0) // key i, one empty value
+	}
+	b = append(b, 0) // Provider
+	return append(b, make([]byte, 44<<10-len(b))...)
+}
+
 type hostileFrame struct {
 	which int // position in fuzzTypes
 	data  []byte
@@ -202,6 +219,7 @@ func FuzzDHTFrameDecode(f *testing.F) {
 	for _, h := range hostileFrames() {
 		f.Add(uint8(h.which), h.data)
 	}
+	f.Add(uint8(slices.Index(fuzzTypes, MsgFindValueReply)), wideFirstSet())
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		w := int(which) % len(fuzzTypes)
 		frame, err, cost := decodeCost(w, data, decodeBudget(len(data)))

@@ -37,6 +37,8 @@ type lookupScratch struct {
 	recs map[recordKey]Record
 	have setDigest
 	seen []setDigest
+	// own gathers this node's held slice, merged into recs at the start.
+	own []Record
 }
 
 // merge folds one received set into the set in hand.
@@ -203,8 +205,9 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		known[c.Peer] = true
 	}
 	if vq != nil {
-		own, _, _ := n.records.get(target, n.Clock().Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{}, false)
+		own, _, _ := n.records.get(&sc.own, target, n.Clock().Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{})
 		sc.merge(own)
+		clearRecords(&sc.own)
 	}
 	// lost: an announced set never arrived.
 	lost := false

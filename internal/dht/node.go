@@ -518,10 +518,15 @@ func (n *Node) handle(msg transport.Message) {
 		// but failing open to the whole record set would let one
 		// malformed query read the entire key.
 		if f, err := query.Parse(req.Filter); err == nil {
-			reply.Records, reply.Digest, reply.Complete = n.records.get(req.Key, n.Clock().Now(),
-				req.CommunityID, req.Filter, f, req.Limit, req.Have, req.DigestOnly)
+			into := &sc.records
+			if req.DigestOnly {
+				into = nil
+			}
+			reply.Records, reply.Digest, reply.Complete = n.records.get(into, req.Key, n.Clock().Now(),
+				req.CommunityID, req.Filter, f, req.Limit, req.Have)
 		}
 		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp, tctx)
+		clearRecords(&sc.records)
 		serveScratchPool.Put(sc)
 		sp.Finish()
 	case MsgStore:
@@ -585,11 +590,13 @@ func (n *Node) handle(msg transport.Message) {
 }
 
 // serveScratch pools what answering a FIND_NODE or FIND_VALUE selects
-// the reply's contacts in: the reply is encoded by the time Send
-// returns, so one request's scratch serves the next.
+// the reply's contacts and gathers its records in: the reply is encoded
+// by the time Send returns, so one request's scratch serves the next
+// (its records cleared first).
 type serveScratch struct {
 	closest []Contact
 	peers   []transport.PeerID
+	records []Record
 }
 
 var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}

@@ -227,15 +227,18 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 }
 
 // get digests the unexpired records under key that match the
-// community/filter and — unless the caller asked digestOnly, or the
-// digest equals have (it holds this very set) — returns them, sorted
-// by (DocID, Provider) so replies are deterministic, capped at limit
-// (0 = all; the digest covers the set before the cap). One pass
-// evaluates the filter once per record: the matches gather in pooled
-// scratch while the digest adds up, and are copied out only when they
-// ship, so a holder that answers with its digest allocates nothing. A
-// cached set is served only to the identical canonical filterStr.
-// Expired entries are pruned.
+// community/filter and — unless into is nil (the caller wants the
+// digest only), or the digest equals have (the caller holds this very
+// set) — returns them, sorted by (DocID, Provider) so replies are
+// deterministic, capped at limit (0 = all; the digest covers the set
+// before the cap). One pass evaluates the filter once per record: the
+// matches gather in *into while the digest adds up. *into is the
+// caller's pooled scratch, and what get returns is a slice of it, valid
+// until the caller clears it (clearRecords) — a holder encodes its
+// reply from it and clears it once Send returns, so it copies nothing,
+// and one that answers with its digest allocates nothing. A cached set
+// is served only to the identical canonical filterStr. Expired entries
+// are pruned.
 //
 // The last result reports completeness: true when the reply draws
 // on a cached set for exactly this filter (complete by construction
@@ -243,28 +246,19 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 // expire whole) and no limit truncated it. Primary-only replies are
 // never complete: this holder may have only a partial slice of the
 // key's records.
-func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, have setDigest, digestOnly bool) ([]Record, setDigest, bool) {
-	var matched *[]Record
-	if !digestOnly {
-		matched = matchedPool.Get().(*[]Record)
-		defer func() {
-			clear(*matched) // the pool must not keep records alive
-			*matched = (*matched)[:0]
-			matchedPool.Put(matched)
-		}()
-	}
+func (rs *recordStore) get(into *[]Record, key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, have setDigest) ([]Record, setDigest, bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, matched)
+	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, into)
 	hit := fromCache && dig.Count > 0
 	if hit {
 		rs.cacheHits.Inc()
 	}
 	complete := hit && (limit <= 0 || int(dig.Count) <= limit)
-	if digestOnly || dig == have || dig.Count == 0 {
+	if into == nil || dig == have || dig.Count == 0 {
 		return nil, dig, complete
 	}
-	out := slices.Clone(*matched)
+	out := *into
 	sortRecords(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
@@ -272,8 +266,12 @@ func (rs *recordStore) get(key ID, now time.Time, communityID, filterStr string,
 	return out, dig, complete
 }
 
-// matchedPool holds the slices get gathers matches in.
-var matchedPool = sync.Pool{New: func() any { return new([]Record) }}
+// clearRecords empties scratch that get gathered matches in, so that
+// pooled scratch keeps no record alive.
+func clearRecords(recs *[]Record) {
+	clear(*recs)
+	*recs = (*recs)[:0]
+}
 
 // matchLocked is get's pass: it digests — and, when out is non-nil,
 // appends to it — the matching primaries, then the cached set for

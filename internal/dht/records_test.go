@@ -55,7 +55,7 @@ func TestRecordCapEvictionOrder(t *testing.T) {
 	if got := evicted.Value(); got != 2 {
 		t.Fatalf("evicted after cached-set eviction = %d, want 2 (the whole set)", got)
 	}
-	if got, _, complete := rs.get(key, t0.Add(time.Second), "patterns", fs, f, 0, setDigest{}, false); complete || len(got) != 5 {
+	if got, _, complete := rs.get(new([]Record), key, t0.Add(time.Second), "patterns", fs, f, 0, setDigest{}); complete || len(got) != 5 {
 		t.Fatalf("post-eviction get = %d records, complete=%v; want 5 primaries, incomplete", len(got), complete)
 	}
 
@@ -67,7 +67,7 @@ func TestRecordCapEvictionOrder(t *testing.T) {
 	if got := evicted.Value(); got != 3 {
 		t.Fatalf("evicted after primary eviction = %d, want 3", got)
 	}
-	got, _, _ := rs.get(key, t0.Add(3*time.Second), "patterns", fs, f, 0, setDigest{}, false)
+	got, _, _ := rs.get(new([]Record), key, t0.Add(3*time.Second), "patterns", fs, f, 0, setDigest{})
 	for _, r := range got {
 		if r.DocID == "d-0000" {
 			t.Fatalf("deterministic victim d-0000 still present: %+v", got)
@@ -91,15 +91,15 @@ func TestCachedSetHalvedTTL(t *testing.T) {
 	rs.put(key, []Record{rec(0, "peerA")}, t0)
 	rs.putCached(key, []Record{rec(1, "peerB")}, t0, fs)
 
-	if got, _, complete := rs.get(key, t0.Add(29*time.Second), "patterns", fs, f, 0, setDigest{}, false); !complete || len(got) != 2 {
+	if got, _, complete := rs.get(new([]Record), key, t0.Add(29*time.Second), "patterns", fs, f, 0, setDigest{}); !complete || len(got) != 2 {
 		t.Fatalf("pre-half-TTL get = %d records, complete=%v; want 2, complete", len(got), complete)
 	}
 	// Past ttl/2 the cached copy is gone; the primary remains.
-	if got, _, complete := rs.get(key, t0.Add(31*time.Second), "patterns", fs, f, 0, setDigest{}, false); complete || len(got) != 1 || got[0].DocID != "d-0000" {
+	if got, _, complete := rs.get(new([]Record), key, t0.Add(31*time.Second), "patterns", fs, f, 0, setDigest{}); complete || len(got) != 1 || got[0].DocID != "d-0000" {
 		t.Fatalf("post-half-TTL get = %+v, complete=%v; want only the primary", got, complete)
 	}
 	// Past the full TTL everything is gone.
-	if got, _, _ := rs.get(key, t0.Add(61*time.Second), "patterns", fs, f, 0, setDigest{}, false); len(got) != 0 {
+	if got, _, _ := rs.get(new([]Record), key, t0.Add(61*time.Second), "patterns", fs, f, 0, setDigest{}); len(got) != 0 {
 		t.Fatalf("post-TTL get = %+v, want empty", got)
 	}
 }
@@ -116,7 +116,7 @@ func TestCachedSetCompleteness(t *testing.T) {
 	fs := f.String()
 
 	rs.putCached(key, []Record{rec(0, "peerB"), rec(1, "peerB")}, t0, fs)
-	if got, _, complete := rs.get(key, t0, "patterns", fs, f, 0, setDigest{}, false); !complete || len(got) != 2 {
+	if got, _, complete := rs.get(new([]Record), key, t0, "patterns", fs, f, 0, setDigest{}); !complete || len(got) != 2 {
 		t.Fatalf("exact-filter get = %d records, complete=%v; want 2, complete", len(got), complete)
 	}
 	if hits.Value() != 1 {
@@ -124,14 +124,14 @@ func TestCachedSetCompleteness(t *testing.T) {
 	}
 	// A different filter must not touch the cached set.
 	other := query.MustParse("(classification=creational)")
-	if got, _, complete := rs.get(key, t0, "patterns", other.String(), other, 0, setDigest{}, false); complete || len(got) != 0 {
+	if got, _, complete := rs.get(new([]Record), key, t0, "patterns", other.String(), other, 0, setDigest{}); complete || len(got) != 0 {
 		t.Fatalf("other-filter get = %d records, complete=%v; want none, incomplete", len(got), complete)
 	}
 	if hits.Value() != 1 {
 		t.Fatalf("cache hits after miss = %d, want still 1", hits.Value())
 	}
 	// Limit truncation: still served, no longer complete.
-	if got, _, complete := rs.get(key, t0, "patterns", fs, f, 1, setDigest{}, false); complete || len(got) != 1 {
+	if got, _, complete := rs.get(new([]Record), key, t0, "patterns", fs, f, 1, setDigest{}); complete || len(got) != 1 {
 		t.Fatalf("limited get = %d records, complete=%v; want 1, incomplete", len(got), complete)
 	}
 }
@@ -151,7 +151,7 @@ func TestPutCachedNeverDisplacesPrimaries(t *testing.T) {
 		rs.put(key, []Record{rec(i, "peerA")}, t0)
 	}
 	rs.putCached(key, []Record{rec(90, "peerB"), rec(91, "peerB")}, t0, fs)
-	got, _, complete := rs.get(key, t0, "patterns", fs, f, 0, setDigest{}, false)
+	got, _, complete := rs.get(new([]Record), key, t0, "patterns", fs, f, 0, setDigest{})
 	if complete || len(got) != 4 {
 		t.Fatalf("get after rejected cache = %d records, complete=%v; want the 4 primaries, incomplete", len(got), complete)
 	}

@@ -78,11 +78,15 @@ func appendRecords(dst []byte, recs []Record) []byte {
 	return dst
 }
 
+// readRecords decodes a record set, telling the reader its count so
+// the records' attribute sets share chunks sized for all of them
+// (codec.Reader.Sets).
 func readRecords(r *codec.Reader) []Record {
 	n := r.Count(5) // four strings and an attrs count
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
+	r.Sets(n)
 	out := make([]Record, n)
 	for i := range out {
 		readRecord(r, &out[i])

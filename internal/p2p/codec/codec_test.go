@@ -143,6 +143,36 @@ func TestReaderCountBoundsElements(t *testing.T) {
 	}
 }
 
+// TestSetsSizeChunks: the count a collection declares (Reader.Sets)
+// sizes the chunk Fields cuts attribute sets from — exactly its sets'
+// strings when they are alike, one set's without a declaration — but
+// never past one string per unread byte, so a declared count that lies
+// reserves no more than the frame carries.
+func TestSetsSizeChunks(t *testing.T) {
+	set := AppendAttrs(nil, query.Attrs{"a": {"1", "2"}, "b": {"3"}}) // five strings
+	frame := bytes.Repeat(set, 3)
+	for _, tc := range []struct{ declared, wantCap int }{
+		{3, 15},
+		{0, 5},
+		{1 << 30, 5 + 2*len(set)},
+	} {
+		r := NewReader(frame)
+		r.Sets(tc.declared)
+		for i := 0; i < 3; i++ {
+			if f := r.Fields(); f.Len() != 2 || r.Err() != nil {
+				t.Fatalf("declared %d: set %d decoded %d keys: %v", tc.declared, i, f.Len(), r.Err())
+			}
+			if i > 0 {
+				continue
+			}
+			// The chunk is unexported in query; reflection reads it.
+			if got := reflect.ValueOf(&r.fields).Elem().FieldByName("kv").Cap(); got > tc.wantCap || tc.declared < 1<<30 && got != tc.wantCap {
+				t.Errorf("declared %d: chunk of capacity %d, want %d", tc.declared, got, tc.wantCap)
+			}
+		}
+	}
+}
+
 // TestReaderFieldsRefusesDisorder: an attribute set whose keys do not
 // ascend strictly, which no encoder writes, fails the reader.
 func TestReaderFieldsRefusesDisorder(t *testing.T) {

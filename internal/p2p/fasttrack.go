@@ -86,7 +86,7 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 		return
 	}
 	reply := func() {
-		merged := col.snapshot(req.Limit)
+		merged := col.snapshot()
 		s.release(guid)
 		// A lost reply is the leaf's timeout.
 		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: merged}, &sp, tctx)

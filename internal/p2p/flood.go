@@ -23,8 +23,9 @@ import (
 // a duplicate query is dropped and a hit on its way elsewhere is
 // forwarded byte for byte, neither decoded nor validated past the GUID;
 // a first-arrival query is decoded in full before its GUID enters the
-// seen table; a hit's results are materialised only by the node that
-// originated the search, which is also where a hit with a corrupt body
+// seen table; a hit's results are decoded only by the node that
+// originated the search, straight into that search's collector
+// (hitCollector.addHit), which is also where a hit with a corrupt body
 // is finally dropped.
 type floodRouter struct {
 	Peer
@@ -137,31 +138,80 @@ func (r *floodRouter) markSeen(guid uint64, from transport.PeerID) (neighbors []
 	return r.neighbors, true
 }
 
+// hitCollector gathers the results of a search this node originated
+// in one slice: the caller's own first, then each hit frame's, decoded
+// straight onto its end (addHit). The slice is reserved at the search's
+// limit, so a limited search allocates its result set once; snapshot
+// hands it to the caller without a copy.
 type hitCollector struct {
 	mu      sync.Mutex
 	results []Result
 	done    chan struct{} // closed when the limit is reached
 	limit   int
 	closed  bool
+	taken   bool // snapshot handed results over: later hits are dropped
 }
 
-func (h *hitCollector) add(rs []Result) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.results = append(h.results, rs...)
+// maxReserved bounds the results a collector reserves up front. The
+// limit is the searcher's — a FastTrack leaf's, off the wire — so an
+// absurd one must not reserve unbounded memory; past it the slice grows
+// as hits arrive.
+const maxReserved = 1024
+
+// newHitCollector starts a collection for limit results (0 =
+// unlimited) with local, the searcher's own matches, of which there are
+// at most limit.
+func newHitCollector(limit int, local []Result) *hitCollector {
+	h := &hitCollector{done: make(chan struct{}), limit: limit}
+	if limit > 0 {
+		h.results = make([]Result, 0, min(limit, maxReserved))
+	}
+	h.results = append(h.results, local...)
+	h.reached()
+	return h
+}
+
+// reached closes done once the limit is met (caller holds mu, or owns h).
+func (h *hitCollector) reached() {
 	if h.limit > 0 && len(h.results) >= h.limit && !h.closed {
 		h.closed = true
 		close(h.done)
 	}
 }
 
-func (h *hitCollector) snapshot(limit int) []Result {
+// addHit decodes a query-hit frame's results onto the end of the
+// collection, up to the limit. A frame is admitted whole or not at all:
+// one whose body does not decode adds nothing, even when its prefix
+// would have met the limit, and addHit returns the decode error. Once
+// the limit is met or the results are taken, a frame is dropped unread.
+func (h *hitCollector) addHit(payload []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := append([]Result(nil), h.results...)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	if h.closed || h.taken {
+		return nil
 	}
+	r := codec.NewReader(payload)
+	r.Uvarint() // the GUID the router peeked
+	before := len(h.results)
+	h.results = readResults(r, h.results, h.limit)
+	if err := r.Err(); err != nil {
+		clear(h.results[before:])
+		h.results = h.results[:before]
+		return err
+	}
+	h.reached()
+	return nil
+}
+
+// snapshot hands the collected results — never more than the limit —
+// to the caller without a copy, and marks the collector taken: the slice
+// is the caller's, and a hit that arrives later is dropped, never
+// written behind it.
+func (h *hitCollector) snapshot() []Result {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := h.results
+	h.results, h.taken = nil, true
 	return out
 }
 
@@ -173,8 +223,7 @@ func (h *hitCollector) snapshot(limit int) []Result {
 // attributed, and tctx the context stamped on them.
 func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit int, local []Result, sp *trace.ActiveSpan, tctx trace.Context) (uint64, *hitCollector, error) {
 	guid := r.guids.next()
-	col := &hitCollector{done: make(chan struct{}), limit: limit}
-	col.add(local)
+	col := newHitCollector(limit, local)
 	now := r.clk.Now()
 	if r.Closed() {
 		return 0, nil, ErrClosed
@@ -284,13 +333,11 @@ func (r *floodRouter) handleQueryHit(msg transport.Message) {
 	back, seen := r.seen.lookup(guid)
 	r.mu.RUnlock()
 	if col != nil {
-		var hit queryHitPayload
-		if err := hit.DecodeBinary(msg.Payload); err != nil {
+		if err := col.addHit(msg.Payload); err != nil {
 			return // corrupt body: dropped here, the collection stands
 		}
 		sp, _ := r.StartSpan(msg, "hit")
 		sp.Finish()
-		col.add(hit.Results)
 		return
 	}
 	if !seen || back == r.PeerID() {

@@ -129,28 +129,52 @@ func TestBinaryMatchesJSONOracle(t *testing.T) {
 type hostileFrame struct {
 	which int // position in fuzzTypes
 	data  []byte
+	// fits marks a frame whose count fits its bytes: the lie shows only
+	// part way through, so the decode may spend up to decodeBudget.
+	fits bool
+}
+
+// wideFirstSet is a 44 KB result set declaring 7 334 results — as many
+// as six bytes each would fit — whose first result's attribute set holds
+// 2 000 keys of one empty value each. The count passes its check, and
+// the frame runs out ~5 000 results in. Attribute chunks sized by the
+// count alone would reserve 7 334 sets of 4 000 strings, half a
+// gigabyte; bounded by the bytes left, they reserve what the frame could
+// hold.
+func wideFirstSet(lead ...byte) []byte {
+	b := codec.AppendUvarint(lead, 7334)
+	b = append(b, 0, 0, 0, 0) // DocID, Provider, CommunityID, Title
+	b = codec.AppendUvarint(b, 2000)
+	for i := 0; i < 2000; i++ {
+		b = append(b, 2, byte(i>>8), byte(i), 1, 0) // key i, one empty value
+	}
+	b = append(b, 0) // Hops
+	return append(b, make([]byte, 44<<10-len(b))...)
 }
 
 // hostileFrames claim far more elements than their bytes can hold: 1 KB
 // frames announcing 1 000 results, registrations, attribute entries,
 // attribute values and attachments — and a query-hit whose GUID is fine
-// and whose body is not, the frame a relay forwards unread.
+// and whose body is not, the frame a relay forwards unread, and the
+// wide-first-set hits (wideFirstSet).
 func hostileFrames() map[string]hostileFrame {
 	pad := func(b ...byte) []byte { return append(b, make([]byte, 1024-len(b))...) }
 	k := codec.AppendUvarint(nil, 1000) // two bytes
 	return map[string]hostileFrame{
-		"register-attrs":      {0, pad(0, 0, 0, k[0], k[1])},                           // empty DocID, CommunityID, Title; 1 000 attribute entries
-		"register-values":     {0, pad(0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]},          // one entry "k" with 1 000 values, in 512 bytes
-		"register-batch":      {1, pad(k[0], k[1])},                                    // 1 000 registrations
-		"search-hit-results":  {4, pad(1, k[0], k[1])},                                 // ReqID 1, 1 000 results
-		"query-hit-results":   {6, pad(1, k[0], k[1])},                                 // GUID 1, 1 000 results
-		"query-hit-attrs":     {6, pad(1, 1, 0, 0, 0, 0, k[0], k[1])},                  // one result whose attribute set claims 1 000 entries
-		"query-hit-values":    {6, pad(1, 1, 0, 0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]}, // one result, one entry "k" with 1 000 values, in 512 bytes
-		"search-hit-attrs":    {4, pad(1, 1, 0, 0, 0, 0, k[0], k[1])},                  // the same two lies in a search-hit
-		"search-hit-values":   {4, pad(1, 1, 0, 0, 0, 0, 1, 1, 'k', k[0], k[1])[:512]},
-		"query-hit-garbage":   {6, append([]byte{42, 3}, "\xff\xff\xff"...)},      // GUID 42, then a truncated body
-		"fetch-reply-attach":  {8, pad(1, 1, 1, 0, 0, 0, 0, 0, k[0], k[1])[:512]}, // found, a document with 1 000 attachments, in 512 bytes
-		"query-string-length": {5, pad(1, k[0], k[1])[:100]},                      // GUID 1, then a 1 000-byte Origin in a 100-byte frame
+		"register-attrs":      {0, pad(0, 0, 0, k[0], k[1]), false},                           // empty DocID, CommunityID, Title; 1 000 attribute entries
+		"register-values":     {0, pad(0, 0, 0, 1, 1, 'k', k[0], k[1])[:512], false},          // one entry "k" with 1 000 values, in 512 bytes
+		"register-batch":      {1, pad(k[0], k[1]), false},                                    // 1 000 registrations
+		"search-hit-results":  {4, pad(1, k[0], k[1]), false},                                 // ReqID 1, 1 000 results
+		"query-hit-results":   {6, pad(1, k[0], k[1]), false},                                 // GUID 1, 1 000 results
+		"query-hit-attrs":     {6, pad(1, 1, 0, 0, 0, 0, k[0], k[1]), false},                  // one result whose attribute set claims 1 000 entries
+		"query-hit-values":    {6, pad(1, 1, 0, 0, 0, 0, 1, 1, 'k', k[0], k[1])[:512], false}, // one result, one entry "k" with 1 000 values, in 512 bytes
+		"search-hit-attrs":    {4, pad(1, 1, 0, 0, 0, 0, k[0], k[1]), false},                  // the same two lies in a search-hit
+		"search-hit-values":   {4, pad(1, 1, 0, 0, 0, 0, 1, 1, 'k', k[0], k[1])[:512], false},
+		"query-hit-garbage":   {6, append([]byte{42, 3}, "\xff\xff\xff"...), false},      // GUID 42, then a truncated body
+		"fetch-reply-attach":  {8, pad(1, 1, 1, 0, 0, 0, 0, 0, k[0], k[1])[:512], false}, // found, a document with 1 000 attachments, in 512 bytes
+		"query-string-length": {5, pad(1, k[0], k[1])[:100], false},                      // GUID 1, then a 1 000-byte Origin in a 100-byte frame
+		"query-hit-wide":      {6, wideFirstSet(1), true},                                // GUID 1
+		"search-hit-wide":     {4, wideFirstSet(1), true},                                // ReqID 1
 	}
 }
 
@@ -181,10 +205,15 @@ func decodeCost(which int, data []byte, ceiling uint64) (frame codec.Frame, err 
 }
 
 // TestHostileCountsRejected: a frame whose element count cannot fit in
-// its own bytes fails to decode, having allocated next to nothing.
+// its own bytes fails to decode, having allocated next to nothing; one
+// whose count fits and whose bytes run out later fails within
+// decodeBudget.
 func TestHostileCountsRejected(t *testing.T) {
-	const ceiling = 4096
 	for name, h := range hostileFrames() {
+		ceiling := uint64(4096)
+		if h.fits {
+			ceiling = decodeBudget(len(h.data))
+		}
 		_, err, cost := decodeCost(h.which, h.data, ceiling)
 		if err == nil {
 			t.Errorf("%s: %d-byte %s frame decoded", name, len(h.data), fuzzTypes[h.which])
@@ -197,9 +226,11 @@ func TestHostileCountsRejected(t *testing.T) {
 
 // FuzzP2PFrameDecode: no input makes a p2p frame decoder panic or
 // allocate beyond decodeBudget; whatever decodes re-encodes to
-// something that decodes to the same bytes again; and for the two
-// frames the flood router routes without decoding, the GUID it peeks is
-// the GUID a successful full decode reads. The seeds are rebuilt from
+// something that decodes to the same bytes again; for the two frames
+// the flood router routes without decoding, the GUID it peeks is the
+// GUID a successful full decode reads; and a query-hit decoded straight
+// into a search's collector is admitted exactly when the frame decodes,
+// with the frame's results up to the collector's limit. The seeds are rebuilt from
 // the structs on every run; testdata/fuzz pins the same frames as the
 // bytes of the wire version they were written in, which must keep
 // decoding safely after the format has moved on.
@@ -217,6 +248,9 @@ func FuzzP2PFrameDecode(f *testing.F) {
 		frame, err, cost := decodeCost(w, data, decodeBudget(len(data)))
 		if cost > decodeBudget(len(data)) {
 			t.Fatalf("%s: decoding %d bytes allocated %d", fuzzTypes[w], len(data), cost)
+		}
+		if hit, ok := frame.(*queryHitPayload); ok {
+			checkCollector(t, data, hit, err)
 		}
 		if err != nil {
 			return
@@ -242,5 +276,31 @@ func checkPeek(t *testing.T, data []byte, decoded uint64) {
 	t.Helper()
 	if peeked, err := codec.PeekUint(data); err != nil || peeked != decoded {
 		t.Fatalf("peeked GUID %#x (%v), full decode read %#x", peeked, err, decoded)
+	}
+}
+
+// checkCollector holds a hit collector's decode (hitCollector.addHit) to
+// queryHitPayload.DecodeBinary, whose outcome on data was hit and
+// decodeErr: the same frames admitted, and the same results, up to the
+// collector's limit.
+func checkCollector(t *testing.T, data []byte, hit *queryHitPayload, decodeErr error) {
+	t.Helper()
+	for _, limit := range []int{0, 2} {
+		col := newHitCollector(limit, nil)
+		err := col.addHit(data)
+		if (err == nil) != (decodeErr == nil) {
+			t.Fatalf("limit %d: collector decode says %v, DecodeBinary %v", limit, err, decodeErr)
+		}
+		var want []Result
+		if decodeErr == nil {
+			want = hit.Results
+			if limit > 0 {
+				want = want[:min(len(want), limit)]
+			}
+		}
+		got := col.snapshot()
+		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("limit %d: collector decoded %+v, DecodeBinary %+v", limit, got, want)
+		}
 	}
 }

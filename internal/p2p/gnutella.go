@@ -87,7 +87,7 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 		case <-g.after(opts.Timeout):
 		}
 	}
-	out := col.snapshot(opts.Limit)
+	out := col.snapshot()
 	g.NodeMetrics().ObserveSearch(g.clk, start, len(out))
 	return out, nil
 }

@@ -154,7 +154,8 @@ func (r *registry) removeProviderLocked(id index.DocID, peer transport.PeerID) b
 
 // search returns one result per (matching document, provider): the
 // documents in DocID order, each one's providers in registration
-// order, at most limit results (0 = unlimited).
+// order, at most limit results (0 = unlimited), in one slice sized from
+// the documents' provider counts before it is filled.
 func (r *registry) search(communityID string, f query.Filter, limit int) []Result {
 	// The whole read runs under mu so the store query and the
 	// provider expansion see one consistent registration state
@@ -166,7 +167,14 @@ func (r *registry) search(communityID string, f query.Filter, limit int) []Resul
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	docs := r.store.SearchReadOnly(communityID, f, limit)
-	var out []Result
+	n := 0
+	for _, d := range docs {
+		n += len(r.providers[d.ID])
+	}
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	out := make([]Result, 0, n)
 	for _, d := range docs {
 		for _, p := range r.providers[d.ID] {
 			out = append(out, answerOf(d, p))

@@ -6,6 +6,8 @@ package p2p
 // under its transport message type for generic decoding.
 
 import (
+	"slices"
+
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
 	"repro/internal/transport"
@@ -61,20 +63,37 @@ func appendResults(dst []byte, rs []Result) []byte {
 }
 
 // readResults decodes the result set that ends a query-hit or
-// search-hit frame onto one shared string (codec.Reader.ShareStrings):
-// results go to the searching caller or into the next hit frame, never
-// into a store, so nothing long-lived pins the frame.
-func readResults(r *codec.Reader) []Result {
+// search-hit frame onto the end of dst, and returns dst. Its strings
+// are cut from one copy of the frame (codec.Reader.ShareStrings) and
+// its attribute sets from chunks sized by the result count: results go
+// to the searching caller or into the next hit frame, never into a
+// store, so nothing long-lived pins the frame. dst grows once, by at
+// most the results it keeps: with limit > 0 it keeps results only while
+// it holds fewer than limit and reads past the rest, so the whole frame
+// is checked either way (a corrupt tail fails the reader, and the
+// caller discards what this frame added).
+func readResults(r *codec.Reader, dst []Result, limit int) []Result {
 	n := r.Count(6) // four strings, an attrs count and a hop count
 	if r.Err() != nil || n == 0 {
-		return nil
+		return dst
 	}
 	r.ShareStrings()
-	out := make([]Result, n)
-	for i := range out {
-		readResult(r, &out[i])
+	r.Sets(n)
+	keep := n
+	if limit > 0 {
+		keep = min(n, max(limit-len(dst), 0))
 	}
-	return out
+	dst = slices.Grow(dst, keep)
+	var past Result
+	for i := 0; i < n; i++ {
+		out := &past
+		if i < keep {
+			dst = append(dst, Result{})
+			out = &dst[len(dst)-1]
+		}
+		readResult(r, out)
+	}
+	return dst
 }
 
 func appendDocument(dst []byte, d *index.Document) []byte {
@@ -140,6 +159,7 @@ func (p *registerBatchPayload) AppendBinary(dst []byte) []byte {
 func (p *registerBatchPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	if n := r.Count(4); n > 0 { // three strings and an attrs count
+		r.Sets(n)
 		p.Docs = make([]registerPayload, n)
 		for i := range p.Docs {
 			p.Docs[i].readFrom(r)
@@ -182,7 +202,7 @@ func (p *searchHitPayload) AppendBinary(dst []byte) []byte {
 func (p *searchHitPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	p.ReqID = r.Uvarint()
-	p.Results = readResults(r)
+	p.Results = readResults(r, nil, 0)
 	return r.Err()
 }
 
@@ -216,7 +236,7 @@ func (p *queryHitPayload) AppendBinary(dst []byte) []byte {
 func (p *queryHitPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	p.GUID = r.Uvarint()
-	p.Results = readResults(r)
+	p.Results = readResults(r, nil, 0)
 	return r.Err()
 }
 

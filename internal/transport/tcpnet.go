@@ -35,10 +35,11 @@ const (
 	// the version of the framing.
 	wireMagic = "UP2P\x01"
 
-	// dialTimeout bounds connecting to a peer, writeTimeout one frame's
-	// Write (plus 1 µs per byte, a 1 MB/s floor, so the largest frame
-	// still fits through a slow link). A peer that stays behind either
-	// is treated as gone, not waited for.
+	// dialTimeout bounds connecting to a peer and, on the accepting
+	// side, reading the hello that opens a connection; writeTimeout
+	// bounds one frame's Write (plus 1 µs per byte, a 1 MB/s floor, so
+	// the largest frame still fits through a slow link). A peer that
+	// stays behind any of them is treated as gone, not waited for.
 	dialTimeout  = 3 * time.Second
 	writeTimeout = 5 * time.Second
 )
@@ -310,7 +311,15 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 	fr := newFrameReader(conn, n.id)
-	err := fr.readHello()
+	// A connection gets dialTimeout to say hello, as a dial gets to
+	// connect; once it has, its frames may be as far apart as they like.
+	err := conn.SetReadDeadline(time.Now().Add(dialTimeout))
+	if err == nil {
+		err = fr.readHello()
+	}
+	if err == nil {
+		err = conn.SetReadDeadline(time.Time{})
+	}
 	for err == nil {
 		var msg Message
 		var size int

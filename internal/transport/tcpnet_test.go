@@ -195,6 +195,55 @@ func rawSend(t *testing.T, n *TCPNode, stream []byte) {
 	}
 }
 
+// TestTCPSilentHelloTimesOut: a connection that never says hello is
+// closed once dialTimeout has passed, and the node forgets it; one that
+// said hello and then idles past the same deadline stays open.
+func TestTCPSilentHelloTimesOut(t *testing.T) {
+	t.Parallel()
+	n, peer := listenTCP(t), listenTCP(t)
+	got := make(chan Message, 2) // one per send below
+	n.SetHandler(func(m Message) { got <- kept(m) })
+	inbound := func() int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.inbound)
+	}
+	send := func() {
+		if err := peer.Send(Message{To: n.ID(), Type: "ping"}); err != nil {
+			t.Fatal(err)
+		}
+		recv(t, got)
+	}
+	send() // peer's connection says hello and idles from here on
+	silent, err := net.Dial("tcp", string(n.ID()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	for deadline := time.Now().Add(5 * time.Second); inbound() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d inbound connections, want 2", inbound())
+		}
+	}
+	start := time.Now()
+	silent.SetReadDeadline(start.Add(dialTimeout + 5*time.Second))
+	if _, err := silent.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("a connection that never said hello was kept open")
+	}
+	if waited := time.Since(start); waited < dialTimeout-time.Second {
+		t.Errorf("the silent connection was closed after %v, before the hello deadline", waited)
+	}
+	for deadline := time.Now().Add(5 * time.Second); inbound() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d inbound connections after the silent one closed, want 1", inbound())
+		}
+	}
+	send() // over the connection that idled past the hello deadline
+	if inbound() != 1 {
+		t.Errorf("%d inbound connections, want the one that said hello", inbound())
+	}
+}
+
 // TestTCPHostileLengthPrefix: a prefix announcing the largest legal
 // frame followed by ten bytes costs the node a bounded step, not 16 MiB.
 func TestTCPHostileLengthPrefix(t *testing.T) {

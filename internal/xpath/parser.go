@@ -8,9 +8,25 @@ import (
 // parser implements a recursive-descent parser for the XPath 1.0
 // grammar subset described in the package documentation.
 type parser struct {
-	toks []token
-	pos  int
-	src  string
+	toks  []token
+	pos   int
+	src   string
+	depth int // parseOr and unary-minus descents open (nest)
+}
+
+// maxNesting bounds how deeply an expression nests — parentheses,
+// predicates, function arguments, unary minus — as query.Parse bounds
+// filters: an expression from a downloaded stylesheet fails to compile
+// past it instead of overflowing the parser's stack.
+const maxNesting = 32
+
+// nest opens one level of descent, failing past maxNesting; the caller
+// closes it with p.depth-- when the descent returns.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return fmt.Errorf("xpath: expression nested deeper than %d in %q", maxNesting, p.src)
+	}
+	return nil
 }
 
 func parse(src string) (expr, error) {
@@ -61,6 +77,10 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 }
 
 func (p *parser) parseOr() (expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -190,7 +210,11 @@ func (p *parser) parseMultiplicative() (expr, error) {
 
 func (p *parser) parseUnary() (expr, error) {
 	if p.accept(tokMinus) {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
