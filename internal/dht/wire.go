@@ -62,11 +62,12 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	return codec.AppendString(dst, string(rec.Provider))
 }
 
-func readRecord(r *codec.Reader, out *Record) {
+// readRecord decodes one record of a set in which more follow it.
+func readRecord(r *codec.Reader, out *Record, more int) {
 	out.DocID = index.DocID(r.String())
 	out.CommunityID = r.String()
 	out.Title = r.String()
-	out.Attrs = r.Fields()
+	out.Attrs = r.Fields(more)
 	out.Provider = transport.PeerID(r.String())
 }
 
@@ -78,18 +79,17 @@ func appendRecords(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// readRecords decodes a record set, telling the reader its count so
-// the records' attribute sets share chunks sized for all of them
-// (codec.Reader.Sets).
+// readRecords decodes a record set, telling each record's Fields how
+// many follow it, so the records' attribute sets share chunks sized for
+// all of them.
 func readRecords(r *codec.Reader) []Record {
 	n := r.Count(5) // four strings and an attrs count
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
-	r.Sets(n)
 	out := make([]Record, n)
 	for i := range out {
-		readRecord(r, &out[i])
+		readRecord(r, &out[i], n-1-i)
 	}
 	return out
 }

@@ -14,7 +14,7 @@
 // followed by its values: AppendAttrs sorts a query.Attrs map into that
 // order, AppendFields writes a query.Fields as it stands, and
 // Reader.Fields decodes it back flat, onto chunks all of a frame's
-// sets share, sized by the set count the frame declares (Reader.Sets) —
+// sets share, sized by how many sets the frame declares still follow —
 // a frame of records allocates a few times, not once per record. The
 // format is deterministic, so the golden-trace hash of a seeded
 // scenario is bit-identical across runs.
@@ -266,10 +266,8 @@ type Reader struct {
 	// that String cuts its results from.
 	shared   string
 	sharedAt int
-	// fields holds the chunks Fields builds attribute sets on; sets is
-	// how many more sets the collection being read declared (Sets).
+	// fields holds the chunks Fields builds attribute sets on.
 	fields query.FieldsBuilder
-	sets   int
 }
 
 // NewReader starts a cursor at the payload's beginning.
@@ -420,24 +418,19 @@ func (r *Reader) Bool() bool {
 	return b != 0
 }
 
-// Sets declares that the next n Fields calls read the attribute sets
-// of one collection of n elements — the results of a hit, the records
-// of a reply — so Fields can size its chunks for all of them at once. A
-// decoder that knows its element count calls it before the first
-// element; without it, each set's chunks are sized for that set alone.
-func (r *Reader) Sets(n int) { r.sets = n }
-
 // Fields reads an attribute set written by AppendAttrs (or
 // AppendFields) onto the reader's chunks, which every set the reader
 // builds shares: a frame of records costs a few allocations for all
 // their attributes, not one per record. A first pass over the set's
 // bytes checks every count and length, and that the keys ascend as
-// AppendAttrs writes them, before anything is sized. A chunk that runs
-// out is replaced by one sized for this set and for every set of its
-// size that Sets says is still to come — but never for more strings
-// than the unread bytes could hold, at a length byte each, so a count
-// that lies buys no more than the frame that carried it.
-func (r *Reader) Fields() query.Fields {
+// AppendAttrs writes them, before anything is sized. more is how many
+// further sets the collection being read declares — the results of a
+// hit after this one, the records of a reply — and 0 for a lone set. A
+// chunk that runs out is replaced by one sized for this set and for
+// more sets of its size, but never for more strings than the unread
+// bytes could hold, at a length byte each, so a count that lies buys no
+// more than the frame that carried it.
+func (r *Reader) Fields(more int) query.Fields {
 	start := r.off
 	keys := r.Count(2) // an entry is at least a key length and a value count
 	n := keys
@@ -453,11 +446,6 @@ func (r *Reader) Fields() query.Fields {
 			r.View()
 		}
 		n += vals
-	}
-	more := 0
-	if r.sets > 0 {
-		r.sets--
-		more = r.sets
 	}
 	if r.err != nil || keys == 0 {
 		return query.Fields{}

@@ -24,7 +24,7 @@ import (
 // forwarded byte for byte, neither decoded nor validated past the GUID;
 // a first-arrival query is decoded in full before its GUID enters the
 // seen table; a hit's results are decoded only by the node that
-// originated the search, straight into that search's collector
+// originated the search, by that search's collector
 // (hitCollector.addHit), which is also where a hit with a corrupt body
 // is finally dropped.
 type floodRouter struct {
@@ -138,89 +138,97 @@ func (r *floodRouter) markSeen(guid uint64, from transport.PeerID) (neighbors []
 	return r.neighbors, true
 }
 
-// hitCollector gathers the results of a search this node originated
-// in one slice: the caller's own first, then each hit frame's, decoded
-// straight onto its end (addHit). The slice is reserved at the search's
-// limit, so a limited search allocates its result set once; snapshot
-// hands it to the caller without a copy.
+// hitCollector gathers the results of a search this node originated:
+// the caller's own, then each hit frame's, decoded into a slice of that
+// frame's size (addHit). snapshot joins them into one slice of the
+// final size, or hands over the only one there is without a copy.
 type hitCollector struct {
-	mu      sync.Mutex
-	results []Result
-	done    chan struct{} // closed when the limit is reached
-	limit   int
-	closed  bool
-	taken   bool // snapshot handed results over: later hits are dropped
+	mu     sync.Mutex
+	frames [][]Result
+	n      int           // results across frames
+	done   chan struct{} // closed when the limit is reached or the results are taken
+	limit  int
+	closed bool
 }
 
-// maxReserved bounds the results a collector reserves up front. The
-// limit is the searcher's — a FastTrack leaf's, off the wire — so an
-// absurd one must not reserve unbounded memory; past it the slice grows
-// as hits arrive.
-const maxReserved = 1024
-
 // newHitCollector starts a collection for limit results (0 =
-// unlimited) with local, the searcher's own matches, of which there are
-// at most limit.
+// unlimited) from local, the searcher's own matches, of which there are
+// at most limit; the collection takes local over.
 func newHitCollector(limit int, local []Result) *hitCollector {
 	h := &hitCollector{done: make(chan struct{}), limit: limit}
-	if limit > 0 {
-		h.results = make([]Result, 0, min(limit, maxReserved))
-	}
-	h.results = append(h.results, local...)
-	h.reached()
+	h.add(local)
 	return h
 }
 
-// reached closes done once the limit is met (caller holds mu, or owns h).
-func (h *hitCollector) reached() {
-	if h.limit > 0 && len(h.results) >= h.limit && !h.closed {
+// add appends a frame's results, closing the collection once they meet
+// the limit (caller holds mu, or owns h).
+func (h *hitCollector) add(rs []Result) {
+	if len(rs) > 0 {
+		h.frames = append(h.frames, rs)
+		h.n += len(rs)
+	}
+	if h.limit > 0 && h.n >= h.limit {
+		h.close()
+	}
+}
+
+// close closes done (caller holds mu, or owns h).
+func (h *hitCollector) close() {
+	if !h.closed {
 		h.closed = true
 		close(h.done)
 	}
 }
 
-// addHit decodes a query-hit frame's results onto the end of the
-// collection, up to the limit. A frame is admitted whole or not at all:
-// one whose body does not decode adds nothing, even when its prefix
-// would have met the limit, and addHit returns the decode error. Once
-// the limit is met or the results are taken, a frame is dropped unread.
+// addHit decodes a query-hit frame's results, as many as the limit
+// still admits. A frame is admitted whole or not at all: one whose body
+// does not decode adds nothing, even when its prefix would have met the
+// limit, and addHit returns the decode error. Once the limit is met or
+// the results are taken, a frame is dropped unread.
 func (h *hitCollector) addHit(payload []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed || h.taken {
+	if h.closed {
 		return nil
 	}
 	r := codec.NewReader(payload)
 	r.Uvarint() // the GUID the router peeked
-	before := len(h.results)
-	h.results = readResults(r, h.results, h.limit)
+	rs := readResults(r, max(h.limit-h.n, 0))
 	if err := r.Err(); err != nil {
-		clear(h.results[before:])
-		h.results = h.results[:before]
 		return err
 	}
-	h.reached()
+	h.add(rs)
 	return nil
 }
 
 // snapshot hands the collected results — never more than the limit —
-// to the caller without a copy, and marks the collector taken: the slice
-// is the caller's, and a hit that arrives later is dropped, never
-// written behind it.
+// to the caller and closes the collection: the slice is the caller's,
+// and a hit that arrives later is dropped.
 func (h *hitCollector) snapshot() []Result {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := h.results
-	h.results, h.taken = nil, true
+	var out []Result
+	switch len(h.frames) {
+	case 0:
+	case 1:
+		out = h.frames[0]
+	default:
+		out = make([]Result, 0, h.n)
+		for _, rs := range h.frames {
+			out = append(out, rs...)
+		}
+	}
+	h.frames = nil
+	h.close()
 	return out
 }
 
 // originate floods a fresh query to every neighbor. It returns the
 // query's GUID and the collector that gathers the hits routed back,
-// seeded with local, the caller's own matches; the caller reads the
-// collector (on an asynchronous transport, after waiting on it) and
-// then calls release. sp is the caller's span, to which the sends are
-// attributed, and tctx the context stamped on them.
+// seeded with local, the caller's own matches, which it takes over; the
+// caller reads the collector (on an asynchronous transport, after
+// waiting on it) and then calls release. sp is the caller's span, to
+// which the sends are attributed, and tctx the context stamped on them.
 func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit int, local []Result, sp *trace.ActiveSpan, tctx trace.Context) (uint64, *hitCollector, error) {
 	guid := r.guids.next()
 	col := newHitCollector(limit, local)

@@ -183,7 +183,7 @@ func TestReadResultsEquivalence(t *testing.T) {
 		r := codec.NewReader(enc[len(empty.AppendBinary(nil))-1:])
 		perField := make([]Result, r.Count(6))
 		for i := range perField {
-			readResult(r, &perField[i])
+			readResult(r, &perField[i], len(perField)-1-i)
 		}
 		if r.Err() != nil || !reflect.DeepEqual(*got, perField) {
 			t.Errorf("%s: shared-string decode differs from the per-field decode (err %v)", typ, r.Err())

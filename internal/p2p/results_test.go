@@ -41,8 +41,7 @@ func TestCollectedHitOwnsItsBytes(t *testing.T) {
 // TestCorruptHitAddsNothing: a hit whose tail does not decode adds none
 // of its results, even when the results before the corruption would
 // already have met the limit, and the collection stays open for the
-// next good hit. A limited collection holds its results in the one
-// slice it reserved at the limit.
+// next good hit.
 func TestCorruptHitAddsNothing(t *testing.T) {
 	local := sampleResults(1)
 	good := sampleResults(6)[1:]
@@ -69,9 +68,23 @@ func TestCorruptHitAddsNothing(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("limit %d: collected %d results, want %d:\n %+v", limit, len(got), len(want), got)
 		}
-		if limit > 0 && cap(got) != limit {
-			t.Errorf("limit %d: results grew to capacity %d", limit, cap(got))
+	}
+}
+
+// TestSnapshotJoinsFrames: an unlimited collection of the caller's own
+// results and several hits hands over one slice of exactly their
+// number, in arrival order.
+func TestSnapshotJoinsFrames(t *testing.T) {
+	all := sampleResults(12)
+	col := newHitCollector(0, slices.Clone(all[:2]))
+	for _, part := range [][]Result{all[2:5], all[5:6], all[6:]} {
+		if err := col.addHit(hitFrame(1, part)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	got := col.snapshot()
+	if !reflect.DeepEqual(got, all) || cap(got) != len(all) {
+		t.Errorf("snapshot of %d results in capacity %d, want the %d in order:\n %+v", len(got), cap(got), len(all), got)
 	}
 }
 
@@ -106,7 +119,7 @@ func TestHitsRacingSnapshot(t *testing.T) {
 	close(start)
 	for landed := 0; landed == 0; runtime.Gosched() { // take mid-stream
 		col.mu.Lock()
-		landed = len(col.results)
+		landed = col.n
 		col.mu.Unlock()
 	}
 	got := col.snapshot()
@@ -131,7 +144,7 @@ func TestReadResultsChunkFitsCount(t *testing.T) {
 	enc := codec.Encode(&searchHitPayload{ReqID: 1, Results: sampleResults(25)})
 	r := codec.NewReader(enc)
 	r.Uvarint()
-	got := readResults(r, nil, 0)
+	got := readResults(r, 0)
 	if r.Err() != nil || len(got) != 25 {
 		t.Fatalf("decoded %d results: %v", len(got), r.Err())
 	}
@@ -157,7 +170,7 @@ func TestReadResultsAllocsFlat(t *testing.T) {
 		return testing.AllocsPerRun(50, func() {
 			r := codec.NewReader(enc)
 			r.Uvarint()
-			if got := readResults(r, nil, 0); r.Err() != nil || len(got) != n {
+			if got := readResults(r, 0); r.Err() != nil || len(got) != n {
 				t.Fatalf("decoded %d of %d results: %v", len(got), n, r.Err())
 			}
 		})

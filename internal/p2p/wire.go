@@ -6,8 +6,6 @@ package p2p
 // under its transport message type for generic decoding.
 
 import (
-	"slices"
-
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
 	"repro/internal/transport"
@@ -45,12 +43,13 @@ func appendResult(dst []byte, r *Result) []byte {
 	return dst
 }
 
-func readResult(r *codec.Reader, out *Result) {
+// readResult decodes one result of a set in which more follow it.
+func readResult(r *codec.Reader, out *Result, more int) {
 	out.DocID = index.DocID(r.String())
 	out.Provider = transport.PeerID(r.String())
 	out.CommunityID = r.String()
 	out.Title = r.String()
-	out.Attrs = r.Fields()
+	out.Attrs = r.Fields(more)
 	out.Hops = int(r.Uvarint())
 }
 
@@ -63,37 +62,32 @@ func appendResults(dst []byte, rs []Result) []byte {
 }
 
 // readResults decodes the result set that ends a query-hit or
-// search-hit frame onto the end of dst, and returns dst. Its strings
-// are cut from one copy of the frame (codec.Reader.ShareStrings) and
-// its attribute sets from chunks sized by the result count: results go
-// to the searching caller or into the next hit frame, never into a
-// store, so nothing long-lived pins the frame. dst grows once, by at
-// most the results it keeps: with limit > 0 it keeps results only while
-// it holds fewer than limit and reads past the rest, so the whole frame
-// is checked either way (a corrupt tail fails the reader, and the
-// caller discards what this frame added).
-func readResults(r *codec.Reader, dst []Result, limit int) []Result {
+// search-hit frame, keeping at most limit results (0 = all). Its
+// strings are cut from one copy of the frame (codec.Reader.ShareStrings)
+// and its attribute sets from chunks sized by the result count: results
+// go to the searching caller or into the next hit frame, never into a
+// store, so nothing long-lived pins the frame. The results past limit
+// are read and dropped, so the whole frame is checked either way.
+func readResults(r *codec.Reader, limit int) []Result {
 	n := r.Count(6) // four strings, an attrs count and a hop count
 	if r.Err() != nil || n == 0 {
-		return dst
+		return nil
 	}
 	r.ShareStrings()
-	r.Sets(n)
 	keep := n
 	if limit > 0 {
-		keep = min(n, max(limit-len(dst), 0))
+		keep = min(n, limit)
 	}
-	dst = slices.Grow(dst, keep)
+	out := make([]Result, keep)
 	var past Result
 	for i := 0; i < n; i++ {
-		out := &past
-		if i < keep {
-			dst = append(dst, Result{})
-			out = &dst[len(dst)-1]
+		res := &past
+		if i < len(out) {
+			res = &out[i]
 		}
-		readResult(r, out)
+		readResult(r, res, n-1-i)
 	}
-	return dst
+	return out
 }
 
 func appendDocument(dst []byte, d *index.Document) []byte {
@@ -115,7 +109,7 @@ func readDocument(r *codec.Reader) *index.Document {
 		CommunityID: r.String(),
 		Title:       r.String(),
 		XML:         r.String(),
-		Attrs:       r.Fields().Map(),
+		Attrs:       r.Fields(0).Map(),
 	}
 	if n := r.Count(1); n > 0 {
 		d.Attachments = make([]string, n)
@@ -137,15 +131,16 @@ func (p *registerPayload) AppendBinary(dst []byte) []byte {
 
 func (p *registerPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
-	p.readFrom(r)
+	p.readFrom(r, 0)
 	return r.Err()
 }
 
-func (p *registerPayload) readFrom(r *codec.Reader) {
+// readFrom decodes one registration of a batch in which more follow it.
+func (p *registerPayload) readFrom(r *codec.Reader, more int) {
 	p.DocID = index.DocID(r.String())
 	p.CommunityID = r.String()
 	p.Title = r.String()
-	p.Attrs = r.Fields().Map()
+	p.Attrs = r.Fields(more).Map()
 }
 
 func (p *registerBatchPayload) AppendBinary(dst []byte) []byte {
@@ -159,10 +154,9 @@ func (p *registerBatchPayload) AppendBinary(dst []byte) []byte {
 func (p *registerBatchPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	if n := r.Count(4); n > 0 { // three strings and an attrs count
-		r.Sets(n)
 		p.Docs = make([]registerPayload, n)
 		for i := range p.Docs {
-			p.Docs[i].readFrom(r)
+			p.Docs[i].readFrom(r, n-1-i)
 		}
 	}
 	return r.Err()
@@ -202,7 +196,7 @@ func (p *searchHitPayload) AppendBinary(dst []byte) []byte {
 func (p *searchHitPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	p.ReqID = r.Uvarint()
-	p.Results = readResults(r, nil, 0)
+	p.Results = readResults(r, 0)
 	return r.Err()
 }
 
@@ -236,7 +230,7 @@ func (p *queryHitPayload) AppendBinary(dst []byte) []byte {
 func (p *queryHitPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	p.GUID = r.Uvarint()
-	p.Results = readResults(r, nil, 0)
+	p.Results = readResults(r, 0)
 	return r.Err()
 }
 
