@@ -560,7 +560,13 @@ func (s *Store) removeLocked(d *Document) {
 	c.gen = s.writes
 }
 
+// index posts d under every key of its attributes. Most keys are held
+// by one document, so every key d is the first to hold gets the same
+// one-entry list, allocated once per document. That list has no spare
+// capacity: an insert copies it rather than writing through it, and
+// unindex drops a one-entry list rather than emptying it in place.
 func (c *community) index(d *Document) {
+	var own []DocID
 	for attr, vals := range d.Attrs {
 		field := c.inverted[attr]
 		if field == nil {
@@ -570,7 +576,13 @@ func (c *community) index(d *Document) {
 		for _, v := range vals {
 			for _, tok := range indexTokens(v) {
 				ids := field[tok]
-				if i, dup := slices.BinarySearch(ids, d.ID); !dup {
+				if len(ids) == 0 {
+					if own == nil {
+						own = []DocID{d.ID}
+					}
+					field[tok] = own
+					c.postings++
+				} else if i, dup := slices.BinarySearch(ids, d.ID); !dup {
 					field[tok] = slices.Insert(ids, i, d.ID)
 					c.postings++
 				}
@@ -588,14 +600,15 @@ func (c *community) unindex(d *Document) {
 		for _, v := range vals {
 			for _, tok := range indexTokens(v) {
 				ids := field[tok]
-				if i, ok := slices.BinarySearch(ids, d.ID); ok {
-					ids = slices.Delete(ids, i, i+1)
-					c.postings--
+				i, ok := slices.BinarySearch(ids, d.ID)
+				if !ok {
+					continue
 				}
-				if len(ids) == 0 {
+				c.postings--
+				if len(ids) == 1 {
 					delete(field, tok)
 				} else {
-					field[tok] = ids
+					field[tok] = slices.Delete(ids, i, i+1)
 				}
 			}
 		}

@@ -259,6 +259,36 @@ func TestConcurrentAccess(t *testing.T) {
 
 // Property: indexed-candidate acceleration returns exactly the same
 // results as a brute-force scan for equality filters.
+// TestSharedPostingList covers the one-entry list every key a document
+// is first to hold shares: another document joining one of those keys
+// must not show up under the others, and the list must survive its
+// keys leaving one at a time, as a replace unindexes them.
+func TestSharedPostingList(t *testing.T) {
+	s := NewStore()
+	search := func(v string) []string {
+		return ids(s.Search("c", &query.Assertion{Attr: "t", Op: query.OpEq, Value: v}, 0))
+	}
+	put := func(id, v string) {
+		t.Helper()
+		if err := s.Put(doc(id, "c", id, map[string][]string{"t": {v}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("x", "one two") // keys "one two", "one" and "two"
+	put("y", "two")
+	if got := fmt.Sprint(search("one"), search("two"), search("one two")); got != "[x] [x y] [x]" {
+		t.Errorf("after y joined \"two\": one, two, one two = %s", got)
+	}
+	s.Delete("y")
+	put("x", "three")
+	if got := fmt.Sprint(search("one"), search("two"), search("one two"), search("three")); got != "[] [] [] [x]" {
+		t.Errorf("after x was replaced: one, two, one two, three = %s", got)
+	}
+	if n := s.Postings(); n != 1 {
+		t.Errorf("postings = %d after the replace, want 1", n)
+	}
+}
+
 func TestPropertyIndexAccelerationSound(t *testing.T) {
 	vals := []string{"alpha", "beta", "gamma", "alpha beta", "delta"}
 	f := func(seed uint8, q uint8) bool {

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,10 +20,34 @@ type snapshot struct {
 const snapshotVersion = 1
 
 // writeSnapshot encodes already-collected, already-sorted documents.
+// The bytes are those of one json.Encoder call on the whole snapshot
+// with a one-space indent, but each document is encoded on its own, so
+// the buffer behind them is one document's size, not the store's.
+// (A store-sized buffer would also outlive the call: encoding/json
+// keeps its buffers in a sync.Pool, where one survives the next
+// collection.)
 func writeSnapshot(w io.Writer, docs []*Document) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(snapshot{Version: snapshotVersion, Documents: docs}); err != nil {
+	bw := bufio.NewWriter(w)
+	var doc bytes.Buffer
+	enc := json.NewEncoder(&doc)
+	enc.SetIndent("  ", " ")
+	fmt.Fprintf(bw, "{\n \"version\": %d,\n \"documents\": [", snapshotVersion)
+	for i, d := range docs {
+		doc.Reset()
+		if err := enc.Encode(d); err != nil {
+			return fmt.Errorf("index: save: %w", err)
+		}
+		bw.WriteString("\n  ")
+		bw.Write(bytes.TrimSuffix(doc.Bytes(), []byte("\n")))
+		if i < len(docs)-1 {
+			bw.WriteByte(',')
+		}
+	}
+	if len(docs) > 0 {
+		bw.WriteString("\n ")
+	}
+	bw.WriteString("]\n}\n")
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("index: save: %w", err)
 	}
 	return nil

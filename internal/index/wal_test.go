@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -574,5 +575,30 @@ func TestWALFixtureV1(t *testing.T) {
 	}
 	if got := dump(t, s); !bytes.Equal(got, bytes.TrimSpace(want)) {
 		t.Errorf("fixture recovered to\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestSnapshotBytesUnchanged pins writeSnapshot's output to what one
+// json.Encoder call on the whole snapshot writes, for no, one and many
+// documents, including characters the encoder escapes.
+func TestSnapshotBytesUnchanged(t *testing.T) {
+	many := walBatch(0, 7)
+	many[2].XML = `<o a="1">x & <y/></o>`
+	many[3].Attachments = []string{"file:a", "file:b"}
+	many[4].Attrs = query.Attrs{"a": {"1", "2"}, "b": nil, "c": {}}
+	for _, docs := range [][]*Document{{}, walBatch(1, 1), many} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(snapshot{Version: snapshotVersion, Documents: docs}); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := writeSnapshot(&got, docs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%d documents: wrote\n%s\nwant\n%s", len(docs), got.Bytes(), want.Bytes())
+		}
 	}
 }
