@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet bench-smoke alloc-profile fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
+.PHONY: build test race fmt vet surface surface-check bench-smoke alloc-profile fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,19 @@ vet:
 		echo "encoding/json imported by wire packages (the wire has one format, internal/p2p/codec):"; echo "$$bad"; exit 1; \
 	fi
 
+# The surface ruler: rewrite SURFACE.txt (exported identifiers, the
+# ones no non-test file references and why each stays, knobs, flags,
+# UP2P_* variables, errs codes, internal import edges) from the code.
+# TestSurface, part of `make test`, fails when the committed file
+# drifts; review the diff this target leaves.
+surface:
+	$(GO) test ./internal/surface -run '^TestSurface$$' -count=1 -update
+
+# Surface drift: SURFACE.txt must match what the code produces (the CI
+# step of that name; `make surface` rewrites it).
+surface-check:
+	$(GO) test ./internal/surface -run '^TestSurface$$' -count=1
+
 # Compile-and-run every benchmark once so they cannot rot (the 24-node
 # BenchmarkDHTSearchCluster of internal/dht among them), plus
 # reduced-scale runs of E13 (the flooding-vs-DHT scaling comparison
@@ -56,15 +69,18 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode,
-# FuzzTCPFrame, FuzzMatchEquivalence, FuzzFilterParse and FuzzWALSegment
-# on top of their seeds and the committed corpora (testdata/fuzz in
-# internal/dht, internal/p2p, internal/transport, internal/query and
-# internal/index) — no DHT or p2p frame decoder, no TCP connection reader
-# and no WAL segment scan may panic, or allocate beyond a small multiple
-# of its input, the GUID a flood relay peeks from a query or query-hit is
-# the one a full decode reads, Filter.Match answers every filter and
-# value as the matcher it replaced did, and a parsed filter's String
-# parses back to itself, never nested deeper than the parser's bound.
+# FuzzTCPFrame, FuzzMatchEquivalence, FuzzFilterParse, FuzzWALSegment,
+# FuzzXPathCompile and FuzzXMLParse on top of their seeds and the
+# committed corpora (testdata/fuzz in internal/dht, internal/p2p,
+# internal/transport, internal/query, internal/index and internal/xmldoc)
+# — no DHT or p2p frame decoder, no TCP connection reader and no WAL
+# segment scan may panic, or allocate beyond a small multiple of its
+# input, the GUID a flood relay peeks from a query or query-hit is the
+# one a full decode reads, Filter.Match answers every filter and value
+# as the matcher it replaced did, a parsed filter's String parses back
+# to itself, never nested deeper than the parser's bound, XPath
+# compilation never panics and keeps its source, and a parsed XML
+# document's String parses back to the same String.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzP2PFrameDecode -fuzztime 10s
@@ -72,6 +88,8 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzFilterParse -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzWALSegment -fuzztime 10s
+	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathCompile -fuzztime 10s
+	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzXMLParse -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical
 # message-trace hashes on repeated in-process runs (catches map-order
@@ -157,4 +175,4 @@ ruler-compare:
 loc:
 	@sh scripts/loc.sh $(DIRS)
 
-ci: build fmt vet test race tcp-nightly bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke
+ci: build fmt vet surface-check test race tcp-nightly bench-smoke fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke

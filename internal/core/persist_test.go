@@ -10,7 +10,6 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/transport"
-	"repro/internal/xmldoc"
 )
 
 // durableServent builds a servent called peer on f's network whose
@@ -45,7 +44,7 @@ func TestServentStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	docID, err := original.Publish(c.ID, xmldoc.MustParse(`<song><title>T</title><artist>A</artist></song>`),
+	docID, err := original.Publish(c.ID, mustParseXML(`<song><title>T</title><artist>A</artist></song>`),
 		map[string][]byte{"up2p://x/file.bin": []byte("DATA")})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func TestRestoredServentWorksOnNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := donor.Publish(c.ID, xmldoc.MustParse(`<song><title>T</title><artist>A</artist></song>`), nil); err != nil {
+	if _, err := donor.Publish(c.ID, mustParseXML(`<song><title>T</title><artist>A</artist></song>`), nil); err != nil {
 		t.Fatal(err)
 	}
 	var state bytes.Buffer

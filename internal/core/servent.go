@@ -41,9 +41,8 @@ type Servent struct {
 
 // Servent errors.
 var (
-	ErrNotJoined     = errors.New("core: community not joined")
-	ErrNotCommunity  = errors.New("core: object is not a community")
-	ErrAlreadyJoined = errors.New("core: community already joined")
+	ErrNotJoined    = errors.New("core: community not joined")
+	ErrNotCommunity = errors.New("core: object is not a community")
 )
 
 // NewServent creates a servent on the given network and joins the root
@@ -463,21 +462,6 @@ func (s *Servent) JoinFromDocument(doc *index.Document) (*Community, error) {
 	}
 	s.install(c)
 	return c, nil
-}
-
-// Leave forgets a community (but keeps downloaded objects). The root
-// community cannot be left.
-func (s *Servent) Leave(communityID string) error {
-	if communityID == RootCommunityID {
-		return errors.New("core: cannot leave the root community")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.communities[communityID]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotJoined, communityID)
-	}
-	delete(s.communities, communityID)
-	return nil
 }
 
 // Close detaches the servent from the network.

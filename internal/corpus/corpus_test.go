@@ -90,11 +90,17 @@ func TestPatternsBaseCatalogue(t *testing.T) {
 func TestPatternVariantsSearchable(t *testing.T) {
 	c := DesignPatterns(100, 3)
 	// Variants keep the base classification enum values.
-	s := xsd.MustParseString(c.SchemaSrc)
-	class, _ := s.FieldByPath("classification")
+	s, err := xsd.ParseString(c.SchemaSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	valid := map[string]bool{}
-	for _, e := range class.Enum {
-		valid[e] = true
+	for _, f := range s.Fields() {
+		if f.Path == "classification" {
+			for _, e := range f.Enum {
+				valid[e] = true
+			}
+		}
 	}
 	for i, o := range c.Objects {
 		if !valid[o.Doc.ChildText("classification")] {

@@ -102,9 +102,6 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 	)
 }
 
-// ID returns the node's point in the keyspace.
-func (n *Node) ID() ID { return n.self }
-
 // TableLen returns the number of live routing-table contacts.
 func (n *Node) TableLen() int { return n.table.Len() }
 

@@ -183,7 +183,7 @@ func TestRecordExpiryAndRefresh(t *testing.T) {
 	}
 	// Advance past the TTL without a refresh: the record is gone for
 	// everyone but its publisher (who still holds the object).
-	clk.Sleep(11 * time.Second)
+	clk.RunUntil(clk.Now().Add(11 * time.Second))
 	if got := search(7); got != 0 {
 		t.Fatalf("post-expiry hits = %d, want 0", got)
 	}
@@ -474,7 +474,7 @@ func TestAdaptiveRefreshSkips(t *testing.T) {
 	}
 	// Half the TTL later the records are approaching expiry: the same
 	// Refresh must now republish unconditionally.
-	clk.Sleep(5 * time.Second)
+	clk.RunUntil(clk.Now().Add(5 * time.Second))
 	before = reg.Snapshot()
 	if err := nodes[4].Refresh(); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,8 @@
 // Package dsim provides the discrete-event substrate under the
 // paper-scale experiments: a Clock abstraction over wall versus
-// virtual time, an event-queue scheduler that advances virtual time
-// only when events fire (so a 10k-peer hour-long scenario executes in
-// seconds of real time), and deterministic per-link network models
-// (latency, jitter, loss) derived by hashing rather than shared RNG
-// state, so model output is independent of delivery order.
+// virtual time, and an event-queue scheduler that advances virtual
+// time only when events fire (so a 10k-peer hour-long scenario
+// executes in seconds of real time).
 //
 // Everything in internal/p2p, internal/transport, and internal/sim
 // that would otherwise touch the time package goes through a Clock,
@@ -28,11 +26,6 @@ type Clock interface {
 	// deadlocks, so simulation code paths must not wait on After
 	// (synchronous transports never do; see p2p's await fast path).
 	After(d time.Duration) <-chan time.Time
-	// Sleep blocks until d has elapsed on this clock. On a VirtualClock
-	// this runs all events due within d inline on the caller's
-	// goroutine and then advances virtual time — it never blocks in
-	// real time.
-	Sleep(d time.Duration)
 }
 
 // Wall is the process wall clock, the default everywhere a Clock is
@@ -43,4 +36,3 @@ type wallClock struct{}
 
 func (wallClock) Now() time.Time                         { return time.Now() }
 func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (wallClock) Sleep(d time.Duration)                  { time.Sleep(d) }

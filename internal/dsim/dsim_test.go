@@ -3,9 +3,14 @@ package dsim
 import (
 	"testing"
 	"time"
-
-	"repro/internal/transport"
 )
+
+// drain fires every pending event, including ones scheduled by earlier
+// events, in time order.
+func drain(c *VirtualClock) {
+	for c.Step() {
+	}
+}
 
 func TestVirtualClockOrdering(t *testing.T) {
 	c := NewVirtualClock()
@@ -13,7 +18,7 @@ func TestVirtualClockOrdering(t *testing.T) {
 	c.Schedule(30*time.Millisecond, func(time.Time) { order = append(order, 3) })
 	c.Schedule(10*time.Millisecond, func(time.Time) { order = append(order, 1) })
 	c.Schedule(10*time.Millisecond, func(time.Time) { order = append(order, 2) }) // same instant: FIFO
-	c.Run()
+	drain(c)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
 	}
@@ -33,7 +38,7 @@ func TestVirtualClockEventsScheduleEvents(t *testing.T) {
 		}
 	}
 	c.Schedule(time.Second, chain)
-	c.Run()
+	drain(c)
 	if fired != 5 {
 		t.Errorf("fired = %d", fired)
 	}
@@ -47,20 +52,19 @@ func TestVirtualClockRunUntil(t *testing.T) {
 	fired := 0
 	c.Schedule(time.Second, func(time.Time) { fired++ })
 	c.Schedule(3*time.Second, func(time.Time) { fired++ })
-	c.Sleep(2 * time.Second) // RunUntil via Sleep
+	c.RunUntil(c.Now().Add(2 * time.Second))
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1", fired)
 	}
-	if c.Pending() != 1 {
-		t.Errorf("pending = %d", c.Pending())
-	}
-	// Sleep advances even with no events due.
+	// RunUntil advances even with no events due.
 	if got := c.Now().Sub(time.Unix(0, 0).UTC()); got != 2*time.Second {
 		t.Errorf("now = %v", got)
 	}
-	c.Run()
-	if fired != 2 {
+	if !c.Step() || fired != 2 {
 		t.Errorf("fired = %d, want 2", fired)
+	}
+	if c.Step() {
+		t.Error("an event is still queued")
 	}
 }
 
@@ -72,51 +76,11 @@ func TestVirtualClockAfter(t *testing.T) {
 		t.Fatal("After fired before time advanced")
 	default:
 	}
-	c.Sleep(time.Minute)
+	c.RunUntil(c.Now().Add(time.Minute))
 	select {
 	case <-ch:
 	default:
 		t.Fatal("After did not fire at its deadline")
-	}
-}
-
-func TestLinkLatencyDeterministicAndBounded(t *testing.T) {
-	m := LinkLatency(7, 20*time.Millisecond, 10*time.Millisecond)
-	a := m("p1", "p2")
-	if b := m("p1", "p2"); b != a {
-		t.Errorf("latency not stable: %v vs %v", a, b)
-	}
-	lo, hi := 10*time.Millisecond, 30*time.Millisecond
-	saw := map[time.Duration]bool{}
-	for i := 0; i < 50; i++ {
-		from := transport.PeerID("p" + string(rune('a'+i%26)))
-		to := transport.PeerID("q" + string(rune('a'+i/26)))
-		d := m(from, to)
-		if d < lo || d > hi {
-			t.Errorf("latency %v outside [%v, %v]", d, lo, hi)
-		}
-		saw[d] = true
-	}
-	if len(saw) < 10 {
-		t.Errorf("latency model degenerate: %d distinct values", len(saw))
-	}
-	// A different seed reshuffles links.
-	m2 := LinkLatency(8, 20*time.Millisecond, 10*time.Millisecond)
-	if m2("p1", "p2") == a && m2("p1", "p3") == m("p1", "p3") && m2("p2", "p1") == m("p2", "p1") {
-		t.Error("seed has no effect on latency model")
-	}
-}
-
-func TestLinkLossBounds(t *testing.T) {
-	m := LinkLoss(3, 0.1)
-	for i := 0; i < 50; i++ {
-		p := m(transport.PeerID("a"+string(rune('a'+i))), "b")
-		if p < 0 || p >= 1 {
-			t.Errorf("loss %v outside [0,1)", p)
-		}
-	}
-	if LinkLoss(3, 0)("a", "b") != 0 {
-		t.Error("zero mean must mean zero loss")
 	}
 }
 
@@ -153,7 +117,7 @@ func TestVirtualClockHeapStress(t *testing.T) {
 		k := key{at, seq}
 		c.Schedule(at, func(time.Time) { fired = append(fired, k) })
 	}
-	c.Run()
+	drain(c)
 	if len(fired) != n {
 		t.Fatalf("fired %d of %d", len(fired), n)
 	}
@@ -163,22 +127,6 @@ func TestVirtualClockHeapStress(t *testing.T) {
 			t.Fatalf("out of order at %d: %v then %v", i, a, b)
 		}
 	}
-}
-
-func TestVirtualClockScheduleBatch(t *testing.T) {
-	c := NewVirtualClock()
-	var order []int
-	c.Schedule(15*time.Millisecond, func(time.Time) { order = append(order, 2) })
-	c.ScheduleBatch([]BatchEvent{
-		{After: 20 * time.Millisecond, Fn: func(time.Time) { order = append(order, 3) }},
-		{After: 10 * time.Millisecond, Fn: func(time.Time) { order = append(order, 1) }},
-		{After: -time.Second, Fn: func(time.Time) { order = append(order, 0) }}, // clamps to now
-	})
-	c.Run()
-	if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 2 || order[3] != 3 {
-		t.Errorf("order = %v", order)
-	}
-	c.ScheduleBatch(nil) // no-op
 }
 
 func TestVirtualClockNowConcurrent(t *testing.T) {
@@ -202,16 +150,16 @@ func TestVirtualClockNowConcurrent(t *testing.T) {
 			last = now
 		}
 	}()
-	c.Run()
+	drain(c)
 	<-done
 }
 
 func TestVirtualClockScheduleAtPastClamps(t *testing.T) {
 	c := NewVirtualClock()
-	c.Sleep(time.Second)
+	c.RunUntil(c.Now().Add(time.Second))
 	var at time.Time
-	c.ScheduleAt(time.Unix(0, 0).UTC(), func(now time.Time) { at = now })
-	c.Run()
+	c.Schedule(-time.Second, func(now time.Time) { at = now })
+	drain(c)
 	if got := at.Sub(time.Unix(0, 0).UTC()); got != time.Second {
 		t.Errorf("past event fired at +%v, want +1s", got)
 	}
@@ -227,7 +175,7 @@ func TestVirtualClockSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.Schedule(time.Millisecond, fn)
 	}
-	c.Run()
+	drain(c)
 	if n := testing.AllocsPerRun(200, func() {
 		c.Schedule(time.Millisecond, fn)
 		c.Step()

@@ -12,9 +12,9 @@ import (
 // for the same instant fire in scheduling order (a monotone sequence
 // number breaks ties), which keeps runs deterministic.
 //
-// The clock is driven from one goroutine via Step, Run, RunUntil, or
-// Sleep; event callbacks run inline on that goroutine and may schedule
-// further events, but must not call Sleep (the drive loop is not
+// The clock is driven from one goroutine via Step or RunUntil; event
+// callbacks run inline on that goroutine and may schedule further
+// events, but must not drive the clock (the drive loop is not
 // reentrant).
 //
 // Internally events are value types in an index-free 4-ary heap —
@@ -47,13 +47,6 @@ type vevent struct {
 	fn  func(now time.Time)
 }
 
-// BatchEvent is one entry for ScheduleBatch: fn fires once After has
-// elapsed from the batch's scheduling instant.
-type BatchEvent struct {
-	After time.Duration
-	Fn    func(now time.Time)
-}
-
 // NewVirtualClock returns a clock starting at the epoch. The absolute
 // origin is arbitrary; scenarios deal in durations since start.
 func NewVirtualClock() *VirtualClock {
@@ -82,29 +75,6 @@ func (c *VirtualClock) Schedule(d time.Duration, fn func(now time.Time)) {
 	c.schedLocked(c.now.Load()+int64(d), fn)
 }
 
-// ScheduleAt enqueues fn for an absolute instant. Instants in the past
-// fire at the current time.
-func (c *VirtualClock) ScheduleAt(at time.Time, fn func(now time.Time)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.schedLocked(c.nanosAt(at), fn)
-}
-
-// ScheduleBatch enqueues a batch of events under one lock acquisition
-// — the bulk path for workload generators that pre-plan many timers
-// (per-query arrivals, per-peer refresh fleets) up front.
-func (c *VirtualClock) ScheduleBatch(evs []BatchEvent) {
-	if len(evs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now.Load()
-	for _, e := range evs {
-		c.schedLocked(now+int64(e.After), e.Fn)
-	}
-}
-
 func (c *VirtualClock) schedLocked(at int64, fn func(time.Time)) {
 	if now := c.now.Load(); at < now {
 		at = now
@@ -123,18 +93,6 @@ func (c *VirtualClock) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
-// Sleep implements Clock by driving the queue to now+d.
-func (c *VirtualClock) Sleep(d time.Duration) {
-	c.RunUntil(c.timeAt(c.now.Load() + int64(d)))
-}
-
-// Pending reports how many events are queued.
-func (c *VirtualClock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
-
 // Step fires the earliest pending event, advancing time to it. It
 // reports whether an event ran.
 func (c *VirtualClock) Step() bool {
@@ -149,13 +107,6 @@ func (c *VirtualClock) Step() bool {
 	c.mu.Unlock()
 	fn(now)
 	return true
-}
-
-// Run drains the queue: every event, including ones scheduled by
-// earlier events, fires in time order.
-func (c *VirtualClock) Run() {
-	for c.Step() {
-	}
 }
 
 // RunUntil fires every event due at or before target, then sets the

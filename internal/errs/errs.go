@@ -52,9 +52,6 @@ func (e *Error) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *Error) Unwrap() error { return e.cause }
 
-// Code returns this error's own code.
-func (e *Error) Code() string { return e.code }
-
 // Code classifies any error: the code of the outermost coded error on
 // its Unwrap chain, or "" when the chain carries no code.
 func Code(err error) string {

@@ -141,12 +141,6 @@ func WithWALFsync(p FsyncPolicy) Option {
 	return func(c *storeConfig) { c.walFsync = p }
 }
 
-// WithWALSegmentBytes sets the segment size beyond which appends
-// rotate to a fresh file (default DefaultWALSegmentBytes).
-func WithWALSegmentBytes(n int64) Option {
-	return func(c *storeConfig) { c.walSegmentBytes = n }
-}
-
 // WithWALCompactBytes sets the total live-log size beyond which the
 // next write triggers automatic compaction; 0 disables auto
 // compaction (default DefaultWALCompactBytes).
@@ -231,9 +225,6 @@ func newStore(cfg storeConfig) *Store {
 	reg.GaugeFunc("index.postings", func() int64 { return int64(s.Postings()) })
 	return s
 }
-
-// Metrics returns the registry this store records into.
-func (s *Store) Metrics() *metrics.Registry { return s.reg }
 
 // Put inserts or replaces a document. The document is copied; the
 // caller keeps ownership of its argument. With a WAL armed, the write

@@ -196,11 +196,11 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 	if got := len(s.Search("c", f, 0)); got != 1 {
 		t.Fatalf("initial search = %d docs, want 1", got)
 	}
-	misses0 := s.Metrics().Snapshot().Counter("index.cache_misses")
+	misses0 := s.reg.Snapshot().Counter("index.cache_misses")
 	if got := len(s.Search("c", f, 0)); got != 1 {
 		t.Fatalf("repeat search = %d docs, want 1", got)
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.reg.Snapshot()
 	hits1, misses1 := snap.Counter("index.cache_hits"), snap.Counter("index.cache_misses")
 	if hits1 == 0 {
 		t.Error("repeat of identical query did not hit the cache")
@@ -214,7 +214,7 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Search("c", f, 0)
-	if hits := s.Metrics().Snapshot().Counter("index.cache_hits"); hits != hits1+1 {
+	if hits := s.reg.Snapshot().Counter("index.cache_hits"); hits != hits1+1 {
 		t.Errorf("a write to another community invalidated the entry (hits %d -> %d)", hits1, hits)
 	}
 

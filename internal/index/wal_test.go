@@ -16,13 +16,20 @@ import (
 	"repro/internal/query"
 )
 
+// withWALSegmentBytes sets the segment size beyond which appends
+// rotate to a fresh file, so tests can force rotation with a few
+// documents.
+func withWALSegmentBytes(n int64) Option {
+	return func(c *storeConfig) { c.walSegmentBytes = n }
+}
+
 // openWAL opens a WAL-backed store in dir with small segments so the
 // tests exercise rotation.
 func openWAL(t *testing.T, dir string, opts ...Option) *Store {
 	t.Helper()
 	opts = append([]Option{
 		WithWAL(dir),
-		WithWALSegmentBytes(4 << 10),
+		withWALSegmentBytes(4 << 10),
 		WithWALCompactBytes(0), // compaction only when a test asks
 	}, opts...)
 	s, err := OpenStore(opts...)
@@ -92,7 +99,7 @@ func TestWALRecoverAfterCrash(t *testing.T) {
 	if got := len(r.Search("comm-0", query.MustParse("(batch=7)"), 0)); got != 2 {
 		t.Fatalf("indexed search after recovery = %d docs, want 2", got)
 	}
-	if n := r.Metrics().Snapshot().Counter("index.wal_replayed"); n == 0 {
+	if n := r.reg.Snapshot().Counter("index.wal_replayed"); n == 0 {
 		t.Error("index.wal_replayed not counted")
 	}
 }
@@ -235,7 +242,7 @@ func TestWALTornTailTruncatedAndAppendable(t *testing.T) {
 	if got := r.Len(); got != 4 {
 		t.Fatalf("recovered %d docs, want 4", got)
 	}
-	if n := r.Metrics().Snapshot().Label("errors", "wal.corrupt"); n == 0 {
+	if n := r.reg.Snapshot().Label("errors", "wal.corrupt"); n == 0 {
 		t.Error("torn tail not counted under wal.corrupt")
 	}
 	// The truncated segments accept appends again and a further
@@ -310,7 +317,7 @@ func TestWALCompactionFoldsLogIntoSnapshot(t *testing.T) {
 
 func TestWALAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(WithWAL(dir), WithWALSegmentBytes(2<<10), WithWALCompactBytes(8<<10))
+	s, err := OpenStore(WithWAL(dir), withWALSegmentBytes(2<<10), WithWALCompactBytes(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +372,7 @@ func TestWALMetricsAndFsyncPolicies(t *testing.T) {
 			if err := s.PutBatch(walBatch(0, 6)); err != nil {
 				t.Fatal(err)
 			}
-			snap := s.Metrics().Snapshot()
+			snap := s.reg.Snapshot()
 			if snap.Counter("index.wal_appends") == 0 {
 				t.Error("index.wal_appends not counted")
 			}
@@ -455,7 +462,7 @@ func TestWALAppendFailureAppliesNothing(t *testing.T) {
 			t.Errorf("comm-%d holds %d documents, want 1", c, n)
 		}
 	}
-	if n := s.Metrics().Snapshot().Label("errors", "wal.append"); n != 2 {
+	if n := s.reg.Snapshot().Label("errors", "wal.append"); n != 2 {
 		t.Errorf("wal.append counted %d times, want 2", n)
 	}
 }
@@ -544,7 +551,7 @@ func TestWALHugeLengthIsTornTail(t *testing.T) {
 	if s.Len() != 0 {
 		t.Errorf("recovered %d docs from garbage", s.Len())
 	}
-	if n := s.Metrics().Snapshot().Label("errors", "wal.corrupt"); n != 1 {
+	if n := s.reg.Snapshot().Label("errors", "wal.corrupt"); n != 1 {
 		t.Errorf("wal.corrupt counted %d times, want 1", n)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
@@ -570,7 +577,7 @@ func TestWALFixtureV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := openWAL(t, dir)
-	if n := s.Metrics().Snapshot().Counter("index.wal_replayed"); n == 0 {
+	if n := s.reg.Snapshot().Counter("index.wal_replayed"); n == 0 {
 		t.Error("fixture segments not replayed")
 	}
 	if got := dump(t, s); !bytes.Equal(got, bytes.TrimSpace(want)) {

@@ -14,9 +14,8 @@
 //     message order, content, or loss choices, so a golden trace
 //     hashes identically with a live registry and with Discard().
 //   - Snapshot-oriented. Readers take a Snapshot and difference two
-//     snapshots with Delta, replacing the reset-then-read idiom of
-//     the deprecated transport.Stats/ResetStats API (resetting shared
-//     counters from one reader races with every other reader).
+//     snapshots with Delta; nothing resets shared counters, which
+//     would race with every other reader.
 //
 // Registration is get-or-create by name, so independent components
 // wired to one registry aggregate into shared series (a cluster's
@@ -30,7 +29,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/errs"
 )
@@ -48,18 +46,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable int64 level.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the level by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the fixed bucket count: bits.Len64 ranges over
 // 0..64, so bucket i holds values v with bits.Len64(v) == i, i.e.
@@ -84,9 +70,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -176,7 +159,6 @@ type Registry struct {
 
 	mu         sync.RWMutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFns   map[string]*gaugeFn
 	histograms map[string]*Histogram
 	vecs       map[string]*CounterVec
@@ -186,7 +168,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		gaugeFns:   make(map[string]*gaugeFn),
 		histograms: make(map[string]*Histogram),
 		vecs:       make(map[string]*CounterVec),
@@ -195,7 +176,6 @@ func NewRegistry() *Registry {
 
 var (
 	discardRegistry  = &Registry{discard: true}
-	discardGauge     = &Gauge{}
 	discardHistogram = &Histogram{}
 	discardVec       = &CounterVec{discard: true}
 )
@@ -225,27 +205,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c = &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r.discard {
-		return discardGauge
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.gauges[name]; g != nil {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -326,54 +285,6 @@ func (r *Registry) CountError(err error) {
 	r.Errors().With(code).Inc()
 }
 
-// Reset zeroes every counter, gauge, histogram, and family counter.
-// It exists for the deprecated Reset-style accessors; new code should
-// difference snapshots with Delta instead.
-func (r *Registry) Reset() { r.ResetPrefix("") }
-
-// ResetPrefix zeroes every metric whose name starts with prefix
-// (gauge callbacks are left alone: they read live state).
-func (r *Registry) ResetPrefix(prefix string) {
-	if r.discard {
-		return
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		if hasPrefix(name, prefix) {
-			c.v.Store(0)
-		}
-	}
-	for name, g := range r.gauges {
-		if hasPrefix(name, prefix) {
-			g.v.Store(0)
-		}
-	}
-	for name, h := range r.histograms {
-		if hasPrefix(name, prefix) {
-			h.count.Store(0)
-			h.sum.Store(0)
-			for i := range h.buckets {
-				h.buckets[i].Store(0)
-			}
-		}
-	}
-	for name, v := range r.vecs {
-		if !hasPrefix(name, prefix) {
-			continue
-		}
-		v.mu.RLock()
-		for _, c := range v.m {
-			c.v.Store(0)
-		}
-		v.mu.RUnlock()
-	}
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}
-
 // BucketCount is one non-empty histogram bucket in a snapshot.
 type BucketCount struct {
 	// UpperBound is the bucket's inclusive upper bound.
@@ -386,14 +297,6 @@ type HistogramSnapshot struct {
 	Count   int64         `json:"count"`
 	Sum     int64         `json:"sum"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// Mean returns the mean observed value (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
 }
 
 // Snapshot is a point-in-time copy of a registry, safe to read and
@@ -427,9 +330,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
 	for name, g := range r.gaugeFns {
 		s.Gauges[name] = g.value()
 	}
@@ -451,9 +351,6 @@ func (r *Registry) Snapshot() *Snapshot {
 
 // Counter returns a counter's value (0 when absent).
 func (s *Snapshot) Counter(name string) int64 { return s.Counters[name] }
-
-// Gauge returns a gauge's value (0 when absent).
-func (s *Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
 // Label returns one family counter's value (0 when absent).
 func (s *Snapshot) Label(name, value string) int64 { return s.Labeled[name][value] }

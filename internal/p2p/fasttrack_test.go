@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -13,14 +14,16 @@ import (
 // ftFixture: S super-peers in a ring, L leaves per super-peer.
 type ftFixture struct {
 	net    *transport.MemNetwork
+	reg    *metrics.Registry
 	supers []*SuperPeer
 	leaves []*FastTrackLeaf
 }
 
 func newFTFixture(t *testing.T, superN, leavesPer int) *ftFixture {
 	t.Helper()
-	net := transport.NewMemNetwork()
-	f := &ftFixture{net: net}
+	reg := metrics.NewRegistry()
+	net := transport.NewMemNetwork(transport.WithMetrics(reg))
+	f := &ftFixture{net: net, reg: reg}
 	for i := 0; i < superN; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("super%d", i)))
 		if err != nil {
@@ -86,11 +89,11 @@ func TestFastTrackLocalSuperPeerAnswers(t *testing.T) {
 func TestFastTrackFloodBoundedToSuperOverlay(t *testing.T) {
 	f := newFTFixture(t, 4, 4) // 4 supers, 16 leaves
 	f.leaves[0].Publish(doc("d", "c", "T", map[string]string{"k": "v"}))
-	before := f.net.Metrics().Snapshot()
+	before := f.reg.Snapshot()
 	if _, err := f.leaves[1].Search("c", query.MustParse("(k=v)"), SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	msgs := f.net.Metrics().Snapshot().Delta(before).Counter("transport.msgs_delivered")
+	msgs := f.reg.Snapshot().Delta(before).Counter("transport.msgs_delivered")
 	// Query flooding happens only among the 4 super-peers; with 16
 	// leaves a full Gnutella flood would be far larger. Search round
 	// trip (2) + ring flood (<= 2*4 queries + hits).

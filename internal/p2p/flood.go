@@ -81,14 +81,6 @@ func (r *floodRouter) Neighbors() []transport.PeerID {
 	return slices.Clone(r.neighbors)
 }
 
-// ForgetQueries clears the seen-GUID table at once (between experiment
-// runs; a running node ages entries out, see seenTable).
-func (r *floodRouter) ForgetQueries() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seen = seenTable{}
-}
-
 // seenGeneration is how long the seen table fills one generation before
 // it starts the next. An entry therefore lives between one and two
 // generations — minutes, where a flood and its hits are done within a

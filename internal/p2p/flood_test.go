@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dsim"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/transport"
@@ -239,7 +240,8 @@ func TestPeekMatchesDecode(t *testing.T) {
 // origin, without disturbing what the origin has collected.
 func TestGarbageHitRelayedDroppedAtOrigin(t *testing.T) {
 	t.Run("binary", func(t *testing.T) { // the wire format the relay peeks into
-		net := transport.NewMemNetwork()
+		reg := metrics.NewRegistry()
+		net := transport.NewMemNetwork(transport.WithMetrics(reg))
 		var nodes [2]*GnutellaNode // origin - relay - answering stub
 		for i := range nodes {
 			ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("g%d", i)))
@@ -281,7 +283,7 @@ func TestGarbageHitRelayedDroppedAtOrigin(t *testing.T) {
 		}
 		// far -> relay twice, relay -> origin twice: the relay passed the
 		// corrupt hit on.
-		if hits := net.Metrics().Snapshot().Label("transport.msgs_by_type", MsgQueryHit); hits != 4 {
+		if hits := reg.Snapshot().Label("transport.msgs_by_type", MsgQueryHit); hits != 4 {
 			t.Errorf("%d query-hit deliveries, want 4 (both hits relayed)", hits)
 		}
 		// The origin kept its own result and the good hit, nothing else.
@@ -319,32 +321,28 @@ func TestSeenTableAges(t *testing.T) {
 	}
 
 	query(1)
-	clk.Sleep(seenGeneration - time.Second)
+	clk.RunUntil(clk.Now().Add(seenGeneration - time.Second))
 	query(2)
 	if !known(1) || !known(2) || size() != 2 {
 		t.Fatalf("within one generation: known(1)=%v known(2)=%v size=%d", known(1), known(2), size())
 	}
-	clk.Sleep(2 * time.Second) // generation one is over
+	clk.RunUntil(clk.Now().Add(2 * time.Second)) // generation one is over
 	query(3)
 	if !known(1) || !known(2) || !known(3) {
 		t.Errorf("one rotation must keep the previous generation: %v %v %v", known(1), known(2), known(3))
 	}
-	clk.Sleep(seenGeneration)
+	clk.RunUntil(clk.Now().Add(seenGeneration))
 	query(4)
 	if known(1) || known(2) || !known(3) || !known(4) || size() != 2 {
 		t.Errorf("after two rotations: known = %v %v %v %v, size %d; want only 3 and 4", known(1), known(2), known(3), known(4), size())
 	}
 	// A long-lived node's table is bounded by its recent traffic.
 	for i := 0; i < 50; i++ {
-		clk.Sleep(seenGeneration)
+		clk.RunUntil(clk.Now().Add(seenGeneration))
 		query(uint64(100 + i))
 	}
 	if size() != 2 {
 		t.Errorf("table holds %d GUIDs after 50 idle generations, want 2", size())
-	}
-	sp.ForgetQueries()
-	if size() != 0 {
-		t.Errorf("ForgetQueries left %d GUIDs", size())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -133,6 +134,7 @@ func TestCentralizedSearchLimit(t *testing.T) {
 
 type gnutellaFixture struct {
 	net   *transport.MemNetwork
+	reg   *metrics.Registry
 	nodes []*GnutellaNode
 }
 
@@ -140,8 +142,9 @@ type gnutellaFixture struct {
 // effects are observable.
 func newGnutellaLine(t *testing.T, n int) *gnutellaFixture {
 	t.Helper()
-	net := transport.NewMemNetwork()
-	f := &gnutellaFixture{net: net}
+	reg := metrics.NewRegistry()
+	net := transport.NewMemNetwork(transport.WithMetrics(reg))
+	f := &gnutellaFixture{net: net, reg: reg}
 	for i := 0; i < n; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("g%d", i)))
 		if err != nil {
@@ -211,7 +214,8 @@ func TestGnutellaLocalResultsIncluded(t *testing.T) {
 
 func TestGnutellaDuplicateSuppressionInCycle(t *testing.T) {
 	// Ring topology: without duplicate suppression a query would loop.
-	net := transport.NewMemNetwork()
+	reg := metrics.NewRegistry()
+	net := transport.NewMemNetwork(transport.WithMetrics(reg))
 	var nodes []*GnutellaNode
 	const n = 4
 	for i := 0; i < n; i++ {
@@ -235,7 +239,7 @@ func TestGnutellaDuplicateSuppressionInCycle(t *testing.T) {
 		t.Errorf("results in ring = %+v", rs)
 	}
 	// And the message count must be bounded (no infinite loop):
-	msgs := net.Metrics().Snapshot().Counter("transport.msgs_delivered")
+	msgs := reg.Snapshot().Counter("transport.msgs_delivered")
 	if msgs > 20 {
 		t.Errorf("too many messages in ring: %d", msgs)
 	}
@@ -243,17 +247,17 @@ func TestGnutellaDuplicateSuppressionInCycle(t *testing.T) {
 
 func TestGnutellaMessageCostGrowsWithTTL(t *testing.T) {
 	f := newGnutellaLine(t, 10)
-	base := f.net.Metrics().Snapshot()
+	base := f.reg.Snapshot()
 	_, err := f.nodes[0].Search("c", query.MustParse("(k=v)"), SearchOptions{TTL: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := f.net.Metrics().Snapshot()
+	mid := f.reg.Snapshot()
 	low := mid.Delta(base).Counter("transport.msgs_delivered")
 	if _, err = f.nodes[0].Search("c", query.MustParse("(k=v)"), SearchOptions{TTL: 9}); err != nil {
 		t.Fatal(err)
 	}
-	high := f.net.Metrics().Snapshot().Delta(mid).Counter("transport.msgs_delivered")
+	high := f.reg.Snapshot().Delta(mid).Counter("transport.msgs_delivered")
 	if high <= low {
 		t.Errorf("messages TTL9 (%d) not > TTL2 (%d)", high, low)
 	}

@@ -72,7 +72,8 @@ func TestPeerRetrievalAndLifecycle(t *testing.T) {
 			// loseReplies cuts the provider→requester direction only, so a
 			// request arrives and its reply does not.
 			var loseReplies atomic.Bool
-			net := transport.NewMemNetwork(transport.WithDropModel(func(from, to transport.PeerID) float64 {
+			netReg := metrics.NewRegistry()
+			net := transport.NewMemNetwork(transport.WithMetrics(netReg), transport.WithDropModel(func(from, to transport.PeerID) float64 {
 				if loseReplies.Load() && from == "b" && to == "a" {
 					return 1
 				}
@@ -96,7 +97,7 @@ func TestPeerRetrievalAndLifecycle(t *testing.T) {
 			b.SetAttachmentProvider(func(uri string) ([]byte, bool) {
 				return []byte("class Observer {}"), uri == "file:pattern.code"
 			})
-			delivered := func() int64 { return net.Metrics().Snapshot().Counter("transport.msgs_delivered") }
+			delivered := func() int64 { return netReg.Snapshot().Counter("transport.msgs_delivered") }
 
 			t.Run("local", func(t *testing.T) {
 				before := delivered()

@@ -183,11 +183,30 @@ func FuzzMatchEquivalence(f *testing.F) {
 			return
 		}
 		attrs := Attrs{}
-		for _, name := range ReferencedAttributes(filter) {
+		for _, name := range referenced(filter, nil) {
 			attrs[name] = []string{v1, v2}
 		}
 		checkForms(t, filter, attrs, "every attribute")
 	})
+}
+
+// referenced appends the attribute names f asserts on.
+func referenced(f Filter, into []string) []string {
+	switch f := f.(type) {
+	case *Assertion:
+		return append(into, f.Attr)
+	case *And:
+		for _, s := range f.Subs {
+			into = referenced(s, into)
+		}
+	case *Or:
+		for _, s := range f.Subs {
+			into = referenced(s, into)
+		}
+	case *Not:
+		return referenced(f.Sub, into)
+	}
+	return into
 }
 
 var matchSink bool

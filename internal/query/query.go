@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -60,8 +59,6 @@ type Filter interface {
 	Match(AttrSet) bool
 	// String renders the canonical textual form (parseable by Parse).
 	String() string
-	// Attributes appends the attribute names the filter references.
-	Attributes(into []string) []string
 }
 
 // Op is a comparison operator in an assertion.
@@ -346,9 +343,6 @@ func (a *Assertion) String() string {
 	return "(" + a.Attr + a.Op.String() + a.Value + ")"
 }
 
-// Attributes implements Filter.
-func (a *Assertion) Attributes(into []string) []string { return append(into, a.Attr) }
-
 // And is the conjunction of sub-filters.
 type And struct{ Subs []Filter }
 
@@ -364,9 +358,6 @@ func (f *And) Match(attrs AttrSet) bool {
 
 // String implements Filter.
 func (f *And) String() string { return composite("&", f.Subs) }
-
-// Attributes implements Filter.
-func (f *And) Attributes(into []string) []string { return compositeAttrs(into, f.Subs) }
 
 // Or is the disjunction of sub-filters.
 type Or struct{ Subs []Filter }
@@ -384,9 +375,6 @@ func (f *Or) Match(attrs AttrSet) bool {
 // String implements Filter.
 func (f *Or) String() string { return composite("|", f.Subs) }
 
-// Attributes implements Filter.
-func (f *Or) Attributes(into []string) []string { return compositeAttrs(into, f.Subs) }
-
 // Not negates a sub-filter.
 type Not struct{ Sub Filter }
 
@@ -395,9 +383,6 @@ func (f *Not) Match(attrs AttrSet) bool { return !f.Sub.Match(attrs) }
 
 // String implements Filter.
 func (f *Not) String() string { return "(!" + f.Sub.String() + ")" }
-
-// Attributes implements Filter.
-func (f *Not) Attributes(into []string) []string { return f.Sub.Attributes(into) }
 
 // MatchAll matches every object (the empty query).
 type MatchAll struct{}
@@ -408,9 +393,6 @@ func (MatchAll) Match(AttrSet) bool { return true }
 // String implements Filter.
 func (MatchAll) String() string { return "(*)" }
 
-// Attributes implements Filter.
-func (MatchAll) Attributes(into []string) []string { return into }
-
 func composite(op string, subs []Filter) string {
 	var b strings.Builder
 	b.WriteByte('(')
@@ -420,30 +402,6 @@ func composite(op string, subs []Filter) string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-func compositeAttrs(into []string, subs []Filter) []string {
-	for _, s := range subs {
-		into = s.Attributes(into)
-	}
-	return into
-}
-
-// ReferencedAttributes returns the sorted, de-duplicated attribute
-// names a filter touches; the search form uses this to route queries
-// at only-indexed fields.
-func ReferencedAttributes(f Filter) []string {
-	names := f.Attributes(nil)
-	sort.Strings(names)
-	out := names[:0]
-	var prev string
-	for i, n := range names {
-		if i == 0 || n != prev {
-			out = append(out, n)
-		}
-		prev = n
-	}
-	return out
 }
 
 // --- parser ---

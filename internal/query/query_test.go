@@ -155,18 +155,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReferencedAttributes(t *testing.T) {
-	f := MustParse("(&(title=x)(|(year>1990)(title=y))(!(keywords~=z)))")
-	got := ReferencedAttributes(f)
-	want := []string{"keywords", "title", "year"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("attrs = %v, want %v", got, want)
-	}
-	if len(ReferencedAttributes(MatchAll{})) != 0 {
-		t.Error("MatchAll references attributes")
-	}
-}
-
 func TestLexicographicComparison(t *testing.T) {
 	a := Attrs{"name": {"beta"}}
 	f := MustParse("(name>=alpha)")

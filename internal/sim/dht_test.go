@@ -33,7 +33,7 @@ func TestDHTClusterEndToEnd(t *testing.T) {
 	}
 	// The join lookups populated every routing table.
 	for i := 0; i < 32; i++ {
-		if n := c.DHTNode(i); n == nil || n.TableLen() == 0 {
+		if n := c.dhts[i]; n == nil || n.TableLen() == 0 {
 			t.Fatalf("peer %d has no routing state", i)
 		}
 	}
@@ -121,7 +121,7 @@ func dhtChurnRepair(t *testing.T, seed int64) {
 		c.KillPeer(victim)
 	}
 	dead := map[int]bool{2: true, 7: true, 11: true, 19: true, 23: true, 28: true}
-	if c.DHTNode(2) != nil {
+	if c.dhts[2] != nil {
 		t.Fatal("killed peer still exposes a DHT node")
 	}
 	// Churn arrivals join mid-run and publish too.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/transport"
@@ -53,7 +54,8 @@ func TestGnutellaLossyNetwork(t *testing.T) {
 // TestCentralizedLatencyAccounting: the virtual latency model sums per
 // hop, letting experiments report simulated time without sleeping.
 func TestCentralizedLatencyAccounting(t *testing.T) {
-	net := transport.NewMemNetwork(transport.WithFixedLatency(10 * time.Millisecond))
+	reg := metrics.NewRegistry()
+	net := transport.NewMemNetwork(transport.WithMetrics(reg), transport.WithLatencyModel(func(transport.PeerID, transport.PeerID) time.Duration { return 10 * time.Millisecond }))
 	sep, err := net.Endpoint("server")
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +71,11 @@ func TestCentralizedLatencyAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := net.Metrics().Snapshot()
+	before := reg.Snapshot()
 	if _, err := sv.Search(core.RootCommunityID, query.MatchAll{}, p2p.SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	simLat := net.Metrics().Snapshot().Delta(before).Counter("transport.sim_latency_ns")
+	simLat := reg.Snapshot().Delta(before).Counter("transport.sim_latency_ns")
 	// One search = request + reply = 2 hops = 20ms simulated.
 	if simLat != int64(20*time.Millisecond) {
 		t.Errorf("simulated latency = %v", time.Duration(simLat))

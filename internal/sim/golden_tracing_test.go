@@ -142,12 +142,12 @@ func TestTraceSpanTreeCompleteness(t *testing.T) {
 				}
 				ids := make(map[uint64]bool, tree.Spans)
 				tree.Walk(func(n *trace.Node) { ids[n.Span.ID] = true })
-				rootEnd := tree.Start().Add(tree.Duration())
+				rootEnd := tree.Root.Span.Start.Add(tree.Duration())
 				var msgs int64
 				tree.Walk(func(n *trace.Node) {
 					s := n.Span
 					msgs += s.Msgs
-					if !s.Root() && !ids[s.Parent] {
+					if s.Parent != 0 && !ids[s.Parent] {
 						t.Errorf("trace %016x: span %s@%s parent %x not in tree",
 							tree.TraceID(), s.Op, s.Node, s.Parent)
 					}

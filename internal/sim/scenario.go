@@ -37,17 +37,12 @@ type ScenarioConfig struct {
 	Duration time.Duration
 	// QueryRate is the mean query arrival rate per virtual second.
 	QueryRate float64
-	// QueryTTL bounds flooding searches (0 = protocol default).
-	QueryTTL int
 	// InitialObjects seeds the community before the run.
 	InitialObjects int
 	// ArrivalRate / DepartureRate are mean peer churn rates per virtual
 	// second (0 = no churn of that kind).
 	ArrivalRate   float64
 	DepartureRate float64
-	// ObjectsPerArrival is how many fresh objects each arriving peer
-	// publishes (default 1).
-	ObjectsPerArrival int
 	// BurstAt, if positive, triggers a flash crowd: BurstQueries
 	// back-to-back queries for one popular filter at that instant.
 	BurstAt      time.Duration
@@ -69,9 +64,10 @@ type ScenarioConfig struct {
 	// fraction of generated queries and the result carries the
 	// slowest assembled span trees as exemplars.
 	TraceSample float64
-	// SlowTraceCount bounds ScenarioResult.SlowTraces (default 5).
-	SlowTraceCount int
 }
+
+// slowTraces bounds ScenarioResult.SlowTraces.
+const slowTraces = 5
 
 // QuerySample is one measured query.
 type QuerySample struct {
@@ -263,9 +259,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.InitialObjects <= 0 {
 		cfg.InitialObjects = 2 * cfg.Cluster.Peers
 	}
-	if cfg.ObjectsPerArrival <= 0 {
-		cfg.ObjectsPerArrival = 1
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = cfg.Cluster.Seed
 	}
@@ -310,11 +303,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	s.res.FinalPeers = len(cluster.LivePeers())
 	s.res.Elapsed = time.Since(started)
 	if cluster.Tracing() {
-		n := cfg.SlowTraceCount
-		if n <= 0 {
-			n = 5
-		}
-		s.res.SlowTraces = cluster.TraceCollector().Slowest(trace.Filter{}, n)
+		s.res.SlowTraces = cluster.TraceCollector().Slowest(trace.Filter{}, slowTraces)
 	}
 	return s.res, nil
 }
@@ -543,7 +532,6 @@ func (s *scenario) runQuery(filter string) {
 	before, beforeBytes := s.msgs.Value(), s.bytes.Value()
 	s.cluster.Net.ResetPath()
 	rs, err := s.cluster.SearchFrom(from, s.comm.ID, f, p2p.SearchOptions{
-		TTL:   s.cfg.QueryTTL,
 		Trace: sp.Context(),
 	})
 	sample := QuerySample{
@@ -583,7 +571,8 @@ func (s *scenario) runQuery(filter string) {
 	s.res.Queries++
 }
 
-// runArrival adds a peer, hands it the community, and has it publish.
+// runArrival adds a peer, hands it the community, and has it publish
+// one fresh object.
 func (s *scenario) runArrival() {
 	i, err := s.cluster.AddPeer()
 	if err != nil {
@@ -594,11 +583,9 @@ func (s *scenario) runArrival() {
 		s.err = err
 		return
 	}
-	for k := 0; k < s.cfg.ObjectsPerArrival; k++ {
-		if err := s.publishFresh(i); err != nil {
-			s.err = err
-			return
-		}
+	if err := s.publishFresh(i); err != nil {
+		s.err = err
+		return
 	}
 	s.res.Arrivals++
 }

@@ -82,7 +82,7 @@ type Config struct {
 	// Latency is the per-hop virtual latency.
 	Latency time.Duration
 	// Jitter spreads per-link latency by ±Jitter around Latency,
-	// deterministically per link (dsim.LinkLatency).
+	// deterministically per link (see linkLatency).
 	Jitter time.Duration
 	// Clock paces protocol timeouts and scenario events; nil means the
 	// wall clock. Scenarios install a dsim.VirtualClock so runs never
@@ -150,14 +150,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	opts := []transport.MemOption{transport.WithSeed(cfg.Seed), transport.WithMetrics(reg)}
+	opts := []transport.MemOption{
+		transport.WithSeed(cfg.Seed),
+		transport.WithMetrics(reg),
+		transport.WithLatencyModel(linkLatency(cfg.Seed, cfg.Latency, cfg.Jitter)),
+	}
 	if cfg.DropRate > 0 {
 		opts = append(opts, transport.WithDropRate(cfg.DropRate))
-	}
-	if cfg.Jitter > 0 {
-		opts = append(opts, transport.WithLatencyModel(dsim.LinkLatency(cfg.Seed, cfg.Latency, cfg.Jitter)))
-	} else if cfg.Latency > 0 {
-		opts = append(opts, transport.WithFixedLatency(cfg.Latency))
 	}
 	if cfg.Trace {
 		opts = append(opts, transport.WithTrace())
@@ -355,9 +354,6 @@ func (c *Cluster) LivePeers() []int {
 	return out
 }
 
-// Clock returns the clock the cluster's protocol layers run on.
-func (c *Cluster) Clock() dsim.Clock { return c.clock }
-
 // node is the wiring surface every node kind gets from the p2p.Peer it
 // embeds.
 type node interface {
@@ -398,12 +394,6 @@ func (c *Cluster) TraceCollector() *trace.Collector { return c.collector }
 // DriverTracer returns the tracer scenario drivers root query traces
 // on (nil when tracing is disabled).
 func (c *Cluster) DriverTracer() *trace.Tracer { return c.driverTr }
-
-// NumSuperPeers returns the super-peer count (0 outside FastTrack).
-func (c *Cluster) NumSuperPeers() int { return len(c.supers) }
-
-// SuperAlive reports whether super-peer s is still up.
-func (c *Cluster) SuperAlive(s int) bool { return c.superAlive[s] }
 
 func (c *Cluster) liveSupers() []int {
 	var out []int
@@ -514,28 +504,9 @@ func (c *Cluster) wireOverlay(degree int) {
 	}
 }
 
-// Node returns the Gnutella node backing servent i (nil under
-// centralized).
-func (c *Cluster) Node(i int) *p2p.GnutellaNode {
-	if c.nodes == nil {
-		return nil
-	}
-	return c.nodes[i]
-}
-
-// DHTNode returns the DHT node backing servent i (nil outside the DHT
-// protocol).
-func (c *Cluster) DHTNode(i int) *dht.Node {
-	if c.dhts == nil {
-		return nil
-	}
-	return c.dhts[i]
-}
-
 // Metrics snapshots the cluster-wide registry: transport, protocol,
 // store, and error telemetry in one consistent view. Phase accounting
-// is a pair of snapshots and a Delta, replacing the old
-// Stats/ResetStats idiom.
+// is a pair of snapshots and a Delta.
 func (c *Cluster) Metrics() *metrics.Snapshot { return c.reg.Snapshot() }
 
 // Registry exposes the cluster's shared registry, for callers that

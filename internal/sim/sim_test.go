@@ -186,7 +186,7 @@ func TestDeterministicTopology(t *testing.T) {
 		}
 		degs := make([]int, 10)
 		for i := 0; i < 10; i++ {
-			degs[i] = len(c.Node(i).Neighbors())
+			degs[i] = len(c.nodes[i].Neighbors())
 		}
 		return degs
 	}

@@ -11,7 +11,10 @@ import (
 // schema-valid object from form values, validate, extract indexed
 // attributes, render the view.
 func BenchmarkF1ObjectPipeline(b *testing.B) {
-	schema := xsd.MustParseString(corpus.PatternSchemaSrc)
+	schema, err := xsd.ParseString(corpus.PatternSchemaSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ix, err := NewIndexer(schema, "")
 	if err != nil {
 		b.Fatal(err)
@@ -40,7 +43,10 @@ func BenchmarkF1ObjectPipeline(b *testing.B) {
 // BenchmarkF2FormGeneration measures Fig. 2's generative step: schema
 // through the default create stylesheet to an HTML form.
 func BenchmarkF2FormGeneration(b *testing.B) {
-	schema := xsd.MustParseString(corpus.PatternSchemaSrc)
+	schema, err := xsd.ParseString(corpus.PatternSchemaSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
 	sheet := DefaultCreate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -91,7 +91,7 @@ func TestSearchFormGeneration(t *testing.T) {
 }
 
 func TestViewRendering(t *testing.T) {
-	obj := xmldoc.MustParse(`<pattern><title>Observer</title><solution><structure>diagram</structure></solution></pattern>`)
+	obj := mustParseXML(`<pattern><title>Observer</title><solution><structure>diagram</structure></solution></pattern>`)
 	html, err := ViewHTML(obj)
 	if err != nil {
 		t.Fatalf("view: %v", err)
@@ -135,7 +135,7 @@ func TestIndexerExtract(t *testing.T) {
 	if err != nil {
 		t.Fatalf("indexer: %v", err)
 	}
-	obj := xmldoc.MustParse(`<pattern>
+	obj := mustParseXML(`<pattern>
 	  <title>Observer</title>
 	  <category>behavioral</category>
 	  <intent>Define a one-to-many dependency</intent>
@@ -170,7 +170,7 @@ func TestIndexerSkipsEmptyValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := xmldoc.MustParse(`<pattern><title></title><category>structural</category><intent>i</intent><solution><structure>s</structure></solution></pattern>`)
+	obj := mustParseXML(`<pattern><title></title><category>structural</category><intent>i</intent><solution><structure>s</structure></solution></pattern>`)
 	attrs, err := ix.Extract(obj)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestIndexerFromCustomSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs, err := ix.Extract(xmldoc.MustParse(`<pattern><title>OBSERVER</title></pattern>`))
+	attrs, err := ix.Extract(mustParseXML(`<pattern><title>OBSERVER</title></pattern>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,4 +354,13 @@ func TestFormRoundTrip(t *testing.T) {
 	if !f.Match(attrs) {
 		t.Errorf("round-trip filter %s missed attrs %v", f.String(), attrs)
 	}
+}
+
+// mustParseXML parses a document the test spells out.
+func mustParseXML(s string) *xmldoc.Node {
+	n, err := xmldoc.ParseString(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
 }

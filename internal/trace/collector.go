@@ -66,9 +66,6 @@ func (t *Tree) TraceID() uint64 { return t.Root.Span.Trace }
 // Duration returns the root span's duration.
 func (t *Tree) Duration() time.Duration { return t.Root.Span.Duration }
 
-// Start returns the root span's start time.
-func (t *Tree) Start() time.Time { return t.Root.Span.Start }
-
 // Walk visits every node in the tree, parents before children.
 func (t *Tree) Walk(fn func(*Node)) {
 	var rec func(*Node)

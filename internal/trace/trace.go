@@ -56,9 +56,6 @@ type Span struct {
 	Err       string
 }
 
-// Root reports whether this span is a trace root.
-func (s Span) Root() bool { return s.Parent == 0 }
-
 // DefaultRingSize bounds a tracer's span ring when WithRingSize is
 // not given.
 const DefaultRingSize = 4096
@@ -255,17 +252,6 @@ func (t *Tracer) Snapshot() []Span {
 	return out
 }
 
-// Recorded returns how many spans have ever been recorded (including
-// ones since evicted).
-func (t *Tracer) Recorded() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // ActiveSpan is an in-progress span. The zero value is inactive:
 // every method is a no-op, so call sites never branch on whether
 // tracing is enabled. It is passed by value and lives on the caller's
@@ -275,9 +261,6 @@ type ActiveSpan struct {
 	tr *Tracer
 	s  Span
 }
-
-// Active reports whether this span will be recorded.
-func (a *ActiveSpan) Active() bool { return a != nil && a.tr != nil }
 
 // Context returns the propagation context naming this span as
 // parent; invalid when the span is inactive.

@@ -77,15 +77,10 @@ func WithLatencyModel(f func(from, to PeerID) time.Duration) MemOption {
 	return func(n *MemNetwork) { n.latency = f }
 }
 
-// WithFixedLatency charges a constant virtual latency per hop.
-func WithFixedLatency(d time.Duration) MemOption {
-	return WithLatencyModel(func(PeerID, PeerID) time.Duration { return d })
-}
-
 // WithDropModel sets a per-link drop probability, overriding the
-// global drop rate for links where it returns a positive value (e.g.
-// dsim.LinkLoss). Loss decisions still come from the seeded PRNG so
-// they stay reproducible given a deterministic delivery order.
+// global drop rate for links where it returns a positive value. Loss
+// decisions still come from the seeded PRNG so they stay reproducible
+// given a deterministic delivery order.
 func WithDropModel(f func(from, to PeerID) float64) MemOption {
 	return func(n *MemNetwork) { n.dropModel = f }
 }
@@ -130,9 +125,6 @@ func NewMemNetwork(opts ...MemOption) *MemNetwork {
 	n.mHopLat = n.reg.Histogram("transport.hop_latency_ns")
 	return n
 }
-
-// Metrics returns the registry this network records into.
-func (n *MemNetwork) Metrics() *metrics.Registry { return n.reg }
 
 // Endpoint attaches a new peer. Attaching an existing live ID fails.
 func (n *MemNetwork) Endpoint(id PeerID) (Endpoint, error) {
@@ -261,17 +253,6 @@ func (n *MemNetwork) foldTraceLocked(msg *Message, dropped bool) {
 	h = fnvFoldBytes(h, msg.Payload)
 	n.trace = h
 	n.traceLen++
-}
-
-// Peers returns the IDs of currently attached peers.
-func (n *MemNetwork) Peers() []PeerID {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]PeerID, 0, len(n.endpoints))
-	for id := range n.endpoints {
-		out = append(out, id)
-	}
-	return out
 }
 
 func pairKey(a, b PeerID) [2]PeerID {

@@ -87,7 +87,7 @@ func TestMemDuplicateAttach(t *testing.T) {
 }
 
 func TestMemStats(t *testing.T) {
-	net := NewMemNetwork(WithFixedLatency(5 * time.Millisecond))
+	net := NewMemNetwork(WithLatencyModel(func(PeerID, PeerID) time.Duration { return 5 * time.Millisecond }))
 	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
 	b.SetHandler(func(Message) {})
@@ -96,7 +96,7 @@ func TestMemStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := net.Metrics().Snapshot()
+	snap := net.reg.Snapshot()
 	if m, by := snap.Counter("transport.msgs_delivered"), snap.Counter("transport.bytes_delivered"); m != 3 || by != 12 {
 		t.Errorf("msgs=%d bytes=%d, want 3/12", m, by)
 	}
@@ -107,7 +107,7 @@ func TestMemStats(t *testing.T) {
 		t.Errorf("latency = %d", lat)
 	}
 	// Phase accounting is snapshot deltas, not resets.
-	if d := net.Metrics().Snapshot().Delta(snap).Counter("transport.msgs_delivered"); d != 0 {
+	if d := net.reg.Snapshot().Delta(snap).Counter("transport.msgs_delivered"); d != 0 {
 		t.Errorf("quiet-period delta = %d", d)
 	}
 }
@@ -150,10 +150,16 @@ func TestMemPartition(t *testing.T) {
 
 func TestMemPeers(t *testing.T) {
 	net := NewMemNetwork()
-	net.Endpoint("a")
-	net.Endpoint("b")
-	if got := len(net.Peers()); got != 2 {
+	for _, id := range []PeerID{"a", "b"} {
+		if _, err := net.Endpoint(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(net.endpoints); got != 2 {
 		t.Errorf("peers = %d", got)
+	}
+	if _, err := net.Endpoint("a"); err == nil {
+		t.Error("a live ID attached twice")
 	}
 }
 
@@ -340,7 +346,7 @@ func TestMemDeliveryZeroAlloc(t *testing.T) {
 	n := NewMemNetwork(
 		WithTrace(),
 		WithPeerLoad(),
-		WithFixedLatency(5*time.Millisecond),
+		WithLatencyModel(func(PeerID, PeerID) time.Duration { return 5 * time.Millisecond }),
 	)
 	a, err := n.Endpoint("a")
 	if err != nil {

@@ -12,12 +12,15 @@
 package xmldoc
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Kind discriminates node types in the document tree.
@@ -98,6 +101,16 @@ func Parse(r io.Reader) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
 	var stack []*Node
+	// text gathers the character data of one run (split by entity and
+	// CDATA boundaries) until the next markup attaches it as one node:
+	// appending run by run to a node's string would be quadratic.
+	var text strings.Builder
+	flush := func() {
+		if text.Len() > 0 {
+			stack[len(stack)-1].AppendChild(NewText(text.String()))
+			text.Reset()
+		}
+	}
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -108,10 +121,20 @@ func Parse(r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := NewElement(qualName(t.Name))
+			if len(stack) > 0 {
+				flush()
+			}
+			name, err := qualName(t.Name)
+			if err != nil {
+				return nil, err
+			}
+			n := NewElement(name)
 			n.Attrs = make([]Attr, 0, len(t.Attr))
 			for _, a := range t.Attr {
-				n.Attrs = append(n.Attrs, Attr{Name: qualName(a.Name), Value: a.Value})
+				if name, err = qualName(a.Name); err != nil {
+					return nil, err
+				}
+				n.Attrs = append(n.Attrs, Attr{Name: name, Value: a.Value})
 			}
 			if len(stack) == 0 {
 				if root != nil {
@@ -126,24 +149,19 @@ func Parse(r io.Reader) (*Node, error) {
 			if len(stack) == 0 {
 				return nil, errors.New("xmldoc: unbalanced end element")
 			}
+			flush()
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
 			if len(stack) == 0 {
 				continue // whitespace outside root
 			}
-			s := string(t)
-			top := stack[len(stack)-1]
-			if strings.TrimSpace(s) == "" && !preservesSpace(top) {
+			if len(bytes.TrimSpace(t)) == 0 && !preservesSpace(stack[len(stack)-1]) {
 				continue
 			}
-			// Merge adjacent text produced by entity boundaries.
-			if n := len(top.Children); n > 0 && top.Children[n-1].Kind == KindText {
-				top.Children[n-1].Data += s
-			} else {
-				top.AppendChild(NewText(s))
-			}
+			text.Write(t)
 		case xml.Comment:
 			if len(stack) > 0 {
+				flush()
 				stack[len(stack)-1].AppendChild(NewComment(string(t)))
 			}
 		case xml.ProcInst, xml.Directive:
@@ -164,17 +182,6 @@ func ParseString(s string) (*Node, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// MustParse parses s and panics on error. Intended for compiled-in
-// documents (default stylesheets, the root community schema) whose
-// validity is a program invariant.
-func MustParse(s string) *Node {
-	n, err := ParseString(s)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // preservesSpace reports whether whitespace-only character data inside
 // the element is significant: xsl:text content always is, as is any
 // element carrying xml:space="preserve".
@@ -185,19 +192,32 @@ func preservesSpace(n *Node) bool {
 	return n.AttrDefault("xml:space", "") == "preserve"
 }
 
-func qualName(n xml.Name) string {
+func qualName(n xml.Name) (string, error) {
 	// encoding/xml resolves namespaces into Space as a URI; we keep the
 	// local name and re-prefix well-known namespaces so prefix-based
 	// matching (how the paper's documents address nodes) works.
-	if n.Space == "" {
-		return n.Local
+	switch {
+	case n.Space == "":
+		return n.Local, nil
+	case n.Space == "xmlns": // a prefix declaration keeps its prefix
+		return "xmlns:" + n.Local, nil
 	}
 	if p, ok := wellKnownNS[n.Space]; ok {
-		return p + ":" + n.Local
+		return p + ":" + n.Local, nil
+	}
+	for _, p := range wellKnownNS {
+		if n.Space == p { // a well-known prefix used undeclared
+			return p + ":" + n.Local, nil
+		}
 	}
 	// Unknown namespace: keep local name only. The document's xmlns
 	// attributes remain available on the element for callers that care.
-	return n.Local
+	// Namespaces in XML requires the local part to be a name on its own
+	// ("p:0" is not namespace-well-formed).
+	if r, _ := utf8.DecodeRuneInString(n.Local); r != '_' && (!unicode.IsLetter(r) || unicode.Is(unicode.Lm, r)) {
+		return "", fmt.Errorf("xmldoc: parse: local part of %s:%s is not a name", n.Space, n.Local)
+	}
+	return n.Local, nil
 }
 
 // wellKnownNS maps namespace URIs to canonical prefixes. U-P2P's
@@ -233,21 +253,6 @@ func (n *Node) Prefix() string {
 func (n *Node) AppendChild(c *Node) {
 	c.Parent = n
 	n.Children = append(n.Children, c)
-}
-
-// InsertChildAt inserts c at index i among n's children. Out-of-range
-// indexes clamp to the valid range.
-func (n *Node) InsertChildAt(i int, c *Node) {
-	if i < 0 {
-		i = 0
-	}
-	if i > len(n.Children) {
-		i = len(n.Children)
-	}
-	c.Parent = n
-	n.Children = append(n.Children, nil)
-	copy(n.Children[i+1:], n.Children[i:])
-	n.Children[i] = c
 }
 
 // RemoveChild detaches c from n. It reports whether c was a child.
@@ -335,23 +340,6 @@ func (n *Node) ChildrenNamed(local string) []*Node {
 	return out
 }
 
-// Find walks a '/'-separated path of local names from n and returns the
-// first match, or nil. A path like "complexType/sequence/element"
-// descends first-match at each step.
-func (n *Node) Find(path string) *Node {
-	cur := n
-	for _, seg := range strings.Split(path, "/") {
-		if seg == "" {
-			continue
-		}
-		cur = cur.Child(seg)
-		if cur == nil {
-			return nil
-		}
-	}
-	return cur
-}
-
 // Text returns the concatenation of all descendant text nodes, in
 // document order (the XPath string-value of an element).
 func (n *Node) Text() string {
@@ -419,15 +407,6 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	for _, c := range n.Children {
 		c.Walk(fn)
 	}
-}
-
-// Depth returns the number of ancestors of n.
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
 }
 
 // Root returns the topmost ancestor of n (n itself if detached).
@@ -513,41 +492,20 @@ func sortAttrs(s []Attr) {
 // String serializes the subtree as compact XML (no added whitespace).
 func (n *Node) String() string {
 	var b strings.Builder
-	n.write(&b, -1, 0)
+	n.write(&b)
 	return b.String()
 }
 
-// Indent serializes the subtree with two-space indentation, one element
-// per line, suitable for human inspection and stable golden tests.
-func (n *Node) Indent() string {
-	var b strings.Builder
-	n.write(&b, 0, 0)
-	b.WriteByte('\n')
-	return b.String()
-}
-
-// write emits the node. indent < 0 means compact output.
-func (n *Node) write(b *strings.Builder, indent, depth int) {
-	pad := func() {
-		if indent >= 0 {
-			if b.Len() > 0 {
-				b.WriteByte('\n')
-			}
-			for i := 0; i < depth*2; i++ {
-				b.WriteByte(' ')
-			}
-		}
-	}
+// write emits the node as compact XML.
+func (n *Node) write(b *strings.Builder) {
 	switch n.Kind {
 	case KindText:
 		escapeText(b, n.Data)
 	case KindComment:
-		pad()
 		b.WriteString("<!--")
 		b.WriteString(n.Data)
 		b.WriteString("-->")
 	case KindElement:
-		pad()
 		b.WriteByte('<')
 		b.WriteString(n.Name)
 		for _, a := range n.Attrs {
@@ -562,28 +520,8 @@ func (n *Node) write(b *strings.Builder, indent, depth int) {
 			return
 		}
 		b.WriteByte('>')
-		textOnly := true
 		for _, c := range n.Children {
-			if c.Kind != KindText {
-				textOnly = false
-				break
-			}
-		}
-		if textOnly || indent < 0 {
-			for _, c := range n.Children {
-				c.write(b, -1, 0)
-			}
-			b.WriteString("</")
-			b.WriteString(n.Name)
-			b.WriteByte('>')
-			return
-		}
-		for _, c := range n.Children {
-			c.write(b, indent, depth+1)
-		}
-		b.WriteByte('\n')
-		for i := 0; i < depth*2; i++ {
-			b.WriteByte(' ')
+			c.write(b)
 		}
 		b.WriteString("</")
 		b.WriteString(n.Name)
@@ -600,6 +538,8 @@ func escapeText(b *strings.Builder, s string) {
 			b.WriteString("&lt;")
 		case '>':
 			b.WriteString("&gt;")
+		case '\r': // a raw CR would read back as LF
+			b.WriteString("&#xD;")
 		default:
 			b.WriteRune(r)
 		}
@@ -617,6 +557,8 @@ func escapeAttr(b *strings.Builder, s string) {
 			b.WriteString("&quot;")
 		case '\n':
 			b.WriteString("&#10;")
+		case '\r':
+			b.WriteString("&#xD;")
 		default:
 			b.WriteRune(r)
 		}

@@ -33,16 +33,6 @@ func Compile(src string) (*Expr, error) {
 	return &Expr{src: src, root: root}, nil
 }
 
-// MustCompile is Compile that panics on error; for expression
-// literals whose validity is a program invariant.
-func MustCompile(src string) *Expr {
-	e, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.src }
 
@@ -89,42 +79,8 @@ func (e *Expr) EvalEnv(n *xmldoc.Node, env *Env) Value {
 	return e.root.eval(ctx)
 }
 
-// Select evaluates and returns the node-set result; non-node-set
-// results yield nil.
-func (e *Expr) Select(n *xmldoc.Node) []*xmldoc.Node {
-	v := e.Eval(n)
-	if v.Kind != KindNodeSet {
-		return nil
-	}
-	return v.Nodes
-}
-
-// First returns the first selected node or nil.
-func (e *Expr) First(n *xmldoc.Node) *xmldoc.Node {
-	ns := e.Select(n)
-	if len(ns) == 0 {
-		return nil
-	}
-	return ns[0]
-}
-
-// EvalString is a convenience for Eval(...).String().
-func (e *Expr) EvalString(n *xmldoc.Node) string { return e.Eval(n).String() }
-
 // EvalBool is a convenience for Eval(...).Boolean().
 func (e *Expr) EvalBool(n *xmldoc.Node) bool { return e.Eval(n).Boolean() }
-
-// EvalNumber is a convenience for Eval(...).Number().
-func (e *Expr) EvalNumber(n *xmldoc.Node) float64 { return e.Eval(n).Number() }
-
-// Select compiles and evaluates expr against n in one call.
-func Select(n *xmldoc.Node, src string) ([]*xmldoc.Node, error) {
-	e, err := Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Select(n), nil
-}
 
 // --- expression evaluation ---
 

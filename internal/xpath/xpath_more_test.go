@@ -7,8 +7,8 @@ import (
 )
 
 func TestDocumentOrderOfDoubleSlash(t *testing.T) {
-	d := xmldoc.MustParse(`<r><a><v>1</v></a><v>2</v><b><v>3</v></b></r>`)
-	got := MustCompile("//v").Select(d)
+	d := mustParseXML(`<r><a><v>1</v></a><v>2</v><b><v>3</v></b></r>`)
+	got := mustCompile("//v").Eval(d).Nodes
 	if len(got) != 3 {
 		t.Fatalf("count = %d", len(got))
 	}
@@ -20,77 +20,77 @@ func TestDocumentOrderOfDoubleSlash(t *testing.T) {
 }
 
 func TestUnionPreservesFirstOccurrence(t *testing.T) {
-	d := xmldoc.MustParse(`<r><a/><b/></r>`)
-	got := MustCompile("a|b|a").Select(d)
+	d := mustParseXML(`<r><a/><b/></r>`)
+	got := mustCompile("a|b|a").Eval(d).Nodes
 	if len(got) != 2 {
 		t.Errorf("union dedup = %d nodes", len(got))
 	}
 }
 
 func TestArithmeticOverNodeValues(t *testing.T) {
-	d := xmldoc.MustParse(`<o><price>10.5</price><qty>3</qty></o>`)
-	if got := MustCompile("price * qty").EvalNumber(d); got != 31.5 {
+	d := mustParseXML(`<o><price>10.5</price><qty>3</qty></o>`)
+	if got := mustCompile("price * qty").Eval(d).Number(); got != 31.5 {
 		t.Errorf("price*qty = %v", got)
 	}
-	if got := MustCompile("sum(price|qty)").EvalNumber(d); got != 13.5 {
+	if got := mustCompile("sum(price|qty)").Eval(d).Number(); got != 13.5 {
 		t.Errorf("sum = %v", got)
 	}
 }
 
 func TestPredicateChaining(t *testing.T) {
-	d := xmldoc.MustParse(`<l><i k="a">1</i><i k="a">2</i><i k="b">3</i></l>`)
-	got := MustCompile("i[@k='a'][2]").Select(d)
+	d := mustParseXML(`<l><i k="a">1</i><i k="a">2</i><i k="b">3</i></l>`)
+	got := mustCompile("i[@k='a'][2]").Eval(d).Nodes
 	if len(got) != 1 || got[0].Text() != "2" {
 		t.Errorf("chained predicates = %v", got)
 	}
 	// Order matters: [2][@k='a'] selects the 2nd item then filters.
-	got = MustCompile("i[2][@k='a']").Select(d)
+	got = mustCompile("i[2][@k='a']").Eval(d).Nodes
 	if len(got) != 1 || got[0].Text() != "2" {
 		t.Errorf("reversed chain = %v", got)
 	}
-	got = MustCompile("i[3][@k='a']").Select(d)
+	got = mustCompile("i[3][@k='a']").Eval(d).Nodes
 	if len(got) != 0 {
 		t.Errorf("i[3][@k='a'] = %v", got)
 	}
 }
 
 func TestBooleanCoercionsInPredicates(t *testing.T) {
-	d := xmldoc.MustParse(`<l><i><sub/></i><i/></l>`)
-	if got := len(MustCompile("i[sub]").Select(d)); got != 1 {
+	d := mustParseXML(`<l><i><sub/></i><i/></l>`)
+	if got := len(mustCompile("i[sub]").Eval(d).Nodes); got != 1 {
 		t.Errorf("existence predicate = %d", got)
 	}
-	if got := len(MustCompile("i[not(sub)]").Select(d)); got != 1 {
+	if got := len(mustCompile("i[not(sub)]").Eval(d).Nodes); got != 1 {
 		t.Errorf("not-existence predicate = %d", got)
 	}
 }
 
 func TestCountOverDescendants(t *testing.T) {
-	d := xmldoc.MustParse(`<r><p><c/><c/></p><p><c/></p></r>`)
-	if got := MustCompile("count(//c)").EvalNumber(d); got != 3 {
+	d := mustParseXML(`<r><p><c/><c/></p><p><c/></p></r>`)
+	if got := mustCompile("count(//c)").Eval(d).Number(); got != 3 {
 		t.Errorf("count(//c) = %v", got)
 	}
-	if got := len(MustCompile("p[count(c) = 2]").Select(d)); got != 1 {
+	if got := len(mustCompile("p[count(c) = 2]").Eval(d).Nodes); got != 1 {
 		t.Errorf("count predicate = %d", got)
 	}
 }
 
 func TestStringValueOfComplexElement(t *testing.T) {
-	d := xmldoc.MustParse(`<r><name>Abstract <em>Factory</em> pattern</name></r>`)
-	if got := MustCompile("string(name)").EvalString(d); got != "Abstract Factory pattern" {
+	d := mustParseXML(`<r><name>Abstract <em>Factory</em> pattern</name></r>`)
+	if got := mustCompile("string(name)").Eval(d).String(); got != "Abstract Factory pattern" {
 		t.Errorf("string-value = %q", got)
 	}
-	if !MustCompile("contains(name, 'Factory')").EvalBool(d) {
+	if !mustCompile("contains(name, 'Factory')").EvalBool(d) {
 		t.Error("contains over mixed content failed")
 	}
 }
 
 func TestParentAndAncestorFromDeep(t *testing.T) {
-	d := xmldoc.MustParse(`<a><b><c><d/></c></b></a>`)
-	deep := MustCompile("//d").First(d)
-	if got := MustCompile("../..").First(deep); got == nil || got.Name != "b" {
+	d := mustParseXML(`<a><b><c><d/></c></b></a>`)
+	deep := first(mustCompile("//d").Eval(d).Nodes)
+	if got := first(mustCompile("../..").Eval(deep).Nodes); got == nil || got.Name != "b" {
 		t.Errorf("../.. = %v", got)
 	}
-	if got := len(MustCompile("ancestor::*").Select(deep)); got != 3 {
+	if got := len(mustCompile("ancestor::*").Eval(deep).Nodes); got != 3 {
 		t.Errorf("ancestors = %d", got)
 	}
 }
@@ -109,47 +109,56 @@ func TestNumericStringEdgeCases(t *testing.T) {
 		{"normalize-space('')", ""},
 	}
 	for _, c := range cases {
-		if got := MustCompile(c.src).EvalString(d); got != c.want {
+		if got := mustCompile(c.src).Eval(d).String(); got != c.want {
 			t.Errorf("%s = %q, want %q", c.src, got, c.want)
 		}
 	}
 }
 
 func TestEmptyNodeSetBehaviours(t *testing.T) {
-	d := xmldoc.MustParse(`<r><a>1</a></r>`)
-	if MustCompile("missing < a").EvalBool(d) {
+	d := mustParseXML(`<r><a>1</a></r>`)
+	if mustCompile("missing < a").EvalBool(d) {
 		t.Error("empty < nonempty should be false")
 	}
-	if got := MustCompile("string(missing)").EvalString(d); got != "" {
+	if got := mustCompile("string(missing)").Eval(d).String(); got != "" {
 		t.Errorf("string(empty) = %q", got)
 	}
-	if got := MustCompile("count(missing)").EvalNumber(d); got != 0 {
+	if got := mustCompile("count(missing)").Eval(d).Number(); got != 0 {
 		t.Errorf("count(empty) = %v", got)
 	}
-	if MustCompile("missing").EvalBool(d) {
+	if mustCompile("missing").EvalBool(d) {
 		t.Error("boolean(empty nodeset) = true")
 	}
 }
 
 func TestSelfAxisWithName(t *testing.T) {
-	d := xmldoc.MustParse(`<r><a/><b/></r>`)
-	nodes := MustCompile("*[self::a]").Select(d)
+	d := mustParseXML(`<r><a/><b/></r>`)
+	nodes := mustCompile("*[self::a]").Eval(d).Nodes
 	if len(nodes) != 1 || nodes[0].Name != "a" {
 		t.Errorf("self:: filter = %v", nodes)
 	}
 }
 
 func TestFilterExprPredicateOnVariable(t *testing.T) {
-	d := xmldoc.MustParse(`<l><i>1</i><i>2</i><i>3</i></l>`)
-	items := MustCompile("i").Select(d)
+	d := mustParseXML(`<l><i>1</i><i>2</i><i>3</i></l>`)
+	items := mustCompile("i").Eval(d).Nodes
 	env := &Env{Vars: map[string]Value{"set": NodeSetValue(items)}}
-	e := MustCompile("$set[2]")
+	e := mustCompile("$set[2]")
 	v := e.EvalEnv(d, env)
 	if len(v.Nodes) != 1 || v.Nodes[0].Text() != "2" {
 		t.Errorf("$set[2] = %v", v.Nodes)
 	}
-	e2 := MustCompile("count($set)")
+	e2 := mustCompile("count($set)")
 	if got := e2.EvalEnv(d, env).Number(); got != 3 {
 		t.Errorf("count($set) = %v", got)
 	}
+}
+
+// mustParseXML parses a document the test spells out.
+func mustParseXML(s string) *xmldoc.Node {
+	n, err := xmldoc.ParseString(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
 }

@@ -42,7 +42,7 @@ func sel(t *testing.T, n *xmldoc.Node, src string) []*xmldoc.Node {
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	return e.Select(n)
+	return e.Eval(n).Nodes
 }
 
 func TestSelectBasics(t *testing.T) {
@@ -120,29 +120,29 @@ func TestAttributes(t *testing.T) {
 func TestAxes(t *testing.T) {
 	d := doc(t)
 	title := sel(t, d, "book[1]/title")[0]
-	if got := MustCompile("..").First(title); got == nil || got.LocalName() != "book" {
+	if got := first(mustCompile("..").Eval(title).Nodes); got == nil || got.LocalName() != "book" {
 		t.Errorf(".. = %v", got)
 	}
-	if got := MustCompile("ancestor::library").Select(title); len(got) != 1 {
+	if got := mustCompile("ancestor::library").Eval(title).Nodes; len(got) != 1 {
 		t.Errorf("ancestor = %d", len(got))
 	}
-	if got := MustCompile("ancestor-or-self::*").Select(title); len(got) != 3 {
+	if got := mustCompile("ancestor-or-self::*").Eval(title).Nodes; len(got) != 3 {
 		t.Errorf("ancestor-or-self = %d", len(got))
 	}
-	if got := MustCompile("following-sibling::*").Select(title); len(got) != 3 {
+	if got := mustCompile("following-sibling::*").Eval(title).Nodes; len(got) != 3 {
 		t.Errorf("following-sibling = %d, want 3 (2 authors + price)", len(got))
 	}
 	authors := sel(t, d, "book[1]/author")
-	if got := MustCompile("preceding-sibling::title").Select(authors[0]); len(got) != 1 {
+	if got := mustCompile("preceding-sibling::title").Eval(authors[0]).Nodes; len(got) != 1 {
 		t.Errorf("preceding-sibling = %d", len(got))
 	}
-	if got := MustCompile("descendant::title").Select(d); len(got) != 3 {
+	if got := mustCompile("descendant::title").Eval(d).Nodes; len(got) != 3 {
 		t.Errorf("descendant = %d", len(got))
 	}
-	if got := MustCompile("self::book").Select(authors[0]); len(got) != 0 {
+	if got := mustCompile("self::book").Eval(authors[0]).Nodes; len(got) != 0 {
 		t.Errorf("self::book on author = %d", len(got))
 	}
-	if got := MustCompile("descendant-or-self::book").Select(d); len(got) != 2 {
+	if got := mustCompile("descendant-or-self::book").Eval(d).Nodes; len(got) != 2 {
 		t.Errorf("descendant-or-self::book = %d", len(got))
 	}
 }
@@ -182,7 +182,7 @@ func TestStringFunctions(t *testing.T) {
 			t.Errorf("compile %q: %v", tt.src, err)
 			continue
 		}
-		if got := e.EvalString(d); got != tt.want {
+		if got := e.Eval(d).String(); got != tt.want {
 			t.Errorf("%s = %q, want %q", tt.src, got, tt.want)
 		}
 	}
@@ -207,7 +207,7 @@ func TestBooleanAndNumberFunctions(t *testing.T) {
 		{"string-length('abc') = 3", true},
 	}
 	for _, tt := range boolTests {
-		if got := MustCompile(tt.src).EvalBool(d); got != tt.want {
+		if got := mustCompile(tt.src).EvalBool(d); got != tt.want {
 			t.Errorf("%s = %v, want %v", tt.src, got, tt.want)
 		}
 	}
@@ -228,7 +228,7 @@ func TestBooleanAndNumberFunctions(t *testing.T) {
 		{"-5 + 2", -3},
 	}
 	for _, tt := range numTests {
-		got := MustCompile(tt.src).EvalNumber(d)
+		got := mustCompile(tt.src).Eval(d).Number()
 		if math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("%s = %v, want %v", tt.src, got, tt.want)
 		}
@@ -247,7 +247,7 @@ func TestNumberFormatting(t *testing.T) {
 	}
 	n := xmldoc.NewElement("x")
 	for _, tt := range tests {
-		if got := MustCompile(tt.src).EvalString(n); got != tt.want {
+		if got := mustCompile(tt.src).Eval(n).String(); got != tt.want {
 			t.Errorf("%s = %q, want %q", tt.src, got, tt.want)
 		}
 	}
@@ -255,14 +255,14 @@ func TestNumberFormatting(t *testing.T) {
 
 func TestVariables(t *testing.T) {
 	d := doc(t)
-	e := MustCompile("book[@id = $want]/title")
+	e := mustCompile("book[@id = $want]/title")
 	env := &Env{Vars: map[string]Value{"want": StringValue("b2")}}
 	v := e.EvalEnv(d, env)
 	if len(v.Nodes) != 1 || v.Nodes[0].Text() != "Refactoring" {
 		t.Errorf("variable predicate = %v", v.Nodes)
 	}
 	// Unbound variable: empty string.
-	if got := MustCompile("$missing").EvalString(d); got != "" {
+	if got := mustCompile("$missing").Eval(d).String(); got != "" {
 		t.Errorf("unbound var = %q", got)
 	}
 }
@@ -281,7 +281,7 @@ func TestPrefixedNameMatching(t *testing.T) {
 	if got := len(sel(t, d, "//xsd:element")); got != 2 {
 		t.Errorf("//xsd:element = %d, want 2", got)
 	}
-	if got := MustCompile("element/@name").EvalString(d); got != "community" {
+	if got := mustCompile("element/@name").Eval(d).String(); got != "community" {
 		t.Errorf("@name = %q", got)
 	}
 }
@@ -289,13 +289,13 @@ func TestPrefixedNameMatching(t *testing.T) {
 func TestRootAndAbsolutePaths(t *testing.T) {
 	d := doc(t)
 	deep := sel(t, d, "book[1]/author")[0]
-	if got := len(MustCompile("/library").Select(deep)); got != 1 {
+	if got := len(mustCompile("/library").Eval(deep).Nodes); got != 1 {
 		t.Errorf("absolute path from deep node = %d", got)
 	}
-	if got := len(MustCompile("//book").Select(deep)); got != 2 {
+	if got := len(mustCompile("//book").Eval(deep).Nodes); got != 2 {
 		t.Errorf("// from deep node = %d", got)
 	}
-	if got := MustCompile("/").Select(deep); len(got) != 1 || got[0].Name != "library" {
+	if got := mustCompile("/").Eval(deep).Nodes; len(got) != 1 || got[0].Name != "library" {
 		t.Errorf("/ = %v", got)
 	}
 }
@@ -336,19 +336,19 @@ func TestCompileErrors(t *testing.T) {
 func TestNodeSetComparisons(t *testing.T) {
 	d := doc(t)
 	// Existential semantics: any author equals.
-	if !MustCompile("book/author = 'Fowler'").EvalBool(d) {
+	if !mustCompile("book/author = 'Fowler'").EvalBool(d) {
 		t.Error("existential = failed")
 	}
 	// != is also existential: some author != 'Fowler' is true.
-	if !MustCompile("book/author != 'Fowler'").EvalBool(d) {
+	if !mustCompile("book/author != 'Fowler'").EvalBool(d) {
 		t.Error("existential != failed")
 	}
 	// Node-set vs node-set.
-	if !MustCompile("book[1]/title = //title").EvalBool(d) {
+	if !mustCompile("book[1]/title = //title").EvalBool(d) {
 		t.Error("nodeset vs nodeset = failed")
 	}
 	// Empty node-set compares false.
-	if MustCompile("missing = 'x'").EvalBool(d) {
+	if mustCompile("missing = 'x'").EvalBool(d) {
 		t.Error("empty nodeset = value should be false")
 	}
 }
@@ -356,10 +356,10 @@ func TestNodeSetComparisons(t *testing.T) {
 func TestEvalOnAttributeContext(t *testing.T) {
 	d := doc(t)
 	attr := sel(t, d, "book[1]/@id")[0]
-	if got := MustCompile("string(.)").EvalString(attr); got != "b1" {
+	if got := mustCompile("string(.)").Eval(attr).String(); got != "b1" {
 		t.Errorf("string(attr) = %q", got)
 	}
-	if got := MustCompile("..").First(attr); got == nil || got.LocalName() != "book" {
+	if got := first(mustCompile("..").Eval(attr).Nodes); got == nil || got.LocalName() != "book" {
 		t.Errorf("parent of attribute = %v", got)
 	}
 }
@@ -380,7 +380,7 @@ func TestPropertyNoPanics(t *testing.T) {
 			// as long as it's an error, not a panic.
 			return true
 		}
-		for _, n := range e.Select(d) {
+		for _, n := range e.Eval(d).Nodes {
 			if n == nil {
 				return false
 			}
@@ -411,23 +411,42 @@ func TestPropertyPositionPartition(t *testing.T) {
 	}
 }
 
+// mustCompile compiles an expression the test spells out.
+func mustCompile(src string) *Expr {
+	e, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// first returns the first node of ns, or nil.
+func first(ns []*xmldoc.Node) *xmldoc.Node {
+	if len(ns) == 0 {
+		return nil
+	}
+	return ns[0]
+}
+
 func itoa(i int) string {
 	return strings.TrimSpace(strings.Repeat("", 0) + string(rune('0'+i)))
 }
 
 func TestSelectHelper(t *testing.T) {
 	d := doc(t)
-	ns, err := Select(d, "book/title")
-	if err != nil || len(ns) != 2 {
-		t.Errorf("Select helper = %v, %v", ns, err)
+	if ns := mustCompile("book/title").Eval(d).Nodes; len(ns) != 2 {
+		t.Errorf("book/title selected %d nodes, want 2", len(ns))
 	}
-	if _, err := Select(d, "[["); err == nil {
-		t.Error("Select with bad expr: no error")
+	if ns := mustCompile("count(book)").Eval(d).Nodes; ns != nil {
+		t.Errorf("a number selected nodes: %v", ns)
+	}
+	if _, err := Compile("[["); err == nil {
+		t.Error("Compile of a bad expression: no error")
 	}
 }
 
 func TestSourceAccessor(t *testing.T) {
-	e := MustCompile("book/title")
+	e := mustCompile("book/title")
 	if e.Source() != "book/title" {
 		t.Errorf("Source = %q", e.Source())
 	}

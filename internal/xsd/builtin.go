@@ -68,15 +68,6 @@ func LookupBuiltin(name string) (Builtin, bool) {
 	return b, ok
 }
 
-// IsNumeric reports whether values of this type order numerically.
-func (b Builtin) IsNumeric() bool {
-	switch b {
-	case BuiltinInteger, BuiltinInt, BuiltinLong, BuiltinDecimal, BuiltinFloat, BuiltinDouble:
-		return true
-	}
-	return false
-}
-
 // CheckValue validates a lexical value against the builtin type.
 func (b Builtin) CheckValue(v string) error {
 	s := strings.TrimSpace(v)

@@ -59,16 +59,6 @@ func (s *Schema) SearchableFields() []Field {
 	return marked
 }
 
-// FieldByPath finds a field by its slash-joined path.
-func (s *Schema) FieldByPath(path string) (Field, bool) {
-	for _, f := range s.Fields() {
-		if f.Path == path {
-			return f, true
-		}
-	}
-	return Field{}, false
-}
-
 func (s *Schema) collectFields(el *ElementDecl, prefix []string, seen map[*Type]bool, out *[]Field) {
 	t := el.Type
 	if t == nil {

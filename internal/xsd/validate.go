@@ -69,21 +69,6 @@ func (s *Schema) Validate(doc *xmldoc.Node) error {
 	return nil
 }
 
-// ValidateValue checks a single lexical value against an element
-// declaration's (simple) type. Used by the servent when processing
-// create-form submissions field by field.
-func (s *Schema) ValidateValue(decl *ElementDecl, value string) error {
-	if decl.Type == nil {
-		return nil
-	}
-	v := &validator{schema: s}
-	v.simpleValue(value, decl.Type, decl.Name)
-	if len(v.out) > 0 {
-		return &ValidationError{Violations: v.out}
-	}
-	return nil
-}
-
 func (v *validator) element(n *xmldoc.Node, decl *ElementDecl, path string) {
 	t := decl.Type
 	if t == nil {

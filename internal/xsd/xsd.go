@@ -207,15 +207,6 @@ func ParseString(src string) (*Schema, error) {
 	return Parse(doc)
 }
 
-// MustParseString panics on error; for compiled-in schemas.
-func MustParseString(src string) *Schema {
-	s, err := ParseString(src)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Doc returns the underlying schema document node (the input to the
 // generative stylesheets of Fig. 2).
 func (s *Schema) Doc() *xmldoc.Node { return s.doc }

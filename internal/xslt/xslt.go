@@ -160,9 +160,6 @@ func MustCompileString(src string) *Stylesheet {
 	return s
 }
 
-// OutputMethod returns the xsl:output method ("xml" by default).
-func (s *Stylesheet) OutputMethod() string { return s.output }
-
 // Apply transforms doc and returns the serialized result. The result
 // is the concatenation of top-level output: text, or markup when the
 // transform emits elements. Safe for concurrent use, see Stylesheet.

@@ -137,7 +137,7 @@ func TestModeLessTemplatesCompose(t *testing.T) {
 	second := MustCompileString(header + `
 	  <xsl:template match="/"><out n="{count(mid/x)}"/></xsl:template>
 	</xsl:stylesheet>`)
-	midNodes, err := first.ApplyNodes(xmldoc.MustParse(`<src><v>1</v><v>2</v></src>`))
+	midNodes, err := first.ApplyNodes(mustParseXML(`<src><v>1</v><v>2</v></src>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,4 +190,13 @@ func TestDeepDocumentTransform(t *testing.T) {
 	if !strings.Contains(out, "x") || strings.Count(out, "<d>") != depth {
 		t.Errorf("deep identity lost structure: %d <d> tags", strings.Count(out, "<d>"))
 	}
+}
+
+// mustParseXML parses a document the test spells out.
+func mustParseXML(s string) *xmldoc.Node {
+	n, err := xmldoc.ParseString(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
 }

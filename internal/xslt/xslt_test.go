@@ -300,10 +300,10 @@ func TestTextOutputMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.OutputMethod() != "text" {
-		t.Errorf("method = %q", s.OutputMethod())
+	if s.output != "text" {
+		t.Errorf("method = %q", s.output)
 	}
-	d := xmldoc.MustParse(`<l><i>a</i><i>b</i></l>`)
+	d := mustParseXML(`<l><i>a</i><i>b</i></l>`)
 	out, err := s.Apply(d)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestRecursionGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Apply(xmldoc.MustParse("<x/>"))
+	_, err = s.Apply(mustParseXML("<x/>"))
 	if err == nil || !strings.Contains(err.Error(), "too deep") {
 		t.Errorf("err = %v, want recursion guard", err)
 	}
@@ -369,7 +369,7 @@ func TestCallUnknownTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(xmldoc.MustParse("<x/>")); err == nil {
+	if _, err := s.Apply(mustParseXML("<x/>")); err == nil {
 		t.Error("calling unknown template succeeded")
 	}
 }
@@ -418,7 +418,7 @@ func TestApplyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := s.ApplyNodes(xmldoc.MustParse("<x/>"))
+	nodes, err := s.ApplyNodes(mustParseXML("<x/>"))
 	if err != nil {
 		t.Fatal(err)
 	}
