@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet surface surface-check bench-smoke alloc-profile fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
+.PHONY: build test race fmt vet surface surface-check bench-smoke alloc-profile heap-profile fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
 
 build:
 	$(GO) build ./...
@@ -68,13 +68,26 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof" && \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
 
-# Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzP2PFrameDecode,
-# FuzzTCPFrame, FuzzMatchEquivalence, FuzzFilterParse, FuzzWALSegment,
-# FuzzXPathCompile and FuzzXMLParse on top of their seeds and the
-# committed corpora (testdata/fuzz in internal/dht, internal/p2p,
-# internal/transport, internal/query, internal/index and internal/xmldoc)
-# — no DHT or p2p frame decoder, no TCP connection reader and no WAL
-# segment scan may panic, or allocate beyond a small multiple of its
+# What one benchmark leaves resident, by call site: the inuse_space
+# twin of alloc-profile. `make heap-profile PKG=./internal/dht
+# BENCH=RecordStoreGet` runs it with -memprofile (every allocation
+# sampled) and prints the top of the profile by bytes still in use when
+# it ends. The test binary and the profile stay in a temporary directory.
+heap-profile:
+	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make heap-profile PKG=./internal/dht BENCH=RecordStoreGet"; exit 2; }
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test $(PKG) -run '^$$' -bench '$(BENCH)' -benchtime 2000x -memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/pkg.test" && \
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
+
+# Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzHolderIndex,
+# FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
+# FuzzFilterParse, FuzzWALSegment, FuzzXPathCompile and FuzzXMLParse on
+# top of their seeds and the committed corpora (testdata/fuzz in
+# internal/dht, internal/p2p, internal/transport, internal/query,
+# internal/index and internal/xmldoc) — a DHT holder's posting lists
+# answer every get as a scan of the same records does, no DHT or p2p
+# frame decoder, no TCP connection reader and no WAL segment scan may
+# panic, or allocate beyond a small multiple of its
 # input, the GUID a flood relay peeks from a query or query-hit is the
 # one a full decode reads, Filter.Match answers every filter and value
 # as the matcher it replaced did, a parsed filter's String parses back
@@ -83,6 +96,7 @@ alloc-profile:
 # document's String parses back to the same String.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
+	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzHolderIndex -fuzztime 10s
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzP2PFrameDecode -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/errs"
 	"repro/internal/query"
 	"repro/internal/stylegen"
 	"repro/internal/xmldoc"
@@ -274,12 +275,23 @@ func (c *Community) Marshal() (*xmldoc.Node, map[string][]byte) {
 	return doc, attachments
 }
 
+// maxSourceBytes caps each schema and stylesheet source a community
+// object brings. Compiling a source costs time and memory that grow
+// with it, and the sources this repository ships are a few KB.
+const maxSourceBytes = 1 << 20
+
+// errSourceTooLarge refuses a community object with a source over
+// maxSourceBytes, before any of its sources is compiled.
+var errSourceTooLarge = errs.New("core.source_too_large", "core: schema or stylesheet source over 1 MiB")
+
 // UnmarshalCommunity reconstructs a Community from its shared object
 // and downloaded attachments: the object's schema, displaystyle,
 // createstyle and searchstyle fields name their attachments, and a
 // stylesheet that is absent or is the built-in text falls back to the
-// built-in. The object comes from a stranger; it is refused with
-// NewCommunity's errors unless every source in it compiles.
+// built-in. The object comes from a stranger: before anything is
+// compiled, a source over maxSourceBytes refuses it with an error coded
+// core.source_too_large; then it is refused with NewCommunity's errors
+// unless every source in it compiles.
 func UnmarshalCommunity(doc *xmldoc.Node, attachments map[string][]byte) (*Community, error) {
 	if doc == nil || doc.LocalName() != "community" {
 		return nil, errors.New("core: not a community object")
@@ -289,6 +301,18 @@ func UnmarshalCommunity(doc *xmldoc.Node, attachments map[string][]byte) (*Commu
 	schemaSrc := attachments[schemaURI]
 	if len(schemaSrc) == 0 {
 		return nil, fmt.Errorf("core: community %q: schema attachment missing", doc.ChildText("name"))
+	}
+	// An optional custom indexing stylesheet travels as index.xsl beside
+	// the object's own schema.xsd — that URI and no other, so a stranger
+	// cannot steer indexing with a second attachment of the same name.
+	var indexSrc []byte
+	if prefix, ok := strings.CutSuffix(schemaURI, "/"+attachSchema); ok {
+		indexSrc = attachments[prefix+"/"+attachIndex]
+	}
+	for _, src := range [...][]byte{schemaSrc, get("displaystyle"), get("createstyle"), get("searchstyle"), indexSrc} {
+		if len(src) > maxSourceBytes {
+			return nil, fmt.Errorf("core: community %q: a %d-byte source: %w", doc.ChildText("name"), len(src), errSourceTooLarge)
+		}
 	}
 	spec := CommunitySpec{
 		Name:        doc.ChildText("name"),
@@ -309,12 +333,7 @@ func UnmarshalCommunity(doc *xmldoc.Node, attachments map[string][]byte) (*Commu
 	if src := get("searchstyle"); len(src) > 0 && string(src) != defSearch {
 		spec.SearchStyleSrc = string(src)
 	}
-	// An optional custom indexing stylesheet travels as index.xsl beside
-	// the object's own schema.xsd — that URI and no other, so a stranger
-	// cannot steer indexing with a second attachment of the same name.
-	if prefix, ok := strings.CutSuffix(schemaURI, "/"+attachSchema); ok {
-		spec.IndexStyleSrc = string(attachments[prefix+"/"+attachIndex])
-	}
+	spec.IndexStyleSrc = string(indexSrc)
 	return NewCommunity(spec)
 }
 

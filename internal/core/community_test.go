@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/errs"
 	"repro/internal/stylegen"
 	"repro/internal/xmldoc"
 	"repro/internal/xslt"
@@ -233,6 +236,67 @@ func TestUnmarshalIndexStylesheetByURI(t *testing.T) {
 	}
 	if back.IndexStyleSrc != "" {
 		t.Error("index.xsl under a foreign prefix was adopted")
+	}
+}
+
+// TestUnmarshalCommunitySizeCap: a stranger's community whose schema or
+// stylesheet source is over maxSourceBytes is refused before anything
+// is compiled, with the error code core.source_too_large; a source
+// exactly at the cap is accepted.
+func TestUnmarshalCommunitySizeCap(t *testing.T) {
+	c := mustCommunity(t, CommunitySpec{Name: "big", SchemaSrc: songSchema, DisplayStyleSrc: customDisplay, IndexStyleSrc: customIndex})
+	obj, attachments := c.Marshal()
+	// A trailing comment pads a source to size without changing what it
+	// compiles to.
+	padded := func(uri string, size int) map[string][]byte {
+		out := maps.Clone(attachments)
+		src := string(attachments[uri])
+		out[uri] = []byte(src + "<!--" + strings.Repeat("x", size-len(src)-len("<!---->")) + "-->")
+		return out
+	}
+	schemaURI := obj.ChildText("schema")
+	atCap := padded(schemaURI, maxSourceBytes)
+	if len(atCap[schemaURI]) != maxSourceBytes {
+		t.Fatalf("padded schema is %d bytes, want %d", len(atCap[schemaURI]), maxSourceBytes)
+	}
+	if _, err := UnmarshalCommunity(obj, atCap); err != nil {
+		t.Fatalf("a schema of exactly %d bytes: %v", maxSourceBytes, err)
+	}
+	for _, uri := range []string{schemaURI, obj.ChildText("displaystyle"), AttachmentURI(c.ID, attachIndex)} {
+		back, err := UnmarshalCommunity(obj, padded(uri, 2<<20))
+		if code := errs.Code(err); code != "core.source_too_large" {
+			t.Errorf("a 2 MiB %s: got %v, error %v (code %q), want code core.source_too_large", uri, back, err, code)
+		}
+	}
+}
+
+// TestShippedSourcesUnderCap: every schema and stylesheet source the
+// repository ships — the root community's schema, each corpus's schema
+// and generated indexing sheet, and the default stylesheets — is at
+// least 100 times smaller than maxSourceBytes.
+func TestShippedSourcesUnderCap(t *testing.T) {
+	create, search, view := stylegen.DefaultSources()
+	sources := map[string]string{"root schema": rootSchemaSrc, "create": create, "search": search, "view": view}
+	for _, name := range corpus.Names() {
+		c, err := corpus.ByName(name, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comm := mustCommunity(t, CommunitySpec{Name: name, SchemaSrc: c.SchemaSrc})
+		sources[name+" schema"] = c.SchemaSrc
+		if sources[name+" indexing"], err = stylegen.GenerateIndexingStylesheet(comm.Schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	largest := ""
+	for name, src := range sources {
+		if len(src) > len(sources[largest]) {
+			largest = name
+		}
+	}
+	t.Logf("largest shipped source: %s, %d bytes, %dx under the cap", largest, len(sources[largest]), maxSourceBytes/len(sources[largest]))
+	if len(sources[largest])*100 > maxSourceBytes {
+		t.Errorf("%s is %d bytes, less than 100x under the %d-byte cap", largest, len(sources[largest]), maxSourceBytes)
 	}
 }
 

@@ -2,7 +2,9 @@ package dht
 
 import (
 	"cmp"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,12 +37,17 @@ import (
 //     first (earliest expiry, ties by filter string), then the
 //     earliest-expiring primary, ties by (DocID, Provider) — and
 //     counted per record in dht.records_evicted.
+//
+// A key's primaries are held the way index.Store holds a community:
+// in the order replies travel in, with posting lists per attribute, so
+// that a FIND_VALUE touches only the records its filter can match
+// (keyRecords).
 type recordStore struct {
 	mu        sync.Mutex
 	ttl       time.Duration
 	maxPerKey int
-	// byKey maps key -> (DocID, Provider) -> primary entry.
-	byKey map[ID]map[recordKey]recordEntry
+	// byKey maps key -> its primary records, never an empty set.
+	byKey map[ID]*keyRecords
 	// cached maps key -> canonical filter string -> the complete
 	// cached record set for that filter.
 	cached map[ID]map[string]cachedSet
@@ -52,16 +59,48 @@ type recordStore struct {
 	cacheHits *metrics.Counter
 }
 
-type recordKey struct {
-	docID    index.DocID
-	provider transport.PeerID
-}
-
 type recordEntry struct {
 	rec     Record
 	hash    uint64 // recordHash of rec, fixed at put
 	expires time.Time
 }
+
+// keyRecords is one key's primary records, sorted by (DocID,
+// Provider): a reply walks them in wire order and sorts nothing.
+type keyRecords struct {
+	entries []recordEntry
+	// community is the CommunityID the key's first record was stored
+	// under, and others counts the entries under any other: while it is
+	// 0, a request's community is compared once, not once per record.
+	community string
+	others    int
+	// soonest is at most the earliest expiry among entries: until it
+	// has passed, no entry can have expired and get skips the prune.
+	soonest time.Time
+	// gen counts changes to which entries there are and what they hold;
+	// lists built at another gen are stale, since a change can move
+	// every position after it.
+	gen uint64
+	// lists maps an attribute to its posting lists, built the first
+	// time an equality conjunct names it (candidates).
+	lists map[string]*postings
+}
+
+// postings is one attribute's posting lists over a key's entries: for
+// each key query.IndexKeys files the attribute's values under, the
+// ascending positions of the entries holding such a value. The lists
+// are carved from one array, counted before it is filled, and a stale
+// set is refilled in place: slot, spans and pos keep their memory
+// across refills.
+type postings struct {
+	slot  map[string]int32 // fold key -> its span (its count, while fill counts)
+	spans []span
+	pos   []int32 // every list, one after another
+	gen   uint64  // keyRecords.gen when filled
+}
+
+// span is where one list lies in postings.pos.
+type span struct{ off, n int32 }
 
 // cachedSet is one caching STORE's payload: the complete, sorted
 // result set for its filter, expiring as a unit.
@@ -78,7 +117,7 @@ func newRecordStore(ttl time.Duration, maxPerKey int) *recordStore {
 	return &recordStore{
 		ttl:       ttl,
 		maxPerKey: maxPerKey,
-		byKey:     make(map[ID]map[recordKey]recordEntry),
+		byKey:     make(map[ID]*keyRecords),
 		cached:    make(map[ID]map[string]cachedSet),
 		expired:   discard.Counter("dht.records_expired"),
 		evicted:   discard.Counter("dht.records_evicted"),
@@ -129,32 +168,105 @@ func (rs *recordStore) evictCachedSetLocked(key ID) bool {
 	return true
 }
 
-// evictPrimaryLocked removes the deterministic primary victim from m:
-// earliest expiry first, ties broken by (DocID, Provider). Caller
-// holds rs.mu.
-func (rs *recordStore) evictPrimaryLocked(m map[recordKey]recordEntry) bool {
-	var victim recordKey
-	var ve recordEntry
-	found := false
-	for rk, e := range m {
-		if found {
-			if e.expires.After(ve.expires) {
-				continue
-			}
-			if e.expires.Equal(ve.expires) &&
-				(rk.docID > victim.docID ||
-					(rk.docID == victim.docID && rk.provider >= victim.provider)) {
-				continue
-			}
-		}
-		victim, ve, found = rk, e, true
-	}
-	if !found {
+// evictPrimaryLocked removes kr's deterministic primary victim: the
+// earliest expiry, and among equals the first in (DocID, Provider)
+// order. Caller holds rs.mu.
+func (rs *recordStore) evictPrimaryLocked(kr *keyRecords) bool {
+	if len(kr.entries) == 0 {
 		return false
 	}
-	delete(m, victim)
+	victim := 0
+	for i := range kr.entries {
+		if kr.entries[i].expires.Before(kr.entries[victim].expires) {
+			victim = i
+		}
+	}
+	kr.delete(victim)
 	rs.evicted.Inc()
 	return true
+}
+
+// recordKey is what a record is content-addressed by.
+type recordKey struct {
+	docID    index.DocID
+	provider transport.PeerID
+}
+
+// find returns where (docID, provider) is or would be in kr.entries.
+func (kr *keyRecords) find(docID index.DocID, provider transport.PeerID) (int, bool) {
+	return slices.BinarySearchFunc(kr.entries, recordKey{docID, provider}, func(e recordEntry, k recordKey) int {
+		if c := cmp.Compare(e.rec.DocID, k.docID); c != 0 {
+			return c
+		}
+		return cmp.Compare(e.rec.Provider, k.provider)
+	})
+}
+
+// set stores e at i, inserting it unless an entry with its key is
+// there already.
+func (kr *keyRecords) set(i int, found bool, e recordEntry) {
+	if len(kr.entries) == 0 {
+		kr.community, kr.soonest = e.rec.CommunityID, e.expires
+	}
+	if e.expires.Before(kr.soonest) {
+		kr.soonest = e.expires
+	}
+	if e.rec.CommunityID != kr.community {
+		kr.others++
+	}
+	if !found {
+		kr.entries = slices.Insert(kr.entries, i, e)
+		kr.gen++
+		return
+	}
+	old := &kr.entries[i]
+	if old.rec.CommunityID != kr.community {
+		kr.others--
+	}
+	if !old.rec.Attrs.Equal(e.rec.Attrs) {
+		kr.gen++
+	}
+	*old = e
+}
+
+// delete removes the entry at i.
+func (kr *keyRecords) delete(i int) {
+	if kr.entries[i].rec.CommunityID != kr.community {
+		kr.others--
+	}
+	kr.entries = slices.Delete(kr.entries, i, i+1)
+	kr.gen++
+}
+
+// pruneLocked drops key's expired primaries, counting each in
+// dht.records_expired, once kr.soonest says one may have expired.
+// Caller holds rs.mu.
+func (rs *recordStore) pruneLocked(key ID, kr *keyRecords, now time.Time) {
+	if kr.soonest.After(now) {
+		return
+	}
+	kept := kr.entries[:0]
+	for _, e := range kr.entries {
+		if !e.expires.After(now) {
+			if e.rec.CommunityID != kr.community {
+				kr.others--
+			}
+			rs.expired.Inc()
+			continue
+		}
+		if len(kept) == 0 || e.expires.Before(kr.soonest) {
+			kr.soonest = e.expires
+		}
+		kept = append(kept, e)
+	}
+	if len(kept) < len(kr.entries) {
+		clear(kr.entries[len(kept):])
+		kr.gen++
+	}
+	kr.entries = kept
+	if len(kept) == 0 {
+		delete(rs.byKey, key)
+	}
 }
 
 // put upserts primary records under key, (re)starting their TTL at
@@ -163,26 +275,27 @@ func (rs *recordStore) evictPrimaryLocked(m map[recordKey]recordEntry) bool {
 func (rs *recordStore) put(key ID, recs []Record, now time.Time) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	m := rs.byKey[key]
-	if m == nil {
-		m = make(map[recordKey]recordEntry)
-		rs.byKey[key] = m
+	kr := rs.byKey[key]
+	if kr == nil {
+		kr = new(keyRecords)
+		rs.byKey[key] = kr
 	}
 	for _, rec := range recs {
 		if rec.DocID == "" || rec.Provider == "" {
 			continue
 		}
-		rk := recordKey{rec.DocID, rec.Provider}
-		if _, exists := m[rk]; !exists {
-			for len(m)+rs.cachedCountLocked(key) >= rs.maxPerKey {
-				if !rs.evictCachedSetLocked(key) && !rs.evictPrimaryLocked(m) {
+		i, found := kr.find(rec.DocID, rec.Provider)
+		if !found {
+			for len(kr.entries)+rs.cachedCountLocked(key) >= rs.maxPerKey {
+				if !rs.evictCachedSetLocked(key) && !rs.evictPrimaryLocked(kr) {
 					break
 				}
 			}
+			i, _ = kr.find(rec.DocID, rec.Provider) // an eviction moves what follows it
 		}
-		m[rk] = recordEntry{rec: rec, hash: recordHash(rec.DocID, rec.Provider), expires: now.Add(rs.ttl)}
+		kr.set(i, found, recordEntry{rec: rec, hash: recordHash(rec.DocID, rec.Provider), expires: now.Add(rs.ttl)})
 	}
-	if len(m) == 0 {
+	if len(kr.entries) == 0 {
 		delete(rs.byKey, key)
 	}
 }
@@ -211,7 +324,11 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 		rs.cached[key] = sets
 	}
 	delete(sets, filter) // replacing: the old set never counts against us
-	for len(rs.byKey[key])+rs.cachedCountLocked(key)+len(kept) > rs.maxPerKey {
+	primaries := 0
+	if kr := rs.byKey[key]; kr != nil {
+		primaries = len(kr.entries)
+	}
+	for primaries+rs.cachedCountLocked(key)+len(kept) > rs.maxPerKey {
 		if !rs.evictCachedSetLocked(key) {
 			if len(sets) == 0 {
 				delete(rs.cached, key)
@@ -231,14 +348,14 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 // digest only), or the digest equals have (the caller holds this very
 // set) — returns them, sorted by (DocID, Provider) so replies are
 // deterministic, capped at limit (0 = all; the digest covers the set
-// before the cap). One pass evaluates the filter once per record: the
-// matches gather in *into while the digest adds up. *into is the
-// caller's pooled scratch, and what get returns is a slice of it, valid
-// until the caller clears it (clearRecords) — a holder encodes its
-// reply from it and clears it once Send returns, so it copies nothing,
-// and one that answers with its digest allocates nothing. A cached set
-// is served only to the identical canonical filterStr. Expired entries
-// are pruned.
+// before the cap). One pass over the filter's candidates (candidates)
+// digests the matches and gathers them in *into, already in order.
+// *into is the caller's pooled scratch, and what get returns is a
+// slice of it, valid until the caller clears it (clearRecords) — a
+// holder encodes its reply from it and clears it once Send returns, so
+// it copies nothing, and one that answers with its digest allocates
+// nothing. A cached set is served only to the identical canonical
+// filterStr. Expired entries are pruned.
 //
 // The last result reports completeness: true when the reply draws
 // on a cached set for exactly this filter (complete by construction
@@ -249,7 +366,7 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 func (rs *recordStore) get(into *[]Record, key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, have setDigest) ([]Record, setDigest, bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, into)
+	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, limit, into)
 	hit := fromCache && dig.Count > 0
 	if hit {
 		rs.cacheHits.Inc()
@@ -258,12 +375,7 @@ func (rs *recordStore) get(into *[]Record, key ID, now time.Time, communityID, f
 	if into == nil || dig == have || dig.Count == 0 {
 		return nil, dig, complete
 	}
-	out := *into
-	sortRecords(out)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, dig, complete
+	return *into, dig, complete
 }
 
 // clearRecords empties scratch that get gathered matches in, so that
@@ -274,31 +386,63 @@ func clearRecords(recs *[]Record) {
 }
 
 // matchLocked is get's pass: it digests — and, when out is non-nil,
-// appends to it — the matching primaries, then the cached set for
-// exactly filterStr minus what a matching primary covers, and reports
-// whether a cached set took part. Caller holds rs.mu.
-func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr string, f query.Filter, out *[]Record) (dig setDigest, fromCache bool) {
-	matches := func(rec *Record) bool {
-		return (communityID == "" || rec.CommunityID == communityID) && (f == nil || f.Match(rec.Attrs))
-	}
-	m := rs.byKey[key]
-	for rk, e := range m {
-		if !e.expires.After(now) {
-			delete(m, rk)
-			rs.expired.Inc()
-			continue
-		}
-		if !matches(&e.rec) {
-			continue
-		}
-		dig.add(e.hash)
-		if out != nil {
-			*out = append(*out, e.rec)
+// appends to it the first limit of — the matching primaries merged in
+// (DocID, Provider) order with the cached set for exactly filterStr,
+// less what a matching primary covers, and reports whether a cached
+// set took part. Caller holds rs.mu.
+func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, out *[]Record) (dig setDigest, fromCache bool) {
+	var entries []recordEntry
+	var cand []int32
+	indexed, perRecord := false, false
+	if kr := rs.byKey[key]; kr != nil {
+		rs.pruneLocked(key, kr, now)
+		// With every entry under one community, one comparison admits
+		// all of them or none.
+		if communityID == "" || kr.others > 0 || communityID == kr.community {
+			entries, perRecord = kr.entries, communityID != "" && kr.others > 0
+			cand, indexed = kr.candidates(f)
 		}
 	}
-	if len(m) == 0 {
-		delete(rs.byKey, key)
+	cs, fromCache := rs.cachedLocked(key, now, filterStr)
+	emit := func(rec *Record, hash uint64) {
+		dig.add(hash)
+		if out != nil && (limit <= 0 || int(dig.Count) <= limit) {
+			*out = append(*out, *rec)
+		}
 	}
+	n := len(entries)
+	if indexed {
+		n = len(cand)
+	}
+	next := 0 // the first record of cs not yet merged
+	for j := 0; j < n; j++ {
+		e := &entries[j]
+		if indexed {
+			e = &entries[cand[j]]
+		}
+		for ; next < len(cs) && compareRecords(&cs[next], &e.rec) < 0; next++ {
+			emit(&cs[next], recordHash(cs[next].DocID, cs[next].Provider))
+		}
+		match := (!perRecord || e.rec.CommunityID == communityID) && (f == nil || f.Match(e.rec.Attrs))
+		for ; next < len(cs) && compareRecords(&cs[next], &e.rec) == 0; next++ {
+			if !match {
+				emit(&cs[next], e.hash)
+			}
+		}
+		if match {
+			emit(&e.rec, e.hash)
+		}
+	}
+	for ; next < len(cs); next++ {
+		emit(&cs[next], recordHash(cs[next].DocID, cs[next].Provider))
+	}
+	return dig, fromCache
+}
+
+// cachedLocked prunes key's expired cached sets, counting their records
+// in dht.records_expired, and returns the set for exactly filterStr.
+// Caller holds rs.mu.
+func (rs *recordStore) cachedLocked(key ID, now time.Time, filterStr string) ([]Record, bool) {
 	sets := rs.cached[key]
 	for filter, cs := range sets {
 		if !cs.expires.After(now) {
@@ -308,22 +452,142 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr
 	}
 	if len(sets) == 0 {
 		delete(rs.cached, key)
-		return dig, false
+		return nil, false
 	}
 	cs, ok := sets[filterStr]
-	if !ok {
-		return dig, false
+	return cs.recs, ok
+}
+
+// candidates returns the positions, ascending, of the entries f can
+// match, and true; or false when f has no equality conjunct to look up
+// and every entry must be tried. Like index.Store's, the candidates
+// are a superset of the matches: the caller matches each with all of f.
+// An And takes its shortest candidate list.
+func (kr *keyRecords) candidates(f query.Filter) ([]int32, bool) {
+	switch t := f.(type) {
+	case *query.Assertion:
+		key, ok := t.IndexKey()
+		if !ok {
+			return nil, false
+		}
+		p := kr.postingsFor(t.Attr)
+		if p == nil {
+			return nil, true
+		}
+		s, ok := p.slot[key]
+		if !ok {
+			return nil, true
+		}
+		sp := p.spans[s]
+		return p.pos[sp.off : sp.off+sp.n], true
+	case *query.And:
+		var best []int32
+		found := false
+		for _, sub := range t.Subs {
+			if c, ok := kr.candidates(sub); ok && (!found || len(c) < len(best)) {
+				best, found = c, true
+			}
+		}
+		return best, found
 	}
-	for _, rec := range cs.recs {
-		if e, dup := m[recordKey{rec.DocID, rec.Provider}]; dup && matches(&e.rec) {
+	return nil, false
+}
+
+// postingsFor returns attr's posting lists, current as of kr.gen, or
+// nil when no entry files a value of attr under any key.
+func (kr *keyRecords) postingsFor(attr string) *postings {
+	p := kr.lists[attr]
+	if p != nil && p.gen == kr.gen {
+		return p
+	}
+	if p == nil {
+		// An attribute nobody holds gets no lists: a stranger's
+		// filters cannot grow the key by naming attributes.
+		if !slices.ContainsFunc(kr.entries, func(e recordEntry) bool { return len(e.rec.Attrs.Values(attr)) > 0 }) {
+			return nil
+		}
+		p = &postings{slot: make(map[string]int32)}
+		if kr.lists == nil {
+			kr.lists = make(map[string]*postings)
+		}
+		kr.lists[attr] = p
+	}
+	p.fill(kr.entries, attr)
+	p.gen = kr.gen
+	if len(p.slot) == 0 {
+		delete(kr.lists, attr)
+		return nil
+	}
+	return p
+}
+
+// unseen is what fill resets the keys p already holds to before it
+// counts: such a key counts up from unseen, and a key new to p from 0.
+const unseen = math.MinInt32
+
+// fill rebuilds p over entries in three passes: count each key's
+// postings, lay the lists out in pos (dropping keys no entry files
+// under any more, and copying new ones out of the values), and write
+// the positions. A value that files an entry under one key twice is
+// counted twice but written once, so a list may end before the room
+// counted for it does.
+func (p *postings) fill(entries []recordEntry, attr string) {
+	for k := range p.slot {
+		p.slot[k] = unseen
+	}
+	for i := range entries {
+		for _, v := range entries[i].rec.Attrs.Values(attr) {
+			for k := range query.IndexKeys(v) {
+				p.slot[k]++
+			}
+		}
+	}
+	var few [16]string
+	fresh := few[:0] // keys new to p, still slices of the values they came from
+	p.spans = slices.Grow(p.spans[:0], len(p.slot))
+	total := int32(0)
+	for k, n := range p.slot {
+		if n >= 0 {
+			fresh = append(fresh, k)
+		} else if n -= unseen; n == 0 {
+			delete(p.slot, k)
 			continue
 		}
-		dig.add(recordHash(rec.DocID, rec.Provider))
-		if out != nil {
-			*out = append(*out, rec)
+		p.slot[k] = int32(len(p.spans))
+		p.spans = append(p.spans, span{off: total})
+		total += n
+	}
+	// The new keys move into one string of their own, so that no key
+	// keeps a departed record's attributes alive.
+	size := 0
+	for _, k := range fresh {
+		size += len(k)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, k := range fresh {
+		b.WriteString(k)
+	}
+	own := b.String()
+	for _, k := range fresh {
+		s := p.slot[k]
+		delete(p.slot, k)
+		p.slot[own[:len(k)]] = s
+		own = own[len(k):]
+	}
+	p.pos = slices.Grow(p.pos[:0], int(total))[:total]
+	for i := range entries {
+		for _, v := range entries[i].rec.Attrs.Values(attr) {
+			for k := range query.IndexKeys(v) {
+				sp := &p.spans[p.slot[k]]
+				if sp.n > 0 && p.pos[sp.off+sp.n-1] == int32(i) {
+					continue
+				}
+				p.pos[sp.off+sp.n] = int32(i)
+				sp.n++
+			}
 		}
 	}
-	return dig, true
 }
 
 // remove withdraws one provider's record under key, from the
@@ -332,9 +596,11 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr
 func (rs *recordStore) remove(key ID, docID index.DocID, provider transport.PeerID) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if m := rs.byKey[key]; m != nil {
-		delete(m, recordKey{docID, provider})
-		if len(m) == 0 {
+	if kr := rs.byKey[key]; kr != nil {
+		if i, found := kr.find(docID, provider); found {
+			kr.delete(i)
+		}
+		if len(kr.entries) == 0 {
 			delete(rs.byKey, key)
 		}
 	}
@@ -364,18 +630,9 @@ func (rs *recordStore) len(now time.Time) int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	n := 0
-	for key, m := range rs.byKey {
-		for rk, e := range m {
-			if !e.expires.After(now) {
-				delete(m, rk)
-				rs.expired.Inc()
-				continue
-			}
-			n++
-		}
-		if len(m) == 0 {
-			delete(rs.byKey, key)
-		}
+	for key, kr := range rs.byKey {
+		rs.pruneLocked(key, kr, now)
+		n += len(kr.entries)
 	}
 	for key, sets := range rs.cached {
 		for filter, cs := range sets {
@@ -393,14 +650,17 @@ func (rs *recordStore) len(now time.Time) int {
 	return n
 }
 
+// compareRecords orders records by (DocID, Provider).
+func compareRecords(a, b *Record) int {
+	if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Provider, b.Provider)
+}
+
 // sortRecords orders records by (DocID, Provider): the canonical
 // deterministic order for every record set that crosses the wire or
 // reaches a caller.
 func sortRecords(recs []Record) {
-	slices.SortFunc(recs, func(a, b Record) int {
-		if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Provider, b.Provider)
-	})
+	slices.SortFunc(recs, func(a, b Record) int { return compareRecords(&a, &b) })
 }

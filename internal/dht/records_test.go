@@ -164,3 +164,54 @@ func TestPutCachedNeverDisplacesPrimaries(t *testing.T) {
 		t.Fatalf("evicted = %d, want 0 (path copies never displace primaries)", evicted.Value())
 	}
 }
+
+// heldStore keeps BenchmarkRecordStoreGet's store reachable after it
+// returns, so that `make heap-profile PKG=./internal/dht
+// BENCH=RecordStoreGet` reads its posting lists as resident.
+var heldStore *recordStore
+
+// BenchmarkRecordStoreGet times one holder answering FIND_VALUE on a
+// 240-record design-pattern key with the six filters of the ruler's
+// tcp-dht-search workload, in turn: shipping the matching set, and
+// asked for its digest only. "words" asks for one word of each of the
+// other four searchable attributes, whose values are names and
+// sentences: after it, the key holds lists for all six.
+func BenchmarkRecordStoreGet(b *testing.B) {
+	rs := newRecordStore(time.Hour, 0)
+	key := KeyForCommunity("patterns")
+	t0 := time.Unix(1000, 0)
+	rs.put(key, patternRecords(240, "peerA"), t0)
+	heldStore = rs
+	ruler := []string{
+		"(classification=behavioral)", "(classification=creational)", "(classification=structural)",
+		"(keywords=wrapper)", "(&(classification=behavioral)(keywords=undo))", "(name=*)",
+	}
+	words := []string{"(name=Observer)", "(intent=object)", "(applicability=object)", "(participants=Subject)"}
+	for _, bc := range []struct {
+		name string
+		ship bool
+		srcs []string
+	}{{"ship", true, ruler}, {"digest", false, ruler}, {"words", true, words}} {
+		filters := make([]query.Filter, len(bc.srcs))
+		for i, src := range bc.srcs {
+			filters[i] = query.MustParse(src)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			scratch := make([]Record, 0, 240)
+			into := &scratch
+			if !bc.ship {
+				into = nil
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i % len(filters)
+				if _, dig, _ := rs.get(into, key, t0, "patterns", bc.srcs[j], filters[j], 0, setDigest{}); dig.Count == 0 {
+					b.Fatalf("%s: no records", bc.srcs[j])
+				}
+				if into != nil {
+					clearRecords(into)
+				}
+			}
+		})
+	}
+}

@@ -24,7 +24,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/errs"
@@ -487,16 +486,15 @@ func (c *community) candidates(f query.Filter, out []*Document) []*Document {
 func (c *community) indexed(f query.Filter) ([]DocID, bool) {
 	switch t := f.(type) {
 	case *query.Assertion:
-		if t.Op != query.OpEq || strings.ContainsRune(t.Value, '*') {
+		key, ok := t.IndexKey()
+		if !ok {
 			return nil, false
 		}
 		field := c.inverted[t.Attr]
 		if field == nil {
 			return nil, true
 		}
-		// Every way = can match a value — the whole value or one of
-		// its words, under case folding — is a key (see indexTokens).
-		ids, ok := field[query.FoldKey(t.Value)]
+		ids, ok := field[key]
 		return ids, ok
 	case *query.And:
 		// Any one accelerable conjunct suffices (superset property).
@@ -565,7 +563,7 @@ func (c *community) index(d *Document) {
 			c.inverted[attr] = field
 		}
 		for _, v := range vals {
-			for _, tok := range indexTokens(v) {
+			for tok := range query.IndexKeys(v) {
 				ids := field[tok]
 				if len(ids) == 0 {
 					if own == nil {
@@ -589,7 +587,7 @@ func (c *community) unindex(d *Document) {
 			continue
 		}
 		for _, v := range vals {
-			for _, tok := range indexTokens(v) {
+			for tok := range query.IndexKeys(v) {
 				ids := field[tok]
 				i, ok := slices.BinarySearch(ids, d.ID)
 				if !ok {
@@ -607,22 +605,4 @@ func (c *community) unindex(d *Document) {
 			delete(c.inverted, attr)
 		}
 	}
-}
-
-// indexTokens yields the keys an (attr=word) lookup can arrive with,
-// the two ways Assertion.Match equates them with a value: the whole
-// value's query.FoldKey and the keys of its query.Words. The empty word
-// is not indexed; a lookup for it finds no key and scans.
-func indexTokens(v string) []string {
-	full := query.FoldKey(v)
-	if full == "" {
-		return nil
-	}
-	toks := []string{full}
-	for w := range query.Words(full) {
-		if w != "" && w != full {
-			toks = append(toks, w)
-		}
-	}
-	return toks
 }

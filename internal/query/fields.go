@@ -85,6 +85,14 @@ func (f Fields) Values(name string) []string {
 	return nil
 }
 
+// Equal reports whether f and g hold the same keys with the same values.
+func (f Fields) Equal(g Fields) bool {
+	if f.Len() == 0 || g.Len() == 0 {
+		return f.Len() == g.Len()
+	}
+	return f.s == g.s || slices.Equal(f.s.ends, g.s.ends) && slices.Equal(f.s.kv, g.s.kv)
+}
+
 // Get returns the first value of an attribute, or "".
 func (f Fields) Get(name string) string {
 	if vs := f.Values(name); len(vs) > 0 {

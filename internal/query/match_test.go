@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -131,6 +132,8 @@ var allOps = []Op{OpEq, OpContains, OpGe, OpLe, OpGt, OpLt}
 // checkEquivalence compares the live matcher with the oracle on one
 // assertion per operator, built as a literal so the value reaches
 // Match unparsed, both ways round, on the map and on the flat form.
+// It also checks the index key rule on each value the equality
+// assertion matches.
 func checkEquivalence(t *testing.T, a, b string) {
 	t.Helper()
 	for _, pair := range [2][2]string{{a, b}, {b, a}} {
@@ -140,8 +143,27 @@ func checkEquivalence(t *testing.T, a, b string) {
 			for name, set := range map[string]Attrs{"one": {"k": {pair[1]}}, "many": attrs} {
 				checkForms(t, f, set, name)
 			}
+			for _, v := range attrs["k"] {
+				checkIndexKey(t, f, v)
+			}
 		}
 	}
+}
+
+// checkIndexKey: when f matches v and may be answered from an index,
+// IndexKeys files v under f's IndexKey, so an index finds v.
+func checkIndexKey(t *testing.T, f *Assertion, v string) {
+	t.Helper()
+	key, ok := f.IndexKey()
+	if !ok || !f.Match(Attrs{"k": {v}}) {
+		return
+	}
+	for k := range IndexKeys(v) {
+		if k == key {
+			return
+		}
+	}
+	t.Errorf("%s matches %q, but IndexKeys(%q) = %q lacks its key %q", f, v, v, slices.Collect(IndexKeys(v)), key)
 }
 
 // checkForms checks that f matches set, as a map and in flat form, as

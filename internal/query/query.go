@@ -223,6 +223,40 @@ func FoldKey(s string) string {
 	return s
 }
 
+// IndexKeys returns an iterator over the keys an index files value v
+// under, so that every equality assertion v matches finds it by its
+// IndexKey: v's FoldKey, then each of that key's Words that is neither
+// "" nor the whole key, repeats included. A v whose FoldKey is "" is
+// filed under no key. It allocates only what FoldKey does.
+func IndexKeys(v string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		full := FoldKey(v)
+		if full == "" || !yield(full) {
+			return
+		}
+		for w := range Words(full) {
+			if w != "" && w != full && !yield(w) {
+				return
+			}
+		}
+	}
+}
+
+// IndexKey returns the key under which IndexKeys files every value a
+// matches, and whether a may be answered from an index at all: it must
+// test equality without a wildcard, and its value must fold to a key
+// other than "". A value a matches whole shares a's FoldKey, and one
+// it matches by a word has that word among its keys. (attr=) matches a
+// punctuation-only word, which is filed under no key, so it scans, as
+// every other operator does.
+func (a *Assertion) IndexKey() (string, bool) {
+	if a.Op != OpEq || strings.IndexByte(a.Value, '*') >= 0 {
+		return "", false
+	}
+	key := FoldKey(a.Value)
+	return key, key != ""
+}
+
 func foldRune(r rune) rune {
 	least := r
 	if r >= utf8.RuneSelf {
