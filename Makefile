@@ -81,10 +81,11 @@ heap-profile:
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzHolderIndex,
 # FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
-# FuzzFilterParse, FuzzWALSegment, FuzzXPathCompile and FuzzXMLParse on
-# top of their seeds and the committed corpora (testdata/fuzz in
-# internal/dht, internal/p2p, internal/transport, internal/query,
-# internal/index and internal/xmldoc) — a DHT holder's posting lists
+# FuzzFilterParse, FuzzWALSegment, FuzzXPathCompile, FuzzXMLParse,
+# FuzzIndexerExtract and FuzzXSLTApply on top of their seeds and the
+# committed corpora (testdata/fuzz in internal/dht, internal/p2p,
+# internal/transport, internal/query, internal/index and
+# internal/xmldoc) — a DHT holder's posting lists
 # answer every get as a scan of the same records does, no DHT or p2p
 # frame decoder, no TCP connection reader and no WAL segment scan may
 # panic, or allocate beyond a small multiple of its
@@ -92,8 +93,11 @@ heap-profile:
 # one a full decode reads, Filter.Match answers every filter and value
 # as the matcher it replaced did, a parsed filter's String parses back
 # to itself, never nested deeper than the parser's bound, XPath
-# compilation never panics and keeps its source, and a parsed XML
-# document's String parses back to the same String.
+# compilation never panics and keeps its source, a parsed XML
+# document's String parses back to the same String, an Indexer's path
+# walk extracts what the generated indexing stylesheet does, and an
+# XSLT transform never panics, never succeeds over its budget and, for
+# a shipped stylesheet, never runs out of it.
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzHolderIndex -fuzztime 10s
@@ -104,6 +108,8 @@ fuzz-smoke:
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzWALSegment -fuzztime 10s
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathCompile -fuzztime 10s
 	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzXMLParse -fuzztime 10s
+	$(GO) test ./internal/stylegen -run '^$$' -fuzz FuzzIndexerExtract -fuzztime 10s
+	$(GO) test ./internal/xslt -run '^$$' -fuzz FuzzXSLTApply -fuzztime 10s
 
 # Determinism gate: the golden-trace tests must produce identical
 # message-trace hashes on repeated in-process runs (catches map-order

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/xmldoc"
+	"repro/internal/xpath"
 	"repro/internal/xsd"
 	"repro/internal/xslt"
 )
@@ -179,16 +180,16 @@ func ViewHTML(obj *xmldoc.Node) (string, error) {
 // that community down to its searchable attributes. The community
 // designer can replace it (§V: "The community designer can also
 // control this by implementing a stylesheet to filter indexable
-// attributes").
+// attributes"). An Indexer does not run this text: it walks the same
+// paths directly (see NewIndexer).
 func GenerateIndexingStylesheet(s *xsd.Schema) (string, error) {
 	if s == nil || s.Root == nil {
 		return "", fmt.Errorf("stylegen: schema has no root element")
 	}
-	fields := s.SearchableFields()
 	var b strings.Builder
 	b.WriteString(`<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">` + "\n")
 	b.WriteString("  <xsl:template match=\"/\">\n    <attributes>\n")
-	for _, f := range fields {
+	for _, f := range s.SearchableFields() {
 		sel := "/" + s.Root.Name + "/" + f.Path
 		fmt.Fprintf(&b, "      <xsl:for-each select=%q>\n", sel)
 		fmt.Fprintf(&b, "        <attribute name=%q><xsl:value-of select=\"normalize-space(.)\"/></attribute>\n", f.Path)
@@ -198,39 +199,102 @@ func GenerateIndexingStylesheet(s *xsd.Schema) (string, error) {
 	return b.String(), nil
 }
 
-// Indexer extracts indexed attributes from objects of one community:
-// a compiled indexing stylesheet plus the plumbing to turn its output
-// into query.Attrs. Like the stylesheet it holds, an Indexer is
-// immutable and safe for concurrent use.
+// Indexer extracts indexed attributes from objects of one community.
+// A community that ships its own index.xsl extracts through that
+// stylesheet; any other extracts with the transform generated from its
+// schema, which an Indexer runs as what it is: one path walk per
+// searchable field. An Indexer is immutable and safe for concurrent
+// use.
 type Indexer struct {
-	sheet *xslt.Stylesheet
-	src   string
+	src    string
+	sheet  *xslt.Stylesheet // the custom transform; nil for a generated one
+	fields []fieldPath      // the generated transform's walks
 }
 
-// NewIndexer compiles a community's indexing stylesheet: custom when
-// the designer supplied one (the §V case study does), else the one
-// generated from the schema's searchable fields.
+// fieldPath is one for-each of a generated indexing stylesheet: the
+// element names of /<Root>/<path>, and the attribute the values found
+// there are indexed under.
+type fieldPath struct {
+	name  string
+	steps []string
+}
+
+// NewIndexer builds a community's extractor: from its custom indexing
+// stylesheet when the designer supplied one (the §V case study does),
+// else from the schema's searchable fields. The generated stylesheet's
+// text is still produced, for Source, but never compiled.
 func NewIndexer(s *xsd.Schema, custom string) (*Indexer, error) {
-	src := custom
-	if src == "" {
-		var err error
-		if src, err = GenerateIndexingStylesheet(s); err != nil {
-			return nil, err
+	if custom != "" {
+		sheet, err := xslt.CompileString(custom)
+		if err != nil {
+			return nil, fmt.Errorf("stylegen: compile indexing stylesheet: %w", err)
 		}
+		return &Indexer{src: custom, sheet: sheet}, nil
 	}
-	sheet, err := xslt.CompileString(src)
+	src, err := GenerateIndexingStylesheet(s)
 	if err != nil {
-		return nil, fmt.Errorf("stylegen: compile indexing stylesheet: %w", err)
+		return nil, err
 	}
-	return &Indexer{sheet: sheet, src: src}, nil
+	fields := s.SearchableFields()
+	ix := &Indexer{src: src, fields: make([]fieldPath, len(fields))}
+	for i, f := range fields {
+		// The generated select is /<Root>/<path>: a walk only when each
+		// step is a plain name test, which is all a schema should give.
+		steps := strings.Split(s.Root.Name+"/"+f.Path, "/")
+		for _, st := range steps {
+			if !xpath.IsName(st) {
+				return nil, fmt.Errorf("stylegen: searchable field %q: %q is not an element name", f.Path, st)
+			}
+		}
+		ix.fields[i] = fieldPath{name: f.Path, steps: steps}
+	}
+	return ix, nil
 }
 
 // Source returns the stylesheet text.
 func (ix *Indexer) Source() string { return ix.src }
 
-// Extract runs the indexing transform over an object and returns the
-// attribute set for the metadata index. Empty values are dropped.
+// Extract returns an object's attribute set for the metadata index.
+// Empty values are dropped. A generated transform normalizes values as
+// XPath's normalize-space does and lists each field's values in
+// document order, fields in schema order; a custom one's values are
+// trimmed of XML whitespace.
 func (ix *Indexer) Extract(obj *xmldoc.Node) (query.Attrs, error) {
+	if obj == nil {
+		return nil, fmt.Errorf("stylegen: indexing transform: nil object")
+	}
+	if ix.sheet != nil {
+		return ix.extractSheet(obj)
+	}
+	attrs := query.Attrs{}
+	for _, f := range ix.fields {
+		if obj.HasName(f.steps[0]) {
+			f.walk(obj, f.steps[1:], attrs)
+		}
+	}
+	return attrs, nil
+}
+
+// walk adds the values of the elements below n that the remaining
+// steps name: element children by name, unprefixed steps matching
+// local names, as an XPath name test does.
+func (f fieldPath) walk(n *xmldoc.Node, steps []string, attrs query.Attrs) {
+	if len(steps) == 0 {
+		if v := xpath.NormalizeSpace(n.Text()); v != "" {
+			attrs.Add(f.name, v)
+		}
+		return
+	}
+	for _, c := range n.Children {
+		if c.Kind == xmldoc.KindElement && c.HasName(steps[0]) {
+			f.walk(c, steps[1:], attrs)
+		}
+	}
+}
+
+// extractSheet runs a custom indexing transform and collects the
+// <attribute name="...">value</attribute> elements it writes.
+func (ix *Indexer) extractSheet(obj *xmldoc.Node) (query.Attrs, error) {
 	nodes, err := ix.sheet.ApplyNodes(obj)
 	if err != nil {
 		return nil, fmt.Errorf("stylegen: indexing transform: %w", err)
@@ -243,7 +307,7 @@ func (ix *Indexer) Extract(obj *xmldoc.Node) (query.Attrs, error) {
 		n.Walk(func(m *xmldoc.Node) bool {
 			if m.Kind == xmldoc.KindElement && m.LocalName() == "attribute" {
 				name, _ := m.Attr("name")
-				val := strings.TrimSpace(m.Text())
+				val := strings.Trim(m.Text(), xmlSpace)
 				if name != "" && val != "" {
 					attrs.Add(name, val)
 				}
@@ -254,3 +318,6 @@ func (ix *Indexer) Extract(obj *xmldoc.Node) (query.Attrs, error) {
 	}
 	return attrs, nil
 }
+
+// xmlSpace is XML's whitespace, the set normalize-space strips.
+const xmlSpace = " \t\r\n"

@@ -241,6 +241,20 @@ func (n *Node) LocalName() string {
 	return n.Name
 }
 
+// HasName reports whether n's name passes a name test: an unprefixed
+// test matches the local name under any prefix ("element" matches
+// "xsd:element"), a prefixed test only the exact name. This is how
+// XPath steps and XSLT patterns address nodes.
+func (n *Node) HasName(test string) bool {
+	if n.Name == test {
+		return true
+	}
+	if strings.IndexByte(test, ':') >= 0 {
+		return false
+	}
+	return n.LocalName() == test
+}
+
 // Prefix returns the namespace prefix, or "" if unprefixed.
 func (n *Node) Prefix() string {
 	if i := strings.IndexByte(n.Name, ':'); i >= 0 {
@@ -345,6 +359,12 @@ func (n *Node) ChildrenNamed(local string) []*Node {
 func (n *Node) Text() string {
 	if n.Kind != KindElement {
 		return n.Data
+	}
+	switch {
+	case len(n.Children) == 0:
+		return ""
+	case len(n.Children) == 1 && n.Children[0].Kind == KindText:
+		return n.Children[0].Data
 	}
 	var b strings.Builder
 	n.appendText(&b)
@@ -492,12 +512,13 @@ func sortAttrs(s []Attr) {
 // String serializes the subtree as compact XML (no added whitespace).
 func (n *Node) String() string {
 	var b strings.Builder
-	n.write(&b)
+	n.AppendXML(&b)
 	return b.String()
 }
 
-// write emits the node as compact XML.
-func (n *Node) write(b *strings.Builder) {
+// AppendXML writes the subtree to b as String does, for callers that
+// serialize several nodes into one buffer.
+func (n *Node) AppendXML(b *strings.Builder) {
 	switch n.Kind {
 	case KindText:
 		escapeText(b, n.Data)
@@ -521,7 +542,7 @@ func (n *Node) write(b *strings.Builder) {
 		}
 		b.WriteByte('>')
 		for _, c := range n.Children {
-			c.write(b)
+			c.AppendXML(b)
 		}
 		b.WriteString("</")
 		b.WriteString(n.Name)

@@ -4,7 +4,7 @@ package xpath
 // (node-set, string, number, or boolean) relative to a context.
 
 type expr interface {
-	eval(ctx *context) Value
+	eval(ctx context) Value
 }
 
 // binOp is a binary operator application.
@@ -31,6 +31,7 @@ type varRef struct{ name string }
 // funcCall invokes a core-library function.
 type funcCall struct {
 	name string
+	fn   xpathFunc
 	args []expr
 }
 

@@ -13,6 +13,7 @@ package xpath
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/xmldoc"
@@ -36,10 +37,19 @@ func Compile(src string) (*Expr, error) {
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.src }
 
+// Binding binds one variable name to a value.
+type Binding struct {
+	Name  string
+	Value Value
+}
+
 // Env carries optional evaluation bindings.
 type Env struct {
-	// Vars binds $name variable references.
-	Vars map[string]Value
+	// Vars binds $name variable references. It is read as a stack:
+	// a name bound more than once resolves to its last binding, so a
+	// caller pushes a binding when it is made and truncates the slice
+	// when its scope ends.
+	Vars []Binding
 	// Position and Size set the initial context position()/last();
 	// zero values default to 1. XSLT supplies these for nodes being
 	// processed inside for-each / apply-templates.
@@ -47,16 +57,26 @@ type Env struct {
 	Size     int
 }
 
-// context is the dynamic evaluation context.
+// Lookup resolves a variable from the top of the stack.
+func (e *Env) Lookup(name string) (Value, bool) {
+	if e == nil {
+		return Value{}, false
+	}
+	for i := len(e.Vars) - 1; i >= 0; i-- {
+		if e.Vars[i].Name == name {
+			return e.Vars[i].Value, true
+		}
+	}
+	return Value{}, false
+}
+
+// context is the dynamic evaluation context. It is passed by value,
+// so moving to another node or position allocates nothing.
 type context struct {
 	node *xmldoc.Node
 	pos  int // 1-based position() within size
 	size int
 	env  *Env
-}
-
-func (c *context) at(n *xmldoc.Node, pos, size int) *context {
-	return &context{node: n, pos: pos, size: size, env: c.env}
 }
 
 // Eval evaluates the expression with n as the context node.
@@ -66,16 +86,15 @@ func (e *Expr) Eval(n *xmldoc.Node) Value {
 
 // EvalEnv evaluates with variable bindings.
 func (e *Expr) EvalEnv(n *xmldoc.Node, env *Env) Value {
-	pos, size := 1, 1
+	ctx := context{node: n, pos: 1, size: 1, env: env}
 	if env != nil {
 		if env.Position > 0 {
-			pos = env.Position
+			ctx.pos = env.Position
 		}
 		if env.Size > 0 {
-			size = env.Size
+			ctx.size = env.Size
 		}
 	}
-	ctx := &context{node: n, pos: pos, size: size, env: env}
 	return e.root.eval(ctx)
 }
 
@@ -84,7 +103,7 @@ func (e *Expr) EvalBool(n *xmldoc.Node) bool { return e.Eval(n).Boolean() }
 
 // --- expression evaluation ---
 
-func (b *binOp) eval(ctx *context) Value {
+func (b *binOp) eval(ctx context) Value {
 	switch b.op {
 	case "or":
 		if b.l.eval(ctx).Boolean() {
@@ -194,57 +213,52 @@ func relOperands(v Value) []float64 {
 	return []float64{v.Number()}
 }
 
-func (n *negExpr) eval(ctx *context) Value {
+func (n *negExpr) eval(ctx context) Value {
 	return NumberValue(-n.x.eval(ctx).Number())
 }
 
-func (u *unionExpr) eval(ctx *context) Value {
-	l := u.l.eval(ctx)
-	r := u.r.eval(ctx)
-	seen := make(map[*xmldoc.Node]bool, len(l.Nodes)+len(r.Nodes))
-	out := make([]*xmldoc.Node, 0, len(l.Nodes)+len(r.Nodes))
-	for _, set := range [][]*xmldoc.Node{l.Nodes, r.Nodes} {
-		for _, n := range set {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
+func (u *unionExpr) eval(ctx context) Value {
+	l := u.l.eval(ctx).Nodes
+	r := u.r.eval(ctx).Nodes
+	switch {
+	case len(r) == 0:
+		return NodeSetValue(l)
+	case len(l) == 0:
+		return NodeSetValue(r)
 	}
-	return NodeSetValue(out)
+	return NodeSetValue(docOrderSet(append(append(make([]*xmldoc.Node, 0, len(l)+len(r)), l...), r...)))
 }
 
-func (n *numberLit) eval(*context) Value { return NumberValue(n.v) }
-func (s *stringLit) eval(*context) Value { return StringValue(s.v) }
+func (n *numberLit) eval(context) Value { return NumberValue(n.v) }
+func (s *stringLit) eval(context) Value { return StringValue(s.v) }
 
-func (v *varRef) eval(ctx *context) Value {
-	if ctx.env != nil {
-		if val, ok := ctx.env.Vars[v.name]; ok {
-			return val
-		}
+func (v *varRef) eval(ctx context) Value {
+	if val, ok := ctx.env.Lookup(v.name); ok {
+		return val
 	}
 	return StringValue("")
 }
 
-func (f *funcCall) eval(ctx *context) Value {
-	fn := coreFunctions[f.name]
-	return fn(ctx, f.args)
+func (f *funcCall) eval(ctx context) Value {
+	return f.fn(ctx, f.args)
 }
 
-func (fe *filterExpr) eval(ctx *context) Value {
+func (fe *filterExpr) eval(ctx context) Value {
 	v := fe.primary.eval(ctx)
-	if v.Kind != KindNodeSet {
+	if v.Kind != KindNodeSet || len(fe.preds) == 0 {
 		return v
 	}
-	nodes := v.Nodes
+	// The primary's node-set may be a variable's: filter a copy.
+	nodes := append([]*xmldoc.Node(nil), v.Nodes...)
 	for _, pred := range fe.preds {
-		nodes = applyPredicate(ctx, nodes, pred)
+		nodes = nodes[:filterNodes(ctx, nodes, pred)]
 	}
 	return NodeSetValue(nodes)
 }
 
-func (pe *pathExpr) eval(ctx *context) Value {
+func (pe *pathExpr) eval(ctx context) Value {
 	var current []*xmldoc.Node
+	steps := pe.steps
 	switch {
 	case pe.start != nil:
 		v := pe.start.eval(ctx)
@@ -254,7 +268,7 @@ func (pe *pathExpr) eval(ctx *context) Value {
 		current = v.Nodes
 	case pe.abs:
 		root := ctx.node.Root()
-		if len(pe.steps) == 0 {
+		if len(steps) == 0 {
 			// "/" alone selects the root element (this tree has no
 			// separate document node to expose). When evaluation
 			// already started at a virtual document node (XSLT), peel
@@ -275,54 +289,72 @@ func (pe *pathExpr) eval(ctx *context) Value {
 				Children: []*xmldoc.Node{root},
 			}
 		}
-		current = []*xmldoc.Node{docNode}
+		current = appendStep(ctx, nil, docNode, steps[0])
+		steps = steps[1:]
+	case len(steps) == 0:
+		return NodeSetValue([]*xmldoc.Node{ctx.node})
 	default:
-		current = []*xmldoc.Node{ctx.node}
+		current = appendStep(ctx, nil, ctx.node, steps[0])
+		steps = steps[1:]
 	}
-	for _, st := range pe.steps {
-		current = evalStep(ctx, current, st)
+	for _, st := range steps {
 		if len(current) == 0 {
 			break
 		}
+		current = evalStep(ctx, current, st)
 	}
 	return NodeSetValue(current)
 }
 
-// evalStep applies one location step to each node in the input set,
-// concatenating results in document order and de-duplicating.
-func evalStep(ctx *context, input []*xmldoc.Node, st *step) []*xmldoc.Node {
-	var out []*xmldoc.Node
-	seen := map[*xmldoc.Node]bool{}
-	for _, n := range input {
-		cands := axisNodes(n, st.ax)
-		matched := make([]*xmldoc.Node, 0, len(cands))
-		for _, c := range cands {
-			if matchTest(c, st.test, st.ax) {
-				matched = append(matched, c)
-			}
-		}
-		for _, pred := range st.preds {
-			matched = applyPredicate(ctx, matched, pred)
-		}
-		for _, m := range matched {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
+// evalStep applies one location step to each node in the input set.
+// From one node the step's matches are the result as they stand; from
+// several, the per-node results are merged, de-duplicated and put back
+// into document order.
+func evalStep(ctx context, input []*xmldoc.Node, st *step) []*xmldoc.Node {
+	if len(input) == 1 {
+		return appendStep(ctx, nil, input[0], st)
 	}
-	if len(input) > 1 {
-		// Steps applied to multiple input nodes can interleave results
-		// out of document order (e.g. the expansion of //); restore it.
-		out = sortDocOrder(out)
+	var out, matched []*xmldoc.Node
+	for _, n := range input {
+		matched = appendStep(ctx, matched[:0], n, st)
+		out = append(out, matched...)
+	}
+	return docOrderSet(out)
+}
+
+// appendStep appends to out the nodes step st selects from n, in
+// document order. Predicates count proximity positions along the axis
+// (nearest first on a reverse axis) before the matches are reversed
+// into document order.
+func appendStep(ctx context, out []*xmldoc.Node, n *xmldoc.Node, st *step) []*xmldoc.Node {
+	start := len(out)
+	out = appendAxis(out, n, st)
+	for _, pred := range st.preds {
+		out = out[:start+filterNodes(ctx, out[start:], pred)]
+	}
+	if st.ax == axisAncestor || st.ax == axisAncestorOrSelf || st.ax == axisPrecedingSibling {
+		slices.Reverse(out[start:])
 	}
 	return out
 }
 
-// sortDocOrder sorts nodes into document order by indexing one walk of
-// the shared root. Synthesized attribute nodes order just after their
-// owning element, by attribute position.
-func sortDocOrder(nodes []*xmldoc.Node) []*xmldoc.Node {
+// docOrderSet drops repeated nodes from nodes and sorts the rest into
+// document order by indexing one walk of the shared root. Synthesized
+// attribute nodes order just after their owning element, by attribute
+// position.
+func docOrderSet(nodes []*xmldoc.Node) []*xmldoc.Node {
+	if len(nodes) < 2 {
+		return nodes
+	}
+	seen := make(map[*xmldoc.Node]bool, len(nodes))
+	out := nodes[:0]
+	for _, n := range nodes {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	nodes = out
 	if len(nodes) < 2 {
 		return nodes
 	}
@@ -355,93 +387,99 @@ func sortDocOrder(nodes []*xmldoc.Node) []*xmldoc.Node {
 	return nodes
 }
 
-// applyPredicate filters nodes by the predicate, honouring position
-// semantics: a numeric predicate selects that 1-based position.
-func applyPredicate(ctx *context, nodes []*xmldoc.Node, pred expr) []*xmldoc.Node {
-	out := nodes[:0:0]
+// filterNodes keeps, at the front of nodes, the ones the predicate
+// accepts, and returns how many it kept. A numeric predicate selects
+// that 1-based position.
+func filterNodes(ctx context, nodes []*xmldoc.Node, pred expr) int {
+	kept := 0
 	size := len(nodes)
 	for i, n := range nodes {
-		sub := ctx.at(n, i+1, size)
-		v := pred.eval(sub)
-		if v.Kind == KindNumber {
-			if int(v.Num) == i+1 {
-				out = append(out, n)
-			}
-			continue
+		ctx.node, ctx.pos, ctx.size = n, i+1, size
+		v := pred.eval(ctx)
+		if v.Kind == KindNumber && int(v.Num) == i+1 || v.Kind != KindNumber && v.Boolean() {
+			nodes[kept] = n
+			kept++
 		}
-		if v.Boolean() {
+	}
+	return kept
+}
+
+// appendAxis appends to out the nodes along st's axis from n that pass
+// its node test, in axis order.
+func appendAxis(out []*xmldoc.Node, n *xmldoc.Node, st *step) []*xmldoc.Node {
+	switch st.ax {
+	case axisChild:
+		for _, c := range n.Children {
+			if matchTest(c, st.test, st.ax) {
+				out = append(out, c)
+			}
+		}
+	case axisSelf:
+		if matchTest(n, st.test, st.ax) {
 			out = append(out, n)
+		}
+	case axisParent:
+		if n.Parent != nil && matchTest(n.Parent, st.test, st.ax) {
+			out = append(out, n.Parent)
+		}
+	case axisAncestor, axisAncestorOrSelf:
+		p := n.Parent
+		if st.ax == axisAncestorOrSelf {
+			p = n
+		}
+		for ; p != nil; p = p.Parent {
+			if matchTest(p, st.test, st.ax) {
+				out = append(out, p)
+			}
+		}
+	case axisDescendant, axisDescendantOrSelf:
+		if st.ax == axisDescendantOrSelf && matchTest(n, st.test, st.ax) {
+			out = append(out, n)
+		}
+		out = appendDescendants(out, n, st)
+	case axisAttribute:
+		for _, a := range n.Attrs {
+			// Test the name before synthesizing the node: only matches
+			// cost an allocation.
+			probe := xmldoc.Node{Kind: xmldoc.KindAttribute, Name: a.Name}
+			if matchTest(&probe, st.test, st.ax) {
+				out = append(out, &xmldoc.Node{Kind: xmldoc.KindAttribute, Name: a.Name, Data: a.Value, Parent: n})
+			}
+		}
+	case axisFollowingSibling, axisPrecedingSibling:
+		idx := n.Index()
+		if idx < 0 {
+			break
+		}
+		sibs := n.Parent.Children
+		if st.ax == axisFollowingSibling {
+			for _, c := range sibs[idx+1:] {
+				if matchTest(c, st.test, st.ax) {
+					out = append(out, c)
+				}
+			}
+			break
+		}
+		// preceding-sibling in reverse document order (nearest first).
+		for i := idx - 1; i >= 0; i-- {
+			if matchTest(sibs[i], st.test, st.ax) {
+				out = append(out, sibs[i])
+			}
 		}
 	}
 	return out
 }
 
-// axisNodes returns the candidate nodes along an axis, in axis order.
-func axisNodes(n *xmldoc.Node, ax axis) []*xmldoc.Node {
-	switch ax {
-	case axisChild:
-		return n.Children
-	case axisSelf:
-		return []*xmldoc.Node{n}
-	case axisParent:
-		if n.Parent != nil {
-			return []*xmldoc.Node{n.Parent}
+// appendDescendants appends n's descendants that pass st's node test,
+// in document order.
+func appendDescendants(out []*xmldoc.Node, n *xmldoc.Node, st *step) []*xmldoc.Node {
+	for _, c := range n.Children {
+		if matchTest(c, st.test, st.ax) {
+			out = append(out, c)
 		}
-		return nil
-	case axisAncestor, axisAncestorOrSelf:
-		var out []*xmldoc.Node
-		if ax == axisAncestorOrSelf {
-			out = append(out, n)
-		}
-		for p := n.Parent; p != nil; p = p.Parent {
-			out = append(out, p)
-		}
-		return out
-	case axisDescendant, axisDescendantOrSelf:
-		var out []*xmldoc.Node
-		if ax == axisDescendantOrSelf {
-			out = append(out, n)
-		}
-		var rec func(*xmldoc.Node)
-		rec = func(m *xmldoc.Node) {
-			for _, c := range m.Children {
-				out = append(out, c)
-				rec(c)
-			}
-		}
-		rec(n)
-		return out
-	case axisAttribute:
-		out := make([]*xmldoc.Node, 0, len(n.Attrs))
-		for _, a := range n.Attrs {
-			out = append(out, &xmldoc.Node{
-				Kind:   xmldoc.KindAttribute,
-				Name:   a.Name,
-				Data:   a.Value,
-				Parent: n,
-			})
-		}
-		return out
-	case axisFollowingSibling, axisPrecedingSibling:
-		if n.Parent == nil {
-			return nil
-		}
-		idx := n.Index()
-		if idx < 0 {
-			return nil
-		}
-		sibs := n.Parent.Children
-		if ax == axisFollowingSibling {
-			return sibs[idx+1:]
-		}
-		// preceding-sibling in reverse document order (nearest first).
-		out := make([]*xmldoc.Node, 0, idx)
-		for i := idx - 1; i >= 0; i-- {
-			out = append(out, sibs[i])
-		}
-		return out
+		out = appendDescendants(out, c, st)
 	}
-	return nil
+	return out
 }
 
 // matchTest applies the node test. Unprefixed name tests match local
@@ -468,17 +506,5 @@ func matchTest(n *xmldoc.Node, t nodeTest, ax axis) bool {
 }
 
 func nameMatches(n *xmldoc.Node, test string) bool {
-	if test == "*" {
-		return true
-	}
-	if n.Name == test {
-		return true
-	}
-	// Unprefixed test matches any prefix's local name.
-	for i := 0; i < len(test); i++ {
-		if test[i] == ':' {
-			return false // prefixed test: exact only
-		}
-	}
-	return n.LocalName() == test
+	return test == "*" || n.HasName(test)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // xpathFunc implements one core-library function.
-type xpathFunc func(ctx *context, args []expr) Value
+type xpathFunc func(ctx context, args []expr) Value
 
 // coreFunctions is the XPath 1.0 core function library subset. The
 // parser validates function names against this table at compile time.
@@ -47,17 +47,17 @@ func init() {
 
 // argString evaluates args[i] as a string, defaulting to the context
 // node's string-value when the argument is absent.
-func argString(ctx *context, args []expr, i int) string {
+func argString(ctx context, args []expr, i int) string {
 	if i >= len(args) {
 		return nodeStringValue(ctx.node)
 	}
 	return args[i].eval(ctx).String()
 }
 
-func fnLast(ctx *context, _ []expr) Value     { return NumberValue(float64(ctx.size)) }
-func fnPosition(ctx *context, _ []expr) Value { return NumberValue(float64(ctx.pos)) }
+func fnLast(ctx context, _ []expr) Value     { return NumberValue(float64(ctx.size)) }
+func fnPosition(ctx context, _ []expr) Value { return NumberValue(float64(ctx.pos)) }
 
-func fnCount(ctx *context, args []expr) Value {
+func fnCount(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return NumberValue(0)
 	}
@@ -68,7 +68,7 @@ func fnCount(ctx *context, args []expr) Value {
 	return NumberValue(float64(len(v.Nodes)))
 }
 
-func fnName(ctx *context, args []expr) Value {
+func fnName(ctx context, args []expr) Value {
 	n := argNode(ctx, args)
 	if n == nil {
 		return StringValue("")
@@ -76,7 +76,7 @@ func fnName(ctx *context, args []expr) Value {
 	return StringValue(n.Name)
 }
 
-func fnLocalName(ctx *context, args []expr) Value {
+func fnLocalName(ctx context, args []expr) Value {
 	n := argNode(ctx, args)
 	if n == nil {
 		return StringValue("")
@@ -84,7 +84,7 @@ func fnLocalName(ctx *context, args []expr) Value {
 	return StringValue(n.LocalName())
 }
 
-func argNode(ctx *context, args []expr) *xmldoc.Node {
+func argNode(ctx context, args []expr) *xmldoc.Node {
 	if len(args) == 0 {
 		return ctx.node
 	}
@@ -95,11 +95,11 @@ func argNode(ctx *context, args []expr) *xmldoc.Node {
 	return v.Nodes[0]
 }
 
-func fnString(ctx *context, args []expr) Value {
+func fnString(ctx context, args []expr) Value {
 	return StringValue(argString(ctx, args, 0))
 }
 
-func fnConcat(ctx *context, args []expr) Value {
+func fnConcat(ctx context, args []expr) Value {
 	var b strings.Builder
 	for _, a := range args {
 		b.WriteString(a.eval(ctx).String())
@@ -107,15 +107,15 @@ func fnConcat(ctx *context, args []expr) Value {
 	return StringValue(b.String())
 }
 
-func fnStartsWith(ctx *context, args []expr) Value {
+func fnStartsWith(ctx context, args []expr) Value {
 	return BooleanValue(strings.HasPrefix(argString(ctx, args, 0), argString(ctx, args, 1)))
 }
 
-func fnContains(ctx *context, args []expr) Value {
+func fnContains(ctx context, args []expr) Value {
 	return BooleanValue(strings.Contains(argString(ctx, args, 0), argString(ctx, args, 1)))
 }
 
-func fnSubstringBefore(ctx *context, args []expr) Value {
+func fnSubstringBefore(ctx context, args []expr) Value {
 	s, sep := argString(ctx, args, 0), argString(ctx, args, 1)
 	if i := strings.Index(s, sep); i >= 0 {
 		return StringValue(s[:i])
@@ -123,7 +123,7 @@ func fnSubstringBefore(ctx *context, args []expr) Value {
 	return StringValue("")
 }
 
-func fnSubstringAfter(ctx *context, args []expr) Value {
+func fnSubstringAfter(ctx context, args []expr) Value {
 	s, sep := argString(ctx, args, 0), argString(ctx, args, 1)
 	if i := strings.Index(s, sep); i >= 0 {
 		return StringValue(s[i+len(sep):])
@@ -133,7 +133,7 @@ func fnSubstringAfter(ctx *context, args []expr) Value {
 
 // fnSubstring implements XPath substring() with its 1-based, rounded
 // index semantics.
-func fnSubstring(ctx *context, args []expr) Value {
+func fnSubstring(ctx context, args []expr) Value {
 	s := []rune(argString(ctx, args, 0))
 	if len(args) < 2 {
 		return StringValue(string(s))
@@ -156,15 +156,46 @@ func fnSubstring(ctx *context, args []expr) Value {
 	return StringValue(b.String())
 }
 
-func fnStringLength(ctx *context, args []expr) Value {
+func fnStringLength(ctx context, args []expr) Value {
 	return NumberValue(float64(len([]rune(argString(ctx, args, 0)))))
 }
 
-func fnNormalizeSpace(ctx *context, args []expr) Value {
-	return StringValue(strings.Join(strings.Fields(argString(ctx, args, 0)), " "))
+func fnNormalizeSpace(ctx context, args []expr) Value {
+	return StringValue(NormalizeSpace(argString(ctx, args, 0)))
 }
 
-func fnTranslate(ctx *context, args []expr) Value {
+// NormalizeSpace is XPath's normalize-space(): it strips leading and
+// trailing whitespace and collapses every inner run of it into one
+// space. Whitespace is XML's: space, tab, CR and LF, nothing else. A
+// string already in that form comes back as it is, without a copy.
+func NormalizeSpace(s string) string {
+	normal := true
+	for i := 0; i < len(s) && normal; i++ {
+		if isSpace(s[i]) {
+			normal = s[i] == ' ' && i > 0 && i < len(s)-1 && !isSpace(s[i+1])
+		}
+	}
+	if normal {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	gap := false
+	for i := 0; i < len(s); i++ {
+		if isSpace(s[i]) {
+			gap = b.Len() > 0
+			continue
+		}
+		if gap {
+			b.WriteByte(' ')
+			gap = false
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
+}
+
+func fnTranslate(ctx context, args []expr) Value {
 	s := argString(ctx, args, 0)
 	from := []rune(argString(ctx, args, 1))
 	to := []rune(argString(ctx, args, 2))
@@ -194,31 +225,31 @@ func fnTranslate(ctx *context, args []expr) Value {
 	return StringValue(b.String())
 }
 
-func fnBoolean(ctx *context, args []expr) Value {
+func fnBoolean(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return BooleanValue(false)
 	}
 	return BooleanValue(args[0].eval(ctx).Boolean())
 }
 
-func fnNot(ctx *context, args []expr) Value {
+func fnNot(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return BooleanValue(true)
 	}
 	return BooleanValue(!args[0].eval(ctx).Boolean())
 }
 
-func fnTrue(*context, []expr) Value  { return BooleanValue(true) }
-func fnFalse(*context, []expr) Value { return BooleanValue(false) }
+func fnTrue(context, []expr) Value  { return BooleanValue(true) }
+func fnFalse(context, []expr) Value { return BooleanValue(false) }
 
-func fnNumber(ctx *context, args []expr) Value {
+func fnNumber(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return NumberValue(parseNumber(nodeStringValue(ctx.node)))
 	}
 	return NumberValue(args[0].eval(ctx).Number())
 }
 
-func fnSum(ctx *context, args []expr) Value {
+func fnSum(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return NumberValue(0)
 	}
@@ -233,21 +264,21 @@ func fnSum(ctx *context, args []expr) Value {
 	return NumberValue(total)
 }
 
-func fnFloor(ctx *context, args []expr) Value {
+func fnFloor(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return NumberValue(math.NaN())
 	}
 	return NumberValue(math.Floor(args[0].eval(ctx).Number()))
 }
 
-func fnCeiling(ctx *context, args []expr) Value {
+func fnCeiling(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return NumberValue(math.NaN())
 	}
 	return NumberValue(math.Ceil(args[0].eval(ctx).Number()))
 }
 
-func fnRound(ctx *context, args []expr) Value {
+func fnRound(ctx context, args []expr) Value {
 	if len(args) == 0 {
 		return NumberValue(math.NaN())
 	}

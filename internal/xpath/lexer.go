@@ -206,6 +206,18 @@ func (l *lexer) lexName() (token, error) {
 	return token{tokName, l.src[start:l.pos], start}, nil
 }
 
+// IsName reports whether s reads as one name test in an expression:
+// an NCName, optionally prefixed ("xsd:element"), by the same rules the
+// lexer reads names with.
+func IsName(s string) bool {
+	if s == "" || !isNameStart(rune(s[0])) {
+		return false
+	}
+	l := lexer{src: s}
+	tok, _ := l.lexName()
+	return tok.kind == tokName && l.pos == len(s)
+}
+
 func (l *lexer) peekByte() byte {
 	if l.pos < len(l.src) {
 		return l.src[l.pos]

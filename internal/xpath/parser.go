@@ -352,7 +352,7 @@ func (p *parser) parsePrimary() (expr, error) {
 				}
 			}
 		}
-		if _, ok := coreFunctions[fc.name]; !ok {
+		if fc.fn = coreFunctions[fc.name]; fc.fn == nil {
 			return nil, fmt.Errorf("xpath: unknown function %q in %q", fc.name, p.src)
 		}
 		return fc, nil

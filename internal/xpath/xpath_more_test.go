@@ -142,7 +142,7 @@ func TestSelfAxisWithName(t *testing.T) {
 func TestFilterExprPredicateOnVariable(t *testing.T) {
 	d := mustParseXML(`<l><i>1</i><i>2</i><i>3</i></l>`)
 	items := mustCompile("i").Eval(d).Nodes
-	env := &Env{Vars: map[string]Value{"set": NodeSetValue(items)}}
+	env := &Env{Vars: []Binding{{Name: "set", Value: NodeSetValue(items)}}}
 	e := mustCompile("$set[2]")
 	v := e.EvalEnv(d, env)
 	if len(v.Nodes) != 1 || v.Nodes[0].Text() != "2" {

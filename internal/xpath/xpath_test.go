@@ -256,7 +256,7 @@ func TestNumberFormatting(t *testing.T) {
 func TestVariables(t *testing.T) {
 	d := doc(t)
 	e := mustCompile("book[@id = $want]/title")
-	env := &Env{Vars: map[string]Value{"want": StringValue("b2")}}
+	env := &Env{Vars: []Binding{{Name: "want", Value: StringValue("b2")}}}
 	v := e.EvalEnv(d, env)
 	if len(v.Nodes) != 1 || v.Nodes[0].Text() != "Refactoring" {
 		t.Errorf("variable predicate = %v", v.Nodes)

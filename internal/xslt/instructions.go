@@ -11,7 +11,7 @@ import (
 
 // instruction is one compiled step of a template body.
 type instruction interface {
-	exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error
+	exec(ex *executor, ctx execCtx, out *xmldoc.Node) error
 }
 
 // compileSequence compiles a template body (children of xsl:template
@@ -321,11 +321,20 @@ func compileAVT(src string) (*avt, error) {
 	return a, nil
 }
 
-func (a *avt) eval(ctx *execCtx) string {
+func (a *avt) eval(ex *executor, ctx execCtx) string {
+	switch len(a.segments) {
+	case 0:
+		return ""
+	case 1:
+		if s := a.segments[0]; s.expr != nil {
+			return ex.eval(s.expr, ctx).String()
+		}
+		return a.segments[0].literal
+	}
 	var b strings.Builder
 	for _, s := range a.segments {
 		if s.expr != nil {
-			b.WriteString(s.expr.EvalEnv(ctx.node, ctx.env()).String())
+			b.WriteString(ex.eval(s.expr, ctx).String())
 			continue
 		}
 		b.WriteString(s.literal)
@@ -337,21 +346,20 @@ func (a *avt) eval(ctx *execCtx) string {
 
 type noop struct{}
 
-func (*noop) exec(*executor, *execCtx, *xmldoc.Node) error { return nil }
+func (*noop) exec(*executor, execCtx, *xmldoc.Node) error { return nil }
 
 type literalText struct{ text string }
 
-func (i *literalText) exec(_ *executor, _ *execCtx, out *xmldoc.Node) error {
-	out.AppendChild(xmldoc.NewText(i.text))
+func (i *literalText) exec(ex *executor, _ execCtx, out *xmldoc.Node) error {
+	ex.text(out, i.text)
 	return nil
 }
 
 type valueOf struct{ sel *xpath.Expr }
 
-func (i *valueOf) exec(_ *executor, ctx *execCtx, out *xmldoc.Node) error {
-	s := i.sel.EvalEnv(ctx.node, ctx.env()).String()
-	if s != "" {
-		out.AppendChild(xmldoc.NewText(s))
+func (i *valueOf) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	if s := ex.eval(i.sel, ctx).String(); s != "" {
+		ex.text(out, s)
 	}
 	return nil
 }
@@ -362,40 +370,25 @@ type withParam struct {
 	text string
 }
 
-func evalParams(ctx *execCtx, params []withParam) map[string]xpath.Value {
-	if len(params) == 0 {
-		return nil
-	}
-	out := make(map[string]xpath.Value, len(params))
-	for _, p := range params {
-		if p.sel != nil {
-			out[p.name] = p.sel.EvalEnv(ctx.node, ctx.env())
-			continue
-		}
-		out[p.name] = xpath.StringValue(p.text)
-	}
-	return out
-}
-
 type applyTemplatesIns struct {
 	sel    *xpath.Expr
 	params []withParam
 	sorts  []sortSpec
 }
 
-func (i *applyTemplatesIns) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
-	var nodes []*xmldoc.Node
+func (i *applyTemplatesIns) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	nodes := ctx.node.Children
 	if i.sel != nil {
-		v := i.sel.EvalEnv(ctx.node, ctx.env())
-		if v.Kind != xpath.KindNodeSet {
-			return fmt.Errorf("xslt: apply-templates select %q is not a node-set", i.sel.Source())
+		var err error
+		if nodes, err = ex.selectNodes(i.sel, ctx, "apply-templates"); err != nil {
+			return err
 		}
-		nodes = v.Nodes
-	} else {
-		nodes = ctx.node.Children
 	}
-	nodes = sortNodes(nodes, i.sorts, ctx.env())
-	return ex.applyTemplates(ctx, nodes, out, evalParams(ctx, i.params))
+	nodes = sortNodes(nodes, i.sorts, ex.envFor(ctx, ex.vars))
+	args, mark := ex.pushArgs(ctx, i.params)
+	err := ex.applyTemplates(ctx, nodes, out, args)
+	ex.args = ex.args[:mark]
+	return err
 }
 
 type callTemplate struct {
@@ -403,7 +396,7 @@ type callTemplate struct {
 	params []withParam
 }
 
-func (i *callTemplate) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
+func (i *callTemplate) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
 	t, ok := ex.sheet.named[i.name]
 	if !ok {
 		return fmt.Errorf("xslt: call-template: no template named %q", i.name)
@@ -411,8 +404,12 @@ func (i *callTemplate) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error 
 	if ctx.depth > maxDepth {
 		return ErrTooDeep
 	}
-	sub := ctx.child(ctx.node, ctx.pos, ctx.size)
-	return ex.invoke(sub, t, out, evalParams(ctx, i.params))
+	args, mark := ex.pushArgs(ctx, i.params)
+	sub := ctx
+	sub.depth++
+	err := ex.invoke(sub, t, out, args)
+	ex.args = ex.args[:mark]
+	return err
 }
 
 type forEach struct {
@@ -421,15 +418,16 @@ type forEach struct {
 	sorts []sortSpec
 }
 
-func (i *forEach) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
-	v := i.sel.EvalEnv(ctx.node, ctx.env())
-	if v.Kind != xpath.KindNodeSet {
-		return fmt.Errorf("xslt: for-each select %q is not a node-set", i.sel.Source())
+func (i *forEach) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	nodes, err := ex.selectNodes(i.sel, ctx, "for-each")
+	if err != nil {
+		return err
 	}
-	nodes := sortNodes(v.Nodes, i.sorts, ctx.env())
+	nodes = sortNodes(nodes, i.sorts, ex.envFor(ctx, ex.vars))
+	sub := execCtx{size: len(nodes), depth: ctx.depth + 1}
 	for idx, n := range nodes {
-		sub := ctx.child(n, idx+1, len(nodes))
-		if err := execAll(ex, sub, i.body, out); err != nil {
+		sub.node, sub.pos = n, idx+1
+		if err := ex.execAll(sub, i.body, out); err != nil {
 			return err
 		}
 	}
@@ -441,9 +439,9 @@ type ifIns struct {
 	body []instruction
 }
 
-func (i *ifIns) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
-	if i.test.EvalEnv(ctx.node, ctx.env()).Boolean() {
-		return execAll(ex, ctx, i.body, out)
+func (i *ifIns) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	if ex.eval(i.test, ctx).Boolean() {
+		return ex.execAll(ctx, i.body, out)
 	}
 	return nil
 }
@@ -458,14 +456,14 @@ type choose struct {
 	otherwise []instruction
 }
 
-func (i *choose) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
+func (i *choose) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
 	for _, w := range i.whens {
-		if w.test.EvalEnv(ctx.node, ctx.env()).Boolean() {
-			return execAll(ex, ctx, w.body, out)
+		if ex.eval(w.test, ctx).Boolean() {
+			return ex.execAll(ctx, w.body, out)
 		}
 	}
 	if i.otherwise != nil {
-		return execAll(ex, ctx, i.otherwise, out)
+		return ex.execAll(ctx, i.otherwise, out)
 	}
 	return nil
 }
@@ -475,13 +473,8 @@ type elementIns struct {
 	body []instruction
 }
 
-func (i *elementIns) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
-	el := xmldoc.NewElement(i.name.eval(ctx))
-	if err := execAll(ex, ctx, i.body, el); err != nil {
-		return err
-	}
-	out.AppendChild(el)
-	return nil
+func (i *elementIns) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	return ex.element(ctx, ex.newNode(xmldoc.KindElement, i.name.eval(ex, ctx), ""), i.body, out)
 }
 
 type attributeIns struct {
@@ -489,52 +482,49 @@ type attributeIns struct {
 	body []instruction
 }
 
-func (i *attributeIns) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
-	tmp := xmldoc.NewElement("#attr")
-	if err := execAll(ex, ctx, i.body, tmp); err != nil {
+func (i *attributeIns) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	value, err := ex.bodyText(ctx, i.body)
+	if err != nil {
 		return err
 	}
-	out.SetAttr(i.name.eval(ctx), tmp.Text())
+	ex.setAttr(out, i.name.eval(ex, ctx), value)
 	return nil
 }
 
 type copyOf struct{ sel *xpath.Expr }
 
-func (i *copyOf) exec(_ *executor, ctx *execCtx, out *xmldoc.Node) error {
-	v := i.sel.EvalEnv(ctx.node, ctx.env())
+func (i *copyOf) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	v := ex.eval(i.sel, ctx)
 	if v.Kind != xpath.KindNodeSet {
-		out.AppendChild(xmldoc.NewText(v.String()))
+		ex.text(out, v.String())
 		return nil
 	}
+	ex.selected += len(v.Nodes)
 	for _, n := range v.Nodes {
 		if n.Kind == xmldoc.KindAttribute {
-			out.SetAttr(n.Name, n.Data)
+			ex.setAttr(out, n.Name, n.Data)
 			continue
 		}
-		out.AppendChild(n.Clone())
+		ex.emit(out, ex.clone(n))
 	}
 	return nil
 }
 
 type copyIns struct{ body []instruction }
 
-func (i *copyIns) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
+func (i *copyIns) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
 	n := ctx.node
 	switch n.Kind {
 	case xmldoc.KindElement:
 		if n.Name == "#document" {
 			// Copying the (virtual) document node copies its content.
-			return execAll(ex, ctx, i.body, out)
+			return ex.execAll(ctx, i.body, out)
 		}
-		el := xmldoc.NewElement(n.Name)
-		if err := execAll(ex, ctx, i.body, el); err != nil {
-			return err
-		}
-		out.AppendChild(el)
+		return ex.element(ctx, ex.newNode(xmldoc.KindElement, n.Name, ""), i.body, out)
 	case xmldoc.KindText:
-		out.AppendChild(xmldoc.NewText(n.Data))
+		ex.text(out, n.Data)
 	case xmldoc.KindAttribute:
-		out.SetAttr(n.Name, n.Data)
+		ex.setAttr(out, n.Name, n.Data)
 	}
 	return nil
 }
@@ -545,16 +535,18 @@ type variableIns struct {
 	body []instruction
 }
 
-func (i *variableIns) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
+func (i *variableIns) exec(ex *executor, ctx execCtx, _ *xmldoc.Node) error {
+	var v xpath.Value
 	if i.sel != nil {
-		ctx.vars[i.name] = i.sel.EvalEnv(ctx.node, ctx.env())
-		return nil
+		v = ex.eval(i.sel, ctx)
+	} else {
+		s, err := ex.bodyText(ctx, i.body)
+		if err != nil {
+			return err
+		}
+		v = xpath.StringValue(s)
 	}
-	tmp := xmldoc.NewElement("#var")
-	if err := execAll(ex, ctx, i.body, tmp); err != nil {
-		return err
-	}
-	ctx.vars[i.name] = xpath.StringValue(tmp.Text())
+	ex.vars = append(ex.vars, xpath.Binding{Name: i.name, Value: v})
 	return nil
 }
 
@@ -569,27 +561,13 @@ type literalElement struct {
 	body  []instruction
 }
 
-func (i *literalElement) exec(ex *executor, ctx *execCtx, out *xmldoc.Node) error {
-	el := xmldoc.NewElement(i.name)
-	for _, a := range i.attrs {
-		el.SetAttr(a.name, a.value.eval(ctx))
-	}
-	if err := execAll(ex, ctx, i.body, el); err != nil {
-		return err
-	}
-	out.AppendChild(el)
-	return nil
-}
-
-// execAll runs a compiled body. Variable scoping: each body gets a
-// fresh scope so xsl:variable bindings do not leak to siblings of the
-// enclosing instruction.
-func execAll(ex *executor, ctx *execCtx, body []instruction, out *xmldoc.Node) error {
-	scope := ctx.withVars()
-	for _, ins := range body {
-		if err := ins.exec(ex, scope, out); err != nil {
-			return err
+func (i *literalElement) exec(ex *executor, ctx execCtx, out *xmldoc.Node) error {
+	el := ex.newNode(xmldoc.KindElement, i.name, "")
+	if len(i.attrs) > 0 {
+		el.Attrs = carve(&ex.attrs, len(i.attrs))
+		for _, a := range i.attrs {
+			ex.setAttr(el, a.name, a.value.eval(ex, ctx))
 		}
 	}
-	return nil
+	return ex.element(ctx, el, i.body, out)
 }

@@ -181,19 +181,9 @@ func stepTestMatches(n *xmldoc.Node, test string) bool {
 		return n.Kind == xmldoc.KindAttribute
 	}
 	if strings.HasPrefix(test, "@") {
-		return n.Kind == xmldoc.KindAttribute && nameTestMatches(n, test[1:])
+		return n.Kind == xmldoc.KindAttribute && n.HasName(test[1:])
 	}
-	return n.Kind == xmldoc.KindElement && nameTestMatches(n, test)
-}
-
-func nameTestMatches(n *xmldoc.Node, test string) bool {
-	if n.Name == test {
-		return true
-	}
-	if strings.ContainsRune(test, ':') {
-		return false
-	}
-	return n.LocalName() == test
+	return n.Kind == xmldoc.KindElement && n.HasName(test)
 }
 
 // defaultPriority follows the XSLT 1.0 rules: name tests 0, */node
