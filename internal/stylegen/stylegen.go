@@ -186,10 +186,11 @@ func GenerateIndexingStylesheet(s *xsd.Schema) (string, error) {
 	if s == nil || s.Root == nil {
 		return "", fmt.Errorf("stylegen: schema has no root element")
 	}
+	fields := s.SearchableFields()
 	var b strings.Builder
 	b.WriteString(`<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">` + "\n")
 	b.WriteString("  <xsl:template match=\"/\">\n    <attributes>\n")
-	for _, f := range s.SearchableFields() {
+	for _, f := range fields {
 		sel := "/" + s.Root.Name + "/" + f.Path
 		fmt.Fprintf(&b, "      <xsl:for-each select=%q>\n", sel)
 		fmt.Fprintf(&b, "        <attribute name=%q><xsl:value-of select=\"normalize-space(.)\"/></attribute>\n", f.Path)
