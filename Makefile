@@ -81,10 +81,10 @@ heap-profile:
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzHolderIndex,
 # FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
-# FuzzFilterParse, FuzzWALSegment, FuzzXPathCompile, FuzzXMLParse,
-# FuzzIndexerExtract and FuzzXSLTApply on top of their seeds and the
-# committed corpora (testdata/fuzz in internal/dht, internal/p2p,
-# internal/transport, internal/query, internal/index and
+# FuzzFilterParse, FuzzWALSegment, FuzzStoreSearch, FuzzXPathCompile,
+# FuzzXMLParse, FuzzIndexerExtract and FuzzXSLTApply on top of their
+# seeds and the committed corpora (testdata/fuzz in internal/dht,
+# internal/p2p, internal/transport, internal/query, internal/index and
 # internal/xmldoc) — a DHT holder's posting lists
 # answer every get as a scan of the same records does, no DHT or p2p
 # frame decoder, no TCP connection reader and no WAL segment scan may
@@ -92,7 +92,8 @@ heap-profile:
 # input, the GUID a flood relay peeks from a query or query-hit is the
 # one a full decode reads, Filter.Match answers every filter and value
 # as the matcher it replaced did, a parsed filter's String parses back
-# to itself, never nested deeper than the parser's bound, XPath
+# to itself, never nested deeper than the parser's bound, a store's
+# search answers as a linear scan of its live documents does, XPath
 # compilation never panics and keeps its source, a parsed XML
 # document's String parses back to the same String, an Indexer's path
 # walk extracts what the generated indexing stylesheet does, and an
@@ -106,6 +107,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzFilterParse -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzWALSegment -fuzztime 10s
+	$(GO) test ./internal/index -run '^$$' -fuzz FuzzStoreSearch -fuzztime 10s
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathCompile -fuzztime 10s
 	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzXMLParse -fuzztime 10s
 	$(GO) test ./internal/stylegen -run '^$$' -fuzz FuzzIndexerExtract -fuzztime 10s

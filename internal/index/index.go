@@ -6,24 +6,24 @@
 // marked searchable enter the index, keeping "small portions of
 // content ... in the search engine instead of the entire XML object").
 //
-// Searches evaluate query.Filter expressions; equality assertions are
-// accelerated through the inverted index, everything else scans the
-// community's documents.
+// Searches evaluate query.Filter expressions and answer in ID order,
+// with one walk that stops at the limit. A filter with exact-match
+// assertions walks the intersection of their posting lists, which are
+// kept sorted by ID; any other filter walks the community's members,
+// which are kept sorted too. Either way a community-scoped search
+// sorts nothing.
 //
 // One lock guards the store. Each community keeps its own members and
 // its own slice of the inverted index, so a community-scoped search
 // never walks another community's postings. A batch
-// (PutBatch/DeleteBatch) takes the lock once and is applied whole, and
-// a small LRU caches recent query results, each valid while its
-// community's write generation is unchanged.
+// (PutBatch/DeleteBatch) takes the lock once and is applied whole.
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 
 	"repro/internal/errs"
@@ -70,24 +70,10 @@ var (
 	ErrNoID     error = errs.New("index.no_id", "index: document has no ID")
 )
 
-// Store tuning defaults.
-const (
-	// DefaultCacheSize is the default query-result cache capacity, in
-	// cached result sets across all communities.
-	DefaultCacheSize = 2048
-	// maxCachedResults bounds the size of one cached result set.
-	// Larger results are served uncached: caching them would pin
-	// every returned document (including deleted ones, until LRU
-	// pressure or a same-key lookup evicts the stale entry) for
-	// little win, since huge scans are rarely repeated verbatim.
-	maxCachedResults = 256
-)
-
 // Option configures a Store.
 type Option func(*storeConfig)
 
 type storeConfig struct {
-	cacheSize       int
 	metrics         *metrics.Registry
 	logger          *slog.Logger
 	walDir          string
@@ -98,21 +84,24 @@ type storeConfig struct {
 
 func defaultStoreConfig() storeConfig {
 	return storeConfig{
-		cacheSize:       DefaultCacheSize,
 		walFsync:        FsyncAlways,
 		walSegmentBytes: DefaultWALSegmentBytes,
 		walCompactBytes: DefaultWALCompactBytes,
 	}
 }
 
-// WithCacheSize sets the query-result cache capacity in entries; 0
-// disables result caching.
-func WithCacheSize(n int) Option {
-	return func(c *storeConfig) { c.cacheSize = n }
+// WithCacheSize does nothing. The store once cached query results;
+// its searches now walk sorted lists and stop at the limit, so there
+// is nothing to size. It remains because the benchmark's probes still
+// pass it.
+//
+// Deprecated: a search has one path; drop the option.
+func WithCacheSize(int) Option {
+	return func(*storeConfig) {}
 }
 
-// WithMetrics records the store's telemetry (cache hits/misses,
-// occupancy gauges) into reg. Default is a private registry; several
+// WithMetrics records the store's telemetry (occupancy gauges, WAL
+// counters) into reg. Default is a private registry; several
 // stores sharing one registry aggregate: the index.docs and
 // index.postings gauges sum across stores.
 func WithMetrics(reg *metrics.Registry) Option {
@@ -150,22 +139,13 @@ func WithWALCompactBytes(n int64) Option {
 // Store is a thread-safe metadata store with a per-community inverted
 // index. See the package comment for the design.
 type Store struct {
-	// mu guards docs, communities and writes, and with a WAL armed it
-	// also orders log appends: a write is logged and applied under one
-	// hold of it, so the log's order is the store's.
+	// mu guards docs and communities, and with a WAL armed it also
+	// orders log appends: a write is logged and applied under one hold
+	// of it, so the log's order is the store's.
 	mu          sync.RWMutex
 	docs        map[DocID]*Document
 	communities map[string]*community
-	// writes counts applied writes store-wide; a written community
-	// takes the new count as its generation, so no generation is ever
-	// reused, not even by a community that empties and refills.
-	writes uint64
-	// cache is nil when caching is disabled. It has its own lock, so
-	// readers fill it while holding mu.RLock.
-	cache  *resultCache
-	reg    *metrics.Registry
-	hits   *metrics.Counter
-	misses *metrics.Counter
+	reg         *metrics.Registry
 	// wal, when non-nil, logs every write before it is applied; see
 	// wal.go. Armed only by OpenStore.
 	wal *wal
@@ -174,22 +154,18 @@ type Store struct {
 // community is one community's share of the store: its documents and
 // its inverted index. It exists only while it has members.
 type community struct {
-	members map[DocID]*Document
+	// members are the community's documents, sorted by ID.
+	members []*Document
 	// inverted maps attr name -> fold key -> the DocIDs holding it,
 	// sorted. Most keys are held by a document or two, where a slice
 	// costs a fraction of a set's map.
 	inverted map[string]map[string][]DocID
 	// postings counts index entries, for the E4 index-size experiment.
 	postings int
-	// gen is the store's write count at this community's last write.
-	// Cached results remember the gen they were computed under and are
-	// discarded once it moves on, so writers pay one assignment — never
-	// a cache sweep.
-	gen uint64
 }
 
-// NewStore returns an empty in-memory store with the given options
-// (default: DefaultCacheSize cached result sets). For a durable store,
+// NewStore returns an empty in-memory store with the given options.
+// For a durable store,
 // pass WithWAL to OpenStore instead; NewStore panics on WithWAL
 // because arming a log can fail and NewStore has no error to return.
 func NewStore(opts ...Option) *Store {
@@ -214,11 +190,6 @@ func newStore(cfg storeConfig) *Store {
 		docs:        make(map[DocID]*Document),
 		communities: make(map[string]*community),
 		reg:         reg,
-		hits:        reg.Counter("index.cache_hits"),
-		misses:      reg.Counter("index.cache_misses"),
-	}
-	if cfg.cacheSize > 0 {
-		s.cache = newResultCache(cfg.cacheSize, s.hits, s.misses)
 	}
 	reg.GaugeFunc("index.docs", func() int64 { return int64(s.Len()) })
 	reg.GaugeFunc("index.postings", func() int64 { return int64(s.Postings()) })
@@ -353,7 +324,7 @@ func (s *Store) Communities() []string {
 		out = append(out, id)
 	}
 	s.mu.RUnlock()
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -371,7 +342,7 @@ func (s *Store) Postings() int {
 
 // Search returns documents in the community whose indexed attributes
 // satisfy the filter, sorted by ID for determinism. limit <= 0 means
-// unlimited. An empty communityID searches all communities (uncached).
+// unlimited. An empty communityID searches all communities.
 //
 // The result is the caller's own: every document is a defensive copy.
 func (s *Store) Search(communityID string, f query.Filter, limit int) []*Document {
@@ -379,53 +350,40 @@ func (s *Store) Search(communityID string, f query.Filter, limit int) []*Documen
 }
 
 // SearchReadOnly is Search without the copies: it returns the store's
-// own documents, and possibly a result slice other readers share, so
-// the caller must modify neither. That is safe to hold for any length
-// of time — a stored Document is immutable, Put installs a new one in
-// its place and never writes to the old — and is meant for callers that
-// only read the result through, such as a node encoding its answer to a
-// remote query onto the wire.
+// own documents, so the caller must not modify them. That is safe to
+// hold for any length of time — a stored Document is immutable, Put
+// installs a new one in its place and never writes to the old — and is
+// meant for callers that only read the result through, such as a node
+// encoding its answer to a remote query onto the wire.
+//
+// A community-scoped search is one walk in ID order under the read
+// lock, stopping at the limit: over the intersection of the posting
+// lists of the filter's exact-match conjuncts when it has any, over the
+// community's members otherwise. It allocates the result slice and
+// nothing else.
 func (s *Store) SearchReadOnly(communityID string, f query.Filter, limit int) []*Document {
 	if f == nil {
 		f = query.MatchAll{}
 	}
-	cacheable := s.cache != nil && communityID != ""
-	var key string
-	if cacheable {
-		key = cacheKey(communityID, f, limit)
-	}
 	s.mu.RLock()
-	// An absent community reads as generation 0, which no write ever
-	// assigns: its cached (empty) answer holds exactly while it is absent.
-	var gen uint64
-	c := s.communities[communityID]
-	if c != nil {
-		gen = c.gen
-	}
-	if cacheable {
-		if docs, ok := s.cache.get(key, gen); ok {
-			s.mu.RUnlock()
-			return docs
-		}
-	}
-	var candidates []*Document
+	defer s.mu.RUnlock()
 	if communityID != "" {
-		if c != nil {
-			candidates = c.candidates(f, nil)
+		if c := s.communities[communityID]; c != nil {
+			return c.search(s.docs, f, limit, nil)
 		}
-	} else {
-		for _, c := range s.communities {
-			candidates = c.candidates(f, candidates)
-		}
+		return nil
 	}
-	s.mu.RUnlock()
-	matches := matching(candidates, f, limit)
-	if cacheable && len(matches) <= maxCachedResults {
-		// A write may have slipped in after RUnlock; the entry then
-		// carries a stale gen and the next get treats it as a miss.
-		s.cache.put(key, gen, matches)
+	// The first limit matches overall are among each community's first
+	// limit matches.
+	var out []*Document
+	for _, c := range s.communities {
+		out = c.search(s.docs, f, limit, out)
 	}
-	return matches
+	slices.SortFunc(out, func(a, b *Document) int { return cmp.Compare(a.ID, b.ID) })
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
 }
 
 // cloneDocs defensively copies a result set.
@@ -440,73 +398,86 @@ func cloneDocs(docs []*Document) []*Document {
 	return out
 }
 
-// cacheKey identifies one materialized query: community, the filter's
-// canonical string form, and the limit.
-func cacheKey(communityID string, f query.Filter, limit int) string {
-	return communityID + "\x00" + f.String() + "\x00" + strconv.Itoa(limit)
-}
-
-// matching sorts candidates by ID and keeps those f matches, up to
-// limit. The documents are immutable, so this needs no lock.
-func matching(candidates []*Document, f query.Filter, limit int) []*Document {
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].ID < candidates[j].ID })
-	var out []*Document
-	for _, d := range candidates {
+// search appends to out the community's documents f matches, in ID
+// order, and stops after limit of them. The candidates are the shortest
+// posting list of f's exact-match conjuncts, kept where every other one
+// holds them too, or else every member; f re-checks each, since a
+// posting list may hold documents f does not match. A nil out is
+// allocated on the first match, sized for the limit or the candidates
+// left, whichever is fewer. Called with the store's lock held.
+func (c *community) search(docs map[DocID]*Document, f query.Filter, limit int, out []*Document) []*Document {
+	var buf [4][]DocID
+	lists, indexed := c.lists(f, buf[:0])
+	n := len(c.members)
+	if indexed {
+		for i := range lists {
+			if len(lists[i]) < len(lists[0]) {
+				lists[0], lists[i] = lists[i], lists[0]
+			}
+		}
+		n = len(lists[0])
+	}
+	start := len(out)
+next:
+	for i := 0; i < n; i++ {
+		var d *Document
+		if indexed {
+			id := lists[0][i]
+			for _, other := range lists[1:] {
+				if _, ok := slices.BinarySearch(other, id); !ok {
+					continue next
+				}
+			}
+			d = docs[id]
+		} else {
+			d = c.members[i]
+		}
 		if !f.Match(d.Attrs) {
 			continue
 		}
+		if out == nil {
+			size := n - i
+			if limit > 0 {
+				size = min(size, limit)
+			}
+			out = make([]*Document, 0, size)
+		}
 		out = append(out, d)
-		if limit > 0 && len(out) >= limit {
+		if len(out)-start == limit {
 			break
 		}
 	}
 	return out
 }
 
-// candidates appends to out the community's documents that f could
-// match: the inverted index's posting list when the filter's top level
-// is (or conjoins) an exact-match assertion, otherwise every member.
-// Called with the store's lock held.
-func (c *community) candidates(f query.Filter, out []*Document) []*Document {
-	if ids, ok := c.indexed(f); ok {
-		for _, id := range ids {
-			out = append(out, c.members[id])
-		}
-		return out
-	}
-	for _, d := range c.members {
-		out = append(out, d)
-	}
-	return out
-}
-
-// indexed returns the candidate IDs and true when the filter permits
-// index acceleration, or false to force a scan. Sound but not
-// complete: the IDs may be a superset of the matches, never a subset.
-func (c *community) indexed(f query.Filter) ([]DocID, bool) {
+// lists appends to out the posting list of each exact-match conjunct of
+// f — f itself when it is an indexable assertion, the conjuncts of an
+// And, nested ones included — and reports whether there was one. Every
+// document f matches is on each list (an absent key's list is nil).
+func (c *community) lists(f query.Filter, out [][]DocID) ([][]DocID, bool) {
 	switch t := f.(type) {
 	case *query.Assertion:
 		key, ok := t.IndexKey()
 		if !ok {
-			return nil, false
+			return out, false
 		}
-		field := c.inverted[t.Attr]
-		if field == nil {
-			return nil, true
-		}
-		ids, ok := field[key]
-		return ids, ok
+		return append(out, c.inverted[t.Attr][key]), true
 	case *query.And:
-		// Any one accelerable conjunct suffices (superset property).
+		indexed := false
 		for _, sub := range t.Subs {
-			if ids, ok := c.indexed(sub); ok {
-				return ids, true
-			}
+			var ok bool
+			out, ok = c.lists(sub, out)
+			indexed = indexed || ok
 		}
-		return nil, false
-	default:
-		return nil, false
+		return out, indexed
 	}
+	return out, false
+}
+
+// find returns id's position among the members, or the position it
+// would take, and whether it is there.
+func (c *community) find(id DocID) (int, bool) {
+	return slices.BinarySearchFunc(c.members, id, func(d *Document, id DocID) int { return cmp.Compare(d.ID, id) })
 }
 
 // putLocked installs d, displacing any previous version of its ID —
@@ -522,31 +493,28 @@ func (s *Store) putLocked(d *Document) {
 	s.docs[d.ID] = d
 	c := s.communities[d.CommunityID]
 	if c == nil {
-		c = &community{
-			members:  make(map[DocID]*Document),
-			inverted: make(map[string]map[string][]DocID),
-		}
+		c = &community{inverted: make(map[string]map[string][]DocID)}
 		s.communities[d.CommunityID] = c
 	}
-	c.members[d.ID] = d
+	if i, ok := c.find(d.ID); ok {
+		c.members[i] = d
+	} else {
+		c.members = slices.Insert(c.members, i, d)
+	}
 	c.index(d)
-	s.writes++
-	c.gen = s.writes
 }
 
 // removeLocked deletes d from the store entirely. A community left
-// without members goes with it, and reads as generation 0 again.
+// without members goes with it.
 func (s *Store) removeLocked(d *Document) {
 	c := s.communities[d.CommunityID]
 	c.unindex(d)
-	delete(c.members, d.ID)
+	i, _ := c.find(d.ID)
+	c.members = slices.Delete(c.members, i, i+1)
 	delete(s.docs, d.ID)
 	if len(c.members) == 0 {
 		delete(s.communities, d.CommunityID)
-		return
 	}
-	s.writes++
-	c.gen = s.writes
 }
 
 // index posts d under every key of its attributes. Most keys are held

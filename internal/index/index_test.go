@@ -221,6 +221,14 @@ func TestDocumentIsolation(t *testing.T) {
 	if len(d2.Attrs["title"]) != 1 {
 		t.Error("mutation leaked into store")
 	}
+	// Search results are copies too.
+	f := query.MustParse("(title=Observer)")
+	res := s.Search("patterns", f, 0)
+	res[0].Attrs.Add("title", "mutated")
+	res[0].Title = "mutated"
+	if again := s.Search("patterns", f, 0); again[0].Title == "mutated" || len(again[0].Attrs["title"]) != 1 {
+		t.Error("Search leaked mutable document state to a caller")
+	}
 	// Mutating the doc passed to Put must not affect the store either.
 	orig := doc("d9", "c", "T", map[string][]string{"k": {"v"}})
 	if err := s.Put(orig); err != nil {
@@ -402,4 +410,31 @@ func dump(t *testing.T, s *Store) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestSearchReadOnlyAllocs pins a community-scoped search to one
+// allocation, the result slice, whether it walks the members (a
+// presence filter), one posting list (an exact match) or the
+// intersection of two (an And of exact matches).
+func TestSearchReadOnlyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := NewStore()
+	for i := 0; i < 200; i++ {
+		if err := s.Put(doc(fmt.Sprintf("d%03d", i), "c", "T", map[string][]string{
+			"k": {fmt.Sprintf("v%d", i%4)}, "tags": {"alpha", fmt.Sprintf("t%d", i%5)},
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{"(k=*)", "(tags=alpha)", "(&(k=v1)(tags=t2))"} {
+		f := query.MustParse(src)
+		if got := len(s.SearchReadOnly("c", f, 25)); got == 0 {
+			t.Fatalf("%s: no results", src)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.SearchReadOnly("c", f, 25) }); n > 1 {
+			t.Errorf("%s: %.0f allocations per search, want at most 1", src, n)
+		}
+	}
 }

@@ -8,9 +8,8 @@ import (
 	"repro/internal/query"
 )
 
-// The BenchmarkStore* family measures the store on concurrent
-// community-scoped workloads, with the result cache off and on. Run
-// with:
+// The BenchmarkStore* family measures the store on community-scoped
+// workloads. Run with:
 //
 //	go test -bench 'BenchmarkStore' -benchtime 2s ./internal/index/
 const (
@@ -18,9 +17,9 @@ const (
 	benchDocsPerComm = 200
 )
 
-func benchStore(b *testing.B, opts ...Option) *Store {
+func benchStore(b *testing.B) *Store {
 	b.Helper()
-	s := NewStore(opts...)
+	s := NewStore()
 	var docs []*Document
 	for c := 0; c < benchCommunities; c++ {
 		comm := fmt.Sprintf("community-%02d", c)
@@ -95,24 +94,42 @@ func benchMixedConcurrent(b *testing.B, s *Store) {
 }
 
 func BenchmarkStoreSearch(b *testing.B) {
-	benchSearchConcurrent(b, benchStore(b, WithCacheSize(0)))
-}
-
-func BenchmarkStoreSearchCached(b *testing.B) {
 	benchSearchConcurrent(b, benchStore(b))
 }
 
 func BenchmarkStoreMixed(b *testing.B) {
-	benchMixedConcurrent(b, benchStore(b, WithCacheSize(0)))
+	benchMixedConcurrent(b, benchStore(b))
 }
 
-func BenchmarkStoreMixedCached(b *testing.B) {
-	benchMixedConcurrent(b, benchStore(b))
+// BenchmarkStoreSearchReadOnly has the shape of an index server's
+// searches: the no-clone search at limit 25, over presence filters
+// (a walk of the members) and exact filters (a posting-list walk),
+// rotating across communities.
+func BenchmarkStoreSearchReadOnly(b *testing.B) {
+	s := benchStore(b)
+	filters := []query.Filter{
+		query.MustParse("(k=*)"),
+		query.MustParse("(tags=*)"),
+		query.MustParse("(tags=alpha)"),
+		query.MustParse("(k=v3)"),
+		query.MustParse("(tags=t2)"),
+	}
+	comms := make([]string, benchCommunities)
+	for c := range comms {
+		comms[c] = fmt.Sprintf("community-%02d", c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := s.SearchReadOnly(comms[i%len(comms)], filters[i%len(filters)], 25); len(got) == 0 {
+			b.Fatal("no results")
+		}
+	}
 }
 
 // Ingest cost: one lock round trip per document vs per batch.
 func BenchmarkStorePutSequential(b *testing.B) {
-	s := NewStore(WithCacheSize(0))
+	s := NewStore()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Put(&Document{
@@ -125,7 +142,7 @@ func BenchmarkStorePutSequential(b *testing.B) {
 
 func BenchmarkStorePutBatch(b *testing.B) {
 	const batchSize = 256
-	s := NewStore(WithCacheSize(0))
+	s := NewStore()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batchSize {
 		batch := make([]*Document, 0, batchSize)
@@ -144,10 +161,9 @@ func BenchmarkStorePutBatch(b *testing.B) {
 
 // BenchmarkAblationIndexAcceleration contrasts an equality query
 // (accelerated through the inverted index) with a substring query
-// (full community scan) at 10k documents, one hit each, with the
-// result cache off so both sides compute their answer.
+// (full community scan) at 10k documents, one hit each.
 func BenchmarkAblationIndexAcceleration(b *testing.B) {
-	s := NewStore(WithCacheSize(0))
+	s := NewStore()
 	for i := 0; i < 10000; i++ {
 		attrs := query.Attrs{}
 		attrs.Add("title", fmt.Sprintf("pattern number %d", i))

@@ -21,7 +21,7 @@ func TestConcurrentMixedAcrossCommunities(t *testing.T) {
 		keepEvery  = 3 // delete two of every three documents written
 	)
 	communities := []string{"patterns", "mp3", "species", "molecules"}
-	s := NewStore(WithCacheSize(32))
+	s := NewStore()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -178,104 +178,6 @@ func TestDeleteBatch(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnWrite: repeated queries are served from the
-// cache, a write to another community leaves them cached, and any
-// write to the community makes the next query recompute and observe
-// the write.
-func TestCacheInvalidationOnWrite(t *testing.T) {
-	s := NewStore(WithCacheSize(16))
-	put := func(id string) {
-		t.Helper()
-		if err := s.Put(doc(id, "c", "T", map[string][]string{"k": {"v"}})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("d1")
-	f := query.MustParse("(k=v)")
-
-	if got := len(s.Search("c", f, 0)); got != 1 {
-		t.Fatalf("initial search = %d docs, want 1", got)
-	}
-	misses0 := s.reg.Snapshot().Counter("index.cache_misses")
-	if got := len(s.Search("c", f, 0)); got != 1 {
-		t.Fatalf("repeat search = %d docs, want 1", got)
-	}
-	snap := s.reg.Snapshot()
-	hits1, misses1 := snap.Counter("index.cache_hits"), snap.Counter("index.cache_misses")
-	if hits1 == 0 {
-		t.Error("repeat of identical query did not hit the cache")
-	}
-	if misses1 != misses0 {
-		t.Errorf("repeat of identical query missed (misses %d -> %d)", misses0, misses1)
-	}
-
-	// A write to another community leaves the entry valid.
-	if err := s.Put(doc("o1", "other", "T", map[string][]string{"k": {"v"}})); err != nil {
-		t.Fatal(err)
-	}
-	s.Search("c", f, 0)
-	if hits := s.reg.Snapshot().Counter("index.cache_hits"); hits != hits1+1 {
-		t.Errorf("a write to another community invalidated the entry (hits %d -> %d)", hits1, hits)
-	}
-
-	// A write must invalidate: the next identical query sees d2.
-	put("d2")
-	if got := len(s.Search("c", f, 0)); got != 2 {
-		t.Fatalf("post-write search = %d docs, want 2 (stale cache served?)", got)
-	}
-	// And a delete too.
-	s.Delete("d1")
-	if got := ids(s.Search("c", f, 0)); len(got) != 1 || got[0] != "d2" {
-		t.Fatalf("post-delete search = %v, want [d2]", got)
-	}
-
-	// Cached results must still be defensive copies.
-	s.Search("c", f, 0) // prime
-	res := s.Search("c", f, 0)
-	res[0].Attrs.Add("k", "mutated")
-	res[0].Title = "mutated"
-	again := s.Search("c", f, 0)
-	if again[0].Title == "mutated" || len(again[0].Attrs["k"]) != 1 {
-		t.Error("cache leaked mutable document state to a caller")
-	}
-}
-
-// TestCacheGenerationNotReused: a community that empties and refills
-// gets a generation it never had, so a result cached before it emptied
-// is never served after it refills.
-func TestCacheGenerationNotReused(t *testing.T) {
-	s := NewStore()
-	f := query.MustParse("(k=v)")
-	for _, id := range []string{"d1", "d2", "d3"} {
-		if err := s.Put(doc(id, "c", "T", map[string][]string{"k": {"v"}})); err != nil {
-			t.Fatal(err)
-		}
-		if got := ids(s.Search("c", f, 0)); fmt.Sprint(got) != "["+id+"]" {
-			t.Fatalf("after putting %s alone: %v", id, got)
-		}
-		if !s.Delete(DocID(id)) {
-			t.Fatalf("Delete(%s) = false", id)
-		}
-		if got := s.Search("c", f, 0); len(got) != 0 {
-			t.Fatalf("emptied community answered %v", ids(got))
-		}
-	}
-}
-
-// TestCacheLRUEviction: the cache is bounded.
-func TestCacheLRUEviction(t *testing.T) {
-	s := NewStore(WithCacheSize(4))
-	if err := s.Put(doc("d1", "c", "T", map[string][]string{"k": {"v"}})); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		s.Search("c", query.MustParse(fmt.Sprintf("(k=v%d)", i)), 0)
-	}
-	if got := s.cache.entries(); got > 4 {
-		t.Errorf("cache grew to %d entries, cap 4", got)
-	}
-}
-
 // TestCrossCommunityReplace: re-publishing an ID under a different
 // community moves it without leaving a stale copy.
 func TestCrossCommunityReplace(t *testing.T) {
@@ -373,34 +275,30 @@ func TestManyCommunitiesScoping(t *testing.T) {
 }
 
 // TestSearchReadOnlyMatchesSearch: the no-clone search returns the same
-// IDs in the same order as Search — cached or not, community-scoped or
-// store-wide, limited or not — and the documents it returns are the
-// store's own, not copies.
+// IDs in the same order as Search — community-scoped or store-wide,
+// limited or not — and the documents it returns are the store's own,
+// not copies.
 func TestSearchReadOnlyMatchesSearch(t *testing.T) {
-	for _, cache := range []int{0, 32} {
-		s := NewStore(WithCacheSize(cache))
-		for i := 0; i < 60; i++ {
-			comm := []string{"patterns", "mp3", "species"}[i%3]
-			if err := s.Put(doc(fmt.Sprintf("d%02d", i), comm, "T", map[string][]string{
-				"k": {fmt.Sprintf("v%d", i%4)}, "year": {fmt.Sprint(1990 + i%10)},
-			})); err != nil {
-				t.Fatal(err)
-			}
+	s := NewStore()
+	for i := 0; i < 60; i++ {
+		comm := []string{"patterns", "mp3", "species"}[i%3]
+		if err := s.Put(doc(fmt.Sprintf("d%02d", i), comm, "T", map[string][]string{
+			"k": {fmt.Sprintf("v%d", i%4)}, "year": {fmt.Sprint(1990 + i%10)},
+		})); err != nil {
+			t.Fatal(err)
 		}
-		for _, comm := range []string{"patterns", "mp3", "nobody", ""} {
-			for _, f := range []string{"(k=v1)", "(year>=1995)", "(&(k=v2)(year<=1996))", "(k=*)", "(k=absent)"} {
-				for _, limit := range []int{0, 3} {
-					for pass := 0; pass < 2; pass++ { // the second pass reads the cache
-						want := ids(s.Search(comm, query.MustParse(f), limit))
-						got := s.SearchReadOnly(comm, query.MustParse(f), limit)
-						if fmt.Sprint(ids(got)) != fmt.Sprint(want) {
-							t.Fatalf("cache %d, %q %s limit %d: read-only %v, Search %v", cache, comm, f, limit, ids(got), want)
-						}
-						for _, d := range got {
-							if s.docs[d.ID] != d {
-								t.Fatalf("%s: read-only search returned a copy", d.ID)
-							}
-						}
+	}
+	for _, comm := range []string{"patterns", "mp3", "nobody", ""} {
+		for _, f := range []string{"(k=v1)", "(year>=1995)", "(&(k=v2)(year<=1996))", "(k=*)", "(k=absent)"} {
+			for _, limit := range []int{0, 3} {
+				want := ids(s.Search(comm, query.MustParse(f), limit))
+				got := s.SearchReadOnly(comm, query.MustParse(f), limit)
+				if fmt.Sprint(ids(got)) != fmt.Sprint(want) {
+					t.Fatalf("%q %s limit %d: read-only %v, Search %v", comm, f, limit, ids(got), want)
+				}
+				for _, d := range got {
+					if s.docs[d.ID] != d {
+						t.Fatalf("%s: read-only search returned a copy", d.ID)
 					}
 				}
 			}
@@ -415,7 +313,7 @@ func TestSearchReadOnlyMatchesSearch(t *testing.T) {
 // reported race as well as a failed comparison.
 func TestSearchReadOnlyStableUnderPut(t *testing.T) {
 	const ids, writers, rounds = 8, 4, 300
-	s := NewStore(WithCacheSize(8))
+	s := NewStore()
 	put := func(id, version int) {
 		v := fmt.Sprintf("v%d", version)
 		if err := s.Put(doc(fmt.Sprintf("d%d", id), "patterns", "title "+v, map[string][]string{

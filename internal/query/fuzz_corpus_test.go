@@ -105,26 +105,21 @@ func (g *filterGen) filter(depth int) string {
 
 // TestPropertyStoreMatchesLinearScan: for random filters over a
 // corpus-backed store, Store.Search returns exactly the IDs a linear
-// Filter.Match scan selects, with the result cache on and off.
+// Filter.Match scan selects.
 func TestPropertyStoreMatchesLinearScan(t *testing.T) {
 	objs := corpus.DesignPatterns(60, 19).Objects
 	attrs := make([]query.Attrs, len(objs))
 	for i, o := range objs {
 		attrs[i] = corpusAttrs(o)
 	}
-	stores := map[string]*index.Store{
-		"cached":   index.NewStore(),
-		"uncached": index.NewStore(index.WithCacheSize(0)),
-	}
-	for _, st := range stores {
-		for i := range objs {
-			if err := st.Put(&index.Document{
-				ID:          index.DocID(fmt.Sprintf("p%03d", i)),
-				CommunityID: "patterns",
-				Attrs:       attrs[i],
-			}); err != nil {
-				t.Fatal(err)
-			}
+	st := index.NewStore()
+	for i := range objs {
+		if err := st.Put(&index.Document{
+			ID:          index.DocID(fmt.Sprintf("p%03d", i)),
+			CommunityID: "patterns",
+			Attrs:       attrs[i],
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	f := func(seed int64) bool {
@@ -141,17 +136,15 @@ func TestPropertyStoreMatchesLinearScan(t *testing.T) {
 				want[index.DocID(fmt.Sprintf("p%03d", i))] = true
 			}
 		}
-		for name, st := range stores {
-			got := st.Search("patterns", filter, 0)
-			if len(got) != len(want) {
-				t.Logf("%s: filter %q: store=%d scan=%d", name, src, len(got), len(want))
+		got := st.Search("patterns", filter, 0)
+		if len(got) != len(want) {
+			t.Logf("filter %q: store=%d scan=%d", src, len(got), len(want))
+			return false
+		}
+		for _, d := range got {
+			if !want[d.ID] {
+				t.Logf("filter %q: store returned non-matching %s", src, d.ID)
 				return false
-			}
-			for _, d := range got {
-				if !want[d.ID] {
-					t.Logf("%s: filter %q: store returned non-matching %s", name, src, d.ID)
-					return false
-				}
 			}
 		}
 		return true
@@ -162,7 +155,7 @@ func TestPropertyStoreMatchesLinearScan(t *testing.T) {
 }
 
 // TestPropertyStoreLimitIsPrefix: a limited search returns a prefix of
-// the unlimited (ID-sorted) result in both store configurations.
+// the unlimited (ID-sorted) result.
 func TestPropertyStoreLimitIsPrefix(t *testing.T) {
 	objs := corpus.DesignPatterns(40, 23).Objects
 	st := index.NewStore()
@@ -229,17 +222,12 @@ var wordEdgeValues = []string{
 // Store.Search returns exactly the documents a linear Filter.Match scan
 // selects.
 func TestStoreMatchesLinearScanOnWordEdges(t *testing.T) {
-	stores := map[string]*index.Store{
-		"cached":   index.NewStore(),
-		"uncached": index.NewStore(index.WithCacheSize(0)),
-	}
+	st := index.NewStore()
 	attrs := make([]query.Attrs, len(wordEdgeValues))
 	for i, v := range wordEdgeValues {
 		attrs[i] = query.Attrs{"v": {v}}
-		for _, st := range stores {
-			if err := st.Put(&index.Document{ID: index.DocID(fmt.Sprintf("w%02d", i)), CommunityID: "c", Attrs: attrs[i]}); err != nil {
-				t.Fatal(err)
-			}
+		if err := st.Put(&index.Document{ID: index.DocID(fmt.Sprintf("w%02d", i)), CommunityID: "c", Attrs: attrs[i]}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	lookups := map[string]bool{}
@@ -256,14 +244,12 @@ func TestStoreMatchesLinearScanOnWordEdges(t *testing.T) {
 				want = append(want, index.DocID(fmt.Sprintf("w%02d", i)))
 			}
 		}
-		for name, st := range stores {
-			var got []index.DocID
-			for _, d := range st.Search("c", f, 0) {
-				got = append(got, d.ID)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("%s: (v=%q): store %v, linear scan %v", name, q, got, want)
-			}
+		var got []index.DocID
+		for _, d := range st.Search("c", f, 0) {
+			got = append(got, d.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("(v=%q): store %v, linear scan %v", q, got, want)
 		}
 	}
 }

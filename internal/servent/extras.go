@@ -38,7 +38,7 @@ func (h *Handler) newCommunity(w http.ResponseWriter, r *http.Request) {
 		h.page(w, "new community", newCommunityForm(err.Error()))
 		return
 	}
-	http.Redirect(w, r, "/community/"+c.ID, http.StatusSeeOther)
+	http.Redirect(w, r, target("/community/"+c.ID), http.StatusSeeOther)
 }
 
 func newCommunityForm(errMsg string) string {
@@ -91,7 +91,7 @@ func (h *Handler) xquery(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(&b, "<h3>%d match(es)</h3><ul>", len(docs))
 		for _, d := range docs {
-			fmt.Fprintf(&b, `<li><a href="/view?doc=%s">%s</a></li>`, d.ID, html.EscapeString(d.Title))
+			fmt.Fprintf(&b, `<li><a href="%s">%s</a></li>`, href("/view", "doc", string(d.ID)), html.EscapeString(d.Title))
 		}
 		b.WriteString("</ul>")
 	}

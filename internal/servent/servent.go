@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"html"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"repro/internal/core"
@@ -59,6 +60,25 @@ func (h *Handler) page(w http.ResponseWriter, title, body string) {
 %s</body></html>`, html.EscapeString(title), html.EscapeString(string(h.sv.PeerID())), body)
 }
 
+// target builds a local URL: path, then the key/value pairs of kv as
+// its query. Any ID or URI placed in a URL goes through here, URL-escaped
+// — many arrive from remote peers. A redirect uses the URL as it is; a
+// page writes it through href.
+func target(path string, kv ...string) string {
+	u := url.URL{Path: path}
+	q := make(url.Values, len(kv)/2)
+	for i := 0; i+1 < len(kv); i += 2 {
+		q.Set(kv[i], kv[i+1])
+	}
+	u.RawQuery = q.Encode()
+	return u.String()
+}
+
+// href is target escaped for an HTML attribute.
+func href(path string, kv ...string) string {
+	return html.EscapeString(target(path, kv...))
+}
+
 func (h *Handler) errPage(w http.ResponseWriter, status int, err error) {
 	w.WriteHeader(status)
 	h.page(w, "error", "<p class=\"error\">"+html.EscapeString(err.Error())+"</p>")
@@ -74,8 +94,8 @@ func (h *Handler) home(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("<h2>Joined communities</h2><ul>")
 	for _, id := range h.sv.Joined() {
 		c, _ := h.sv.Community(id)
-		fmt.Fprintf(&b, `<li><a href="/community/%s">%s</a> — %s (%d local objects)</li>`,
-			html.EscapeString(id), html.EscapeString(c.Name),
+		fmt.Fprintf(&b, `<li><a href="%s">%s</a> — %s (%d local objects)</li>`,
+			href("/community/"+id), html.EscapeString(c.Name),
 			html.EscapeString(c.Description), h.sv.Store().CommunityLen(id))
 	}
 	b.WriteString("</ul>")
@@ -101,13 +121,13 @@ func (h *Handler) community(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Point the generated forms at the right endpoints.
-	createForm = strings.Replace(createForm, `action="create"`, fmt.Sprintf(`action="/create?community=%s"`, id), 1)
+	createForm = strings.Replace(createForm, `action="create"`, `action="`+href("/create", "community", id)+`"`, 1)
 	searchForm = strings.Replace(searchForm, `action="search"`, `action="/search"`, 1)
-	searchForm = strings.Replace(searchForm, "<form ", fmt.Sprintf(`<form data-community=%q `, id), 1)
+	searchForm = strings.Replace(searchForm, "<form ", `<form data-community="`+html.EscapeString(id)+`" `, 1)
 	var local strings.Builder
 	local.WriteString("<h2>Local objects</h2><ul>")
 	for _, d := range h.sv.SearchLocal(id, query.MatchAll{}, 50) {
-		fmt.Fprintf(&local, `<li><a href="/view?doc=%s">%s</a></li>`, d.ID, html.EscapeString(d.Title))
+		fmt.Fprintf(&local, `<li><a href="%s">%s</a></li>`, href("/view", "doc", string(d.ID)), html.EscapeString(d.Title))
 	}
 	local.WriteString("</ul>")
 	hidden := fmt.Sprintf(`<input type="hidden" name="community" value="%s"/>`, html.EscapeString(id))
@@ -137,7 +157,7 @@ func (h *Handler) create(w http.ResponseWriter, r *http.Request) {
 		h.errPage(w, http.StatusBadRequest, err)
 		return
 	}
-	http.Redirect(w, r, "/view?doc="+string(docID), http.StatusSeeOther)
+	http.Redirect(w, r, target("/view", "doc", string(docID)), http.StatusSeeOther)
 }
 
 // search handles search-form submissions (§IV.C.2).
@@ -174,9 +194,10 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "<h2>%d results</h2><table><tr><th>title</th><th>provider</th><th>attributes</th><th></th></tr>", len(rs))
 	for _, res := range rs {
-		fmt.Fprintf(&b, `<tr><td>%s</td><td>%s</td><td>%s</td><td><a href="/retrieve?doc=%s&from=%s">download</a></td></tr>`,
+		fmt.Fprintf(&b, `<tr><td>%s</td><td>%s</td><td>%s</td><td><a href="%s">download</a></td></tr>`,
 			html.EscapeString(res.Title), html.EscapeString(string(res.Provider)),
-			html.EscapeString(summarizeAttrs(res.Attrs)), res.DocID, html.EscapeString(string(res.Provider)))
+			html.EscapeString(summarizeAttrs(res.Attrs)),
+			href("/retrieve", "doc", string(res.DocID), "from", string(res.Provider)))
 	}
 	b.WriteString("</table>")
 	h.page(w, "search results", b.String())
@@ -208,7 +229,7 @@ func (h *Handler) view(w http.ResponseWriter, r *http.Request) {
 	if doc != nil && len(doc.Attachments) > 0 {
 		att.WriteString("<h3>Attachments</h3><ul>")
 		for _, uri := range doc.Attachments {
-			fmt.Fprintf(&att, `<li><a href="/attachment?uri=%s">%s</a></li>`, html.EscapeString(uri), html.EscapeString(uri))
+			fmt.Fprintf(&att, `<li><a href="%s">%s</a></li>`, href("/attachment", "uri", uri), html.EscapeString(uri))
 		}
 		att.WriteString("</ul>")
 	}
@@ -223,7 +244,7 @@ func (h *Handler) retrieve(w http.ResponseWriter, r *http.Request) {
 		h.errPage(w, http.StatusBadGateway, err)
 		return
 	}
-	http.Redirect(w, r, "/view?doc="+string(docID), http.StatusSeeOther)
+	http.Redirect(w, r, target("/view", "doc", string(docID)), http.StatusSeeOther)
 }
 
 // discover searches the root community for communities.
@@ -257,9 +278,10 @@ func (h *Handler) discover(w http.ResponseWriter, r *http.Request) {
 	b.WriteString(searchForm)
 	fmt.Fprintf(&b, "<h2>%d communities found</h2><table><tr><th>name</th><th>keywords</th><th>provider</th><th></th></tr>", len(rs))
 	for _, res := range rs {
-		fmt.Fprintf(&b, `<tr><td>%s</td><td>%s</td><td>%s</td><td><a href="/join?doc=%s&from=%s">join</a></td></tr>`,
+		fmt.Fprintf(&b, `<tr><td>%s</td><td>%s</td><td>%s</td><td><a href="%s">join</a></td></tr>`,
 			html.EscapeString(res.Attrs.Get("name")), html.EscapeString(res.Attrs.Get("keywords")),
-			html.EscapeString(string(res.Provider)), res.DocID, html.EscapeString(string(res.Provider)))
+			html.EscapeString(string(res.Provider)),
+			href("/join", "doc", string(res.DocID), "from", string(res.Provider)))
 	}
 	b.WriteString("</table>")
 	h.page(w, "discover", b.String())
@@ -302,7 +324,7 @@ func (h *Handler) join(w http.ResponseWriter, r *http.Request) {
 		h.errPage(w, http.StatusBadGateway, err)
 		return
 	}
-	http.Redirect(w, r, "/community/"+c.ID, http.StatusSeeOther)
+	http.Redirect(w, r, target("/community/"+c.ID), http.StatusSeeOther)
 }
 
 // attachmentHandler serves locally stored attachment bytes.

@@ -12,11 +12,13 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/p2p"
+	"repro/internal/query"
 	"repro/internal/transport"
 )
 
 // fixture: two web servents on one centralized network.
 type fixture struct {
+	net      *transport.MemNetwork
 	handlers []*Handler
 	servents []*core.Servent
 }
@@ -29,7 +31,7 @@ func newFixture(t *testing.T, n int) *fixture {
 		t.Fatal(err)
 	}
 	p2p.NewIndexServer(sep)
-	f := &fixture{}
+	f := &fixture{net: net}
 	for i := 0; i < n; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("peer%d", i)))
 		if err != nil {
@@ -205,6 +207,43 @@ func TestRetrieveAcrossPeersViaWeb(t *testing.T) {
 	rec3, page := get(t, f.handlers[1], rec2.Header().Get("Location"))
 	if rec3.Code != http.StatusOK || !strings.Contains(page, "Blue") {
 		t.Errorf("view after retrieve = %d", rec3.Code)
+	}
+}
+
+// TestRemoteIDsAreEscaped: a peer registers documents whose IDs are
+// markup with the index server. The search and discover pages that list
+// them carry the IDs in their links, escaped: no markup gets through.
+func TestRemoteIDsAreEscaped(t *testing.T) {
+	f := newFixture(t, 1)
+	c, err := f.servents[0].CreateCommunity(core.CommunitySpec{Name: "mp3", SchemaSrc: corpus.SongSchemaSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := f.net.Endpoint("attacker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker := p2p.NewCentralizedClient(ep, "server", index.NewStore())
+	const hostile = `x"><script>alert(1)</script>`
+	for _, d := range []*index.Document{
+		{ID: hostile, CommunityID: c.ID, Title: "Blue", Attrs: query.Attrs{"title": {"Blue"}}},
+		{ID: hostile + "2", CommunityID: core.RootCommunityID, Title: "evil", Attrs: query.Attrs{"name": {"evil"}}},
+	} {
+		if err := attacker.Publish(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for path, want := range map[string]string{
+		"/search?community=" + c.ID + "&title=Blue": "<h2>1 results</h2>",
+		"/discover?name=evil":                       "<h2>1 communities found</h2>",
+	} {
+		rec, body := get(t, f.handlers[0], path)
+		if rec.Code != http.StatusOK || !strings.Contains(body, want) {
+			t.Fatalf("%s = %d, want %q:\n%s", path, rec.Code, want, body)
+		}
+		if strings.Contains(body, "<script") {
+			t.Errorf("%s lets a remote ID's markup through:\n%s", path, body)
+		}
 	}
 }
 
