@@ -45,7 +45,12 @@
 // counter expiry — and re-replicate around churn — by periodic
 // republish (Node.Refresh, p2p.Peer.Reannounce over the STORE path),
 // driven by the caller's schedule on a dsim.Clock rather than
-// internal wall-clock timers, exactly like FastTrack's rehoming.
+// internal wall-clock timers, exactly like FastTrack's rehoming. A
+// round is kept small: one liveness ping per bucket, then per community
+// key one FIND_NODE to a holder the last announce reached. Holders still
+// in place cost that round trip; changed ones get their STOREs on the
+// holder's answer; only a key with no holder left to answer, or with
+// records halfway to expiry, pays an iterative lookup.
 // Retrieval reuses the shared direct fetch protocol of package p2p.
 //
 // Everything iterates in sorted orders (bucket scans, shortlists,

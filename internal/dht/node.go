@@ -1,7 +1,9 @@
 package dht
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +35,9 @@ type Node struct {
 	records *recordStore
 
 	// annMu guards lastAnnounce: per-community-key memory of the last
-	// announce (holder set and instant), which is what lets Refresh skip
-	// republishing keys whose replicas are still where they were put.
+	// announce (holder set and instant), which tells Refresh whom to ask
+	// about a key and lets it skip republishing keys whose replicas are
+	// still where they were put.
 	annMu        sync.Mutex
 	lastAnnounce map[ID]announceState
 
@@ -50,7 +53,7 @@ type counters struct {
 }
 
 // announceState remembers one key's last replication: who got the
-// records and when.
+// records, closest to the key first, and when.
 type announceState struct {
 	holders []transport.PeerID
 	at      time.Time
@@ -108,6 +111,12 @@ func (n *Node) TableLen() int { return n.table.Len() }
 // RecordCount returns how many unexpired records this node holds for
 // the keyspace.
 func (n *Node) RecordCount() int { return n.records.len(n.Clock().Now()) }
+
+// Holds reports whether this node holds an unexpired replica of
+// provider's record of doc under the community's key.
+func (n *Node) Holds(communityID string, doc index.DocID, provider transport.PeerID) bool {
+	return n.records.holds(KeyForCommunity(communityID), doc, provider, n.Clock().Now())
+}
 
 // Bootstrap seeds the routing table with the given peers and runs the
 // Kademlia join: an iterative lookup of the node's own ID, which
@@ -389,9 +398,11 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 // CheckLiveness probes the least-recently-seen contact of every
 // bucket and evicts the ones that fail to answer, promoting
 // replacement-cache candidates into the freed slots — the scheduled
-// LRU eviction half of bucket maintenance. A successful probe rotates
-// the contact to the fresh end (its pong is traffic), so repeated
-// rounds sweep whole buckets. Returns how many contacts were evicted.
+// LRU eviction that is all of a refresh round's bucket maintenance
+// (contacts are learned from the join's lookups and from every inbound
+// message). A successful probe rotates the contact to the fresh end
+// (its pong is traffic), so repeated rounds sweep whole buckets.
+// Returns how many contacts were evicted.
 func (n *Node) CheckLiveness() int {
 	evicted := 0
 	for _, c := range n.table.Oldest() {
@@ -403,9 +414,10 @@ func (n *Node) CheckLiveness() int {
 	return evicted
 }
 
-// pingPeer probes one contact. Under message loss a live contact can
-// fail the probe and be evicted; it re-enters the table on next
-// contact, as in Kademlia.
+// pingPeer probes one contact (for CheckLiveness, and for a republish
+// probe's new candidates). Under message loss a live contact can fail
+// the probe and be evicted; it re-enters the table on next contact, as
+// in Kademlia.
 func (n *Node) pingPeer(peer transport.PeerID) bool {
 	x, err := n.StartCall(peer, MsgPing, &pingPayload{}, nil, trace.Context{})
 	if err == nil {
@@ -415,17 +427,12 @@ func (n *Node) pingPeer(peer transport.PeerID) bool {
 }
 
 // Refresh is the DHT's rehome-equivalent, run on the caller's
-// schedule (the scenario driver paces it on the virtual clock):
-// bucket repair (CheckLiveness plus a self-lookup that re-learns the
-// neighborhood) followed by adaptive republication of the locally
-// stored documents through Reannounce. Adaptive: each community key is
-// first probed with a FIND_NODE lookup, and the STOREs are sent only
-// when the holder set from the last announce is no longer intact
-// (departures or displacement by closer arrivals) or the records are
-// approaching expiry (half the TTL, so a skipped cycle can never let
-// them lapse). Intact keys cost one lookup instead of lookup + k
-// STORE fan-out, which is what keeps steady-state refresh traffic
-// from dominating message totals.
+// schedule (the scenario driver paces it on the virtual clock): bucket
+// repair (CheckLiveness) followed by adaptive republication of the
+// locally stored documents through Reannounce, one reannounceKey per
+// community key. There is no self-lookup: a newcomer's own join lookup
+// reaches its neighbors, and each of them Observes it, so a round would
+// only re-learn what that inbound traffic already taught.
 func (n *Node) Refresh() error {
 	if n.Closed() {
 		return p2p.ErrClosed
@@ -434,18 +441,20 @@ func (n *Node) Refresh() error {
 	defer sp.Finish()
 	tctx := sp.Context()
 	n.CheckLiveness()
-	n.lookup(tctx, n.self, nil)
 	return n.Reannounce(func(docs []*index.Document) error {
 		return n.replicate(tctx, docs, n.reannounceKey)
 	})
 }
 
 // reannounceKey republishes recs under key unless the last announce's
-// holders are all still among the key's current closest nodes and the
-// records are not yet halfway to expiry. The staleness check comes
-// first because it needs no probe; the holder check reuses its probe
-// lookup as the STORE targeting, so deciding "republish" costs no
-// extra round-trips over announce.
+// holders are all still among the key's k closest nodes and the records
+// are not yet halfway to expiry (so a skipped round can never let them
+// lapse). The staleness check comes first because it needs no probe.
+// Then one remembered holder is asked for the key's closest nodes
+// (probeHolders): an intact key costs that one FIND_NODE round trip
+// instead of lookup + k STOREs, and a changed one gets its STOREs on the
+// probe's targets with no lookup. Only a key none of whose remembered
+// holders answers falls back to a lookup, as do unknown and stale keys.
 func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
 	n.annMu.Lock()
 	st, known := n.lastAnnounce[key]
@@ -454,14 +463,14 @@ func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
 		n.storeRecords(tctx, key, recs)
 		return
 	}
-	out := n.lookup(tctx, key, nil)
-	current := make(map[transport.PeerID]bool, len(out.contacts))
-	for _, c := range out.contacts {
-		current[c.Peer] = true
+	targets, answered := n.probeHolders(tctx, key, st.holders)
+	if !answered {
+		n.storeRecords(tctx, key, recs)
+		return
 	}
-	intact := len(st.holders) > 0
+	intact := true
 	for _, h := range st.holders {
-		if !current[h] {
+		if !slices.ContainsFunc(targets, func(c Contact) bool { return c.Peer == h }) {
 			intact = false
 			break
 		}
@@ -470,7 +479,63 @@ func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
 		n.ctr.Load().repubSkipped.Inc()
 		return
 	}
-	n.storeToTargets(tctx, key, recs, out.contacts)
+	n.storeToTargets(tctx, key, recs, targets)
+}
+
+// probeHolders sends FIND_NODE(key) to the key's remembered holders,
+// closest first (the order an announce keeps), until one answers, and
+// returns the k closest among that holder and the peers it names, this
+// node left out. A named peer the announce did not have is pinged first,
+// and one that fails is left out too: a dead contact still in the
+// holder's table cannot displace a live holder. A departed holder the
+// answering one has not evicted yet reads as live until a later round's
+// probe; the k-way replication covers that gap. answered is false when
+// no remembered holder answered.
+func (n *Node) probeHolders(tctx trace.Context, key ID, holders []transport.PeerID) (targets []Contact, answered bool) {
+	sp := n.Tracer().Start(tctx, "probe")
+	defer sp.Finish()
+	pctx := sp.ContextOr(tctx)
+	for _, h := range holders {
+		x, err := n.StartCall(h, MsgFindNode, &findNodePayload{Target: key}, &sp, pctx)
+		if err != nil {
+			if transport.IsPeerDead(err) {
+				n.table.Remove(h)
+			}
+			continue
+		}
+		got, err := n.Await(x, n.cfg.RPCTimeout)
+		reply, ok := got.(*findNodeReplyPayload)
+		if err != nil || !ok {
+			continue
+		}
+		// An honest reply names at most k peers; the rest of a longer
+		// one would only cost pings.
+		named := reply.Peers[:min(len(reply.Peers), n.cfg.K)]
+		cands := append(make([]Contact, 0, len(named)+1), ContactFor(h))
+		for _, p := range named {
+			if p != n.PeerID() && !slices.ContainsFunc(cands, func(c Contact) bool { return c.Peer == p }) {
+				cands = append(cands, ContactFor(p))
+			}
+		}
+		sortByDistance(cands, key)
+		for _, c := range cands {
+			if len(targets) == n.cfg.K {
+				break
+			}
+			// A target outlives the reply, whose strings share its frame:
+			// a holder keeps the announce's copy, a newcomer gets its own.
+			if i := slices.Index(holders, c.Peer); i >= 0 {
+				c.Peer = holders[i]
+			} else if n.pingPeer(c.Peer) {
+				c.Peer = transport.PeerID(strings.Clone(string(c.Peer)))
+			} else {
+				continue
+			}
+			targets = append(targets, c)
+		}
+		return targets, true
+	}
+	return nil, false
 }
 
 func (n *Node) handle(msg transport.Message) {

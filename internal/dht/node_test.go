@@ -460,7 +460,7 @@ func TestAdaptiveRefreshSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No churn, no aging: the community key's holders are intact, so
-	// the probe lookup suffices and no STORE is sent.
+	// one FIND_NODE to a holder suffices and no STORE is sent.
 	before := reg.Snapshot()
 	if err := nodes[4].Refresh(); err != nil {
 		t.Fatal(err)

@@ -624,6 +624,19 @@ func (rs *recordStore) remove(key ID, docID index.DocID, provider transport.Peer
 	}
 }
 
+// holds reports whether an unexpired primary record of provider's
+// docID sits under key.
+func (rs *recordStore) holds(key ID, docID index.DocID, provider transport.PeerID, now time.Time) bool {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	kr := rs.byKey[key]
+	if kr == nil {
+		return false
+	}
+	i, found := kr.find(docID, provider)
+	return found && kr.entries[i].expires.After(now)
+}
+
 // len counts unexpired records (for tests and metrics; prunes as a
 // side effect).
 func (rs *recordStore) len(now time.Time) int {

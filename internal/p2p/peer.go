@@ -155,59 +155,112 @@ type Request interface {
 // requirement of golden-trace reproducibility, like the per-node GUID
 // sources). Replies travel as decoded frames, not raw bytes: the
 // receiving handler decodes once and resolves with the typed value, and
-// the awaiter type-asserts — no payload is unmarshaled twice. The zero
-// value is an empty table.
+// the awaiter type-asserts — no payload is unmarshaled twice.
+//
+// An exchange allocates nothing: it borrows a slot, and a slot keeps its
+// reply channel (capacity 1) for the node's lifetime. The table grows
+// only to the most exchanges ever outstanding at once. A slot is free
+// again once its awaiter has consumed the reply or abandoned the
+// exchange, never earlier: Resolve claims an id under the lock and sends
+// after it, so an awaiter that finds its id already claimed receives the
+// reply in flight before it lets the slot go, and the next exchange on
+// the slot never reads a stale reply. The zero value is an empty table.
 type pendingTable struct {
-	mu   sync.Mutex
-	next uint64
-	m    map[uint64]chan any
+	mu    sync.Mutex
+	next  uint64
+	slots []*pendingSlot // every slot, scanned by claim
+	free  []*pendingSlot
 }
 
-func (t *pendingTable) create() (uint64, chan any) {
+// pendingSlot carries one exchange at a time. id is the awaited
+// request's while its reply is unclaimed, 0 otherwise (ids start at 1).
+type pendingSlot struct {
+	id uint64
+	ch chan any
+}
+
+// create assigns the next request id to a free slot.
+func (t *pendingTable) create() (uint64, *pendingSlot) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.m == nil {
-		t.m = make(map[uint64]chan any)
+	var s *pendingSlot
+	if n := len(t.free); n > 0 {
+		s, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		s = &pendingSlot{ch: make(chan any, 1)}
+		t.slots = append(t.slots, s)
 	}
 	t.next++
-	ch := make(chan any, 1)
-	t.m[t.next] = ch
-	return t.next, ch
+	s.id = t.next
+	return t.next, s
 }
 
-// take removes a request and returns its reply channel, nil when the id
-// is unknown (never issued, timed out, or already answered).
-func (t *pendingTable) take(id uint64) chan any {
+// claim takes an unclaimed id and returns its slot, nil when the id is
+// unknown (never issued, abandoned, or already answered).
+func (t *pendingTable) claim(id uint64) *pendingSlot {
+	if id == 0 {
+		return nil // a free slot's id: no request carries it
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ch := t.m[id]
-	delete(t.m, id)
-	return ch
+	for _, s := range t.slots {
+		if s.id == id {
+			s.id = 0
+			return s
+		}
+	}
+	return nil
+}
+
+// release frees a slot whose reply its awaiter consumed.
+func (t *pendingTable) release(s *pendingSlot) {
+	t.mu.Lock()
+	t.free = append(t.free, s)
+	t.mu.Unlock()
+}
+
+// abandon ends an exchange whose reply did not come in time. An id still
+// unclaimed is dropped, so a later reply finds nothing; a claimed one
+// has its reply in flight, which abandon receives before it frees the
+// slot and returns with ok set.
+func (t *pendingTable) abandon(x Exchange) (reply any, ok bool) {
+	t.mu.Lock()
+	if x.slot.id == x.id {
+		x.slot.id = 0
+		t.free = append(t.free, x.slot)
+		t.mu.Unlock()
+		return nil, false
+	}
+	t.mu.Unlock()
+	reply = <-x.slot.ch
+	t.release(x.slot)
+	return reply, true
 }
 
 // Exchange is a request that was sent and whose reply is outstanding.
 type Exchange struct {
-	id uint64
-	ch chan any
+	id   uint64
+	slot *pendingSlot
 }
 
 // StartCall sends req to a peer under a fresh request id and returns the
 // exchange to Await. A lookup wave starts several before it awaits any;
 // a single round trip is Call. sp and tctx are as in SendPayload. A
-// failed send abandons the id.
+// failed send abandons the exchange.
 func (p *Peer) StartCall(to transport.PeerID, msgType string, req Request, sp *trace.ActiveSpan, tctx trace.Context) (Exchange, error) {
-	id, ch := p.pending.create()
+	id, s := p.pending.create()
 	req.SetReqID(id)
+	x := Exchange{id, s}
 	if err := p.Send(to, msgType, req, sp, tctx); err != nil {
-		p.pending.take(id)
+		p.pending.abandon(x)
 		return Exchange{}, err
 	}
-	return Exchange{id, ch}, nil
+	return x, nil
 }
 
 // Await waits for the exchange's reply, at most timeout (DefaultTimeout
 // when it is not positive) on the node's clock; ErrTimeout abandons the
-// id, and a reply that arrives later is dropped. On a synchronous
+// exchange, and a reply that arrives later is dropped. On a synchronous
 // transport the reply to a send, if any, was delivered before the send
 // returned, so an empty channel is a definitive timeout: Await returns at
 // once instead of waiting a wall-clock timeout out, which is what lets
@@ -215,18 +268,22 @@ func (p *Peer) StartCall(to transport.PeerID, msgType string, req Request, sp *t
 // free of real waiting.
 func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
 	select {
-	case reply := <-x.ch:
+	case reply := <-x.slot.ch:
+		p.pending.release(x.slot)
 		return reply, nil
 	default:
 	}
 	if !p.ep.Synchronous() {
 		select {
-		case reply := <-x.ch:
+		case reply := <-x.slot.ch:
+			p.pending.release(x.slot)
 			return reply, nil
 		case <-p.after(timeout):
 		}
 	}
-	p.pending.take(x.id)
+	if reply, ok := p.pending.abandon(x); ok {
+		return reply, nil // claimed as the timeout fired: it was in flight
+	}
 	return nil, ErrTimeout
 }
 
@@ -265,8 +322,8 @@ func (p *Peer) fail(sp *trace.ActiveSpan, err error) error {
 // Resolve hands a decoded reply frame to the request it answers; late
 // and unknown replies are dropped.
 func (p *Peer) Resolve(id uint64, reply any) {
-	if ch := p.pending.take(id); ch != nil {
-		ch <- reply // buffered, and take hands each channel out once
+	if s := p.pending.claim(id); s != nil {
+		s.ch <- reply // buffered, and emptied before the slot is reused
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -95,7 +96,8 @@ func TestDHTChurnRepair(t *testing.T) {
 }
 
 func dhtChurnRepair(t *testing.T, seed int64) {
-	c, err := NewCluster(Config{Peers: 30, Protocol: DHT, DHT: dht.Config{K: 4}, Seed: seed})
+	const k = 4
+	c, err := NewCluster(Config{Peers: 30, Protocol: DHT, DHT: dht.Config{K: k}, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,4 +167,32 @@ func dhtChurnRepair(t *testing.T, seed int64) {
 	if !found[extraID] {
 		t.Fatal("arrival's publication not found")
 	}
+	// Placement (Kademlia): every live provider's record sits on at least
+	// one of the k closest live nodes to the community key.
+	key := dht.KeyForCommunity(comm.ID)
+	var live []*dht.Node
+	for _, n := range c.dhts {
+		if n != nil {
+			live = append(live, n)
+		}
+	}
+	slices.SortFunc(live, func(a, b *dht.Node) int {
+		return dht.CompareDistance(dht.NodeIDFor(a.PeerID()), dht.NodeIDFor(b.PeerID()), key)
+	})
+	closest := live[:k]
+	placed := func(id index.DocID, provider *dht.Node) {
+		t.Helper()
+		for _, n := range closest {
+			if n.Holds(comm.ID, id, provider.PeerID()) {
+				return
+			}
+		}
+		t.Fatalf("doc %s of live provider %s is on none of the %d closest live nodes", id, provider.PeerID(), k)
+	}
+	for id, holder := range holders {
+		if !dead[holder] {
+			placed(id, c.dhts[holder])
+		}
+	}
+	placed(extraID, c.dhts[ni])
 }

@@ -59,7 +59,7 @@ var goldenHashes = map[Protocol]map[int64]uint64{
 	Centralized: {42: 0x3d4a7ee512016ca6, 7: 0x6b1ba709f25738a8},
 	Gnutella:    {42: 0x3886a441b42f6bf5, 7: 0x679e5aee09946735},
 	FastTrack:   {42: 0xc2b967d7884dcf4d, 7: 0x8cdc2e519f21e5b6},
-	DHT:         {42: 0xe5efdf9b7ecfe72b, 7: 0x9c0d1965d7d12cee},
+	DHT:         {42: 0xea427290aaa0621f, 7: 0x5ec0ddb54b6dd687},
 }
 
 // TestGoldenTraceDeterminism: the same seed must reproduce the exact

@@ -53,6 +53,7 @@ var stays = map[string]string{
 	"repro/internal/p2p.CentralizedClient.Unpublish": "implements p2p.Network.Unpublish",
 	"repro/internal/p2p.GnutellaNode.Unpublish":      "implements p2p.Network.Unpublish",
 	"repro/internal/dht.Node.Unpublish":              "implements p2p.Network.Unpublish",
+	"repro/internal/dht.Node.Holds":                  "the replica-placement invariant of the churn tests in internal/sim reads holders through it",
 	"repro/internal/transport.MemNetwork.Partition":  "fault hook: tests cut links with it, and protocol-independence checks build on it",
 	"repro/internal/transport.MemNetwork.Heal":       "fault hook: undoes Partition in the same tests",
 	"repro/internal/transport.WithDropModel":         "fault hook: tests lose one direction of a link with it",
