@@ -11,10 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrency-sensitive internal packages (the store
-# and everything that drives it).
+# Race-detect the internal packages (the store and everything that
+# drives it) and the commands built on them (the daemon's state and
+# config handling, the CLI against a live servent).
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./cmd/...
 
 # Fail when any file needs gofmt.
 fmt:

@@ -294,9 +294,8 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 	if err != nil {
 		return nil, nil, err
 	}
-	// The servent roots a trace per web-interface search and logs
-	// failed searches with their errs code and trace ID.
-	sv.SetTracer(tracer)
+	// The servent roots a trace per web-interface search on the node's
+	// tracer and logs failed searches with their errs code and trace ID.
 	sv.SetLogger(logger)
 	if cfg.StateDir != "" {
 		if err := loadState(sv, cfg, logger); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/index"
 	"repro/internal/p2p"
@@ -615,6 +616,42 @@ func TestGnutellaServents(t *testing.T) {
 }
 
 // mustParseXML parses a document the test spells out.
+// TestTitleFallbackCutsAtARune: an object whose searchable fields are
+// all absent takes its title from its text, cut to 40 bytes — at a
+// rune boundary, so the title stays valid UTF-8 and survives the WAL's
+// JSON encoding unchanged.
+func TestTitleFallbackCutsAtARune(t *testing.T) {
+	const memoSchema = `
+<schema xmlns="http://www.w3.org/2001/XMLSchema" xmlns:up2p="http://up2p.carleton.ca/ns/community">
+ <element name="memo">
+  <complexType>
+   <sequence>
+    <element name="tag" type="xsd:string" minOccurs="0" up2p:searchable="true"/>
+    <element name="body" type="xsd:string"/>
+   </sequence>
+  </complexType>
+ </element>
+</schema>`
+	sv := newFixture(t, 1).servents[0]
+	c, err := sv.CreateCommunity(CommunitySpec{Name: "memos", SchemaSrc: memoSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bytes 39 and 40 of the body are one 'é'.
+	body := strings.Repeat("a", 39) + "éé"
+	id, err := sv.Publish(c.ID, mustParseXML("<memo><body>"+body+"</body></memo>"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := sv.Store().Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !utf8.ValidString(doc.Title) || doc.Title != body[:39] {
+		t.Errorf("title = %q, want the 39 a's before the split rune", doc.Title)
+	}
+}
+
 func mustParseXML(s string) *xmldoc.Node {
 	n, err := xmldoc.ParseString(s)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/errs"
 	"repro/internal/index"
@@ -29,9 +30,8 @@ import (
 type Servent struct {
 	net   p2p.Network
 	store *index.Store
-	// Handles read on the search path are atomic loads, never s.mu (the
-	// lock Publish write-locks to file attachments).
-	tracer atomic.Pointer[trace.Tracer]
+	// The logger, read on the search path, is an atomic load, never s.mu
+	// (the lock Publish write-locks to file attachments).
 	logger atomic.Pointer[slog.Logger]
 
 	mu          sync.RWMutex
@@ -79,12 +79,6 @@ func (s *Servent) install(c *Community) {
 	s.communities[c.ID] = c
 	s.mu.Unlock()
 }
-
-// SetTracer installs a tracer: each Search that arrives without a
-// trace context becomes the root of a new (sampled) trace. A nil
-// tracer disables root creation; searches that already carry a
-// context pass it through unchanged either way.
-func (s *Servent) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 
 // SetLogger installs a structured logger for operational events
 // (failed searches, with their errs code and trace ID). The default
@@ -155,20 +149,9 @@ func (s *Servent) Publish(communityID string, obj *xmldoc.Node, attachments map[
 	if !joined {
 		return "", fmt.Errorf("%w: %s", ErrNotJoined, communityID)
 	}
-	if err := c.Schema.Validate(obj); err != nil {
-		return "", fmt.Errorf("core: publish: %w", err)
-	}
-	attrs, err := c.Extract(obj)
+	doc, err := c.document(obj)
 	if err != nil {
 		return "", fmt.Errorf("core: publish: %w", err)
-	}
-	docID := DocIDFor(communityID, obj)
-	doc := &index.Document{
-		ID:          docID,
-		CommunityID: communityID,
-		Title:       titleFor(obj, attrs),
-		XML:         obj.String(),
-		Attrs:       attrs,
 	}
 	for uri := range attachments {
 		doc.Attachments = append(doc.Attachments, uri)
@@ -182,7 +165,7 @@ func (s *Servent) Publish(communityID string, obj *xmldoc.Node, attachments map[
 	if err := s.net.Publish(doc); err != nil {
 		return "", fmt.Errorf("core: publish: %w", err)
 	}
-	return docID, nil
+	return doc.ID, nil
 }
 
 // PublishBatch validates, indexes, and publishes many objects of one
@@ -202,21 +185,11 @@ func (s *Servent) PublishBatch(communityID string, objs []*xmldoc.Node) ([]index
 	docs := make([]*index.Document, len(objs))
 	ids := make([]index.DocID, len(objs))
 	for i, obj := range objs {
-		if err := c.Schema.Validate(obj); err != nil {
-			return nil, fmt.Errorf("core: publish batch object %d: %w", i, err)
-		}
-		attrs, err := c.Extract(obj)
+		doc, err := c.document(obj)
 		if err != nil {
 			return nil, fmt.Errorf("core: publish batch object %d: %w", i, err)
 		}
-		ids[i] = DocIDFor(communityID, obj)
-		docs[i] = &index.Document{
-			ID:          ids[i],
-			CommunityID: communityID,
-			Title:       titleFor(obj, attrs),
-			XML:         obj.String(),
-			Attrs:       attrs,
-		}
+		docs[i], ids[i] = doc, doc.ID
 	}
 	if err := s.net.PublishBatch(docs); err != nil {
 		return nil, fmt.Errorf("core: publish batch: %w", err)
@@ -224,9 +197,30 @@ func (s *Servent) PublishBatch(communityID string, objs []*xmldoc.Node) ([]index
 	return ids, nil
 }
 
+// document validates obj against the community's schema and builds the
+// index document both publish paths store and announce: the extracted
+// attributes, the content-addressed ID, a display title and the
+// serialized object.
+func (c *Community) document(obj *xmldoc.Node) (*index.Document, error) {
+	if err := c.Schema.Validate(obj); err != nil {
+		return nil, err
+	}
+	attrs, err := c.Extract(obj)
+	if err != nil {
+		return nil, err
+	}
+	return &index.Document{
+		ID:          DocIDFor(c.ID, obj),
+		CommunityID: c.ID,
+		Title:       titleFor(obj, attrs),
+		XML:         obj.String(),
+		Attrs:       attrs,
+	}, nil
+}
+
 // titleFor picks a display title: the first non-empty indexed
-// attribute in a stable order, else the first leaf text, else the
-// element name.
+// attribute in a stable order, else the object's text cut to 40 bytes
+// at a rune boundary, else the element name.
 func titleFor(obj *xmldoc.Node, attrs query.Attrs) string {
 	names := attrs.Keys(make([]string, 0, len(attrs)))
 	// Prefer fields called name/title when present.
@@ -246,7 +240,11 @@ func titleFor(obj *xmldoc.Node, attrs query.Attrs) string {
 	}
 	if t := strings.TrimSpace(obj.Text()); t != "" {
 		if len(t) > 40 {
-			t = t[:40]
+			n := 40
+			for n > 0 && !utf8.RuneStart(t[n]) {
+				n--
+			}
+			t = t[:n]
 		}
 		return t
 	}
@@ -272,15 +270,18 @@ func (s *Servent) CreateFromForm(communityID string, values map[string][]string)
 // Search runs a community-scoped query across the network (§IV.C.2).
 // The servent must have joined the community ("a user must join a
 // community by downloading its schema in order to conduct searches").
+// A search that arrives without a trace context becomes the root of a
+// new (sampled) trace on the network's tracer; one that carries a
+// context passes it through.
 func (s *Servent) Search(communityID string, f query.Filter, opts p2p.SearchOptions) ([]p2p.Result, error) {
 	if !s.IsJoined(communityID) {
 		return nil, fmt.Errorf("%w: %s", ErrNotJoined, communityID)
 	}
 	var sp trace.ActiveSpan
 	if !opts.Trace.Valid() {
-		sp = s.tracer.Load().Root("query")
+		sp = s.net.Tracer().Root("query")
 		sp.SetCommunity(communityID)
-		opts.Trace = sp.ContextOr(opts.Trace)
+		opts.Trace = sp.Context()
 	}
 	results, err := s.net.Search(communityID, f, opts)
 	sp.SetErr(err)

@@ -222,7 +222,6 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 			op, from, to = "pull", stateResponded, statePulled
 		}
 		wsp := n.Tracer().Start(tctx, op)
-		wctx := wsp.ContextOr(tctx)
 		have, anchored := sc.stamp()
 		fail := func(peer transport.PeerID, err error) {
 			state[peer] = stateFailed
@@ -244,7 +243,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				continue
 			}
 			ctr.contacted.Inc()
-			x, err := n.startLookupRPC(c.Peer, target, vq, have, !pull && !anchored && len(rpcs) > 0, &wsp, wctx)
+			x, err := n.startLookupRPC(c.Peer, target, vq, have, !pull && !anchored && len(rpcs) > 0, &wsp)
 			if err != nil {
 				fail(c.Peer, err)
 				if transport.IsPeerDead(err) {
@@ -358,10 +357,10 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 
 // startLookupRPC issues the wave's RPC — FIND_VALUE when a value query
 // rides along (stamped with the digest in hand), FIND_NODE otherwise —
-// attributed to the wave span.
-func (n *Node) startLookupRPC(to transport.PeerID, target ID, vq *valueQuery, have setDigest, digestOnly bool, wsp *trace.ActiveSpan, wctx trace.Context) (p2p.Exchange, error) {
+// sent on behalf of the wave span.
+func (n *Node) startLookupRPC(to transport.PeerID, target ID, vq *valueQuery, have setDigest, digestOnly bool, wsp *trace.ActiveSpan) (p2p.Exchange, error) {
 	if vq == nil {
-		return n.StartCall(to, MsgFindNode, &findNodePayload{Target: target}, wsp, wctx)
+		return n.StartCall(to, MsgFindNode, &findNodePayload{Target: target}, wsp)
 	}
 	return n.StartCall(to, MsgFindValue, &findValuePayload{
 		Key:         target,
@@ -370,5 +369,5 @@ func (n *Node) startLookupRPC(to transport.PeerID, target ID, vq *valueQuery, ha
 		Limit:       vq.limit,
 		Have:        have,
 		DigestOnly:  digestOnly,
-	}, wsp, wctx)
+	}, wsp)
 }

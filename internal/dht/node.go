@@ -257,7 +257,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 		sp.SetPeer(string(t.Peer))
 		for _, payload := range payloads {
 			fanout.Inc()
-			n.sendOrEvict(t.Peer, MsgStore, *payload, &sp, sp.ContextOr(tctx))
+			n.sendOrEvict(t.Peer, MsgStore, *payload, &sp)
 		}
 		sp.Finish()
 	}
@@ -276,16 +276,17 @@ func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, recs []Rec
 	sp := n.Tracer().Start(tctx, "cache-store")
 	sp.SetPeer(string(target.Peer))
 	payload := codec.Borrow(&storePayload{Key: key, Records: recs, Cached: true, Filter: filter})
-	n.sendOrEvict(target.Peer, MsgStore, *payload, &sp, sp.ContextOr(tctx))
+	n.sendOrEvict(target.Peer, MsgStore, *payload, &sp)
 	codec.Release(payload)
 	n.ctr.Load().cacheStores.Inc()
 	sp.Finish()
 }
 
-// sendOrEvict sends one fire-and-forget STORE frame; a failure is marked
-// on sp, and a peer the transport reports dead leaves the routing table.
-func (n *Node) sendOrEvict(to transport.PeerID, msgType string, payload []byte, sp *trace.ActiveSpan, tctx trace.Context) {
-	if err := n.SendPayload(to, msgType, payload, sp, tctx); err != nil {
+// sendOrEvict sends one fire-and-forget STORE frame on behalf of sp; a
+// failure is marked on sp, and a peer the transport reports dead leaves
+// the routing table.
+func (n *Node) sendOrEvict(to transport.PeerID, msgType string, payload []byte, sp *trace.ActiveSpan) {
+	if err := n.SendPayload(to, msgType, payload, sp); err != nil {
 		sp.SetErr(err)
 		if transport.IsPeerDead(err) {
 			n.table.Remove(to)
@@ -303,21 +304,20 @@ func (n *Node) Unpublish(id index.DocID) error {
 	}
 	sp := n.Tracer().Root("unpublish")
 	defer sp.Finish()
-	tctx := sp.Context()
 	doc, err := n.Shared().Get(id)
 	if err != nil {
 		return nil
 	}
 	n.Shared().Delete(id)
 	key := KeyForCommunity(doc.CommunityID)
-	out := n.lookup(tctx, key, nil)
+	out := n.lookup(sp.Context(), key, nil)
 	n.records.remove(key, id, n.PeerID())
 	payload := codec.Borrow(&unstorePayload{Key: key, DocID: id, Provider: n.PeerID()})
 	for _, t := range out.contacts {
-		usp := n.Tracer().Start(tctx, "unstore")
+		usp := n.Tracer().Start(sp.Context(), "unstore")
 		usp.SetPeer(string(t.Peer))
 		// A holder that misses the unstore ages the record out at RecordTTL.
-		_ = n.SendPayload(t.Peer, MsgUnstore, *payload, &usp, usp.ContextOr(tctx))
+		_ = n.SendPayload(t.Peer, MsgUnstore, *payload, &usp)
 		usp.Finish()
 	}
 	codec.Release(payload)
@@ -346,8 +346,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	defer sp.Finish()
 	key := KeyForCommunity(communityID)
 	filterStr := f.String()
-	tctx := sp.ContextOr(opts.Trace)
-	out := n.lookup(tctx, key, &valueQuery{
+	out := n.lookup(sp.Context(), key, &valueQuery{
 		communityID: communityID,
 		filter:      filterStr,
 		match:       f,
@@ -375,7 +374,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	// queries for the same filter.
 	if n.cfg.CacheRecords && opts.Limit == 0 && !out.limited &&
 		out.hasCacheTarget && len(recs) > 0 {
-		n.cacheStore(tctx, key, out.cacheTarget, recs, filterStr)
+		n.cacheStore(sp.Context(), key, out.cacheTarget, recs, filterStr)
 	}
 	if opts.Limit > 0 && len(recs) > opts.Limit {
 		recs = recs[:opts.Limit]
@@ -419,7 +418,7 @@ func (n *Node) CheckLiveness() int {
 // the probe and be evicted; it re-enters the table on next contact, as
 // in Kademlia.
 func (n *Node) pingPeer(peer transport.PeerID) bool {
-	x, err := n.StartCall(peer, MsgPing, &pingPayload{}, nil, trace.Context{})
+	x, err := n.StartCall(peer, MsgPing, &pingPayload{}, nil)
 	if err == nil {
 		_, err = n.Await(x, n.cfg.RPCTimeout)
 	}
@@ -439,10 +438,9 @@ func (n *Node) Refresh() error {
 	}
 	sp := n.Tracer().Root("refresh")
 	defer sp.Finish()
-	tctx := sp.Context()
 	n.CheckLiveness()
 	return n.Reannounce(func(docs []*index.Document) error {
-		return n.replicate(tctx, docs, n.reannounceKey)
+		return n.replicate(sp.Context(), docs, n.reannounceKey)
 	})
 }
 
@@ -494,9 +492,8 @@ func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
 func (n *Node) probeHolders(tctx trace.Context, key ID, holders []transport.PeerID) (targets []Contact, answered bool) {
 	sp := n.Tracer().Start(tctx, "probe")
 	defer sp.Finish()
-	pctx := sp.ContextOr(tctx)
 	for _, h := range holders {
-		x, err := n.StartCall(h, MsgFindNode, &findNodePayload{Target: key}, &sp, pctx)
+		x, err := n.StartCall(h, MsgFindNode, &findNodePayload{Target: key}, &sp)
 		if err != nil {
 			if transport.IsPeerDead(err) {
 				n.table.Remove(h)
@@ -549,18 +546,18 @@ func (n *Node) handle(msg transport.Message) {
 			return
 		}
 		// A lost pong is the prober's timeout, as for every reply below.
-		_ = n.Send(msg.From, MsgPong, &pingPayload{ReqID: req.ReqID}, nil, trace.Context{})
+		_ = n.Send(msg.From, MsgPong, &pingPayload{ReqID: req.ReqID}, nil)
 	case MsgFindNode:
 		var req findNodePayload
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp, tctx := n.StartSpan(msg, "findnode.serve")
+		sp := n.StartSpan(msg, "findnode.serve")
 		sc := serveScratchPool.Get().(*serveScratch)
 		_ = n.Send(msg.From, MsgFindNodeReply, &findNodeReplyPayload{
 			ReqID: req.ReqID,
 			Peers: n.closestPeers(sc, req.Target),
-		}, &sp, tctx)
+		}, &sp)
 		serveScratchPool.Put(sc)
 		sp.Finish()
 	case MsgFindValue:
@@ -568,7 +565,7 @@ func (n *Node) handle(msg transport.Message) {
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp, tctx := n.StartSpan(msg, "findvalue.serve")
+		sp := n.StartSpan(msg, "findvalue.serve")
 		sp.SetCommunity(req.CommunityID)
 		sc := serveScratchPool.Get().(*serveScratch)
 		reply := findValueReplyPayload{
@@ -587,7 +584,7 @@ func (n *Node) handle(msg transport.Message) {
 			reply.Records, reply.Digest, reply.Complete = n.records.get(into, req.Key, n.Clock().Now(),
 				req.CommunityID, req.Filter, f, req.Limit, req.Have)
 		}
-		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp, tctx)
+		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp)
 		clearRecords(&sc.records)
 		serveScratchPool.Put(sc)
 		sp.Finish()
@@ -596,7 +593,7 @@ func (n *Node) handle(msg transport.Message) {
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp, _ := n.StartSpan(msg, "store.serve")
+		sp := n.StartSpan(msg, "store.serve")
 		if req.Cached {
 			// A caching STORE relays third-party providers by design,
 			// so the provider==sender rule cannot apply. The copies are
@@ -628,7 +625,7 @@ func (n *Node) handle(msg transport.Message) {
 		if req.Provider != msg.From {
 			return
 		}
-		sp, _ := n.StartSpan(msg, "unstore.serve")
+		sp := n.StartSpan(msg, "unstore.serve")
 		n.records.remove(req.Key, req.DocID, req.Provider)
 		sp.Finish()
 	case MsgPong:

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -45,7 +44,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp, tctx := s.StartSpan(msg, "search.serve")
+		sp := s.StartSpan(msg, "search.serve")
 		sp.SetCommunity(req.CommunityID)
 		f, err := query.Parse(req.Filter)
 		if err != nil {
@@ -53,7 +52,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 		}
 		results := s.search(req.CommunityID, f, req.Limit)
 		// A lost reply is the client's timeout.
-		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: results}, &sp, tctx)
+		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: results}, &sp)
 		sp.Finish()
 	default:
 		s.HandleRetrieval(msg)
@@ -108,7 +107,7 @@ func (c *CentralizedClient) Publish(doc *index.Document) error {
 	sp.SetCommunity(doc.CommunityID)
 	defer sp.Finish()
 	reg := registerPayloadFor(doc)
-	return c.Send(server, MsgRegister, &reg, &sp, sp.Context())
+	return c.Send(server, MsgRegister, &reg, &sp)
 }
 
 // PublishBatch implements Network: one local store batch plus one
@@ -141,7 +140,7 @@ func (c *CentralizedClient) registerBatch(server transport.PeerID, docs []*index
 		for _, doc := range docs[start:end] {
 			regs = append(regs, registerPayloadFor(doc))
 		}
-		if err := c.Send(server, MsgRegisterBatch, &registerBatchPayload{Docs: regs}, &sp, sp.Context()); err != nil {
+		if err := c.Send(server, MsgRegisterBatch, &registerBatchPayload{Docs: regs}, &sp); err != nil {
 			sp.SetErr(err)
 			return err
 		}
@@ -169,7 +168,7 @@ func (c *CentralizedClient) Rehome(server transport.PeerID) error {
 // Unpublish implements Network.
 func (c *CentralizedClient) Unpublish(id index.DocID) error {
 	c.shared.Delete(id)
-	return c.Send(c.Server(), MsgUnregister, &unregisterPayload{DocID: id}, nil, trace.Context{})
+	return c.Send(c.Server(), MsgUnregister, &unregisterPayload{DocID: id}, nil)
 }
 
 // Search implements Network: one round trip to the index server.
@@ -187,7 +186,7 @@ func (c *CentralizedClient) Search(communityID string, f query.Filter, opts Sear
 		CommunityID: communityID,
 		Filter:      f.String(),
 		Limit:       opts.Limit,
-	}, &sp, sp.ContextOr(opts.Trace), opts.Timeout)
+	}, &sp, opts.Timeout)
 	if err != nil {
 		return nil, err
 	}

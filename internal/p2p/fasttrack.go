@@ -73,14 +73,14 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	if err := req.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	sp, tctx := s.StartSpan(msg, "leaf.search")
+	sp := s.StartSpan(msg, "leaf.search")
 	sp.SetCommunity(req.CommunityID)
 	f, err := query.Parse(req.Filter)
 	if err != nil {
 		f = query.MatchAll{}
 	}
 	local := s.search(req.CommunityID, f, req.Limit)
-	guid, col, err := s.originate(req.CommunityID, f, DefaultTTL, req.Limit, local, &sp, tctx)
+	guid, col, err := s.originate(req.CommunityID, f, DefaultTTL, req.Limit, local, &sp)
 	if err != nil {
 		sp.Finish()
 		return
@@ -89,7 +89,7 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 		merged := col.snapshot()
 		s.release(guid)
 		// A lost reply is the leaf's timeout.
-		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: merged}, &sp, tctx)
+		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: merged}, &sp)
 		sp.Finish()
 	}
 	if s.ep.Synchronous() {

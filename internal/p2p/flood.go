@@ -219,9 +219,9 @@ func (h *hitCollector) snapshot() []Result {
 // query's GUID and the collector that gathers the hits routed back,
 // seeded with local, the caller's own matches, which it takes over; the
 // caller reads the collector (on an asynchronous transport, after
-// waiting on it) and then calls release. sp is the caller's span, to
-// which the sends are attributed, and tctx the context stamped on them.
-func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit int, local []Result, sp *trace.ActiveSpan, tctx trace.Context) (uint64, *hitCollector, error) {
+// waiting on it) and then calls release. The sends go out on behalf of
+// sp, the caller's span.
+func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit int, local []Result, sp *trace.ActiveSpan) (uint64, *hitCollector, error) {
 	guid := r.guids.next()
 	col := newHitCollector(limit, local)
 	now := r.clk.Now()
@@ -244,7 +244,7 @@ func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit i
 	for _, n := range neighbors {
 		// Unreachable neighbors are skipped, like UDP loss in the
 		// original protocol.
-		_ = r.SendPayload(n, MsgQuery, *payload, sp, tctx)
+		_ = r.SendPayload(n, MsgQuery, *payload, sp)
 	}
 	codec.Release(payload)
 	return guid, col, nil
@@ -272,7 +272,7 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 	if dup {
 		// Already served and forwarded: most arrivals in a flood end
 		// here, having cost a varint read and a map lookup.
-		sp, _ := r.StartSpan(msg, "query.dup")
+		sp := r.StartSpan(msg, "query.dup")
 		sp.Finish()
 		return
 	}
@@ -282,7 +282,7 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	sp, tctx := r.StartSpan(msg, "query")
+	sp := r.StartSpan(msg, "query")
 	sp.SetCommunity(q.CommunityID)
 	defer sp.Finish()
 	neighbors, first := r.markSeen(guid, msg.From)
@@ -303,7 +303,7 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 	if len(results) > 0 {
 		// Route the hit back toward the origin along the reverse path; a
 		// hop that is gone loses it, like the original's UDP.
-		_ = r.Send(msg.From, MsgQueryHit, &queryHitPayload{GUID: q.GUID, Results: results}, &sp, tctx)
+		_ = r.Send(msg.From, MsgQueryHit, &queryHitPayload{GUID: q.GUID, Results: results}, &sp)
 	}
 	// Forward the flood while TTL remains.
 	if q.TTL <= 1 {
@@ -316,7 +316,7 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 		if n == msg.From {
 			continue
 		}
-		_ = r.SendPayload(n, MsgQuery, *payload, &sp, tctx)
+		_ = r.SendPayload(n, MsgQuery, *payload, &sp)
 	}
 	codec.Release(payload)
 }
@@ -336,14 +336,14 @@ func (r *floodRouter) handleQueryHit(msg transport.Message) {
 		if err := col.addHit(msg.Payload); err != nil {
 			return // corrupt body: dropped here, the collection stands
 		}
-		sp, _ := r.StartSpan(msg, "hit")
+		sp := r.StartSpan(msg, "hit")
 		sp.Finish()
 		return
 	}
 	if !seen || back == r.PeerID() {
 		return // unknown or stale query: drop the hit
 	}
-	sp, tctx := r.StartSpan(msg, "hit.relay")
-	_ = r.SendPayload(back, MsgQueryHit, msg.Payload, &sp, tctx)
+	sp := r.StartSpan(msg, "hit.relay")
+	_ = r.SendPayload(back, MsgQueryHit, msg.Payload, &sp)
 	sp.Finish()
 }

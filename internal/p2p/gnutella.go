@@ -76,7 +76,7 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	// Answer from the local index first (a peer is also a member of
 	// the network it searches).
 	local := g.localResults(communityID, f, opts.Limit)
-	guid, col, err := g.originate(communityID, f, ttl, opts.Limit, local, &sp, sp.ContextOr(opts.Trace))
+	guid, col, err := g.originate(communityID, f, ttl, opts.Limit, local, &sp)
 	if err != nil {
 		return nil, g.fail(&sp, err)
 	}

@@ -31,9 +31,10 @@
 //     (SetClock, SetTracer, SetMetrics — Peer's doc states the one
 //     contract for when each may be called);
 //   - sending (Send, SendPayload: encode into borrowed scratch, stamp
-//     the trace context, attribute the frame to a span; the scratch goes
-//     back when the last Send returns, since no transport keeps a
-//     payload past it) and handler spans (StartSpan);
+//     the trace context of the span the frame is sent for and attribute
+//     the frame to it; the scratch goes back when the last Send returns,
+//     since no transport keeps a payload past it) and handler spans
+//     (StartSpan);
 //   - request/response (Call, or StartCall + Await for a wave of them,
 //     and Resolve on the reply's way in): one pending table, one
 //     timeout on the node's clock, ids dropped on every failure path;
@@ -161,6 +162,9 @@ type Network interface {
 	RetrieveAttachment(uri string, from transport.PeerID) ([]byte, error)
 	// SetAttachmentProvider installs the resolver for local attachments.
 	SetAttachmentProvider(p AttachmentProvider)
+	// Tracer returns the node's span recorder, nil when tracing is off.
+	// The servent roots its query spans on it.
+	Tracer() *trace.Tracer
 	// Close detaches from the network.
 	Close() error
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/query"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -397,7 +396,7 @@ func TestPeerSendZeroAlloc(t *testing.T) {
 	p.InitPeer(ep, nil, "test")
 	f := &pingPayload{GUID: 7, TTL: 2, Hops: 1}
 	send := func() {
-		if err := p.Send("b", MsgPing, f, nil, trace.Context{}); err != nil {
+		if err := p.Send("b", MsgPing, f, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

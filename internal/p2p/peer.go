@@ -25,6 +25,10 @@ import (
 // its handle switch (ending in HandleRetrieval) and
 // Publish/Unpublish/Search; the rest of Network comes from here.
 //
+// Every send, call and flood goes out on behalf of a *trace.ActiveSpan:
+// the span both counts the frame and supplies the trace context the
+// frame carries, so no send takes a context of its own.
+//
 // Wiring contract, the one place it is stated: SetClock is for the code
 // that builds the node and must be called before traffic starts — the
 // clock is a plain field, read without synchronisation on every frame.
@@ -110,34 +114,34 @@ func (p *Peer) Closed() bool { return p.closed.Load() }
 
 // Send encodes f into borrowed scratch, sends it to a peer and hands
 // the scratch back; see SendPayload.
-func (p *Peer) Send(to transport.PeerID, msgType string, f codec.Frame, sp *trace.ActiveSpan, tctx trace.Context) error {
+func (p *Peer) Send(to transport.PeerID, msgType string, f codec.Frame, sp *trace.ActiveSpan) error {
 	b := codec.Borrow(f)
-	err := p.SendPayload(to, msgType, *b, sp, tctx)
+	err := p.SendPayload(to, msgType, *b, sp)
 	codec.Release(b)
 	return err
 }
 
-// SendPayload sends one encoded frame, stamped with the trace context
-// tctx and attributed to the span sp (nil and the zero context for
-// untraced traffic). The transport is done with payload when
-// SendPayload returns, so a frame sent to several peers is borrowed
-// once (codec.Borrow), handed to SendPayload for each, and released
-// after the last.
-func (p *Peer) SendPayload(to transport.PeerID, msgType string, payload []byte, sp *trace.ActiveSpan, tctx trace.Context) error {
+// SendPayload sends one encoded frame on behalf of the span sp: the
+// frame carries sp.Context() and is attributed to sp (nil for untraced
+// traffic). The transport is done with payload when SendPayload
+// returns, so a frame sent to several peers is borrowed once
+// (codec.Borrow), handed to SendPayload for each, and released after
+// the last.
+func (p *Peer) SendPayload(to transport.PeerID, msgType string, payload []byte, sp *trace.ActiveSpan) error {
 	sp.AddMsgs(1, int64(len(payload)))
+	tc := sp.Context()
 	return p.ep.Send(transport.Message{To: to, Type: msgType, Payload: payload,
-		TraceID: tctx.Trace, SpanID: tctx.Span})
+		TraceID: tc.Trace, SpanID: tc.Span})
 }
 
-// StartSpan opens a handler span for an inbound traced frame and returns
-// it with the context the handler's own sends should carry: the span's,
-// or the inbound one when this node's tracer is off, so downstream hops
-// still attribute to the nearest traced ancestor.
-func (p *Peer) StartSpan(msg transport.Message, op string) (trace.ActiveSpan, trace.Context) {
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := p.Tracer().StartAt(inCtx, op, transport.ChainOffset(p.ep))
+// StartSpan opens a handler span for an inbound frame. The handler's
+// own sends on its behalf carry the span's context, or the inbound one
+// when this node's tracer is off, so downstream hops still attribute to
+// the nearest traced ancestor.
+func (p *Peer) StartSpan(msg transport.Message, op string) trace.ActiveSpan {
+	sp := p.Tracer().StartAt(trace.Context{Trace: msg.TraceID, Span: msg.SpanID}, op, transport.ChainOffset(p.ep))
 	sp.SetPeer(string(msg.From))
-	return sp, sp.ContextOr(inCtx)
+	return sp
 }
 
 // --- request/response ---
@@ -245,13 +249,13 @@ type Exchange struct {
 
 // StartCall sends req to a peer under a fresh request id and returns the
 // exchange to Await. A lookup wave starts several before it awaits any;
-// a single round trip is Call. sp and tctx are as in SendPayload. A
-// failed send abandons the exchange.
-func (p *Peer) StartCall(to transport.PeerID, msgType string, req Request, sp *trace.ActiveSpan, tctx trace.Context) (Exchange, error) {
+// a single round trip is Call. sp is as in SendPayload. A failed send
+// abandons the exchange.
+func (p *Peer) StartCall(to transport.PeerID, msgType string, req Request, sp *trace.ActiveSpan) (Exchange, error) {
 	id, s := p.pending.create()
 	req.SetReqID(id)
 	x := Exchange{id, s}
-	if err := p.Send(to, msgType, req, sp, tctx); err != nil {
+	if err := p.Send(to, msgType, req, sp); err != nil {
 		p.pending.abandon(x)
 		return Exchange{}, err
 	}
@@ -299,8 +303,8 @@ func (p *Peer) after(timeout time.Duration) <-chan time.Time {
 // Call is one round trip: send req, await the reply its receiver
 // resolves. Every failure — the send, the timeout — is marked on sp and
 // counted in the node's error family.
-func (p *Peer) Call(to transport.PeerID, msgType string, req Request, sp *trace.ActiveSpan, tctx trace.Context, timeout time.Duration) (any, error) {
-	x, err := p.StartCall(to, msgType, req, sp, tctx)
+func (p *Peer) Call(to transport.PeerID, msgType string, req Request, sp *trace.ActiveSpan, timeout time.Duration) (any, error) {
+	x, err := p.StartCall(to, msgType, req, sp)
 	if err != nil {
 		return nil, p.fail(sp, fmt.Errorf("p2p: %s: %w", msgType, err))
 	}
@@ -338,7 +342,7 @@ func (p *Peer) Retrieve(id index.DocID, from transport.PeerID) (*index.Document,
 	sp := p.Tracer().Root("fetch")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	got, err := p.Call(from, MsgFetch, &fetchPayload{DocID: id}, &sp, sp.Context(), 0)
+	got, err := p.Call(from, MsgFetch, &fetchPayload{DocID: id}, &sp, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +358,7 @@ func (p *Peer) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, er
 	sp := p.Tracer().Root("attachment")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	got, err := p.Call(from, MsgAttachment, &attachmentPayload{URI: uri}, &sp, sp.Context(), 0)
+	got, err := p.Call(from, MsgAttachment, &attachmentPayload{URI: uri}, &sp, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -393,21 +397,21 @@ func (p *Peer) HandleRetrieval(msg transport.Message) {
 		if req.DecodeBinary(msg.Payload) != nil {
 			return
 		}
-		sp, tctx := p.StartSpan(msg, "fetch.serve")
+		sp := p.StartSpan(msg, "fetch.serve")
 		reply := fetchReplyPayload{ReqID: req.ReqID}
 		if doc, err := p.localDoc(req.DocID); err == nil {
 			reply.Found, reply.Doc = true, doc
 		} else {
 			sp.SetErr(fmt.Errorf("%w: %s", ErrNotProvided, req.DocID))
 		}
-		_ = p.Send(msg.From, MsgFetchReply, &reply, &sp, tctx) // a lost reply is the requester's timeout
+		_ = p.Send(msg.From, MsgFetchReply, &reply, &sp) // a lost reply is the requester's timeout
 		sp.Finish()
 	case MsgAttachment:
 		var req attachmentPayload
 		if req.DecodeBinary(msg.Payload) != nil {
 			return
 		}
-		sp, tctx := p.StartSpan(msg, "attachment.serve")
+		sp := p.StartSpan(msg, "attachment.serve")
 		reply := attachmentReplyPayload{ReqID: req.ReqID}
 		if provider := p.attach.Load(); provider != nil && *provider != nil {
 			if data, ok := (*provider)(req.URI); ok {
@@ -417,7 +421,7 @@ func (p *Peer) HandleRetrieval(msg transport.Message) {
 		if !reply.Found {
 			sp.SetErr(ErrNotProvided)
 		}
-		_ = p.Send(msg.From, MsgAttachmentReply, &reply, &sp, tctx) // as above
+		_ = p.Send(msg.From, MsgAttachmentReply, &reply, &sp) // as above
 		sp.Finish()
 	case MsgFetchReply:
 		reply := new(fetchReplyPayload)

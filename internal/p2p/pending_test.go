@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -29,7 +28,7 @@ func TestLateReplyNotMisdelivered(t *testing.T) {
 	p.InitPeer(heldEndpoint{}, nil, "test")
 	start := func() Exchange {
 		t.Helper()
-		x, err := p.StartCall("b", MsgFetch, &fetchPayload{}, nil, trace.Context{})
+		x, err := p.StartCall("b", MsgFetch, &fetchPayload{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +121,7 @@ func TestCallAllocatesNothing(t *testing.T) {
 	})
 	req := &fetchPayload{}
 	call := func() {
-		if got, err := p.Call("b", MsgFetch, req, nil, trace.Context{}, 0); err != nil || got != reply {
+		if got, err := p.Call("b", MsgFetch, req, nil, 0); err != nil || got != reply {
 			t.Fatalf("call: got %v, %v", got, err)
 		}
 	}

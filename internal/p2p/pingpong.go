@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/p2p/codec"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -76,7 +75,7 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 
 	payload := codec.Borrow(&pingPayload{GUID: guid, Origin: g.PeerID(), TTL: ttl})
 	for _, n := range neighbors {
-		_ = g.SendPayload(n, MsgPing, *payload, nil, trace.Context{})
+		_ = g.SendPayload(n, MsgPing, *payload, nil)
 	}
 	codec.Release(payload)
 
@@ -110,7 +109,7 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	}
 	hops := p.Hops + 1
 	// Pong back toward the origin along the reverse path.
-	_ = g.Send(msg.From, MsgPong, &pongPayload{GUID: p.GUID, Peer: g.PeerID(), Hops: hops}, nil, trace.Context{})
+	_ = g.Send(msg.From, MsgPong, &pongPayload{GUID: p.GUID, Peer: g.PeerID(), Hops: hops}, nil)
 	if p.TTL <= 1 {
 		return
 	}
@@ -120,7 +119,7 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	payload := codec.Borrow(&fwd)
 	for _, n := range neighbors {
 		if n != msg.From {
-			_ = g.SendPayload(n, MsgPing, *payload, nil, trace.Context{})
+			_ = g.SendPayload(n, MsgPing, *payload, nil)
 		}
 	}
 	codec.Release(payload)
@@ -149,5 +148,5 @@ func (g *GnutellaNode) handlePong(msg transport.Message) {
 	if !seen || back == self {
 		return
 	}
-	_ = g.SendPayload(back, MsgPong, msg.Payload, nil, trace.Context{})
+	_ = g.SendPayload(back, MsgPong, msg.Payload, nil)
 }

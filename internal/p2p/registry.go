@@ -62,7 +62,7 @@ func (r *registry) serveRegistration(p *Peer, msg transport.Message) bool {
 		if err := reg.DecodeBinary(msg.Payload); err != nil {
 			return true
 		}
-		sp, _ := p.StartSpan(msg, "register.serve")
+		sp := p.StartSpan(msg, "register.serve")
 		r.register(msg.From, []registerPayload{reg})
 		sp.Finish()
 	case MsgRegisterBatch:
@@ -70,7 +70,7 @@ func (r *registry) serveRegistration(p *Peer, msg transport.Message) bool {
 		if err := batch.DecodeBinary(msg.Payload); err != nil {
 			return true
 		}
-		sp, _ := p.StartSpan(msg, "register.serve")
+		sp := p.StartSpan(msg, "register.serve")
 		r.register(msg.From, batch.Docs)
 		sp.Finish()
 	case MsgUnregister:

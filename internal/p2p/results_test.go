@@ -11,7 +11,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -97,7 +96,7 @@ func TestHitsRacingSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGnutellaNode(ep, index.NewStore())
-	guid, col, err := g.originate("c", query.MatchAll{}, 1, 0, nil, nil, trace.Context{})
+	guid, col, err := g.originate("c", query.MatchAll{}, 1, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

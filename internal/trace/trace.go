@@ -195,7 +195,9 @@ func (t *Tracer) Root(op string) ActiveSpan {
 }
 
 // Start opens a child span under ctx. Inactive (records nothing)
-// when the tracer is nil or ctx is not part of a sampled trace.
+// when the tracer is nil or ctx is not part of a sampled trace; on a
+// nil tracer the inactive span still carries ctx, so a node that
+// records nothing passes an inbound trace on to its sends.
 func (t *Tracer) Start(ctx Context, op string) ActiveSpan {
 	return t.StartAt(ctx, op, 0)
 }
@@ -207,8 +209,11 @@ func (t *Tracer) Start(ctx Context, op string) ActiveSpan {
 // chain that delivered the message — to place the span at its true
 // virtual arrival instant.
 func (t *Tracer) StartAt(ctx Context, op string, offset time.Duration) ActiveSpan {
-	if t == nil || !ctx.Valid() {
+	if !ctx.Valid() {
 		return ActiveSpan{}
+	}
+	if t == nil {
+		return ActiveSpan{s: Span{Trace: ctx.Trace, ID: ctx.Span}}
 	}
 	return ActiveSpan{tr: t, s: Span{
 		Trace:  ctx.Trace,
@@ -252,32 +257,28 @@ func (t *Tracer) Snapshot() []Span {
 	return out
 }
 
-// ActiveSpan is an in-progress span. The zero value is inactive:
-// every method is a no-op, so call sites never branch on whether
-// tracing is enabled. It is passed by value and lives on the caller's
-// stack — starting and finishing a span allocates nothing beyond the
-// ring slot it is copied into.
+// ActiveSpan is an in-progress span and the one carrier of the trace
+// context its sends propagate. The zero value is inactive: every
+// method but Context is a no-op, so call sites never branch on
+// whether tracing is enabled. It is passed by value and lives on the
+// caller's stack — starting and finishing a span allocates nothing
+// beyond the ring slot it is copied into.
 type ActiveSpan struct {
 	tr *Tracer
-	s  Span
+	// s holds the span being recorded; in an inactive span started on
+	// a nil tracer, s.Trace and s.ID hold the context it was started
+	// under.
+	s Span
 }
 
-// Context returns the propagation context naming this span as
-// parent; invalid when the span is inactive.
+// Context returns the context a send on behalf of this span carries:
+// the span's own when it records, the one it was started under when a
+// nil tracer started it (so downstream hops still attribute to the
+// nearest traced ancestor), and zero for a nil span or an unsampled
+// root.
 func (a *ActiveSpan) Context() Context {
-	if a == nil || a.tr == nil {
+	if a == nil {
 		return Context{}
-	}
-	return Context{Trace: a.s.Trace, Span: a.s.ID}
-}
-
-// ContextOr returns this span's context, or parent when the span is
-// inactive — handlers use it to pass an inbound trace context through
-// a node whose own tracer is disabled, so downstream hops still
-// attribute to the nearest traced ancestor.
-func (a *ActiveSpan) ContextOr(parent Context) Context {
-	if a == nil || a.tr == nil {
-		return parent
 	}
 	return Context{Trace: a.s.Trace, Span: a.s.ID}
 }

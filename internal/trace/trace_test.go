@@ -93,7 +93,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 			sp.SetCommunity("c")
 			sp.AddMsgs(1, 64)
 			sp.SetErr(nil)
-			child := nilTr.Start(sp.ContextOr(Context{}), "child")
+			child := nilTr.Start(sp.Context(), "child")
 			child.Finish()
 			sp.Finish()
 		},
