@@ -5,8 +5,12 @@ GO ?= go
 
 .PHONY: build test race fmt vet surface surface-check bench-smoke alloc-profile heap-profile fuzz-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ruler ruler-compare loc ci
 
+# The cross builds keep the OS-specific parts of internal/ honest: the
+# TCP reader's readiness read is Unix-only, with a portable fallback.
 build:
 	$(GO) build ./...
+	GOOS=windows $(GO) build ./internal/... ./cmd/...
+	GOOS=darwin $(GO) build ./internal/... ./cmd/...
 
 test:
 	$(GO) test ./...

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 	"unsafe"
@@ -54,6 +56,9 @@ func recv(t testing.TB, ch <-chan Message) Message {
 // byte more is refused before any socket is touched.
 func TestTCPRoundTripFields(t *testing.T) {
 	a, b := listenTCP(t), listenTCP(t)
+	regA, regB := metrics.NewRegistry(), metrics.NewRegistry()
+	a.SetMetrics(regA)
+	b.SetMetrics(regB)
 	got := make(chan Message, 1)
 	b.SetHandler(func(m Message) { got <- kept(m) })
 
@@ -92,6 +97,21 @@ func TestTCPRoundTripFields(t *testing.T) {
 	a.mu.Unlock()
 	if dialed != 1 {
 		t.Errorf("%d outbound connections after the oversize send, want only the one to b", dialed)
+	}
+	// The connection gauges read the same tables: a dialed b, b reads it.
+	for _, g := range []struct {
+		reg  *metrics.Registry
+		name string
+		want int64
+	}{
+		{regA, "transport.tcp_conns_outbound", 1},
+		{regA, "transport.tcp_conns_inbound", 0},
+		{regB, "transport.tcp_conns_outbound", 0},
+		{regB, "transport.tcp_conns_inbound", 1},
+	} {
+		if v := g.reg.Snapshot().Gauges[g.name]; v != g.want {
+			t.Errorf("%s = %d, want %d", g.name, v, g.want)
+		}
 	}
 }
 
@@ -401,6 +421,228 @@ func TestTCPConnTableOwnsPeerID(t *testing.T) {
 		if key != to || unsafe.StringData(string(key)) == unsafe.StringData(string(to)) {
 			t.Errorf("connection keyed by %q, a slice of the caller's string", key)
 		}
+	}
+}
+
+// TestTCPSplitFrames: senders write their streams to one node over
+// loopback in chunks of random size, so one read carries several
+// frames, a length prefix splits across reads, and frames both under
+// and over the pooled buffer — and over frameStep — end, start and
+// grow mid-window. Every payload byte arrives intact and each sender's
+// frames arrive in order.
+func TestTCPSplitFrames(t *testing.T) {
+	const senders, each = 4, 60
+	rng := rand.New(rand.NewPCG(1, 2))
+	size := func() int {
+		switch rng.IntN(8) {
+		case 0:
+			return 4096 - 64 + rng.IntN(128) // around the pooled buffer
+		case 1:
+			return frameStep - 64 + rng.IntN(8<<10) // around the growth step
+		case 2, 3:
+			return 64 + rng.IntN(20<<10)
+		default:
+			return 1 + rng.IntN(64) // several to a read
+		}
+	}
+	fill := func(b []byte, s, seq int) []byte {
+		for i := range b {
+			b[i] = byte(s*131 + seq*17 + i*7)
+		}
+		return b
+	}
+	n := listenTCP(t)
+	var mu sync.Mutex
+	sizes := make(map[PeerID][]int, senders)
+	next := make(map[PeerID]int, senders)
+	bad, delivered := 0, 0
+	done := make(chan struct{})
+	n.SetHandler(func(m Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		s, seq := int(m.SpanID), next[m.From]
+		if int(m.TraceID) != seq || seq >= len(sizes[m.From]) ||
+			!bytes.Equal(m.Payload, fill(make([]byte, sizes[m.From][seq]), s, seq)) {
+			bad++
+		}
+		next[m.From] = seq + 1
+		if delivered++; delivered == senders*each {
+			close(done)
+		}
+	})
+	streams := make([][]byte, senders)
+	for s := range streams {
+		from := fmt.Sprintf("sender-%d", s)
+		streams[s] = helloFrame(from)
+		for seq := 0; seq < each; seq++ {
+			sz := size()
+			sizes[PeerID(from)] = append(sizes[PeerID(from)], sz)
+			streams[s] = append(streams[s], appendFrameOK(t, Message{
+				Type: "split", TraceID: uint64(seq), SpanID: uint64(s), Payload: fill(make([]byte, sz), s, seq),
+			})...)
+		}
+	}
+	var wg sync.WaitGroup
+	for s, stream := range streams {
+		chunks := rand.New(rand.NewPCG(uint64(s), 3))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := net.Dial("tcp", string(n.ID()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for len(stream) > 0 {
+				k := 1 + chunks.IntN(16)
+				if chunks.IntN(2) == 0 {
+					k = 1 + chunks.IntN(16<<10)
+				}
+				k = min(k, len(stream))
+				if _, err := c.Write(stream[:k]); err != nil {
+					t.Error(err)
+					return
+				}
+				stream = stream[k:]
+				if chunks.IntN(8) == 0 {
+					time.Sleep(50 * time.Microsecond) // let the reader catch up mid-frame
+				}
+			}
+		}()
+	}
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		mu.Lock()
+		t.Errorf("%d of %d frames arrived", delivered, senders*each)
+		mu.Unlock()
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if bad != 0 {
+		t.Errorf("%d frames arrived out of order or damaged", bad)
+	}
+}
+
+// TestTCPInboundCap: a node reads at most maxInbound connections at
+// once. Past that each accepted connection is closed and counted; the
+// node's own sends go on, and once a slot frees a peer is read again.
+func TestTCPInboundCap(t *testing.T) {
+	const extra = 3
+	n, peer := listenTCP(t), listenTCP(t)
+	reg := metrics.NewRegistry()
+	n.SetMetrics(reg)
+	got := make(chan Message, 1)
+	n.SetHandler(func(m Message) { got <- kept(m) })
+	peer.SetHandler(func(m Message) { got <- kept(m) })
+	conns := make([]net.Conn, maxInbound+extra)
+	defer func() {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	hello := helloFrame("127.0.0.1:7001")
+	for i := range conns {
+		c, err := net.Dial("tcp", string(n.ID()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+		if _, err := c.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauge := func() int64 { return reg.Snapshot().Gauges["transport.tcp_conns_inbound"] }
+	for deadline := time.Now().Add(10 * time.Second); reg.Snapshot().Counter("transport.tcp_accept_refused") != extra; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections refused, want %d", reg.Snapshot().Counter("transport.tcp_accept_refused"), extra)
+		}
+	}
+	if g := gauge(); g != maxInbound {
+		t.Errorf("transport.tcp_conns_inbound = %d, want %d", g, maxInbound)
+	}
+	// Accept takes connections in the order they were made: the last
+	// ones found the table full.
+	for _, c := range conns[maxInbound:] {
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+			t.Errorf("a connection past the cap reads %v, want it closed", err)
+		}
+	}
+	if err := n.Send(Message{To: peer.ID(), Type: "out"}); err != nil {
+		t.Fatalf("send from a full node: %v", err)
+	}
+	recv(t, got)
+
+	conns[0].Close()
+	for deadline := time.Now().Add(5 * time.Second); gauge() != maxInbound-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("transport.tcp_conns_inbound = %d after one hung up, want %d", gauge(), maxInbound-1)
+		}
+	}
+	if err := peer.Send(Message{To: n.ID(), Type: "in"}); err != nil {
+		t.Fatal(err)
+	}
+	if m := recv(t, got); m.Type != "in" || m.From != peer.ID() {
+		t.Errorf("got %+v, want the peer's message", m)
+	}
+}
+
+// TestTCPIdleConnectionHeap: a connection that said hello and went
+// quiet holds no frame buffer while its reader waits, so 500 of them
+// cost little heap — both ends counted, the dialer's socket and the
+// node's reader. A reader yet to take its hello holds no more.
+func TestTCPIdleConnectionHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what an allocation weighs")
+	}
+	const conns, limit = 500, 1536
+	n := listenTCP(t)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	inbound := func() int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.inbound)
+	}
+	open := make([]net.Conn, 0, conns)
+	defer func() {
+		for _, c := range open {
+			c.Close()
+		}
+	}()
+	hello := helloFrame("127.0.0.1:7001")
+	before := heap()
+	for len(open) < conns {
+		c, err := net.Dial("tcp", string(n.ID()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, c)
+		if _, err := c.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); inbound() != conns; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d inbound connections, want %d", inbound(), conns)
+		}
+	}
+	after := heap()
+	per := (int64(after) - int64(before)) / conns
+	t.Logf("idle heap per connection: %d B", per)
+	if per > limit {
+		t.Errorf("an idle connection holds %d B of heap, want <= %d", per, limit)
 	}
 }
 
