@@ -86,8 +86,9 @@ heap-profile:
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzHolderIndex,
 # FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
-# FuzzFilterParse, FuzzWALSegment, FuzzStoreSearch, FuzzXPathCompile,
-# FuzzXMLParse, FuzzIndexerExtract and FuzzXSLTApply on top of their
+# FuzzFilterParse, FuzzFieldsRoundTrip, FuzzWALSegment, FuzzStoreSearch,
+# FuzzXPathCompile, FuzzXMLParse, FuzzEscape, FuzzIndexerExtract and
+# FuzzXSLTApply on top of their
 # seeds and the committed corpora (testdata/fuzz in internal/dht,
 # internal/p2p, internal/transport, internal/query, internal/index and
 # internal/xmldoc) — a DHT holder's posting lists
@@ -100,7 +101,9 @@ heap-profile:
 # to itself, never nested deeper than the parser's bound, a store's
 # search answers as a linear scan of its live documents does, XPath
 # compilation never panics and keeps its source, a parsed XML
-# document's String parses back to the same String, an Indexer's path
+# document's String parses back to the same String, the escapers that
+# serialize it write what the old rune-at-a-time ones did, an attribute
+# set survives the wire as the map it came from, an Indexer's path
 # walk extracts what the generated indexing stylesheet does, and an
 # XSLT transform never panics, never succeeds over its budget and, for
 # a shipped stylesheet, never runs out of it.
@@ -111,10 +114,12 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzFilterParse -fuzztime 10s
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzFieldsRoundTrip -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzWALSegment -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzStoreSearch -fuzztime 10s
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathCompile -fuzztime 10s
 	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzXMLParse -fuzztime 10s
+	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzEscape -fuzztime 10s
 	$(GO) test ./internal/stylegen -run '^$$' -fuzz FuzzIndexerExtract -fuzztime 10s
 	$(GO) test ./internal/xslt -run '^$$' -fuzz FuzzXSLTApply -fuzztime 10s
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"sort"
 	"strings"
@@ -133,8 +134,15 @@ func (s *Servent) IsJoined(id string) bool {
 // DocIDFor derives the content-addressed document ID used for
 // published objects: replicas coincide across peers.
 func DocIDFor(communityID string, obj *xmldoc.Node) index.DocID {
+	return docIDOf(communityID, obj.String())
+}
+
+// docIDOf is DocIDFor of the object that serializes to xml.
+func docIDOf(communityID, xml string) index.DocID {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s", communityID, obj.String())
+	io.WriteString(h, communityID)
+	h.Write([]byte{0})
+	io.WriteString(h, xml)
 	return index.DocID("d-" + hex.EncodeToString(h.Sum(nil))[:20])
 }
 
@@ -209,11 +217,12 @@ func (c *Community) document(obj *xmldoc.Node) (*index.Document, error) {
 	if err != nil {
 		return nil, err
 	}
+	xml := obj.String() // serialized once: hashed into the ID and stored
 	return &index.Document{
-		ID:          DocIDFor(c.ID, obj),
+		ID:          docIDOf(c.ID, xml),
 		CommunityID: c.ID,
 		Title:       titleFor(obj, attrs),
-		XML:         obj.String(),
+		XML:         xml,
 		Attrs:       attrs,
 	}, nil
 }

@@ -163,7 +163,7 @@ func (ss *scanStore) prune(key ID, now time.Time) {
 func (ss *scanStore) get(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int) ([]Record, setDigest, bool) {
 	ss.prune(key, now)
 	matches := func(rec *Record) bool {
-		return (communityID == "" || rec.CommunityID == communityID) && (f == nil || f.Match(rec.Attrs))
+		return (communityID == "" || rec.CommunityID == communityID) && (f == nil || f.Match(&rec.Attrs))
 	}
 	var out []Record
 	var dig setDigest

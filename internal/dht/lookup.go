@@ -1,8 +1,9 @@
 package dht
 
 import (
-	"maps"
+	"cmp"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -23,40 +24,79 @@ type lookupRPC struct {
 // bookkeeping maps — so the per-lookup steady state reuses slice
 // capacity and map buckets instead of reallocating them. Pooled (not
 // one-per-node) because one node runs concurrent lookups: each gets its
-// own scratch. The maps go back cleared — recs must: its records share
-// their reply frames' strings.
+// own scratch. The value set in hand is not pooled: it is the slice the
+// lookup hands its caller (lookupOutcome.results).
 type lookupScratch struct {
 	short []Contact
 	wave  []lookupRPC
 	state map[transport.PeerID]peerState
 	known map[transport.PeerID]bool
 	// held is the digest each holder announced for its matching set;
-	// recs the value set in hand, have its digest, seen the digests of
-	// the sets recs is known to contain.
+	// have the digest of the value set in hand, seen the digests of the
+	// sets it is known to contain.
 	held map[transport.PeerID]setDigest
-	recs map[recordKey]Record
 	have setDigest
 	seen []setDigest
-	// own gathers this node's held slice, merged into recs at the start.
+	// own gathers this node's held slice, merged into the set in hand at
+	// the start.
 	own []Record
 }
 
-// merge folds one received set into the set in hand.
-func (sc *lookupScratch) merge(records []Record) {
+// merge folds one received set into res, the set in hand, and returns
+// it. res is kept in (DocID, Provider) order, the order every holder
+// ships its set in, so a set that follows all of res is appended and
+// only a record that falls inside it is searched for and inserted; a
+// record already in hand is replaced by the later copy. res first makes
+// room for the records it lacks, so it moves at most once per set, and
+// a set already in hand costs no room at all.
+func (sc *lookupScratch) merge(res []p2p.Result, records []Record) []p2p.Result {
 	if len(records) == 0 {
-		return
+		return res
 	}
+	lacks := 0
+	for i := range records {
+		if _, found := findResult(res, &records[i]); !found {
+			lacks++
+		}
+	}
+	res = slices.Grow(res, lacks)
 	var set setDigest
-	for _, rec := range records {
+	for i := range records {
+		rec := &records[i]
 		h := recordHash(rec.DocID, rec.Provider)
 		set.add(h)
-		rk := recordKey{rec.DocID, rec.Provider}
-		if _, dup := sc.recs[rk]; !dup {
-			sc.have.add(h)
+		r := p2p.Result{DocID: rec.DocID, Provider: rec.Provider, CommunityID: rec.CommunityID, Title: rec.Title, Attrs: rec.Attrs}
+		at, dup := findResult(res, rec)
+		if dup {
+			res[at] = r
+			continue
 		}
-		sc.recs[rk] = rec
+		sc.have.add(h)
+		res = slices.Insert(res, at, r)
 	}
 	sc.seen = append(sc.seen, set, sc.have)
+	return res
+}
+
+// findResult returns where rec's (DocID, Provider) is or would be in res,
+// which is sorted by it, looking at the end first: records arrive in
+// that order.
+func findResult(res []p2p.Result, rec *Record) (int, bool) {
+	at := len(res)
+	if at == 0 || compareResultRecord(&res[at-1], rec) < 0 {
+		return at, false
+	}
+	at = sort.Search(at, func(k int) bool { return compareResultRecord(&res[k], rec) >= 0 })
+	return at, compareResultRecord(&res[at], rec) == 0
+}
+
+// compareResultRecord orders a result against a record by (DocID,
+// Provider).
+func compareResultRecord(r *p2p.Result, rec *Record) int {
+	if c := cmp.Compare(r.DocID, rec.DocID); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.Provider, rec.Provider)
 }
 
 // learn appends the peers of one reply that are new to the lookup to
@@ -109,7 +149,6 @@ var lookupScratchPool = sync.Pool{New: func() any {
 		state: make(map[transport.PeerID]peerState),
 		known: make(map[transport.PeerID]bool),
 		held:  make(map[transport.PeerID]setDigest),
-		recs:  make(map[recordKey]Record),
 	}
 }}
 
@@ -137,9 +176,11 @@ type lookupOutcome struct {
 	// contacts are the responsive nodes closest to the target, by
 	// distance, at most K.
 	contacts []Contact
-	// records are the FIND_VALUE results — this node's own held slice
-	// included — deduped by (DocID, Provider) and sorted.
-	records []Record
+	// results are the FIND_VALUE records — this node's own held slice
+	// included — as results, deduped by (DocID, Provider) and sorted:
+	// the slice they were merged into, the caller's to filter and cut in
+	// place. Their strings share the reply frames' copies.
+	results []p2p.Result
 	// rounds is how many α-wide RPC waves the lookup took: its hop
 	// count.
 	rounds int
@@ -191,13 +232,12 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 	ctr := n.ctr.Load()
 	sc := lookupScratchPool.Get().(*lookupScratch)
 	short := n.table.ClosestAppend(sc.short[:0], target, 0)
-	state, known, held, recs := sc.state, sc.known, sc.held, sc.recs
+	state, known, held := sc.state, sc.known, sc.held
 	defer func() {
 		sc.short = short[:0]
 		clear(state)
 		clear(known)
 		clear(held)
-		clear(recs)
 		sc.have, sc.seen = setDigest{}, sc.seen[:0]
 		lookupScratchPool.Put(sc)
 	}()
@@ -206,7 +246,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 	}
 	if vq != nil {
 		own, _, _ := n.records.get(&sc.own, target, n.Clock().Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{})
-		sc.merge(own)
+		out.results = sc.merge(out.results, own)
 		clearRecords(&sc.own)
 	}
 	// lost: an announced set never arrived.
@@ -287,7 +327,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				if anchored && len(reply.Records) > 0 {
 					ctr.mismatches.Inc() // it differs from the set most announced
 				}
-				sc.merge(reply.Records)
+				out.results = sc.merge(out.results, reply.Records)
 			case *findNodeReplyPayload:
 				peers = reply.Peers
 			default:
@@ -304,7 +344,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 	}
 
 	// full: a limit query has its fill, more rounds would only cost messages.
-	full := func() bool { return vq != nil && vq.limit > 0 && len(recs) >= vq.limit }
+	full := func() bool { return vq != nil && vq.limit > 0 && len(out.results) >= vq.limit }
 	for wave(false) {
 		if vq == nil {
 			continue
@@ -348,8 +388,6 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 			break
 		}
 	}
-	out.records = slices.AppendSeq(make([]Record, 0, len(recs)), maps.Values(recs))
-	sortRecords(out.records)
 	ctr.lookups.Inc()
 	ctr.rounds.Add(int64(out.rounds))
 	return out

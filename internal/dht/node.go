@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -200,20 +201,20 @@ func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(tr
 	return nil
 }
 
-// recordsFor extracts the replicated metadata of documents. One
-// FieldsBuilder takes every record's attributes, so the set costs a few
-// allocations; the strings stay the documents' own. When this node is
-// one of a key's holders it keeps the batch as it is: its own records,
-// which each republish replaces together.
+// recordsFor extracts the replicated metadata of documents. Each
+// record's attributes are the document's in flat form: query.FieldsOf
+// copies its keys and values into one string of their own. The other
+// strings stay the documents' own. When this node is one of a key's
+// holders it keeps the batch as it is: its own records, which each
+// republish replaces together.
 func recordsFor(docs []*index.Document, provider transport.PeerID) []Record {
 	out := make([]Record, len(docs))
-	var b query.FieldsBuilder
 	for i, doc := range docs {
 		out[i] = Record{
 			DocID:       doc.ID,
 			CommunityID: doc.CommunityID,
 			Title:       doc.Title,
-			Attrs:       b.Of(doc.Attrs, len(docs)-1-i),
+			Attrs:       query.FieldsOf(doc.Attrs),
 			Provider:    provider,
 		}
 	}
@@ -272,9 +273,13 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 // STOREs the set is never chunked: the receiver installs it
 // atomically (completeness is the whole point of a cached set), so it
 // must arrive as one frame.
-func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, recs []Record, filter string) {
+func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, results []p2p.Result, filter string) {
 	sp := n.Tracer().Start(tctx, "cache-store")
 	sp.SetPeer(string(target.Peer))
+	recs := make([]Record, len(results))
+	for i, r := range results {
+		recs[i] = Record{DocID: r.DocID, CommunityID: r.CommunityID, Title: r.Title, Attrs: r.Attrs, Provider: r.Provider}
+	}
 	payload := codec.Borrow(&storePayload{Key: key, Records: recs, Cached: true, Filter: filter})
 	n.sendOrEvict(target.Peer, MsgStore, *payload, &sp)
 	codec.Release(payload)
@@ -355,17 +360,30 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	})
 	// Holders filter server-side; re-check here so a skewed or
 	// malicious holder cannot inject non-matching records. For what
-	// this node provides itself, its own store is the authority.
+	// this node provides itself, its own store is the authority. The
+	// lookup's slice is filtered, extended and cut in place: it is the
+	// one the caller gets.
 	self := n.PeerID()
-	recs := out.records[:0]
-	for _, rec := range out.records {
-		if rec.Provider != self && rec.CommunityID == communityID && f.Match(rec.Attrs) {
-			recs = append(recs, rec)
+	results := out.results[:0]
+	for i := range out.results {
+		if res := &out.results[i]; res.Provider != self && res.CommunityID == communityID && f.Match(&res.Attrs) {
+			results = append(results, *res)
 		}
 	}
+	clear(out.results[len(results):])
 	if local := n.Shared().SearchReadOnly(communityID, f, 0); len(local) > 0 {
-		recs = append(recs, recordsFor(local, self)...)
-		sortRecords(recs)
+		// Each local result's attributes are copied into a flat form of
+		// their own (query.FieldsOf); the other strings stay the
+		// documents'.
+		for _, d := range local {
+			results = append(results, p2p.Result{DocID: d.ID, Provider: self, CommunityID: d.CommunityID, Title: d.Title, Attrs: query.FieldsOf(d.Attrs)})
+		}
+		slices.SortFunc(results, func(a, b p2p.Result) int {
+			if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Provider, b.Provider)
+		})
 	}
 	// Caching STORE: replicate the verified result set onto the
 	// closest observed non-holder, so the next querier for this filter
@@ -373,22 +391,15 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	// sets are cached — a limit-truncated one would poison unlimited
 	// queries for the same filter.
 	if n.cfg.CacheRecords && opts.Limit == 0 && !out.limited &&
-		out.hasCacheTarget && len(recs) > 0 {
-		n.cacheStore(sp.Context(), key, out.cacheTarget, recs, filterStr)
+		out.hasCacheTarget && len(results) > 0 {
+		n.cacheStore(sp.Context(), key, out.cacheTarget, results, filterStr)
 	}
-	if opts.Limit > 0 && len(recs) > opts.Limit {
-		recs = recs[:opts.Limit]
+	if opts.Limit > 0 && len(results) > opts.Limit {
+		clear(results[opts.Limit:])
+		results = results[:opts.Limit]
 	}
-	results := make([]p2p.Result, len(recs))
-	for i, rec := range recs {
-		results[i] = p2p.Result{
-			DocID:       rec.DocID,
-			Provider:    rec.Provider,
-			CommunityID: rec.CommunityID,
-			Title:       rec.Title,
-			Attrs:       rec.Attrs,
-			Hops:        out.rounds,
-		}
+	for i := range results {
+		results[i].Hops = out.rounds
 	}
 	n.NodeMetrics().ObserveSearch(n.Clock(), start, len(results))
 	return results, nil
@@ -561,12 +572,14 @@ func (n *Node) handle(msg transport.Message) {
 		serveScratchPool.Put(sc)
 		sp.Finish()
 	case MsgFindValue:
-		var req findValuePayload
-		if err := req.DecodeBinary(msg.Payload); err != nil {
+		var req findValueRequest
+		if err := req.read(msg.Payload); err != nil {
 			return
 		}
 		sp := n.StartSpan(msg, "findvalue.serve")
-		sp.SetCommunity(req.CommunityID)
+		if sp.Context().Valid() { // a span outlives the handler: it takes a copy
+			sp.SetCommunity(string(req.community))
+		}
 		sc := serveScratchPool.Get().(*serveScratch)
 		reply := findValueReplyPayload{
 			ReqID: req.ReqID,
@@ -576,13 +589,14 @@ func (n *Node) handle(msg transport.Message) {
 		// the reply still carries contacts so the lookup can route on,
 		// but failing open to the whole record set would let one
 		// malformed query read the entire key.
-		if f, err := query.Parse(req.Filter); err == nil {
+		filter := string(req.filter) // the one copy: the parsed filter keeps it
+		if f, err := query.Parse(filter); err == nil {
 			into := &sc.records
 			if req.DigestOnly {
 				into = nil
 			}
 			reply.Records, reply.Digest, reply.Complete = n.records.get(into, req.Key, n.Clock().Now(),
-				req.CommunityID, req.Filter, f, req.Limit, req.Have)
+				string(req.community), filter, f, req.Limit, req.Have)
 		}
 		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp)
 		clearRecords(&sc.records)

@@ -423,7 +423,7 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr
 		for ; next < len(cs) && compareRecords(&cs[next], &e.rec) < 0; next++ {
 			emit(&cs[next], recordHash(cs[next].DocID, cs[next].Provider))
 		}
-		match := (!perRecord || e.rec.CommunityID == communityID) && (f == nil || f.Match(e.rec.Attrs))
+		match := (!perRecord || e.rec.CommunityID == communityID) && (f == nil || f.Match(&e.rec.Attrs))
 		for ; next < len(cs) && compareRecords(&cs[next], &e.rec) == 0; next++ {
 			if !match {
 				emit(&cs[next], e.hash)
@@ -503,14 +503,17 @@ func (kr *keyRecords) postingsFor(attr string) *postings {
 	if p == nil {
 		// An attribute nobody holds gets no lists: a stranger's
 		// filters cannot grow the key by naming attributes.
-		if !slices.ContainsFunc(kr.entries, func(e recordEntry) bool { return len(e.rec.Attrs.Values(attr)) > 0 }) {
+		if !slices.ContainsFunc(kr.entries, func(e recordEntry) bool {
+			_, n := e.rec.Attrs.Value(attr, 0)
+			return n > 0
+		}) {
 			return nil
 		}
 		p = &postings{slot: make(map[string]int32)}
 		if kr.lists == nil {
 			kr.lists = make(map[string]*postings)
 		}
-		kr.lists[attr] = p
+		kr.lists[strings.Clone(attr)] = p // attr is the request filter's: keep a copy of its own
 	}
 	p.fill(kr.entries, attr)
 	p.gen = kr.gen
@@ -536,7 +539,7 @@ func (p *postings) fill(entries []recordEntry, attr string) {
 		p.slot[k] = unseen
 	}
 	for i := range entries {
-		for _, v := range entries[i].rec.Attrs.Values(attr) {
+		for v := range entries[i].rec.Attrs.Values(attr) {
 			for k := range query.IndexKeys(v) {
 				p.slot[k]++
 			}
@@ -577,7 +580,7 @@ func (p *postings) fill(entries []recordEntry, attr string) {
 	}
 	p.pos = slices.Grow(p.pos[:0], int(total))[:total]
 	for i := range entries {
-		for _, v := range entries[i].rec.Attrs.Values(attr) {
+		for v := range entries[i].rec.Attrs.Values(attr) {
 			for k := range query.IndexKeys(v) {
 				sp := &p.spans[p.slot[k]]
 				if sp.n > 0 && p.pos[sp.off+sp.n-1] == int32(i) {

@@ -5,13 +5,15 @@ package dht
 // shared codec primitives. Field order IS the wire format.
 //
 // Every frame with records or peers decodes onto one string per frame
-// (codec.Reader.ShareStrings), and its records' attributes onto chunks
-// the frame's records share (codec.Reader.Fields). The lookup replies'
+// (codec.Reader.ShareStrings): its records' strings and attribute sets
+// (codec.Reader.Fields) are substrings of it. The lookup replies'
 // records go to the searching caller or into the next encode, and the
 // lookup copies the peers it keeps, so nothing long-lived holds a frame.
 // STORE then copies each record into memory of its own (Record.own),
-// two strings and the flat form's slices: the record store holds what
-// it decodes for a TTL, one record at a time.
+// two strings: the record store holds what it decodes for a TTL, one
+// record at a time. A FIND_VALUE request is read in place
+// (findValueRequest): the holder copies nothing of it but the filter
+// it parses.
 
 import (
 	"encoding/binary"
@@ -62,12 +64,12 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	return codec.AppendString(dst, string(rec.Provider))
 }
 
-// readRecord decodes one record of a set in which more follow it.
-func readRecord(r *codec.Reader, out *Record, more int) {
+// readRecord decodes one record.
+func readRecord(r *codec.Reader, out *Record) {
 	out.DocID = index.DocID(r.String())
 	out.CommunityID = r.String()
 	out.Title = r.String()
-	out.Attrs = r.Fields(more)
+	out.Attrs = r.Fields()
 	out.Provider = transport.PeerID(r.String())
 }
 
@@ -79,9 +81,7 @@ func appendRecords(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// readRecords decodes a record set, telling each record's Fields how
-// many follow it, so the records' attribute sets share chunks sized for
-// all of them.
+// readRecords decodes a record set.
 func readRecords(r *codec.Reader) []Record {
 	n := r.Count(5) // four strings and an attrs count
 	if r.Err() != nil || n == 0 {
@@ -89,7 +89,7 @@ func readRecords(r *codec.Reader) []Record {
 	}
 	out := make([]Record, n)
 	for i := range out {
-		readRecord(r, &out[i], n-1-i)
+		readRecord(r, &out[i])
 	}
 	return out
 }
@@ -152,14 +152,32 @@ func (p *findValuePayload) AppendBinary(dst []byte) []byte {
 }
 
 func (p *findValuePayload) DecodeBinary(data []byte) error {
+	var q findValueRequest
+	err := q.read(data)
+	*p = q.findValuePayload
+	p.CommunityID, p.Filter = string(q.community), string(q.filter)
+	return err
+}
+
+// findValueRequest is a FIND_VALUE frame read in place, as a holder
+// serves it: community and filter are views of the borrowed payload,
+// valid until the handler returns, and the embedded payload carries the
+// rest with its strings empty. A holder copies nothing of it but the
+// filter it parses, and keeps nothing past the handler.
+type findValueRequest struct {
+	findValuePayload
+	community, filter []byte
+}
+
+func (q *findValueRequest) read(data []byte) error {
 	r := codec.NewReader(data)
-	p.ReqID = r.Uvarint()
-	r.Fixed(p.Key[:])
-	p.CommunityID = r.String()
-	p.Filter = r.String()
-	p.Limit = int(r.Uvarint())
-	p.Have = readDigest(r)
-	p.DigestOnly = r.Bool()
+	q.ReqID = r.Uvarint()
+	r.Fixed(q.Key[:])
+	q.community = r.View()
+	q.filter = r.View()
+	q.Limit = int(r.Uvarint())
+	q.Have = readDigest(r)
+	q.DigestOnly = r.Bool()
 	return r.Err()
 }
 

@@ -12,12 +12,23 @@
 //
 // An attribute set travels as its keys in ascending order, each
 // followed by its values: AppendAttrs sorts a query.Attrs map into that
-// order, AppendFields writes a query.Fields as it stands, and
-// Reader.Fields decodes it back flat, onto chunks all of a frame's
-// sets share, sized by how many sets the frame declares still follow —
-// a frame of records allocates a few times, not once per record. The
-// format is deterministic, so the golden-trace hash of a seeded
-// scenario is bit-identical across runs.
+// order, and AppendFields writes a query.Fields, which holds exactly
+// those bytes, as it stands. Reader.Fields decodes a set back as a
+// query.Fields without building anything: the set is a substring of
+// the one copy a frame's strings share (Reader.ShareStrings), so a
+// frame of records allocates that copy and its records' slice, and
+// nothing per record. The format is deterministic, so the golden-trace
+// hash of a seeded scenario is bit-identical across runs.
+//
+// The one-copy contract: a received payload is borrowed, valid until
+// its handler returns. What a handler keeps past that — results on
+// their way to a caller, records a holder stores — is copied out of the
+// payload once: ShareStrings copies a frame's remainder into one string
+// that everything decoded after it is cut from, and a keeper whose
+// values outlive the frame's (a DHT holder's records) copies each again
+// into memory of its own. A request that is only read during its
+// handler is not copied at all: its fields are views of the payload
+// (View, Rest), and nothing the handler keeps may alias them.
 //
 // Frames still carry their JSON struct tags: the frame tests of p2p and
 // dht round-trip every registered type through encoding/json as an
@@ -224,35 +235,12 @@ func AppendBool(dst []byte, v bool) []byte {
 
 // AppendAttrs appends an attribute map in sorted key order (the
 // determinism requirement: map iteration order must never reach the
-// wire).
-func AppendAttrs(dst []byte, a query.Attrs) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(a)))
-	var few [16]string
-	for _, k := range a.Keys(few[:0]) {
-		dst = appendEntry(dst, k, a[k])
-	}
-	return dst
-}
+// wire); query.AppendAttrs defines the layout.
+func AppendAttrs(dst []byte, a query.Attrs) []byte { return query.AppendAttrs(dst, a) }
 
 // AppendFields appends a flat attribute set: the bytes AppendAttrs
-// writes for the same set.
-func AppendFields(dst []byte, f query.Fields) []byte {
-	dst = binary.AppendUvarint(dst, uint64(f.Len()))
-	for k, vals := range f.All() {
-		dst = appendEntry(dst, k, vals)
-	}
-	return dst
-}
-
-// appendEntry appends one attribute: its key, then its values.
-func appendEntry(dst []byte, k string, vals []string) []byte {
-	dst = AppendString(dst, k)
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = AppendString(dst, v)
-	}
-	return dst
-}
+// writes for the same set, copied as they stand.
+func AppendFields(dst []byte, f query.Fields) []byte { return f.Append(dst) }
 
 // Reader is a decoding cursor over one binary payload. Truncated or
 // oversized input sets a sticky error; reads after an error return
@@ -263,11 +251,9 @@ type Reader struct {
 	off  int
 	err  error
 	// Set by ShareStrings: shared is a string copy of data[sharedAt:]
-	// that String cuts its results from.
+	// that String and Fields cut their results from.
 	shared   string
 	sharedAt int
-	// fields holds the chunks Fields builds attribute sets on.
-	fields query.FieldsBuilder
 }
 
 // NewReader starts a cursor at the payload's beginning.
@@ -319,17 +305,18 @@ func (r *Reader) Count(minElemBytes int) int {
 }
 
 // ShareStrings copies the unread remainder of the payload into one
-// string; every string read from here on (attribute keys and values
-// included) is a substring of it — one allocation per frame for all its
-// strings instead of one per field. The price is lifetime: any one
-// surviving string keeps the whole remainder reachable, as any one
-// attribute set keeps the chunks Fields cut it from. That suits values
+// string; every string and attribute set read from here on is a
+// substring of it — one allocation per frame for all its values instead
+// of one per field. This copy is the one a received frame pays for
+// what its handler keeps, and its price is lifetime: any one surviving
+// string or set keeps the whole remainder reachable. That suits values
 // on their way to a caller or to the next encode (search results, the
-// records and peers of a DHT lookup reply — whoever keeps one of those
-// longer copies it). A decoder whose values are stored long-term must
-// not pin a frame per entry: registrations and fetched documents keep
-// the per-field copy (and build their map from the flat form), and a
-// DHT STORE copies each record it keeps into memory of its own.
+// records and peers of a DHT lookup reply). Whoever keeps one longer
+// copies it: a DHT STORE clones each record it keeps into memory of its
+// own, and the lookup clones the peers it adds to its shortlist. A
+// decoder whose values are stored long-term one entry at a time
+// (registrations, fetched documents) does not share: each entry's
+// strings are copies of their own.
 func (r *Reader) ShareStrings() {
 	r.shared, r.sharedAt = string(r.data[r.off:]), r.off
 }
@@ -419,45 +406,27 @@ func (r *Reader) Bool() bool {
 }
 
 // Fields reads an attribute set written by AppendAttrs (or
-// AppendFields) onto the reader's chunks, which every set the reader
-// builds shares: a frame of records costs a few allocations for all
-// their attributes, not one per record. A first pass over the set's
-// bytes checks every count and length, and that the keys ascend as
-// AppendAttrs writes them, before anything is sized. more is how many
-// further sets the collection being read declares — the results of a
-// hit after this one, the records of a reply — and 0 for a lone set. A
-// chunk that runs out is replaced by one sized for this set and for
-// more sets of its size, but never for more strings than the unread
-// bytes could hold, at a length byte each, so a count that lies buys no
-// more than the frame that carried it.
-func (r *Reader) Fields(more int) query.Fields {
-	start := r.off
-	keys := r.Count(2) // an entry is at least a key length and a value count
-	n := keys
-	var prev []byte
-	for i := 0; i < keys; i++ {
-		if k := r.View(); i == 0 || string(k) > string(prev) {
-			prev = k
-		} else {
-			r.fail()
-		}
-		vals := r.Count(1)
-		for j := 0; j < vals; j++ {
-			r.View()
-		}
-		n += vals
-	}
-	if r.err != nil || keys == 0 {
+// AppendFields). query.ReadFields checks every count and length, that
+// each is a canonical uvarint and that the keys ascend as AppendAttrs
+// writes them, and sizes nothing from a count. After ShareStrings the
+// set is a substring of the shared copy and reading it allocates
+// nothing; before, it is one string of its own.
+func (r *Reader) Fields() query.Fields {
+	if r.err != nil {
 		return query.Fields{}
 	}
-	r.fields.Start(keys, n, min(more, (len(r.data)-r.off)/n))
-	r.off = start
-	r.Uvarint()
-	for i := 0; i < keys; i++ {
-		r.fields.Key(r.String())
-		for j := r.Uvarint(); j > 0; j-- {
-			r.fields.Value(r.String())
-		}
+	var f query.Fields
+	var n int
+	var ok bool
+	if r.shared != "" {
+		f, n, ok = query.ReadFields(r.shared[r.off-r.sharedAt:])
+	} else {
+		f, n, ok = query.ReadFields(r.data[r.off:])
 	}
-	return r.fields.Done()
+	if !ok {
+		r.fail()
+		return query.Fields{}
+	}
+	r.off += n
+	return f
 }

@@ -38,7 +38,7 @@ func (f *testFrame) DecodeBinary(data []byte) error {
 	f.Name = r.String()
 	f.Blob = r.Bytes()
 	f.Found = r.Bool()
-	f.Attrs = r.Fields(0)
+	f.Attrs = r.Fields()
 	n := r.Len()
 	f.Tags = f.Tags[:0]
 	for i := 0; i < n; i++ {
@@ -131,7 +131,7 @@ func TestReaderCountBoundsElements(t *testing.T) {
 		t.Fatal("Count accepted a count whose byte size overflows")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if r := NewReader(frame); r.Fields(0).Len() != 0 || r.Err() == nil {
+		if r := NewReader(frame); r.Fields().Len() != 0 || r.Err() == nil {
 			t.Fatal("attribute set claiming 1000 entries in 1 KB decoded")
 		}
 	})
@@ -143,35 +143,6 @@ func TestReaderCountBoundsElements(t *testing.T) {
 	}
 }
 
-// TestFieldsSizeChunks: the sets a collection declares still follow
-// size the chunk Fields cuts attribute sets from — exactly its sets'
-// strings when they are alike, one set's for a lone set — but never past
-// one string per unread byte, so a declared count that lies reserves no
-// more than the frame carries.
-func TestFieldsSizeChunks(t *testing.T) {
-	set := AppendAttrs(nil, query.Attrs{"a": {"1", "2"}, "b": {"3"}}) // five strings
-	frame := bytes.Repeat(set, 3)
-	for _, tc := range []struct{ declared, wantCap int }{
-		{3, 15},
-		{1, 5},
-		{1 << 30, 5 + 2*len(set)},
-	} {
-		r := NewReader(frame)
-		for i := 0; i < 3; i++ {
-			if f := r.Fields(max(tc.declared-1-i, 0)); f.Len() != 2 || r.Err() != nil {
-				t.Fatalf("declared %d: set %d decoded %d keys: %v", tc.declared, i, f.Len(), r.Err())
-			}
-			if i > 0 {
-				continue
-			}
-			// The chunk is unexported in query; reflection reads it.
-			if got := reflect.ValueOf(&r.fields).Elem().FieldByName("kv").Cap(); got > tc.wantCap || tc.declared < 1<<30 && got != tc.wantCap {
-				t.Errorf("declared %d: chunk of capacity %d, want %d", tc.declared, got, tc.wantCap)
-			}
-		}
-	}
-}
-
 // TestReaderFieldsRefusesDisorder: an attribute set whose keys do not
 // ascend strictly, which no encoder writes, fails the reader.
 func TestReaderFieldsRefusesDisorder(t *testing.T) {
@@ -180,7 +151,7 @@ func TestReaderFieldsRefusesDisorder(t *testing.T) {
 		for _, k := range keys {
 			enc = AppendUvarint(AppendString(enc, k), 0)
 		}
-		if r := NewReader(enc); r.Fields(0).Len() != 0 || r.Err() == nil {
+		if r := NewReader(enc); r.Fields().Len() != 0 || r.Err() == nil {
 			t.Errorf("keys %q were accepted", keys)
 		}
 	}
@@ -345,7 +316,7 @@ func TestAppendAttrsAllocs(t *testing.T) {
 				_ = r.String()
 			}
 		}
-		if got := NewReader(AppendAttrs(nil, a)).Fields(0).Map(); !reflect.DeepEqual(got, a) {
+		if got := NewReader(AppendAttrs(nil, a)).Fields().Map(); !reflect.DeepEqual(got, a) {
 			t.Errorf("%d keys: round trip = %v", n, got)
 		}
 		if !bytes.Equal(AppendFields(nil, query.FieldsOf(a)), AppendAttrs(nil, a)) {
@@ -377,7 +348,7 @@ func TestShareStrings(t *testing.T) {
 		}
 	}
 	want := query.Attrs{"k": {"v1", "v2"}, "none": {}}
-	if got := r.Fields(0).Map(); r.Err() != nil || !reflect.DeepEqual(got, want) {
+	if got := r.Fields().Map(); r.Err() != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("shared attrs = %#v, %v", got, r.Err())
 	}
 	// The input may be reused once decoding is done: shared strings are

@@ -130,36 +130,40 @@ func (r *floodRouter) markSeen(guid uint64, from transport.PeerID) (neighbors []
 	return r.neighbors, true
 }
 
-// hitCollector gathers the results of a search this node originated:
-// the caller's own, then each hit frame's, decoded into a slice of that
-// frame's size (addHit). snapshot joins them into one slice of the
-// final size, or hands over the only one there is without a copy.
+// hitCollector gathers the results of a search this node originated
+// in one slice: the caller's own, then each hit frame's, decoded onto
+// its end (addHit). snapshot hands that slice over as it stands. A
+// collection with a limit makes room for it at the first hit, up to
+// maxReserved results, so a search whose limit is its result count
+// writes each result once and moves none; without a limit, or past
+// the reservation, the slice grows as append grows it.
 type hitCollector struct {
-	mu     sync.Mutex
-	frames [][]Result
-	n      int           // results across frames
-	done   chan struct{} // closed when the limit is reached or the results are taken
-	limit  int
-	closed bool
+	mu      sync.Mutex
+	results []Result
+	done    chan struct{} // closed when the limit is reached or the results are taken
+	limit   int
+	closed  bool
 }
+
+// maxReserved bounds the room a collection reserves for its limit
+// (384 KiB of results): a limit is a bound the caller chose, or a leaf
+// sent its super-peer over the wire, not a count of results to come.
+const maxReserved = 4096
 
 // newHitCollector starts a collection for limit results (0 =
 // unlimited) from local, the searcher's own matches, of which there are
-// at most limit; the collection takes local over.
+// at most limit; the collection takes local over, and decodes hits into
+// its spare capacity.
 func newHitCollector(limit int, local []Result) *hitCollector {
-	h := &hitCollector{done: make(chan struct{}), limit: limit}
-	h.add(local)
+	h := &hitCollector{done: make(chan struct{}), limit: limit, results: local}
+	h.checkLimit()
 	return h
 }
 
-// add appends a frame's results, closing the collection once they meet
-// the limit (caller holds mu, or owns h).
-func (h *hitCollector) add(rs []Result) {
-	if len(rs) > 0 {
-		h.frames = append(h.frames, rs)
-		h.n += len(rs)
-	}
-	if h.limit > 0 && h.n >= h.limit {
+// checkLimit closes the collection once its results meet the limit
+// (caller holds mu, or owns h).
+func (h *hitCollector) checkLimit() {
+	if h.limit > 0 && len(h.results) >= h.limit {
 		h.close()
 	}
 }
@@ -172,24 +176,30 @@ func (h *hitCollector) close() {
 	}
 }
 
-// addHit decodes a query-hit frame's results, as many as the limit
-// still admits. A frame is admitted whole or not at all: one whose body
-// does not decode adds nothing, even when its prefix would have met the
-// limit, and addHit returns the decode error. Once the limit is met or
-// the results are taken, a frame is dropped unread.
+// addHit decodes a query-hit frame's results onto the collection, as
+// many as the limit still admits. A frame is admitted whole or not at
+// all: one whose body does not decode adds nothing, even when its
+// prefix would have met the limit, and addHit returns the decode error.
+// Once the limit is met or the results are taken, a frame is dropped
+// unread.
 func (h *hitCollector) addHit(payload []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil
 	}
+	if want := min(h.limit, maxReserved); cap(h.results) < want {
+		h.results = append(make([]Result, 0, want), h.results...)
+	}
 	r := codec.NewReader(payload)
 	r.Uvarint() // the GUID the router peeked
-	rs := readResults(r, max(h.limit-h.n, 0))
+	rs := readResultsOnto(r, h.results, max(h.limit-len(h.results), 0))
 	if err := r.Err(); err != nil {
+		clear(rs[len(h.results):]) // a partly decoded frame keeps nothing alive
 		return err
 	}
-	h.add(rs)
+	h.results = rs
+	h.checkLimit()
 	return nil
 }
 
@@ -199,18 +209,8 @@ func (h *hitCollector) addHit(payload []byte) error {
 func (h *hitCollector) snapshot() []Result {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []Result
-	switch len(h.frames) {
-	case 0:
-	case 1:
-		out = h.frames[0]
-	default:
-		out = make([]Result, 0, h.n)
-		for _, rs := range h.frames {
-			out = append(out, rs...)
-		}
-	}
-	h.frames = nil
+	out := h.results
+	h.results = nil
 	h.close()
 	return out
 }
@@ -272,31 +272,37 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 	if dup {
 		// Already served and forwarded: most arrivals in a flood end
 		// here, having cost a varint read and a map lookup.
+		r.NodeMetrics().Duplicates.Inc()
 		sp := r.StartSpan(msg, "query.dup")
 		sp.Finish()
 		return
 	}
-	// A first arrival is decoded in full before its GUID enters the seen
+	// A first arrival is read in full before its GUID enters the seen
 	// table, so a frame that is not a query never claims a reverse path.
-	var q queryPayload
+	// It is read in place: the relay keeps nothing of the payload past
+	// this handler, and copies only the community it answers for and
+	// the filter it parses.
+	var q queryView
 	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
+	communityID := string(q.community)
 	sp := r.StartSpan(msg, "query")
-	sp.SetCommunity(q.CommunityID)
+	sp.SetCommunity(communityID)
 	defer sp.Finish()
 	neighbors, first := r.markSeen(guid, msg.From)
 	if !first {
+		r.NodeMetrics().Duplicates.Inc()
 		sp.SetOp("query.dup") // another arrival of this GUID won the race
 		return
 	}
 
-	f, err := query.Parse(q.Filter)
+	f, err := query.Parse(string(q.filter))
 	if err != nil {
 		return // malformed query: drop, per protocol robustness rules
 	}
 	hops := q.Hops + 1
-	results := r.answer(q.CommunityID, f)
+	results := r.answer(communityID, f)
 	for i := range results {
 		results[i].Hops = hops
 	}

@@ -92,16 +92,17 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	return out, nil
 }
 
-// localResults answers this node's own search. The caller keeps the
-// results, so each carries its attributes in flat form, all built on
-// one FieldsBuilder; the strings stay the store's immutable documents'.
+// localResults answers this node's own search, in the slice the
+// search's collector then decodes the hits onto. The caller keeps the
+// results, so each carries its attributes in flat form: query.FieldsOf
+// copies the document's keys and values into one string per result.
+// The other strings stay the store's immutable documents'.
 func (g *GnutellaNode) localResults(communityID string, f query.Filter, limit int) []Result {
 	docs := g.shared.SearchReadOnly(communityID, f, limit)
 	out := make([]Result, len(docs))
-	var b query.FieldsBuilder
 	for i, d := range docs {
 		out[i] = Result{DocID: d.ID, Provider: g.PeerID(), CommunityID: d.CommunityID, Title: d.Title,
-			Attrs: b.Of(d.Attrs, len(docs)-1-i)}
+			Attrs: query.FieldsOf(d.Attrs)}
 	}
 	return out
 }

@@ -18,21 +18,26 @@ type NodeMetrics struct {
 	Results   *metrics.Counter
 	Publishes *metrics.Counter
 	Fetches   *metrics.Counter
-	SearchLat *metrics.Histogram
+	// Duplicates counts flooded queries a node drops because it has
+	// already seen their GUID (flooding protocols only; 0 elsewhere).
+	Duplicates *metrics.Counter
+	SearchLat  *metrics.Histogram
 }
 
 // NewNodeMetrics resolves the handles for one protocol ("centralized",
 // "gnutella", "fasttrack", "dht") in reg: the families p2p.searches,
-// p2p.search_results, p2p.publishes, and p2p.fetches labeled by
-// protocol, and the histogram p2p.search_latency_ns.<proto>.
+// p2p.search_results, p2p.publishes, p2p.fetches and
+// p2p.flood_duplicates labeled by protocol, and the histogram
+// p2p.search_latency_ns.<proto>.
 func NewNodeMetrics(reg *metrics.Registry, proto string) *NodeMetrics {
 	return &NodeMetrics{
-		reg:       reg,
-		Searches:  reg.CounterVec("p2p.searches", "protocol").With(proto),
-		Results:   reg.CounterVec("p2p.search_results", "protocol").With(proto),
-		Publishes: reg.CounterVec("p2p.publishes", "protocol").With(proto),
-		Fetches:   reg.CounterVec("p2p.fetches", "protocol").With(proto),
-		SearchLat: reg.Histogram("p2p.search_latency_ns." + proto),
+		reg:        reg,
+		Searches:   reg.CounterVec("p2p.searches", "protocol").With(proto),
+		Results:    reg.CounterVec("p2p.search_results", "protocol").With(proto),
+		Publishes:  reg.CounterVec("p2p.publishes", "protocol").With(proto),
+		Fetches:    reg.CounterVec("p2p.fetches", "protocol").With(proto),
+		Duplicates: reg.CounterVec("p2p.flood_duplicates", "protocol").With(proto),
+		SearchLat:  reg.Histogram("p2p.search_latency_ns." + proto),
 	}
 }
 

@@ -244,6 +244,43 @@ func TestGnutellaDuplicateSuppressionInCycle(t *testing.T) {
 	}
 }
 
+// TestFloodDuplicatesCounted: every query arrival a node drops as a
+// duplicate counts in p2p.flood_duplicates, so on a connected overlay
+// the family equals the query arrivals less one first arrival per node
+// the flood reached (every node but the origin, whose own GUID makes
+// each arrival back at it a duplicate).
+func TestFloodDuplicatesCounted(t *testing.T) {
+	reg := metrics.NewRegistry()
+	net := transport.NewMemNetwork(transport.WithMetrics(reg))
+	const n = 8
+	nodes := make([]*GnutellaNode, n)
+	for i := range nodes {
+		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("r%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = NewGnutellaNode(ep, index.NewStore())
+		nodes[i].SetMetrics(reg)
+	}
+	for i := range nodes { // a ring with chords: many paths to each node
+		for _, j := range []int{(i + 1) % n, (i + 3) % n} {
+			nodes[i].AddNeighbor(nodes[j].PeerID())
+			nodes[j].AddNeighbor(nodes[i].PeerID())
+		}
+	}
+	for q := 0; q < 3; q++ {
+		if _, err := nodes[q].Search("c", query.MustParse("(k=v)"), SearchOptions{TTL: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	arrivals := snap.Label("transport.msgs_by_type", MsgQuery)
+	dups := snap.Label("p2p.flood_duplicates", "gnutella")
+	if first := int64(3 * (n - 1)); dups == 0 || dups != arrivals-first {
+		t.Errorf("flood_duplicates = %d, want %d query arrivals less %d first arrivals", dups, arrivals, first)
+	}
+}
+
 func TestGnutellaMessageCostGrowsWithTTL(t *testing.T) {
 	f := newGnutellaLine(t, 10)
 	base := f.reg.Snapshot()

@@ -2,11 +2,13 @@ package p2p
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
@@ -70,20 +72,42 @@ func TestCorruptHitAddsNothing(t *testing.T) {
 	}
 }
 
-// TestSnapshotJoinsFrames: an unlimited collection of the caller's own
-// results and several hits hands over one slice of exactly their
-// number, in arrival order.
+// TestSnapshotJoinsFrames: a collection of the caller's own results and
+// several hits hands over the one slice it decoded them into, in
+// arrival order, without a copy; with a limit, that slice took the
+// limit's room at the first hit and never moved again.
 func TestSnapshotJoinsFrames(t *testing.T) {
 	all := sampleResults(12)
-	col := newHitCollector(0, slices.Clone(all[:2]))
-	for _, part := range [][]Result{all[2:5], all[5:6], all[6:]} {
-		if err := col.addHit(hitFrame(1, part)); err != nil {
-			t.Fatal(err)
+	for _, limit := range []int{0, len(all)} {
+		col := newHitCollector(limit, slices.Clone(all[:2]))
+		for _, part := range [][]Result{all[2:5], all[5:6], all[6:]} {
+			if err := col.addHit(hitFrame(1, part)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := &col.results[0]
+		got := col.snapshot()
+		if !reflect.DeepEqual(got, all) || &got[0] != held {
+			t.Errorf("limit %d: snapshot of %d results is not the slice collected, or not the %d in order:\n %+v", limit, len(got), len(all), got)
+		}
+		if limit > 0 && cap(got) != limit {
+			t.Errorf("limit %d: results in capacity %d", limit, cap(got))
 		}
 	}
-	got := col.snapshot()
-	if !reflect.DeepEqual(got, all) || cap(got) != len(all) {
-		t.Errorf("snapshot of %d results in capacity %d, want the %d in order:\n %+v", len(got), cap(got), len(all), got)
+}
+
+// TestHugeLimitReservesBounded: a limit is a bound, and one a leaf
+// sends its super-peer arrives off the wire, so however large it is the
+// collection reserves room for at most maxReserved results.
+func TestHugeLimitReservesBounded(t *testing.T) {
+	for _, limit := range []int{maxReserved + 1, 1 << 40, math.MaxInt} {
+		col := newHitCollector(limit, nil)
+		if err := col.addHit(hitFrame(1, sampleResults(3))); err != nil {
+			t.Fatal(err)
+		}
+		if got := col.snapshot(); len(got) != 3 || cap(got) != maxReserved {
+			t.Errorf("limit %d: %d results in capacity %d, want 3 in %d", limit, len(got), cap(got), maxReserved)
+		}
 	}
 }
 
@@ -118,7 +142,7 @@ func TestHitsRacingSnapshot(t *testing.T) {
 	close(start)
 	for landed := 0; landed == 0; runtime.Gosched() { // take mid-stream
 		col.mu.Lock()
-		landed = col.n
+		landed = len(col.results)
 		col.mu.Unlock()
 	}
 	got := col.snapshot()
@@ -132,32 +156,6 @@ func TestHitsRacingSnapshot(t *testing.T) {
 		if !reflect.DeepEqual(r, Result{}) {
 			t.Fatalf("a hit wrote result %d behind the taken slice", len(got)+i)
 		}
-	}
-}
-
-// TestReadResultsChunkFitsCount: the attribute sets of a hit's results
-// are cut from a chunk sized by the hit's result count — its capacity
-// is exactly the strings its 25 results decoded, not a guess from the
-// frame's bytes.
-func TestReadResultsChunkFitsCount(t *testing.T) {
-	enc := codec.Encode(&searchHitPayload{ReqID: 1, Results: sampleResults(25)})
-	r := codec.NewReader(enc)
-	r.Uvarint()
-	got := readResults(r, 0)
-	if r.Err() != nil || len(got) != 25 {
-		t.Fatalf("decoded %d results: %v", len(got), r.Err())
-	}
-	strings := 0
-	for _, res := range got {
-		for _, vals := range res.Attrs.All() {
-			strings += 1 + len(vals)
-		}
-	}
-	// No API shows the chunk the reader's FieldsBuilder holds; reflection
-	// reads its length and capacity.
-	kv := reflect.ValueOf(r).Elem().FieldByName("fields").FieldByName("kv")
-	if kv.Len() != strings || kv.Cap() != strings {
-		t.Errorf("chunk of %d strings in capacity %d, the results decoded %d", kv.Len(), kv.Cap(), strings)
 	}
 }
 
@@ -194,5 +192,64 @@ func BenchmarkResultDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestResultDecodeBytes pins the one-copy contract on the bytes a hit
+// costs its originator: decoding a 25-result and a 250-result hit
+// allocates no more than the frame's bytes, one Result per result and a
+// constant, with room for the allocator rounding each of the two up to
+// its size class (at most an eighth more) or, past 32 KB, to pages.
+// Matching a filter over the decoded sets allocates nothing. A string header per
+// key and value, or a second copy of the set, breaks it; the decode
+// before flat attribute sets took three times the frame.
+func TestResultDecodeBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, n := range []int{25, 250} {
+		enc := codec.Encode(&searchHitPayload{ReqID: 1, Results: sampleResults(n)})
+		var before, after runtime.MemStats
+		const runs = 50
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			var hit searchHitPayload
+			if err := hit.DecodeBinary(enc); err != nil || len(hit.Results) != n {
+				t.Fatalf("decoded %d of %d results: %v", len(hit.Results), n, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		rounded := func(b int) int { // a size class, or whole pages past 32 KB
+			if b > 32<<10 {
+				return b + 8<<10
+			}
+			return b + b/8
+		}
+		budget := rounded(len(enc)) + rounded(n*int(unsafe.Sizeof(Result{}))) + 256
+		if got > uint64(budget) {
+			t.Errorf("%d results: %d bytes a decode, over %d: the %d-byte frame and %d-byte results, rounded, plus 256", n, got, budget, len(enc), n*int(unsafe.Sizeof(Result{})))
+		}
+		t.Logf("%d results: %d-byte frame, %d bytes a decode", n, len(enc), got)
+	}
+
+	// Matching a decoded set reads it in place.
+	var hit searchHitPayload
+	if err := hit.DecodeBinary(codec.Encode(&searchHitPayload{ReqID: 1, Results: sampleResults(25)})); err != nil {
+		t.Fatal(err)
+	}
+	f := query.MustParse("(&(classification=structural)(|(name=alias)(intent~=ABSTRACTION))(!(empty=*)))")
+	matched := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		matched = 0
+		for i := range hit.Results {
+			if f.Match(&hit.Results[i].Attrs) {
+				matched++
+			}
+		}
+	})
+	if allocs != 0 || matched != len(hit.Results) {
+		t.Errorf("matching 25 decoded sets: %v allocs, %d matched; want 0 and 25", allocs, matched)
 	}
 }

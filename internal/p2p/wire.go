@@ -6,6 +6,8 @@ package p2p
 // under its transport message type for generic decoding.
 
 import (
+	"slices"
+
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
 	"repro/internal/transport"
@@ -43,13 +45,13 @@ func appendResult(dst []byte, r *Result) []byte {
 	return dst
 }
 
-// readResult decodes one result of a set in which more follow it.
-func readResult(r *codec.Reader, out *Result, more int) {
+// readResult decodes one result.
+func readResult(r *codec.Reader, out *Result) {
 	out.DocID = index.DocID(r.String())
 	out.Provider = transport.PeerID(r.String())
 	out.CommunityID = r.String()
 	out.Title = r.String()
-	out.Attrs = r.Fields(more)
+	out.Attrs = r.Fields()
 	out.Hops = int(r.Uvarint())
 }
 
@@ -62,32 +64,39 @@ func appendResults(dst []byte, rs []Result) []byte {
 }
 
 // readResults decodes the result set that ends a query-hit or
-// search-hit frame, keeping at most limit results (0 = all). Its
-// strings are cut from one copy of the frame (codec.Reader.ShareStrings)
-// and its attribute sets from chunks sized by the result count: results
-// go to the searching caller or into the next hit frame, never into a
-// store, so nothing long-lived pins the frame. The results past limit
-// are read and dropped, so the whole frame is checked either way.
-func readResults(r *codec.Reader, limit int) []Result {
+// search-hit frame, keeping at most limit results (0 = all).
+func readResults(r *codec.Reader, limit int) []Result { return readResultsOnto(r, nil, limit) }
+
+// readResultsOnto is readResults decoding onto the end of dst: it
+// returns the extended slice, which grows, if it must, by what the
+// frame keeps. Its strings and attribute sets are cut from one
+// copy of the frame (codec.Reader.ShareStrings): results go to the
+// searching caller or into the next hit frame, never into a store, so
+// nothing long-lived pins the frame. The results past limit are read
+// and dropped, so the whole frame is checked either way. When the
+// reader fails, the slice returned may hold part of the frame's results
+// past len(dst); the caller drops them.
+func readResultsOnto(r *codec.Reader, dst []Result, limit int) []Result {
 	n := r.Count(6) // four strings, an attrs count and a hop count
 	if r.Err() != nil || n == 0 {
-		return nil
+		return dst
 	}
 	r.ShareStrings()
 	keep := n
 	if limit > 0 {
 		keep = min(n, limit)
 	}
-	out := make([]Result, keep)
+	at := len(dst)
+	dst = slices.Grow(dst, keep)[:at+keep]
 	var past Result
 	for i := 0; i < n; i++ {
 		res := &past
-		if i < len(out) {
-			res = &out[i]
+		if i < keep {
+			res = &dst[at+i]
 		}
-		readResult(r, res, n-1-i)
+		readResult(r, res)
 	}
-	return out
+	return dst
 }
 
 func appendDocument(dst []byte, d *index.Document) []byte {
@@ -109,7 +118,7 @@ func readDocument(r *codec.Reader) *index.Document {
 		CommunityID: r.String(),
 		Title:       r.String(),
 		XML:         r.String(),
-		Attrs:       r.Fields(0).Map(),
+		Attrs:       r.Fields().Map(),
 	}
 	if n := r.Count(1); n > 0 {
 		d.Attachments = make([]string, n)
@@ -131,16 +140,17 @@ func (p *registerPayload) AppendBinary(dst []byte) []byte {
 
 func (p *registerPayload) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
-	p.readFrom(r, 0)
+	p.readFrom(r)
 	return r.Err()
 }
 
-// readFrom decodes one registration of a batch in which more follow it.
-func (p *registerPayload) readFrom(r *codec.Reader, more int) {
+// readFrom decodes one registration: its own strings, and its
+// attributes as a map whose strings share one copy of the set.
+func (p *registerPayload) readFrom(r *codec.Reader) {
 	p.DocID = index.DocID(r.String())
 	p.CommunityID = r.String()
 	p.Title = r.String()
-	p.Attrs = r.Fields(more).Map()
+	p.Attrs = r.Fields().Map()
 }
 
 func (p *registerBatchPayload) AppendBinary(dst []byte) []byte {
@@ -156,7 +166,7 @@ func (p *registerBatchPayload) DecodeBinary(data []byte) error {
 	if n := r.Count(4); n > 0 { // three strings and an attrs count
 		p.Docs = make([]registerPayload, n)
 		for i := range p.Docs {
-			p.Docs[i].readFrom(r, n-1-i)
+			p.Docs[i].readFrom(r)
 		}
 	}
 	return r.Err()
@@ -212,13 +222,42 @@ func (p *queryPayload) AppendBinary(dst []byte) []byte {
 }
 
 func (p *queryPayload) DecodeBinary(data []byte) error {
+	var q queryView
+	err := q.DecodeBinary(data)
+	*p = q.queryPayload
+	p.Origin, p.CommunityID, p.Filter = transport.PeerID(q.origin), string(q.community), string(q.filter)
+	return err
+}
+
+// queryView is a query frame read in place, as a relay reads the first
+// arrival of a flood: its strings are views of the borrowed payload,
+// valid until the handler returns, so reading it copies nothing; the
+// embedded payload carries the numbers and leaves its strings empty.
+// Encoding it writes the query frame it was read from, with whatever
+// TTL and hop count the relay set, so forwarding copies nothing of the
+// payload but into the frame it sends.
+type queryView struct {
+	queryPayload
+	origin, community, filter []byte
+}
+
+func (q *queryView) AppendBinary(dst []byte) []byte {
+	dst = codec.AppendUvarint(dst, q.GUID)
+	dst = codec.AppendBytes(dst, q.origin)
+	dst = codec.AppendBytes(dst, q.community)
+	dst = codec.AppendBytes(dst, q.filter)
+	dst = codec.AppendUvarint(dst, uint64(q.TTL))
+	return codec.AppendUvarint(dst, uint64(q.Hops))
+}
+
+func (q *queryView) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
-	p.GUID = r.Uvarint()
-	p.Origin = transport.PeerID(r.String())
-	p.CommunityID = r.String()
-	p.Filter = r.String()
-	p.TTL = int(r.Uvarint())
-	p.Hops = int(r.Uvarint())
+	q.GUID = r.Uvarint()
+	q.origin = r.View()
+	q.community = r.View()
+	q.filter = r.View()
+	q.TTL = int(r.Uvarint())
+	q.Hops = int(r.Uvarint())
 	return r.Err()
 }
 

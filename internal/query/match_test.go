@@ -55,13 +55,13 @@ func TestMatchZeroAllocs(t *testing.T) {
 		"(&(name=*)(!(year<1990))(|(name=Vis*)(name=O*)))": true,
 	} {
 		f := MustParse(src)
-		if got, flatGot := f.Match(rec), f.Match(flat); got != want || flatGot != want {
+		if got, flatGot := f.Match(rec), f.Match(&flat); got != want || flatGot != want {
 			t.Errorf("%s matched = %v on the map, %v on the flat form; want %v", src, got, flatGot, want)
 		}
 		if allocs := testing.AllocsPerRun(50, func() { f.Match(rec) }); allocs != 0 {
 			t.Errorf("%s: %v allocations per Match of the map, want 0", src, allocs)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { f.Match(flat) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { f.Match(&flat) }); allocs != 0 {
 			t.Errorf("%s: %v allocations per Match of the flat form, want 0", src, allocs)
 		}
 	}
@@ -171,7 +171,8 @@ func checkIndexKey(t *testing.T, f *Assertion, v string) {
 func checkForms(t *testing.T, f Filter, set Attrs, name string) {
 	t.Helper()
 	want := oracleMatch(f, set)
-	for form, s := range map[string]AttrSet{"map": set, "flat": FieldsOf(set)} {
+	flat := FieldsOf(set)
+	for form, s := range map[string]AttrSet{"map": set, "flat": &flat} {
 		if got := f.Match(s); got != want {
 			t.Errorf("%s on %s %v (%s): Match = %v, the old matcher says %v", f, name, set, form, got, want)
 		}

@@ -106,15 +106,18 @@ type Assertion struct {
 // the filter's number is parsed once per call, and only a non-ASCII
 // operand of ~= or a wildcard pays for strings.ToLower.
 func (a *Assertion) Match(attrs AttrSet) bool {
-	vals := attrs.Values(a.Attr)
+	v, n := attrs.Value(a.Attr, 0)
 	if a.Op == OpEq && a.Value == "*" {
-		return len(vals) > 0
+		return n > 0
 	}
 	want, numeric := 0.0, false
 	if a.Op >= OpGe { // the four ordered operators
 		want, numeric = parseNumber(a.Value)
 	}
-	for _, v := range vals {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			v, _ = attrs.Value(a.Attr, i)
+		}
 		if a.matchValue(v, want, numeric) {
 			return true
 		}

@@ -14,6 +14,7 @@ import (
 	"html"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -211,7 +212,7 @@ func summarizeAttrs(attrs query.Fields) string {
 		if len(parts) == 4 {
 			break
 		}
-		parts = append(parts, k+"="+strings.Join(vs, ","))
+		parts = append(parts, k+"="+strings.Join(slices.Collect(vs), ","))
 	}
 	return strings.Join(parts, "; ")
 }

@@ -550,38 +550,47 @@ func (n *Node) AppendXML(b *strings.Builder) {
 	}
 }
 
-func escapeText(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '\r': // a raw CR would read back as LF
-			b.WriteString("&#xD;")
-		default:
-			b.WriteRune(r)
-		}
-	}
-}
+// escapeText writes character data: &, <, > and CR escaped.
+func escapeText(b *strings.Builder, s string) { escape(b, s, false) }
 
-func escapeAttr(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\n':
-			b.WriteString("&#10;")
-		case '\r':
-			b.WriteString("&#xD;")
-		default:
-			b.WriteRune(r)
+// escapeAttr writes an attribute value: &, <, ", LF and CR escaped.
+func escapeAttr(b *strings.Builder, s string) { escape(b, s, true) }
+
+// escape writes s with the bytes that need it escaped — in attribute
+// values or in character data — copying the runs between them whole,
+// and each byte that is not valid UTF-8 as U+FFFD, the rune ranging
+// over s reads it as. The output is what writing s rune by rune with
+// those substitutions gives: DocIDs hash it.
+func escape(b *strings.Builder, s string, attr bool) {
+	run := 0 // where the bytes not yet written begin
+	for i := 0; i < len(s); {
+		c, w, esc := s[i], 1, ""
+		switch {
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c == '>' && !attr:
+			esc = "&gt;"
+		case c == '"' && attr:
+			esc = "&quot;"
+		case c == '\n' && attr:
+			esc = "&#10;"
+		case c == '\r': // a raw CR would read back as LF
+			esc = "&#xD;"
+		case c >= utf8.RuneSelf:
+			if r, n := utf8.DecodeRuneInString(s[i:]); r == utf8.RuneError && n == 1 {
+				esc = "\uFFFD"
+			} else {
+				w = n
+			}
+		}
+		i += w
+		if esc != "" {
+			b.WriteString(s[run : i-w])
+			b.WriteString(esc)
+			run = i
 		}
 	}
+	b.WriteString(s[run:])
 }
