@@ -1,9 +1,7 @@
 package dht
 
 import (
-	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -44,59 +42,64 @@ type lookupScratch struct {
 
 // merge folds one received set into res, the set in hand, and returns
 // it. res is kept in (DocID, Provider) order, the order every holder
-// ships its set in, so a set that follows all of res is appended and
-// only a record that falls inside it is searched for and inserted; a
-// record already in hand is replaced by the later copy. res first makes
-// room for the records it lacks, so it moves at most once per set, and
-// a set already in hand costs no room at all.
+// ships its set in; a set out of that order, which no honest holder
+// sends, is sorted first, so a hostile reply costs a sort, not an
+// insert per record. One pass counts the records res lacks, res grows
+// once by that many (a set already in hand costs no room), and a second
+// pass merges from the back, so every result moves at most once per
+// set. A record already in hand is replaced by the set's copy; of
+// copies repeated within a set, one is kept.
 func (sc *lookupScratch) merge(res []p2p.Result, records []Record) []p2p.Result {
 	if len(records) == 0 {
 		return res
 	}
-	lacks := 0
-	for i := range records {
-		if _, found := findResult(res, &records[i]); !found {
+	if !slices.IsSortedFunc(records, func(a, b Record) int { return compareRecords(&a, &b) }) {
+		sortRecords(records)
+	}
+	lacks, i := 0, 0
+	for j := range records {
+		rec := &records[j]
+		if j > 0 && compareRecords(&records[j-1], rec) == 0 {
+			continue
+		}
+		for i < len(res) && compareResultRecord(&res[i], rec) < 0 {
+			i++
+		}
+		if i == len(res) || compareResultRecord(&res[i], rec) != 0 {
 			lacks++
 		}
 	}
-	res = slices.Grow(res, lacks)
+	n := len(res)
+	res = slices.Grow(res, lacks)[:n+lacks]
 	var set setDigest
-	for i := range records {
-		rec := &records[i]
+	i, w := n-1, n+lacks-1
+	for j := len(records) - 1; j >= 0; j-- {
+		rec := &records[j]
 		h := recordHash(rec.DocID, rec.Provider)
 		set.add(h)
-		r := p2p.Result{DocID: rec.DocID, Provider: rec.Provider, CommunityID: rec.CommunityID, Title: rec.Title, Attrs: rec.Attrs}
-		at, dup := findResult(res, rec)
-		if dup {
-			res[at] = r
-			continue
+		if j+1 < len(records) && compareRecords(rec, &records[j+1]) == 0 {
+			continue // the later copy is in place
 		}
-		sc.have.add(h)
-		res = slices.Insert(res, at, r)
+		for i >= 0 && compareResultRecord(&res[i], rec) > 0 {
+			res[w] = res[i]
+			i, w = i-1, w-1
+		}
+		if i >= 0 && compareResultRecord(&res[i], rec) == 0 {
+			i-- // in hand: the set's copy takes its place
+		} else {
+			sc.have.add(h)
+		}
+		res[w] = p2p.Result{DocID: rec.DocID, Provider: rec.Provider, CommunityID: rec.CommunityID, Title: rec.Title, Attrs: rec.Attrs}
+		w--
 	}
 	sc.seen = append(sc.seen, set, sc.have)
 	return res
 }
 
-// findResult returns where rec's (DocID, Provider) is or would be in res,
-// which is sorted by it, looking at the end first: records arrive in
-// that order.
-func findResult(res []p2p.Result, rec *Record) (int, bool) {
-	at := len(res)
-	if at == 0 || compareResultRecord(&res[at-1], rec) < 0 {
-		return at, false
-	}
-	at = sort.Search(at, func(k int) bool { return compareResultRecord(&res[k], rec) >= 0 })
-	return at, compareResultRecord(&res[at], rec) == 0
-}
-
 // compareResultRecord orders a result against a record by (DocID,
 // Provider).
 func compareResultRecord(r *p2p.Result, rec *Record) int {
-	if c := cmp.Compare(r.DocID, rec.DocID); c != 0 {
-		return c
-	}
-	return cmp.Compare(r.Provider, rec.Provider)
+	return compareKeys(r.DocID, r.Provider, rec.DocID, rec.Provider)
 }
 
 // learn appends the peers of one reply that are new to the lookup to

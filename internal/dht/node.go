@@ -1,7 +1,6 @@
 package dht
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -378,12 +377,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 		for _, d := range local {
 			results = append(results, p2p.Result{DocID: d.ID, Provider: self, CommunityID: d.CommunityID, Title: d.Title, Attrs: query.FieldsOf(d.Attrs)})
 		}
-		slices.SortFunc(results, func(a, b p2p.Result) int {
-			if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Provider, b.Provider)
-		})
+		slices.SortFunc(results, func(a, b p2p.Result) int { return compareKeys(a.DocID, a.Provider, b.DocID, b.Provider) })
 	}
 	// Caching STORE: replicate the verified result set onto the
 	// closest observed non-holder, so the next querier for this filter

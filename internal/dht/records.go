@@ -668,10 +668,16 @@ func (rs *recordStore) len(now time.Time) int {
 
 // compareRecords orders records by (DocID, Provider).
 func compareRecords(a, b *Record) int {
-	if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
+	return compareKeys(a.DocID, a.Provider, b.DocID, b.Provider)
+}
+
+// compareKeys is the one (DocID, Provider) order of records and of the
+// results a search returns.
+func compareKeys(aDoc index.DocID, aProv transport.PeerID, bDoc index.DocID, bProv transport.PeerID) int {
+	if c := cmp.Compare(aDoc, bDoc); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Provider, b.Provider)
+	return cmp.Compare(aProv, bProv)
 }
 
 // sortRecords orders records by (DocID, Provider): the canonical

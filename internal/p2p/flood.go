@@ -130,40 +130,36 @@ func (r *floodRouter) markSeen(guid uint64, from transport.PeerID) (neighbors []
 	return r.neighbors, true
 }
 
-// hitCollector gathers the results of a search this node originated
-// in one slice: the caller's own, then each hit frame's, decoded onto
-// its end (addHit). snapshot hands that slice over as it stands. A
-// collection with a limit makes room for it at the first hit, up to
-// maxReserved results, so a search whose limit is its result count
-// writes each result once and moves none; without a limit, or past
-// the reservation, the slice grows as append grows it.
+// hitCollector gathers the results of a search this node originated:
+// the caller's own, then each hit frame's, decoded into a slice of that
+// frame's size (addHit). snapshot joins them into one slice of the
+// final size, or hands over the only one there is without a copy.
 type hitCollector struct {
-	mu      sync.Mutex
-	results []Result
-	done    chan struct{} // closed when the limit is reached or the results are taken
-	limit   int
-	closed  bool
+	mu     sync.Mutex
+	frames [][]Result
+	n      int           // results across frames
+	done   chan struct{} // closed when the limit is reached or the results are taken
+	limit  int
+	closed bool
 }
-
-// maxReserved bounds the room a collection reserves for its limit
-// (384 KiB of results): a limit is a bound the caller chose, or a leaf
-// sent its super-peer over the wire, not a count of results to come.
-const maxReserved = 4096
 
 // newHitCollector starts a collection for limit results (0 =
 // unlimited) from local, the searcher's own matches, of which there are
-// at most limit; the collection takes local over, and decodes hits into
-// its spare capacity.
+// at most limit; the collection takes local over.
 func newHitCollector(limit int, local []Result) *hitCollector {
-	h := &hitCollector{done: make(chan struct{}), limit: limit, results: local}
-	h.checkLimit()
+	h := &hitCollector{done: make(chan struct{}), limit: limit}
+	h.add(local)
 	return h
 }
 
-// checkLimit closes the collection once its results meet the limit
-// (caller holds mu, or owns h).
-func (h *hitCollector) checkLimit() {
-	if h.limit > 0 && len(h.results) >= h.limit {
+// add appends a frame's results, closing the collection once they meet
+// the limit (caller holds mu, or owns h).
+func (h *hitCollector) add(rs []Result) {
+	if len(rs) > 0 {
+		h.frames = append(h.frames, rs)
+		h.n += len(rs)
+	}
+	if h.limit > 0 && h.n >= h.limit {
 		h.close()
 	}
 }
@@ -176,30 +172,24 @@ func (h *hitCollector) close() {
 	}
 }
 
-// addHit decodes a query-hit frame's results onto the collection, as
-// many as the limit still admits. A frame is admitted whole or not at
-// all: one whose body does not decode adds nothing, even when its
-// prefix would have met the limit, and addHit returns the decode error.
-// Once the limit is met or the results are taken, a frame is dropped
-// unread.
+// addHit decodes a query-hit frame's results, as many as the limit
+// still admits. A frame is admitted whole or not at all: one whose body
+// does not decode adds nothing, even when its prefix would have met the
+// limit, and addHit returns the decode error. Once the limit is met or
+// the results are taken, a frame is dropped unread.
 func (h *hitCollector) addHit(payload []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil
 	}
-	if want := min(h.limit, maxReserved); cap(h.results) < want {
-		h.results = append(make([]Result, 0, want), h.results...)
-	}
 	r := codec.NewReader(payload)
 	r.Uvarint() // the GUID the router peeked
-	rs := readResultsOnto(r, h.results, max(h.limit-len(h.results), 0))
+	rs := readResults(r, max(h.limit-h.n, 0))
 	if err := r.Err(); err != nil {
-		clear(rs[len(h.results):]) // a partly decoded frame keeps nothing alive
 		return err
 	}
-	h.results = rs
-	h.checkLimit()
+	h.add(rs)
 	return nil
 }
 
@@ -209,8 +199,18 @@ func (h *hitCollector) addHit(payload []byte) error {
 func (h *hitCollector) snapshot() []Result {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := h.results
-	h.results = nil
+	var out []Result
+	switch len(h.frames) {
+	case 0:
+	case 1:
+		out = h.frames[0]
+	default:
+		out = make([]Result, 0, h.n)
+		for _, rs := range h.frames {
+			out = append(out, rs...)
+		}
+	}
+	h.frames = nil
 	h.close()
 	return out
 }

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -72,42 +71,20 @@ func TestCorruptHitAddsNothing(t *testing.T) {
 	}
 }
 
-// TestSnapshotJoinsFrames: a collection of the caller's own results and
-// several hits hands over the one slice it decoded them into, in
-// arrival order, without a copy; with a limit, that slice took the
-// limit's room at the first hit and never moved again.
+// TestSnapshotJoinsFrames: an unlimited collection of the caller's own
+// results and several hits hands over one slice of exactly their
+// number, in arrival order.
 func TestSnapshotJoinsFrames(t *testing.T) {
 	all := sampleResults(12)
-	for _, limit := range []int{0, len(all)} {
-		col := newHitCollector(limit, slices.Clone(all[:2]))
-		for _, part := range [][]Result{all[2:5], all[5:6], all[6:]} {
-			if err := col.addHit(hitFrame(1, part)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		held := &col.results[0]
-		got := col.snapshot()
-		if !reflect.DeepEqual(got, all) || &got[0] != held {
-			t.Errorf("limit %d: snapshot of %d results is not the slice collected, or not the %d in order:\n %+v", limit, len(got), len(all), got)
-		}
-		if limit > 0 && cap(got) != limit {
-			t.Errorf("limit %d: results in capacity %d", limit, cap(got))
-		}
-	}
-}
-
-// TestHugeLimitReservesBounded: a limit is a bound, and one a leaf
-// sends its super-peer arrives off the wire, so however large it is the
-// collection reserves room for at most maxReserved results.
-func TestHugeLimitReservesBounded(t *testing.T) {
-	for _, limit := range []int{maxReserved + 1, 1 << 40, math.MaxInt} {
-		col := newHitCollector(limit, nil)
-		if err := col.addHit(hitFrame(1, sampleResults(3))); err != nil {
+	col := newHitCollector(0, slices.Clone(all[:2]))
+	for _, part := range [][]Result{all[2:5], all[5:6], all[6:]} {
+		if err := col.addHit(hitFrame(1, part)); err != nil {
 			t.Fatal(err)
 		}
-		if got := col.snapshot(); len(got) != 3 || cap(got) != maxReserved {
-			t.Errorf("limit %d: %d results in capacity %d, want 3 in %d", limit, len(got), cap(got), maxReserved)
-		}
+	}
+	got := col.snapshot()
+	if !reflect.DeepEqual(got, all) || cap(got) != len(all) {
+		t.Errorf("snapshot of %d results in capacity %d, want the %d in order:\n %+v", len(got), cap(got), len(all), got)
 	}
 }
 
@@ -142,7 +119,7 @@ func TestHitsRacingSnapshot(t *testing.T) {
 	close(start)
 	for landed := 0; landed == 0; runtime.Gosched() { // take mid-stream
 		col.mu.Lock()
-		landed = len(col.results)
+		landed = col.n
 		col.mu.Unlock()
 	}
 	got := col.snapshot()

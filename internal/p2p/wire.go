@@ -6,8 +6,6 @@ package p2p
 // under its transport message type for generic decoding.
 
 import (
-	"slices"
-
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
 	"repro/internal/transport"
@@ -64,39 +62,32 @@ func appendResults(dst []byte, rs []Result) []byte {
 }
 
 // readResults decodes the result set that ends a query-hit or
-// search-hit frame, keeping at most limit results (0 = all).
-func readResults(r *codec.Reader, limit int) []Result { return readResultsOnto(r, nil, limit) }
-
-// readResultsOnto is readResults decoding onto the end of dst: it
-// returns the extended slice, which grows, if it must, by what the
-// frame keeps. Its strings and attribute sets are cut from one
-// copy of the frame (codec.Reader.ShareStrings): results go to the
-// searching caller or into the next hit frame, never into a store, so
-// nothing long-lived pins the frame. The results past limit are read
-// and dropped, so the whole frame is checked either way. When the
-// reader fails, the slice returned may hold part of the frame's results
-// past len(dst); the caller drops them.
-func readResultsOnto(r *codec.Reader, dst []Result, limit int) []Result {
+// search-hit frame, keeping at most limit results (0 = all). Its
+// strings and attribute sets are cut from one copy of the frame
+// (codec.Reader.ShareStrings): results go to the searching caller or
+// into the next hit frame, never into a store, so nothing long-lived
+// pins the frame. The results past limit are read and dropped, so the
+// whole frame is checked either way.
+func readResults(r *codec.Reader, limit int) []Result {
 	n := r.Count(6) // four strings, an attrs count and a hop count
 	if r.Err() != nil || n == 0 {
-		return dst
+		return nil
 	}
 	r.ShareStrings()
 	keep := n
 	if limit > 0 {
 		keep = min(n, limit)
 	}
-	at := len(dst)
-	dst = slices.Grow(dst, keep)[:at+keep]
+	out := make([]Result, keep)
 	var past Result
 	for i := 0; i < n; i++ {
 		res := &past
-		if i < keep {
-			res = &dst[at+i]
+		if i < len(out) {
+			res = &out[i]
 		}
 		readResult(r, res)
 	}
-	return dst
+	return out
 }
 
 func appendDocument(dst []byte, d *index.Document) []byte {
@@ -213,10 +204,16 @@ func (p *searchHitPayload) DecodeBinary(data []byte) error {
 // --- gnutella flooding ---
 
 func (p *queryPayload) AppendBinary(dst []byte) []byte {
+	return appendQuery(dst, p, string(p.Origin), p.CommunityID, p.Filter)
+}
+
+// appendQuery writes a query frame: p's numbers and the given strings,
+// a payload's own or the views a relay read in place (queryView).
+func appendQuery[T ~string | ~[]byte](dst []byte, p *queryPayload, origin, community, filter T) []byte {
 	dst = codec.AppendUvarint(dst, p.GUID)
-	dst = codec.AppendString(dst, string(p.Origin))
-	dst = codec.AppendString(dst, p.CommunityID)
-	dst = codec.AppendString(dst, p.Filter)
+	for _, s := range [...]T{origin, community, filter} {
+		dst = append(codec.AppendUvarint(dst, uint64(len(s))), s...)
+	}
 	dst = codec.AppendUvarint(dst, uint64(p.TTL))
 	return codec.AppendUvarint(dst, uint64(p.Hops))
 }
@@ -242,12 +239,7 @@ type queryView struct {
 }
 
 func (q *queryView) AppendBinary(dst []byte) []byte {
-	dst = codec.AppendUvarint(dst, q.GUID)
-	dst = codec.AppendBytes(dst, q.origin)
-	dst = codec.AppendBytes(dst, q.community)
-	dst = codec.AppendBytes(dst, q.filter)
-	dst = codec.AppendUvarint(dst, uint64(q.TTL))
-	return codec.AppendUvarint(dst, uint64(q.Hops))
+	return appendQuery(dst, &q.queryPayload, q.origin, q.community, q.filter)
 }
 
 func (q *queryView) DecodeBinary(data []byte) error {

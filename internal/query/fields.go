@@ -7,6 +7,7 @@ import (
 	"iter"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // AttrSet is what a filter reads an attribute set through. Both forms
@@ -75,8 +76,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// FieldsOf returns the flat form of a: a's strings copied, with their
-// lengths, into one new string of exactly the encoding's size.
+// FieldsOf returns the flat form of a: AppendAttrs' encoding of a,
+// written into one new buffer of exactly its size that the string
+// takes over.
 func FieldsOf(a Attrs) Fields {
 	if len(a) == 0 {
 		return Fields{}
@@ -88,21 +90,8 @@ func FieldsOf(a Attrs) Fields {
 			n += uvarintLen(uint64(len(v))) + len(v)
 		}
 	}
-	var b strings.Builder
-	b.Grow(n)
-	var few [16]string
-	var num [binary.MaxVarintLen64]byte
-	b.Write(binary.AppendUvarint(num[:0], uint64(len(a))))
-	for _, k := range a.Keys(few[:0]) {
-		b.Write(binary.AppendUvarint(num[:0], uint64(len(k))))
-		b.WriteString(k)
-		b.Write(binary.AppendUvarint(num[:0], uint64(len(a[k]))))
-		for _, v := range a[k] {
-			b.Write(binary.AppendUvarint(num[:0], uint64(len(v))))
-			b.WriteString(v)
-		}
-	}
-	return Fields{b.String()}
+	enc := AppendAttrs(make([]byte, 0, n), a)
+	return Fields{unsafe.String(unsafe.SliceData(enc), len(enc))} // enc is never written again, as in a strings.Builder
 }
 
 // ReadFields reads the attribute set encoded at the start of data and
