@@ -87,9 +87,8 @@ heap-profile:
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzHolderIndex,
 # FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
 # FuzzFilterParse, FuzzFieldsRoundTrip, FuzzWALSegment, FuzzStoreSearch,
-# FuzzXPathCompile, FuzzXMLParse, FuzzEscape, FuzzIndexerExtract and
-# FuzzXSLTApply on top of their
-# seeds and the committed corpora (testdata/fuzz in internal/dht,
+# FuzzStoreRoundTrip, FuzzXPathCompile, FuzzXMLParse, FuzzEscape,
+# FuzzIndexerExtract and FuzzXSLTApply on top of their seeds and the committed corpora (testdata/fuzz in internal/dht,
 # internal/p2p, internal/transport, internal/query, internal/index and
 # internal/xmldoc) — a DHT holder's posting lists
 # answer every get as a scan of the same records does, no DHT or p2p
@@ -99,7 +98,9 @@ heap-profile:
 # one a full decode reads, Filter.Match answers every filter and value
 # as the matcher it replaced did, a parsed filter's String parses back
 # to itself, never nested deeper than the parser's bound, a store's
-# search answers as a linear scan of its live documents does, XPath
+# search answers as a linear scan of its live documents does, an
+# attribute set put into a store comes back from it, matches over its
+# entry as over its map and is found under each of its index keys, XPath
 # compilation never panics and keeps its source, a parsed XML
 # document's String parses back to the same String, the escapers that
 # serialize it write what the old rune-at-a-time ones did, an attribute
@@ -117,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzFieldsRoundTrip -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzWALSegment -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzStoreSearch -fuzztime 10s
+	$(GO) test ./internal/index -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathCompile -fuzztime 10s
 	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzXMLParse -fuzztime 10s
 	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzEscape -fuzztime 10s

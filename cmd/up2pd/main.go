@@ -392,8 +392,8 @@ func loadState(sv *core.Servent, cfg Config, logger *slog.Logger) error {
 	}
 	// Re-announce the objects the store recovered.
 	for _, communityID := range sv.Store().Communities() {
-		for _, d := range sv.SearchLocal(communityID, query.MatchAll{}, 0) {
-			if err := sv.Network().Publish(d); err != nil {
+		for _, e := range sv.SearchLocal(communityID, query.MatchAll{}, 0) {
+			if err := sv.Network().Publish(e.Document()); err != nil {
 				return err
 			}
 		}

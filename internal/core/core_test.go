@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -320,6 +321,74 @@ func TestRetrieveReplicatesAndDownloadsAttachments(t *testing.T) {
 	}
 	if !providers[dl.PeerID()] {
 		t.Errorf("downloader not a provider after retrieve: %v", providers)
+	}
+}
+
+// overwritingEndpoint overwrites every payload delivered to it once
+// the handler it was given returns, as a TCP reader reads its next
+// frame into the same buffer.
+type overwritingEndpoint struct{ transport.Endpoint }
+
+func (e overwritingEndpoint) SetHandler(h transport.Handler) {
+	e.Endpoint.SetHandler(func(m transport.Message) {
+		h(m)
+		for i := range m.Payload {
+			m.Payload[i] = ^m.Payload[i]
+		}
+	})
+}
+
+// TestRetrievedDocumentOwnsItsBytes: the document Retrieve stores is a
+// copy of the fetch reply, never a view of it. Every payload the
+// downloader receives is overwritten once its handler returns, and the
+// stored object, its attributes and its attachment list still read as
+// the publisher's, and so does the downloader's answer from its store.
+func TestRetrievedDocumentOwnsItsBytes(t *testing.T) {
+	net := transport.NewMemNetwork()
+	endpoint := func(id transport.PeerID) transport.Endpoint {
+		ep, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	p2p.NewIndexServer(endpoint("server"))
+	servent := func(ep transport.Endpoint) *Servent {
+		st := index.NewStore()
+		sv, err := NewServent(p2p.NewCentralizedClient(ep, "server", st), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sv
+	}
+	pub, dl := servent(endpoint("pub")), servent(overwritingEndpoint{endpoint("dl")})
+	c, err := pub.CreateCommunity(CommunitySpec{Name: "m", SchemaSrc: songSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attURI := AttachmentURI("song1", "audio.mp3")
+	docID, err := pub.Publish(c.ID, mustParseXML(`<song><title>Kind of Blue</title><artist>Miles Davis</artist></song>`),
+		map[string][]byte{attURI: []byte("MP3DATA")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dl.Retrieve(docID, pub.PeerID()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := pub.Store().Get(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dl.Store().Get(docID)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored %+v (%v), published %+v", got, err, want)
+	}
+	if data, ok := dl.Attachment(attURI); !ok || string(data) != "MP3DATA" {
+		t.Errorf("attachment = %q, %v", data, ok)
+	}
+	local := dl.SearchLocal(c.ID, query.MustParse("(artist=miles)"), 0)
+	if len(local) != 1 || !local[0].Attrs.Equal(query.FieldsOf(want.Attrs)) {
+		t.Errorf("local search = %+v, want the attributes %v", local, want.Attrs)
 	}
 }
 

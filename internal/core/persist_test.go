@@ -131,7 +131,7 @@ func TestRestoredServentWorksOnNetwork(t *testing.T) {
 	}
 	// Re-announce restored objects to the network.
 	for _, d := range fresh.SearchLocal(c.ID, query.MatchAll{}, 0) {
-		if err := fresh.Network().Publish(d); err != nil {
+		if err := fresh.Network().Publish(d.Document()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -305,8 +305,9 @@ func (s *Servent) Search(communityID string, f query.Filter, opts p2p.SearchOpti
 	return results, err
 }
 
-// SearchLocal queries only the local store (browsing downloads).
-func (s *Servent) SearchLocal(communityID string, f query.Filter, limit int) []*index.Document {
+// SearchLocal queries only the local store (browsing downloads). The
+// entries are the store's own: keep them, never modify them.
+func (s *Servent) SearchLocal(communityID string, f query.Filter, limit int) []*index.Entry {
 	return s.store.Search(communityID, f, limit)
 }
 
@@ -315,12 +316,12 @@ func (s *Servent) SearchLocal(communityID string, f query.Filter, limit int) []*
 // languages such as the XML Query language" direction of §VI,
 // implemented over our XPath engine. Unlike attribute filters this
 // sees the whole object, not just indexed fields.
-func (s *Servent) SearchLocalXPath(communityID, expr string, limit int) ([]*index.Document, error) {
+func (s *Servent) SearchLocalXPath(communityID, expr string, limit int) ([]*index.Entry, error) {
 	compiled, err := xpath.Compile(expr)
 	if err != nil {
 		return nil, fmt.Errorf("core: xpath query: %w", err)
 	}
-	var out []*index.Document
+	var out []*index.Entry
 	for _, doc := range s.store.Search(communityID, query.MatchAll{}, 0) {
 		obj, err := xmldoc.ParseString(doc.XML)
 		if err != nil {

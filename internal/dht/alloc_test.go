@@ -42,11 +42,11 @@ func patternDocs(n int) []*index.Document {
 }
 
 func patternRecords(n int, provider transport.PeerID) []Record {
-	return recordsFor(patternDocs(n), provider)
+	return recordsFor(index.NewEntries(patternDocs(n)), provider)
 }
 
 func recordFor(doc *index.Document, provider transport.PeerID) Record {
-	return recordsFor([]*index.Document{doc}, provider)[0]
+	return recordsFor([]*index.Entry{index.NewEntry(doc)}, provider)[0]
 }
 
 // collected attaches a flag to the allocation s points into and returns

@@ -151,14 +151,15 @@ func (n *Node) Bootstrap(peers ...transport.PeerID) {
 // metadata record onto the k nodes closest to the community key (the
 // distributed index slice).
 func (n *Node) Publish(doc *index.Document) error {
-	if err := n.Shared().Put(doc); err != nil {
+	es := []*index.Entry{index.NewEntry(doc)}
+	if err := n.Shared().PutEntries(es); err != nil {
 		return err
 	}
 	n.NodeMetrics().Publishes.Inc()
 	sp := n.Tracer().Root("publish")
 	sp.SetCommunity(doc.CommunityID)
 	defer sp.Finish()
-	return n.replicate(sp.Context(), []*index.Document{doc}, n.storeRecords)
+	return n.replicate(sp.Context(), es, n.storeRecords)
 }
 
 // PublishBatch implements p2p.Network: one local store batch, then
@@ -168,25 +169,26 @@ func (n *Node) PublishBatch(docs []*index.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	if err := n.Shared().PutBatch(docs); err != nil {
+	es := index.NewEntries(docs)
+	if err := n.Shared().PutEntries(es); err != nil {
 		return err
 	}
 	n.NodeMetrics().Publishes.Add(int64(len(docs)))
 	sp := n.Tracer().Root("publish")
 	defer sp.Finish()
-	return n.replicate(sp.Context(), docs, n.storeRecords)
+	return n.replicate(sp.Context(), es, n.storeRecords)
 }
 
 // replicate hands put (storeRecords on publish, reannounceKey on
-// refresh) the records of docs, one batch per community key. STOREs are
-// fire-and-forget: the next Refresh repairs a lost or refused replica,
-// like Kademlia republish.
-func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(trace.Context, ID, []Record)) error {
+// refresh) the records of the stored entries es, one batch per
+// community key. STOREs are fire-and-forget: the next Refresh repairs a
+// lost or refused replica, like Kademlia republish.
+func (n *Node) replicate(tctx trace.Context, es []*index.Entry, put func(trace.Context, ID, []Record)) error {
 	if n.Closed() {
 		return p2p.ErrClosed
 	}
 	byComm := make(map[string][]Record)
-	for _, rec := range recordsFor(docs, n.PeerID()) {
+	for _, rec := range recordsFor(es, n.PeerID()) {
 		byComm[rec.CommunityID] = append(byComm[rec.CommunityID], rec)
 	}
 	comms := make([]string, 0, len(byComm))
@@ -200,20 +202,19 @@ func (n *Node) replicate(tctx trace.Context, docs []*index.Document, put func(tr
 	return nil
 }
 
-// recordsFor extracts the replicated metadata of documents. Each
-// record's attributes are the document's in flat form: query.FieldsOf
-// copies its keys and values into one string of their own. The other
-// strings stay the documents' own. When this node is one of a key's
-// holders it keeps the batch as it is: its own records, which each
-// republish replaces together.
-func recordsFor(docs []*index.Document, provider transport.PeerID) []Record {
-	out := make([]Record, len(docs))
-	for i, doc := range docs {
+// recordsFor extracts the replicated metadata of stored entries. Each
+// record shares its entry's strings and attribute set, which no one
+// modifies (index.Entry). When this node is one of a key's holders it
+// keeps the batch as it is: its own records, which each republish
+// replaces together.
+func recordsFor(es []*index.Entry, provider transport.PeerID) []Record {
+	out := make([]Record, len(es))
+	for i, e := range es {
 		out[i] = Record{
-			DocID:       doc.ID,
-			CommunityID: doc.CommunityID,
-			Title:       doc.Title,
-			Attrs:       query.FieldsOf(doc.Attrs),
+			DocID:       e.ID,
+			CommunityID: e.CommunityID,
+			Title:       e.Title,
+			Attrs:       e.Attrs,
 			Provider:    provider,
 		}
 	}
@@ -370,12 +371,11 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 		}
 	}
 	clear(out.results[len(results):])
-	if local := n.Shared().SearchReadOnly(communityID, f, 0); len(local) > 0 {
-		// Each local result's attributes are copied into a flat form of
-		// their own (query.FieldsOf); the other strings stay the
-		// documents'.
-		for _, d := range local {
-			results = append(results, p2p.Result{DocID: d.ID, Provider: self, CommunityID: d.CommunityID, Title: d.Title, Attrs: query.FieldsOf(d.Attrs)})
+	if local := n.Shared().Search(communityID, f, 0); len(local) > 0 {
+		// Each local result shares its store entry's strings and
+		// attribute set.
+		for _, e := range local {
+			results = append(results, p2p.Result{DocID: e.ID, Provider: self, CommunityID: e.CommunityID, Title: e.Title, Attrs: e.Attrs})
 		}
 		slices.SortFunc(results, func(a, b p2p.Result) int { return compareKeys(a.DocID, a.Provider, b.DocID, b.Provider) })
 	}
@@ -444,8 +444,8 @@ func (n *Node) Refresh() error {
 	sp := n.Tracer().Root("refresh")
 	defer sp.Finish()
 	n.CheckLiveness()
-	return n.Reannounce(func(docs []*index.Document) error {
-		return n.replicate(sp.Context(), docs, n.reannounceKey)
+	return n.Reannounce(func(es []*index.Entry) error {
+		return n.replicate(sp.Context(), es, n.reannounceKey)
 	})
 }
 

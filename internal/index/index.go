@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/errs"
@@ -35,7 +36,9 @@ import (
 // hash so replicas of the same object share an ID across peers.
 type DocID string
 
-// Document is one shared object plus its indexed metadata.
+// Document is one shared object plus its indexed metadata, in the map
+// form an indexer extracts: what Put and PutBatch take and Get
+// returns. The store itself holds Entries.
 type Document struct {
 	ID          DocID
 	CommunityID string
@@ -53,12 +56,66 @@ type Document struct {
 	Attachments []string
 }
 
-// clone returns a defensive copy so callers cannot mutate store state.
-func (d *Document) clone() *Document {
-	cp := *d
-	cp.Attrs = d.Attrs.Clone()
-	cp.Attachments = append([]string(nil), d.Attachments...)
-	return &cp
+// Entry is a document in the form the store holds it: its attributes
+// flat, in their wire encoding (query.Fields), so that a search reads
+// them in place and an answer copies their bytes onto the wire. An
+// entry handed to the store is never written again — Put installs a
+// new entry in an old one's place — so Search returns the store's own
+// entries, and anyone may keep one, share it or encode it for as long
+// as they like, but no one may modify it.
+type Entry struct {
+	ID          DocID
+	CommunityID string
+	Title       string
+	XML         string
+	Attrs       query.Fields
+	Attachments []string
+}
+
+// NewEntry returns d's entry: its attributes flattened into one string
+// of their own and its attachment list copied, so the entry shares
+// nothing the caller may change. NewEntry(nil) is nil, which PutEntries
+// rejects as it rejects an ID-less entry.
+func NewEntry(d *Document) *Entry {
+	if d == nil {
+		return nil
+	}
+	return &Entry{ID: d.ID, CommunityID: d.CommunityID, Title: d.Title, XML: d.XML,
+		Attrs: query.FieldsOf(d.Attrs), Attachments: append([]string(nil), d.Attachments...)}
+}
+
+// NewEntries returns the entries of docs (NewEntry), in order.
+func NewEntries(docs []*Document) []*Entry {
+	es := make([]*Entry, len(docs))
+	for i, d := range docs {
+		es[i] = NewEntry(d)
+	}
+	return es
+}
+
+// Document returns the entry in map form, the caller's own: Attrs is
+// never nil, and an attribute without values maps to a nil slice. The
+// value lists share one array, each capped at its own end, so that an
+// append to one never writes into the next.
+func (e *Entry) Document() *Document {
+	n := 0
+	for _, vs := range e.Attrs.All() {
+		for range vs {
+			n++
+		}
+	}
+	attrs := make(query.Attrs, e.Attrs.Len())
+	vals := make([]string, 0, n)
+	for k, vs := range e.Attrs.All() {
+		start := len(vals)
+		vals = slices.AppendSeq(vals, vs)
+		attrs[k] = nil
+		if len(vals) > start {
+			attrs[k] = vals[start:len(vals):len(vals)]
+		}
+	}
+	return &Document{ID: e.ID, CommunityID: e.CommunityID, Title: e.Title, XML: e.XML,
+		Attrs: attrs, Attachments: append([]string(nil), e.Attachments...)}
 }
 
 // Common errors, carrying structured codes ("index.<name>") for the
@@ -143,7 +200,7 @@ type Store struct {
 	// orders log appends: a write is logged and applied under one hold
 	// of it, so the log's order is the store's.
 	mu          sync.RWMutex
-	docs        map[DocID]*Document
+	docs        map[DocID]*Entry
 	communities map[string]*community
 	reg         *metrics.Registry
 	// wal, when non-nil, logs every write before it is applied; see
@@ -151,11 +208,11 @@ type Store struct {
 	wal *wal
 }
 
-// community is one community's share of the store: its documents and
+// community is one community's share of the store: its entries and
 // its inverted index. It exists only while it has members.
 type community struct {
-	// members are the community's documents, sorted by ID.
-	members []*Document
+	// members are the community's entries, sorted by ID.
+	members []*Entry
 	// inverted maps attr name -> fold key -> the DocIDs holding it,
 	// sorted. Most keys are held by a document or two, where a slice
 	// costs a fraction of a set's map.
@@ -187,7 +244,7 @@ func newStore(cfg storeConfig) *Store {
 		reg = metrics.NewRegistry()
 	}
 	s := &Store{
-		docs:        make(map[DocID]*Document),
+		docs:        make(map[DocID]*Entry),
 		communities: make(map[string]*community),
 		reg:         reg,
 	}
@@ -204,51 +261,72 @@ func (s *Store) Put(doc *Document) error {
 	return s.PutBatch([]*Document{doc})
 }
 
-// PutBatch inserts or replaces many documents under one hold of the
-// lock — the bulk-ingest path for corpus seeding, snapshot load, and
-// batched publication. The batch is validated up front: on an ID-less
-// document nothing is written. Duplicate IDs within one batch behave
-// like sequential Puts (the last occurrence wins).
+// PutBatch inserts or replaces many documents: PutEntries of their
+// entries (NewEntry), so the caller keeps ownership of its arguments.
+func (s *Store) PutBatch(docs []*Document) error {
+	return s.PutEntries(NewEntries(docs))
+}
+
+// PutEntries inserts or replaces many entries under one hold of the
+// lock — the one write path, behind Put and PutBatch, corpus seeding,
+// snapshot load, log replay and a hub's registrations. The store keeps
+// the entries themselves: from here on they are the store's, and the
+// caller must not modify them (an entry is immutable; see Entry). The
+// batch is validated up front: on a nil or ID-less entry nothing is
+// written. Duplicate IDs within one batch behave like sequential Puts
+// (the last occurrence wins).
 //
 // With a WAL armed, the batch is one log record, appended before any
 // of it is applied: a nil return means the whole batch is on the log
 // (synced, under FsyncAlways) and survives a crash, and an error means
-// none of it was applied.
-func (s *Store) PutBatch(docs []*Document) error {
-	for _, d := range docs {
-		if d == nil || d.ID == "" {
+// none of it was applied. The log holds each entry's map form
+// (Entry.Document), the bytes it held when the store held documents.
+func (s *Store) PutEntries(es []*Entry) error {
+	for _, e := range es {
+		if e == nil || e.ID == "" {
 			return ErrNoID
 		}
 	}
-	if len(docs) == 0 {
+	if len(es) == 0 {
 		return nil
 	}
 	s.maybeCompact()
-	cps := make([]*Document, len(docs))
-	for i, d := range docs {
-		cps[i] = d.clone()
+	var logged []*Document
+	if s.wal != nil {
+		logged = make([]*Document, len(es))
+		for i, e := range es {
+			logged[i] = e.Document()
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
-		if err := s.wal.appendRecord(walRecord{Op: walOpPut, Docs: cps}); err != nil {
+		if err := s.wal.appendRecord(walRecord{Op: walOpPut, Docs: logged}); err != nil {
 			return err
 		}
 	}
-	for _, cp := range cps {
-		s.putLocked(cp)
+	for _, e := range es {
+		s.putLocked(e)
 	}
 	return nil
 }
 
-// Get returns a copy of the document.
+// Get returns the document in map form, the caller's own copy
+// (Entry.Document).
 func (s *Store) Get(id DocID) (*Document, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if d, ok := s.docs[id]; ok {
-		return d.clone(), nil
+	if e, ok := s.Entry(id); ok {
+		return e.Document(), nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+}
+
+// Entry returns the store's own entry for id, which the caller may
+// keep but must not modify.
+func (s *Store) Entry(id DocID) (*Entry, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.docs[id]
+	return e, ok
 }
 
 // Has reports whether the document is stored.
@@ -340,28 +418,17 @@ func (s *Store) Postings() int {
 	return n
 }
 
-// Search returns documents in the community whose indexed attributes
-// satisfy the filter, sorted by ID for determinism. limit <= 0 means
-// unlimited. An empty communityID searches all communities.
+// Search returns the entries in the community whose indexed
+// attributes satisfy the filter, sorted by ID for determinism. limit <=
+// 0 means unlimited. An empty communityID searches all communities.
 //
-// The result is the caller's own: every document is a defensive copy.
-func (s *Store) Search(communityID string, f query.Filter, limit int) []*Document {
-	return cloneDocs(s.SearchReadOnly(communityID, f, limit))
-}
-
-// SearchReadOnly is Search without the copies: it returns the store's
-// own documents, so the caller must not modify them. That is safe to
-// hold for any length of time — a stored Document is immutable, Put
-// installs a new one in its place and never writes to the old — and is
-// meant for callers that only read the result through, such as a node
-// encoding its answer to a remote query onto the wire.
-//
-// A community-scoped search is one walk in ID order under the read
-// lock, stopping at the limit: over the intersection of the posting
-// lists of the filter's exact-match conjuncts when it has any, over the
-// community's members otherwise. It allocates the result slice and
-// nothing else.
-func (s *Store) SearchReadOnly(communityID string, f query.Filter, limit int) []*Document {
+// The entries are the store's own (see Entry): the caller may keep
+// them but must not modify them. A community-scoped search is one walk
+// in ID order under the read lock, stopping at the limit: over the
+// intersection of the posting lists of the filter's exact-match
+// conjuncts when it has any, over the community's members otherwise.
+// It allocates the result slice and nothing else.
+func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
 	if f == nil {
 		f = query.MatchAll{}
 	}
@@ -375,37 +442,25 @@ func (s *Store) SearchReadOnly(communityID string, f query.Filter, limit int) []
 	}
 	// The first limit matches overall are among each community's first
 	// limit matches.
-	var out []*Document
+	var out []*Entry
 	for _, c := range s.communities {
 		out = c.search(s.docs, f, limit, out)
 	}
-	slices.SortFunc(out, func(a, b *Document) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
 	return out
 }
 
-// cloneDocs defensively copies a result set.
-func cloneDocs(docs []*Document) []*Document {
-	if docs == nil {
-		return nil
-	}
-	out := make([]*Document, len(docs))
-	for i, d := range docs {
-		out[i] = d.clone()
-	}
-	return out
-}
-
-// search appends to out the community's documents f matches, in ID
+// search appends to out the community's entries f matches, in ID
 // order, and stops after limit of them. The candidates are the shortest
 // posting list of f's exact-match conjuncts, kept where every other one
 // holds them too, or else every member; f re-checks each, since a
 // posting list may hold documents f does not match. A nil out is
 // allocated on the first match, sized for the limit or the candidates
 // left, whichever is fewer. Called with the store's lock held.
-func (c *community) search(docs map[DocID]*Document, f query.Filter, limit int, out []*Document) []*Document {
+func (c *community) search(docs map[DocID]*Entry, f query.Filter, limit int, out []*Entry) []*Entry {
 	var buf [4][]DocID
 	lists, indexed := c.lists(f, buf[:0])
 	n := len(c.members)
@@ -420,7 +475,7 @@ func (c *community) search(docs map[DocID]*Document, f query.Filter, limit int, 
 	start := len(out)
 next:
 	for i := 0; i < n; i++ {
-		var d *Document
+		var e *Entry
 		if indexed {
 			id := lists[0][i]
 			for _, other := range lists[1:] {
@@ -428,11 +483,11 @@ next:
 					continue next
 				}
 			}
-			d = docs[id]
+			e = docs[id]
 		} else {
-			d = c.members[i]
+			e = c.members[i]
 		}
-		if !f.Match(d.Attrs) {
+		if !f.Match(&e.Attrs) {
 			continue
 		}
 		if out == nil {
@@ -440,9 +495,9 @@ next:
 			if limit > 0 {
 				size = min(size, limit)
 			}
-			out = make([]*Document, 0, size)
+			out = make([]*Entry, 0, size)
 		}
-		out = append(out, d)
+		out = append(out, e)
 		if len(out)-start == limit {
 			break
 		}
@@ -477,70 +532,73 @@ func (c *community) lists(f query.Filter, out [][]DocID) ([][]DocID, bool) {
 // find returns id's position among the members, or the position it
 // would take, and whether it is there.
 func (c *community) find(id DocID) (int, bool) {
-	return slices.BinarySearchFunc(c.members, id, func(d *Document, id DocID) int { return cmp.Compare(d.ID, id) })
+	return slices.BinarySearchFunc(c.members, id, func(e *Entry, id DocID) int { return cmp.Compare(e.ID, id) })
 }
 
-// putLocked installs d, displacing any previous version of its ID —
+// putLocked installs e, displacing any previous version of its ID —
 // in its own community or in another one.
-func (s *Store) putLocked(d *Document) {
-	if old, ok := s.docs[d.ID]; ok {
-		if old.CommunityID != d.CommunityID {
+func (s *Store) putLocked(e *Entry) {
+	if old, ok := s.docs[e.ID]; ok {
+		if old.CommunityID != e.CommunityID {
 			s.removeLocked(old)
 		} else {
 			s.communities[old.CommunityID].unindex(old)
 		}
 	}
-	s.docs[d.ID] = d
-	c := s.communities[d.CommunityID]
+	s.docs[e.ID] = e
+	c := s.communities[e.CommunityID]
 	if c == nil {
 		c = &community{inverted: make(map[string]map[string][]DocID)}
-		s.communities[d.CommunityID] = c
+		s.communities[e.CommunityID] = c
 	}
-	if i, ok := c.find(d.ID); ok {
-		c.members[i] = d
+	if i, ok := c.find(e.ID); ok {
+		c.members[i] = e
 	} else {
-		c.members = slices.Insert(c.members, i, d)
+		c.members = slices.Insert(c.members, i, e)
 	}
-	c.index(d)
+	c.index(e)
 }
 
-// removeLocked deletes d from the store entirely. A community left
+// removeLocked deletes e from the store entirely. A community left
 // without members goes with it.
-func (s *Store) removeLocked(d *Document) {
-	c := s.communities[d.CommunityID]
-	c.unindex(d)
-	i, _ := c.find(d.ID)
+func (s *Store) removeLocked(e *Entry) {
+	c := s.communities[e.CommunityID]
+	c.unindex(e)
+	i, _ := c.find(e.ID)
 	c.members = slices.Delete(c.members, i, i+1)
-	delete(s.docs, d.ID)
+	delete(s.docs, e.ID)
 	if len(c.members) == 0 {
-		delete(s.communities, d.CommunityID)
+		delete(s.communities, e.CommunityID)
 	}
 }
 
-// index posts d under every key of its attributes. Most keys are held
-// by one document, so every key d is the first to hold gets the same
-// one-entry list, allocated once per document. That list has no spare
+// index posts e under every key of its attributes. Most keys are held
+// by one document, so every key e is the first to hold gets the same
+// one-entry list, allocated once per entry. That list has no spare
 // capacity: an insert copies it rather than writing through it, and
 // unindex drops a one-entry list rather than emptying it in place.
-func (c *community) index(d *Document) {
+// A key is a substring of the entry's attribute string, and so is the
+// attribute name a field map is first made for unless it is copied:
+// it is, because a field map outlives most of the entries it indexes.
+func (c *community) index(e *Entry) {
 	var own []DocID
-	for attr, vals := range d.Attrs {
+	for attr, vals := range e.Attrs.All() {
 		field := c.inverted[attr]
 		if field == nil {
 			field = make(map[string][]DocID)
-			c.inverted[attr] = field
+			c.inverted[strings.Clone(attr)] = field
 		}
-		for _, v := range vals {
+		for v := range vals {
 			for tok := range query.IndexKeys(v) {
 				ids := field[tok]
 				if len(ids) == 0 {
 					if own == nil {
-						own = []DocID{d.ID}
+						own = []DocID{e.ID}
 					}
 					field[tok] = own
 					c.postings++
-				} else if i, dup := slices.BinarySearch(ids, d.ID); !dup {
-					field[tok] = slices.Insert(ids, i, d.ID)
+				} else if i, dup := slices.BinarySearch(ids, e.ID); !dup {
+					field[tok] = slices.Insert(ids, i, e.ID)
 					c.postings++
 				}
 			}
@@ -548,16 +606,16 @@ func (c *community) index(d *Document) {
 	}
 }
 
-func (c *community) unindex(d *Document) {
-	for attr, vals := range d.Attrs {
+func (c *community) unindex(e *Entry) {
+	for attr, vals := range e.Attrs.All() {
 		field := c.inverted[attr]
 		if field == nil {
 			continue
 		}
-		for _, v := range vals {
+		for v := range vals {
 			for tok := range query.IndexKeys(v) {
 				ids := field[tok]
-				i, ok := slices.BinarySearch(ids, d.ID)
+				i, ok := slices.BinarySearch(ids, e.ID)
 				if !ok {
 					continue
 				}

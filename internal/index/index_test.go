@@ -221,13 +221,17 @@ func TestDocumentIsolation(t *testing.T) {
 	if len(d2.Attrs["title"]) != 1 {
 		t.Error("mutation leaked into store")
 	}
-	// Search results are copies too.
+	// Search returns the store's own entries, whose attributes no
+	// caller can change, and a later Get still copies.
 	f := query.MustParse("(title=Observer)")
 	res := s.Search("patterns", f, 0)
-	res[0].Attrs.Add("title", "mutated")
-	res[0].Title = "mutated"
-	if again := s.Search("patterns", f, 0); again[0].Title == "mutated" || len(again[0].Attrs["title"]) != 1 {
-		t.Error("Search leaked mutable document state to a caller")
+	if e, _ := s.Entry("d1"); len(res) != 1 || res[0] != e {
+		t.Error("Search did not return the stored entry")
+	}
+	d3, _ := s.Get("d1")
+	d3.Attrs["title"][0] = "mutated"
+	if v := res[0].Attrs.Get("title"); v != "Observer" {
+		t.Errorf("a copy's mutation reached the stored entry: title %q", v)
 	}
 	// Mutating the doc passed to Put must not affect the store either.
 	orig := doc("d9", "c", "T", map[string][]string{"k": {"v"}})
@@ -381,7 +385,7 @@ func TestEmptyStoreHeap(t *testing.T) {
 	}
 }
 
-func ids(docs []*Document) []string {
+func ids(docs []*Entry) []string {
 	if len(docs) == 0 {
 		return nil
 	}
@@ -412,11 +416,11 @@ func dump(t *testing.T, s *Store) []byte {
 	return out
 }
 
-// TestSearchReadOnlyAllocs pins a community-scoped search to one
-// allocation, the result slice, whether it walks the members (a
-// presence filter), one posting list (an exact match) or the
-// intersection of two (an And of exact matches).
-func TestSearchReadOnlyAllocs(t *testing.T) {
+// TestSearchAllocs pins a community-scoped search to one allocation,
+// the result slice, whether it walks the members (a presence filter),
+// one posting list (an exact match) or the intersection of two (an And
+// of exact matches).
+func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
@@ -430,10 +434,10 @@ func TestSearchReadOnlyAllocs(t *testing.T) {
 	}
 	for _, src := range []string{"(k=*)", "(tags=alpha)", "(&(k=v1)(tags=t2))"} {
 		f := query.MustParse(src)
-		if got := len(s.SearchReadOnly("c", f, 25)); got == 0 {
+		if got := len(s.Search("c", f, 25)); got == 0 {
 			t.Fatalf("%s: no results", src)
 		}
-		if n := testing.AllocsPerRun(100, func() { s.SearchReadOnly("c", f, 25) }); n > 1 {
+		if n := testing.AllocsPerRun(100, func() { s.Search("c", f, 25) }); n > 1 {
 			t.Errorf("%s: %.0f allocations per search, want at most 1", src, n)
 		}
 	}

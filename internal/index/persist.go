@@ -26,7 +26,7 @@ const snapshotVersion = 1
 // (A store-sized buffer would also outlive the call: encoding/json
 // keeps its buffers in a sync.Pool, where one survives the next
 // collection.)
-func writeSnapshot(w io.Writer, docs []*Document) error {
+func writeSnapshot(w io.Writer, docs []*Entry) error {
 	bw := bufio.NewWriter(w)
 	var doc bytes.Buffer
 	enc := json.NewEncoder(&doc)
@@ -34,7 +34,7 @@ func writeSnapshot(w io.Writer, docs []*Document) error {
 	fmt.Fprintf(bw, "{\n \"version\": %d,\n \"documents\": [", snapshotVersion)
 	for i, d := range docs {
 		doc.Reset()
-		if err := enc.Encode(d); err != nil {
+		if err := enc.Encode(d.Document()); err != nil {
 			return fmt.Errorf("index: save: %w", err)
 		}
 		bw.WriteString("\n  ")

@@ -116,7 +116,7 @@ func FuzzStoreSearch(f *testing.F) {
 			if limit > 0 && len(want) > int(limit) {
 				want = want[:limit]
 			}
-			got := ids(s.SearchReadOnly(comm, flt, int(limit)))
+			got := ids(s.Search(comm, flt, int(limit)))
 			if !slices.Equal(got, want) {
 				t.Fatalf("community %q, %s, limit %d: got %v, want %v", comm, flt, limit, got, want)
 			}

@@ -101,11 +101,11 @@ func BenchmarkStoreMixed(b *testing.B) {
 	benchMixedConcurrent(b, benchStore(b))
 }
 
-// BenchmarkStoreSearchReadOnly has the shape of an index server's
-// searches: the no-clone search at limit 25, over presence filters
+// BenchmarkStoreSearchScoped has the shape of an index server's
+// searches: a community-scoped search at limit 25, over presence filters
 // (a walk of the members) and exact filters (a posting-list walk),
 // rotating across communities.
-func BenchmarkStoreSearchReadOnly(b *testing.B) {
+func BenchmarkStoreSearchScoped(b *testing.B) {
 	s := benchStore(b)
 	filters := []query.Filter{
 		query.MustParse("(k=*)"),
@@ -121,7 +121,7 @@ func BenchmarkStoreSearchReadOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.SearchReadOnly(comms[i%len(comms)], filters[i%len(filters)], 25); len(got) == 0 {
+		if got := s.Search(comms[i%len(comms)], filters[i%len(filters)], 25); len(got) == 0 {
 			b.Fatal("no results")
 		}
 	}

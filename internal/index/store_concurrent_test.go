@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -234,11 +235,11 @@ func TestConcurrentCrossCommunityPutKeepsOneCopy(t *testing.T) {
 		t.Fatalf("Len %d, alpha %d + beta %d: want %d documents, each in one community", s.Len(), alpha, beta, n)
 	}
 	inAlpha := make(map[DocID]bool)
-	for _, d := range s.SearchReadOnly("alpha", query.MatchAll{}, 0) {
+	for _, d := range s.Search("alpha", query.MatchAll{}, 0) {
 		inAlpha[d.ID] = true
 	}
 	both := 0
-	for _, d := range s.SearchReadOnly("beta", query.MatchAll{}, 0) {
+	for _, d := range s.Search("beta", query.MatchAll{}, 0) {
 		if inAlpha[d.ID] {
 			both++
 		}
@@ -274,31 +275,39 @@ func TestManyCommunitiesScoping(t *testing.T) {
 	}
 }
 
-// TestSearchReadOnlyMatchesSearch: the no-clone search returns the same
-// IDs in the same order as Search — community-scoped or store-wide,
-// limited or not — and the documents it returns are the store's own,
-// not copies.
-func TestSearchReadOnlyMatchesSearch(t *testing.T) {
+// TestSearchReturnsStoredEntries: a search — community-scoped or
+// store-wide, limited or not — returns the IDs a linear scan of the
+// documents finds, in ID order, and the entries it returns are the
+// store's own, not copies.
+func TestSearchReturnsStoredEntries(t *testing.T) {
 	s := NewStore()
+	var all []*Document
 	for i := 0; i < 60; i++ {
 		comm := []string{"patterns", "mp3", "species"}[i%3]
-		if err := s.Put(doc(fmt.Sprintf("d%02d", i), comm, "T", map[string][]string{
+		d := doc(fmt.Sprintf("d%02d", i), comm, "T", map[string][]string{
 			"k": {fmt.Sprintf("v%d", i%4)}, "year": {fmt.Sprint(1990 + i%10)},
-		})); err != nil {
+		})
+		if err := s.Put(d); err != nil {
 			t.Fatal(err)
 		}
+		all = append(all, d)
 	}
 	for _, comm := range []string{"patterns", "mp3", "nobody", ""} {
 		for _, f := range []string{"(k=v1)", "(year>=1995)", "(&(k=v2)(year<=1996))", "(k=*)", "(k=absent)"} {
 			for _, limit := range []int{0, 3} {
-				want := ids(s.Search(comm, query.MustParse(f), limit))
-				got := s.SearchReadOnly(comm, query.MustParse(f), limit)
-				if fmt.Sprint(ids(got)) != fmt.Sprint(want) {
-					t.Fatalf("%q %s limit %d: read-only %v, Search %v", comm, f, limit, ids(got), want)
+				var want []string
+				for _, d := range all {
+					if (comm == "" || d.CommunityID == comm) && query.MustParse(f).Match(d.Attrs) && (limit == 0 || len(want) < limit) {
+						want = append(want, string(d.ID))
+					}
 				}
-				for _, d := range got {
-					if s.docs[d.ID] != d {
-						t.Fatalf("%s: read-only search returned a copy", d.ID)
+				got := s.Search(comm, query.MustParse(f), limit)
+				if fmt.Sprint(ids(got)) != fmt.Sprint(want) {
+					t.Fatalf("%q %s limit %d: Search %v, scan %v", comm, f, limit, ids(got), want)
+				}
+				for _, e := range got {
+					if s.docs[e.ID] != e {
+						t.Fatalf("%s: search returned a copy", e.ID)
 					}
 				}
 			}
@@ -306,12 +315,12 @@ func TestSearchReadOnlyMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestSearchReadOnlyStableUnderPut: a document a reader got from the
-// no-clone search never changes, however often the same ID is Put or
-// deleted meanwhile — writers install new documents, they do not write
-// to installed ones. Under -race a write to a held document is a
-// reported race as well as a failed comparison.
-func TestSearchReadOnlyStableUnderPut(t *testing.T) {
+// TestSearchStableUnderPut: an entry a reader got from a search never
+// changes, however often the same ID is Put or deleted meanwhile —
+// writers install new entries, they do not write to installed ones.
+// Under -race a write to a held entry is a reported race as well as a
+// failed comparison.
+func TestSearchStableUnderPut(t *testing.T) {
 	const ids, writers, rounds = 8, 4, 300
 	s := NewStore()
 	put := func(id, version int) {
@@ -347,15 +356,18 @@ func TestSearchReadOnlyStableUnderPut(t *testing.T) {
 	}
 	f := query.MustParse("(k=same)")
 	for r := 0; r < rounds; r++ {
-		held := s.SearchReadOnly("patterns", f, 0)
-		copies := cloneDocs(held)
-		for i := 0; i < 3; i++ {
-			s.SearchReadOnly("patterns", f, 0) // let writers run against the held set
+		held := s.Search("patterns", f, 0)
+		copies := make([]Entry, len(held))
+		for i, e := range held {
+			copies[i] = *e
 		}
-		for i, d := range held {
+		for i := 0; i < 3; i++ {
+			s.Search("patterns", f, 0) // let writers run against the held set
+		}
+		for i, e := range held {
 			c := copies[i]
-			if d.ID != c.ID || d.Title != c.Title || d.XML != c.XML || fmt.Sprint(d.Attrs) != fmt.Sprint(c.Attrs) {
-				t.Fatalf("round %d: held document %s changed: %+v, was %+v", r, d.ID, d, c)
+			if e.ID != c.ID || e.Title != c.Title || e.XML != c.XML || !e.Attrs.Equal(c.Attrs) || e.Attrs.Get("version") != strings.TrimPrefix(e.Title, "title ") {
+				t.Fatalf("round %d: held entry %s changed: %+v, was %+v", r, e.ID, e, c)
 			}
 		}
 	}

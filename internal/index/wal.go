@@ -95,8 +95,9 @@ var (
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// walRecord is one logged mutation: the documents of one PutBatch
-// (Op "put"), or the present IDs of one DeleteBatch (Op "del").
+// walRecord is one logged mutation: the entries of one PutEntries (Op
+// "put"), each in the map form Get returns (Entry.Document), or the
+// present IDs of one DeleteBatch (Op "del").
 type walRecord struct {
 	LSN  uint64      `json:"lsn"`
 	Op   string      `json:"op"`
@@ -253,9 +254,9 @@ func (s *Store) compact() error {
 	// searches keep flowing.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	docs := make([]*Document, 0, len(s.docs))
-	for _, d := range s.docs {
-		docs = append(docs, d)
+	docs := make([]*Entry, 0, len(s.docs))
+	for _, e := range s.docs {
+		docs = append(docs, e)
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
 	reclaimed := w.total.Load()

@@ -586,8 +586,9 @@ func TestWALFixtureV1(t *testing.T) {
 }
 
 // TestSnapshotBytesUnchanged pins writeSnapshot's output to what one
-// json.Encoder call on the whole snapshot writes, for no, one and many
-// documents, including characters the encoder escapes.
+// json.Encoder call on the whole snapshot wrote while the store held
+// documents (oracleSnapshot of the copies it kept), for no, one and
+// many documents, including characters the encoder escapes.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	many := walBatch(0, 7)
 	many[2].XML = `<o a="1">x & <y/></o>`
@@ -597,11 +598,11 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(snapshot{Version: snapshotVersion, Documents: docs}); err != nil {
+		if err := enc.Encode(oracleSnapshot{Version: snapshotVersion, Documents: oracleClones(docs)}); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if err := writeSnapshot(&got, docs); err != nil {
+		if err := writeSnapshot(&got, NewEntries(docs)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -50,9 +51,10 @@ func (s *IndexServer) handle(msg transport.Message) {
 		if err != nil {
 			f = query.MatchAll{}
 		}
-		results := s.search(req.CommunityID, f, req.Limit)
-		// A lost reply is the client's timeout.
-		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: results}, &sp)
+		hit := codec.Scratch()
+		*hit, _ = appendHit(*hit, req.ReqID, &s.registry, req.CommunityID, f, req.Limit, 0)
+		_ = s.SendPayload(msg.From, MsgSearchHit, *hit, &sp) // a lost reply is the client's timeout
+		codec.Release(hit)
 		sp.Finish()
 	default:
 		s.HandleRetrieval(msg)
@@ -95,18 +97,20 @@ func (c *CentralizedClient) Server() transport.PeerID {
 	return c.server
 }
 
-// Publish implements Network: store locally, register centrally.
+// Publish implements Network: store locally, register centrally. The
+// registration is the stored entry's.
 func (c *CentralizedClient) Publish(doc *index.Document) error {
-	if err := c.shared.Put(doc); err != nil {
+	e := index.NewEntry(doc)
+	if err := c.shared.PutEntries([]*index.Entry{e}); err != nil {
 		return err
 	}
 	c.NodeMetrics().Publishes.Inc()
 	server := c.Server()
 	sp := c.Tracer().Root("publish")
 	sp.SetPeer(string(server))
-	sp.SetCommunity(doc.CommunityID)
+	sp.SetCommunity(e.CommunityID)
 	defer sp.Finish()
-	reg := registerPayloadFor(doc)
+	reg := registerPayloadFor(e)
 	return c.Send(server, MsgRegister, &reg, &sp)
 }
 
@@ -118,27 +122,28 @@ func (c *CentralizedClient) PublishBatch(docs []*index.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	if err := c.shared.PutBatch(docs); err != nil {
+	es := index.NewEntries(docs)
+	if err := c.shared.PutEntries(es); err != nil {
 		return err
 	}
 	c.NodeMetrics().Publishes.Add(int64(len(docs)))
-	return c.registerBatch(c.Server(), docs)
+	return c.registerBatch(c.Server(), es)
 }
 
-// registerBatch streams docs to the given server in register-batch
+// registerBatch streams entries to the given server in register-batch
 // chunks, recorded as one "register" root span when sampled.
-func (c *CentralizedClient) registerBatch(server transport.PeerID, docs []*index.Document) error {
+func (c *CentralizedClient) registerBatch(server transport.PeerID, es []*index.Entry) error {
 	sp := c.Tracer().Root("register")
 	sp.SetPeer(string(server))
 	defer sp.Finish()
-	for start := 0; start < len(docs); start += registerBatchChunk {
+	for start := 0; start < len(es); start += registerBatchChunk {
 		end := start + registerBatchChunk
-		if end > len(docs) {
-			end = len(docs)
+		if end > len(es) {
+			end = len(es)
 		}
 		regs := make([]registerPayload, 0, end-start)
-		for _, doc := range docs[start:end] {
-			regs = append(regs, registerPayloadFor(doc))
+		for _, e := range es[start:end] {
+			regs = append(regs, registerPayloadFor(e))
 		}
 		if err := c.Send(server, MsgRegisterBatch, &registerBatchPayload{Docs: regs}, &sp); err != nil {
 			sp.SetErr(err)
@@ -160,8 +165,8 @@ func (c *CentralizedClient) Rehome(server transport.PeerID) error {
 	c.mu.Lock()
 	c.server = server
 	c.mu.Unlock()
-	return c.Reannounce(func(docs []*index.Document) error {
-		return c.registerBatch(server, docs)
+	return c.Reannounce(func(es []*index.Entry) error {
+		return c.registerBatch(server, es)
 	})
 }
 

@@ -11,9 +11,9 @@
 // valid only until its handler returns.
 //
 // An attribute set travels as its keys in ascending order, each
-// followed by its values: AppendAttrs sorts a query.Attrs map into that
-// order, and AppendFields writes a query.Fields, which holds exactly
-// those bytes, as it stands. Reader.Fields decodes a set back as a
+// followed by its values (query.AppendAttrs sorts a query.Attrs map
+// into that order): AppendFields writes a query.Fields, which holds
+// exactly those bytes, as it stands. Reader.Fields decodes a set back as a
 // query.Fields without building anything: the set is a substring of
 // the one copy a frame's strings share (Reader.ShareStrings), so a
 // frame of records allocates that copy and its records' slice, and
@@ -100,10 +100,15 @@ var encScratch = NewBufPool(1024)
 // is done with a payload when Send returns — so a frame sent to several
 // peers is borrowed once and released after its last Send.
 func Borrow(f Frame) *[]byte {
-	b := encScratch.Get()
+	b := Scratch()
 	*b = f.AppendBinary(*b)
 	return b
 }
+
+// Scratch returns an empty buffer from the pool Borrow encodes into,
+// for a payload its caller writes itself (a node answering a search
+// straight from its store); Release hands it back.
+func Scratch() *[]byte { return encScratch.Get() }
 
 // Release hands a borrowed payload's scratch back to the pool; the
 // payload must not be used after.
@@ -233,13 +238,8 @@ func AppendBool(dst []byte, v bool) []byte {
 	return append(dst, 0)
 }
 
-// AppendAttrs appends an attribute map in sorted key order (the
-// determinism requirement: map iteration order must never reach the
-// wire); query.AppendAttrs defines the layout.
-func AppendAttrs(dst []byte, a query.Attrs) []byte { return query.AppendAttrs(dst, a) }
-
-// AppendFields appends a flat attribute set: the bytes AppendAttrs
-// writes for the same set, copied as they stand.
+// AppendFields appends a flat attribute set: the bytes
+// query.AppendAttrs writes for the same set, copied as they stand.
 func AppendFields(dst []byte, f query.Fields) []byte { return f.Append(dst) }
 
 // Reader is a decoding cursor over one binary payload. Truncated or
@@ -405,9 +405,9 @@ func (r *Reader) Bool() bool {
 	return b != 0
 }
 
-// Fields reads an attribute set written by AppendAttrs (or
+// Fields reads an attribute set written by query.AppendAttrs (or
 // AppendFields). query.ReadFields checks every count and length, that
-// each is a canonical uvarint and that the keys ascend as AppendAttrs
+// each is a canonical uvarint and that the keys ascend as query.AppendAttrs
 // writes them, and sizes nothing from a count. After ShareStrings the
 // set is a substring of the shared copy and reading it allocates
 // nothing; before, it is one string of its own.

@@ -294,7 +294,7 @@ func TestAppendAttrsAllocs(t *testing.T) {
 	buf := make([]byte, 0, 4096)
 	for _, n := range []int{1, 4, 16} {
 		a := attrs(n)
-		if got := testing.AllocsPerRun(200, func() { buf = AppendAttrs(buf[:0], a) }); got != 0 {
+		if got := testing.AllocsPerRun(200, func() { buf = query.AppendAttrs(buf[:0], a) }); got != 0 {
 			t.Errorf("AppendAttrs of %d keys: %v allocs, want 0", n, got)
 		}
 		f := query.FieldsOf(a)
@@ -304,7 +304,7 @@ func TestAppendAttrsAllocs(t *testing.T) {
 	}
 	for _, n := range []int{16, 17, 40} {
 		a := attrs(n)
-		r := NewReader(AppendAttrs(nil, a))
+		r := NewReader(query.AppendAttrs(nil, a))
 		var prev string
 		for i, keys := 0, r.Count(2); i < keys; i++ {
 			k := r.String()
@@ -316,10 +316,10 @@ func TestAppendAttrsAllocs(t *testing.T) {
 				_ = r.String()
 			}
 		}
-		if got := NewReader(AppendAttrs(nil, a)).Fields().Map(); !reflect.DeepEqual(got, a) {
+		if got := NewReader(query.AppendAttrs(nil, a)).Fields().Map(); !reflect.DeepEqual(got, a) {
 			t.Errorf("%d keys: round trip = %v", n, got)
 		}
-		if !bytes.Equal(AppendFields(nil, query.FieldsOf(a)), AppendAttrs(nil, a)) {
+		if !bytes.Equal(AppendFields(nil, query.FieldsOf(a)), query.AppendAttrs(nil, a)) {
 			t.Errorf("%d keys: the flat form encodes to other bytes than the map", n)
 		}
 	}
@@ -335,7 +335,7 @@ func TestShareStrings(t *testing.T) {
 	for _, s := range []string{"alpha", "", "gamma"} {
 		enc = AppendString(enc, s)
 	}
-	enc = AppendAttrs(enc, query.Attrs{"k": {"v1", "v2"}, "none": {}})
+	enc = query.AppendAttrs(enc, query.Attrs{"k": {"v1", "v2"}, "none": {}})
 
 	r := NewReader(enc)
 	if got := r.String(); got != "header" {

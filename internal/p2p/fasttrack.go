@@ -38,9 +38,7 @@ const leafSearchWait = DefaultTimeout / 2
 func NewSuperPeer(ep transport.Endpoint) *SuperPeer {
 	s := &SuperPeer{registry: registry{store: index.NewStore()}}
 	// A super-peer indexes its leaves' metadata and shares no objects.
-	s.floodRouter.init(ep, nil, "fasttrack", func(communityID string, f query.Filter) []Result {
-		return s.search(communityID, f, 0)
-	})
+	s.floodRouter.init(ep, nil, "fasttrack", &s.registry)
 	ep.SetHandler(s.handle)
 	return s
 }

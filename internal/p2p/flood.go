@@ -30,11 +30,10 @@ import (
 type floodRouter struct {
 	Peer
 	guids *guidSource
-	// answer returns all of this node's own matches for a remote query
-	// (the query frame carries no limit). They are encoded into a
-	// query-hit and dropped, so they may alias index state that is never
-	// mutated in place.
-	answer func(communityID string, f query.Filter) []Result
+	// answer writes this node's own matches for a remote query into the
+	// query-hit (the query frame carries no limit, so neither does the
+	// answer).
+	answer answerer
 
 	mu sync.RWMutex
 	// neighbors is a copy-on-write sorted slice: floods iterate it
@@ -49,7 +48,7 @@ type floodRouter struct {
 
 // init attaches the router; shared and proto are the embedding node's,
 // as in InitPeer.
-func (r *floodRouter) init(ep transport.Endpoint, shared *index.Store, proto string, answer func(string, query.Filter) []Result) {
+func (r *floodRouter) init(ep transport.Endpoint, shared *index.Store, proto string, answer answerer) {
 	r.InitPeer(ep, shared, proto)
 	r.guids = newGUIDSource(ep.ID())
 	r.answer = answer
@@ -302,15 +301,15 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 		return // malformed query: drop, per protocol robustness rules
 	}
 	hops := q.Hops + 1
-	results := r.answer(communityID, f)
-	for i := range results {
-		results[i].Hops = hops
-	}
-	if len(results) > 0 {
+	hit := codec.Scratch()
+	var n int
+	*hit, n = appendHit(*hit, q.GUID, r.answer, communityID, f, 0, hops)
+	if n > 0 {
 		// Route the hit back toward the origin along the reverse path; a
 		// hop that is gone loses it, like the original's UDP.
-		_ = r.Send(msg.From, MsgQueryHit, &queryHitPayload{GUID: q.GUID, Results: results}, &sp)
+		_ = r.SendPayload(msg.From, MsgQueryHit, *hit, &sp)
 	}
+	codec.Release(hit)
 	// Forward the flood while TTL remains.
 	if q.TTL <= 1 {
 		return

@@ -115,6 +115,60 @@ func TestFloodRelayAndDuplicateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAnswerAllocs pins what answering a remote query costs a
+// Gnutella node whose store matches it many times over, delivery of
+// the hit included, on the in-memory network with no tracer: the hit is
+// written from the store's entries, so the count does not grow with
+// the matches and no Result is built. Measured on go1.24 for 4 and 40
+// matches: 5 allocations each, against 7 when every answer built a
+// []Result and a frame around it; the rest is the query's handling —
+// the community string, the filter's parse — and the store's one
+// result slice.
+func TestAnswerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	allocs := func(matches int) float64 {
+		net := transport.NewMemNetwork()
+		origin := newStubPeer(t, net, "origin")
+		ep, err := net.Endpoint("answerer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGnutellaNode(ep, index.NewStore())
+		docs := make([]*index.Document, matches)
+		for i := range docs {
+			docs[i] = &index.Document{ID: index.DocID(fmt.Sprintf("doc-%04d", i)), CommunityID: "patterns", Title: fmt.Sprintf("Pattern %d", i),
+				Attrs: query.Attrs{"classification": {"creational"}, "name": {fmt.Sprintf("Pattern %d", i), "alias"}}}
+		}
+		if err := g.PublishBatch(docs); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 200
+		queries := make([][]byte, runs+1) // AllocsPerRun runs once more to warm up
+		for i := range queries {
+			queries[i] = codec.Encode(&queryPayload{GUID: uint64(1000 + i), Origin: "origin", CommunityID: "patterns",
+				Filter: "(classification=creational)", TTL: 1})
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			origin.send(t, "answerer", MsgQuery, queries[next])
+			next++
+		})
+		if origin.got[MsgQueryHit] != runs+1 {
+			t.Fatalf("%d hits for %d queries", origin.got[MsgQueryHit], runs+1)
+		}
+		return got
+	}
+	few, many := allocs(4), allocs(40)
+	if many != few {
+		t.Errorf("answering 40 matches: %v allocs, 4 matches: %v; want the same", many, few)
+	}
+	if budget := 5.0; many > budget {
+		t.Errorf("answering a query: %v allocs, want <= %v", many, budget)
+	}
+}
+
 // TestHitDecodeAllocsFollowResults: decoding a hit frame allocates per
 // frame, not per result or per string — 16 strings a result here.
 func TestHitDecodeAllocsFollowResults(t *testing.T) {

@@ -40,10 +40,10 @@ func TestFuzzTypesCoverRegistry(t *testing.T) {
 // in fuzzTypes.
 func fuzzSeeds() map[int][]codec.Frame {
 	attrs := query.Attrs{"classification": {"creational", "structural"}, "name": {"Builder"}, "empty": {}}
-	reg := registerPayload{DocID: "doc-1", CommunityID: "patterns", Title: "Builder", Attrs: attrs}
+	reg := registerPayload{DocID: "doc-1", CommunityID: "patterns", Title: "Builder", Attrs: query.FieldsOf(attrs)}
 	results := sampleResults(3)
-	full := &index.Document{ID: "doc-1", CommunityID: "patterns", Title: "Builder",
-		XML: "<pattern><name>Builder</name></pattern>", Attrs: attrs, Attachments: []string{"file:a.png", "file:b.png"}}
+	full := index.NewEntry(&index.Document{ID: "doc-1", CommunityID: "patterns", Title: "Builder",
+		XML: "<pattern><name>Builder</name></pattern>", Attrs: attrs, Attachments: []string{"file:a.png", "file:b.png"}})
 	return map[int][]codec.Frame{
 		0:  {&reg, &registerPayload{DocID: "bare"}},
 		1:  {&registerBatchPayload{Docs: []registerPayload{reg, {DocID: "doc-2", CommunityID: "patterns"}}}, &registerBatchPayload{}},

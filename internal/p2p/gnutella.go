@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/index"
+	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -26,7 +27,7 @@ var _ Network = (*GnutellaNode)(nil)
 // plays the same role).
 func NewGnutellaNode(ep transport.Endpoint, store *index.Store) *GnutellaNode {
 	g := &GnutellaNode{}
-	g.floodRouter.init(ep, store, "gnutella", g.answer)
+	g.floodRouter.init(ep, store, "gnutella", g)
 	ep.SetHandler(g.handle)
 	return g
 }
@@ -93,28 +94,26 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 }
 
 // localResults answers this node's own search, in the slice the
-// search's collector then decodes the hits onto. The caller keeps the
-// results, so each carries its attributes in flat form: query.FieldsOf
-// copies the document's keys and values into one string per result.
-// The other strings stay the store's immutable documents'.
+// search's collector then decodes the hits onto. Each result shares its
+// store entry's strings and attribute set (resultOf).
 func (g *GnutellaNode) localResults(communityID string, f query.Filter, limit int) []Result {
-	docs := g.shared.SearchReadOnly(communityID, f, limit)
-	out := make([]Result, len(docs))
-	for i, d := range docs {
-		out[i] = Result{DocID: d.ID, Provider: g.PeerID(), CommunityID: d.CommunityID, Title: d.Title,
-			Attrs: query.FieldsOf(d.Attrs)}
+	es := g.shared.Search(communityID, f, limit)
+	out := make([]Result, len(es))
+	for i, e := range es {
+		out[i] = resultOf(e, g.PeerID())
 	}
 	return out
 }
 
-// answer serves a remote query straight from the store (answerOf).
-func (g *GnutellaNode) answer(communityID string, f query.Filter) []Result {
-	docs := g.shared.SearchReadOnly(communityID, f, 0)
-	out := make([]Result, len(docs))
-	for i, d := range docs {
-		out[i] = answerOf(d, g.PeerID())
+// appendAnswer implements answerer: this node's matches, written
+// straight from its store's entries, each provided by this node.
+func (g *GnutellaNode) appendAnswer(dst []byte, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
+	es := g.shared.Search(communityID, f, limit)
+	dst = codec.AppendUvarint(dst, uint64(len(es)))
+	for _, e := range es {
+		dst = appendEntryResult(dst, e, g.PeerID(), hops)
 	}
-	return out
+	return dst, len(es)
 }
 
 func (g *GnutellaNode) handle(msg transport.Message) {

@@ -101,18 +101,13 @@ type Result struct {
 	Title       string           `json:"title"`
 	Attrs       query.Fields     `json:"attrs"`
 	Hops        int              `json:"hops"`
-	// src is set on a result a node answers a remote search with: the
-	// store document it stands for, whose attributes the hit frames
-	// encode in place of Attrs, so an answer never builds a flat form.
-	src *index.Document
 }
 
-// answerOf is the result a node answers a remote search with for one
-// of its store's documents, provided by provider. It lives only until
-// it is encoded, so it may alias the document, which a store never
-// mutates in place.
-func answerOf(d *index.Document, provider transport.PeerID) Result {
-	return Result{DocID: d.ID, Provider: provider, CommunityID: d.CommunityID, Title: d.Title, src: d}
+// resultOf is the result one of a store's entries makes, provided by
+// provider. It shares the entry's strings and attribute set, which no
+// one modifies (index.Entry), so it copies nothing.
+func resultOf(e *index.Entry, provider transport.PeerID) Result {
+	return Result{DocID: e.ID, Provider: provider, CommunityID: e.CommunityID, Title: e.Title, Attrs: e.Attrs}
 }
 
 // SearchOptions tune one search call.
@@ -194,24 +189,27 @@ type searchHitPayload struct {
 }
 
 type registerPayload struct {
-	DocID       index.DocID `json:"docId"`
-	CommunityID string      `json:"communityId"`
-	Title       string      `json:"title"`
-	Attrs       query.Attrs `json:"attrs"`
+	DocID       index.DocID  `json:"docId"`
+	CommunityID string       `json:"communityId"`
+	Title       string       `json:"title"`
+	Attrs       query.Fields `json:"attrs"`
 }
 
 type registerBatchPayload struct {
 	Docs []registerPayload `json:"docs"`
 }
 
-// registerPayloadFor extracts the registered metadata of a document.
-func registerPayloadFor(doc *index.Document) registerPayload {
-	return registerPayload{
-		DocID:       doc.ID,
-		CommunityID: doc.CommunityID,
-		Title:       doc.Title,
-		Attrs:       doc.Attrs,
-	}
+// registerPayloadFor extracts the registered metadata of an entry,
+// sharing its strings.
+func registerPayloadFor(e *index.Entry) registerPayload {
+	return registerPayload{DocID: e.ID, CommunityID: e.CommunityID, Title: e.Title, Attrs: e.Attrs}
+}
+
+// entry is the store entry a registration makes on a hub: metadata
+// only, and the registration's own strings, which its frame decoder
+// copied out of the frame (readFrom).
+func (p *registerPayload) entry() *index.Entry {
+	return &index.Entry{ID: p.DocID, CommunityID: p.CommunityID, Title: p.Title, Attrs: p.Attrs}
 }
 
 // registerBatchChunk bounds documents per register-batch frame so a
@@ -242,9 +240,9 @@ type fetchPayload struct {
 }
 
 type fetchReplyPayload struct {
-	ReqID uint64          `json:"reqId"`
-	Found bool            `json:"found"`
-	Doc   *index.Document `json:"doc,omitempty"`
+	ReqID uint64       `json:"reqId"`
+	Found bool         `json:"found"`
+	Doc   *index.Entry `json:"doc,omitempty"`
 }
 
 type attachmentPayload struct {

@@ -348,7 +348,7 @@ func (p *Peer) Retrieve(id index.DocID, from transport.PeerID) (*index.Document,
 	}
 	if reply, ok := got.(*fetchReplyPayload); ok && reply.Found && reply.Doc != nil {
 		p.NodeMetrics().Fetches.Inc()
-		return reply.Doc, nil
+		return reply.Doc.Document(), nil
 	}
 	return nil, p.fail(&sp, fmt.Errorf("%w: %s at %s", ErrNotProvided, id, from))
 }
@@ -379,10 +379,10 @@ func (p *Peer) localDoc(id index.DocID) (*index.Document, error) {
 // Reannounce hands announce every object this peer shares, in DocID
 // order: the one definition of "re-register everything I hold" behind
 // leaf re-registration after super-peer failover (Rehome) and the DHT's
-// republish on Refresh. The documents are the store's own
-// (SearchReadOnly): announce reads them and must not modify them.
-func (p *Peer) Reannounce(announce func(docs []*index.Document) error) error {
-	return announce(p.shared.SearchReadOnly("", query.MatchAll{}, 0))
+// republish on Refresh. The entries are the store's own: announce may
+// keep them but must not modify them.
+func (p *Peer) Reannounce(announce func(es []*index.Entry) error) error {
+	return announce(p.shared.Search("", query.MatchAll{}, 0))
 }
 
 // HandleRetrieval serves the retrieval protocol, the same on every
@@ -399,9 +399,11 @@ func (p *Peer) HandleRetrieval(msg transport.Message) {
 		}
 		sp := p.StartSpan(msg, "fetch.serve")
 		reply := fetchReplyPayload{ReqID: req.ReqID}
-		if doc, err := p.localDoc(req.DocID); err == nil {
-			reply.Found, reply.Doc = true, doc
-		} else {
+		if p.shared != nil {
+			// The reply encodes the store's own entry.
+			reply.Doc, reply.Found = p.shared.Entry(req.DocID)
+		}
+		if !reply.Found {
 			sp.SetErr(fmt.Errorf("%w: %s", ErrNotProvided, req.DocID))
 		}
 		_ = p.Send(msg.From, MsgFetchReply, &reply, &sp) // a lost reply is the requester's timeout

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -85,30 +86,26 @@ func (r *registry) serveRegistration(p *Peer, msg transport.Message) bool {
 	return true
 }
 
-// register records from as a provider of each document and upserts the
-// metadata in one store batch. A provider already known keeps its
-// place; a new one is appended. Replicas are content-addressed, so a
-// re-registration refreshes metadata identically for every provider.
+// register records from as a provider of each registration and
+// upserts their entries in one store batch: each entry holds the
+// registration's own strings (readFrom), so no map is built and no
+// frame is kept. A provider already known keeps its place; a new one is
+// appended. Replicas are content-addressed, so a re-registration
+// refreshes metadata identically for every provider.
 func (r *registry) register(from transport.PeerID, regs []registerPayload) {
-	docs := make([]*index.Document, 0, len(regs))
-	for _, reg := range regs {
-		if reg.DocID == "" {
-			continue
+	es := make([]*index.Entry, 0, len(regs))
+	for i := range regs {
+		if regs[i].DocID != "" {
+			es = append(es, regs[i].entry())
 		}
-		docs = append(docs, &index.Document{
-			ID:          reg.DocID,
-			CommunityID: reg.CommunityID,
-			Title:       reg.Title,
-			Attrs:       reg.Attrs,
-		})
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.providers == nil {
 		r.providers = make(map[index.DocID][]transport.PeerID)
 	}
-	for _, doc := range docs {
-		provs := r.providers[doc.ID]
+	for _, e := range es {
+		provs := r.providers[e.ID]
 		known := false
 		for _, p := range provs {
 			if p == from {
@@ -117,10 +114,10 @@ func (r *registry) register(from transport.PeerID, regs []registerPayload) {
 			}
 		}
 		if !known {
-			r.providers[doc.ID] = append(provs, from)
+			r.providers[e.ID] = append(provs, from)
 		}
 	}
-	_ = r.store.PutBatch(docs)
+	_ = r.store.PutEntries(es)
 }
 
 // unregister withdraws from's registration of one document; the
@@ -152,36 +149,64 @@ func (r *registry) removeProviderLocked(id index.DocID, peer transport.PeerID) b
 	return false
 }
 
-// search returns one result per (matching document, provider): the
-// documents in DocID order, each one's providers in registration
-// order, at most limit results (0 = unlimited), in one slice sized from
-// the documents' provider counts before it is filled.
-func (r *registry) search(communityID string, f query.Filter, limit int) []Result {
-	// The whole read runs under mu so the store query and the
-	// provider expansion see one consistent registration state
-	// (lock order mu -> store, same as register). Every stored
-	// document then has at least one provider, so limit docs yield at
-	// least limit results and the store never materializes more
-	// matches than the client asked for. The results are only encoded
-	// into a reply, so they carry the store's documents (answerOf).
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	docs := r.store.SearchReadOnly(communityID, f, limit)
+// A search of the registrations makes one result per (matching entry,
+// provider): the entries in DocID order, each one's providers in
+// registration order, at most limit results (0 = unlimited). search
+// returns them as Results, for a super-peer to merge with its flood's;
+// appendAnswer writes them onto the wire. Either way the whole read runs
+// under mu, so the store query and the provider expansion see one
+// consistent registration state (lock order mu -> store, same as
+// register). Every stored entry then has at least one provider, so
+// limit entries yield at least limit results and the store never
+// returns more matches than the searcher asked for.
+
+// matchesLocked runs a search of the registrations: it returns the
+// entries it matched and the number of results they make (caller
+// holds mu).
+func (r *registry) matchesLocked(communityID string, f query.Filter, limit int) ([]*index.Entry, int) {
+	es := r.store.Search(communityID, f, limit)
 	n := 0
-	for _, d := range docs {
-		n += len(r.providers[d.ID])
+	for _, e := range es {
+		n += len(r.providers[e.ID])
 	}
 	if limit > 0 {
 		n = min(n, limit)
 	}
-	out := make([]Result, 0, n)
-	for _, d := range docs {
-		for _, p := range r.providers[d.ID] {
-			out = append(out, answerOf(d, p))
-			if limit > 0 && len(out) >= limit {
-				return out
+	return es, n
+}
+
+// eachLocked calls yield for each of the n results the matched entries
+// es make, in order (caller holds mu).
+func (r *registry) eachLocked(es []*index.Entry, n int, yield func(*index.Entry, transport.PeerID)) {
+	for _, e := range es {
+		for _, p := range r.providers[e.ID] {
+			if n == 0 {
+				return
 			}
+			yield(e, p)
+			n--
 		}
 	}
+}
+
+// search returns the results in one slice sized before it is filled;
+// each shares its entry's strings and attribute set (resultOf).
+func (r *registry) search(communityID string, f query.Filter, limit int) []Result {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	es, n := r.matchesLocked(communityID, f, limit)
+	out := make([]Result, 0, n)
+	r.eachLocked(es, n, func(e *index.Entry, p transport.PeerID) { out = append(out, resultOf(e, p)) })
 	return out
+}
+
+// appendAnswer implements answerer: the results, written straight from
+// the entries as a hit frame's result set.
+func (r *registry) appendAnswer(dst []byte, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	es, n := r.matchesLocked(communityID, f, limit)
+	dst = codec.AppendUvarint(dst, uint64(n))
+	r.eachLocked(es, n, func(e *index.Entry, p transport.PeerID) { dst = appendEntryResult(dst, e, p, hops) })
+	return dst, n
 }

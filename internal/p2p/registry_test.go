@@ -1,11 +1,18 @@
 package p2p
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/index"
+	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -123,4 +130,67 @@ func TestHubRegistry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRegistrationsOwnTheirBytes: a hub stores each registration's
+// strings and attribute set as copies of its own. The index server
+// reads a register-batch and a register frame, each payload is
+// overwritten once its handler returns, and the stored entries, and the
+// search-hit written from them, still read as registered. Then one
+// registration of the batch is withdrawn, and its attribute set is
+// collected while the other stays stored: a substring of one copy of
+// the frame, as a hit decoder shares one (codec.Reader.ShareStrings),
+// would keep a whole batch of up to registerBatchChunk registrations
+// alive while any one of them lives.
+func TestRegistrationsOwnTheirBytes(t *testing.T) {
+	ep, err := transport.NewMemNetwork().Endpoint("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := NewIndexServer(ep)
+	regs := make([]registerPayload, 3)
+	for i := range regs {
+		// One word a value, none shared: no index key of one entry is
+		// another's, so a withdrawn entry leaves nothing in the index.
+		regs[i] = registerPayload{DocID: index.DocID(fmt.Sprintf("doc-%d", i)), CommunityID: "patterns", Title: fmt.Sprintf("Pattern %d", i),
+			Attrs: query.FieldsOf(query.Attrs{"name": {fmt.Sprintf("pattern%d-%s", i, strings.Repeat("x", 24))}, "none": {}})}
+	}
+	arrive := func(typ string, f codec.Frame) {
+		payload := codec.Encode(f)
+		is.handle(transport.Message{From: "leaf", To: "server", Type: typ, Payload: payload})
+		for i := range payload {
+			payload[i] = ^payload[i]
+		}
+	}
+	arrive(MsgRegisterBatch, &registerBatchPayload{Docs: regs[:2]})
+	arrive(MsgRegister, &regs[2])
+
+	var want []Result
+	for _, reg := range regs {
+		if e, ok := is.store.Entry(reg.DocID); !ok || !reflect.DeepEqual(e, reg.entry()) {
+			t.Errorf("stored %+v, registered %+v", e, reg.entry())
+		}
+		want = append(want, Result{DocID: reg.DocID, Provider: "leaf", CommunityID: reg.CommunityID, Title: reg.Title, Attrs: reg.Attrs})
+	}
+	got, _ := appendHit(nil, 9, &is.registry, "patterns", query.MatchAll{}, 0, 0)
+	if enc := codec.Encode(&searchHitPayload{ReqID: 9, Results: want}); !bytes.Equal(got, enc) {
+		t.Errorf("search-hit\n%x\nwant\n%x", got, enc)
+	}
+
+	freed := new(atomic.Bool)
+	if e, ok := is.store.Entry("doc-0"); ok {
+		runtime.AddCleanup(unsafe.StringData(e.Attrs.Get("name")), func(f *atomic.Bool) { f.Store(true) }, freed)
+	}
+	arrive(MsgUnregister, &unregisterPayload{DocID: "doc-0"})
+	if !is.store.Has("doc-1") || is.store.Has("doc-0") {
+		t.Fatal("the withdrawal did not leave doc-1 alone in the store")
+	}
+	runtime.GC()
+	for deadline := time.Now().Add(5 * time.Second); !freed.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Error("a withdrawn registration's attribute set stays alive beside another of its batch")
+	}
+	runtime.KeepAlive(is) // the store holds doc-1 throughout
 }

@@ -8,6 +8,7 @@ package p2p
 import (
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
+	"repro/internal/query"
 	"repro/internal/transport"
 )
 
@@ -34,13 +35,33 @@ func appendResult(dst []byte, r *Result) []byte {
 	dst = codec.AppendString(dst, string(r.Provider))
 	dst = codec.AppendString(dst, r.CommunityID)
 	dst = codec.AppendString(dst, r.Title)
-	if r.src != nil {
-		dst = codec.AppendAttrs(dst, r.src.Attrs)
-	} else {
-		dst = codec.AppendFields(dst, r.Attrs)
-	}
-	dst = codec.AppendUvarint(dst, uint64(r.Hops))
-	return dst
+	dst = codec.AppendFields(dst, r.Attrs)
+	return codec.AppendUvarint(dst, uint64(r.Hops))
+}
+
+// appendEntryResult writes the result one of a node's store entries
+// makes, provided by provider, when the node answers a remote search.
+func appendEntryResult(dst []byte, e *index.Entry, provider transport.PeerID, hops int) []byte {
+	r := resultOf(e, provider)
+	r.Hops = hops
+	return appendResult(dst, &r)
+}
+
+// answerer is a node that answers a remote search from its own store:
+// appendAnswer appends its matches to dst as a hit frame's result set
+// (the count, then the results appendResult would write), at most
+// limit of them (0 = all), each with hop count hops, and returns how
+// many it wrote.
+type answerer interface {
+	appendAnswer(dst []byte, communityID string, f query.Filter, limit, hops int) ([]byte, int)
+}
+
+// appendHit appends the query-hit or search-hit — the two share a
+// layout: an id, then a result set — that answers a remote search,
+// written straight from the answering node's store (answerer), so no
+// Result is built for it. It returns how many results the hit holds.
+func appendHit(dst []byte, id uint64, from answerer, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
+	return from.appendAnswer(codec.AppendUvarint(dst, id), communityID, f, limit, hops)
 }
 
 // readResult decodes one result.
@@ -90,34 +111,36 @@ func readResults(r *codec.Reader, limit int) []Result {
 	return out
 }
 
-func appendDocument(dst []byte, d *index.Document) []byte {
-	dst = codec.AppendString(dst, string(d.ID))
-	dst = codec.AppendString(dst, d.CommunityID)
-	dst = codec.AppendString(dst, d.Title)
-	dst = codec.AppendString(dst, d.XML)
-	dst = codec.AppendAttrs(dst, d.Attrs)
-	dst = codec.AppendUvarint(dst, uint64(len(d.Attachments)))
-	for _, a := range d.Attachments {
+func appendEntry(dst []byte, e *index.Entry) []byte {
+	dst = codec.AppendString(dst, string(e.ID))
+	dst = codec.AppendString(dst, e.CommunityID)
+	dst = codec.AppendString(dst, e.Title)
+	dst = codec.AppendString(dst, e.XML)
+	dst = codec.AppendFields(dst, e.Attrs)
+	dst = codec.AppendUvarint(dst, uint64(len(e.Attachments)))
+	for _, a := range e.Attachments {
 		dst = codec.AppendString(dst, a)
 	}
 	return dst
 }
 
-func readDocument(r *codec.Reader) *index.Document {
-	d := &index.Document{
+// readEntry decodes a fetched document. Every string is a copy of its
+// own, so the entry pins nothing of the frame.
+func readEntry(r *codec.Reader) *index.Entry {
+	e := &index.Entry{
 		ID:          index.DocID(r.String()),
 		CommunityID: r.String(),
 		Title:       r.String(),
 		XML:         r.String(),
-		Attrs:       r.Fields().Map(),
+		Attrs:       r.Fields(),
 	}
 	if n := r.Count(1); n > 0 {
-		d.Attachments = make([]string, n)
-		for i := range d.Attachments {
-			d.Attachments[i] = r.String()
+		e.Attachments = make([]string, n)
+		for i := range e.Attachments {
+			e.Attachments[i] = r.String()
 		}
 	}
-	return d
+	return e
 }
 
 // --- centralized / fasttrack registration ---
@@ -126,7 +149,7 @@ func (p *registerPayload) AppendBinary(dst []byte) []byte {
 	dst = codec.AppendString(dst, string(p.DocID))
 	dst = codec.AppendString(dst, p.CommunityID)
 	dst = codec.AppendString(dst, p.Title)
-	return codec.AppendAttrs(dst, p.Attrs)
+	return codec.AppendFields(dst, p.Attrs)
 }
 
 func (p *registerPayload) DecodeBinary(data []byte) error {
@@ -135,13 +158,15 @@ func (p *registerPayload) DecodeBinary(data []byte) error {
 	return r.Err()
 }
 
-// readFrom decodes one registration: its own strings, and its
-// attributes as a map whose strings share one copy of the set.
+// readFrom decodes one registration. Every string, the attribute set
+// included, is a copy of its own: a hub stores them, and a substring of
+// one copy of the frame would keep a whole batch's bytes alive for as
+// long as any of its registrations lives.
 func (p *registerPayload) readFrom(r *codec.Reader) {
 	p.DocID = index.DocID(r.String())
 	p.CommunityID = r.String()
 	p.Title = r.String()
-	p.Attrs = r.Fields().Map()
+	p.Attrs = r.Fields()
 }
 
 func (p *registerBatchPayload) AppendBinary(dst []byte) []byte {
@@ -285,7 +310,7 @@ func (p *fetchReplyPayload) AppendBinary(dst []byte) []byte {
 	hasDoc := p.Doc != nil
 	dst = codec.AppendBool(dst, hasDoc)
 	if hasDoc {
-		dst = appendDocument(dst, p.Doc)
+		dst = appendEntry(dst, p.Doc)
 	}
 	return dst
 }
@@ -295,7 +320,7 @@ func (p *fetchReplyPayload) DecodeBinary(data []byte) error {
 	p.ReqID = r.Uvarint()
 	p.Found = r.Bool()
 	if r.Bool() {
-		p.Doc = readDocument(r)
+		p.Doc = readEntry(r)
 	}
 	return r.Err()
 }

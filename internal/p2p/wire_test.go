@@ -81,9 +81,9 @@ func TestDecodeMatchesMapOracle(t *testing.T) {
 }
 
 // TestAnswersEncodeAsResults: the hits a node answers from its store
-// carry the store's documents instead of flat forms, and encode to the
-// bytes of the results they stand for — a Gnutella node's and a
-// super-peer's flood hits, and an index server's search-hit.
+// are written straight from its entries, and encode to the bytes of the
+// results they stand for — a Gnutella node's and a super-peer's flood
+// hits, and an index server's search-hit, limited or not.
 func TestAnswersEncodeAsResults(t *testing.T) {
 	docs := make([]*index.Document, 4)
 	for i := range docs {
@@ -92,7 +92,7 @@ func TestAnswersEncodeAsResults(t *testing.T) {
 	}
 	regs := make([]registerPayload, len(docs))
 	for i, d := range docs {
-		regs[i] = registerPayloadFor(d)
+		regs[i] = registerPayloadFor(index.NewEntry(d))
 	}
 	net := transport.NewMemNetwork()
 	endpoint := func(id transport.PeerID) transport.Endpoint {
@@ -108,35 +108,48 @@ func TestAnswersEncodeAsResults(t *testing.T) {
 	}
 	sp := NewSuperPeer(endpoint("superpeer"))
 	sp.register("leaf", regs)
+	sp.register("leaf2", regs[1:2])
 	is := NewIndexServer(endpoint("indexserver"))
 	is.register("leaf", regs)
+	is.register("leaf2", regs[1:2])
 
-	frame := map[string]func([]Result) codec.Frame{
-		"query-hit":  func(rs []Result) codec.Frame { return &queryHitPayload{GUID: 7, Results: rs} },
-		"search-hit": func(rs []Result) codec.Frame { return &searchHitPayload{ReqID: 7, Results: rs} },
+	// want is what the answer must encode to: each document once per
+	// provider, in ID order, the providers in registration order.
+	want := func(providers map[index.DocID][]transport.PeerID, limit, hops int) []Result {
+		var rs []Result
+		for _, d := range docs {
+			for _, p := range providers[d.ID] {
+				if limit == 0 || len(rs) < limit {
+					rs = append(rs, Result{DocID: d.ID, Provider: p, CommunityID: d.CommunityID, Title: d.Title,
+						Attrs: query.FieldsOf(d.Attrs), Hops: hops})
+				}
+			}
+		}
+		return rs
+	}
+	self := make(map[index.DocID][]transport.PeerID)
+	for _, d := range docs {
+		self[d.ID] = []transport.PeerID{"gnutella"}
 	}
 	for name, c := range map[string]struct {
-		answers []Result
-		frame   string
+		from        answerer
+		providers   map[index.DocID][]transport.PeerID
+		limit, hops int
 	}{
-		"gnutella":    {g.answer("c", query.MatchAll{}), "query-hit"},
-		"superpeer":   {sp.answer("c", query.MatchAll{}), "query-hit"},
-		"indexserver": {is.search("c", query.MatchAll{}, 0), "search-hit"},
+		"gnutella":          {g, self, 0, 3},
+		"superpeer":         {&sp.registry, sp.providers, 0, 2},
+		"indexserver":       {&is.registry, is.providers, 0, 0},
+		"indexserver limit": {&is.registry, is.providers, 3, 0},
 	} {
-		if len(c.answers) != len(docs) {
-			t.Fatalf("%s: %d answers, want %d", name, len(c.answers), len(docs))
+		got, n := appendHit(nil, 7, c.from, "c", query.MatchAll{}, c.limit, c.hops)
+		results := want(c.providers, c.limit, c.hops)
+		if wanted := codec.Encode(&queryHitPayload{GUID: 7, Results: results}); n != len(results) || !bytes.Equal(got, wanted) {
+			t.Errorf("%s: %d answers encode to\n%x\nthe %d results to\n%x", name, n, got, len(results), wanted)
 		}
-		results := make([]Result, len(c.answers))
-		for i, a := range c.answers {
-			if a.src == nil || a.Attrs.Len() != 0 {
-				t.Fatalf("%s: answer %s carries no document, or a flat form", name, a.DocID)
-			}
-			c.answers[i].Hops = 3
-			results[i] = Result{DocID: a.DocID, Provider: a.Provider, CommunityID: a.CommunityID, Title: a.Title,
-				Attrs: query.FieldsOf(a.src.Attrs), Hops: 3}
-		}
-		if got, want := codec.Encode(frame[c.frame](c.answers)), codec.Encode(frame[c.frame](results)); !bytes.Equal(got, want) {
-			t.Errorf("%s: the %s answered from the store is\n%x\nthe results' is\n%x", name, c.frame, got, want)
-		}
+	}
+	// The super-peer's own leaves' results, which it merges with its
+	// flood's, share the entries' attribute sets.
+	if rs := sp.search("c", query.MatchAll{}, 0); len(rs) != 5 || !rs[0].Attrs.Equal(query.FieldsOf(docs[0].Attrs)) {
+		t.Errorf("super-peer search = %+v", rs)
 	}
 }

@@ -31,7 +31,7 @@ func attrsFrom(data string) query.Attrs {
 }
 
 // FuzzFieldsRoundTrip: an attribute map goes through the wire —
-// codec.AppendAttrs, then codec.Reader.Fields, sharing the frame's copy
+// query.AppendAttrs, then codec.Reader.Fields, sharing the frame's copy
 // or not — and the flat form it comes back as answers Len, Value,
 // Values, Get and All as the map does, is Equal to FieldsOf of the map
 // and to its own Clone, maps back to it, and encodes to the same bytes.
@@ -51,7 +51,7 @@ func FuzzFieldsRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0x81, 0x00, 'k', 0})     // a length not in its shortest form
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a := attrsFrom(string(data))
-		enc := codec.AppendAttrs(nil, a)
+		enc := query.AppendAttrs(nil, a)
 		for _, share := range []bool{false, true} {
 			r := codec.NewReader(enc)
 			if share {
@@ -76,7 +76,7 @@ func FuzzFieldsRoundTrip(f *testing.F) {
 		if got := fl.Append(nil); !bytes.Equal(got, data[:took]) {
 			t.Fatalf("%q decoded, and encodes back to %q", data[:took], got)
 		}
-		if got := codec.AppendAttrs(nil, fl.Map()); !bytes.Equal(got, data[:took]) {
+		if got := query.AppendAttrs(nil, fl.Map()); !bytes.Equal(got, data[:took]) {
 			t.Fatalf("%q decoded, and its map encodes to %q", data[:took], got)
 		}
 	})

@@ -44,15 +44,6 @@ func (a Attrs) Get(name string) string {
 	return ""
 }
 
-// Clone deep-copies the attribute set.
-func (a Attrs) Clone() Attrs {
-	out := make(Attrs, len(a))
-	for k, vs := range a {
-		out[k] = append([]string(nil), vs...)
-	}
-	return out
-}
-
 // Filter is a parsed query filter.
 type Filter interface {
 	// Match reports whether the attribute set satisfies the filter.

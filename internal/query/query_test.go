@@ -177,11 +177,6 @@ func TestAttrsHelpers(t *testing.T) {
 	if a.Get("none") != "" {
 		t.Error("Get missing != \"\"")
 	}
-	cl := a.Clone()
-	cl.Add("k", "v3")
-	if len(a["k"]) != 2 {
-		t.Error("Clone aliased values")
-	}
 }
 
 // Property: De Morgan — !(a&b) ≡ (!a)|(!b) over random attr sets.
