@@ -390,12 +390,15 @@ func loadState(sv *core.Servent, cfg Config, logger *slog.Logger) error {
 		}
 		logger.Info("restored servent state", "file", stateFile)
 	}
-	// Re-announce the objects the store recovered.
+	// Re-announce the objects the store recovered: one batch per
+	// community, so one log record and one register-batch each.
 	for _, communityID := range sv.Store().Communities() {
+		var docs []*index.Document
 		for _, e := range sv.SearchLocal(communityID, query.MatchAll{}, 0) {
-			if err := sv.Network().Publish(e.Document()); err != nil {
-				return err
-			}
+			docs = append(docs, e.Document())
+		}
+		if err := sv.Network().PublishBatch(docs); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/transport"
@@ -389,6 +390,55 @@ func TestRetrievedDocumentOwnsItsBytes(t *testing.T) {
 	local := dl.SearchLocal(c.ID, query.MustParse("(artist=miles)"), 0)
 	if len(local) != 1 || !local[0].Attrs.Equal(query.FieldsOf(want.Attrs)) {
 		t.Errorf("local search = %+v, want the attributes %v", local, want.Attrs)
+	}
+}
+
+// TestRetrieveStoresOnce: a download is one write to the downloader's
+// store, the publish that makes it a provider. With a write-ahead log
+// armed under that store, each Retrieve appends one log record.
+func TestRetrieveStoresOnce(t *testing.T) {
+	net := transport.NewMemNetwork()
+	endpoint := func(id transport.PeerID) transport.Endpoint {
+		ep, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	p2p.NewIndexServer(endpoint("server"))
+	servent := func(id transport.PeerID, st *index.Store) *Servent {
+		sv, err := NewServent(p2p.NewCentralizedClient(endpoint(id), "server", st), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sv
+	}
+	reg := metrics.NewRegistry()
+	st, err := index.OpenStore(index.WithWAL(t.TempDir()), index.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pub, dl := servent("pub", index.NewStore()), servent("dl", st)
+	c, err := pub.CreateCommunity(CommunitySpec{Name: "m", SchemaSrc: songSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		id, err := pub.Publish(c.ID, mustParseXML(fmt.Sprintf(`<song><title>T%d</title><artist>A</artist></song>`, i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reg.Snapshot().Counter("index.wal_appends")
+		if _, err := dl.Retrieve(id, pub.PeerID()); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Snapshot().Counter("index.wal_appends") - before; got != 1 {
+			t.Errorf("retrieve %d appended %d log records, want 1", i, got)
+		}
+		if !st.Has(id) {
+			t.Errorf("retrieve %d: the object is not in the downloader's store", i)
+		}
 	}
 }
 

@@ -361,11 +361,9 @@ func (s *Servent) Retrieve(id index.DocID, from transport.PeerID) (*index.Docume
 		s.attachments[uri] = data
 		s.mu.Unlock()
 	}
-	if err := s.store.Put(doc); err != nil {
-		return nil, err
-	}
 	// Downloading replicates: this peer now also provides the object
 	// (the Napster robustness effect the paper highlights in §II).
+	// Publishing stores it, as it stores every object published.
 	if err := s.net.Publish(doc); err != nil {
 		return nil, fmt.Errorf("core: republish after download: %w", err)
 	}

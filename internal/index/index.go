@@ -6,24 +6,35 @@
 // marked searchable enter the index, keeping "small portions of
 // content ... in the search engine instead of the entire XML object").
 //
+// The inverted index holds no maps and no key strings. Each community
+// keeps one field per indexed attribute, sorted by name, and a field is
+// one array of postings: an entry pointer under the hash of one of its
+// keys (query.IndexKeys), sorted by (hash, ID). The entries holding a
+// key are one run of the array, in ID order; keys that hash alike share
+// a run, which only adds candidates, since a search re-matches each.
+//
 // Searches evaluate query.Filter expressions and answer in ID order,
 // with one walk that stops at the limit. A filter with exact-match
-// assertions walks the intersection of their posting lists, which are
-// kept sorted by ID; any other filter walks the community's members,
-// which are kept sorted too. Either way a community-scoped search
-// sorts nothing.
+// assertions walks the intersection of their runs; any other filter
+// walks the community's members, which are kept sorted by ID. Either
+// way a community-scoped search sorts nothing.
 //
 // One lock guards the store. Each community keeps its own members and
-// its own slice of the inverted index, so a community-scoped search
-// never walks another community's postings. A batch
-// (PutBatch/DeleteBatch) takes the lock once and is applied whole.
+// its own fields, so a community-scoped search never walks another
+// community's postings. A batch (PutBatch/DeleteBatch) takes the lock
+// once and is applied whole: its postings are sorted, and each field it
+// touches is rewritten in one pass, however many entries the batch
+// holds.
 package index
 
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"log/slog"
+	"maps"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -213,12 +224,36 @@ type Store struct {
 type community struct {
 	// members are the community's entries, sorted by ID.
 	members []*Entry
-	// inverted maps attr name -> fold key -> the DocIDs holding it,
-	// sorted. Most keys are held by a document or two, where a slice
-	// costs a fraction of a set's map.
-	inverted map[string]map[string][]DocID
-	// postings counts index entries, for the E4 index-size experiment.
-	postings int
+	// fields is the inverted index, one field per indexed attribute,
+	// sorted by name.
+	fields []field
+}
+
+// field is one attribute's postings. An entry holding a key under the
+// attribute is posted once under the key's hash, and the postings are
+// sorted by (hash, ID), so the entries holding a key are one run of
+// them, in ID order. The index holds no key strings: a run may also
+// hold entries whose other keys hash alike, which the search's re-match
+// turns away. The attribute name is the field's own copy, since a field
+// outlives most of the entries it indexes.
+type field struct {
+	attr  string
+	posts []posting
+}
+
+// posting files an entry under the hash of one of its keys.
+type posting struct {
+	h uint64
+	e *Entry
+}
+
+// keySeed hashes index keys. It is drawn once per process, so no one
+// can choose values whose keys collide.
+var keySeed = maphash.MakeSeed()
+
+// before reports whether p sorts before q: by hash, then by ID.
+func before(p, q posting) bool {
+	return p.h < q.h || p.h == q.h && p.e.ID < q.e.ID
 }
 
 // NewStore returns an empty in-memory store with the given options.
@@ -305,9 +340,31 @@ func (s *Store) PutEntries(es []*Entry) error {
 			return err
 		}
 	}
+	// Most writes edit a few dozen postings in a few fields: room for
+	// them on the stack.
+	var edits [128]edit
+	var fields [16]fieldRef
+	var filedBuf [64]bool
+	w, filed := write{edits[:0], fields[:0]}, filedBuf[:0]
 	for _, e := range es {
-		s.putLocked(e)
+		old := s.putLocked(e)
+		// A copy of the entry it replaces — a re-announce, a second
+		// provider's registration — takes over that entry's postings.
+		same := old != nil && old.CommunityID == e.CommunityID && old.Attrs.Equal(e.Attrs) &&
+			s.communities[e.CommunityID].repoint(old, e)
+		if !same && old != nil {
+			w = w.post(old, true)
+		}
+		filed = append(filed, same)
 	}
+	// An entry's own postings are added once the whole batch is placed,
+	// since a later entry of its ID displaces it in turn.
+	for i, e := range es {
+		if !filed[i] && s.docs[e.ID] == e {
+			w = w.post(e, false)
+		}
+	}
+	s.apply(w)
 	return nil
 }
 
@@ -331,9 +388,7 @@ func (s *Store) Entry(id DocID) (*Entry, bool) {
 
 // Has reports whether the document is stored.
 func (s *Store) Has(id DocID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.docs[id]
+	_, ok := s.Entry(id)
 	return ok
 }
 
@@ -353,12 +408,7 @@ func (s *Store) DeleteBatch(ids []DocID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
-		var present []DocID
-		for _, id := range ids {
-			if _, ok := s.docs[id]; ok {
-				present = append(present, id)
-			}
-		}
+		present := slices.DeleteFunc(slices.Clone(ids), func(id DocID) bool { return s.docs[id] == nil })
 		if len(present) == 0 {
 			return 0
 		}
@@ -366,14 +416,16 @@ func (s *Store) DeleteBatch(ids []DocID) int {
 			return 0
 		}
 	}
-	n := 0
+	held := len(s.docs)
+	var dels write
 	for _, id := range ids {
 		if d, ok := s.docs[id]; ok {
 			s.removeLocked(d)
-			n++
+			dels = dels.post(d, true)
 		}
 	}
-	return n
+	s.apply(dels)
+	return held - len(s.docs)
 }
 
 // Len returns the number of stored documents.
@@ -397,13 +449,8 @@ func (s *Store) CommunityLen(communityID string) int {
 // sorted.
 func (s *Store) Communities() []string {
 	s.mu.RLock()
-	out := make([]string, 0, len(s.communities))
-	for id := range s.communities {
-		out = append(out, id)
-	}
-	s.mu.RUnlock()
-	slices.Sort(out)
-	return out
+	defer s.mu.RUnlock()
+	return slices.Sorted(maps.Keys(s.communities))
 }
 
 // Postings returns the number of inverted-index entries: the measured
@@ -413,7 +460,9 @@ func (s *Store) Postings() int {
 	defer s.mu.RUnlock()
 	n := 0
 	for _, c := range s.communities {
-		n += c.postings
+		for _, f := range c.fields {
+			n += len(f.posts)
+		}
 	}
 	return n
 }
@@ -425,7 +474,7 @@ func (s *Store) Postings() int {
 // The entries are the store's own (see Entry): the caller may keep
 // them but must not modify them. A community-scoped search is one walk
 // in ID order under the read lock, stopping at the limit: over the
-// intersection of the posting lists of the filter's exact-match
+// intersection of the runs of postings of the filter's exact-match
 // conjuncts when it has any, over the community's members otherwise.
 // It allocates the result slice and nothing else.
 func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
@@ -436,7 +485,7 @@ func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
 	defer s.mu.RUnlock()
 	if communityID != "" {
 		if c := s.communities[communityID]; c != nil {
-			return c.search(s.docs, f, limit, nil)
+			return c.search(f, limit, nil)
 		}
 		return nil
 	}
@@ -444,7 +493,7 @@ func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
 	// limit matches.
 	var out []*Entry
 	for _, c := range s.communities {
-		out = c.search(s.docs, f, limit, out)
+		out = c.search(f, limit, out)
 	}
 	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
 	if limit > 0 && len(out) > limit {
@@ -455,35 +504,34 @@ func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
 
 // search appends to out the community's entries f matches, in ID
 // order, and stops after limit of them. The candidates are the shortest
-// posting list of f's exact-match conjuncts, kept where every other one
-// holds them too, or else every member; f re-checks each, since a
-// posting list may hold documents f does not match. A nil out is
-// allocated on the first match, sized for the limit or the candidates
-// left, whichever is fewer. Called with the store's lock held.
-func (c *community) search(docs map[DocID]*Entry, f query.Filter, limit int, out []*Entry) []*Entry {
-	var buf [4][]DocID
-	lists, indexed := c.lists(f, buf[:0])
+// run of postings of f's exact-match conjuncts, kept where every other
+// run holds them too, or else every member; f re-checks each, since a
+// run may hold entries f does not match. A nil out is allocated on the
+// first match, sized for the limit or the candidates left, whichever
+// is fewer. Called with the store's lock held.
+func (c *community) search(f query.Filter, limit int, out []*Entry) []*Entry {
+	var buf [4][]posting
+	runs, indexed := c.runs(f, buf[:0])
 	n := len(c.members)
 	if indexed {
-		for i := range lists {
-			if len(lists[i]) < len(lists[0]) {
-				lists[0], lists[i] = lists[i], lists[0]
+		for i := range runs {
+			if len(runs[i]) < len(runs[0]) {
+				runs[0], runs[i] = runs[i], runs[0]
 			}
 		}
-		n = len(lists[0])
+		n = len(runs[0])
 	}
 	start := len(out)
 next:
 	for i := 0; i < n; i++ {
 		var e *Entry
 		if indexed {
-			id := lists[0][i]
-			for _, other := range lists[1:] {
-				if _, ok := slices.BinarySearch(other, id); !ok {
+			e = runs[0][i].e
+			for _, other := range runs[1:] {
+				if _, ok := slices.BinarySearchFunc(other, e.ID, func(p posting, id DocID) int { return strings.Compare(string(p.e.ID), string(id)) }); !ok {
 					continue next
 				}
 			}
-			e = docs[id]
 		} else {
 			e = c.members[i]
 		}
@@ -505,28 +553,41 @@ next:
 	return out
 }
 
-// lists appends to out the posting list of each exact-match conjunct of
-// f — f itself when it is an indexable assertion, the conjuncts of an
-// And, nested ones included — and reports whether there was one. Every
-// document f matches is on each list (an absent key's list is nil).
-func (c *community) lists(f query.Filter, out [][]DocID) ([][]DocID, bool) {
+// runs appends to out the run of postings of each exact-match conjunct
+// of f — f itself when it is an indexable assertion, the conjuncts of
+// an And, nested ones included — and reports whether there was one.
+// Every entry f matches is in each run (an absent key's run is empty).
+func (c *community) runs(f query.Filter, out [][]posting) ([][]posting, bool) {
 	switch t := f.(type) {
 	case *query.Assertion:
 		key, ok := t.IndexKey()
 		if !ok {
 			return out, false
 		}
-		return append(out, c.inverted[t.Attr][key]), true
+		var posts []posting
+		if i, ok := c.field(t.Attr); ok {
+			posts = c.fields[i].posts
+		}
+		h := maphash.String(keySeed, key)
+		lo := sort.Search(len(posts), func(j int) bool { return posts[j].h >= h })
+		hi := sort.Search(len(posts), func(j int) bool { return posts[j].h > h })
+		return append(out, posts[lo:hi]), true
 	case *query.And:
 		indexed := false
 		for _, sub := range t.Subs {
 			var ok bool
-			out, ok = c.lists(sub, out)
+			out, ok = c.runs(sub, out)
 			indexed = indexed || ok
 		}
 		return out, indexed
 	}
 	return out, false
+}
+
+// field returns attr's position among the fields, or the position it
+// would take, and whether it is there.
+func (c *community) field(attr string) (int, bool) {
+	return slices.BinarySearchFunc(c.fields, attr, func(f field, attr string) int { return strings.Compare(f.attr, attr) })
 }
 
 // find returns id's position among the members, or the position it
@@ -535,20 +596,18 @@ func (c *community) find(id DocID) (int, bool) {
 	return slices.BinarySearchFunc(c.members, id, func(e *Entry, id DocID) int { return cmp.Compare(e.ID, id) })
 }
 
-// putLocked installs e, displacing any previous version of its ID —
-// in its own community or in another one.
-func (s *Store) putLocked(e *Entry) {
-	if old, ok := s.docs[e.ID]; ok {
-		if old.CommunityID != e.CommunityID {
-			s.removeLocked(old)
-		} else {
-			s.communities[old.CommunityID].unindex(old)
-		}
+// putLocked makes e a member of its community, displacing any previous
+// version of its ID — in its own community or in another one — which
+// it returns. It edits no postings: the caller does.
+func (s *Store) putLocked(e *Entry) *Entry {
+	old := s.docs[e.ID]
+	if old != nil && old.CommunityID != e.CommunityID {
+		s.removeLocked(old)
 	}
 	s.docs[e.ID] = e
 	c := s.communities[e.CommunityID]
 	if c == nil {
-		c = &community{inverted: make(map[string]map[string][]DocID)}
+		c = &community{}
 		s.communities[e.CommunityID] = c
 	}
 	if i, ok := c.find(e.ID); ok {
@@ -556,14 +615,13 @@ func (s *Store) putLocked(e *Entry) {
 	} else {
 		c.members = slices.Insert(c.members, i, e)
 	}
-	c.index(e)
+	return old
 }
 
-// removeLocked deletes e from the store entirely. A community left
-// without members goes with it.
+// removeLocked deletes e from the store but for its postings, which
+// the caller removes. A community left without members goes with it.
 func (s *Store) removeLocked(e *Entry) {
 	c := s.communities[e.CommunityID]
-	c.unindex(e)
 	i, _ := c.find(e.ID)
 	c.members = slices.Delete(c.members, i, i+1)
 	delete(s.docs, e.ID)
@@ -572,63 +630,169 @@ func (s *Store) removeLocked(e *Entry) {
 	}
 }
 
-// index posts e under every key of its attributes. Most keys are held
-// by one document, so every key e is the first to hold gets the same
-// one-entry list, allocated once per entry. That list has no spare
-// capacity: an insert copies it rather than writing through it, and
-// unindex drops a one-entry list rather than emptying it in place.
-// A key is a substring of the entry's attribute string, and so is the
-// attribute name a field map is first made for unless it is copied:
-// it is, because a field map outlives most of the entries it indexes.
-func (c *community) index(e *Entry) {
-	var own []DocID
+// A write gathers the postings one write to the store removes and adds:
+// each an edit under the number of its field within the write, its
+// place in fields, so that sorting the edits groups each field's.
+type write struct {
+	edits  []edit
+	fields []fieldRef
+}
+
+type edit struct {
+	field int32
+	del   bool
+	p     posting
+}
+
+// fieldRef names the field attr of the community comm.
+type fieldRef struct{ comm, attr string }
+
+// post appends an edit adding, or with del removing, e's posting under
+// every key of its attributes. An entry is posted and unposted under its
+// own keys, so two of its keys that hash alike share one posting, added
+// and removed once.
+func (w write) post(e *Entry, del bool) write {
 	for attr, vals := range e.Attrs.All() {
-		field := c.inverted[attr]
-		if field == nil {
-			field = make(map[string][]DocID)
-			c.inverted[strings.Clone(attr)] = field
+		f := slices.Index(w.fields, fieldRef{e.CommunityID, attr})
+		if f < 0 {
+			f = len(w.fields)
+			w.fields = append(w.fields, fieldRef{e.CommunityID, attr})
 		}
 		for v := range vals {
-			for tok := range query.IndexKeys(v) {
-				ids := field[tok]
-				if len(ids) == 0 {
-					if own == nil {
-						own = []DocID{e.ID}
-					}
-					field[tok] = own
-					c.postings++
-				} else if i, dup := slices.BinarySearch(ids, e.ID); !dup {
-					field[tok] = slices.Insert(ids, i, e.ID)
-					c.postings++
-				}
+			for key := range query.IndexKeys(v) {
+				w.edits = append(w.edits, edit{int32(f), del, posting{maphash.String(keySeed, key), e}})
 			}
 		}
+	}
+	return w
+}
+
+// apply makes a write's edits field by field: each field's are sorted,
+// removals first, then made in two passes that move each block of the
+// field's kept postings once: the removals taken out going forward, the
+// additions, a repeated one filed once, merged in going back. A field
+// left empty goes. A removal names the very entry whose posting it
+// removes, so made in whichever community holds its ID now, if any, it
+// takes out nothing else.
+func (s *Store) apply(w write) {
+	slices.SortFunc(w.edits, func(x, y edit) int {
+		switch {
+		case x.field != y.field:
+			return int(x.field - y.field)
+		case x.del != y.del:
+			if x.del {
+				return -1
+			}
+			return 1
+		case before(x.p, y.p):
+			return -1
+		case before(y.p, x.p):
+			return 1
+		}
+		return 0
+	})
+	for edits := w.edits; len(edits) > 0; {
+		n, dels := 1, 0
+		for n < len(edits) && edits[n].field == edits[0].field {
+			n++
+		}
+		for dels < n && edits[dels].del {
+			dels++
+		}
+		ref := w.fields[edits[0].field]
+		if c := s.communities[ref.comm]; c != nil {
+			i, ok := c.field(ref.attr)
+			if !ok {
+				c.fields = slices.Insert(c.fields, i, field{attr: strings.Clone(ref.attr)})
+			}
+			f := &c.fields[i]
+			if f.posts = merge(remove(f.posts, edits[:dels]), slices.Compact(edits[dels:n])); len(f.posts) == 0 {
+				c.fields = slices.Delete(c.fields, i, i+1)
+			}
+		}
+		edits = edits[n:]
 	}
 }
 
-func (c *community) unindex(e *Entry) {
-	for attr, vals := range e.Attrs.All() {
-		field := c.inverted[attr]
-		if field == nil {
+// repoint files e in the place of old, which holds the same attributes,
+// by repointing old's postings to it, and reports whether it found any:
+// an entry of the write being applied has none yet.
+func (c *community) repoint(old, e *Entry) bool {
+	found := false
+	for attr, vals := range old.Attrs.All() {
+		i, ok := c.field(attr)
+		if !ok {
 			continue
 		}
 		for v := range vals {
-			for tok := range query.IndexKeys(v) {
-				ids := field[tok]
-				i, ok := slices.BinarySearch(ids, e.ID)
-				if !ok {
-					continue
-				}
-				c.postings--
-				if len(ids) == 1 {
-					delete(field, tok)
-				} else {
-					field[tok] = slices.Delete(ids, i, i+1)
+			for key := range query.IndexKeys(v) {
+				if k, ok := search(c.fields[i].posts, posting{maphash.String(keySeed, key), old}); ok {
+					c.fields[i].posts[k].e, found = e, true
 				}
 			}
 		}
-		if len(field) == 0 {
-			delete(c.inverted, attr)
+	}
+	return found
+}
+
+// remove takes the postings of dels, sorted, out of posts, skipping any
+// it does not hold (a del names the entry itself, not only its ID), and
+// clears the vacated tail so that no removed entry stays reachable from
+// it.
+func remove(posts []posting, dels []edit) []posting {
+	w, r := -1, 0 // posts[:w] are kept, once one is removed; posts[r:] not yet read
+	for _, d := range dels {
+		if i, ok := search(posts[r:], d.p); ok {
+			if i += r; w < 0 {
+				w = i
+			} else {
+				w += copy(posts[w:], posts[r:i])
+			}
+			r = i + 1
 		}
 	}
+	if w < 0 {
+		return posts
+	}
+	w += copy(posts[w:], posts[r:])
+	clear(posts[w:])
+	return posts[:w]
+}
+
+// merge files the postings of adds, sorted, distinct and none of them
+// in posts, into posts: from the back, each add lands after the block of
+// postings greater than it, which moves up once.
+func merge(posts []posting, adds []edit) []posting {
+	n := len(posts)
+	posts = slices.Grow(posts, len(adds))[:n+len(adds)]
+	for j := len(adds) - 1; j >= 0; j-- {
+		i := searchBack(posts[:n], adds[j].p)
+		copy(posts[i+j+1:], posts[i:n])
+		posts[i+j] = adds[j].p
+		n = i
+	}
+	return posts
+}
+
+// search returns p's position in posts, or the position it would take,
+// and whether p itself (its hash and its entry) is there.
+func search(posts []posting, p posting) (int, bool) {
+	i := sort.Search(len(posts), func(k int) bool { return !before(posts[k], p) })
+	return i, i < len(posts) && posts[i] == p
+}
+
+// searchBack returns the position p, which posts does not hold, would
+// take in posts, probing from the end at doubling distances first: a
+// merge's adds land near the end of what is left to merge.
+func searchBack(posts []posting, p posting) int {
+	hi := len(posts)
+	for step := 1; hi > 0; step *= 2 {
+		lo := max(hi-step, 0)
+		if before(posts[lo], p) {
+			i, _ := search(posts[lo+1:hi], p)
+			return lo + 1 + i
+		}
+		hi = lo
+	}
+	return 0
 }

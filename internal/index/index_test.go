@@ -271,10 +271,9 @@ func TestConcurrentAccess(t *testing.T) {
 
 // Property: indexed-candidate acceleration returns exactly the same
 // results as a brute-force scan for equality filters.
-// TestSharedPostingList covers the one-entry list every key a document
-// is first to hold shares: another document joining one of those keys
-// must not show up under the others, and the list must survive its
-// keys leaving one at a time, as a replace unindexes them.
+// TestSharedPostingList covers keys that share documents: another
+// document joining one of a document's keys must not show up under its
+// others, and a replace must take every key of the old version away.
 func TestSharedPostingList(t *testing.T) {
 	s := NewStore()
 	search := func(v string) []string {
@@ -418,7 +417,7 @@ func dump(t *testing.T, s *Store) []byte {
 
 // TestSearchAllocs pins a community-scoped search to one allocation,
 // the result slice, whether it walks the members (a presence filter),
-// one posting list (an exact match) or the intersection of two (an And
+// one run of postings (an exact match) or the intersection of two (an And
 // of exact matches).
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {

@@ -14,7 +14,8 @@ import (
 // deletes over two communities; the filter is then run at the limit
 // (0 means none) in each community and across both, and every answer
 // must be what a linear scan of the live documents, sorted by ID and
-// cut at the limit, gives.
+// cut at the limit, gives. The inverted index must be the one the live
+// documents' keys define (checkPostings).
 func FuzzStoreSearch(f *testing.F) {
 	// Sixteen puts with varied attributes, then one of each other
 	// operation.
@@ -104,6 +105,7 @@ func FuzzStoreSearch(f *testing.F) {
 				}
 			}
 		}
+		checkPostings(t, s)
 		sorted := slices.Sorted(maps.Keys(live))
 		for _, comm := range []string{"a", "b", ""} {
 			var want []string

@@ -35,7 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -146,23 +145,11 @@ func segmentName(sh, seq int) string {
 	return fmt.Sprintf("wal-%03d-%06d.log", sh, seq)
 }
 
-// parseSegmentName inverts segmentName; ok is false for foreign files.
+// parseSegmentName inverts segmentName; ok is false for any other
+// name.
 func parseSegmentName(name string) (sh, seq int, ok bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-	parts := strings.Split(mid, "-")
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(parts[0], "%d", &sh); err != nil {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(parts[1], "%d", &seq); err != nil {
-		return 0, 0, false
-	}
-	return sh, seq, true
+	_, err := fmt.Sscanf(name, "wal-%d-%d.log", &sh, &seq)
+	return sh, seq, err == nil && min(sh, seq) >= 0 && name == segmentName(sh, seq)
 }
 
 // appendRecord frames, writes, and (per policy) fsyncs one record,

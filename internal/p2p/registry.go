@@ -17,8 +17,8 @@ import (
 // the same results in the same order, whichever overlay carried it.
 //
 // Metadata lives in the same index.Store the peers use locally, so a
-// hub's search walks the inverted index's sorted postings to its limit
-// instead of scanning a flat entry map; the registry only adds a provider table
+// hub's search walks the inverted index's sorted runs of postings to
+// its limit instead of scanning a flat entry map; the registry only adds a provider table
 // mapping each DocID to the peers serving it. Registrations are soft
 // state that peers re-announce (reconnection, Rehome), so a hub keeps
 // them in memory only.

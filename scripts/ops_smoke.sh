@@ -107,6 +107,10 @@ pid=$!
 wait_health 127.0.0.1:8974
 docs=$(curl -sf "http://127.0.0.1:8974/healthz" | jq -e '.docs')
 [ "$docs" -ge 1 ]
+# The communities it holds objects of: the seeded one and the root
+# community holding its description, both linked from the home page.
+comms=$(curl -sf "http://127.0.0.1:8974/" | grep -o 'href="/community/[^"]*"' | sort -u | wc -l)
+[ "$comms" -ge 2 ]
 kill -KILL "$pid"
 wait "$pid" || true
 pid=
@@ -122,6 +126,14 @@ if [ "$restored" -ne "$docs" ]; then
     exit 1
 fi
 echo "recovered $docs objects from the log after SIGKILL"
+# The restart re-announces what it recovered one batch per community:
+# one log record each, not one per object.
+appends=$(curl -sf "http://127.0.0.1:8975/metrics" | awk '$1 == "up2p_index_wal_appends" {print $2}')
+if [ -z "$appends" ] || [ "$appends" -gt "$comms" ]; then
+    echo "ops-smoke: the restart appended ${appends:-no} log records re-announcing $docs objects of $comms communities" >&2
+    exit 1
+fi
+echo "re-announced them in $appends log records"
 
 kill -TERM "$pid"
 wait "$pid" || true
