@@ -23,8 +23,9 @@
 // its own fields, so a community-scoped search never walks another
 // community's postings. A batch (PutBatch/DeleteBatch) takes the lock
 // once and is applied whole: its postings are sorted, and each field it
-// touches is rewritten in one pass, however many entries the batch
-// holds.
+// touches is rewritten once, however many entries the batch holds. A
+// replacement's posting under a key the replaced entry held too is
+// written over the old one in place.
 package index
 
 import (
@@ -32,7 +33,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"log/slog"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -340,28 +340,17 @@ func (s *Store) PutEntries(es []*Entry) error {
 			return err
 		}
 	}
-	// Most writes edit a few dozen postings in a few fields: room for
-	// them on the stack.
-	var edits [128]edit
-	var fields [16]fieldRef
-	var filedBuf [64]bool
-	w, filed := write{edits[:0], fields[:0]}, filedBuf[:0]
+	var w []change
 	for _, e := range es {
-		old := s.putLocked(e)
-		// A copy of the entry it replaces — a re-announce, a second
-		// provider's registration — takes over that entry's postings.
-		same := old != nil && old.CommunityID == e.CommunityID && old.Attrs.Equal(e.Attrs) &&
-			s.communities[e.CommunityID].repoint(old, e)
-		if !same && old != nil {
-			w = w.post(old, true)
+		if old := s.putLocked(e); old != nil {
+			w = append(w, change{old, true})
 		}
-		filed = append(filed, same)
 	}
 	// An entry's own postings are added once the whole batch is placed,
 	// since a later entry of its ID displaces it in turn.
-	for i, e := range es {
-		if !filed[i] && s.docs[e.ID] == e {
-			w = w.post(e, false)
+	for _, e := range es {
+		if s.docs[e.ID] == e {
+			w = append(w, change{e, false})
 		}
 	}
 	s.apply(w)
@@ -388,7 +377,9 @@ func (s *Store) Entry(id DocID) (*Entry, bool) {
 
 // Has reports whether the document is stored.
 func (s *Store) Has(id DocID) bool {
-	_, ok := s.Entry(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.docs[id]
 	return ok
 }
 
@@ -408,7 +399,12 @@ func (s *Store) DeleteBatch(ids []DocID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
-		present := slices.DeleteFunc(slices.Clone(ids), func(id DocID) bool { return s.docs[id] == nil })
+		var present []DocID
+		for _, id := range ids {
+			if _, ok := s.docs[id]; ok {
+				present = append(present, id)
+			}
+		}
 		if len(present) == 0 {
 			return 0
 		}
@@ -416,16 +412,15 @@ func (s *Store) DeleteBatch(ids []DocID) int {
 			return 0
 		}
 	}
-	held := len(s.docs)
-	var dels write
+	var dels []change
 	for _, id := range ids {
 		if d, ok := s.docs[id]; ok {
 			s.removeLocked(d)
-			dels = dels.post(d, true)
+			dels = append(dels, change{d, true})
 		}
 	}
 	s.apply(dels)
-	return held - len(s.docs)
+	return len(dels)
 }
 
 // Len returns the number of stored documents.
@@ -449,8 +444,13 @@ func (s *Store) CommunityLen(communityID string) int {
 // sorted.
 func (s *Store) Communities() []string {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return slices.Sorted(maps.Keys(s.communities))
+	out := make([]string, 0, len(s.communities))
+	for id := range s.communities {
+		out = append(out, id)
+	}
+	s.mu.RUnlock()
+	slices.Sort(out)
+	return out
 }
 
 // Postings returns the number of inverted-index entries: the measured
@@ -630,169 +630,160 @@ func (s *Store) removeLocked(e *Entry) {
 	}
 }
 
-// A write gathers the postings one write to the store removes and adds:
-// each an edit under the number of its field within the write, its
-// place in fields, so that sorting the edits groups each field's.
-type write struct {
-	edits  []edit
-	fields []fieldRef
+// A change adds an entry's postings to the index or, with del, removes
+// them.
+type change struct {
+	e   *Entry
+	del bool
 }
 
-type edit struct {
-	field int32
-	del   bool
-	p     posting
-}
-
-// fieldRef names the field attr of the community comm.
-type fieldRef struct{ comm, attr string }
-
-// post appends an edit adding, or with del removing, e's posting under
-// every key of its attributes. An entry is posted and unposted under its
-// own keys, so two of its keys that hash alike share one posting, added
-// and removed once.
-func (w write) post(e *Entry, del bool) write {
-	for attr, vals := range e.Attrs.All() {
-		f := slices.Index(w.fields, fieldRef{e.CommunityID, attr})
-		if f < 0 {
-			f = len(w.fields)
-			w.fields = append(w.fields, fieldRef{e.CommunityID, attr})
-		}
-		for v := range vals {
-			for key := range query.IndexKeys(v) {
-				w.edits = append(w.edits, edit{int32(f), del, posting{maphash.String(keySeed, key), e}})
-			}
-		}
-	}
-	return w
-}
-
-// apply makes a write's edits field by field: each field's are sorted,
-// removals first, then made in two passes that move each block of the
-// field's kept postings once: the removals taken out going forward, the
-// additions, a repeated one filed once, merged in going back. A field
-// left empty goes. A removal names the very entry whose posting it
-// removes, so made in whichever community holds its ID now, if any, it
-// takes out nothing else.
-func (s *Store) apply(w write) {
-	slices.SortFunc(w.edits, func(x, y edit) int {
-		switch {
-		case x.field != y.field:
-			return int(x.field - y.field)
-		case x.del != y.del:
-			if x.del {
-				return -1
-			}
-			return 1
-		case before(x.p, y.p):
-			return -1
-		case before(y.p, x.p):
-			return 1
-		}
-		return 0
-	})
-	for edits := w.edits; len(edits) > 0; {
-		n, dels := 1, 0
-		for n < len(edits) && edits[n].field == edits[0].field {
+// apply makes a write's changes, community by community. A change is
+// made in whichever community holds its entry's ID now, if any: a
+// removal names the very entry whose postings it removes, so it takes
+// out nothing else.
+func (s *Store) apply(w []change) {
+	slices.SortFunc(w, func(x, y change) int { return strings.Compare(x.e.CommunityID, y.e.CommunityID) })
+	var edits []edit
+	for len(w) > 0 {
+		n := 1
+		for n < len(w) && w[n].e.CommunityID == w[0].e.CommunityID {
 			n++
 		}
-		for dels < n && edits[dels].del {
-			dels++
+		if c := s.communities[w[0].e.CommunityID]; c != nil {
+			edits = c.apply(w[:n], edits[:0])
 		}
-		ref := w.fields[edits[0].field]
-		if c := s.communities[ref.comm]; c != nil {
-			i, ok := c.field(ref.attr)
-			if !ok {
-				c.fields = slices.Insert(c.fields, i, field{attr: strings.Clone(ref.attr)})
-			}
-			f := &c.fields[i]
-			if f.posts = merge(remove(f.posts, edits[:dels]), slices.Compact(edits[dels:n])); len(f.posts) == 0 {
-				c.fields = slices.Delete(c.fields, i, i+1)
-			}
-		}
-		edits = edits[n:]
+		w = w[n:]
 	}
 }
 
-// repoint files e in the place of old, which holds the same attributes,
-// by repointing old's postings to it, and reports whether it found any:
-// an entry of the write being applied has none yet.
-func (c *community) repoint(old, e *Entry) bool {
-	found := false
-	for attr, vals := range old.Attrs.All() {
-		i, ok := c.field(attr)
-		if !ok {
+// An edit adds a posting to a field or, with del, removes one from it.
+// at is its place among the field's postings, which splice sets.
+type edit struct {
+	at  int32
+	del bool
+	p   posting
+}
+
+// apply makes the changes to the community's fields, field by field,
+// using edits as scratch, which it returns. It posts or unposts each
+// entry under every key of its attributes: an entry is posted and
+// unposted under its own keys, so two of its keys that hash alike share
+// one posting, added and removed once. A field left empty goes.
+func (c *community) apply(w []change, edits []edit) []edit {
+	for _, ch := range w {
+		if ch.del {
 			continue
 		}
-		for v := range vals {
-			for key := range query.IndexKeys(v) {
-				if k, ok := search(c.fields[i].posts, posting{maphash.String(keySeed, key), old}); ok {
-					c.fields[i].posts[k].e, found = e, true
+		for attr := range ch.e.Attrs.All() {
+			if i, ok := c.field(attr); !ok {
+				c.fields = slices.Insert(c.fields, i, field{attr: strings.Clone(attr)})
+			}
+		}
+	}
+	for i := range c.fields {
+		edits = edits[:0]
+		for _, ch := range w {
+			for v := range ch.e.Attrs.Values(c.fields[i].attr) {
+				for key := range query.IndexKeys(v) {
+					edits = append(edits, edit{0, ch.del, posting{maphash.String(keySeed, key), ch.e}})
 				}
 			}
 		}
+		c.fields[i].posts = splice(c.fields[i].posts, edits)
 	}
-	return found
+	c.fields = slices.DeleteFunc(c.fields, func(f field) bool { return len(f.posts) == 0 })
+	return edits
 }
 
-// remove takes the postings of dels, sorted, out of posts, skipping any
-// it does not hold (a del names the entry itself, not only its ID), and
-// clears the vacated tail so that no removed entry stays reachable from
-// it.
-func remove(posts []posting, dels []edit) []posting {
-	w, r := -1, 0 // posts[:w] are kept, once one is removed; posts[r:] not yet read
-	for _, d := range dels {
-		if i, ok := search(posts[r:], d.p); ok {
-			if i += r; w < 0 {
-				w = i
-			} else {
-				w += copy(posts[w:], posts[r:i])
-			}
-			r = i + 1
+// splice sorts one field's edits and makes them on its postings. The
+// edits of one posting place — one (hash, ID) — make one change: an add
+// is filed there, over the posting held there if any (the entry it
+// replaces); removals alone take that posting out if one of them names
+// its entry. Filing over a posting moves nothing, so a replace that
+// keeps its keys rewrites them in place. The edits' own slice then holds
+// the changes left, each at its place, for shift.
+func splice(posts []posting, edits []edit) []posting {
+	slices.SortFunc(edits, func(x, y edit) int {
+		if x.p.h != y.p.h {
+			return cmp.Compare(x.p.h, y.p.h)
+		}
+		return cmp.Compare(x.p.e.ID, y.p.e.ID)
+	})
+	m, adds, dels := 0, 0, 0
+	for g, k := 0, 0; g < len(edits); {
+		n := g + 1
+		for n < len(edits) && edits[n].p.h == edits[g].p.h && edits[n].p.e.ID == edits[g].p.e.ID {
+			n++
+		}
+		i, held := search(posts[k:], edits[g].p)
+		k += i
+		add := slices.IndexFunc(edits[g:n], func(d edit) bool { return !d.del })
+		switch {
+		case add >= 0 && held:
+			posts[k] = edits[g+add].p
+		case add >= 0:
+			edits[m], m, adds = edit{int32(k), false, edits[g+add].p}, m+1, adds+1
+		case held && slices.ContainsFunc(edits[g:n], func(d edit) bool { return d.p.e == posts[k].e }):
+			edits[m], m, dels = edit{int32(k), true, posts[k]}, m+1, dels+1
+		}
+		g = n
+	}
+	return shift(posts, edits[:m], adds, dels)
+}
+
+// shift makes changes, sorted by place, on posts: an add goes in before
+// the posting at its place, a removal takes out the posting at its
+// place. Each block of kept postings between two places moves once, by
+// the adds less the removals before it: the blocks moving up first, from
+// the last, then those moving down, from the first, so that none lands
+// on one not yet moved. The adds then fill the gaps, and the vacated
+// tail is cleared, so that no removed entry stays reachable from it.
+func shift(posts []posting, changes []edit, adds, dels int) []posting {
+	n := len(posts)
+	posts = slices.Grow(posts, adds)[:n+adds]
+	block := func(t int) (from, to int) {
+		from, to = int(changes[t].at), n
+		if changes[t].del {
+			from++
+		}
+		if t+1 < len(changes) {
+			to = int(changes[t+1].at)
+		}
+		return from, to
+	}
+	step := func(t int) int {
+		if changes[t].del {
+			return -1
+		}
+		return 1
+	}
+	off := adds - dels
+	for t := len(changes) - 1; t >= 0; t-- {
+		if from, to := block(t); off > 0 {
+			copy(posts[from+off:], posts[from:to])
+		}
+		off -= step(t)
+	}
+	for t := range changes {
+		off += step(t)
+		if from, to := block(t); off < 0 {
+			copy(posts[from+off:], posts[from:to])
 		}
 	}
-	if w < 0 {
-		return posts
+	off = 0
+	for t, c := range changes {
+		if !c.del {
+			posts[int(c.at)+off] = c.p
+		}
+		off += step(t)
 	}
-	w += copy(posts[w:], posts[r:])
-	clear(posts[w:])
-	return posts[:w]
+	clear(posts[n+adds-dels:])
+	return posts[:n+adds-dels]
 }
 
-// merge files the postings of adds, sorted, distinct and none of them
-// in posts, into posts: from the back, each add lands after the block of
-// postings greater than it, which moves up once.
-func merge(posts []posting, adds []edit) []posting {
-	n := len(posts)
-	posts = slices.Grow(posts, len(adds))[:n+len(adds)]
-	for j := len(adds) - 1; j >= 0; j-- {
-		i := searchBack(posts[:n], adds[j].p)
-		copy(posts[i+j+1:], posts[i:n])
-		posts[i+j] = adds[j].p
-		n = i
-	}
-	return posts
-}
-
-// search returns p's position in posts, or the position it would take,
-// and whether p itself (its hash and its entry) is there.
+// search returns the position of p's hash and ID in posts, or the
+// position they would take, and whether a posting is there.
 func search(posts []posting, p posting) (int, bool) {
 	i := sort.Search(len(posts), func(k int) bool { return !before(posts[k], p) })
-	return i, i < len(posts) && posts[i] == p
-}
-
-// searchBack returns the position p, which posts does not hold, would
-// take in posts, probing from the end at doubling distances first: a
-// merge's adds land near the end of what is left to merge.
-func searchBack(posts []posting, p posting) int {
-	hi := len(posts)
-	for step := 1; hi > 0; step *= 2 {
-		lo := max(hi-step, 0)
-		if before(posts[lo], p) {
-			i, _ := search(posts[lo+1:hi], p)
-			return lo + 1 + i
-		}
-		hi = lo
-	}
-	return 0
+	return i, i < len(posts) && posts[i].h == p.h && posts[i].e.ID == p.e.ID
 }

@@ -1,8 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
+	"maps"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -66,8 +69,9 @@ func checkPostings(t *testing.T, s *Store) {
 // of the key hash would: two keys of one entry, and a third key of
 // another entry. The entry's two keys share its one posting, a search
 // still answers only the entries holding the key it asks for, removing
-// the other entry's posting leaves the first's, and the first's two
-// keys remove its posting once.
+// the other entry's posting leaves the first's, a replacement of the
+// first takes its posting and not the other's, and the replacement's
+// two keys remove its posting once.
 func TestCollidingKeys(t *testing.T) {
 	s := NewStore()
 	x := NewEntry(doc("x", "c", "x", map[string][]string{"t": {"red", "green"}}))
@@ -76,13 +80,15 @@ func TestCollidingKeys(t *testing.T) {
 		s.putLocked(e) // members only: the postings are filed below
 	}
 	c := s.communities["c"]
+	c.fields = []field{{attr: "t"}}
 	red := maphash.String(keySeed, "red")
 	file := func(del bool, es ...*Entry) {
-		w := write{fields: []fieldRef{{"c", "t"}}}
+		var edits []edit
 		for _, e := range es {
-			w.edits = append(w.edits, edit{0, del, posting{red, e}})
+			edits = append(edits, edit{0, del, posting{red, e}})
 		}
-		s.apply(w)
+		c.fields[0].posts = splice(c.fields[0].posts, edits)
+		c.fields = slices.DeleteFunc(c.fields, func(f field) bool { return len(f.posts) == 0 })
 	}
 	search := func() string {
 		return fmt.Sprint(ids(s.Search("c", query.MustParse("(t=red)"), 0)))
@@ -102,7 +108,15 @@ func TestCollidingKeys(t *testing.T) {
 	if got := search(); got != "[x]" {
 		t.Errorf("(t=red) = %s after y's posting was removed, want [x]", got)
 	}
-	file(true, x, x)
+	file(false, y)
+	x2 := NewEntry(doc("x", "c", "x", map[string][]string{"t": {"red", "green"}}))
+	s.putLocked(x2)
+	c.fields[0].posts = splice(c.fields[0].posts, []edit{{0, false, posting{red, x2}}, {0, true, posting{red, x}}, {0, true, posting{red, x}}})
+	if got := c.fields[0].posts; len(got) != 2 || got[0].e != x2 || got[1].e != y {
+		t.Errorf("after x was replaced: %v, want x's replacement and y", got)
+	}
+	file(true, y)
+	file(true, x2, x2)
 	if len(c.fields) != 0 || s.Postings() != 0 {
 		t.Errorf("after x's two keys were removed: %d fields, %d postings, want none", len(c.fields), s.Postings())
 	}
@@ -180,4 +194,74 @@ func TestDeletedEntryCollectable(t *testing.T) {
 		}
 	}
 	t.Fatal("the deleted entry's attribute string is still reachable")
+}
+
+// TestSpliceMatchesModel runs splice on random fields and edits drawn
+// from a few hashes, IDs and versions of each ID (adds all name one
+// version, as a write's adds name the live entry of their ID), so that
+// edits share places, adds land between and over held postings and
+// removals name held and unheld entries. It holds the result to a
+// model: at each place an add files its entry, and removals alone take
+// the posting out if one names it. The result must be in strict order
+// and the vacated tail cleared.
+func TestSpliceMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const hashes, ids, versions = 4, 6, 3
+	var es [ids][versions]*Entry
+	for i := range es {
+		for v := range es[i] {
+			es[i][v] = &Entry{ID: DocID(fmt.Sprint("d", i))}
+		}
+	}
+	type place struct {
+		h  uint64
+		id DocID
+	}
+	for round := 0; round < 5000; round++ {
+		held := make(map[place]*Entry)
+		for range rng.Intn(hashes * ids) {
+			e := es[rng.Intn(ids)][rng.Intn(versions)]
+			held[place{uint64(rng.Intn(hashes)), e.ID}] = e
+		}
+		var posts []posting
+		for p, e := range held {
+			posts = append(posts, posting{p.h, e})
+		}
+		order := func(x, y posting) int { return cmp.Or(cmp.Compare(x.h, y.h), cmp.Compare(x.e.ID, y.e.ID)) }
+		slices.SortFunc(posts, order)
+		posts = slices.Grow(posts, rng.Intn(4))
+		var edits []edit
+		live := rng.Intn(versions) // the one version of an ID a write adds
+		for range rng.Intn(12) {
+			i, v, del := rng.Intn(ids), live, rng.Intn(2) == 0
+			if del {
+				v = rng.Intn(versions)
+			}
+			edits = append(edits, edit{0, del, posting{uint64(rng.Intn(hashes)), es[i][v]}})
+		}
+		want := maps.Clone(held)
+		for _, d := range edits {
+			if d.del && !slices.ContainsFunc(edits, func(a edit) bool { return !a.del && a.p.h == d.p.h && a.p.e.ID == d.p.e.ID }) &&
+				want[place{d.p.h, d.p.e.ID}] == d.p.e {
+				delete(want, place{d.p.h, d.p.e.ID})
+			}
+		}
+		for _, a := range edits {
+			if !a.del {
+				want[place{a.p.h, a.p.e.ID}] = a.p.e
+			}
+		}
+		in := fmt.Sprint(posts, edits)
+		got := splice(posts, slices.Clone(edits))
+		ok := len(got) == len(want)
+		for i, p := range got {
+			ok = ok && want[place{p.h, p.e.ID}] == p.e && (i == 0 || order(got[i-1], p) < 0)
+		}
+		for _, p := range got[len(got):cap(got)] {
+			ok = ok && p == posting{}
+		}
+		if !ok {
+			t.Fatalf("splice(%s) = %v, want %v", in, got, want)
+		}
+	}
 }

@@ -147,6 +147,34 @@ func BenchmarkStoreRegister(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreLoad times the write a snapshot load or a large log
+// record makes: every registration tcp-central-mixed's index server
+// holds put in one batch into a fresh store, over its 32 communities
+// (hub), and the same registrations spread over 1024 communities
+// (communities), a store of many small communities.
+func BenchmarkStoreLoad(b *testing.B) {
+	hub := centralRegistrations(b)
+	many := make([]*index.Document, len(hub))
+	for i, d := range hub {
+		c := *d
+		c.CommunityID = fmt.Sprintf("%s-%d", d.CommunityID, i%32)
+		many[i] = &c
+	}
+	for _, bc := range []struct {
+		name string
+		docs []*index.Document
+	}{{"hub", hub}, {"communities", many}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := index.NewStore().PutBatch(bc.docs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStoreReplace puts 200 IDs over and over into one store, the
 // shape of the ruler's put probe: each put replaces the ID's entry with
 // an identical copy (same), as a re-announce or a second provider's

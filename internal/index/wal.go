@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -145,11 +146,23 @@ func segmentName(sh, seq int) string {
 	return fmt.Sprintf("wal-%03d-%06d.log", sh, seq)
 }
 
-// parseSegmentName inverts segmentName; ok is false for any other
-// name.
+// parseSegmentName inverts segmentName; ok is false for foreign files.
 func parseSegmentName(name string) (sh, seq int, ok bool) {
-	_, err := fmt.Sscanf(name, "wal-%d-%d.log", &sh, &seq)
-	return sh, seq, err == nil && min(sh, seq) >= 0 && name == segmentName(sh, seq)
+	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
+		return 0, 0, false
+	}
+	mid := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
+	parts := strings.Split(mid, "-")
+	if len(parts) != 2 {
+		return 0, 0, false
+	}
+	if _, err := fmt.Sscanf(parts[0], "%d", &sh); err != nil {
+		return 0, 0, false
+	}
+	if _, err := fmt.Sscanf(parts[1], "%d", &seq); err != nil {
+		return 0, 0, false
+	}
+	return sh, seq, true
 }
 
 // appendRecord frames, writes, and (per policy) fsyncs one record,

@@ -610,20 +610,3 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 		}
 	}
 }
-
-// TestSegmentNames: parseSegmentName reads back exactly the names
-// segmentName writes, and no other file in a log directory.
-func TestSegmentNames(t *testing.T) {
-	for _, c := range []struct{ sh, seq int }{{0, 1}, {1, 1}, {0, 999999}, {0, 1234567}, {12, 40}} {
-		name := segmentName(c.sh, c.seq)
-		if sh, seq, ok := parseSegmentName(name); !ok || sh != c.sh || seq != c.seq {
-			t.Errorf("parseSegmentName(%q) = %d, %d, %v", name, sh, seq, ok)
-		}
-	}
-	for _, name := range []string{"snapshot.json", "snapshot.json.tmp-1", "wal-000-000001.log.tmp-2", "wal-000-000001.logx",
-		"wal-0-1.log", "wal-000-00001.log", "wal-x-000001.log", "wal-000-000001", "xwal-000-000001.log", "wal--01-000001.log", "wal-000--00001.log"} {
-		if _, _, ok := parseSegmentName(name); ok {
-			t.Errorf("parseSegmentName(%q) accepted a name segmentName never writes", name)
-		}
-	}
-}
