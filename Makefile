@@ -88,9 +88,11 @@ heap-profile:
 # FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
 # FuzzFilterParse, FuzzFieldsRoundTrip, FuzzWALSegment, FuzzStoreSearch,
 # FuzzStoreRoundTrip, FuzzXPathCompile, FuzzXMLParse, FuzzEscape,
-# FuzzIndexerExtract and FuzzXSLTApply on top of their seeds and the committed corpora (testdata/fuzz in internal/dht,
-# internal/p2p, internal/transport, internal/query, internal/index and
-# internal/xmldoc) — a DHT holder's posting lists
+# FuzzXSDParse, FuzzUnmarshalCommunity, FuzzIndexerExtract and
+# FuzzXSLTApply on top of their seeds and the committed corpora
+# (testdata/fuzz in internal/dht, internal/p2p, internal/transport,
+# internal/query, internal/index, internal/xmldoc, internal/xsd and
+# internal/core) — a DHT holder's posting lists
 # answer every get as a scan of the same records does, no DHT or p2p
 # frame decoder, no TCP connection reader and no WAL segment scan may
 # panic, or allocate beyond a small multiple of its
@@ -104,7 +106,10 @@ heap-profile:
 # compilation never panics and keeps its source, a parsed XML
 # document's String parses back to the same String, the escapers that
 # serialize it write what the old rune-at-a-time ones did, an attribute
-# set survives the wire as the map it came from, an Indexer's path
+# set survives the wire as the map it came from, a stranger's schema
+# parses, flattens and validates without panicking, joining a
+# stranger's community neither panics nor renders past the XSLT
+# budget, an Indexer's path
 # walk extracts what the generated indexing stylesheet does, and an
 # XSLT transform never panics, never succeeds over its budget and, for
 # a shipped stylesheet, never runs out of it.
@@ -122,6 +127,8 @@ fuzz-smoke:
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathCompile -fuzztime 10s
 	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzXMLParse -fuzztime 10s
 	$(GO) test ./internal/xmldoc -run '^$$' -fuzz FuzzEscape -fuzztime 10s
+	$(GO) test ./internal/xsd -run '^$$' -fuzz FuzzXSDParse -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUnmarshalCommunity -fuzztime 10s
 	$(GO) test ./internal/stylegen -run '^$$' -fuzz FuzzIndexerExtract -fuzztime 10s
 	$(GO) test ./internal/xslt -run '^$$' -fuzz FuzzXSLTApply -fuzztime 10s
 

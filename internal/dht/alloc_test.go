@@ -41,11 +41,11 @@ func patternDocs(n int) []*index.Document {
 	return docs
 }
 
-func patternRecords(n int, provider transport.PeerID) []Record {
+func patternRecords(n int, provider transport.PeerID) []p2p.Result {
 	return recordsFor(index.NewEntries(patternDocs(n)), provider)
 }
 
-func recordFor(doc *index.Document, provider transport.PeerID) Record {
+func recordFor(doc *index.Document, provider transport.PeerID) p2p.Result {
 	return recordsFor([]*index.Entry{index.NewEntry(doc)}, provider)[0]
 }
 
@@ -191,7 +191,7 @@ func TestSearchLeavesReplyFramesCollectable(t *testing.T) {
 	key := KeyForCommunity("patterns")
 	var searcher *Node
 	for _, nd := range nodes[8:] {
-		if own, _, _ := nd.records.get(new([]Record), key, nd.Clock().Now(), "patterns", "(*)", nil, 0, setDigest{}); len(own) == 0 {
+		if own, _, _ := nd.records.get(new([]p2p.Result), key, nd.Clock().Now(), &valueQuery{communityID: "patterns", filter: "(*)"}, setDigest{}); len(own) == 0 {
 			searcher = nd
 			break
 		}
@@ -236,7 +236,7 @@ func TestGetMatchesEachRecordOnce(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	rs.put(key, patternRecords(60, "peerA"), t0)
 	f := &countingFilter{Filter: query.MustParse("(classification=behavioral)")}
-	shipped, dig, _ := rs.get(new([]Record), key, t0, "patterns", f.String(), f, 0, setDigest{})
+	shipped, dig, _ := rs.get(new([]p2p.Result), key, t0, &valueQuery{communityID: "patterns", filter: f.String(), match: f}, setDigest{})
 	if f.calls != 60 || len(shipped) == 0 || int(dig.Count) != len(shipped) {
 		t.Fatalf("shipping: %d Match calls for 60 records, %d shipped, digest %+v", f.calls, len(shipped), dig)
 	}
@@ -245,14 +245,14 @@ func TestGetMatchesEachRecordOnce(t *testing.T) {
 			t.Fatalf("shipped set is not sorted at %d", i)
 		}
 	}
-	for name, into := range map[string]*[]Record{"have matches": new([]Record), "digest only": nil} {
+	for name, into := range map[string]*[]p2p.Result{"have matches": new([]p2p.Result), "digest only": nil} {
 		f.calls = 0
-		if recs, again, _ := rs.get(into, key, t0, "patterns", f.String(), f, 0, dig); recs != nil || again != dig || f.calls != 60 {
+		if recs, again, _ := rs.get(into, key, t0, &valueQuery{communityID: "patterns", filter: f.String(), match: f}, dig); recs != nil || again != dig || f.calls != 60 {
 			t.Errorf("%s: %d Match calls for 60 records, %d shipped, digest %+v", name, f.calls, len(recs), again)
 		}
 	}
 	f.calls = 0
-	if recs, limited, _ := rs.get(new([]Record), key, t0, "patterns", f.String(), f, 3, setDigest{}); len(recs) != 3 || limited != dig || f.calls != 60 {
+	if recs, limited, _ := rs.get(new([]p2p.Result), key, t0, &valueQuery{communityID: "patterns", filter: f.String(), match: f, limit: 3}, setDigest{}); len(recs) != 3 || limited != dig || f.calls != 60 {
 		t.Errorf("limit 3: %d Match calls, %d shipped, digest %+v", f.calls, len(recs), limited)
 	}
 }

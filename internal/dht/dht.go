@@ -14,7 +14,10 @@
 // provider) on the k nodes closest to that key; searching a community
 // is one iterative FIND_VALUE toward it, with the attribute filter
 // evaluated holder-side so only matching records travel back. A hit
-// names its provider, so retrieval needs no second key.
+// names its provider, so retrieval needs no second key. A record is a
+// p2p.Result from publish to caller — held, cached, shipped, merged and
+// returned as one type, replicas content-addressed by (DocID, Provider)
+// — and its Hops, the search's own count, never travels.
 //
 // A search ships the record set once. Every FIND_VALUE reply carries a
 // 12-byte digest of the responder's matching set (setDigest); records
@@ -63,7 +66,7 @@ import (
 	"time"
 
 	"repro/internal/index"
-	"repro/internal/query"
+	"repro/internal/p2p"
 	"repro/internal/transport"
 )
 
@@ -149,23 +152,12 @@ const (
 	MsgUnstore = "dht-unstore"
 )
 
-// Record is one replicated metadata entry: the registered fields of a
-// document (exactly what the centralized register frame carries) plus
-// its provider. Replicas are content-addressed by (DocID, Provider).
-type Record struct {
-	DocID       index.DocID      `json:"docId"`
-	CommunityID string           `json:"communityId"`
-	Title       string           `json:"title"`
-	Attrs       query.Fields     `json:"attrs"`
-	Provider    transport.PeerID `json:"provider"`
-}
-
-// own makes rec a copy that shares no memory with what it was decoded
-// from: its four scalars cut from one new string, its attributes from
-// another (query.Fields.Clone). A holder keeps what it owns for a TTL,
-// and the recordStore's map keys are its DocID and Provider, so neither
+// ownRecord makes rec a copy that shares no memory with what it was
+// decoded from: its four scalars cut from one new string, its attributes
+// from another (query.Fields.Clone). A holder keeps what it owns for a
+// TTL, and the recordStore orders by its DocID and Provider, so neither
 // a frame nor a neighbouring record stays alive through it.
-func (rec *Record) own() {
+func ownRecord(rec *p2p.Result) {
 	all := string(rec.DocID) + rec.CommunityID + rec.Title + string(rec.Provider)
 	d, c, t := len(rec.DocID), len(rec.CommunityID), len(rec.Title)
 	rec.DocID, rec.CommunityID, rec.Title = index.DocID(all[:d]), all[d:d+c], all[d+c:d+c+t]
@@ -246,7 +238,7 @@ type findValueReplyPayload struct {
 	ReqID uint64 `json:"reqId"`
 	// Records is the matching set, unless the request's Have or
 	// DigestOnly suppressed it; Digest describes it either way.
-	Records []Record           `json:"records,omitempty"`
+	Records []p2p.Result       `json:"records,omitempty"`
 	Digest  setDigest          `json:"digest"`
 	Peers   []transport.PeerID `json:"peers"`
 	// Complete marks records served from a cached copy for exactly the
@@ -259,8 +251,8 @@ type findValueReplyPayload struct {
 }
 
 type storePayload struct {
-	Key     ID       `json:"key"`
-	Records []Record `json:"records"`
+	Key     ID           `json:"key"`
+	Records []p2p.Result `json:"records"`
 	// Cached marks a caching STORE from a FIND_VALUE querier: the
 	// holder keeps the records with a halved TTL, tagged with Filter,
 	// and never lets them displace primary replicas. Cached records

@@ -92,14 +92,14 @@ func byDistance(nodes []*Node, key ID, skip *Node) []*Node {
 }
 
 func digestOf(nd *Node, key ID, f query.Filter) setDigest {
-	_, dig, _ := nd.records.get(nil, key, nd.Clock().Now(), "patterns", f.String(), f, 0, setDigest{})
+	_, dig, _ := nd.records.get(nil, key, nd.Clock().Now(), &valueQuery{communityID: "patterns", filter: f.String(), match: f}, setDigest{})
 	return dig
 }
 
-func pairs(rs []p2p.Result) []recordKey {
-	out := make([]recordKey, len(rs))
+func pairs(rs []p2p.Result) []docProvider {
+	out := make([]docProvider, len(rs))
 	for i, r := range rs {
-		out[i] = recordKey{r.DocID, r.Provider}
+		out[i] = docProvider{r.DocID, r.Provider}
 	}
 	return out
 }
@@ -113,9 +113,9 @@ func TestDigestOrderIndependent(t *testing.T) {
 	digest := func(order []int) setDigest {
 		rs := newRecordStore(time.Minute, 0)
 		for _, i := range order {
-			rs.put(key, []Record{rec(i, fmt.Sprintf("peer%d", i%3))}, t0)
+			rs.put(key, []p2p.Result{rec(i, fmt.Sprintf("peer%d", i%3))}, t0)
 		}
-		_, dig, _ := rs.get(nil, key, t0, "patterns", f.String(), f, 0, setDigest{})
+		_, dig, _ := rs.get(nil, key, t0, &valueQuery{communityID: "patterns", filter: f.String(), match: f}, setDigest{})
 		return dig
 	}
 	a, b := digest([]int{0, 1, 2, 3, 4, 5, 6}), digest([]int{6, 2, 4, 0, 5, 3, 1})
@@ -179,7 +179,7 @@ func TestDigestMismatchPull(t *testing.T) {
 	if querier == nil {
 		t.Fatal("no querier whose first wave is three full holders")
 	}
-	search := func(opts p2p.SearchOptions) ([]recordKey, *metrics.Snapshot) {
+	search := func(opts p2p.SearchOptions) ([]docProvider, *metrics.Snapshot) {
 		before := reg.Snapshot()
 		rs, err := querier.Search("patterns", nil, opts)
 		if err != nil {
@@ -238,7 +238,7 @@ func TestPartialFirstSetShipsOnce(t *testing.T) {
 	order := byDistance(nodes, key, nil)
 	querier := order[len(order)-1]
 	first := querier.table.Closest(key, 1)[0].Peer
-	var set []Record
+	var set []p2p.Result
 	for i, dc := range docs {
 		set = append(set, recordFor(dc, nodes[i%len(nodes)].PeerID()))
 		if i > 0 {
@@ -287,7 +287,7 @@ func TestQuerierHolderTransfersNothing(t *testing.T) {
 		t.Errorf("digest_mismatches = %d, want 0", got)
 	}
 	// Everything the search moved is smaller than one copy of the set.
-	var set []Record
+	var set []p2p.Result
 	for i, dc := range docs {
 		set = append(set, recordFor(dc, nodes[i%len(nodes)].PeerID()))
 	}
@@ -305,7 +305,7 @@ func TestCompleteDigestReplyTerminates(t *testing.T) {
 		docs := publishPatterns(t, nodes, 12)
 		key := KeyForCommunity("patterns")
 		f := query.MustParse("(classification=behavioral)")
-		var set []Record
+		var set []p2p.Result
 		for i, dc := range docs {
 			if f.Match(dc.Attrs) {
 				set = append(set, recordFor(dc, nodes[i%len(nodes)].PeerID()))
@@ -354,7 +354,7 @@ func TestLostPullKeepsConverging(t *testing.T) {
 		docs := publishPatterns(t, nodes, 12)
 		key := KeyForCommunity("patterns")
 		f := query.MustParse("(classification=behavioral)")
-		var set []Record
+		var set []p2p.Result
 		for i, dc := range docs {
 			if f.Match(dc.Attrs) {
 				set = append(set, recordFor(dc, nodes[i%len(nodes)].PeerID()))
@@ -414,19 +414,19 @@ func TestDigestPathAllocatesNothing(t *testing.T) {
 	key := KeyForCommunity("patterns")
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 200; i++ {
-		rs.put(key, []Record{rec(i, "peerA")}, t0)
+		rs.put(key, []p2p.Result{rec(i, "peerA")}, t0)
 	}
 	f := query.MustParse("(classification=behavioral)")
 	fs := f.String()
-	_, have, _ := rs.get(nil, key, t0, "patterns", fs, f, 0, setDigest{})
+	_, have, _ := rs.get(nil, key, t0, &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{})
 	if have.Count != 200 {
 		t.Fatalf("digest counts %d records, want 200", have.Count)
 	}
 	// A holder's scratch, as it is once the pool has warmed up.
-	scratch := make([]Record, 0, 200)
-	for name, into := range map[string]*[]Record{"digest-only": nil, "have matches": &scratch} {
+	scratch := make([]p2p.Result, 0, 200)
+	for name, into := range map[string]*[]p2p.Result{"digest-only": nil, "have matches": &scratch} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if recs, dig, _ := rs.get(into, key, t0, "patterns", fs, f, 0, have); recs != nil || dig != have {
+			if recs, dig, _ := rs.get(into, key, t0, &valueQuery{communityID: "patterns", filter: fs, match: f}, have); recs != nil || dig != have {
 				t.Fatalf("%s: got %d records, digest %+v", name, len(recs), dig)
 			}
 			if into != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/p2p"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/transport"
@@ -36,7 +37,7 @@ func TestFuzzTypesCoverRegistry(t *testing.T) {
 // of a FIND_VALUE reply: the full one and the digest-only one.
 func fuzzSeeds() map[int][]codec.Frame {
 	key := KeyForCommunity("patterns")
-	recs := []Record{rec(1, "peerA"), rec(2, "peerB")}
+	recs := []p2p.Result{rec(1, "peerA"), rec(2, "peerB")}
 	recs[1].Attrs = query.FieldsOf(query.Attrs{"classification": {"creational", "structural"}, "name": {"Builder"}, "empty": {}})
 	peers := []transport.PeerID{"peer001", "peer002", "127.0.0.1:7001"}
 	digest := setDigest{Count: 2, Sum: recordHash(recs[0].DocID, recs[0].Provider) + recordHash(recs[1].DocID, recs[1].Provider)}

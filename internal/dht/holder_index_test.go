@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/metrics"
+	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -19,14 +20,20 @@ import (
 type scanStore struct {
 	ttl                    time.Duration
 	maxPerKey              int
-	byKey                  map[ID]map[recordKey]recordEntry
+	byKey                  map[ID]map[docProvider]recordEntry
 	cached                 map[ID]map[string]cachedSet
 	expired, evicted, hits int64
 }
 
+// docProvider is what the scan store addresses a record by.
+type docProvider struct {
+	docID    index.DocID
+	provider transport.PeerID
+}
+
 func newScanStore(ttl time.Duration, maxPerKey int) *scanStore {
 	return &scanStore{ttl: ttl, maxPerKey: maxPerKey,
-		byKey: make(map[ID]map[recordKey]recordEntry), cached: make(map[ID]map[string]cachedSet)}
+		byKey: make(map[ID]map[docProvider]recordEntry), cached: make(map[ID]map[string]cachedSet)}
 }
 
 func (ss *scanStore) cachedCount(key ID) int {
@@ -56,8 +63,8 @@ func (ss *scanStore) evictCachedSet(key ID) bool {
 	return true
 }
 
-func (ss *scanStore) evictPrimary(m map[recordKey]recordEntry) bool {
-	var victim recordKey
+func (ss *scanStore) evictPrimary(m map[docProvider]recordEntry) bool {
+	var victim docProvider
 	var ve recordEntry
 	found := false
 	for rk, e := range m {
@@ -73,14 +80,14 @@ func (ss *scanStore) evictPrimary(m map[recordKey]recordEntry) bool {
 	return found
 }
 
-func (ss *scanStore) put(key ID, recs []Record, now time.Time) {
+func (ss *scanStore) put(key ID, recs []p2p.Result, now time.Time) {
 	m := ss.byKey[key]
 	if m == nil {
-		m = make(map[recordKey]recordEntry)
+		m = make(map[docProvider]recordEntry)
 		ss.byKey[key] = m
 	}
 	for _, rec := range recs {
-		rk := recordKey{rec.DocID, rec.Provider}
+		rk := docProvider{rec.DocID, rec.Provider}
 		if _, exists := m[rk]; !exists {
 			for len(m)+ss.cachedCount(key) >= ss.maxPerKey && (ss.evictCachedSet(key) || ss.evictPrimary(m)) {
 			}
@@ -92,7 +99,7 @@ func (ss *scanStore) put(key ID, recs []Record, now time.Time) {
 	}
 }
 
-func (ss *scanStore) putCached(key ID, recs []Record, now time.Time, filter string) {
+func (ss *scanStore) putCached(key ID, recs []p2p.Result, now time.Time, filter string) {
 	kept := slices.Clone(recs)
 	sortRecords(kept)
 	if ss.cached[key] == nil {
@@ -115,13 +122,13 @@ func (ss *scanStore) putCached(key ID, recs []Record, now time.Time, filter stri
 
 func (ss *scanStore) remove(key ID, docID index.DocID, provider transport.PeerID) {
 	if m := ss.byKey[key]; m != nil {
-		delete(m, recordKey{docID, provider})
+		delete(m, docProvider{docID, provider})
 		if len(m) == 0 {
 			delete(ss.byKey, key)
 		}
 	}
 	for filter, cs := range ss.cached[key] {
-		kept := slices.DeleteFunc(slices.Clone(cs.recs), func(r Record) bool { return r.DocID == docID && r.Provider == provider })
+		kept := slices.DeleteFunc(slices.Clone(cs.recs), func(r p2p.Result) bool { return r.DocID == docID && r.Provider == provider })
 		switch {
 		case len(kept) == 0:
 			delete(ss.cached[key], filter)
@@ -160,12 +167,12 @@ func (ss *scanStore) prune(key ID, now time.Time) {
 
 // get answers as recordStore.get does, by brute force over every
 // record the key holds.
-func (ss *scanStore) get(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int) ([]Record, setDigest, bool) {
+func (ss *scanStore) get(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int) ([]p2p.Result, setDigest, bool) {
 	ss.prune(key, now)
-	matches := func(rec *Record) bool {
+	matches := func(rec *p2p.Result) bool {
 		return (communityID == "" || rec.CommunityID == communityID) && (f == nil || f.Match(&rec.Attrs))
 	}
-	var out []Record
+	var out []p2p.Result
 	var dig setDigest
 	m := ss.byKey[key]
 	for _, e := range m {
@@ -176,7 +183,7 @@ func (ss *scanStore) get(key ID, now time.Time, communityID, filterStr string, f
 	}
 	cs, fromCache := ss.cached[key][filterStr]
 	for _, rec := range cs.recs {
-		if e, dup := m[recordKey{rec.DocID, rec.Provider}]; dup && matches(&e.rec) {
+		if e, dup := m[docProvider{rec.DocID, rec.Provider}]; dup && matches(&e.rec) {
 			continue
 		}
 		dig.add(recordHash(rec.DocID, rec.Provider))
@@ -244,7 +251,7 @@ func (r *opReader) next(n int) int {
 	return int(b) % n
 }
 
-func (r *opReader) record() Record {
+func (r *opReader) record() p2p.Result {
 	var a query.Attrs
 	for _, attr := range holderAttrs {
 		for v := r.next(4); v > 0; v-- {
@@ -258,7 +265,7 @@ func (r *opReader) record() Record {
 	if r.next(8) == 0 {
 		comm = "other"
 	}
-	return Record{
+	return p2p.Result{
 		DocID:       index.DocID(fmt.Sprintf("d-%02d", r.next(24))),
 		CommunityID: comm,
 		Title:       "t",
@@ -287,7 +294,7 @@ func runHolderOps(t *testing.T, ops []byte) {
 		key := keys[r.next(len(keys))]
 		switch r.next(8) {
 		case 0, 1:
-			recs := make([]Record, 1+r.next(3))
+			recs := make([]p2p.Result, 1+r.next(3))
 			for i := range recs {
 				recs[i] = r.record()
 			}
@@ -298,7 +305,7 @@ func runHolderOps(t *testing.T, ops []byte) {
 			rs.remove(key, rec.DocID, rec.Provider)
 			ss.remove(key, rec.DocID, rec.Provider)
 		case 3:
-			recs := make([]Record, 1+r.next(4))
+			recs := make([]p2p.Result, 1+r.next(4))
 			for i := range recs {
 				recs[i] = r.record()
 			}
@@ -326,11 +333,11 @@ func runHolderOps(t *testing.T, ops []byte) {
 			if r.next(4) == 0 {
 				have = wantDig
 			}
-			var into *[]Record
+			var into *[]p2p.Result
 			if r.next(4) != 0 {
-				into = new([]Record)
+				into = new([]p2p.Result)
 			}
-			got, dig, complete := rs.get(into, key, now, comm, holderFilters[i], filters[i], limit, have)
+			got, dig, complete := rs.get(into, key, now, &valueQuery{communityID: comm, filter: holderFilters[i], match: filters[i], limit: limit}, have)
 			if into == nil || have == wantDig || wantDig.Count == 0 {
 				want = nil
 			}
@@ -342,8 +349,8 @@ func runHolderOps(t *testing.T, ops []byte) {
 	}
 }
 
-func sameRecords(a, b []Record) bool {
-	return slices.EqualFunc(a, b, func(x, y Record) bool {
+func sameRecords(a, b []p2p.Result) bool {
+	return slices.EqualFunc(a, b, func(x, y p2p.Result) bool {
 		return x.DocID == y.DocID && x.Provider == y.Provider && x.CommunityID == y.CommunityID &&
 			x.Title == y.Title && x.Attrs.Equal(y.Attrs)
 	})

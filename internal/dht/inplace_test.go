@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/p2p"
 	"repro/internal/p2p/codec"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -35,7 +36,7 @@ func TestHolderReadsTheRequestInPlace(t *testing.T) {
 	asker.SetHandler(func(m transport.Message) { replies = append(replies, slices.Clone(m.Payload)) })
 
 	key := KeyForCommunity("patterns")
-	recs := []Record{rec(1, "peerA"), rec(2, "peerB"), rec(3, "peerC")}
+	recs := []p2p.Result{rec(1, "peerA"), rec(2, "peerB"), rec(3, "peerC")}
 	holder.records.put(key, recs, holder.Clock().Now())
 	req := codec.Encode(&findValuePayload{ReqID: 5, Key: key, CommunityID: "patterns", Filter: "(classification=behavioral)"})
 	serve := func(payload []byte) {

@@ -37,7 +37,7 @@ type lookupScratch struct {
 	seen []setDigest
 	// own gathers this node's held slice, merged into the set in hand at
 	// the start.
-	own []Record
+	own []p2p.Result
 }
 
 // merge folds one received set into res, the set in hand, and returns
@@ -49,23 +49,23 @@ type lookupScratch struct {
 // pass merges from the back, so every result moves at most once per
 // set. A record already in hand is replaced by the set's copy; of
 // copies repeated within a set, one is kept.
-func (sc *lookupScratch) merge(res []p2p.Result, records []Record) []p2p.Result {
+func (sc *lookupScratch) merge(res, records []p2p.Result) []p2p.Result {
 	if len(records) == 0 {
 		return res
 	}
-	if !slices.IsSortedFunc(records, func(a, b Record) int { return compareRecords(&a, &b) }) {
+	if !slices.IsSortedFunc(records, func(a, b p2p.Result) int { return compareResults(&a, &b) }) {
 		sortRecords(records)
 	}
 	lacks, i := 0, 0
 	for j := range records {
 		rec := &records[j]
-		if j > 0 && compareRecords(&records[j-1], rec) == 0 {
+		if j > 0 && compareResults(&records[j-1], rec) == 0 {
 			continue
 		}
-		for i < len(res) && compareResultRecord(&res[i], rec) < 0 {
+		for i < len(res) && compareResults(&res[i], rec) < 0 {
 			i++
 		}
-		if i == len(res) || compareResultRecord(&res[i], rec) != 0 {
+		if i == len(res) || compareResults(&res[i], rec) != 0 {
 			lacks++
 		}
 	}
@@ -77,29 +77,23 @@ func (sc *lookupScratch) merge(res []p2p.Result, records []Record) []p2p.Result 
 		rec := &records[j]
 		h := recordHash(rec.DocID, rec.Provider)
 		set.add(h)
-		if j+1 < len(records) && compareRecords(rec, &records[j+1]) == 0 {
+		if j+1 < len(records) && compareResults(rec, &records[j+1]) == 0 {
 			continue // the later copy is in place
 		}
-		for i >= 0 && compareResultRecord(&res[i], rec) > 0 {
+		for i >= 0 && compareResults(&res[i], rec) > 0 {
 			res[w] = res[i]
 			i, w = i-1, w-1
 		}
-		if i >= 0 && compareResultRecord(&res[i], rec) == 0 {
+		if i >= 0 && compareResults(&res[i], rec) == 0 {
 			i-- // in hand: the set's copy takes its place
 		} else {
 			sc.have.add(h)
 		}
-		res[w] = p2p.Result{DocID: rec.DocID, Provider: rec.Provider, CommunityID: rec.CommunityID, Title: rec.Title, Attrs: rec.Attrs}
+		res[w] = *rec
 		w--
 	}
 	sc.seen = append(sc.seen, set, sc.have)
 	return res
-}
-
-// compareResultRecord orders a result against a record by (DocID,
-// Provider).
-func compareResultRecord(r *p2p.Result, rec *Record) int {
-	return compareKeys(r.DocID, r.Provider, rec.DocID, rec.Provider)
 }
 
 // learn appends the peers of one reply that are new to the lookup to
@@ -248,7 +242,9 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		known[c.Peer] = true
 	}
 	if vq != nil {
-		own, _, _ := n.records.get(&sc.own, target, n.Clock().Now(), vq.communityID, vq.filter, vq.match, 0, setDigest{})
+		whole := *vq // the own slice is taken whole: a limit cuts what the lookup ends with
+		whole.limit = 0
+		own, _, _ := n.records.get(&sc.own, target, n.Clock().Now(), &whole, setDigest{})
 		out.results = sc.merge(out.results, own)
 		clearRecords(&sc.own)
 	}

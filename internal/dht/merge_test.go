@@ -18,23 +18,23 @@ import (
 // set's copy, whatever order each set arrives in; each set's digest
 // covers all its records and the digest in hand counts every key once.
 func TestMergeEquivalence(t *testing.T) {
-	tagged := func(r Record, title string) Record { r.Title = title; return r }
+	tagged := func(r p2p.Result, title string) p2p.Result { r.Title = title; return r }
 	a, b, c, d := rec(1, "peerA"), rec(2, "peerA"), rec(2, "peerB"), rec(3, "peerA")
 	cases := []struct {
 		name string
-		sets [][]Record
+		sets [][]p2p.Result
 	}{
-		{"ascending", [][]Record{{a, b}, {c, d}}},
-		{"descending", [][]Record{{d, c, b, a}}},
-		{"interleaved", [][]Record{{a, c}, {b, d}, {a, d}}},
-		{"in hand", [][]Record{{a, b, c}, {tagged(b, "later")}}},
-		{"repeated in a set", [][]Record{{d, a, d, b}}},
-		{"reversed after sorted", [][]Record{{b, d}, {d, c, a}}},
+		{"ascending", [][]p2p.Result{{a, b}, {c, d}}},
+		{"descending", [][]p2p.Result{{d, c, b, a}}},
+		{"interleaved", [][]p2p.Result{{a, c}, {b, d}, {a, d}}},
+		{"in hand", [][]p2p.Result{{a, b, c}, {tagged(b, "later")}}},
+		{"repeated in a set", [][]p2p.Result{{d, a, d, b}}},
+		{"reversed after sorted", [][]p2p.Result{{b, d}, {d, c, a}}},
 	}
 	for _, tc := range cases {
 		var sc lookupScratch
 		var res []p2p.Result
-		want := map[string]Record{}
+		want := map[string]p2p.Result{}
 		var have setDigest
 		for _, set := range tc.sets {
 			var digest setDigest
@@ -55,7 +55,7 @@ func TestMergeEquivalence(t *testing.T) {
 		if sc.have != have {
 			t.Errorf("%s: digest in hand %+v, want %+v", tc.name, sc.have, have)
 		}
-		if !slices.IsSortedFunc(res, func(x, y p2p.Result) int { return compareKeys(x.DocID, x.Provider, y.DocID, y.Provider) }) || len(res) != len(want) {
+		if !slices.IsSortedFunc(res, func(x, y p2p.Result) int { return compareResults(&x, &y) }) || len(res) != len(want) {
 			t.Fatalf("%s: %d results out of order or not the %d keys: %+v", tc.name, len(res), len(want), res)
 		}
 		for _, r := range res {
@@ -84,7 +84,7 @@ func TestDescendingReplyMergesInLinearTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]Record, n)
+	recs := make([]p2p.Result, n)
 	for i := range recs {
 		recs[i] = rec(n-1-i, "holder")
 		recs[i].DocID = index.DocID(fmt.Sprintf("d-%06d", n-1-i))

@@ -183,11 +183,11 @@ func (n *Node) PublishBatch(docs []*index.Document) error {
 // refresh) the records of the stored entries es, one batch per
 // community key. STOREs are fire-and-forget: the next Refresh repairs a
 // lost or refused replica, like Kademlia republish.
-func (n *Node) replicate(tctx trace.Context, es []*index.Entry, put func(trace.Context, ID, []Record)) error {
+func (n *Node) replicate(tctx trace.Context, es []*index.Entry, put func(trace.Context, ID, []p2p.Result)) error {
 	if n.Closed() {
 		return p2p.ErrClosed
 	}
-	byComm := make(map[string][]Record)
+	byComm := make(map[string][]p2p.Result)
 	for _, rec := range recordsFor(es, n.PeerID()) {
 		byComm[rec.CommunityID] = append(byComm[rec.CommunityID], rec)
 	}
@@ -203,27 +203,20 @@ func (n *Node) replicate(tctx trace.Context, es []*index.Entry, put func(trace.C
 }
 
 // recordsFor extracts the replicated metadata of stored entries. Each
-// record shares its entry's strings and attribute set, which no one
-// modifies (index.Entry). When this node is one of a key's holders it
-// keeps the batch as it is: its own records, which each republish
-// replaces together.
-func recordsFor(es []*index.Entry, provider transport.PeerID) []Record {
-	out := make([]Record, len(es))
+// record shares its entry's strings and attribute set (p2p.ResultOf).
+// When this node is one of a key's holders it keeps the batch as it is:
+// its own records, which each republish replaces together.
+func recordsFor(es []*index.Entry, provider transport.PeerID) []p2p.Result {
+	out := make([]p2p.Result, len(es))
 	for i, e := range es {
-		out[i] = Record{
-			DocID:       e.ID,
-			CommunityID: e.CommunityID,
-			Title:       e.Title,
-			Attrs:       e.Attrs,
-			Provider:    provider,
-		}
+		out[i] = p2p.ResultOf(e, provider)
 	}
 	return out
 }
 
 // storeRecords looks up the key's closest nodes and replicates recs
 // onto them.
-func (n *Node) storeRecords(tctx trace.Context, key ID, recs []Record) {
+func (n *Node) storeRecords(tctx trace.Context, key ID, recs []p2p.Result) {
 	out := n.lookup(tctx, key, nil)
 	n.storeToTargets(tctx, key, recs, out.contacts)
 }
@@ -233,7 +226,7 @@ func (n *Node) storeRecords(tctx trace.Context, key ID, recs []Record) {
 // belongs to the key's neighborhood (fewer than k known holders, or
 // self closer than the k-th) — slight over-replication beats a
 // coverage hole — and remembers the targets for adaptive refresh.
-func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets []Contact) {
+func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []p2p.Result, targets []Contact) {
 	if len(targets) < n.cfg.K || CompareDistance(n.self, targets[len(targets)-1].ID, key) < 0 {
 		n.records.put(key, recs, n.Clock().Now())
 	}
@@ -245,11 +238,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 	// each replica is one trace span covering all its chunk frames.
 	payloads := make([]*[]byte, 0, (len(recs)+storeChunk-1)/storeChunk)
 	for start := 0; start < len(recs); start += storeChunk {
-		end := start + storeChunk
-		if end > len(recs) {
-			end = len(recs)
-		}
-		chunk := storePayload{Key: key, Records: recs[start:end]}
+		chunk := storePayload{Key: key, Records: recs[start:min(start+storeChunk, len(recs))]}
 		payloads = append(payloads, codec.Borrow(&chunk))
 	}
 	fanout := n.ctr.Load().fanout
@@ -276,11 +265,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, results []p2p.Result, filter string) {
 	sp := n.Tracer().Start(tctx, "cache-store")
 	sp.SetPeer(string(target.Peer))
-	recs := make([]Record, len(results))
-	for i, r := range results {
-		recs[i] = Record{DocID: r.DocID, CommunityID: r.CommunityID, Title: r.Title, Attrs: r.Attrs, Provider: r.Provider}
-	}
-	payload := codec.Borrow(&storePayload{Key: key, Records: recs, Cached: true, Filter: filter})
+	payload := codec.Borrow(&storePayload{Key: key, Records: results, Cached: true, Filter: filter})
 	n.sendOrEvict(target.Peer, MsgStore, *payload, &sp)
 	codec.Release(payload)
 	n.ctr.Load().cacheStores.Inc()
@@ -372,12 +357,10 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 	}
 	clear(out.results[len(results):])
 	if local := n.Shared().Search(communityID, f, 0); len(local) > 0 {
-		// Each local result shares its store entry's strings and
-		// attribute set.
 		for _, e := range local {
-			results = append(results, p2p.Result{DocID: e.ID, Provider: self, CommunityID: e.CommunityID, Title: e.Title, Attrs: e.Attrs})
+			results = append(results, p2p.ResultOf(e, self))
 		}
-		slices.SortFunc(results, func(a, b p2p.Result) int { return compareKeys(a.DocID, a.Provider, b.DocID, b.Provider) })
+		sortRecords(results)
 	}
 	// Caching STORE: replicate the verified result set onto the
 	// closest observed non-holder, so the next querier for this filter
@@ -458,7 +441,7 @@ func (n *Node) Refresh() error {
 // instead of lookup + k STOREs, and a changed one gets its STOREs on the
 // probe's targets with no lookup. Only a key none of whose remembered
 // holders answers falls back to a lookup, as do unknown and stale keys.
-func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []Record) {
+func (n *Node) reannounceKey(tctx trace.Context, key ID, recs []p2p.Result) {
 	n.annMu.Lock()
 	st, known := n.lastAnnounce[key]
 	n.annMu.Unlock()
@@ -583,14 +566,21 @@ func (n *Node) handle(msg transport.Message) {
 		// the reply still carries contacts so the lookup can route on,
 		// but failing open to the whole record set would let one
 		// malformed query read the entire key.
-		filter := string(req.filter) // the one copy: the parsed filter keeps it
-		if f, err := query.Parse(filter); err == nil {
+		// The one copy of the request: the parsed filter keeps substrings
+		// of it, and the community rides along in the same string.
+		var b strings.Builder
+		b.Grow(len(req.filter) + len(req.community))
+		b.Write(req.filter)
+		b.Write(req.community)
+		both := b.String()
+		vq := valueQuery{filter: both[:len(req.filter)], communityID: both[len(req.filter):], limit: req.Limit}
+		var err error
+		if vq.match, err = query.Parse(vq.filter); err == nil {
 			into := &sc.records
 			if req.DigestOnly {
 				into = nil
 			}
-			reply.Records, reply.Digest, reply.Complete = n.records.get(into, req.Key, n.Clock().Now(),
-				string(req.community), filter, f, req.Limit, req.Have)
+			reply.Records, reply.Digest, reply.Complete = n.records.get(into, req.Key, n.Clock().Now(), &vq, req.Have)
 		}
 		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp)
 		clearRecords(&sc.records)
@@ -602,24 +592,33 @@ func (n *Node) handle(msg transport.Message) {
 			return
 		}
 		sp := n.StartSpan(msg, "store.serve")
-		if req.Cached {
-			// A caching STORE relays third-party providers by design,
-			// so the provider==sender rule cannot apply. The copies are
-			// confined: halved TTL, filter-tagged, never republished,
-			// first to be evicted — a forged cache pollutes one key for
-			// half a TTL at worst, it cannot displace primaries.
-			n.records.putCached(req.Key, req.Records, n.Clock().Now(), req.Filter)
-		} else {
-			// Provenance: a peer may only store records it provides
-			// itself (every legitimate publish/refresh does exactly
-			// that), so one peer cannot forge records under another's
-			// name.
-			kept := req.Records[:0]
-			for _, rec := range req.Records {
-				if rec.Provider == msg.From {
-					kept = append(kept, rec)
-				}
+		// A record belongs under its community's key: no STORE files
+		// one under another key, where searches of that community would
+		// never look and other communities' would pay for it. The key is
+		// derived once per run of one community.
+		//
+		// Provenance: a peer may only store records it provides itself
+		// (every legitimate publish/refresh does exactly that), so one
+		// peer cannot forge records under another's name. A caching
+		// STORE relays third-party providers by design, so that rule
+		// cannot apply to it. Its copies are confined: halved TTL,
+		// filter-tagged, never republished, first to be evicted — a
+		// forged cache pollutes one key for half a TTL at worst, it
+		// cannot displace primaries.
+		kept := req.Records[:0]
+		var community string
+		var communityKey ID
+		for i, rec := range req.Records {
+			if i == 0 || rec.CommunityID != community {
+				community, communityKey = rec.CommunityID, KeyForCommunity(rec.CommunityID)
 			}
+			if communityKey == req.Key && (req.Cached || rec.Provider == msg.From) {
+				kept = append(kept, rec)
+			}
+		}
+		if req.Cached {
+			n.records.putCached(req.Key, kept, n.Clock().Now(), req.Filter)
+		} else {
 			n.records.put(req.Key, kept, n.Clock().Now())
 		}
 		sp.Finish()
@@ -663,7 +662,7 @@ func (n *Node) handle(msg transport.Message) {
 type serveScratch struct {
 	closest []Contact
 	peers   []transport.PeerID
-	records []Record
+	records []p2p.Result
 }
 
 var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}

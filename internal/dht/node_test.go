@@ -301,18 +301,18 @@ func TestStoreProvenance(t *testing.T) {
 	}
 	key := KeyForCommunity("patterns")
 	// Forged STORE: attacker claims the victim provides a document.
-	forged := Record{DocID: "d-evil", CommunityID: "patterns", Provider: victim.PeerID(), Attrs: query.FieldsOf(query.Attrs{"classification": {"behavioral"}})}
+	forged := p2p.Result{DocID: "d-evil", CommunityID: "patterns", Provider: victim.PeerID(), Attrs: query.FieldsOf(query.Attrs{"classification": {"behavioral"}})}
 	atkEP, err := net.Endpoint("attacker-raw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	forgedStore := storePayload{Key: key, Records: []Record{forged}}
+	forgedStore := storePayload{Key: key, Records: []p2p.Result{forged}}
 	_ = atkEP.Send(transport.Message{To: holder.PeerID(), Type: MsgStore, Payload: codec.Encode(&forgedStore)})
 	// Forged flood in the layout of the retired hot-key migration STORE:
 	// key ‖ records ‖ Cached=0 ‖ Filter="" ‖ a trailing split flag of 1.
 	// A holder that trusted the flag would take 1 024 records in the
 	// victim's name and evict the real one to make room.
-	flood := make([]Record, DefaultMaxRecordsPerKey)
+	flood := make([]p2p.Result, DefaultMaxRecordsPerKey)
 	for i := range flood {
 		flood[i] = forged
 		flood[i].DocID = index.DocID(fmt.Sprintf("d-split-%04d", i))
@@ -334,6 +334,34 @@ func TestStoreProvenance(t *testing.T) {
 	}
 	if len(rs) != 1 || rs[0].DocID != real.ID || rs[0].Provider != victim.PeerID() {
 		t.Fatalf("%d results, first %+v; want only the victim's real record intact", len(rs), rs[:min(len(rs), 2)])
+	}
+}
+
+// TestStoreRecordOutsideItsKeyRefused: a record belongs under its
+// community's key. A STORE that files one under another key — primary
+// or caching, in the sender's own name — leaves the holder with nothing.
+func TestStoreRecordOutsideItsKeyRefused(t *testing.T) {
+	net := transport.NewMemNetwork(transport.WithSeed(1))
+	hep, err := net.Endpoint("holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := NewNode(hep, index.NewStore(), Config{K: 4, Alpha: 2})
+	raw, err := net.Endpoint("sender")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := p2p.Result{DocID: "d-0001", CommunityID: "other", Title: "doc 1", Provider: raw.ID(),
+		Attrs: query.FieldsOf(query.Attrs{"classification": {"behavioral"}})}
+	key := KeyForCommunity("patterns")
+	for _, store := range []storePayload{
+		{Key: key, Records: []p2p.Result{stray}},
+		{Key: key, Records: []p2p.Result{stray}, Cached: true, Filter: "(classification=behavioral)"},
+	} {
+		_ = raw.Send(transport.Message{To: holder.PeerID(), Type: MsgStore, Payload: codec.Encode(&store)})
+		if got := holder.RecordCount(); got != 0 {
+			t.Fatalf("holder keeps %d records of community other under the patterns key (cached STORE %v), want 0", got, store.Cached)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/metrics"
+	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -60,7 +61,7 @@ type recordStore struct {
 }
 
 type recordEntry struct {
-	rec     Record
+	rec     p2p.Result
 	hash    uint64 // recordHash of rec, fixed at put
 	expires time.Time
 }
@@ -105,7 +106,7 @@ type span struct{ off, n int32 }
 // cachedSet is one caching STORE's payload: the complete, sorted
 // result set for its filter, expiring as a unit.
 type cachedSet struct {
-	recs    []Record
+	recs    []p2p.Result
 	expires time.Time
 }
 
@@ -186,20 +187,10 @@ func (rs *recordStore) evictPrimaryLocked(kr *keyRecords) bool {
 	return true
 }
 
-// recordKey is what a record is content-addressed by.
-type recordKey struct {
-	docID    index.DocID
-	provider transport.PeerID
-}
-
-// find returns where (docID, provider) is or would be in kr.entries.
-func (kr *keyRecords) find(docID index.DocID, provider transport.PeerID) (int, bool) {
-	return slices.BinarySearchFunc(kr.entries, recordKey{docID, provider}, func(e recordEntry, k recordKey) int {
-		if c := cmp.Compare(e.rec.DocID, k.docID); c != 0 {
-			return c
-		}
-		return cmp.Compare(e.rec.Provider, k.provider)
-	})
+// find returns where rec's (DocID, Provider) is or would be in
+// kr.entries.
+func (kr *keyRecords) find(rec *p2p.Result) (int, bool) {
+	return slices.BinarySearchFunc(kr.entries, *rec, func(e recordEntry, rec p2p.Result) int { return compareResults(&e.rec, &rec) })
 }
 
 // set stores e at i, inserting it unless an entry with its key is
@@ -272,7 +263,7 @@ func (rs *recordStore) pruneLocked(key ID, kr *keyRecords, now time.Time) {
 // put upserts primary records under key, (re)starting their TTL at
 // now. Past the per-key cap, whole cached sets are evicted first, then
 // the earliest-expiring primaries.
-func (rs *recordStore) put(key ID, recs []Record, now time.Time) {
+func (rs *recordStore) put(key ID, recs []p2p.Result, now time.Time) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	kr := rs.byKey[key]
@@ -280,20 +271,21 @@ func (rs *recordStore) put(key ID, recs []Record, now time.Time) {
 		kr = new(keyRecords)
 		rs.byKey[key] = kr
 	}
-	for _, rec := range recs {
+	for j := range recs {
+		rec := &recs[j]
 		if rec.DocID == "" || rec.Provider == "" {
 			continue
 		}
-		i, found := kr.find(rec.DocID, rec.Provider)
+		i, found := kr.find(rec)
 		if !found {
 			for len(kr.entries)+rs.cachedCountLocked(key) >= rs.maxPerKey {
 				if !rs.evictCachedSetLocked(key) && !rs.evictPrimaryLocked(kr) {
 					break
 				}
 			}
-			i, _ = kr.find(rec.DocID, rec.Provider) // an eviction moves what follows it
+			i, _ = kr.find(rec) // an eviction moves what follows it
 		}
-		kr.set(i, found, recordEntry{rec: rec, hash: recordHash(rec.DocID, rec.Provider), expires: now.Add(rs.ttl)})
+		kr.set(i, found, recordEntry{rec: *rec, hash: recordHash(rec.DocID, rec.Provider), expires: now.Add(rs.ttl)})
 	}
 	if len(kr.entries) == 0 {
 		delete(rs.byKey, key)
@@ -305,8 +297,8 @@ func (rs *recordStore) put(key ID, recs []Record, now time.Time) {
 // atomically — if the whole set cannot fit under the per-key cap
 // after evicting other cached sets, nothing is installed (path
 // copies never displace primaries).
-func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter string) {
-	kept := make([]Record, 0, len(recs))
+func (rs *recordStore) putCached(key ID, recs []p2p.Result, now time.Time, filter string) {
+	kept := make([]p2p.Result, 0, len(recs))
 	for _, rec := range recs {
 		if rec.DocID != "" && rec.Provider != "" {
 			kept = append(kept, rec)
@@ -343,11 +335,11 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 	sets[filter] = cachedSet{recs: kept, expires: now.Add(rs.ttl / 2)}
 }
 
-// get digests the unexpired records under key that match the
-// community/filter and — unless into is nil (the caller wants the
+// get digests the unexpired records under key that match vq's
+// community and filter and — unless into is nil (the caller wants the
 // digest only), or the digest equals have (the caller holds this very
 // set) — returns them, sorted by (DocID, Provider) so replies are
-// deterministic, capped at limit (0 = all; the digest covers the set
+// deterministic, capped at vq.limit (0 = all; the digest covers the set
 // before the cap). One pass over the filter's candidates (candidates)
 // digests the matches and gathers them in *into, already in order.
 // *into is the caller's pooled scratch, and what get returns is a
@@ -355,7 +347,7 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 // holder encodes its reply from it and clears it once Send returns, so
 // it copies nothing, and one that answers with its digest allocates
 // nothing. A cached set is served only to the identical canonical
-// filterStr. Expired entries are pruned.
+// filter string. Expired entries are pruned.
 //
 // The last result reports completeness: true when the reply draws
 // on a cached set for exactly this filter (complete by construction
@@ -363,15 +355,15 @@ func (rs *recordStore) putCached(key ID, recs []Record, now time.Time, filter st
 // expire whole) and no limit truncated it. Primary-only replies are
 // never complete: this holder may have only a partial slice of the
 // key's records.
-func (rs *recordStore) get(into *[]Record, key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, have setDigest) ([]Record, setDigest, bool) {
+func (rs *recordStore) get(into *[]p2p.Result, key ID, now time.Time, vq *valueQuery, have setDigest) ([]p2p.Result, setDigest, bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	dig, fromCache := rs.matchLocked(key, now, communityID, filterStr, f, limit, into)
+	dig, fromCache := rs.matchLocked(key, now, vq, into)
 	hit := fromCache && dig.Count > 0
 	if hit {
 		rs.cacheHits.Inc()
 	}
-	complete := hit && (limit <= 0 || int(dig.Count) <= limit)
+	complete := hit && (vq.limit <= 0 || int(dig.Count) <= vq.limit)
 	if into == nil || dig == have || dig.Count == 0 {
 		return nil, dig, complete
 	}
@@ -380,17 +372,18 @@ func (rs *recordStore) get(into *[]Record, key ID, now time.Time, communityID, f
 
 // clearRecords empties scratch that get gathered matches in, so that
 // pooled scratch keeps no record alive.
-func clearRecords(recs *[]Record) {
+func clearRecords(recs *[]p2p.Result) {
 	clear(*recs)
 	*recs = (*recs)[:0]
 }
 
 // matchLocked is get's pass: it digests — and, when out is non-nil,
-// appends to it the first limit of — the matching primaries merged in
-// (DocID, Provider) order with the cached set for exactly filterStr,
+// appends to it the first vq.limit of — the matching primaries merged
+// in (DocID, Provider) order with the cached set for exactly vq.filter,
 // less what a matching primary covers, and reports whether a cached
 // set took part. Caller holds rs.mu.
-func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr string, f query.Filter, limit int, out *[]Record) (dig setDigest, fromCache bool) {
+func (rs *recordStore) matchLocked(key ID, now time.Time, vq *valueQuery, out *[]p2p.Result) (dig setDigest, fromCache bool) {
+	communityID, f, limit := vq.communityID, vq.match, vq.limit
 	var entries []recordEntry
 	var cand []int32
 	indexed, perRecord := false, false
@@ -403,8 +396,8 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr
 			cand, indexed = kr.candidates(f)
 		}
 	}
-	cs, fromCache := rs.cachedLocked(key, now, filterStr)
-	emit := func(rec *Record, hash uint64) {
+	cs, fromCache := rs.cachedLocked(key, now, vq.filter)
+	emit := func(rec *p2p.Result, hash uint64) {
 		dig.add(hash)
 		if out != nil && (limit <= 0 || int(dig.Count) <= limit) {
 			*out = append(*out, *rec)
@@ -420,11 +413,11 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr
 		if indexed {
 			e = &entries[cand[j]]
 		}
-		for ; next < len(cs) && compareRecords(&cs[next], &e.rec) < 0; next++ {
+		for ; next < len(cs) && compareResults(&cs[next], &e.rec) < 0; next++ {
 			emit(&cs[next], recordHash(cs[next].DocID, cs[next].Provider))
 		}
 		match := (!perRecord || e.rec.CommunityID == communityID) && (f == nil || f.Match(&e.rec.Attrs))
-		for ; next < len(cs) && compareRecords(&cs[next], &e.rec) == 0; next++ {
+		for ; next < len(cs) && compareResults(&cs[next], &e.rec) == 0; next++ {
 			if !match {
 				emit(&cs[next], e.hash)
 			}
@@ -442,7 +435,7 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, communityID, filterStr
 // cachedLocked prunes key's expired cached sets, counting their records
 // in dht.records_expired, and returns the set for exactly filterStr.
 // Caller holds rs.mu.
-func (rs *recordStore) cachedLocked(key ID, now time.Time, filterStr string) ([]Record, bool) {
+func (rs *recordStore) cachedLocked(key ID, now time.Time, filterStr string) ([]p2p.Result, bool) {
 	sets := rs.cached[key]
 	for filter, cs := range sets {
 		if !cs.expires.After(now) {
@@ -600,7 +593,7 @@ func (rs *recordStore) remove(key ID, docID index.DocID, provider transport.Peer
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if kr := rs.byKey[key]; kr != nil {
-		if i, found := kr.find(docID, provider); found {
+		if i, found := kr.find(&p2p.Result{DocID: docID, Provider: provider}); found {
 			kr.delete(i)
 		}
 		if len(kr.entries) == 0 {
@@ -636,7 +629,7 @@ func (rs *recordStore) holds(key ID, docID index.DocID, provider transport.PeerI
 	if kr == nil {
 		return false
 	}
-	i, found := kr.find(docID, provider)
+	i, found := kr.find(&p2p.Result{DocID: docID, Provider: provider})
 	return found && kr.entries[i].expires.After(now)
 }
 
@@ -650,39 +643,23 @@ func (rs *recordStore) len(now time.Time) int {
 		rs.pruneLocked(key, kr, now)
 		n += len(kr.entries)
 	}
-	for key, sets := range rs.cached {
-		for filter, cs := range sets {
-			if !cs.expires.After(now) {
-				rs.expired.Add(int64(len(cs.recs)))
-				delete(sets, filter)
-				continue
-			}
-			n += len(cs.recs)
-		}
-		if len(sets) == 0 {
-			delete(rs.cached, key)
-		}
+	for key := range rs.cached {
+		rs.cachedLocked(key, now, "")
+		n += rs.cachedCountLocked(key)
 	}
 	return n
 }
 
-// compareRecords orders records by (DocID, Provider).
-func compareRecords(a, b *Record) int {
-	return compareKeys(a.DocID, a.Provider, b.DocID, b.Provider)
-}
-
-// compareKeys is the one (DocID, Provider) order of records and of the
-// results a search returns.
-func compareKeys(aDoc index.DocID, aProv transport.PeerID, bDoc index.DocID, bProv transport.PeerID) int {
-	if c := cmp.Compare(aDoc, bDoc); c != 0 {
+// compareResults is the one (DocID, Provider) order of held records,
+// of the sets that cross the wire and of the results a search returns.
+func compareResults(a, b *p2p.Result) int {
+	if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
 		return c
 	}
-	return cmp.Compare(aProv, bProv)
+	return cmp.Compare(a.Provider, b.Provider)
 }
 
-// sortRecords orders records by (DocID, Provider): the canonical
-// deterministic order for every record set that crosses the wire or
-// reaches a caller.
-func sortRecords(recs []Record) {
-	slices.SortFunc(recs, func(a, b Record) int { return compareRecords(&a, &b) })
+// sortRecords puts recs in compareResults order.
+func sortRecords(recs []p2p.Result) {
+	slices.SortFunc(recs, func(a, b p2p.Result) int { return compareResults(&a, &b) })
 }

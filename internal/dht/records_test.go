@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/metrics"
+	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
 
-func rec(i int, provider string) Record {
-	return Record{
+func rec(i int, provider string) p2p.Result {
+	return p2p.Result{
 		DocID:       index.DocID(fmt.Sprintf("d-%04d", i)),
 		CommunityID: "patterns",
 		Title:       fmt.Sprintf("doc %d", i),
@@ -41,33 +42,33 @@ func TestRecordCapEvictionOrder(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 
 	for i := 0; i < 4; i++ {
-		rs.put(key, []Record{rec(i, "peerA")}, t0)
+		rs.put(key, []p2p.Result{rec(i, "peerA")}, t0)
 	}
 	f := query.MustParse("(classification=behavioral)")
 	fs := f.String()
-	rs.putCached(key, []Record{rec(90, "peerB"), rec(91, "peerB")}, t0, fs)
+	rs.putCached(key, []p2p.Result{rec(90, "peerB"), rec(91, "peerB")}, t0, fs)
 	if got := rs.len(t0); got != 6 {
 		t.Fatalf("records at cap = %d, want 6", got)
 	}
 
 	// One more primary: the cached set must go first, whole.
-	rs.put(key, []Record{rec(4, "peerA")}, t0.Add(time.Second))
+	rs.put(key, []p2p.Result{rec(4, "peerA")}, t0.Add(time.Second))
 	if got := evicted.Value(); got != 2 {
 		t.Fatalf("evicted after cached-set eviction = %d, want 2 (the whole set)", got)
 	}
-	if got, _, complete := rs.get(new([]Record), key, t0.Add(time.Second), "patterns", fs, f, 0, setDigest{}); complete || len(got) != 5 {
+	if got, _, complete := rs.get(new([]p2p.Result), key, t0.Add(time.Second), &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{}); complete || len(got) != 5 {
 		t.Fatalf("post-eviction get = %d records, complete=%v; want 5 primaries, incomplete", len(got), complete)
 	}
 
 	// Fill back to cap with a later-expiring primary, then overflow:
 	// the victim must be the earliest-expiring primary with the
 	// smallest (DocID, Provider) — d-0000 from the t0 batch.
-	rs.put(key, []Record{rec(5, "peerA")}, t0.Add(2*time.Second))
-	rs.put(key, []Record{rec(6, "peerA")}, t0.Add(3*time.Second))
+	rs.put(key, []p2p.Result{rec(5, "peerA")}, t0.Add(2*time.Second))
+	rs.put(key, []p2p.Result{rec(6, "peerA")}, t0.Add(3*time.Second))
 	if got := evicted.Value(); got != 3 {
 		t.Fatalf("evicted after primary eviction = %d, want 3", got)
 	}
-	got, _, _ := rs.get(new([]Record), key, t0.Add(3*time.Second), "patterns", fs, f, 0, setDigest{})
+	got, _, _ := rs.get(new([]p2p.Result), key, t0.Add(3*time.Second), &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{})
 	for _, r := range got {
 		if r.DocID == "d-0000" {
 			t.Fatalf("deterministic victim d-0000 still present: %+v", got)
@@ -88,18 +89,18 @@ func TestCachedSetHalvedTTL(t *testing.T) {
 	f := query.MustParse("(classification=behavioral)")
 	fs := f.String()
 
-	rs.put(key, []Record{rec(0, "peerA")}, t0)
-	rs.putCached(key, []Record{rec(1, "peerB")}, t0, fs)
+	rs.put(key, []p2p.Result{rec(0, "peerA")}, t0)
+	rs.putCached(key, []p2p.Result{rec(1, "peerB")}, t0, fs)
 
-	if got, _, complete := rs.get(new([]Record), key, t0.Add(29*time.Second), "patterns", fs, f, 0, setDigest{}); !complete || len(got) != 2 {
+	if got, _, complete := rs.get(new([]p2p.Result), key, t0.Add(29*time.Second), &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{}); !complete || len(got) != 2 {
 		t.Fatalf("pre-half-TTL get = %d records, complete=%v; want 2, complete", len(got), complete)
 	}
 	// Past ttl/2 the cached copy is gone; the primary remains.
-	if got, _, complete := rs.get(new([]Record), key, t0.Add(31*time.Second), "patterns", fs, f, 0, setDigest{}); complete || len(got) != 1 || got[0].DocID != "d-0000" {
+	if got, _, complete := rs.get(new([]p2p.Result), key, t0.Add(31*time.Second), &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{}); complete || len(got) != 1 || got[0].DocID != "d-0000" {
 		t.Fatalf("post-half-TTL get = %+v, complete=%v; want only the primary", got, complete)
 	}
 	// Past the full TTL everything is gone.
-	if got, _, _ := rs.get(new([]Record), key, t0.Add(61*time.Second), "patterns", fs, f, 0, setDigest{}); len(got) != 0 {
+	if got, _, _ := rs.get(new([]p2p.Result), key, t0.Add(61*time.Second), &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{}); len(got) != 0 {
 		t.Fatalf("post-TTL get = %+v, want empty", got)
 	}
 }
@@ -115,8 +116,8 @@ func TestCachedSetCompleteness(t *testing.T) {
 	f := query.MustParse("(classification=behavioral)")
 	fs := f.String()
 
-	rs.putCached(key, []Record{rec(0, "peerB"), rec(1, "peerB")}, t0, fs)
-	if got, _, complete := rs.get(new([]Record), key, t0, "patterns", fs, f, 0, setDigest{}); !complete || len(got) != 2 {
+	rs.putCached(key, []p2p.Result{rec(0, "peerB"), rec(1, "peerB")}, t0, fs)
+	if got, _, complete := rs.get(new([]p2p.Result), key, t0, &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{}); !complete || len(got) != 2 {
 		t.Fatalf("exact-filter get = %d records, complete=%v; want 2, complete", len(got), complete)
 	}
 	if hits.Value() != 1 {
@@ -124,14 +125,14 @@ func TestCachedSetCompleteness(t *testing.T) {
 	}
 	// A different filter must not touch the cached set.
 	other := query.MustParse("(classification=creational)")
-	if got, _, complete := rs.get(new([]Record), key, t0, "patterns", other.String(), other, 0, setDigest{}); complete || len(got) != 0 {
+	if got, _, complete := rs.get(new([]p2p.Result), key, t0, &valueQuery{communityID: "patterns", filter: other.String(), match: other}, setDigest{}); complete || len(got) != 0 {
 		t.Fatalf("other-filter get = %d records, complete=%v; want none, incomplete", len(got), complete)
 	}
 	if hits.Value() != 1 {
 		t.Fatalf("cache hits after miss = %d, want still 1", hits.Value())
 	}
 	// Limit truncation: still served, no longer complete.
-	if got, _, complete := rs.get(new([]Record), key, t0, "patterns", fs, f, 1, setDigest{}); complete || len(got) != 1 {
+	if got, _, complete := rs.get(new([]p2p.Result), key, t0, &valueQuery{communityID: "patterns", filter: fs, match: f, limit: 1}, setDigest{}); complete || len(got) != 1 {
 		t.Fatalf("limited get = %d records, complete=%v; want 1, incomplete", len(got), complete)
 	}
 }
@@ -148,10 +149,10 @@ func TestPutCachedNeverDisplacesPrimaries(t *testing.T) {
 	fs := f.String()
 
 	for i := 0; i < 4; i++ {
-		rs.put(key, []Record{rec(i, "peerA")}, t0)
+		rs.put(key, []p2p.Result{rec(i, "peerA")}, t0)
 	}
-	rs.putCached(key, []Record{rec(90, "peerB"), rec(91, "peerB")}, t0, fs)
-	got, _, complete := rs.get(new([]Record), key, t0, "patterns", fs, f, 0, setDigest{})
+	rs.putCached(key, []p2p.Result{rec(90, "peerB"), rec(91, "peerB")}, t0, fs)
+	got, _, complete := rs.get(new([]p2p.Result), key, t0, &valueQuery{communityID: "patterns", filter: fs, match: f}, setDigest{})
 	if complete || len(got) != 4 {
 		t.Fatalf("get after rejected cache = %d records, complete=%v; want the 4 primaries, incomplete", len(got), complete)
 	}
@@ -197,7 +198,7 @@ func BenchmarkRecordStoreGet(b *testing.B) {
 			filters[i] = query.MustParse(src)
 		}
 		b.Run(bc.name, func(b *testing.B) {
-			scratch := make([]Record, 0, 240)
+			scratch := make([]p2p.Result, 0, 240)
 			into := &scratch
 			if !bc.ship {
 				into = nil
@@ -205,7 +206,7 @@ func BenchmarkRecordStoreGet(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				j := i % len(filters)
-				if _, dig, _ := rs.get(into, key, t0, "patterns", bc.srcs[j], filters[j], 0, setDigest{}); dig.Count == 0 {
+				if _, dig, _ := rs.get(into, key, t0, &valueQuery{communityID: "patterns", filter: bc.srcs[j], match: filters[j]}, setDigest{}); dig.Count == 0 {
 					b.Fatalf("%s: no records", bc.srcs[j])
 				}
 				if into != nil {

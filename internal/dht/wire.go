@@ -9,7 +9,7 @@ package dht
 // (codec.Reader.Fields) are substrings of it. The lookup replies'
 // records go to the searching caller or into the next encode, and the
 // lookup copies the peers it keeps, so nothing long-lived holds a frame.
-// STORE then copies each record into memory of its own (Record.own),
+// STORE then copies each record into memory of its own (ownRecord),
 // two strings: the record store holds what it decodes for a TTL, one
 // record at a time. A FIND_VALUE request is read in place
 // (findValueRequest): the holder copies nothing of it but the filter
@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/index"
+	"repro/internal/p2p"
 	"repro/internal/p2p/codec"
 	"repro/internal/transport"
 )
@@ -56,7 +57,9 @@ func readPeers(r *codec.Reader) []transport.PeerID {
 	return out
 }
 
-func appendRecord(dst []byte, rec *Record) []byte {
+// appendRecord encodes one record in the DHT's field order; Hops is a
+// search's own count and never travels.
+func appendRecord(dst []byte, rec *p2p.Result) []byte {
 	dst = codec.AppendString(dst, string(rec.DocID))
 	dst = codec.AppendString(dst, rec.CommunityID)
 	dst = codec.AppendString(dst, rec.Title)
@@ -65,7 +68,7 @@ func appendRecord(dst []byte, rec *Record) []byte {
 }
 
 // readRecord decodes one record.
-func readRecord(r *codec.Reader, out *Record) {
+func readRecord(r *codec.Reader, out *p2p.Result) {
 	out.DocID = index.DocID(r.String())
 	out.CommunityID = r.String()
 	out.Title = r.String()
@@ -73,7 +76,7 @@ func readRecord(r *codec.Reader, out *Record) {
 	out.Provider = transport.PeerID(r.String())
 }
 
-func appendRecords(dst []byte, recs []Record) []byte {
+func appendRecords(dst []byte, recs []p2p.Result) []byte {
 	dst = codec.AppendUvarint(dst, uint64(len(recs)))
 	for i := range recs {
 		dst = appendRecord(dst, &recs[i])
@@ -82,12 +85,12 @@ func appendRecords(dst []byte, recs []Record) []byte {
 }
 
 // readRecords decodes a record set.
-func readRecords(r *codec.Reader) []Record {
+func readRecords(r *codec.Reader) []p2p.Result {
 	n := r.Count(5) // four strings and an attrs count
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
-	out := make([]Record, n)
+	out := make([]p2p.Result, n)
 	for i := range out {
 		readRecord(r, &out[i])
 	}
@@ -213,7 +216,7 @@ func (p *storePayload) DecodeBinary(data []byte) error {
 	r.ShareStrings()
 	p.Records = readRecords(r)
 	for i := range p.Records {
-		p.Records[i].own()
+		ownRecord(&p.Records[i])
 	}
 	p.Cached = r.Bool()
 	p.Filter = strings.Clone(r.String()) // a cached set's key in the record store

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/p2p"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
 )
@@ -46,7 +47,7 @@ func TestDecodeMatchesMapOracle(t *testing.T) {
 			data := codec.Encode(f)
 			got, _ := codec.Decode(codec.Default, fuzzTypes[which], data)
 			r := codec.NewReader(data)
-			var recs []Record
+			var recs []p2p.Result
 			switch got := got.(type) {
 			case *findValueReplyPayload:
 				recs = got.Records

@@ -95,12 +95,12 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 
 // localResults answers this node's own search, in the slice the
 // search's collector then decodes the hits onto. Each result shares its
-// store entry's strings and attribute set (resultOf).
+// store entry's strings and attribute set (ResultOf).
 func (g *GnutellaNode) localResults(communityID string, f query.Filter, limit int) []Result {
 	es := g.shared.Search(communityID, f, limit)
 	out := make([]Result, len(es))
 	for i, e := range es {
-		out[i] = resultOf(e, g.PeerID())
+		out[i] = ResultOf(e, g.PeerID())
 	}
 	return out
 }

@@ -103,10 +103,10 @@ type Result struct {
 	Hops        int              `json:"hops"`
 }
 
-// resultOf is the result one of a store's entries makes, provided by
+// ResultOf is the result one of a store's entries makes, provided by
 // provider. It shares the entry's strings and attribute set, which no
 // one modifies (index.Entry), so it copies nothing.
-func resultOf(e *index.Entry, provider transport.PeerID) Result {
+func ResultOf(e *index.Entry, provider transport.PeerID) Result {
 	return Result{DocID: e.ID, Provider: provider, CommunityID: e.CommunityID, Title: e.Title, Attrs: e.Attrs}
 }
 

@@ -190,13 +190,13 @@ func (r *registry) eachLocked(es []*index.Entry, n int, yield func(*index.Entry,
 }
 
 // search returns the results in one slice sized before it is filled;
-// each shares its entry's strings and attribute set (resultOf).
+// each shares its entry's strings and attribute set (ResultOf).
 func (r *registry) search(communityID string, f query.Filter, limit int) []Result {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	es, n := r.matchesLocked(communityID, f, limit)
 	out := make([]Result, 0, n)
-	r.eachLocked(es, n, func(e *index.Entry, p transport.PeerID) { out = append(out, resultOf(e, p)) })
+	r.eachLocked(es, n, func(e *index.Entry, p transport.PeerID) { out = append(out, ResultOf(e, p)) })
 	return out
 }
 

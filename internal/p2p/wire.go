@@ -42,7 +42,7 @@ func appendResult(dst []byte, r *Result) []byte {
 // appendEntryResult writes the result one of a node's store entries
 // makes, provided by provider, when the node answers a remote search.
 func appendEntryResult(dst []byte, e *index.Entry, provider transport.PeerID, hops int) []byte {
-	r := resultOf(e, provider)
+	r := ResultOf(e, provider)
 	r.Hops = hops
 	return appendResult(dst, &r)
 }
