@@ -85,7 +85,7 @@ heap-profile:
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
 
 # Fuzz smoke: ten seconds each of FuzzDHTFrameDecode, FuzzHolderIndex,
-# FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
+# FuzzTableModel, FuzzP2PFrameDecode, FuzzTCPFrame, FuzzMatchEquivalence,
 # FuzzFilterParse, FuzzFieldsRoundTrip, FuzzWALSegment, FuzzStoreSearch,
 # FuzzStoreRoundTrip, FuzzXPathCompile, FuzzXMLParse, FuzzEscape,
 # FuzzXSDParse, FuzzUnmarshalCommunity, FuzzIndexerExtract and
@@ -93,7 +93,10 @@ heap-profile:
 # (testdata/fuzz in internal/dht, internal/p2p, internal/transport,
 # internal/query, internal/index, internal/xmldoc, internal/xsd and
 # internal/core) — a DHT holder's posting lists
-# answer every get as a scan of the same records does, no DHT or p2p
+# answer every get as a scan of the same records does, a routing table
+# that holds only the k-buckets it has filled keeps every bucket, probe
+# set and closest-contacts answer of the fixed-array table it replaced,
+# within k contacts' storage per list, no DHT or p2p
 # frame decoder, no TCP connection reader and no WAL segment scan may
 # panic, or allocate beyond a small multiple of its
 # input, the GUID a flood relay peeks from a query or query-hit is the
@@ -116,6 +119,7 @@ heap-profile:
 fuzz-smoke:
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzDHTFrameDecode -fuzztime 10s
 	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzHolderIndex -fuzztime 10s
+	$(GO) test ./internal/dht -run '^$$' -fuzz FuzzTableModel -fuzztime 10s
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzP2PFrameDecode -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzTCPFrame -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzMatchEquivalence -fuzztime 10s

@@ -97,6 +97,9 @@ type Community struct {
 	// or the process-wide built-in where the source is empty.
 	indexer                 *stylegen.Indexer
 	display, create, search *xslt.Stylesheet
+	// The rendered forms, each made on first use and kept with its
+	// error: the schema and stylesheets behind them never change.
+	createForm, searchForm func() (string, error)
 }
 
 // Errors from community handling.
@@ -180,6 +183,8 @@ func compile(spec CommunitySpec) (*Community, error) {
 	if c.search, err = sheet(spec.SearchStyleSrc, stylegen.DefaultSearch()); err != nil {
 		return nil, err
 	}
+	c.createForm = sync.OnceValues(func() (string, error) { return c.create.Apply(schema.Doc()) })
+	c.searchForm = sync.OnceValues(func() (string, error) { return c.search.Apply(schema.Doc()) })
 	return c, nil
 }
 
@@ -351,11 +356,13 @@ func (c *Community) Extract(obj *xmldoc.Node) (query.Attrs, error) { return c.in
 func (c *Community) View(obj *xmldoc.Node) (string, error) { return c.display.Apply(obj) }
 
 // CreateFormHTML renders the community's create form: its create
-// stylesheet applied to its schema.
-func (c *Community) CreateFormHTML() (string, error) { return c.create.Apply(c.Schema.Doc()) }
+// stylesheet applied to its schema. The first call renders it; later
+// calls return that result.
+func (c *Community) CreateFormHTML() (string, error) { return c.createForm() }
 
-// SearchFormHTML renders the community's search form.
-func (c *Community) SearchFormHTML() (string, error) { return c.search.Apply(c.Schema.Doc()) }
+// SearchFormHTML renders the community's search form, once, as
+// CreateFormHTML does.
+func (c *Community) SearchFormHTML() (string, error) { return c.searchForm() }
 
 // String implements fmt.Stringer.
 func (c *Community) String() string {

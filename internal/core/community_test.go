@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +212,45 @@ func TestRequestPathDoesNotCompile(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { _, _ = NewServent(sv.Network(), sv.Store()) }); n >= 300 {
 		t.Errorf("NewServent allocates %.0f objects, want < 300", n)
+	}
+}
+
+// TestFormsRenderOnce: a community's page shows both forms, and a
+// community never changes, so only the first call of each form method
+// applies its stylesheet. Later calls allocate nothing, also for a
+// create stylesheet that runs out of the XSLT budget (its error is the
+// kept result; applying it costs ~0.2 s of CPU).
+func TestFormsRenderOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	seed, err := os.ReadFile("testdata/fuzz/FuzzUnmarshalCommunity/runaway-create")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fuzz input's fourth argument is the create stylesheet.
+	runaway, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(seed), "\n")[4], "string("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []*Community{
+		RootCommunity(),
+		mustCommunity(t, CommunitySpec{Name: "mp3", SchemaSrc: songSchema, CreateStyleSrc: customCreate, SearchStyleSrc: customSearch}),
+		mustCommunity(t, CommunitySpec{Name: "runaway", SchemaSrc: songSchema, CreateStyleSrc: runaway}),
+	}
+	for _, c := range cases {
+		for what, render := range map[string]func() (string, error){"create": c.CreateFormHTML, "search": c.SearchFormHTML} {
+			first, firstErr := render()
+			if c.Name == "runaway" && what == "create" && !errors.Is(firstErr, xslt.ErrBudget) {
+				t.Fatalf("runaway create form: err = %v, want the XSLT budget", firstErr)
+			}
+			if again, againErr := render(); again != first || againErr != firstErr {
+				t.Errorf("%s %s form: second call returned (%d bytes, %v), first (%d bytes, %v)", c.Name, what, len(again), againErr, len(first), firstErr)
+			}
+			if n := testing.AllocsPerRun(10, func() { _, _ = render() }); n != 0 {
+				t.Errorf("%s %s form: a later call allocates %.0f objects, want 0", c.Name, what, n)
+			}
+		}
 	}
 }
 

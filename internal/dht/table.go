@@ -21,10 +21,15 @@ func ContactFor(peer transport.PeerID) Contact {
 	return Contact{ID: NodeIDFor(peer), Peer: peer}
 }
 
-// Table is a Kademlia routing table: IDBits k-buckets, bucket i
+// Table is a Kademlia routing table: up to IDBits k-buckets, bucket i
 // holding up to k contacts whose most significant differing bit from
 // the local ID is bit i. Each bucket is kept in least-recently-seen
-// order (front = oldest), the order LRU eviction consumes.
+// order (front = oldest), the order LRU eviction consumes. The table
+// holds only the buckets from the farthest down to the nearest one it
+// has filed a contact in: in an overlay of n peers about log2(n) of
+// them are non-empty, and a peer does not pay for the other
+// IDBits - log2(n). Neither list of a bucket holds storage for more
+// than k contacts.
 //
 // Eviction policy: Observe never probes the network — a full bucket
 // parks newcomers in a per-bucket replacement cache instead of
@@ -41,8 +46,11 @@ type Table struct {
 	self ID
 	k    int
 
-	mu      sync.Mutex
-	buckets [IDBits]bucket
+	mu sync.Mutex
+	// buckets runs farthest first: buckets[j] is bucket IDBits-1-j.
+	// Observe grows it down to the nearest bucket it files a contact
+	// in, and nothing shrinks it; a bucket past its end is empty.
+	buckets []bucket
 	size    int
 }
 
@@ -79,12 +87,17 @@ func (t *Table) Observe(peer transport.PeerID) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := &t.buckets[bi]
+	if j := IDBits - 1 - bi; j >= len(t.buckets) {
+		grown := make([]bucket, j+1)
+		copy(grown, t.buckets)
+		t.buckets = grown
+	}
+	b := t.bucket(bi)
 	if moveToBack(&b.live, peer) {
 		return
 	}
 	if len(b.live) < t.k {
-		b.live = append(b.live, c)
+		b.live = appendCapped(b.live, c, t.k)
 		t.size++
 		removeContact(&b.spare, peer)
 		return
@@ -92,10 +105,14 @@ func (t *Table) Observe(peer transport.PeerID) {
 	if moveToBack(&b.spare, peer) {
 		return
 	}
-	if len(b.spare) >= t.k {
-		b.spare = b.spare[1:] // drop the stalest candidate
+	if len(b.spare) < t.k {
+		b.spare = appendCapped(b.spare, c, t.k)
+		return
 	}
-	b.spare = append(b.spare, c)
+	// Drop the stalest candidate, shifting in place so the cache keeps
+	// its storage.
+	copy(b.spare, b.spare[1:])
+	b.spare[len(b.spare)-1] = c
 }
 
 // Remove evicts a peer (dead by direct evidence) from its bucket and
@@ -108,7 +125,10 @@ func (t *Table) Remove(peer transport.PeerID) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := &t.buckets[bi]
+	b := t.bucket(bi)
+	if b == nil {
+		return
+	}
 	if removeContact(&b.live, peer) {
 		t.size--
 		if n := len(b.spare); n > 0 {
@@ -121,6 +141,15 @@ func (t *Table) Remove(peer transport.PeerID) {
 	}
 }
 
+// bucket returns bucket i, or nil when it lies past the held ones
+// (and is therefore empty).
+func (t *Table) bucket(i int) *bucket {
+	if j := IDBits - 1 - i; j < len(t.buckets) {
+		return &t.buckets[j]
+	}
+	return nil
+}
+
 // Oldest returns the least-recently-seen live contact of every
 // non-empty bucket, in ascending bucket order: the probe set for one
 // liveness-check round.
@@ -128,8 +157,8 @@ func (t *Table) Oldest() []Contact {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Contact
-	for i := range t.buckets {
-		if live := t.buckets[i].live; len(live) > 0 {
+	for j := len(t.buckets) - 1; j >= 0; j-- {
+		if live := t.buckets[j].live; len(live) > 0 {
 			out = append(out, live[0])
 		}
 	}
@@ -160,14 +189,17 @@ func (t *Table) ClosestAppend(dst []Contact, target ID, n int) []Contact {
 	// A contact of bucket i lies at a distance from target whose bits
 	// above i are those of d and whose bit i is the complement of d's:
 	// the buckets where d has a 1, from the top down, then those where it
-	// has a 0, from the bottom up, cover disjoint, ascending ranges.
+	// has a 0, from the bottom up, cover disjoint, ascending ranges. The
+	// buckets below the held ones are empty and skipped in both passes.
 	d := t.self.XOR(target)
-	for j := 0; j < 2*IDBits && len(dst)-start < n; j++ {
-		i, one := IDBits-1-j, byte(1)
-		if j >= IDBits {
-			i, one = j-IDBits, 0
+	held := len(t.buckets)
+	for step := 0; step < 2*held && len(dst)-start < n; step++ {
+		j, one := step, byte(1)
+		if step >= held {
+			j, one = 2*held-1-step, 0
 		}
-		if live := t.buckets[i].live; len(live) > 0 && d[IDBytes-1-i/8]>>(i%8)&1 == one {
+		i := IDBits - 1 - j
+		if live := t.buckets[j].live; len(live) > 0 && d[IDBytes-1-i/8]>>(i%8)&1 == one {
 			at := len(dst)
 			dst = append(dst, live...)
 			sortByDistance(dst[at:], target)
@@ -213,4 +245,15 @@ func removeContact(cs *[]Contact, peer transport.PeerID) bool {
 		}
 	}
 	return false
+}
+
+// appendCapped appends c to s, growing its storage as append does but
+// never past k contacts (the most a bucket's list ever holds).
+func appendCapped(s []Contact, c Contact, k int) []Contact {
+	if len(s) == cap(s) {
+		grown := make([]Contact, len(s), min(max(2*len(s), 1), k))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, c)
 }

@@ -86,13 +86,24 @@ func (r *floodRouter) Neighbors() []transport.PeerID {
 // search timeout (DefaultTimeout, seconds).
 const seenGeneration = 10 * time.Minute
 
+// seenGenerationCap bounds one generation's GUIDs, so a peer that sends
+// fresh GUIDs as fast as it can makes a node hold at most twice this
+// many, not everything of the last ten minutes. Honest traffic stays far
+// below it: the most one generation reaches in any shipped scenario (E3,
+// E5, E8, E12–E16 at their default scales, the golden traces) is 470 (a
+// FastTrack super-peer in E12), and the ruler's 15 s tcp-gnutella-flood
+// window 8 692. A full generation still outlives a search timeout
+// unless GUIDs arrive at thousands per second.
+const seenGenerationCap = 1 << 15
+
 // seenTable maps a flooded GUID to the neighbor it first arrived from,
 // for duplicate suppression and reverse-path routing. It keeps two
 // generations: inserts go to the current one, lookups consult both, and
-// once the current one is seenGeneration old it becomes the previous
-// one and the previous one is dropped — so a long-lived node remembers
-// the GUIDs of its last ten to twenty minutes, not of its lifetime. The
-// zero value is an empty table; the owner's lock guards it.
+// once the current one is seenGeneration old or holds seenGenerationCap
+// GUIDs it becomes the previous one and the previous one is dropped — so
+// a long-lived node remembers the GUIDs of its last ten to twenty
+// minutes at most, not of its lifetime. The zero value is an empty
+// table; the owner's lock guards it.
 type seenTable struct {
 	cur, prev map[uint64]transport.PeerID
 	started   time.Time // when cur took its first insert
@@ -109,7 +120,7 @@ func (t *seenTable) lookup(guid uint64) (transport.PeerID, bool) {
 // insert records guid as first seen from from at now (a reading of the
 // node's clock).
 func (t *seenTable) insert(guid uint64, from transport.PeerID, now time.Time) {
-	if t.cur == nil || now.Sub(t.started) >= seenGeneration {
+	if t.cur == nil || len(t.cur) >= seenGenerationCap || now.Sub(t.started) >= seenGeneration {
 		t.prev, t.cur, t.started = t.cur, make(map[uint64]transport.PeerID), now
 	}
 	t.cur[guid] = from

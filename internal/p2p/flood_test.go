@@ -407,6 +407,26 @@ func TestSeenTableAges(t *testing.T) {
 	}
 }
 
+// TestSeenTableBounded: fresh GUIDs arriving faster than a generation
+// ages rotate the table early, so it never holds more than two full
+// generations, and it still knows the latest full generation's GUIDs.
+func TestSeenTableBounded(t *testing.T) {
+	var tab seenTable
+	now := time.Unix(0, 0)
+	const n = 3 * seenGenerationCap
+	for guid := uint64(1); guid <= n; guid++ {
+		tab.insert(guid, "peer", now)
+		if held := len(tab.cur) + len(tab.prev); held > 2*seenGenerationCap {
+			t.Fatalf("after %d fresh GUIDs the table holds %d, want at most %d", guid, held, 2*seenGenerationCap)
+		}
+	}
+	for guid := uint64(n - seenGenerationCap + 1); guid <= n; guid++ {
+		if _, ok := tab.lookup(guid); !ok {
+			t.Fatalf("GUID %d of the latest %d is forgotten", guid, seenGenerationCap)
+		}
+	}
+}
+
 // TestFloodConcurrentFirstArrivals: when the same GUID reaches a node
 // from several neighbors at once (separate connections, over TCP), the
 // query is answered and forwarded once, and every hit that follows is

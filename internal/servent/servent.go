@@ -54,8 +54,22 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
+// pagePolicy is every page's Content-Security-Policy. A page can
+// carry a stranger's markup (a community's display stylesheet renders
+// into the servent's own origin), so no page runs script or plugins,
+// and none can re-base its relative links.
+const pagePolicy = "script-src 'none'; object-src 'none'; base-uri 'none'"
+
 func (h *Handler) page(w http.ResponseWriter, title, body string) {
+	h.pageStatus(w, http.StatusOK, title, body)
+}
+
+// pageStatus writes a page with the given status: the headers first,
+// since none can be set once the status line is out.
+func (h *Handler) pageStatus(w http.ResponseWriter, status int, title, body string) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.Header().Set("Content-Security-Policy", pagePolicy)
+	w.WriteHeader(status)
 	fmt.Fprintf(w, `<!DOCTYPE html><html><head><title>%s — U-P2P</title></head><body>
 <header><h1>U-P2P servent %s</h1><nav><a href="/">communities</a> | <a href="/discover">discover</a></nav></header>
 %s</body></html>`, html.EscapeString(title), html.EscapeString(string(h.sv.PeerID())), body)
@@ -81,8 +95,7 @@ func href(path string, kv ...string) string {
 }
 
 func (h *Handler) errPage(w http.ResponseWriter, status int, err error) {
-	w.WriteHeader(status)
-	h.page(w, "error", "<p class=\"error\">"+html.EscapeString(err.Error())+"</p>")
+	h.pageStatus(w, status, "error", "<p class=\"error\">"+html.EscapeString(err.Error())+"</p>")
 }
 
 // home lists joined communities.
@@ -328,7 +341,9 @@ func (h *Handler) join(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, target("/community/"+c.ID), http.StatusSeeOther)
 }
 
-// attachmentHandler serves locally stored attachment bytes.
+// attachmentHandler serves locally stored attachment bytes. They may
+// be a stranger's, so the browser must take them as the opaque bytes
+// they are declared to be, never sniff them into a page.
 func (h *Handler) attachmentHandler(w http.ResponseWriter, r *http.Request) {
 	uri := r.URL.Query().Get("uri")
 	data, ok := h.sv.Attachment(uri)
@@ -337,5 +352,7 @@ func (h *Handler) attachmentHandler(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Content-Type-Options", "nosniff")
+	w.Header().Set("Content-Security-Policy", pagePolicy)
 	_, _ = w.Write(data)
 }

@@ -265,6 +265,54 @@ func TestAttachmentEndpoint(t *testing.T) {
 	}
 }
 
+// TestPagesForbidScript: a page can show a stranger's markup, so every
+// page, an error page included, says it is HTML and forbids script,
+// plugins and a changed base URL, and an attachment is served as bytes
+// the browser must not sniff into something it runs.
+func TestPagesForbidScript(t *testing.T) {
+	f := newFixture(t, 1)
+	c, err := f.servents[0].CreateCommunity(core.CommunitySpec{Name: "mp3", SchemaSrc: corpus.SongSchemaSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := postForm(t, f.handlers[0], "/create?community="+c.ID, url.Values{
+		"title": {"Blue"}, "artist": {"A"}, "genre": {"jazz"},
+	})
+	if rec.Code != http.StatusSeeOther {
+		t.Fatal(rec.Body.String())
+	}
+	const policy = "script-src 'none'; object-src 'none'; base-uri 'none'"
+	html := map[string]string{"Content-Type": "text/html; charset=utf-8", "Content-Security-Policy": policy}
+	cases := []struct {
+		path   string
+		status int
+		want   map[string]string
+	}{
+		{"/community/" + c.ID, http.StatusOK, html},
+		{rec.Header().Get("Location"), http.StatusOK, html},
+		{"/search?community=" + c.ID + "&title=Blue", http.StatusOK, html},
+		{"/discover?name=mp3", http.StatusOK, html},
+		{"/community/nope", http.StatusNotFound, html},
+		{"/search?community=" + c.ID + "&filter=" + url.QueryEscape("(title="), http.StatusBadRequest, html},
+		{"/attachment?uri=" + url.QueryEscape(core.AttachmentURI(c.ID, "display.xsl")), http.StatusOK, map[string]string{
+			"Content-Type": "application/octet-stream", "X-Content-Type-Options": "nosniff", "Content-Security-Policy": policy,
+		}},
+	}
+	for _, tc := range cases {
+		rec, _ := get(t, f.handlers[0], tc.path)
+		if rec.Code != tc.status {
+			t.Errorf("%s = %d, want %d", tc.path, rec.Code, tc.status)
+		}
+		// The headers as sent: those set after the status line are not.
+		sent := rec.Result().Header
+		for name, want := range tc.want {
+			if got := sent.Get(name); got != want {
+				t.Errorf("%s: %s = %q, want %q", tc.path, name, got, want)
+			}
+		}
+	}
+}
+
 func TestCreateRequiresPost(t *testing.T) {
 	f := newFixture(t, 1)
 	rec, _ := get(t, f.handlers[0], "/create?community=x")
