@@ -52,7 +52,9 @@ surface-check:
 	$(GO) test ./internal/surface -run '^TestSurface$$' -count=1
 
 # Compile-and-run every benchmark once so they cannot rot (the 24-node
-# BenchmarkDHTSearchCluster of internal/dht among them), plus
+# BenchmarkDHTSearchCluster of internal/dht and internal/sim's
+# BenchmarkScenarioChurn, one sim-dht-churn scenario in ~0.8 s, among
+# them), plus
 # reduced-scale runs of E13 (the flooding-vs-DHT scaling comparison
 # must keep producing both columns) and E18 (the WAL overhead and
 # recovery measurements must keep completing).
@@ -65,11 +67,17 @@ bench-smoke:
 # `make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster` runs it
 # with -memprofile (every allocation sampled) and prints the top of the
 # profile twice: by objects allocated, then by bytes allocated. The test
-# binary and the profile stay in a temporary directory.
+# binary and the profile stay in a temporary directory. BENCHTIME is
+# the op count, 2000x unless given: `make alloc-profile
+# PKG=./internal/sim BENCH=ScenarioChurn BENCHTIME=3x` profiles three of
+# sim-dht-churn's scenarios (~4 s an op with every allocation sampled),
+# which splits that workload's allocations between the system and the
+# scenario's recall oracle (sim.(*scenario).recall) without the ruler.
+BENCHTIME ?= 2000x
 alloc-profile:
 	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster"; exit 2; }
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) test $(PKG) -run '^$$' -bench '$(BENCH)' -benchtime 2000x -memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/pkg.test" && \
+	$(GO) test $(PKG) -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/pkg.test" && \
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof" && \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 "$$dir/pkg.test" "$$dir/mem.prof"
 

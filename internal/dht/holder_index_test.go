@@ -356,6 +356,43 @@ func sameRecords(a, b []p2p.Result) bool {
 	})
 }
 
+// TestHolderCollidingKeys files different keys under one run by hand,
+// as a collision of the key hash would: each of a key's two records is
+// posted under the other's classification too. get still answers each
+// classification with exactly the record that holds it, since every
+// candidate is matched with the whole filter.
+func TestHolderCollidingKeys(t *testing.T) {
+	rs := newRecordStore(time.Hour, 0)
+	key := KeyForCommunity("patterns")
+	now := time.Unix(1000, 0)
+	recs := []p2p.Result{rec(1, "p"), rec(2, "p")}
+	recs[1].Attrs = query.FieldsOf(query.Attrs{"classification": {"creational"}})
+	rs.put(key, recs, now)
+	kr := rs.byKey[key]
+	kr.postingsFor("classification")
+	p := kr.lists["classification"]
+	pos := posBits(len(kr.entries))
+	p.posts = p.posts[:0]
+	for _, k := range []string{"behavioral", "creational"} {
+		for i := range kr.entries {
+			p.posts = append(p.posts, query.KeyHash(k)&^pos|uint64(i))
+		}
+	}
+	slices.Sort(p.posts)
+	for _, c := range []struct {
+		filter string
+		want   index.DocID
+	}{{"(classification=behavioral)", "d-0001"}, {"(classification=creational)", "d-0002"}, {"(&(classification=creational)(classification=creational))", "d-0002"}} {
+		got, dig, _ := rs.get(new([]p2p.Result), key, now, &valueQuery{communityID: "patterns", filter: c.filter, match: query.MustParse(c.filter)}, setDigest{})
+		if len(got) != 1 || got[0].DocID != c.want || dig.Count != 1 {
+			t.Errorf("%s: %d records (digest of %d), want %s alone", c.filter, len(got), dig.Count, c.want)
+		}
+	}
+	if len(p.posts) != 4 {
+		t.Fatalf("the lists were refilled (%d postings): the collision was never asked", len(p.posts))
+	}
+}
+
 // TestHolderIndexMatchesScan: over many seeds of interleaved puts,
 // removes, caching STOREs, expiry and eviction, every get the posting
 // lists answer agrees with a scan of the same records, and the counts

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/p2p"
@@ -21,6 +22,12 @@ import (
 // chunking, so one bulk publication cannot exceed a transport's frame
 // limit.
 const storeChunk = 512
+
+// errStoreRefused counts, in the node's error family, each STORE frame
+// that carried records the holder refused: filed outside their
+// community's key, or (unless the STORE is a caching one) in another
+// provider's name. No honest peer sends one.
+var errStoreRefused = errs.New("dht.store_refused", "dht: STORE records refused")
 
 // Node is one DHT peer: a p2p.Network whose Publish/Search/Unpublish
 // route through the keyspace instead of a server or a flood. The
@@ -604,7 +611,8 @@ func (n *Node) handle(msg transport.Message) {
 		// cannot apply to it. Its copies are confined: halved TTL,
 		// filter-tagged, never republished, first to be evicted — a
 		// forged cache pollutes one key for half a TTL at worst, it
-		// cannot displace primaries.
+		// cannot displace primaries. A frame that loses records to either
+		// rule is counted.
 		kept := req.Records[:0]
 		var community string
 		var communityKey ID
@@ -615,6 +623,9 @@ func (n *Node) handle(msg transport.Message) {
 			if communityKey == req.Key && (req.Cached || rec.Provider == msg.From) {
 				kept = append(kept, rec)
 			}
+		}
+		if len(kept) < len(req.Records) {
+			n.NodeMetrics().CountError(errStoreRefused)
 		}
 		if req.Cached {
 			n.records.putCached(req.Key, kept, n.Clock().Now(), req.Filter)

@@ -339,7 +339,10 @@ func TestStoreProvenance(t *testing.T) {
 
 // TestStoreRecordOutsideItsKeyRefused: a record belongs under its
 // community's key. A STORE that files one under another key — primary
-// or caching, in the sender's own name — leaves the holder with nothing.
+// or caching, in the sender's own name — leaves the holder with nothing,
+// and each such frame counts one dht.store_refused, as does a primary
+// STORE in another provider's name. An honest cluster, caching STOREs
+// included, counts none.
 func TestStoreRecordOutsideItsKeyRefused(t *testing.T) {
 	net := transport.NewMemNetwork(transport.WithSeed(1))
 	hep, err := net.Endpoint("holder")
@@ -347,6 +350,11 @@ func TestStoreRecordOutsideItsKeyRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	holder := NewNode(hep, index.NewStore(), Config{K: 4, Alpha: 2})
+	reg := metrics.NewRegistry()
+	holder.SetMetrics(reg)
+	refused := func(reg *metrics.Registry) int64 {
+		return reg.Snapshot().Label(metrics.ErrorsVecName, "dht.store_refused")
+	}
 	raw, err := net.Endpoint("sender")
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +362,7 @@ func TestStoreRecordOutsideItsKeyRefused(t *testing.T) {
 	stray := p2p.Result{DocID: "d-0001", CommunityID: "other", Title: "doc 1", Provider: raw.ID(),
 		Attrs: query.FieldsOf(query.Attrs{"classification": {"behavioral"}})}
 	key := KeyForCommunity("patterns")
-	for _, store := range []storePayload{
+	for i, store := range []storePayload{
 		{Key: key, Records: []p2p.Result{stray}},
 		{Key: key, Records: []p2p.Result{stray}, Cached: true, Filter: "(classification=behavioral)"},
 	} {
@@ -362,6 +370,44 @@ func TestStoreRecordOutsideItsKeyRefused(t *testing.T) {
 		if got := holder.RecordCount(); got != 0 {
 			t.Fatalf("holder keeps %d records of community other under the patterns key (cached STORE %v), want 0", got, store.Cached)
 		}
+		if got := refused(reg); got != int64(i+1) {
+			t.Fatalf("after %d refused STOREs dht.store_refused = %d", i+1, got)
+		}
+	}
+	forged := stray
+	forged.CommunityID, forged.Provider = "patterns", "victim"
+	mine := forged
+	mine.DocID, mine.Provider = "d-0002", raw.ID()
+	store := storePayload{Key: key, Records: []p2p.Result{forged, mine}}
+	_ = raw.Send(transport.Message{To: holder.PeerID(), Type: MsgStore, Payload: codec.Encode(&store)})
+	if got := holder.RecordCount(); got != 1 {
+		t.Fatalf("holder keeps %d records of a STORE with one forged, want the sender's own", got)
+	}
+	if got := refused(reg); got != 3 {
+		t.Fatalf("after a STORE in another provider's name dht.store_refused = %d, want 3", got)
+	}
+
+	nodes, honest := sharedNet(t, 64, Config{K: 4, Alpha: 2, CacheRecords: true})
+	for i := 0; i < 12; i++ {
+		if err := nodes[i].Publish(doc(i, "patterns", []string{"behavioral", "creational"}[i%2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := query.MustParse("(classification=behavioral)")
+	for searcher := 20; searcher < 32; searcher++ {
+		if _, err := nodes[searcher].Search("patterns", f, p2p.SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nodes[0].Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if snap := honest.Snapshot(); snap.Counter("dht.cache_stores") < 1 || snap.Counter("dht.store_fanout") < 12 {
+		t.Fatalf("cache_stores %d, store_fanout %d: the honest cluster sent no caching STORE or too few primary ones",
+			snap.Counter("dht.cache_stores"), snap.Counter("dht.store_fanout"))
+	}
+	if got := refused(honest); got != 0 {
+		t.Errorf("an honest cluster counts dht.store_refused = %d, want 0", got)
 	}
 }
 

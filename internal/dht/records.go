@@ -2,8 +2,9 @@ package dht
 
 import (
 	"cmp"
-	"math"
+	"math/bits"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -40,9 +41,9 @@ import (
 //     counted per record in dht.records_evicted.
 //
 // A key's primaries are held the way index.Store holds a community:
-// in the order replies travel in, with posting lists per attribute, so
-// that a FIND_VALUE touches only the records its filter can match
-// (keyRecords).
+// in the order replies travel in, with one sorted array of postings per
+// attribute filed by key hash (query.KeyHash), so that a FIND_VALUE
+// touches only the records its filter can match (keyRecords).
 type recordStore struct {
 	mu        sync.Mutex
 	ttl       time.Duration
@@ -67,7 +68,8 @@ type recordEntry struct {
 }
 
 // keyRecords is one key's primary records, sorted by (DocID,
-// Provider): a reply walks them in wire order and sorts nothing.
+// Provider): a reply walks them in wire order and sorts nothing. Their
+// postings (lists) name them by position.
 type keyRecords struct {
 	entries []recordEntry
 	// community is the CommunityID the key's first record was stored
@@ -79,29 +81,26 @@ type keyRecords struct {
 	// has passed, no entry can have expired and get skips the prune.
 	soonest time.Time
 	// gen counts changes to which entries there are and what they hold;
-	// lists built at another gen are stale, since a change can move
+	// postings built at another gen are stale, since a change can move
 	// every position after it.
 	gen uint64
-	// lists maps an attribute to its posting lists, built the first
-	// time an equality conjunct names it (candidates).
+	// lists maps an attribute to its postings, built the first time an
+	// equality conjunct names it (candidates).
 	lists map[string]*postings
 }
 
-// postings is one attribute's posting lists over a key's entries: for
-// each key query.IndexKeys files the attribute's values under, the
-// ascending positions of the entries holding such a value. The lists
-// are carved from one array, counted before it is filled, and a stale
-// set is refilled in place: slot, spans and pos keep their memory
-// across refills.
+// postings is one attribute's postings over a key's entries, in the
+// form index.Store's fields take: one sorted array, an entry filed once
+// under the hash (query.KeyHash) of each key query.IndexKeys files its
+// values under. A posting is that hash with its low bits (posBits)
+// replaced by the entry's position, so the entries holding a key are one
+// run of the array, in position order, and keys whose hashes differ only
+// in those bits share a run, which only adds candidates. A stale array
+// is refilled in place.
 type postings struct {
-	slot  map[string]int32 // fold key -> its span (its count, while fill counts)
-	spans []span
-	pos   []int32 // every list, one after another
-	gen   uint64  // keyRecords.gen when filled
+	posts []uint64
+	gen   uint64 // keyRecords.gen when filled
 }
-
-// span is where one list lies in postings.pos.
-type span struct{ off, n int32 }
 
 // cachedSet is one caching STORE's payload: the complete, sorted
 // result set for its filter, expiring as a unit.
@@ -385,7 +384,8 @@ func clearRecords(recs *[]p2p.Result) {
 func (rs *recordStore) matchLocked(key ID, now time.Time, vq *valueQuery, out *[]p2p.Result) (dig setDigest, fromCache bool) {
 	communityID, f, limit := vq.communityID, vq.match, vq.limit
 	var entries []recordEntry
-	var cand []int32
+	var cand []uint64
+	var pos uint64 // the position bits of cand's postings
 	indexed, perRecord := false, false
 	if kr := rs.byKey[key]; kr != nil {
 		rs.pruneLocked(key, kr, now)
@@ -394,6 +394,7 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, vq *valueQuery, out *[
 		if communityID == "" || kr.others > 0 || communityID == kr.community {
 			entries, perRecord = kr.entries, communityID != "" && kr.others > 0
 			cand, indexed = kr.candidates(f)
+			pos = posBits(len(kr.entries))
 		}
 	}
 	cs, fromCache := rs.cachedLocked(key, now, vq.filter)
@@ -411,7 +412,7 @@ func (rs *recordStore) matchLocked(key ID, now time.Time, vq *valueQuery, out *[
 	for j := 0; j < n; j++ {
 		e := &entries[j]
 		if indexed {
-			e = &entries[cand[j]]
+			e = &entries[cand[j]&pos]
 		}
 		for ; next < len(cs) && compareResults(&cs[next], &e.rec) < 0; next++ {
 			emit(&cs[next], recordHash(cs[next].DocID, cs[next].Provider))
@@ -451,50 +452,40 @@ func (rs *recordStore) cachedLocked(key ID, now time.Time, filterStr string) ([]
 	return cs.recs, ok
 }
 
-// candidates returns the positions, ascending, of the entries f can
-// match, and true; or false when f has no equality conjunct to look up
-// and every entry must be tried. Like index.Store's, the candidates
-// are a superset of the matches: the caller matches each with all of f.
-// An And takes its shortest candidate list.
-func (kr *keyRecords) candidates(f query.Filter) ([]int32, bool) {
-	switch t := f.(type) {
-	case *query.Assertion:
-		key, ok := t.IndexKey()
-		if !ok {
-			return nil, false
+// candidates returns the run of postings of the entries f can match,
+// and true; or false when f has no equality conjunct to look up and
+// every entry must be tried. Like index.Store's, the candidates are a
+// superset of the matches: the caller matches each with all of f. An
+// And takes its shortest run.
+func (kr *keyRecords) candidates(f query.Filter) (cand []uint64, indexed bool) {
+	pos := posBits(len(kr.entries))
+	for attr, key := range query.ExactKeys(f) {
+		posts := kr.postingsFor(attr)
+		lo := query.KeyHash(key) &^ pos
+		i := sort.Search(len(posts), func(j int) bool { return posts[j] >= lo })
+		n := sort.Search(len(posts)-i, func(j int) bool { return posts[i+j]&^pos != lo })
+		if !indexed || n < len(cand) {
+			cand, indexed = posts[i:i+n], true
 		}
-		p := kr.postingsFor(t.Attr)
-		if p == nil {
-			return nil, true
-		}
-		s, ok := p.slot[key]
-		if !ok {
-			return nil, true
-		}
-		sp := p.spans[s]
-		return p.pos[sp.off : sp.off+sp.n], true
-	case *query.And:
-		var best []int32
-		found := false
-		for _, sub := range t.Subs {
-			if c, ok := kr.candidates(sub); ok && (!found || len(c) < len(best)) {
-				best, found = c, true
-			}
-		}
-		return best, found
 	}
-	return nil, false
+	return cand, indexed
 }
 
-// postingsFor returns attr's posting lists, current as of kr.gen, or
-// nil when no entry files a value of attr under any key.
-func (kr *keyRecords) postingsFor(attr string) *postings {
+// posBits is the mask of the low bits a posting holds its entry's
+// position in, for a key of n entries.
+func posBits(n int) uint64 {
+	return 1<<bits.Len(uint(n)) - 1
+}
+
+// postingsFor returns attr's postings, current as of kr.gen, or nil
+// when no entry files a value of attr under any key.
+func (kr *keyRecords) postingsFor(attr string) []uint64 {
 	p := kr.lists[attr]
 	if p != nil && p.gen == kr.gen {
-		return p
+		return p.posts
 	}
 	if p == nil {
-		// An attribute nobody holds gets no lists: a stranger's
+		// An attribute nobody holds gets no postings: a stranger's
 		// filters cannot grow the key by naming attributes.
 		if !slices.ContainsFunc(kr.entries, func(e recordEntry) bool {
 			_, n := e.rec.Attrs.Value(attr, 0)
@@ -502,7 +493,7 @@ func (kr *keyRecords) postingsFor(attr string) *postings {
 		}) {
 			return nil
 		}
-		p = &postings{slot: make(map[string]int32)}
+		p = new(postings)
 		if kr.lists == nil {
 			kr.lists = make(map[string]*postings)
 		}
@@ -510,80 +501,28 @@ func (kr *keyRecords) postingsFor(attr string) *postings {
 	}
 	p.fill(kr.entries, attr)
 	p.gen = kr.gen
-	if len(p.slot) == 0 {
+	if len(p.posts) == 0 {
 		delete(kr.lists, attr)
 		return nil
 	}
-	return p
+	return p.posts
 }
 
-// unseen is what fill resets the keys p already holds to before it
-// counts: such a key counts up from unseen, and a key new to p from 0.
-const unseen = math.MinInt32
-
-// fill rebuilds p over entries in three passes: count each key's
-// postings, lay the lists out in pos (dropping keys no entry files
-// under any more, and copying new ones out of the values), and write
-// the positions. A value that files an entry under one key twice is
-// counted twice but written once, so a list may end before the room
-// counted for it does.
+// fill rebuilds p over entries: a posting for each entry and key of its
+// values of attr, sorted, one of each. An entry filed twice under one
+// key, or under two keys that hash alike, is posted there once.
 func (p *postings) fill(entries []recordEntry, attr string) {
-	for k := range p.slot {
-		p.slot[k] = unseen
-	}
+	pos := posBits(len(entries))
+	p.posts = p.posts[:0]
 	for i := range entries {
 		for v := range entries[i].rec.Attrs.Values(attr) {
 			for k := range query.IndexKeys(v) {
-				p.slot[k]++
+				p.posts = append(p.posts, query.KeyHash(k)&^pos|uint64(i))
 			}
 		}
 	}
-	var few [16]string
-	fresh := few[:0] // keys new to p, still slices of the values they came from
-	p.spans = slices.Grow(p.spans[:0], len(p.slot))
-	total := int32(0)
-	for k, n := range p.slot {
-		if n >= 0 {
-			fresh = append(fresh, k)
-		} else if n -= unseen; n == 0 {
-			delete(p.slot, k)
-			continue
-		}
-		p.slot[k] = int32(len(p.spans))
-		p.spans = append(p.spans, span{off: total})
-		total += n
-	}
-	// The new keys move into one string of their own, so that no key
-	// keeps a departed record's attributes alive.
-	size := 0
-	for _, k := range fresh {
-		size += len(k)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, k := range fresh {
-		b.WriteString(k)
-	}
-	own := b.String()
-	for _, k := range fresh {
-		s := p.slot[k]
-		delete(p.slot, k)
-		p.slot[own[:len(k)]] = s
-		own = own[len(k):]
-	}
-	p.pos = slices.Grow(p.pos[:0], int(total))[:total]
-	for i := range entries {
-		for v := range entries[i].rec.Attrs.Values(attr) {
-			for k := range query.IndexKeys(v) {
-				sp := &p.spans[p.slot[k]]
-				if sp.n > 0 && p.pos[sp.off+sp.n-1] == int32(i) {
-					continue
-				}
-				p.pos[sp.off+sp.n] = int32(i)
-				sp.n++
-			}
-		}
-	}
+	slices.Sort(p.posts)
+	p.posts = slices.Compact(p.posts)
 }
 
 // remove withdraws one provider's record under key, from the

@@ -216,3 +216,25 @@ func BenchmarkRecordStoreGet(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRecordStoreRefill times what the first FIND_VALUE after a
+// change to a key's records pays: the posting lists of all six
+// searchable attributes of BenchmarkRecordStoreGet's 240-record key,
+// refilled in place once the key's gen has moved.
+func BenchmarkRecordStoreRefill(b *testing.B) {
+	rs := newRecordStore(time.Hour, 0)
+	key := KeyForCommunity("patterns")
+	rs.put(key, patternRecords(240, "peerA"), time.Unix(1000, 0))
+	kr := rs.byKey[key]
+	attrs := []string{"name", "classification", "intent", "keywords", "applicability", "participants"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kr.gen++
+		for _, attr := range attrs {
+			if kr.postingsFor(attr) == nil {
+				b.Fatalf("no lists for %s", attr)
+			}
+		}
+	}
+}

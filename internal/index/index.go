@@ -8,16 +8,17 @@
 //
 // The inverted index holds no maps and no key strings. Each community
 // keeps one field per indexed attribute, sorted by name, and a field is
-// one array of postings: an entry pointer under the hash of one of its
-// keys (query.IndexKeys), sorted by (hash, ID). The entries holding a
-// key are one run of the array, in ID order; keys that hash alike share
-// a run, which only adds candidates, since a search re-matches each.
+// one array of postings: an entry pointer under the hash (query.KeyHash,
+// which a DHT holder's postings use too) of one of its keys
+// (query.IndexKeys), sorted by (hash, ID). The entries holding a key are
+// one run of the array, in ID order; keys that hash alike share a run,
+// which only adds candidates, since a search re-matches each.
 //
 // Searches evaluate query.Filter expressions and answer in ID order,
 // with one walk that stops at the limit. A filter with exact-match
-// assertions walks the intersection of their runs; any other filter
-// walks the community's members, which are kept sorted by ID. Either
-// way a community-scoped search sorts nothing.
+// assertions (query.ExactKeys) walks the intersection of their runs;
+// any other filter walks the community's members, which are kept sorted
+// by ID. Either way a community-scoped search sorts nothing.
 //
 // One lock guards the store. Each community keeps its own members and
 // its own fields, so a community-scoped search never walks another
@@ -31,7 +32,6 @@ package index
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"log/slog"
 	"slices"
 	"sort"
@@ -246,10 +246,6 @@ type posting struct {
 	h uint64
 	e *Entry
 }
-
-// keySeed hashes index keys. It is drawn once per process, so no one
-// can choose values whose keys collide.
-var keySeed = maphash.MakeSeed()
 
 // before reports whether p sorts before q: by hash, then by ID.
 func before(p, q posting) bool {
@@ -511,7 +507,11 @@ func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
 // is fewer. Called with the store's lock held.
 func (c *community) search(f query.Filter, limit int, out []*Entry) []*Entry {
 	var buf [4][]posting
-	runs, indexed := c.runs(f, buf[:0])
+	runs := buf[:0]
+	for attr, key := range query.ExactKeys(f) {
+		runs = append(runs, c.run(attr, query.KeyHash(key)))
+	}
+	indexed := len(runs) > 0
 	n := len(c.members)
 	if indexed {
 		for i := range runs {
@@ -553,35 +553,17 @@ next:
 	return out
 }
 
-// runs appends to out the run of postings of each exact-match conjunct
-// of f — f itself when it is an indexable assertion, the conjuncts of
-// an And, nested ones included — and reports whether there was one.
-// Every entry f matches is in each run (an absent key's run is empty).
-func (c *community) runs(f query.Filter, out [][]posting) ([][]posting, bool) {
-	switch t := f.(type) {
-	case *query.Assertion:
-		key, ok := t.IndexKey()
-		if !ok {
-			return out, false
-		}
-		var posts []posting
-		if i, ok := c.field(t.Attr); ok {
-			posts = c.fields[i].posts
-		}
-		h := maphash.String(keySeed, key)
-		lo := sort.Search(len(posts), func(j int) bool { return posts[j].h >= h })
-		hi := sort.Search(len(posts), func(j int) bool { return posts[j].h > h })
-		return append(out, posts[lo:hi]), true
-	case *query.And:
-		indexed := false
-		for _, sub := range t.Subs {
-			var ok bool
-			out, ok = c.runs(sub, out)
-			indexed = indexed || ok
-		}
-		return out, indexed
+// run returns the run of postings filed under hash h in attr's field.
+// Every entry holding a key of that hash under attr is in it; an absent
+// field's run is empty.
+func (c *community) run(attr string, h uint64) []posting {
+	var posts []posting
+	if i, ok := c.field(attr); ok {
+		posts = c.fields[i].posts
 	}
-	return out, false
+	lo := sort.Search(len(posts), func(j int) bool { return posts[j].h >= h })
+	hi := sort.Search(len(posts), func(j int) bool { return posts[j].h > h })
+	return posts[lo:hi]
 }
 
 // field returns attr's position among the fields, or the position it
@@ -685,7 +667,7 @@ func (c *community) apply(w []change, edits []edit) []edit {
 		for _, ch := range w {
 			for v := range ch.e.Attrs.Values(c.fields[i].attr) {
 				for key := range query.IndexKeys(v) {
-					edits = append(edits, edit{0, ch.del, posting{maphash.String(keySeed, key), ch.e}})
+					edits = append(edits, edit{0, ch.del, posting{query.KeyHash(key), ch.e}})
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package index
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"maps"
 	"math/rand"
 	"runtime"
@@ -32,7 +31,7 @@ func checkPostings(t *testing.T, s *Store) {
 		for attr, vals := range e.Attrs.All() {
 			for v := range vals {
 				for k := range query.IndexKeys(v) {
-					want[key{e.CommunityID, attr, maphash.String(keySeed, k), e.ID}] = true
+					want[key{e.CommunityID, attr, query.KeyHash(k), e.ID}] = true
 				}
 			}
 		}
@@ -81,7 +80,7 @@ func TestCollidingKeys(t *testing.T) {
 	}
 	c := s.communities["c"]
 	c.fields = []field{{attr: "t"}}
-	red := maphash.String(keySeed, "red")
+	red := query.KeyHash("red")
 	file := func(del bool, es ...*Entry) {
 		var edits []edit
 		for _, e := range es {

@@ -19,6 +19,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"iter"
 	"strconv"
 	"strings"
@@ -250,6 +251,41 @@ func (a *Assertion) IndexKey() (string, bool) {
 	key := FoldKey(a.Value)
 	return key, key != ""
 }
+
+// ExactKeys returns an iterator over the conjuncts of f an index can
+// answer: f itself when it is an assertion with an IndexKey, and each
+// such conjunct of an And, nested ones included. It yields each one's
+// attribute and IndexKey. An entry f matches is filed under every key it
+// yields; a filter it yields nothing for must be answered by a scan.
+func ExactKeys(f Filter) iter.Seq2[string, string] {
+	return func(yield func(attr, key string) bool) { exactKeys(f, yield) }
+}
+
+func exactKeys(f Filter, yield func(attr, key string) bool) bool {
+	switch t := f.(type) {
+	case *Assertion:
+		if key, ok := t.IndexKey(); ok {
+			return yield(t.Attr, key)
+		}
+	case *And:
+		for _, sub := range t.Subs {
+			if !exactKeys(sub, yield) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// keySeed seeds KeyHash. It is drawn once per process, so no one can
+// choose values whose keys collide.
+var keySeed = maphash.MakeSeed()
+
+// KeyHash is the hash an index files a key under. index.Store's
+// postings and a DHT holder's hold these hashes and no key strings; keys
+// that hash alike share a run of postings, which only adds candidates,
+// since each candidate is matched with the whole filter.
+func KeyHash(key string) uint64 { return maphash.String(keySeed, key) }
 
 func foldRune(r rune) rune {
 	least := r

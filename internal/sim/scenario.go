@@ -202,7 +202,8 @@ func (r *ScenarioResult) LatencyPercentile(p float64) time.Duration {
 
 // docTruth is driver-side ground truth for one published object.
 type docTruth struct {
-	attrs query.Attrs
+	// attrs are the attributes the first publisher's store holds.
+	attrs query.Fields
 	// holders is the servent indices holding a copy — a tiny dense
 	// slice (most objects have one publisher), not a map: the truth
 	// table is consulted on every query, and at 10k+ peers the
@@ -233,16 +234,20 @@ type scenario struct {
 	msgs    *metrics.Counter
 	bytes   *metrics.Counter
 	dropped *metrics.Counter
+	// live and seen are scratch reused across events: the live peers,
+	// and the documents a query found that the truth expects.
+	live []int
+	seen []index.DocID
 }
 
-// queryTemplates are the workload's filter mix. The first is the
-// "popular" query flash crowds pile onto.
-var queryTemplates = []string{
-	"(classification=behavioral)",
-	"(classification=creational)",
-	"(classification=structural)",
-	"(keywords=notification)",
-	"(name=*)",
+// queryTemplates are the workload's filter mix, parsed once. The first
+// is the "popular" query flash crowds pile onto.
+var queryTemplates = []query.Filter{
+	query.MustParse("(classification=behavioral)"),
+	query.MustParse("(classification=creational)"),
+	query.MustParse("(classification=structural)"),
+	query.MustParse("(keywords=notification)"),
+	query.MustParse("(name=*)"),
 }
 
 // RunScenario executes one scenario and returns its measurements. The
@@ -356,13 +361,13 @@ func (s *scenario) publishFresh(p int) error {
 	if err != nil {
 		return fmt.Errorf("sim: scenario publish on peer %d: %w", p, err)
 	}
-	doc, err := sv.Store().Get(id)
-	if err != nil {
-		return err
+	e, ok := sv.Store().Entry(id)
+	if !ok {
+		return fmt.Errorf("sim: scenario publish on peer %d: %s not stored", p, id)
 	}
 	t := s.truth[id]
 	if t == nil {
-		t = &docTruth{attrs: doc.Attrs}
+		t = &docTruth{attrs: e.Attrs}
 		s.truth[id] = t
 	}
 	if !slices.Contains(t.holders, p) {
@@ -371,22 +376,29 @@ func (s *scenario) publishFresh(p int) error {
 	return nil
 }
 
-// expected counts ground-truth documents matching f that at least one
-// live peer holds.
-func (s *scenario) expected(f query.Filter) map[index.DocID]bool {
-	out := make(map[index.DocID]bool)
-	for id, t := range s.truth {
-		if !f.Match(t.attrs) {
-			continue
-		}
-		for _, p := range t.holders {
-			if s.cluster.Alive(p) {
-				out[id] = true
-				break
-			}
+// expects reports whether the truth expects t in the answer to f: f
+// matches it and at least one live peer holds it.
+func (s *scenario) expects(t *docTruth, f query.Filter) bool {
+	return f.Match(&t.attrs) && slices.ContainsFunc(t.holders, s.cluster.Alive)
+}
+
+// recall is one query's oracle: how many distinct documents of rs the
+// truth expects for f, and how many it expects in all. It allocates
+// nothing once s.seen has grown.
+func (s *scenario) recall(f query.Filter, rs []p2p.Result) (found, want int) {
+	for _, t := range s.truth {
+		if s.expects(t, f) {
+			want++
 		}
 	}
-	return out
+	s.seen = s.seen[:0]
+	for i := range rs {
+		if t := s.truth[rs[i].DocID]; t != nil && s.expects(t, f) {
+			s.seen = append(s.seen, rs[i].DocID)
+		}
+	}
+	slices.Sort(s.seen)
+	return len(slices.Compact(s.seen)), want
 }
 
 // scheduleStreams starts the self-rescheduling Poisson event streams
@@ -507,20 +519,18 @@ func (s *scenario) measureLoadSkew(before, after map[transport.PeerID]int64) *Lo
 	return ls
 }
 
-func (s *scenario) pickTemplate() string {
+func (s *scenario) pickTemplate() query.Filter {
 	return queryTemplates[s.rng.Intn(len(queryTemplates))]
 }
 
 // runQuery issues one search from a random live peer and samples its
 // cost, virtual latency, and recall.
-func (s *scenario) runQuery(filter string) {
-	live := s.cluster.LivePeers()
-	if len(live) == 0 {
+func (s *scenario) runQuery(f query.Filter) {
+	s.live = s.cluster.appendLive(s.live[:0])
+	if len(s.live) == 0 {
 		return
 	}
-	from := live[s.rng.Intn(len(live))]
-	f := query.MustParse(filter)
-	want := s.expected(f)
+	from := s.live[s.rng.Intn(len(s.live))]
 
 	// Root one trace per sampled query: the driver is the only tracer
 	// with a nonzero sampling rate, so every span tree the collector
@@ -547,23 +557,16 @@ func (s *scenario) runQuery(filter string) {
 	// starts are offset by the same per-chain virtual arrival times
 	// MaxPathLatency is the maximum of.
 	sp.FinishWithDuration(sample.Latency)
-	found := 0
-	seen := make(map[index.DocID]bool)
-	for _, r := range rs {
-		if want[r.DocID] && !seen[r.DocID] {
-			seen[r.DocID] = true
-			found++
-		}
-	}
+	found, want := s.recall(f, rs)
 	switch {
-	case len(want) == 0:
+	case want == 0:
 		sample.Recall = -1
 	default:
-		sample.Recall = float64(found) / float64(len(want))
+		sample.Recall = float64(found) / float64(want)
 	}
 	if err != nil {
 		s.res.Failed++
-		if len(want) > 0 {
+		if want > 0 {
 			sample.Recall = 0
 		}
 	}
@@ -592,11 +595,11 @@ func (s *scenario) runArrival() {
 
 // runDeparture kills a random live peer (keeping at least one).
 func (s *scenario) runDeparture() {
-	live := s.cluster.LivePeers()
-	if len(live) < 2 {
+	s.live = s.cluster.appendLive(s.live[:0])
+	if len(s.live) < 2 {
 		return
 	}
-	victim := live[s.rng.Intn(len(live))]
+	victim := s.live[s.rng.Intn(len(s.live))]
 	s.cluster.KillPeer(victim)
 	s.res.Departures++
 }

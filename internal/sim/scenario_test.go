@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -271,5 +273,76 @@ func TestPropertyChurnRecallEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScenarioOracleAllocs: one query's oracle — the live list the
+// querier is drawn from, and the recall of its answer against the truth
+// — counts what it should and, once its scratch has grown, allocates
+// nothing.
+func TestScenarioOracleAllocs(t *testing.T) {
+	s := &scenario{cluster: &Cluster{alive: []bool{true, false, true}}, truth: make(map[index.DocID]*docTruth)}
+	for i := range 30 {
+		class := [...]string{"behavioral", "creational"}[i%2]
+		s.truth[index.DocID(fmt.Sprintf("d-%02d", i))] = &docTruth{
+			attrs:   query.FieldsOf(query.Attrs{"classification": {class}}),
+			holders: []int{i % 3}, // peer 1 is down
+		}
+	}
+	// Expected: the behavioral documents held on peers 0 and 2, d-00,
+	// d-02, d-06, d-08, ... — ten of them. The answer holds three of
+	// them, one twice (two providers), one behavioral document only the
+	// dead peer holds, a creational one and one the truth never saw.
+	var rs []p2p.Result
+	for _, id := range []index.DocID{"d-00", "d-02", "d-02", "d-04", "d-06", "d-01", "d-99"} {
+		rs = append(rs, p2p.Result{DocID: id})
+	}
+	f := queryTemplates[0]
+	if found, want := s.recall(f, rs); found != 3 || want != 10 {
+		t.Fatalf("recall = %d of %d, want 3 of 10", found, want)
+	}
+	if s.live = s.cluster.appendLive(s.live[:0]); !slices.Equal(s.live, []int{0, 2}) {
+		t.Fatalf("live = %v, want [0 2]", s.live)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.live = s.cluster.appendLive(s.live[:0])
+		s.recall(f, rs)
+	}); n != 0 {
+		t.Errorf("one query's oracle allocates %.1f times, want 0", n)
+	}
+}
+
+// BenchmarkScenarioChurn runs one scenario per op shaped like the
+// ruler's sim-dht-churn workload (simScenario in benchmark/simload.go):
+// 200 DHT peers on jittered links, 200 objects, 60 virtual seconds of
+// Poisson queries at 350 a minute, 5 % of the peers arriving and 5 %
+// departing, a refresh round every ten virtual seconds. Op i runs seed
+// 1000+i%3, the seeds of one ruler run. Its allocation profile splits
+// the workload's allocations between the system and the scenario's own
+// recall oracle without running the ruler.
+func BenchmarkScenarioChurn(b *testing.B) {
+	const peers, virtual = 200, 60 * time.Second
+	churn := 0.05 * peers / virtual.Seconds()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		seed := 1000 + int64(i%3)
+		if _, err := RunScenario(ScenarioConfig{
+			Cluster: Config{
+				Peers: peers, Protocol: DHT, Seed: seed,
+				Latency: 30 * time.Millisecond, Jitter: 20 * time.Millisecond,
+			},
+			Seed:            seed,
+			Duration:        virtual,
+			QueryRate:       350.0 / 60,
+			InitialObjects:  200,
+			ArrivalRate:     churn,
+			DepartureRate:   churn,
+			DHTRefreshEvery: 10 * time.Second,
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -344,8 +344,10 @@ func (c *Cluster) AddPeer() (int, error) {
 func (c *Cluster) Alive(i int) bool { return c.alive[i] }
 
 // LivePeers returns the indexes of live servents, ascending.
-func (c *Cluster) LivePeers() []int {
-	var out []int
+func (c *Cluster) LivePeers() []int { return c.appendLive(nil) }
+
+// appendLive appends the indexes of live servents to out, ascending.
+func (c *Cluster) appendLive(out []int) []int {
 	for i, a := range c.alive {
 		if a {
 			out = append(out, i)
