@@ -73,6 +73,9 @@ bench-smoke:
 # sim-dht-churn's scenarios (~4 s an op with every allocation sampled),
 # which splits that workload's allocations between the system and the
 # scenario's recall oracle (sim.(*scenario).recall) without the ruler.
+# `make alloc-profile PKG=./internal/dht BENCH=DHTSearchTCP` is the
+# DHTSearchCluster search on loopback TCP: tcp-dht-search's search path
+# (reader, timers, frames) without the ruler's servents and oracle.
 BENCHTIME ?= 2000x
 alloc-profile:
 	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster"; exit 2; }

@@ -38,6 +38,11 @@ type lookupScratch struct {
 	// own gathers this node's held slice, merged into the set in hand at
 	// the start.
 	own []p2p.Result
+	// findNode and findValue are the waves' request frames: Send encodes
+	// one before it returns, so each RPC rewrites it. findValue is zeroed
+	// when the lookup ends, so the pool pins no strings of its query.
+	findNode  findNodePayload
+	findValue findValuePayload
 }
 
 // merge folds one received set into res, the set in hand, and returns
@@ -171,7 +176,7 @@ type valueQuery struct {
 // lookupOutcome is the result of one iterative lookup.
 type lookupOutcome struct {
 	// contacts are the responsive nodes closest to the target, by
-	// distance, at most K.
+	// distance, at most K; gathered only for a lookup asked for them.
 	contacts []Contact
 	// results are the FIND_VALUE records — this node's own held slice
 	// included — as results, deduped by (DocID, Provider) and sorted:
@@ -223,8 +228,10 @@ const (
 // record set once: the package doc has the reply protocol. tctx, when
 // valid, ties the lookup into a sampled trace: each wave (and batch of
 // pulls) becomes one span, a child of the caller's, and every RPC frame
-// it sends is stamped with and attributed to it.
-func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutcome {
+// it sends is stamped with and attributed to it. wantContacts asks for
+// out.contacts, which only a caller that sends to the key's closest
+// nodes reads.
+func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery, wantContacts bool) lookupOutcome {
 	var out lookupOutcome
 	ctr := n.ctr.Load()
 	sc := lookupScratchPool.Get().(*lookupScratch)
@@ -236,6 +243,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 		clear(known)
 		clear(held)
 		sc.have, sc.seen = setDigest{}, sc.seen[:0]
+		sc.findValue = findValuePayload{}
 		lookupScratchPool.Put(sc)
 	}()
 	for _, c := range short {
@@ -282,7 +290,7 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				continue
 			}
 			ctr.contacted.Inc()
-			x, err := n.startLookupRPC(c.Peer, target, vq, have, !pull && !anchored && len(rpcs) > 0, &wsp)
+			x, err := n.startLookupRPC(sc, c.Peer, target, vq, have, !pull && !anchored && len(rpcs) > 0, &wsp)
 			if err != nil {
 				fail(c.Peer, err)
 				if transport.IsPeerDead(err) {
@@ -368,9 +376,12 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 	for vq != nil && !full() && wave(true) {
 	}
 	out.limited = full() // the set may be a truncation: uncacheable
-	for _, c := range short {
-		if state[c.Peer] >= stateResponded && len(out.contacts) < n.cfg.K {
-			out.contacts = append(out.contacts, c)
+	if wantContacts {
+		out.contacts = make([]Contact, 0, n.cfg.K)
+		for _, c := range short {
+			if state[c.Peer] >= stateResponded && len(out.contacts) < n.cfg.K {
+				out.contacts = append(out.contacts, c)
+			}
 		}
 	}
 	// The caching-STORE recipient: the closest observed node that
@@ -394,17 +405,19 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 
 // startLookupRPC issues the wave's RPC — FIND_VALUE when a value query
 // rides along (stamped with the digest in hand), FIND_NODE otherwise —
-// sent on behalf of the wave span.
-func (n *Node) startLookupRPC(to transport.PeerID, target ID, vq *valueQuery, have setDigest, digestOnly bool, wsp *trace.ActiveSpan) (p2p.Exchange, error) {
+// sent on behalf of the wave span, from the scratch's request frames.
+func (n *Node) startLookupRPC(sc *lookupScratch, to transport.PeerID, target ID, vq *valueQuery, have setDigest, digestOnly bool, wsp *trace.ActiveSpan) (p2p.Exchange, error) {
 	if vq == nil {
-		return n.StartCall(to, MsgFindNode, &findNodePayload{Target: target}, wsp)
+		sc.findNode = findNodePayload{Target: target}
+		return n.StartCall(to, MsgFindNode, &sc.findNode, wsp)
 	}
-	return n.StartCall(to, MsgFindValue, &findValuePayload{
+	sc.findValue = findValuePayload{
 		Key:         target,
 		CommunityID: vq.communityID,
 		Filter:      vq.filter,
 		Limit:       vq.limit,
 		Have:        have,
 		DigestOnly:  digestOnly,
-	}, wsp)
+	}
+	return n.StartCall(to, MsgFindValue, &sc.findValue, wsp)
 }

@@ -145,11 +145,11 @@ func (n *Node) Bootstrap(peers ...transport.PeerID) {
 			n.table.Observe(p)
 		}
 	}
-	n.lookup(trace.Context{}, n.self, nil)
+	n.lookup(trace.Context{}, n.self, nil, false)
 	if cs := n.table.Closest(n.self, 1); len(cs) > 0 {
 		nearest := BucketIndex(n.self, cs[0].ID)
 		for b := nearest + 1; b < IDBits; b++ {
-			n.lookup(trace.Context{}, RefreshTarget(n.self, b), nil)
+			n.lookup(trace.Context{}, RefreshTarget(n.self, b), nil, false)
 		}
 	}
 }
@@ -224,7 +224,7 @@ func recordsFor(es []*index.Entry, provider transport.PeerID) []p2p.Result {
 // storeRecords looks up the key's closest nodes and replicates recs
 // onto them.
 func (n *Node) storeRecords(tctx trace.Context, key ID, recs []p2p.Result) {
-	out := n.lookup(tctx, key, nil)
+	out := n.lookup(tctx, key, nil, true)
 	n.storeToTargets(tctx, key, recs, out.contacts)
 }
 
@@ -307,7 +307,7 @@ func (n *Node) Unpublish(id index.DocID) error {
 	}
 	n.Shared().Delete(id)
 	key := KeyForCommunity(doc.CommunityID)
-	out := n.lookup(sp.Context(), key, nil)
+	out := n.lookup(sp.Context(), key, nil, true)
 	n.records.remove(key, id, n.PeerID())
 	payload := codec.Borrow(&unstorePayload{Key: key, DocID: id, Provider: n.PeerID()})
 	for _, t := range out.contacts {
@@ -349,7 +349,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 		match:       f,
 		limit:       opts.Limit,
 		stopOnValue: n.cfg.CacheRecords,
-	})
+	}, false)
 	// Holders filter server-side; re-check here so a skewed or
 	// malicious holder cannot inject non-matching records. For what
 	// this node provides itself, its own store is the authority. The
@@ -413,7 +413,9 @@ func (n *Node) CheckLiveness() int {
 // the probe and be evicted; it re-enters the table on next contact, as
 // in Kademlia.
 func (n *Node) pingPeer(peer transport.PeerID) bool {
-	x, err := n.StartCall(peer, MsgPing, &pingPayload{}, nil)
+	sc := serveScratchPool.Get().(*serveScratch)
+	x, err := n.StartCall(peer, MsgPing, &sc.ping, nil) // StartCall sets its one field
+	serveScratchPool.Put(sc)
 	if err == nil {
 		_, err = n.Await(x, n.cfg.RPCTimeout)
 	}
@@ -541,7 +543,10 @@ func (n *Node) handle(msg transport.Message) {
 			return
 		}
 		// A lost pong is the prober's timeout, as for every reply below.
-		_ = n.Send(msg.From, MsgPong, &pingPayload{ReqID: req.ReqID}, nil)
+		sc := serveScratchPool.Get().(*serveScratch)
+		sc.ping = pingPayload{ReqID: req.ReqID}
+		_ = n.Send(msg.From, MsgPong, &sc.ping, nil)
+		serveScratchPool.Put(sc)
 	case MsgFindNode:
 		var req findNodePayload
 		if err := req.DecodeBinary(msg.Payload); err != nil {
@@ -549,10 +554,12 @@ func (n *Node) handle(msg transport.Message) {
 		}
 		sp := n.StartSpan(msg, "findnode.serve")
 		sc := serveScratchPool.Get().(*serveScratch)
-		_ = n.Send(msg.From, MsgFindNodeReply, &findNodeReplyPayload{
+		sc.findNodeReply = findNodeReplyPayload{
 			ReqID: req.ReqID,
 			Peers: n.closestPeers(sc, req.Target),
-		}, &sp)
+		}
+		_ = n.Send(msg.From, MsgFindNodeReply, &sc.findNodeReply, &sp)
+		sc.findNodeReply = findNodeReplyPayload{}
 		serveScratchPool.Put(sc)
 		sp.Finish()
 	case MsgFindValue:
@@ -565,7 +572,8 @@ func (n *Node) handle(msg transport.Message) {
 			sp.SetCommunity(string(req.community))
 		}
 		sc := serveScratchPool.Get().(*serveScratch)
-		reply := findValueReplyPayload{
+		reply := &sc.findValueReply
+		*reply = findValueReplyPayload{
 			ReqID: req.ReqID,
 			Peers: n.closestPeers(sc, req.Key),
 		}
@@ -589,7 +597,8 @@ func (n *Node) handle(msg transport.Message) {
 			}
 			reply.Records, reply.Digest, reply.Complete = n.records.get(into, req.Key, n.Clock().Now(), &vq, req.Have)
 		}
-		_ = n.Send(msg.From, MsgFindValueReply, &reply, &sp)
+		_ = n.Send(msg.From, MsgFindValueReply, reply, &sp)
+		*reply = findValueReplyPayload{}
 		clearRecords(&sc.records)
 		serveScratchPool.Put(sc)
 		sp.Finish()
@@ -666,14 +675,19 @@ func (n *Node) handle(msg transport.Message) {
 	}
 }
 
-// serveScratch pools what answering a FIND_NODE or FIND_VALUE selects
-// the reply's contacts and gathers its records in: the reply is encoded
-// by the time Send returns, so one request's scratch serves the next
-// (its records cleared first).
+// serveScratch pools the frames a node answers with, and pingPeer's
+// request, with what answering a FIND_NODE or FIND_VALUE selects the
+// reply's contacts and gathers its records in: a frame is encoded by
+// the time Send returns, so one request's scratch serves the next. A
+// reply is zeroed and its records cleared after its send, so the pool
+// pins no strings.
 type serveScratch struct {
-	closest []Contact
-	peers   []transport.PeerID
-	records []p2p.Result
+	closest        []Contact
+	peers          []transport.PeerID
+	records        []p2p.Result
+	ping           pingPayload
+	findNodeReply  findNodeReplyPayload
+	findValueReply findValueReplyPayload
 }
 
 var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}

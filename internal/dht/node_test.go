@@ -245,8 +245,8 @@ func TestLookupConvergence(t *testing.T) {
 	target := KeyForCommunity("patterns")
 	reg := metrics.NewRegistry()
 	nodes[17].SetMetrics(reg)
-	out1 := nodes[17].lookup(trace.Context{}, target, nil)
-	out2 := nodes[17].lookup(trace.Context{}, target, nil)
+	out1 := nodes[17].lookup(trace.Context{}, target, nil, true)
+	out2 := nodes[17].lookup(trace.Context{}, target, nil, true)
 	if out1.rounds == 0 || out1.rounds > 6 {
 		t.Fatalf("rounds = %d, want 1..6", out1.rounds)
 	}

@@ -516,8 +516,8 @@ func (p *postings) fill(entries []recordEntry, attr string) {
 	p.posts = p.posts[:0]
 	for i := range entries {
 		for v := range entries[i].rec.Attrs.Values(attr) {
-			for k := range query.IndexKeys(v) {
-				p.posts = append(p.posts, query.KeyHash(k)&^pos|uint64(i))
+			for h := range query.IndexKeyHashes(v) {
+				p.posts = append(p.posts, h&^pos|uint64(i))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package dsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -68,19 +69,88 @@ func TestVirtualClockRunUntil(t *testing.T) {
 	}
 }
 
-func TestVirtualClockAfter(t *testing.T) {
+func TestVirtualClockTimer(t *testing.T) {
 	c := NewVirtualClock()
-	ch := c.After(time.Minute)
+	tm := c.NewTimer(time.Minute)
 	select {
-	case <-ch:
-		t.Fatal("After fired before time advanced")
+	case <-tm.C():
+		t.Fatal("the timer fired before time advanced")
 	default:
 	}
 	c.RunUntil(c.Now().Add(time.Minute))
 	select {
-	case <-ch:
+	case <-tm.C():
 	default:
-		t.Fatal("After did not fire at its deadline")
+		t.Fatal("the timer did not fire at its deadline")
+	}
+}
+
+// TestVirtualClockTimerResetStopDropFire: Reset and Stop drop a pending
+// fire, and Reset also a tick the channel already holds, so a re-armed
+// timer fires only at its new deadline.
+func TestVirtualClockTimerResetStopDropFire(t *testing.T) {
+	c := NewVirtualClock()
+	fired := func(tm Timer) bool {
+		select {
+		case <-tm.C():
+			return true
+		default:
+			return false
+		}
+	}
+	tm := c.NewTimer(time.Second)
+	tm.Reset(3 * time.Second)
+	c.RunUntil(c.Now().Add(2 * time.Second))
+	if fired(tm) {
+		t.Fatal("Reset left the first arming's fire pending")
+	}
+	c.RunUntil(c.Now().Add(time.Second))
+	if !fired(tm) {
+		t.Fatal("the re-armed timer did not fire at its deadline")
+	}
+	tm.Reset(time.Second)
+	tm.Stop()
+	c.RunUntil(c.Now().Add(time.Minute))
+	if fired(tm) {
+		t.Fatal("Stop left a fire pending")
+	}
+	// A tick nobody received is dropped by the next arming.
+	tm.Reset(time.Second)
+	c.RunUntil(c.Now().Add(time.Second))
+	tm.Reset(time.Second)
+	if fired(tm) {
+		t.Fatal("Reset kept the previous arming's tick")
+	}
+	c.RunUntil(c.Now().Add(time.Second))
+	if !fired(tm) {
+		t.Fatal("the timer did not fire after a Reset over an unread tick")
+	}
+}
+
+// TestVirtualClockTimerAcrossGoroutines: an awaiter re-arms and waits
+// on a timer while another goroutine drives the clock, the way a node
+// on an asynchronous transport waits on a virtual clock.
+func TestVirtualClockTimerAcrossGoroutines(t *testing.T) {
+	c := NewVirtualClock()
+	tm := c.NewTimer(time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		<-tm.C()
+		for i := 0; i < 200; i++ {
+			tm.Reset(time.Duration(i%3+1) * time.Millisecond)
+			<-tm.C()
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if !c.Step() {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -89,11 +159,22 @@ func TestWallClock(t *testing.T) {
 	if Wall.Now().Before(before) {
 		t.Error("wall clock behind")
 	}
+	tm := Wall.NewTimer(time.Millisecond)
 	select {
-	case <-Wall.After(time.Millisecond):
+	case <-tm.C():
 	case <-time.After(time.Second):
-		t.Error("wall After never fired")
+		t.Error("the wall timer never fired")
 	}
+	// A tick nobody received is dropped by the next arming.
+	tm.Reset(time.Millisecond)
+	time.Sleep(5 * time.Millisecond)
+	tm.Reset(time.Hour)
+	select {
+	case <-tm.C():
+		t.Error("Reset kept the previous arming's tick")
+	default:
+	}
+	tm.Stop()
 }
 
 func TestVirtualClockHeapStress(t *testing.T) {

@@ -84,13 +84,60 @@ func (c *VirtualClock) schedLocked(at int64, fn func(time.Time)) {
 	c.siftUp(len(c.events) - 1)
 }
 
-// After implements Clock: the returned channel delivers the virtual
-// time once it reaches now+d. It fires only while the queue is being
-// driven, so only goroutines other than the driver may block on it.
-func (c *VirtualClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.Schedule(d, func(now time.Time) { ch <- now })
-	return ch
+// NewTimer implements Clock: the timer delivers the virtual time once
+// it reaches now+d. It fires only while the queue is being driven, so
+// only goroutines other than the driver may block on it.
+func (c *VirtualClock) NewTimer(d time.Duration) Timer {
+	t := &virtualTimer{c: c, ch: make(chan time.Time, 1)}
+	t.Reset(d)
+	return t
+}
+
+// virtualTimer is a Timer on a VirtualClock. Each arming schedules one
+// event that carries the arming's generation; Reset and Stop move gen
+// on, so an event of an earlier arming fires as a no-op (it stays
+// queued until its instant, like any event). gen and the channel's
+// contents change only under the clock's lock.
+type virtualTimer struct {
+	c   *VirtualClock
+	ch  chan time.Time
+	gen uint64
+}
+
+func (t *virtualTimer) C() <-chan time.Time { return t.ch }
+
+func (t *virtualTimer) Reset(d time.Duration) {
+	c := t.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	gen := t.disarmLocked()
+	c.schedLocked(c.now.Load()+int64(d), func(now time.Time) { t.fire(gen, now) })
+}
+
+func (t *virtualTimer) Stop() {
+	t.c.mu.Lock()
+	t.disarmLocked()
+	t.c.mu.Unlock()
+}
+
+// disarmLocked invalidates the pending fire, drops a tick not yet
+// received and returns the next arming's generation.
+func (t *virtualTimer) disarmLocked() uint64 {
+	t.gen++
+	select {
+	case <-t.ch:
+	default:
+	}
+	return t.gen
+}
+
+// fire delivers now if the timer is still armed as gen.
+func (t *virtualTimer) fire(gen uint64, now time.Time) {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	if t.gen == gen {
+		t.ch <- now // buffered, and emptied by every arming
+	}
 }
 
 // Step fires the earliest pending event, advancing time to it. It

@@ -666,8 +666,8 @@ func (c *community) apply(w []change, edits []edit) []edit {
 		edits = edits[:0]
 		for _, ch := range w {
 			for v := range ch.e.Attrs.Values(c.fields[i].attr) {
-				for key := range query.IndexKeys(v) {
-					edits = append(edits, edit{0, ch.del, posting{query.KeyHash(key), ch.e}})
+				for h := range query.IndexKeyHashes(v) {
+					edits = append(edits, edit{0, ch.del, posting{h, ch.e}})
 				}
 			}
 		}

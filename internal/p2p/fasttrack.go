@@ -95,10 +95,12 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 		return
 	}
 	go func() {
+		timer := s.clk.NewTimer(leafSearchWait)
 		select {
 		case <-col.done:
-		case <-s.after(leafSearchWait):
+		case <-timer.C():
 		}
+		timer.Stop()
 		reply()
 	}()
 }

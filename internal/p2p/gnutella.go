@@ -83,10 +83,12 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	}
 	defer g.release(guid)
 	if !g.ep.Synchronous() {
+		timer := g.clk.NewTimer(waitLimit(opts.Timeout))
 		select {
 		case <-col.done:
-		case <-g.after(opts.Timeout):
+		case <-timer.C():
 		}
+		timer.Stop()
 	}
 	out := col.snapshot()
 	g.NodeMetrics().ObserveSearch(g.clk, start, len(out))

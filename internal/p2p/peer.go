@@ -178,9 +178,13 @@ type pendingTable struct {
 
 // pendingSlot carries one exchange at a time. id is the awaited
 // request's while its reply is unclaimed, 0 otherwise (ids start at 1).
+// timer is the slot's wait deadline, made by the first Await that
+// blocks and re-armed by every later one: only the exchange's awaiter
+// touches it, so a blocking wait allocates nothing either.
 type pendingSlot struct {
-	id uint64
-	ch chan any
+	id    uint64
+	ch    chan any
+	timer dsim.Timer
 }
 
 // create assigns the next request id to a free slot.
@@ -263,13 +267,13 @@ func (p *Peer) StartCall(to transport.PeerID, msgType string, req Request, sp *t
 }
 
 // Await waits for the exchange's reply, at most timeout (DefaultTimeout
-// when it is not positive) on the node's clock; ErrTimeout abandons the
-// exchange, and a reply that arrives later is dropped. On a synchronous
-// transport the reply to a send, if any, was delivered before the send
-// returned, so an empty channel is a definitive timeout: Await returns at
-// once instead of waiting a wall-clock timeout out, which is what lets
-// lossy simulations run 100k queries in seconds and keeps virtual clocks
-// free of real waiting.
+// when it is not positive) on the node's clock, by the slot's re-armed
+// timer; ErrTimeout abandons the exchange, and a reply that arrives
+// later is dropped. On a synchronous transport the reply to a send, if
+// any, was delivered before the send returned, so an empty channel is a
+// definitive timeout: Await returns at once instead of waiting a
+// wall-clock timeout out, which is what lets lossy simulations run 100k
+// queries in seconds and keeps virtual clocks free of real waiting.
 func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
 	select {
 	case reply := <-x.slot.ch:
@@ -278,11 +282,18 @@ func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
 	default:
 	}
 	if !p.ep.Synchronous() {
+		s := x.slot
+		if s.timer == nil {
+			s.timer = p.clk.NewTimer(waitLimit(timeout))
+		} else {
+			s.timer.Reset(waitLimit(timeout))
+		}
 		select {
-		case reply := <-x.slot.ch:
-			p.pending.release(x.slot)
+		case reply := <-s.ch:
+			s.timer.Stop() // before release: the next awaiter re-arms it
+			p.pending.release(s)
 			return reply, nil
-		case <-p.after(timeout):
+		case <-s.timer.C():
 		}
 	}
 	if reply, ok := p.pending.abandon(x); ok {
@@ -291,13 +302,12 @@ func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
 	return nil, ErrTimeout
 }
 
-// after fires once timeout (DefaultTimeout when it is not positive) has
-// passed on the node's clock.
-func (p *Peer) after(timeout time.Duration) <-chan time.Time {
+// waitLimit is timeout, or DefaultTimeout when it is not positive.
+func waitLimit(timeout time.Duration) time.Duration {
 	if timeout <= 0 {
-		timeout = DefaultTimeout
+		return DefaultTimeout
 	}
-	return p.clk.After(timeout)
+	return timeout
 }
 
 // Call is one round trip: send req, await the reply its receiver

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/p2p/codec"
 	"repro/internal/transport"
 )
 
@@ -128,5 +129,108 @@ func TestCallAllocatesNothing(t *testing.T) {
 	call() // creates the per-type delivery counter and the first slot
 	if allocs := testing.AllocsPerRun(500, call); allocs != 0 {
 		t.Fatalf("Call allocs = %v, want 0", allocs)
+	}
+}
+
+// tcpCallPair is a Peer on loopback TCP and the ID of a second endpoint
+// whose handler is serve. The peer resolves every reply by its request
+// id (its leading uvarint) with reply, decoding nothing.
+func tcpCallPair(t *testing.T, reply any, serve func(srv *transport.TCPNode, m transport.Message)) (*Peer, transport.PeerID) {
+	t.Helper()
+	listen := func() *transport.TCPNode {
+		n, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	ep, srv := listen(), listen()
+	p := new(Peer)
+	p.InitPeer(ep, nil, "test")
+	ep.SetHandler(func(m transport.Message) {
+		if id, err := codec.PeekUint(m.Payload); err == nil {
+			p.Resolve(id, reply)
+		}
+	})
+	srv.SetHandler(func(m transport.Message) { serve(srv, m) })
+	return p, srv.ID()
+}
+
+// echo answers a request with its own payload: the reply's leading
+// uvarint is the request id, all the caller reads.
+func echo(srv *transport.TCPNode, m transport.Message) error {
+	return srv.Send(transport.Message{To: m.From, Type: MsgFetchReply, Payload: m.Payload})
+}
+
+// TestTCPCallAfterTimeout: over TCP a Call that times out leaves its
+// slot's timer fired, and the next Call on the slot re-arms it. That
+// Call's reply comes well after the first Call's timeout would have
+// fired again, and it gets it: no stale tick ends its wait early, and
+// the first request's late reply is not taken for it.
+func TestTCPCallAfterTimeout(t *testing.T) {
+	reply := &fetchReplyPayload{}
+	var late sync.WaitGroup
+	calls := 0 // one reader goroutine serves the connection
+	p, to := tcpCallPair(t, reply, func(srv *transport.TCPNode, m transport.Message) {
+		if calls++; calls == 1 {
+			// The first reply is late: it arrives while the second Call waits.
+			payload := append([]byte(nil), m.Payload...)
+			late.Add(1)
+			go func() {
+				defer late.Done()
+				time.Sleep(40 * time.Millisecond)
+				if err := srv.Send(transport.Message{To: m.From, Type: MsgFetchReply, Payload: payload}); err != nil {
+					t.Error(err)
+				}
+			}()
+			return
+		}
+		time.Sleep(80 * time.Millisecond)
+		if err := echo(srv, m); err != nil {
+			t.Error(err)
+		}
+	})
+	defer late.Wait()
+	req := &fetchPayload{}
+	if _, err := p.Call(to, MsgFetch, req, nil, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first call: err = %v, want a timeout", err)
+	}
+	start := time.Now()
+	got, err := p.Call(to, MsgFetch, req, nil, time.Second)
+	if err != nil || got != reply {
+		t.Fatalf("second call: got %v, %v after %v; want its reply", got, err, time.Since(start))
+	}
+	if req.ReqID != 2 {
+		t.Fatalf("second call's request id = %d, want 2", req.ReqID)
+	}
+	if n := len(p.pending.slots); n != 1 {
+		t.Fatalf("%d slots for one exchange at a time, want 1", n)
+	}
+}
+
+// TestTCPCallAllocatesNothing: after a warm-up Call has dialed and made
+// the slot's timer, a Call over loopback TCP whose reply is resolved
+// with a ready value allocates nothing: the wait re-arms the slot's
+// timer instead of making one.
+func TestTCPCallAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	reply := &fetchReplyPayload{}
+	p, to := tcpCallPair(t, reply, func(srv *transport.TCPNode, m transport.Message) {
+		if err := echo(srv, m); err != nil {
+			t.Error(err)
+		}
+	})
+	req := &fetchPayload{}
+	call := func() {
+		if got, err := p.Call(to, MsgFetch, req, nil, time.Second); err != nil || got != reply {
+			t.Fatalf("call: got %v, %v", got, err)
+		}
+	}
+	call() // dials, says hello, teaches both readers the type strings, makes the timer
+	if allocs := testing.AllocsPerRun(200, call); allocs != 0 {
+		t.Fatalf("a TCP Call allocates %v times, want 0", allocs)
 	}
 }

@@ -281,3 +281,33 @@ func TestFoldKeyAgreesWithEqualFold(t *testing.T) {
 		t.Errorf("FoldKey(%q) = %q", s, FoldKey(s))
 	}
 }
+
+// TestIndexKeyHashes: IndexKeyHashes yields the KeyHash of each key
+// IndexKeys files a value under, in order, over values that fold
+// (capitals, non-ASCII, an invalid byte, a fold longer than its stack
+// buffer) and values that are their own key; and it allocates nothing
+// on a value that folds within that buffer.
+func TestIndexKeyHashes(t *testing.T) {
+	long := strings.Repeat("Straße İ ", keyStack/8)
+	for _, v := range []string{
+		"", "builder", "abstract factory", "Builder", "Straße", "İ", "Ǆ", "ǅungla ǆ Ǆ",
+		"Abstract Factory, (Kit)", "\xffBad UTF-8", "!! ,", "σοφος ΣΟΦΟΣ", long,
+	} {
+		var want []uint64
+		for k := range IndexKeys(v) {
+			want = append(want, KeyHash(k))
+		}
+		if got := slices.Collect(IndexKeyHashes(v)); !slices.Equal(got, want) {
+			t.Errorf("IndexKeyHashes(%q) = %x, want the hashes of %q: %x", v, got, slices.Collect(IndexKeys(v)), want)
+		}
+	}
+	var sum uint64
+	v := "Provide an Interface for creating Families of related objects: Straße, İ, Ǆ"
+	if allocs := testing.AllocsPerRun(100, func() {
+		for h := range IndexKeyHashes(v) {
+			sum += h
+		}
+	}); allocs != 0 {
+		t.Errorf("IndexKeyHashes(%q) allocates %v times, want 0", v, allocs)
+	}
+}

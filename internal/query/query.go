@@ -25,6 +25,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Attrs is an attribute set as a map: the indexed fields extracted from
@@ -164,36 +165,45 @@ func hasWord(v, word string) bool {
 // the word "". It walks v in place.
 func Words(v string) iter.Seq[string] {
 	return func(yield func(string) bool) {
-		start := -1 // where the field being read began
-		for i := 0; i <= len(v); {
-			space, w := true, 1 // the end of v closes its last field
-			if i < len(v) {
-				c := v[i]
-				space = c == ' ' || '\t' <= c && c <= '\r'
-				if c >= utf8.RuneSelf {
-					var r rune
-					r, w = utf8.DecodeRuneInString(v[i:])
-					space = unicode.IsSpace(r)
-				}
+		for w, rest, ok := nextWord(v); ok; w, rest, ok = nextWord(rest) {
+			if !yield(w) {
+				return
 			}
-			if !space && start < 0 {
-				start = i
-			} else if space && start >= 0 {
-				f := v[start:i]
-				for f != "" && isWordTrim(f[0]) {
-					f = f[1:]
-				}
-				for f != "" && isWordTrim(f[len(f)-1]) {
-					f = f[:len(f)-1]
-				}
-				if !yield(f) {
-					return
-				}
-				start = -1
-			}
-			i += w
 		}
 	}
+}
+
+// nextWord returns the first of v's Words and the rest of v after its
+// field; ok is false when v holds no field. It calls nothing it is not
+// given, so a v on its caller's stack stays there.
+func nextWord(v string) (word, rest string, ok bool) {
+	start := -1 // where the field being read began
+	for i := 0; i <= len(v); {
+		space, w := true, 1 // the end of v closes its last field
+		if i < len(v) {
+			c := v[i]
+			space = c == ' ' || '\t' <= c && c <= '\r'
+			if c >= utf8.RuneSelf {
+				var r rune
+				r, w = utf8.DecodeRuneInString(v[i:])
+				space = unicode.IsSpace(r)
+			}
+		}
+		if !space && start < 0 {
+			start = i
+		} else if space && start >= 0 {
+			f := v[start:i]
+			for f != "" && isWordTrim(f[0]) {
+				f = f[1:]
+			}
+			for f != "" && isWordTrim(f[len(f)-1]) {
+				f = f[:len(f)-1]
+			}
+			return f, v[i:], true
+		}
+		i += w
+	}
+	return "", "", false
 }
 
 // FoldKey returns the key strings.EqualFold files s under: each rune
@@ -204,18 +214,31 @@ func Words(v string) iter.Seq[string] {
 // wordTrim byte, so the Words of FoldKey(v) are the FoldKeys of v's
 // Words. An ASCII string without capitals is its own key.
 func FoldKey(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
-			var b strings.Builder
-			b.Grow(len(s))
-			b.WriteString(s[:i])
-			for _, r := range s[i:] {
-				b.WriteRune(foldRune(r))
-			}
-			return b.String()
-		}
+	if i := foldsFrom(s); i >= 0 {
+		b := appendFold(make([]byte, 0, len(s)), s, i)
+		return unsafe.String(unsafe.SliceData(b), len(b)) // b is not written again
 	}
 	return s
+}
+
+// foldsFrom returns the index of s's first byte FoldKey may change, -1
+// when s is its own key.
+func foldsFrom(s string) int {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return i
+		}
+	}
+	return -1
+}
+
+// appendFold appends FoldKey(s) to dst, given i = foldsFrom(s) >= 0.
+func appendFold(dst []byte, s string, i int) []byte {
+	dst = append(dst, s[:i]...)
+	for _, r := range s[i:] {
+		dst = utf8.AppendRune(dst, foldRune(r))
+	}
+	return dst
 }
 
 // IndexKeys returns an iterator over the keys an index files value v
@@ -236,6 +259,34 @@ func IndexKeys(v string) iter.Seq[string] {
 		}
 	}
 }
+
+// IndexKeyHashes returns an iterator over the KeyHash of each key
+// IndexKeys yields for v, in the same order: what an index files v
+// under. It folds v on its own stack, so it allocates nothing unless v
+// folds to more than keyStack bytes.
+func IndexKeyHashes(v string) iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		full := v
+		var stack [keyStack]byte
+		if i := foldsFrom(v); i >= 0 {
+			// A view of the folded bytes, hashed and never kept.
+			b := appendFold(stack[:0], v, i)
+			full = unsafe.String(unsafe.SliceData(b), len(b))
+		}
+		if full == "" || !yield(KeyHash(full)) {
+			return
+		}
+		for w, rest, ok := nextWord(full); ok; w, rest, ok = nextWord(rest) {
+			if w != "" && w != full && !yield(KeyHash(w)) {
+				return
+			}
+		}
+	}
+}
+
+// keyStack is how long a folded value IndexKeyHashes folds on the stack
+// may be: longer than any the shipped corpora's searchable fields hold.
+const keyStack = 256
 
 // IndexKey returns the key under which IndexKeys files every value a
 // matches, and whether a may be answered from an index at all: it must

@@ -57,6 +57,7 @@ var stays = map[string]string{
 	"repro/internal/transport.MemNetwork.Partition":  "fault hook: tests cut links with it, and protocol-independence checks build on it",
 	"repro/internal/transport.MemNetwork.Heal":       "fault hook: undoes Partition in the same tests",
 	"repro/internal/transport.WithDropModel":         "fault hook: tests lose one direction of a link with it",
+	"repro/internal/query.IndexKeys":                 "the keys IndexKeyHashes hashes, as strings: TestIndexKeyHashes holds the hashes to them, and the index tests build equality filters from them",
 }
 
 // testOnlyKnobs names every Option func no non-test file calls and
