@@ -242,10 +242,14 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 		for _, n := range cfg.Neighbors {
 			g.AddNeighbor(transport.PeerID(n))
 		}
-		// Grow the overlay beyond the bootstrap list via Ping/Pong.
-		if found := g.Discover(3); len(found) > 0 {
-			logger.Info("discovered peers via ping/pong", "count", len(found))
-		}
+		// Grow the overlay beyond the bootstrap list via Ping/Pong. The
+		// pongs take up to p2p.DefaultTimeout to collect, so the daemon
+		// starts serving meanwhile.
+		go func() {
+			if found := g.Discover(3); len(found) > 0 {
+				logger.Info("discovered peers via ping/pong", "count", len(found))
+			}
+		}()
 		network = g
 		healthFn = func() health {
 			h := base()

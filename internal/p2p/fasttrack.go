@@ -28,10 +28,10 @@ type SuperPeer struct {
 	registry
 }
 
-// leafSearchWait is how long a super-peer on an asynchronous transport
-// collects flood hits for a leaf's search (unless the search's limit is
-// met first) before it answers: half the leaf's default Call timeout,
-// so the answer lands before the leaf gives up.
+// leafSearchWait is how long a super-peer collects flood hits for a
+// leaf's search (unless the search's limit is met first) before it
+// answers: half the leaf's default Call timeout, so the answer lands
+// before the leaf gives up.
 const leafSearchWait = DefaultTimeout / 2
 
 // NewSuperPeer attaches a super-peer to the network.
@@ -53,19 +53,18 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		// super-peer overlay and merge.
 		s.handleLeafSearch(msg)
 	case MsgQuery:
-		s.handleQuery(msg)
+		s.handleFlood(msg)
 	case MsgQueryHit:
-		s.handleQueryHit(msg)
+		s.handleHit(msg)
 	default:
 		s.HandleRetrieval(msg)
 	}
 }
 
 // handleLeafSearch serves a leaf: its own leaves' matches at once, the
-// other super-peers' gathered by flooding them. On the synchronous
-// simulator the flood has completed when originate returns; on an
-// asynchronous transport the answer waits, off the handler's goroutine,
-// for the limit or leafSearchWait.
+// other super-peers' gathered by flooding them, for the limit or
+// leafSearchWait. When that wait blocks, it runs off the handler's
+// goroutine, so the frames behind this one are not held up.
 func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	var req searchPayload
 	if err := req.DecodeBinary(msg.Payload); err != nil {
@@ -78,31 +77,22 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 		f = query.MatchAll{}
 	}
 	local := s.search(req.CommunityID, f, req.Limit)
-	guid, col, err := s.originate(req.CommunityID, f, DefaultTTL, req.Limit, local, &sp)
+	col, err := s.originate(req.CommunityID, f, DefaultTTL, req.Limit, local, &sp)
 	if err != nil {
 		sp.Finish()
 		return
 	}
 	reply := func() {
-		merged := col.snapshot()
-		s.release(guid)
+		merged := s.collected(col, leafSearchWait)
 		// A lost reply is the leaf's timeout.
 		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: merged}, &sp)
 		sp.Finish()
 	}
-	if s.ep.Synchronous() {
-		reply()
+	if s.waits(col.x) {
+		go reply()
 		return
 	}
-	go func() {
-		timer := s.clk.NewTimer(leafSearchWait)
-		select {
-		case <-col.done:
-		case <-timer.C():
-		}
-		timer.Stop()
-		reply()
-	}()
+	reply()
 }
 
 // FastTrackLeaf is an ordinary peer in the super-peer network. Its

@@ -13,20 +13,20 @@ import (
 )
 
 // floodRouter is the Gnutella flood machinery GnutellaNode and
-// SuperPeer both embed: TTL-bounded query flooding over a neighbor
-// set, duplicate suppression by GUID, and reverse-path routing of
-// query hits.
+// SuperPeer both embed: TTL-bounded flooding over a neighbor set,
+// duplicate suppression by GUID, and reverse-path routing of the
+// answers. Two frames flood — a query, answered by a query-hit, and a
+// Gnutella ping, answered by a pong — and both take the one path.
 //
-// A flooded frame costs what its role requires. query and query-hit
-// lead with their GUID, and the router reads only that
+// A flooded frame costs what its role requires. Every flooded frame and
+// answer leads with its GUID, and the router reads only that
 // (codec.PeekUint) until it knows what the frame is to this node:
-// a duplicate query is dropped and a hit on its way elsewhere is
+// a duplicate is dropped and an answer on its way elsewhere is
 // forwarded byte for byte, neither decoded nor validated past the GUID;
-// a first-arrival query is decoded in full before its GUID enters the
-// seen table; a hit's results are decoded only by the node that
-// originated the search, by that search's collector
-// (hitCollector.addHit), which is also where a hit with a corrupt body
-// is finally dropped.
+// a first arrival is decoded in full before its GUID enters the
+// seen table; an answer is decoded only by the node that originated
+// the flood, by its collector (hitCollector.addHit), which is also
+// where an answer with a corrupt body is finally dropped.
 type floodRouter struct {
 	Peer
 	guids *guidSource
@@ -42,7 +42,8 @@ type floodRouter struct {
 	// overlay wiring and churn — while floods are the hot path).
 	neighbors []transport.PeerID
 	seen      seenTable
-	// collect gathers hits for queries this node originated.
+	// collect gathers the answers to floods this node originated, by
+	// GUID, until their originator has taken them (collected).
 	collect map[uint64]*hitCollector
 }
 
@@ -140,67 +141,72 @@ func (r *floodRouter) markSeen(guid uint64, from transport.PeerID) (neighbors []
 	return r.neighbors, true
 }
 
-// hitCollector gathers the results of a search this node originated:
-// the caller's own, then each hit frame's, decoded into a slice of that
-// frame's size (addHit). snapshot joins them into one slice of the
-// final size, or hands over the only one there is without a copy.
+// hitCollector gathers the answers to a flood this node originated:
+// the query-hits to a search, after the searcher's own results, or the
+// pongs to a ping. Each frame is decoded into a slice of its size
+// (addHit); snapshot joins them into one slice of the final size, or
+// hands over the only one there is without a copy. The collection is
+// the exchange x of the node's pending table, which the router resolves
+// once the limit is met, so its originator waits in Await.
 type hitCollector struct {
 	mu     sync.Mutex
 	frames [][]Result
-	n      int           // results across frames
-	done   chan struct{} // closed when the limit is reached or the results are taken
+	n      int // results across frames
 	limit  int
-	closed bool
+	closed bool // the limit is met or the results are taken
+
+	guid   uint64
+	answer string // the frame type that answers the flood
+	x      Exchange
 }
 
 // newHitCollector starts a collection for limit results (0 =
 // unlimited) from local, the searcher's own matches, of which there are
 // at most limit; the collection takes local over.
 func newHitCollector(limit int, local []Result) *hitCollector {
-	h := &hitCollector{done: make(chan struct{}), limit: limit}
+	h := &hitCollector{limit: limit}
 	h.add(local)
 	return h
 }
 
-// add appends a frame's results, closing the collection once they meet
-// the limit (caller holds mu, or owns h).
-func (h *hitCollector) add(rs []Result) {
+// add appends a frame's results and reports whether they met the
+// limit, which closes the collection (caller holds mu, or owns h).
+func (h *hitCollector) add(rs []Result) bool {
 	if len(rs) > 0 {
 		h.frames = append(h.frames, rs)
 		h.n += len(rs)
 	}
-	if h.limit > 0 && h.n >= h.limit {
-		h.close()
-	}
+	h.closed = h.limit > 0 && h.n >= h.limit
+	return h.closed
 }
 
-// close closes done (caller holds mu, or owns h).
-func (h *hitCollector) close() {
-	if !h.closed {
-		h.closed = true
-		close(h.done)
-	}
-}
-
-// addHit decodes a query-hit frame's results, as many as the limit
-// still admits. A frame is admitted whole or not at all: one whose body
-// does not decode adds nothing, even when its prefix would have met the
-// limit, and addHit returns the decode error. Once the limit is met or
-// the results are taken, a frame is dropped unread.
-func (h *hitCollector) addHit(payload []byte) error {
+// addHit decodes an answer frame's results, as many as the limit still
+// admits, and reports whether they met it. A query-hit holds a result
+// set; a pong, in a collection of pongs, holds one peer, collected as a
+// result that peer provides. A frame is admitted whole or not at all:
+// one whose body does not decode adds nothing, even when its prefix
+// would have met the limit, and addHit returns the decode error. Once
+// the limit is met or the results are taken, a frame is dropped unread.
+func (h *hitCollector) addHit(payload []byte) (met bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return nil
+		return false, nil
+	}
+	if h.answer == MsgPong {
+		var pong pongPayload
+		if err := pong.DecodeBinary(payload); err != nil {
+			return false, err
+		}
+		return h.add([]Result{{Provider: pong.Peer, Hops: pong.Hops}}), nil
 	}
 	r := codec.NewReader(payload)
 	r.Uvarint() // the GUID the router peeked
 	rs := readResults(r, max(h.limit-h.n, 0))
 	if err := r.Err(); err != nil {
-		return err
+		return false, err
 	}
-	h.add(rs)
-	return nil
+	return h.add(rs), nil
 }
 
 // snapshot hands the collected results — never more than the limit —
@@ -221,60 +227,80 @@ func (h *hitCollector) snapshot() []Result {
 		}
 	}
 	h.frames = nil
-	h.close()
+	h.closed = true
 	return out
 }
 
-// originate floods a fresh query to every neighbor. It returns the
-// query's GUID and the collector that gathers the hits routed back,
-// seeded with local, the caller's own matches, which it takes over; the
-// caller reads the collector (on an asynchronous transport, after
-// waiting on it) and then calls release. The sends go out on behalf of
-// sp, the caller's span.
-func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit int, local []Result, sp *trace.ActiveSpan) (uint64, *hitCollector, error) {
+// originate floods a fresh query to every neighbor; see flood.
+func (r *floodRouter) originate(communityID string, f query.Filter, ttl, limit int, local []Result, sp *trace.ActiveSpan) (*hitCollector, error) {
 	guid := r.guids.next()
-	col := newHitCollector(limit, local)
-	now := r.clk.Now()
+	q := &queryPayload{GUID: guid, Origin: r.PeerID(), CommunityID: communityID, Filter: f.String(), TTL: ttl}
+	return r.flood(guid, MsgQuery, q, limit, local, sp)
+}
+
+// flood sends frame, a fresh query or ping that carries guid, to every
+// neighbor as msgType, on behalf of sp, the caller's span. It returns
+// the collector of the answers routed back, seeded with local, the
+// caller's own matches, which it takes over. The collection's exchange
+// is resolved once the answers meet limit — at once when local does, or
+// when no send went out — and the caller ends its wait in collected.
+func (r *floodRouter) flood(guid uint64, msgType string, frame codec.Frame, limit int, local []Result, sp *trace.ActiveSpan) (*hitCollector, error) {
 	if r.Closed() {
-		return 0, nil, ErrClosed
+		return nil, ErrClosed
 	}
+	col := newHitCollector(limit, local)
+	met := col.closed
+	id, slot := r.pending.create()
+	col.guid, col.answer, col.x = guid, MsgQueryHit, Exchange{id, slot}
+	if msgType == MsgPing {
+		col.answer = MsgPong
+	}
+	now := r.clk.Now()
 	r.mu.Lock()
 	r.collect[guid] = col
 	r.seen.insert(guid, r.PeerID(), now) // suppress loops back to the origin
 	neighbors := r.neighbors
 	r.mu.Unlock()
 
-	payload := codec.Borrow(&queryPayload{
-		GUID:        guid,
-		Origin:      r.PeerID(),
-		CommunityID: communityID,
-		Filter:      f.String(),
-		TTL:         ttl,
-	})
+	payload := codec.Borrow(frame)
+	sent := 0
 	for _, n := range neighbors {
 		// Unreachable neighbors are skipped, like UDP loss in the
 		// original protocol.
-		_ = r.SendPayload(n, MsgQuery, *payload, sp)
+		if r.SendPayload(n, msgType, *payload, sp) == nil {
+			sent++
+		}
 	}
 	codec.Release(payload)
-	return guid, col, nil
+	if met || sent == 0 {
+		r.Resolve(id, nil) // nothing left to wait for
+	}
+	return col, nil
 }
 
-// release ends collection for a query this node originated; hits that
-// still arrive for it are dropped.
-func (r *floodRouter) release(guid uint64) {
+// collected waits in Await, at most timeout, for the collection's limit
+// and hands over its answers; one that arrives later finds no collector
+// and is dropped.
+func (r *floodRouter) collected(col *hitCollector, timeout time.Duration) []Result {
+	r.Await(col.x, timeout) // a timeout ends the wait; the answers so far stand
 	r.mu.Lock()
-	delete(r.collect, guid)
+	delete(r.collect, col.guid)
 	r.mu.Unlock()
+	return col.snapshot()
 }
 
-// handleQuery serves one arrival of a flooded query: answer it from
-// the local index, route the hit back, and forward the flood while TTL
-// remains — once per GUID.
-func (r *floodRouter) handleQuery(msg transport.Message) {
+// handleFlood serves one arrival of a flooded frame, a query or a ping:
+// answer it along the reverse path — with this node's matches, or a
+// pong — and forward the flood while TTL remains, once per GUID.
+func (r *floodRouter) handleFlood(msg transport.Message) {
 	guid, err := codec.PeekUint(msg.Payload)
 	if err != nil {
 		return
+	}
+	ping := msg.Type == MsgPing
+	op, dupOp := "query", "query.dup"
+	if ping {
+		op, dupOp = "ping", "ping.dup"
 	}
 	r.mu.RLock()
 	_, dup := r.seen.lookup(guid)
@@ -283,44 +309,51 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 		// Already served and forwarded: most arrivals in a flood end
 		// here, having cost a varint read and a map lookup.
 		r.NodeMetrics().Duplicates.Inc()
-		sp := r.StartSpan(msg, "query.dup")
+		sp := r.StartSpan(msg, dupOp)
 		sp.Finish()
 		return
 	}
 	// A first arrival is read in full before its GUID enters the seen
-	// table, so a frame that is not a query never claims a reverse path.
-	// It is read in place: the relay keeps nothing of the payload past
-	// this handler, and copies only the community it answers for and
-	// the filter it parses.
-	var q queryView
+	// table, so a frame that is not what its type says never claims a
+	// reverse path. It is read in place: the relay keeps nothing of the
+	// payload past this handler, and copies only the community it
+	// answers for and the filter it parses.
+	q := queryView{ping: ping}
 	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	communityID := string(q.community)
-	sp := r.StartSpan(msg, "query")
+	sp := r.StartSpan(msg, op)
 	sp.SetCommunity(communityID)
 	defer sp.Finish()
 	neighbors, first := r.markSeen(guid, msg.From)
 	if !first {
 		r.NodeMetrics().Duplicates.Inc()
-		sp.SetOp("query.dup") // another arrival of this GUID won the race
+		sp.SetOp(dupOp) // another arrival of this GUID won the race
 		return
 	}
 
-	f, err := query.Parse(string(q.filter))
-	if err != nil {
-		return // malformed query: drop, per protocol robustness rules
+	var f query.Filter
+	if !ping {
+		if f, err = query.Parse(string(q.filter)); err != nil {
+			return // malformed query: drop, per protocol robustness rules
+		}
 	}
 	hops := q.Hops + 1
-	hit := codec.Scratch()
-	var n int
-	*hit, n = appendHit(*hit, q.GUID, r.answer, communityID, f, 0, hops)
-	if n > 0 {
-		// Route the hit back toward the origin along the reverse path; a
-		// hop that is gone loses it, like the original's UDP.
-		_ = r.SendPayload(msg.From, MsgQueryHit, *hit, &sp)
+	answer := codec.Scratch()
+	answerType, n := MsgPong, 1
+	if ping {
+		*answer = (&pongPayload{GUID: guid, Peer: r.PeerID(), Hops: hops}).AppendBinary(*answer)
+	} else {
+		answerType = MsgQueryHit
+		*answer, n = appendHit(*answer, guid, r.answer, communityID, f, 0, hops)
 	}
-	codec.Release(hit)
+	if n > 0 {
+		// Route the answer back toward the origin along the reverse
+		// path; a hop that is gone loses it, like the original's UDP.
+		_ = r.SendPayload(msg.From, answerType, *answer, &sp)
+	}
+	codec.Release(answer)
 	// Forward the flood while TTL remains.
 	if q.TTL <= 1 {
 		return
@@ -332,14 +365,16 @@ func (r *floodRouter) handleQuery(msg transport.Message) {
 		if n == msg.From {
 			continue
 		}
-		_ = r.SendPayload(n, MsgQuery, *payload, &sp)
+		_ = r.SendPayload(n, msg.Type, *payload, &sp)
 	}
 	codec.Release(payload)
 }
 
-// handleQueryHit collects a hit for a query this node originated, or
-// relays it one hop back along the query's reverse path.
-func (r *floodRouter) handleQueryHit(msg transport.Message) {
+// handleHit collects an answer — a query-hit or a pong — to a flood
+// this node originated, resolving the collection's exchange once it
+// meets its limit, or relays it one hop back along the flood's reverse
+// path.
+func (r *floodRouter) handleHit(msg transport.Message) {
 	guid, err := codec.PeekUint(msg.Payload)
 	if err != nil {
 		return
@@ -348,18 +383,22 @@ func (r *floodRouter) handleQueryHit(msg transport.Message) {
 	col := r.collect[guid]
 	back, seen := r.seen.lookup(guid)
 	r.mu.RUnlock()
-	if col != nil {
-		if err := col.addHit(msg.Payload); err != nil {
+	if col != nil && col.answer == msg.Type {
+		met, err := col.addHit(msg.Payload)
+		if err != nil {
 			return // corrupt body: dropped here, the collection stands
+		}
+		if met {
+			r.Resolve(col.x.id, nil)
 		}
 		sp := r.StartSpan(msg, "hit")
 		sp.Finish()
 		return
 	}
 	if !seen || back == r.PeerID() {
-		return // unknown or stale query: drop the hit
+		return // unknown or stale flood, or the wrong answer to ours: drop it
 	}
 	sp := r.StartSpan(msg, "hit.relay")
-	_ = r.SendPayload(back, MsgQueryHit, msg.Payload, &sp)
+	_ = r.SendPayload(back, msg.Type, msg.Payload, &sp)
 	sp.Finish()
 }

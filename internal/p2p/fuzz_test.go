@@ -287,7 +287,7 @@ func checkCollector(t *testing.T, data []byte, hit *queryHitPayload, decodeErr e
 	t.Helper()
 	for _, limit := range []int{0, 2} {
 		col := newHitCollector(limit, nil)
-		err := col.addHit(data)
+		_, err := col.addHit(data)
 		if (err == nil) != (decodeErr == nil) {
 			t.Fatalf("limit %d: collector decode says %v, DecodeBinary %v", limit, err, decodeErr)
 		}

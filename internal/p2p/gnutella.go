@@ -17,7 +17,6 @@ import (
 // store and Ping/Pong discovery.
 type GnutellaNode struct {
 	floodRouter
-	disc *discoveryState // guarded by the router's mu
 }
 
 var _ Network = (*GnutellaNode)(nil)
@@ -59,9 +58,7 @@ func (g *GnutellaNode) Unpublish(id index.DocID) error {
 }
 
 // Search implements Network: flood a query with a TTL and collect
-// reverse-path hits. On the synchronous simulator the entire flood
-// completes before the sends return, so collection is exact; on
-// asynchronous transports we wait for the timeout (or the limit).
+// reverse-path hits until the limit is met or opts.Timeout passes.
 func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOptions) ([]Result, error) {
 	if f == nil {
 		f = query.MatchAll{}
@@ -77,20 +74,11 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	// Answer from the local index first (a peer is also a member of
 	// the network it searches).
 	local := g.localResults(communityID, f, opts.Limit)
-	guid, col, err := g.originate(communityID, f, ttl, opts.Limit, local, &sp)
+	col, err := g.originate(communityID, f, ttl, opts.Limit, local, &sp)
 	if err != nil {
 		return nil, g.fail(&sp, err)
 	}
-	defer g.release(guid)
-	if !g.ep.Synchronous() {
-		timer := g.clk.NewTimer(waitLimit(opts.Timeout))
-		select {
-		case <-col.done:
-		case <-timer.C():
-		}
-		timer.Stop()
-	}
-	out := col.snapshot()
+	out := g.collected(col, opts.Timeout)
 	g.NodeMetrics().ObserveSearch(g.clk, start, len(out))
 	return out, nil
 }
@@ -120,14 +108,10 @@ func (g *GnutellaNode) appendAnswer(dst []byte, communityID string, f query.Filt
 
 func (g *GnutellaNode) handle(msg transport.Message) {
 	switch msg.Type {
-	case MsgQuery:
-		g.handleQuery(msg)
-	case MsgQueryHit:
-		g.handleQueryHit(msg)
-	case MsgPing:
-		g.handlePing(msg)
-	case MsgPong:
-		g.handlePong(msg)
+	case MsgQuery, MsgPing:
+		g.handleFlood(msg)
+	case MsgQueryHit, MsgPong:
+		g.handleHit(msg)
 	default:
 		g.HandleRetrieval(msg)
 	}

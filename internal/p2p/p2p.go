@@ -37,7 +37,10 @@
 //     (StartSpan);
 //   - request/response (Call, or StartCall + Await for a wave of them,
 //     and Resolve on the reply's way in): one pending table, one
-//     timeout on the node's clock, ids dropped on every failure path;
+//     timeout on the node's clock, ids dropped on every failure path.
+//     A flood's collection is an exchange of the same table, so Await
+//     is every node's one wait, and its doc states, once, what a
+//     synchronous transport changes;
 //   - retrieval (Retrieve, RetrieveAttachment, SetAttachmentProvider,
 //     HandleRetrieval) and Close.
 //
@@ -116,8 +119,10 @@ type SearchOptions struct {
 	Limit int
 	// TTL bounds flooding depth (Gnutella only; 0 uses DefaultTTL).
 	TTL int
-	// Timeout bounds result collection on asynchronous transports
-	// (0 uses DefaultTimeout). Ignored on the synchronous simulator.
+	// Timeout bounds result collection (0 uses DefaultTimeout), as
+	// DefaultTimeout bounds GnutellaNode.Discover's collection of
+	// pongs; the wait is Peer.Await's, which on a synchronous transport
+	// ends at once.
 	Timeout time.Duration
 	// Trace is the caller's trace context; when valid (the query was
 	// sampled upstream), the search records a child span and stamps it

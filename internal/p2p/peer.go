@@ -25,6 +25,10 @@ import (
 // its handle switch (ending in HandleRetrieval) and
 // Publish/Unpublish/Search; the rest of Network comes from here.
 //
+// Every wait of a node — for an RPC's reply, a lookup wave's, a flood's
+// answers — is an exchange of its pending table and ends in Await,
+// whose doc states the one rule for a synchronous transport.
+//
 // Every send, call and flood goes out on behalf of a *trace.ActiveSpan:
 // the span both counts the frame and supplies the trace context the
 // frame carries, so no send takes a context of its own.
@@ -269,11 +273,16 @@ func (p *Peer) StartCall(to transport.PeerID, msgType string, req Request, sp *t
 // Await waits for the exchange's reply, at most timeout (DefaultTimeout
 // when it is not positive) on the node's clock, by the slot's re-armed
 // timer; ErrTimeout abandons the exchange, and a reply that arrives
-// later is dropped. On a synchronous transport the reply to a send, if
-// any, was delivered before the send returned, so an empty channel is a
-// definitive timeout: Await returns at once instead of waiting a
-// wall-clock timeout out, which is what lets lossy simulations run 100k
-// queries in seconds and keeps virtual clocks free of real waiting.
+// later is dropped. It is the package's one wait: an RPC's, a lookup
+// wave's, and a flood's, whose collection is an exchange resolved once
+// its limit is met.
+//
+// The rule for a synchronous transport, the one place it is applied: the
+// reply to a send, if any, was delivered before the send returned, so an
+// empty channel is a definitive timeout and Await returns at once
+// instead of waiting a wall-clock timeout out. That is what lets lossy
+// simulations run 100k queries in seconds and keeps virtual clocks free
+// of real waiting.
 func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
 	select {
 	case reply := <-x.slot.ch:
@@ -281,7 +290,7 @@ func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
 		return reply, nil
 	default:
 	}
-	if !p.ep.Synchronous() {
+	if p.waits(x) {
 		s := x.slot
 		if s.timer == nil {
 			s.timer = p.clk.NewTimer(waitLimit(timeout))
@@ -301,6 +310,11 @@ func (p *Peer) Await(x Exchange, timeout time.Duration) (any, error) {
 	}
 	return nil, ErrTimeout
 }
+
+// waits reports whether Await(x) blocks: on an asynchronous transport,
+// while x's reply is not in. A handler that answers after an Await asks
+// first, and waits off its goroutine if so.
+func (p *Peer) waits(x Exchange) bool { return len(x.slot.ch) == 0 && !p.ep.Synchronous() }
 
 // waitLimit is timeout, or DefaultTimeout when it is not positive.
 func waitLimit(timeout time.Duration) time.Duration {

@@ -1,9 +1,6 @@
 package p2p
 
 import (
-	"sync"
-
-	"repro/internal/p2p/codec"
 	"repro/internal/transport"
 )
 
@@ -13,7 +10,9 @@ import (
 // reverse path. The originator learns of peers beyond its immediate
 // neighbors and links to them, growing the overlay without any
 // central directory — the mechanism real Gnutella used after the
-// initial bootstrap hosts.
+// initial bootstrap hosts. Both ride the flood router (flood.go): a
+// ping is flooded and answered as a query is, and a pong is collected
+// or relayed as a query-hit is.
 
 // Ping/Pong message types.
 const (
@@ -38,115 +37,29 @@ type pongPayload struct {
 // connection limits of real Gnutella servents.
 const MaxNeighbors = 8
 
-// discoveryState tracks outstanding pings on a GnutellaNode.
-type discoveryState struct {
-	mu sync.Mutex
-	// pongs collects discovered peers for pings this node originated.
-	pongs map[uint64][]transport.PeerID
-}
-
-func newDiscoveryState() *discoveryState {
-	return &discoveryState{pongs: make(map[uint64][]transport.PeerID)}
-}
-
-// Discover floods a Ping with the given TTL and links to every peer
-// that answers, up to MaxNeighbors total neighbors. It returns the
-// newly discovered peers. On the synchronous simulator all pongs have
-// arrived when the sends return.
+// Discover floods a Ping with the given TTL (2 when it is not
+// positive), collects the Pongs for DefaultTimeout, as a search with no
+// limit collects its hits, and links to every peer that answered, up
+// to MaxNeighbors neighbors in all. It returns the newly linked peers.
 func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 	if ttl <= 0 {
 		ttl = 2
 	}
-	if g.Closed() {
+	guid := g.guids.next()
+	col, err := g.flood(guid, MsgPing, &pingPayload{GUID: guid, Origin: g.PeerID(), TTL: ttl}, 0, nil, nil)
+	if err != nil {
 		return nil
 	}
-	guid := g.guids.next()
-	now := g.clk.Now()
-	g.mu.Lock()
-	if g.disc == nil {
-		g.disc = newDiscoveryState()
-	}
-	g.seen.insert(guid, g.PeerID(), now)
-	neighbors := g.neighbors
-	g.mu.Unlock()
-	g.disc.mu.Lock()
-	g.disc.pongs[guid] = nil
-	g.disc.mu.Unlock()
-
-	payload := codec.Borrow(&pingPayload{GUID: guid, Origin: g.PeerID(), TTL: ttl})
-	for _, n := range neighbors {
-		_ = g.SendPayload(n, MsgPing, *payload, nil)
-	}
-	codec.Release(payload)
-
-	g.disc.mu.Lock()
-	discovered := g.disc.pongs[guid]
-	delete(g.disc.pongs, guid)
-	g.disc.mu.Unlock()
-
+	pongs := g.collected(col, DefaultTimeout)
 	var added []transport.PeerID
-	for _, peer := range discovered {
-		g.mu.Lock()
-		grown := peerSliceAdd(g.neighbors, peer)
-		if len(grown) > len(g.neighbors) && len(g.neighbors) < MaxNeighbors && peer != g.PeerID() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, pong := range pongs {
+		grown := peerSliceAdd(g.neighbors, pong.Provider)
+		if len(grown) > len(g.neighbors) && len(g.neighbors) < MaxNeighbors && pong.Provider != g.PeerID() {
 			g.neighbors = grown
-			added = append(added, peer)
+			added = append(added, pong.Provider)
 		}
-		g.mu.Unlock()
 	}
 	return added
-}
-
-// handlePing answers with a Pong and forwards the flood.
-func (g *GnutellaNode) handlePing(msg transport.Message) {
-	var p pingPayload
-	if err := p.DecodeBinary(msg.Payload); err != nil {
-		return
-	}
-	neighbors, first := g.markSeen(p.GUID, msg.From)
-	if !first {
-		return
-	}
-	hops := p.Hops + 1
-	// Pong back toward the origin along the reverse path.
-	_ = g.Send(msg.From, MsgPong, &pongPayload{GUID: p.GUID, Peer: g.PeerID(), Hops: hops}, nil)
-	if p.TTL <= 1 {
-		return
-	}
-	fwd := p
-	fwd.TTL--
-	fwd.Hops = hops
-	payload := codec.Borrow(&fwd)
-	for _, n := range neighbors {
-		if n != msg.From {
-			_ = g.SendPayload(n, MsgPing, *payload, nil)
-		}
-	}
-	codec.Release(payload)
-}
-
-// handlePong collects at the origin or relays backward.
-func (g *GnutellaNode) handlePong(msg transport.Message) {
-	var p pongPayload
-	if err := p.DecodeBinary(msg.Payload); err != nil {
-		return
-	}
-	g.mu.RLock()
-	disc := g.disc
-	back, seen := g.seen.lookup(p.GUID)
-	self := g.PeerID()
-	g.mu.RUnlock()
-	if disc != nil {
-		disc.mu.Lock()
-		if _, mine := disc.pongs[p.GUID]; mine {
-			disc.pongs[p.GUID] = append(disc.pongs[p.GUID], p.Peer)
-			disc.mu.Unlock()
-			return
-		}
-		disc.mu.Unlock()
-	}
-	if !seen || back == self {
-		return
-	}
-	_ = g.SendPayload(back, MsgPong, msg.Payload, nil)
 }

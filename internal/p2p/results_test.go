@@ -27,7 +27,7 @@ func TestCollectedHitOwnsItsBytes(t *testing.T) {
 	want := sampleResults(5)
 	payload := hitFrame(1, want)
 	col := newHitCollector(0, nil)
-	if err := col.addHit(payload); err != nil {
+	if _, err := col.addHit(payload); err != nil {
 		t.Fatal(err)
 	}
 	for i := range payload {
@@ -49,15 +49,14 @@ func TestCorruptHitAddsNothing(t *testing.T) {
 	corrupt := hit[:len(hit)-3] // cut inside the last result
 	for _, limit := range []int{0, 3, 20} {
 		col := newHitCollector(limit, local)
-		if err := col.addHit(corrupt); err == nil {
+		met, err := col.addHit(corrupt)
+		if err == nil {
 			t.Errorf("limit %d: a hit with a corrupt tail was admitted", limit)
 		}
-		select {
-		case <-col.done:
+		if met || col.closed {
 			t.Errorf("limit %d: a corrupt hit closed the collection", limit)
-		default:
 		}
-		if err := col.addHit(hit); err != nil {
+		if _, err := col.addHit(hit); err != nil {
 			t.Fatalf("limit %d: %v", limit, err)
 		}
 		want := append(slices.Clone(local), good...)
@@ -78,7 +77,7 @@ func TestSnapshotJoinsFrames(t *testing.T) {
 	all := sampleResults(12)
 	col := newHitCollector(0, slices.Clone(all[:2]))
 	for _, part := range [][]Result{all[2:5], all[5:6], all[6:]} {
-		if err := col.addHit(hitFrame(1, part)); err != nil {
+		if _, err := col.addHit(hitFrame(1, part)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,11 +96,11 @@ func TestHitsRacingSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGnutellaNode(ep, index.NewStore())
-	guid, col, err := g.originate("c", query.MatchAll{}, 1, 0, nil, nil)
+	col, err := g.originate("c", query.MatchAll{}, 1, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit := hitFrame(guid, sampleResults(4))
+	hit := hitFrame(col.guid, sampleResults(4))
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -112,7 +111,7 @@ func TestHitsRacingSnapshot(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				// Each delivery in a buffer of its own, as a TCP reader
 				// hands them out.
-				g.handleQueryHit(transport.Message{Type: MsgQueryHit, From: "far", Payload: slices.Clone(hit)})
+				g.handleHit(transport.Message{Type: MsgQueryHit, From: "far", Payload: slices.Clone(hit)})
 			}
 		}()
 	}
@@ -124,7 +123,7 @@ func TestHitsRacingSnapshot(t *testing.T) {
 	}
 	got := col.snapshot()
 	taken := slices.Clone(got)
-	g.release(guid)
+	g.collected(col, 0)
 	wg.Wait()
 	if len(got)%4 != 0 || !reflect.DeepEqual(got, taken) {
 		t.Errorf("the %d results taken changed after snapshot", len(taken))

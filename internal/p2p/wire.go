@@ -229,14 +229,20 @@ func (p *searchHitPayload) DecodeBinary(data []byte) error {
 // --- gnutella flooding ---
 
 func (p *queryPayload) AppendBinary(dst []byte) []byte {
-	return appendQuery(dst, p, string(p.Origin), p.CommunityID, p.Filter)
+	return appendQuery(dst, p, false, string(p.Origin), p.CommunityID, p.Filter)
 }
 
 // appendQuery writes a query frame: p's numbers and the given strings,
-// a payload's own or the views a relay read in place (queryView).
-func appendQuery[T ~string | ~[]byte](dst []byte, p *queryPayload, origin, community, filter T) []byte {
+// a payload's own or the views a relay read in place (queryView). With
+// ping set it writes the ping frame, which is a query frame without the
+// community and the filter.
+func appendQuery[T ~string | ~[]byte](dst []byte, p *queryPayload, ping bool, origin, community, filter T) []byte {
 	dst = codec.AppendUvarint(dst, p.GUID)
-	for _, s := range [...]T{origin, community, filter} {
+	strs, n := [...]T{origin, community, filter}, 3
+	if ping {
+		n = 1
+	}
+	for _, s := range strs[:n] {
 		dst = append(codec.AppendUvarint(dst, uint64(len(s))), s...)
 	}
 	dst = codec.AppendUvarint(dst, uint64(p.TTL))
@@ -251,8 +257,9 @@ func (p *queryPayload) DecodeBinary(data []byte) error {
 	return err
 }
 
-// queryView is a query frame read in place, as a relay reads the first
-// arrival of a flood: its strings are views of the borrowed payload,
+// queryView is a query frame, or with ping set a ping frame, read in
+// place, as a relay reads the first arrival of a flood: its strings are
+// views of the borrowed payload,
 // valid until the handler returns, so reading it copies nothing; the
 // embedded payload carries the numbers and leaves its strings empty.
 // Encoding it writes the query frame it was read from, with whatever
@@ -261,18 +268,21 @@ func (p *queryPayload) DecodeBinary(data []byte) error {
 type queryView struct {
 	queryPayload
 	origin, community, filter []byte
+	ping                      bool
 }
 
 func (q *queryView) AppendBinary(dst []byte) []byte {
-	return appendQuery(dst, &q.queryPayload, q.origin, q.community, q.filter)
+	return appendQuery(dst, &q.queryPayload, q.ping, q.origin, q.community, q.filter)
 }
 
 func (q *queryView) DecodeBinary(data []byte) error {
 	r := codec.NewReader(data)
 	q.GUID = r.Uvarint()
 	q.origin = r.View()
-	q.community = r.View()
-	q.filter = r.View()
+	if !q.ping {
+		q.community = r.View()
+		q.filter = r.View()
+	}
 	q.TTL = int(r.Uvarint())
 	q.Hops = int(r.Uvarint())
 	return r.Err()
@@ -354,19 +364,14 @@ func (p *attachmentReplyPayload) DecodeBinary(data []byte) error {
 // --- ping/pong discovery ---
 
 func (p *pingPayload) AppendBinary(dst []byte) []byte {
-	dst = codec.AppendUvarint(dst, p.GUID)
-	dst = codec.AppendString(dst, string(p.Origin))
-	dst = codec.AppendUvarint(dst, uint64(p.TTL))
-	return codec.AppendUvarint(dst, uint64(p.Hops))
+	return appendQuery(dst, &queryPayload{GUID: p.GUID, TTL: p.TTL, Hops: p.Hops}, true, string(p.Origin), "", "")
 }
 
 func (p *pingPayload) DecodeBinary(data []byte) error {
-	r := codec.NewReader(data)
-	p.GUID = r.Uvarint()
-	p.Origin = transport.PeerID(r.String())
-	p.TTL = int(r.Uvarint())
-	p.Hops = int(r.Uvarint())
-	return r.Err()
+	q := queryView{ping: true}
+	err := q.DecodeBinary(data)
+	*p = pingPayload{GUID: q.GUID, Origin: transport.PeerID(q.origin), TTL: q.TTL, Hops: q.Hops}
+	return err
 }
 
 func (p *pongPayload) AppendBinary(dst []byte) []byte {

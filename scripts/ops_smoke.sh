@@ -4,7 +4,8 @@
 # persists its store across a SIGTERM and across a SIGKILL, and that a
 # restart restores it; then that FastTrack leaves under two different
 # super-peers, and two DHT daemons, find each other's communities over
-# TCP. Run via `make ops-smoke`.
+# TCP; then that a Gnutella daemon grows its neighbor set past its
+# -neighbors list by Ping/Pong. Run via `make ops-smoke`.
 set -eu
 
 bin="$1"
@@ -188,6 +189,33 @@ done
 curl -sf "http://127.0.0.1:8980/healthz" | jq -e '.dht_records > 0' >/dev/null ||
     { echo "ops-smoke: DHT daemon A holds no records" >&2; exit 1; }
 echo "DHT daemon B discovered designpatterns with a FIND_VALUE lookup"
+kill $ft
+for p in $ft; do wait "$p" || true; done
+ft=
+
+echo "== Gnutella over TCP: Ping/Pong links a daemon to the peer beyond its neighbor"
+# A line A <- B <- C: each daemon names only the one before it. C's
+# start-up discovery floods a ping through B to A and links A from its
+# pong, so C's /healthz live_peers reaches 2.
+"$bin" -mode gnutella -p2p 127.0.0.1:7982 -http 127.0.0.1:8982 &
+ft="$!"
+wait_health 127.0.0.1:8982
+"$bin" -mode gnutella -p2p 127.0.0.1:7983 -http 127.0.0.1:8983 -neighbors 127.0.0.1:7982 &
+ft="$ft $!"
+wait_health 127.0.0.1:8983
+"$bin" -mode gnutella -p2p 127.0.0.1:7984 -http 127.0.0.1:8984 -neighbors 127.0.0.1:7983 &
+ft="$ft $!"
+wait_health 127.0.0.1:8984
+i=0
+until curl -sf "http://127.0.0.1:8984/healthz" | jq -e '.live_peers >= 2' >/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -ge 50 ]; then
+        echo "ops-smoke: gnutella daemon C never linked the peer beyond its neighbor" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+echo "gnutella daemon C linked daemon A through B by Ping/Pong"
 kill $ft
 for p in $ft; do wait "$p" || true; done
 ft=
