@@ -76,6 +76,10 @@ bench-smoke:
 # `make alloc-profile PKG=./internal/dht BENCH=DHTSearchTCP` is the
 # DHTSearchCluster search on loopback TCP: tcp-dht-search's search path
 # (reader, timers, frames) without the ruler's servents and oracle.
+# `make alloc-profile PKG=./internal/p2p BENCH=FloodSearchTCP` is its
+# flood twin: tcp-gnutella-flood's searches, relays and hits on
+# loopback TCP, without the ruler's oracle (over half of that
+# workload's window objects).
 BENCHTIME ?= 2000x
 alloc-profile:
 	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make alloc-profile PKG=./internal/dht BENCH=DHTSearchCluster"; exit 2; }

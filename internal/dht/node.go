@@ -568,9 +568,7 @@ func (n *Node) handle(msg transport.Message) {
 			return
 		}
 		sp := n.StartSpan(msg, "findvalue.serve")
-		if sp.Context().Valid() { // a span outlives the handler: it takes a copy
-			sp.SetCommunity(string(req.community))
-		}
+		sp.SetCommunity(codec.StringView(req.community))
 		sc := serveScratchPool.Get().(*serveScratch)
 		reply := &sc.findValueReply
 		*reply = findValueReplyPayload{
@@ -581,25 +579,27 @@ func (n *Node) handle(msg transport.Message) {
 		// the reply still carries contacts so the lookup can route on,
 		// but failing open to the whole record set would let one
 		// malformed query read the entire key.
-		// The one copy of the request: the parsed filter keeps substrings
-		// of it, and the community rides along in the same string.
-		var b strings.Builder
-		b.Grow(len(req.filter) + len(req.community))
-		b.Write(req.filter)
-		b.Write(req.community)
-		both := b.String()
-		vq := valueQuery{filter: both[:len(req.filter)], communityID: both[len(req.filter):], limit: req.Limit}
+		// Nothing of the request is copied: the community and the
+		// filter's text are views of the payload, and the filter is
+		// parsed by the scratch's parser; none of them outlives the
+		// handler.
+		vq := valueQuery{filter: codec.StringView(req.filter), communityID: codec.StringView(req.community), limit: req.Limit}
 		var err error
-		if vq.match, err = query.Parse(vq.filter); err == nil {
+		if vq.match, err = sc.parser.Parse(req.filter); err == nil {
 			into := &sc.records
 			if req.DigestOnly {
 				into = nil
 			}
 			reply.Records, reply.Digest, reply.Complete = n.records.get(into, req.Key, n.Clock().Now(), &vq, req.Have)
+		} else {
+			n.NodeMetrics().CountError(err)
 		}
 		_ = n.Send(msg.From, MsgFindValueReply, reply, &sp)
 		*reply = findValueReplyPayload{}
 		clearRecords(&sc.records)
+		if sc.parser.Size() > codec.MaxPooled {
+			sc.parser = query.Parser{} // an outsized parser is dropped, not pooled
+		}
 		serveScratchPool.Put(sc)
 		sp.Finish()
 	case MsgStore:
@@ -677,13 +677,15 @@ func (n *Node) handle(msg transport.Message) {
 
 // serveScratch pools the frames a node answers with, and pingPeer's
 // request, with what answering a FIND_NODE or FIND_VALUE selects the
-// reply's contacts and gathers its records in: a frame is encoded by
-// the time Send returns, so one request's scratch serves the next. A
-// reply is zeroed and its records cleared after its send, so the pool
-// pins no strings.
+// reply's contacts, parses its filter and gathers its records in: a
+// frame is encoded by the time Send returns, so one request's scratch
+// serves the next. A reply is zeroed and its records cleared after its
+// send, so the pool pins no strings (the parser holds only its own
+// copy of the last filter).
 type serveScratch struct {
 	closest        []Contact
 	peers          []transport.PeerID
+	parser         query.Parser
 	records        []p2p.Result
 	ping           pingPayload
 	findNodeReply  findNodeReplyPayload

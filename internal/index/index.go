@@ -463,17 +463,20 @@ func (s *Store) Postings() int {
 	return n
 }
 
-// Search returns the entries in the community whose indexed
-// attributes satisfy the filter, sorted by ID for determinism. limit <=
-// 0 means unlimited. An empty communityID searches all communities.
+// Search appends to out the entries in the community whose indexed
+// attributes satisfy the filter, sorted by ID for determinism, and
+// returns the extended slice. limit <= 0 means unlimited. An empty
+// communityID searches all communities.
 //
 // The entries are the store's own (see Entry): the caller may keep
 // them but must not modify them. A community-scoped search is one walk
 // in ID order under the read lock, stopping at the limit: over the
 // intersection of the runs of postings of the filter's exact-match
 // conjuncts when it has any, over the community's members otherwise.
-// It allocates the result slice and nothing else.
-func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
+// Without out it allocates the result slice and nothing else; a node
+// that serves searches passes its scratch, emptied (Search(c, f, n,
+// scratch[:0]...)), and allocates nothing once the scratch has grown.
+func (s *Store) Search(communityID string, f query.Filter, limit int, out ...*Entry) []*Entry {
 	if f == nil {
 		f = query.MatchAll{}
 	}
@@ -481,19 +484,19 @@ func (s *Store) Search(communityID string, f query.Filter, limit int) []*Entry {
 	defer s.mu.RUnlock()
 	if communityID != "" {
 		if c := s.communities[communityID]; c != nil {
-			return c.search(f, limit, nil)
+			return c.search(f, limit, out)
 		}
-		return nil
+		return out
 	}
 	// The first limit matches overall are among each community's first
 	// limit matches.
-	var out []*Entry
+	start := len(out)
 	for _, c := range s.communities {
 		out = c.search(f, limit, out)
 	}
-	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	slices.SortFunc(out[start:], func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
+	if limit > 0 && len(out)-start > limit {
+		out = out[:start+limit]
 	}
 	return out
 }

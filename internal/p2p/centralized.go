@@ -41,24 +41,33 @@ func (s *IndexServer) handle(msg transport.Message) {
 	}
 	switch msg.Type {
 	case MsgSearch:
-		var req searchPayload
-		if err := req.DecodeBinary(msg.Payload); err != nil {
-			return
-		}
-		sp := s.StartSpan(msg, "search.serve")
-		sp.SetCommunity(req.CommunityID)
-		f, err := query.Parse(req.Filter)
-		if err != nil {
-			f = query.MatchAll{}
-		}
-		hit := codec.Scratch()
-		*hit, _ = appendHit(*hit, req.ReqID, &s.registry, req.CommunityID, f, req.Limit, 0)
-		_ = s.SendPayload(msg.From, MsgSearchHit, *hit, &sp) // a lost reply is the client's timeout
-		codec.Release(hit)
-		sp.Finish()
+		s.serveSearch(msg)
 	default:
 		s.HandleRetrieval(msg)
 	}
+}
+
+// serveSearch answers a client's search from the registry, in place:
+// the request is read as views of its payload and answered by appendHit
+// in pooled scratch, so it allocates nothing. A filter that does not
+// parse is answered with no results.
+func (s *IndexServer) serveSearch(msg transport.Message) {
+	var req searchRequest
+	if err := req.read(msg.Payload); err != nil {
+		return
+	}
+	communityID := codec.StringView(req.community)
+	sp := s.StartSpan(msg, "search.serve")
+	sp.SetCommunity(communityID)
+	hit := codec.Scratch()
+	var err error
+	if *hit, _, err = appendHit(*hit, req.ReqID, &s.registry, communityID, req.filter, req.Limit, 0); err != nil {
+		s.NodeMetrics().CountError(err)
+		*hit = appendResults(codec.AppendUvarint(*hit, req.ReqID), nil)
+	}
+	_ = s.SendPayload(msg.From, MsgSearchHit, *hit, &sp) // a lost reply is the client's timeout
+	codec.Release(hit)
+	sp.Finish()
 }
 
 // CentralizedClient is a peer in the centralized protocol: it keeps

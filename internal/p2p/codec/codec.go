@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/query"
 )
@@ -364,6 +365,13 @@ func (r *Reader) View() []byte {
 	r.off += n
 	return v
 }
+
+// StringView returns a view's bytes as a string without copying them,
+// for a handler that passes part of a request where a string goes — a
+// community to look up, a filter to find a cached set by — and keeps
+// none of it: the string changes with the payload once the handler
+// returns. What outlives the handler is copied (strings.Clone).
+func StringView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // Rest returns the unread remainder of the payload, uncopied, and
 // leaves the cursor at its end; like View, nothing a decoded frame

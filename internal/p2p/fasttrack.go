@@ -2,7 +2,7 @@ package p2p
 
 import (
 	"repro/internal/index"
-	"repro/internal/query"
+	"repro/internal/p2p/codec"
 	"repro/internal/transport"
 )
 
@@ -64,28 +64,38 @@ func (s *SuperPeer) handle(msg transport.Message) {
 // handleLeafSearch serves a leaf: its own leaves' matches at once, the
 // other super-peers' gathered by flooding them, for the limit or
 // leafSearchWait. When that wait blocks, it runs off the handler's
-// goroutine, so the frames behind this one are not held up.
+// goroutine, so the frames behind this one are not held up. The
+// request is read in place and its filter parsed by a pooled parser:
+// both are done with once the flood is sent. A filter that does not
+// parse is answered at once with no results, and floods nothing.
 func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
-	var req searchPayload
-	if err := req.DecodeBinary(msg.Payload); err != nil {
+	var req searchRequest
+	if err := req.read(msg.Payload); err != nil {
 		return
 	}
+	communityID := codec.StringView(req.community)
 	sp := s.StartSpan(msg, "leaf.search")
-	sp.SetCommunity(req.CommunityID)
-	f, err := query.Parse(req.Filter)
-	if err != nil {
-		f = query.MatchAll{}
+	sp.SetCommunity(communityID)
+	sc := getServeScratch()
+	f, err := sc.parser.Parse(req.filter)
+	var col *hitCollector
+	if err == nil {
+		local := s.search(communityID, f, req.Limit)
+		col, err = s.originate(communityID, f, DefaultTTL, req.Limit, local, &sp)
+	} else {
+		s.NodeMetrics().CountError(err)
+		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID}, &sp)
 	}
-	local := s.search(req.CommunityID, f, req.Limit)
-	col, err := s.originate(req.CommunityID, f, DefaultTTL, req.Limit, local, &sp)
-	if err != nil {
+	sc.release()
+	if col == nil {
 		sp.Finish()
 		return
 	}
+	reqID := req.ReqID // the reply may outlive the payload req views
 	reply := func() {
 		merged := s.collected(col, leafSearchWait)
 		// A lost reply is the leaf's timeout.
-		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: req.ReqID, Results: merged}, &sp)
+		_ = s.Send(msg.From, MsgSearchHit, &searchHitPayload{ReqID: reqID, Results: merged}, &sp)
 		sp.Finish()
 	}
 	if s.waits(col.x) {

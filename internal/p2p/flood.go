@@ -315,14 +315,17 @@ func (r *floodRouter) handleFlood(msg transport.Message) {
 	}
 	// A first arrival is read in full before its GUID enters the seen
 	// table, so a frame that is not what its type says never claims a
-	// reverse path. It is read in place: the relay keeps nothing of the
-	// payload past this handler, and copies only the community it
-	// answers for and the filter it parses.
+	// reverse path. It is read in place and served in pooled scratch:
+	// the community is a view of the payload, the filter is parsed by a
+	// pooled parser, the matches gather in pooled scratch, and the
+	// forward is re-encoded into scratch of its own, so serving the
+	// frame allocates nothing. A recording span keeps a copy of the
+	// community (SetCommunity).
 	q := queryView{ping: ping}
 	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	communityID := string(q.community)
+	communityID := codec.StringView(q.community)
 	sp := r.StartSpan(msg, op)
 	sp.SetCommunity(communityID)
 	defer sp.Finish()
@@ -333,12 +336,6 @@ func (r *floodRouter) handleFlood(msg transport.Message) {
 		return
 	}
 
-	var f query.Filter
-	if !ping {
-		if f, err = query.Parse(string(q.filter)); err != nil {
-			return // malformed query: drop, per protocol robustness rules
-		}
-	}
 	hops := q.Hops + 1
 	answer := codec.Scratch()
 	answerType, n := MsgPong, 1
@@ -346,7 +343,12 @@ func (r *floodRouter) handleFlood(msg transport.Message) {
 		*answer = (&pongPayload{GUID: guid, Peer: r.PeerID(), Hops: hops}).AppendBinary(*answer)
 	} else {
 		answerType = MsgQueryHit
-		*answer, n = appendHit(*answer, guid, r.answer, communityID, f, 0, hops)
+		if *answer, n, err = appendHit(*answer, guid, r.answer, communityID, q.filter, 0, hops); err != nil {
+			// A malformed query answers nothing and goes no further.
+			codec.Release(answer)
+			r.NodeMetrics().CountError(err)
+			return
+		}
 	}
 	if n > 0 {
 		// Route the answer back toward the origin along the reverse
@@ -360,14 +362,15 @@ func (r *floodRouter) handleFlood(msg transport.Message) {
 	}
 	q.TTL--
 	q.Hops = hops
-	payload := codec.Borrow(&q)
+	fwd := codec.Scratch()
+	*fwd = q.AppendBinary(*fwd)
 	for _, n := range neighbors {
 		if n == msg.From {
 			continue
 		}
-		_ = r.SendPayload(n, msg.Type, *payload, &sp)
+		_ = r.SendPayload(n, msg.Type, *fwd, &sp)
 	}
-	codec.Release(payload)
+	codec.Release(fwd)
 }
 
 // handleHit collects an answer — a query-hit or a pong — to a flood

@@ -115,27 +115,29 @@ func TestFloodRelayAndDuplicateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAnswerAllocs pins what answering a remote query costs a
-// Gnutella node whose store matches it many times over, delivery of
-// the hit included, on the in-memory network with no tracer: the hit is
-// written from the store's entries, so the count does not grow with
-// the matches and no Result is built. Measured on go1.24 for 4 and 40
-// matches: 5 allocations each, against 7 when every answer built a
-// []Result and a frame around it; the rest is the query's handling —
-// the community string, the filter's parse — and the store's one
-// result slice.
+// TestAnswerAllocs pins what serving a remote query's first arrival
+// costs a Gnutella node whose store matches it many times over, on the
+// in-memory network with no tracer, delivery of the hit included, and
+// with a TTL left the forward to a neighbor too: nothing. The query is
+// read in place, its filter parsed by a pooled parser, the matches
+// gathered in pooled scratch and the hit written straight from the
+// store's entries, so the count does not grow with the matches. Before
+// the pooled parser and scratch it was 5: the community and filter
+// strings, the parse and the store's result slice.
 func TestAnswerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	allocs := func(matches int) float64 {
+	allocs := func(matches, ttl int) float64 {
 		net := transport.NewMemNetwork()
-		origin := newStubPeer(t, net, "origin")
+		origin, next := newStubPeer(t, net, "origin"), newStubPeer(t, net, "next")
 		ep, err := net.Endpoint("answerer")
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := NewGnutellaNode(ep, index.NewStore())
+		g.AddNeighbor("origin")
+		g.AddNeighbor("next")
 		docs := make([]*index.Document, matches)
 		for i := range docs {
 			docs[i] = &index.Document{ID: index.DocID(fmt.Sprintf("doc-%04d", i)), CommunityID: "patterns", Title: fmt.Sprintf("Pattern %d", i),
@@ -148,24 +150,25 @@ func TestAnswerAllocs(t *testing.T) {
 		queries := make([][]byte, runs+1) // AllocsPerRun runs once more to warm up
 		for i := range queries {
 			queries[i] = codec.Encode(&queryPayload{GUID: uint64(1000 + i), Origin: "origin", CommunityID: "patterns",
-				Filter: "(classification=creational)", TTL: 1})
+				Filter: "(&(classification=creational)(!(name=Visitor)))", TTL: ttl})
 		}
-		next := 0
+		i := 0
 		got := testing.AllocsPerRun(runs, func() {
-			origin.send(t, "answerer", MsgQuery, queries[next])
-			next++
+			origin.send(t, "answerer", MsgQuery, queries[i])
+			i++
 		})
 		if origin.got[MsgQueryHit] != runs+1 {
 			t.Fatalf("%d hits for %d queries", origin.got[MsgQueryHit], runs+1)
 		}
+		if forwards := min(ttl-1, 1) * (runs + 1); next.got[MsgQuery] != forwards || origin.got[MsgQuery] != 0 {
+			t.Fatalf("forwarded %d queries onward and %d back, want %d and 0", next.got[MsgQuery], origin.got[MsgQuery], forwards)
+		}
 		return got
 	}
-	few, many := allocs(4), allocs(40)
-	if many != few {
-		t.Errorf("answering 40 matches: %v allocs, 4 matches: %v; want the same", many, few)
-	}
-	if budget := 5.0; many > budget {
-		t.Errorf("answering a query: %v allocs, want <= %v", many, budget)
+	for _, c := range []struct{ matches, ttl int }{{4, 1}, {40, 1}, {4, 3}, {40, 3}} {
+		if got := allocs(c.matches, c.ttl); got != 0 {
+			t.Errorf("answering %d matches with TTL %d: %v allocs, want 0", c.matches, c.ttl, got)
+		}
 	}
 }
 

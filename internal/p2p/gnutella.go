@@ -97,8 +97,9 @@ func (g *GnutellaNode) localResults(communityID string, f query.Filter, limit in
 
 // appendAnswer implements answerer: this node's matches, written
 // straight from its store's entries, each provided by this node.
-func (g *GnutellaNode) appendAnswer(dst []byte, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
-	es := g.shared.Search(communityID, f, limit)
+func (g *GnutellaNode) appendAnswer(dst []byte, sc *serveScratch, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
+	es := g.shared.Search(communityID, f, limit, sc.matches[:0]...)
+	sc.matches = es
 	dst = codec.AppendUvarint(dst, uint64(len(es)))
 	for _, e := range es {
 		dst = appendEntryResult(dst, e, g.PeerID(), hops)

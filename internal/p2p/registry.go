@@ -161,10 +161,10 @@ func (r *registry) removeProviderLocked(id index.DocID, peer transport.PeerID) b
 // returns more matches than the searcher asked for.
 
 // matchesLocked runs a search of the registrations: it returns the
-// entries it matched and the number of results they make (caller
-// holds mu).
-func (r *registry) matchesLocked(communityID string, f query.Filter, limit int) ([]*index.Entry, int) {
-	es := r.store.Search(communityID, f, limit)
+// entries it matched, appended to out, and the number of results they
+// make (caller holds mu).
+func (r *registry) matchesLocked(communityID string, f query.Filter, limit int, out []*index.Entry) ([]*index.Entry, int) {
+	es := r.store.Search(communityID, f, limit, out...)
 	n := 0
 	for _, e := range es {
 		n += len(r.providers[e.ID])
@@ -194,7 +194,7 @@ func (r *registry) eachLocked(es []*index.Entry, n int, yield func(*index.Entry,
 func (r *registry) search(communityID string, f query.Filter, limit int) []Result {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	es, n := r.matchesLocked(communityID, f, limit)
+	es, n := r.matchesLocked(communityID, f, limit, nil)
 	out := make([]Result, 0, n)
 	r.eachLocked(es, n, func(e *index.Entry, p transport.PeerID) { out = append(out, ResultOf(e, p)) })
 	return out
@@ -202,11 +202,12 @@ func (r *registry) search(communityID string, f query.Filter, limit int) []Resul
 
 // appendAnswer implements answerer: the results, written straight from
 // the entries as a hit frame's result set.
-func (r *registry) appendAnswer(dst []byte, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
+func (r *registry) appendAnswer(dst []byte, sc *serveScratch, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	es, n := r.matchesLocked(communityID, f, limit)
+	var n int
+	sc.matches, n = r.matchesLocked(communityID, f, limit, sc.matches[:0])
 	dst = codec.AppendUvarint(dst, uint64(n))
-	r.eachLocked(es, n, func(e *index.Entry, p transport.PeerID) { dst = appendEntryResult(dst, e, p, hops) })
+	r.eachLocked(sc.matches, n, func(e *index.Entry, p transport.PeerID) { dst = appendEntryResult(dst, e, p, hops) })
 	return dst, n
 }

@@ -172,7 +172,7 @@ func TestRegistrationsOwnTheirBytes(t *testing.T) {
 		}
 		want = append(want, Result{DocID: reg.DocID, Provider: "leaf", CommunityID: reg.CommunityID, Title: reg.Title, Attrs: reg.Attrs})
 	}
-	got, _ := appendHit(nil, 9, &is.registry, "patterns", query.MatchAll{}, 0, 0)
+	got, _, _ := appendHit(nil, 9, &is.registry, "patterns", []byte("(*)"), 0, 0)
 	if enc := codec.Encode(&searchHitPayload{ReqID: 9, Results: want}); !bytes.Equal(got, enc) {
 		t.Errorf("search-hit\n%x\nwant\n%x", got, enc)
 	}

@@ -6,6 +6,9 @@ package p2p
 // under its transport message type for generic decoding.
 
 import (
+	"sync"
+	"unsafe"
+
 	"repro/internal/index"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
@@ -51,17 +54,52 @@ func appendEntryResult(dst []byte, e *index.Entry, provider transport.PeerID, ho
 // appendAnswer appends its matches to dst as a hit frame's result set
 // (the count, then the results appendResult would write), at most
 // limit of them (0 = all), each with hop count hops, and returns how
-// many it wrote.
+// many it wrote. Its store gathers the matches in sc.matches.
 type answerer interface {
-	appendAnswer(dst []byte, communityID string, f query.Filter, limit, hops int) ([]byte, int)
+	appendAnswer(dst []byte, sc *serveScratch, communityID string, f query.Filter, limit, hops int) ([]byte, int)
 }
 
 // appendHit appends the query-hit or search-hit — the two share a
-// layout: an id, then a result set — that answers a remote search,
-// written straight from the answering node's store (answerer), so no
-// Result is built for it. It returns how many results the hit holds.
-func appendHit(dst []byte, id uint64, from answerer, communityID string, f query.Filter, limit, hops int) ([]byte, int) {
-	return from.appendAnswer(codec.AppendUvarint(dst, id), communityID, f, limit, hops)
+// layout: an id, then a result set — that answers a remote search for
+// filter, the request's filter text, written straight from the
+// answering node's store (answerer), so no Result is built for it. It
+// returns how many results the hit holds. The filter is parsed and the
+// matches gathered in pooled scratch, so once that has grown it
+// allocates nothing. A filter that does not parse appends nothing and
+// is the error.
+func appendHit(dst []byte, id uint64, from answerer, communityID string, filter []byte, limit, hops int) ([]byte, int, error) {
+	sc := getServeScratch()
+	defer sc.release()
+	f, err := sc.parser.Parse(filter)
+	if err != nil {
+		return dst, 0, err
+	}
+	dst, n := from.appendAnswer(codec.AppendUvarint(dst, id), sc, communityID, f, limit, hops)
+	return dst, n, nil
+}
+
+// serveScratch is what a node serves one remote search in: the parser
+// that reads the request's filter, and the slice the store appends the
+// matches to (index.Store.Search's out). It comes from one process-wide
+// pool and goes back once the answer is written, so the parsed filter
+// and the matches die with the handler. Scratch that grew past
+// codec.MaxPooled is dropped rather than pooled.
+type serveScratch struct {
+	parser  query.Parser
+	matches []*index.Entry
+}
+
+var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
+
+func getServeScratch() *serveScratch { return serveScratchPool.Get().(*serveScratch) }
+
+// release hands sc back to the pool, holding no entry.
+func (sc *serveScratch) release() {
+	clear(sc.matches)
+	sc.matches = sc.matches[:0]
+	if sc.parser.Size()+cap(sc.matches)*int(unsafe.Sizeof((*index.Entry)(nil))) <= codec.MaxPooled {
+		serveScratchPool.Put(sc)
+	}
 }
 
 // readResult decodes one result.
@@ -206,11 +244,28 @@ func (p *searchPayload) AppendBinary(dst []byte) []byte {
 }
 
 func (p *searchPayload) DecodeBinary(data []byte) error {
+	var q searchRequest
+	err := q.read(data)
+	*p = q.searchPayload
+	p.CommunityID, p.Filter = string(q.community), string(q.filter)
+	return err
+}
+
+// searchRequest is a search frame read in place, as a hub serves it:
+// community and filter are views of the borrowed payload, valid until
+// the handler returns, and the embedded payload carries the numbers with
+// its strings empty. A hub copies nothing of it.
+type searchRequest struct {
+	searchPayload
+	community, filter []byte
+}
+
+func (q *searchRequest) read(data []byte) error {
 	r := codec.NewReader(data)
-	p.ReqID = r.Uvarint()
-	p.CommunityID = r.String()
-	p.Filter = r.String()
-	p.Limit = int(r.Uvarint())
+	q.ReqID = r.Uvarint()
+	q.community = r.View()
+	q.filter = r.View()
+	q.Limit = int(r.Uvarint())
 	return r.Err()
 }
 

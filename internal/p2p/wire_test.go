@@ -141,7 +141,7 @@ func TestAnswersEncodeAsResults(t *testing.T) {
 		"indexserver":       {&is.registry, is.providers, 0, 0},
 		"indexserver limit": {&is.registry, is.providers, 3, 0},
 	} {
-		got, n := appendHit(nil, 7, c.from, "c", query.MatchAll{}, c.limit, c.hops)
+		got, n, _ := appendHit(nil, 7, c.from, "c", []byte("(*)"), c.limit, c.hops)
 		results := want(c.providers, c.limit, c.hops)
 		if wanted := codec.Encode(&queryHitPayload{GUID: 7, Results: results}); n != len(results) || !bytes.Equal(got, wanted) {
 			t.Errorf("%s: %d answers encode to\n%x\nthe %d results to\n%x", name, n, got, len(results), wanted)

@@ -80,8 +80,13 @@ func TestPropertyComplementConsistency(t *testing.T) {
 
 // FuzzFilterParse: whatever parses, String renders in a form that parses
 // back and renders the same, and nothing nested deeper than maxNesting
-// parses. testdata/fuzz holds 40 000 negations of (a=b) and a filter at
-// the bound.
+// parses. A reused Parser agrees with Parse: the input is parsed again
+// by a parser that has just parsed a deeper, wider filter, and then a
+// third filter by the same parser, and each comes out with the String,
+// the Match answers and the error of a fresh Parse; neither the filter
+// nor the error depends on the caller's bytes once Parse returns.
+// testdata/fuzz holds 40 000 negations of (a=b) and a filter at the
+// bound. The seeds include the flood and DHT workloads' filters.
 func FuzzFilterParse(f *testing.F) {
 	for _, src := range []string{
 		"(title=Observer)", "(&(a=1)(b=2))", "(|(a=1)(!(b~=x))(c>=3))", "(keywords=*)", "(*)",
@@ -90,8 +95,27 @@ func FuzzFilterParse(f *testing.F) {
 	} {
 		f.Add(src)
 	}
+	for _, src := range workloadFilters {
+		f.Add(src)
+	}
+	// deeper is wider and deeper than any seed but the nesting bound's.
+	deeper := "(&" + nestedNot(maxNesting-2) + "(|(a=1)(b~=2)(!(c>=3)))(d=*)(&(e<4)(f=x*y)))"
 	f.Fuzz(func(t *testing.T, src string) {
 		filter, err := Parse(src)
+		var p Parser
+		if _, derr := p.Parse([]byte(deeper)); derr != nil {
+			t.Fatal(derr)
+		}
+		buf := []byte(src)
+		reused, rerr := p.Parse(buf)
+		for i := range buf {
+			buf[i] = '('
+		}
+		sameParse(t, src, filter, err, reused, rerr)
+		third := workloadFilters[len(src)%len(workloadFilters)]
+		want, werr := Parse(third)
+		got, gerr := p.Parse([]byte(third))
+		sameParse(t, third, want, werr, got, gerr)
 		if err != nil {
 			return
 		}
@@ -107,6 +131,46 @@ func FuzzFilterParse(f *testing.F) {
 			t.Fatalf("%q -> %q -> %q", src, canon, s)
 		}
 	})
+}
+
+// workloadFilters are the filters the flood and DHT workloads search with.
+var workloadFilters = []string{
+	"(classification=behavioral)", "(classification=creational)", "(classification=structural)",
+	"(keywords=wrapper)", "(&(classification=behavioral)(keywords=undo))", "(name=*)",
+	"(!(classification=behavioral))", "(|(classification=creational)(classification=behavioral))",
+}
+
+// matchProbes are attribute sets a reused parser's filter must answer as
+// a fresh one's does.
+var matchProbes = []Attrs{
+	{},
+	{"a": {"1"}, "b": {"2"}, "title": {"Observer"}},
+	{"classification": {"behavioral"}, "keywords": {"undo", "wrapper"}, "name": {"Command"}},
+	{"classification": {"creational"}, "name": {"Builder"}, "c": {"3"}},
+}
+
+// sameParse fails unless a reused parser's result (got, gerr) is what
+// Parse made of src (want, werr): the same error, or the same String and
+// the same Match answers.
+func sameParse(t *testing.T, src string, want Filter, werr error, got Filter, gerr error) {
+	t.Helper()
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("%q: Parse error %v, reused Parser error %v", src, werr, gerr)
+	}
+	if werr != nil {
+		if werr.Error() != gerr.Error() {
+			t.Fatalf("%q: Parse error %q, reused Parser error %q", src, werr, gerr)
+		}
+		return
+	}
+	if w, g := want.String(), got.String(); w != g {
+		t.Fatalf("%q: Parse renders %q, a reused Parser %q", src, w, g)
+	}
+	for _, a := range matchProbes {
+		if w, g := want.Match(a), got.Match(a); w != g {
+			t.Fatalf("%q over %v: Parse matches %v, a reused Parser %v", src, a, w, g)
+		}
+	}
 }
 
 // nesting is how many levels deep f nests: (a=b) is one.

@@ -17,7 +17,6 @@
 package query
 
 import (
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"iter"
@@ -26,6 +25,8 @@ import (
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
+
+	"repro/internal/errs"
 )
 
 // Attrs is an attribute set as a map: the indexed fields extracted from
@@ -521,7 +522,9 @@ func composite(op string, subs []Filter) string {
 
 // --- parser ---
 
-// SyntaxError reports a malformed filter string.
+// SyntaxError reports a malformed filter string. Its code (errs.Code)
+// is "query.malformed", as ErrEmpty's is: a node that refuses a peer's
+// filter counts the refusal by the parse error itself.
 type SyntaxError struct {
 	Src string
 	Pos int
@@ -532,8 +535,14 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("query: %s at %d in %q", e.Msg, e.Pos, e.Src)
 }
 
-// ErrEmpty is returned for an empty filter string.
-var ErrEmpty = errors.New("query: empty filter")
+// Unwrap returns the coded error every SyntaxError stands for.
+func (e *SyntaxError) Unwrap() error { return errMalformed }
+
+var (
+	errMalformed = errs.New("query.malformed", "query: malformed filter")
+	// ErrEmpty is returned for an empty filter string.
+	ErrEmpty error = errs.New("query.malformed", "query: empty filter")
+)
 
 // maxNesting bounds how deep filters nest: (a=b) is one level, (!(a=b))
 // two. Filters arrive from peers, and parsing, matching and String all
@@ -543,28 +552,12 @@ const maxNesting = 32
 // Parse parses a filter expression. A bare "attr=value" (without
 // parentheses) is accepted as shorthand for "(attr=value)". An empty
 // or "(*)" filter matches everything. Nesting deeper than 32 levels is
-// a *SyntaxError.
+// a *SyntaxError. The filter is the caller's: its strings are src's, and
+// its nodes are allocated for it alone. A node that serves filters
+// parses them with a Parser instead.
 func Parse(src string) (Filter, error) {
-	s := strings.TrimSpace(src)
-	if s == "" {
-		return nil, ErrEmpty
-	}
-	if s == "(*)" || s == "*" {
-		return MatchAll{}, nil
-	}
-	if !strings.HasPrefix(s, "(") {
-		s = "(" + s + ")"
-	}
-	p := &fparser{src: s}
-	f, err := p.parseFilter(1)
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return nil, &SyntaxError{Src: src, Pos: p.pos, Msg: "trailing input"}
-	}
-	return f, nil
+	var p Parser
+	return p.parse(src, false)
 }
 
 // MustParse panics on error; for compiled-in filters.
@@ -576,19 +569,105 @@ func MustParse(src string) Filter {
 	return f
 }
 
-type fparser struct {
-	src string
+// Parser parses filters, as Parse does, into storage it keeps and
+// reuses: a copy of the source, and one arena per kind of node and for
+// the composites' sub-filter slices. Once its arenas have grown to a
+// node's filters, a parse allocates nothing. The filter Parse returns is
+// valid until the parser's next Parse; a serve path matches with it and
+// forgets it before it hands the parser on. The zero value is ready to
+// use; a Parser must not be used by two goroutines at once.
+type Parser struct {
+	src string // the text being parsed, trimmed and parenthesized
 	pos int
+	// hint is how much room an empty arena is given: the '(' count of
+	// src, which bounds its nodes, capped so that a value full of
+	// parentheses does not size four arenas after itself.
+	hint int
+
+	buf     []byte // Parse's copy of its source
+	asserts []Assertion
+	ands    []And
+	ors     []Or
+	nots    []Not
+	subs    []Filter // the composites' Subs, each a full slice of it
+	stack   []Filter // the sub-filters of the composites being parsed
 }
 
-func (p *fparser) errf(format string, args ...any) error {
-	return &SyntaxError{Src: p.src, Pos: p.pos, Msg: fmt.Sprintf(format, args...)}
+// Parse parses src as the package's Parse does. The filter it returns,
+// and every string in it, is valid until p's next Parse: src is copied
+// into p, so the caller may reuse src as soon as Parse returns. A
+// *SyntaxError owns its Src.
+func (p *Parser) Parse(src []byte) (Filter, error) {
+	return p.parse(unsafe.String(unsafe.SliceData(src), len(src)), true)
+}
+
+// Size is how many bytes of storage p holds for reuse; a pool drops a
+// parser that grew past its bound rather than keep it.
+func (p *Parser) Size() int {
+	return cap(p.buf) + cap(p.asserts)*int(unsafe.Sizeof(Assertion{})) +
+		(cap(p.ands)+cap(p.ors))*int(unsafe.Sizeof(And{})) + cap(p.nots)*int(unsafe.Sizeof(Not{})) +
+		(cap(p.subs)+cap(p.stack))*int(unsafe.Sizeof(Filter(nil)))
+}
+
+// maxHint caps Parser.hint.
+const maxHint = 64
+
+// parse is the one parser. With copySrc set, src is only a view of the
+// caller's bytes, and the text parsed is a copy in p.buf; otherwise the
+// filter's strings are substrings of src (or of a parenthesized copy).
+func (p *Parser) parse(src string, copySrc bool) (Filter, error) {
+	s := strings.TrimSpace(src)
+	if s == "" {
+		return nil, ErrEmpty
+	}
+	if s == "(*)" || s == "*" {
+		return MatchAll{}, nil
+	}
+	if wrap := !strings.HasPrefix(s, "("); wrap || copySrc {
+		p.buf = p.buf[:0]
+		if wrap {
+			p.buf = append(p.buf, '(')
+		}
+		p.buf = append(p.buf, s...)
+		if wrap {
+			p.buf = append(p.buf, ')')
+		}
+		s = unsafe.String(unsafe.SliceData(p.buf), len(p.buf)) // p.buf is not written again until the next parse
+	}
+	p.src, p.pos, p.hint = s, 0, min(strings.Count(s, "("), maxHint)
+	p.asserts, p.ands, p.ors, p.nots = p.asserts[:0], p.ands[:0], p.ors[:0], p.nots[:0]
+	p.subs, p.stack = p.subs[:0], p.stack[:0]
+	f, err := p.parseFilter(1)
+	if err != nil {
+		return nil, err
+	}
+	p.skipSpace()
+	if p.pos != len(p.src) {
+		return nil, &SyntaxError{Src: strings.Clone(src), Pos: p.pos, Msg: "trailing input"}
+	}
+	return f, nil
+}
+
+// node appends a zero node to an arena and returns it. An empty arena
+// is first given room for the parse's hint; a full one grows, and the
+// nodes already handed out stay where they are, in the array it left.
+func node[T any](arena *[]T, hint int) *T {
+	if cap(*arena) == 0 {
+		*arena = make([]T, 0, max(hint, 1))
+	}
+	var zero T
+	*arena = append(*arena, zero)
+	return &(*arena)[len(*arena)-1]
+}
+
+func (p *Parser) errf(format string, args ...any) error {
+	return &SyntaxError{Src: strings.Clone(p.src), Pos: p.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 // skipSpace skips what strings.TrimSpace trims. An attribute name,
 // trimmed, then starts with the byte parseFilter dispatched on, never
 // with '&', '|', '!' or '*', so its String parses back to it.
-func (p *fparser) skipSpace() {
+func (p *Parser) skipSpace() {
 	for p.pos < len(p.src) {
 		r, w := rune(p.src[p.pos]), 1
 		if r >= utf8.RuneSelf {
@@ -602,7 +681,7 @@ func (p *fparser) skipSpace() {
 }
 
 // parseFilter parses one filter at nesting level depth.
-func (p *fparser) parseFilter(depth int) (Filter, error) {
+func (p *Parser) parseFilter(depth int) (Filter, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '(' {
 		return nil, p.errf("expected '('")
@@ -619,26 +698,18 @@ func (p *fparser) parseFilter(depth int) (Filter, error) {
 	case '&', '|':
 		op := p.src[p.pos]
 		p.pos++
-		var subs []Filter
-		for {
-			p.skipSpace()
-			if p.pos < len(p.src) && p.src[p.pos] == ')' {
-				p.pos++
-				break
-			}
-			sub, err := p.parseFilter(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			subs = append(subs, sub)
-		}
-		if len(subs) == 0 {
-			return nil, p.errf("empty composite filter")
+		subs, err := p.parseSubs(depth)
+		if err != nil {
+			return nil, err
 		}
 		if op == '&' {
-			return &And{Subs: subs}, nil
+			f := node(&p.ands, p.hint)
+			f.Subs = subs
+			return f, nil
 		}
-		return &Or{Subs: subs}, nil
+		f := node(&p.ors, p.hint)
+		f.Subs = subs
+		return f, nil
 	case '!':
 		p.pos++
 		sub, err := p.parseFilter(depth + 1)
@@ -650,7 +721,9 @@ func (p *fparser) parseFilter(depth int) (Filter, error) {
 			return nil, p.errf("expected ')' after negation")
 		}
 		p.pos++
-		return &Not{Sub: sub}, nil
+		f := node(&p.nots, p.hint)
+		f.Sub = sub
+		return f, nil
 	case '*':
 		// "(*)" match-all as a sub-filter.
 		p.pos++
@@ -665,7 +738,39 @@ func (p *fparser) parseFilter(depth int) (Filter, error) {
 	}
 }
 
-func (p *fparser) parseAssertion() (Filter, error) {
+// parseSubs parses a composite's sub-filters, up to and including its
+// ')'. They gather on p.stack, above those of the composites that
+// enclose this one, and move to p.subs once all are read.
+func (p *Parser) parseSubs(depth int) ([]Filter, error) {
+	if cap(p.stack) == 0 {
+		p.stack = make([]Filter, 0, max(p.hint, 1))
+	}
+	mark := len(p.stack)
+	for {
+		p.skipSpace()
+		if p.pos < len(p.src) && p.src[p.pos] == ')' {
+			p.pos++
+			break
+		}
+		sub, err := p.parseFilter(depth + 1)
+		if err != nil {
+			return nil, err
+		}
+		p.stack = append(p.stack, sub)
+	}
+	if len(p.stack) == mark {
+		return nil, p.errf("empty composite filter")
+	}
+	if cap(p.subs) == 0 {
+		p.subs = make([]Filter, 0, max(p.hint, len(p.stack)-mark))
+	}
+	start := len(p.subs)
+	p.subs = append(p.subs, p.stack[mark:]...)
+	p.stack = p.stack[:mark]
+	return p.subs[start:len(p.subs):len(p.subs)], nil
+}
+
+func (p *Parser) parseAssertion() (Filter, error) {
 	start := p.pos
 	for p.pos < len(p.src) && !strings.ContainsRune("=<>~()", rune(p.src[p.pos])) {
 		p.pos++
@@ -731,5 +836,7 @@ func (p *fparser) parseAssertion() (Filter, error) {
 		return nil, p.errf("%s value starts with '='", op)
 	}
 	p.pos++ // consume ')'
-	return &Assertion{Attr: attr, Op: op, Value: value}, nil
+	a := node(&p.asserts, p.hint)
+	*a = Assertion{Attr: attr, Op: op, Value: value}
+	return a, nil
 }

@@ -17,6 +17,7 @@ package trace
 
 import (
 	"hash/fnv"
+	"strings"
 	"sync"
 	"time"
 
@@ -290,10 +291,12 @@ func (a *ActiveSpan) SetPeer(peer string) {
 	}
 }
 
-// SetCommunity records the community the operation targeted.
+// SetCommunity records the community the operation targeted. A
+// recording span keeps a copy of c, so a handler may pass a view of
+// its borrowed payload; a span that records nothing copies nothing.
 func (a *ActiveSpan) SetCommunity(c string) {
 	if a != nil && a.tr != nil {
-		a.s.Community = c
+		a.s.Community = strings.Clone(c)
 	}
 }
 
